@@ -5,15 +5,17 @@
 
 use experiments::fig2::{fig2b_table, run_fig2b, Fig2Config};
 
+const USAGE: &str = "usage: fig2b [--seed N] [--csv]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let cli = bench::Cli::from_env(USAGE, &["--csv"], &["--seed"]);
     let mut cfg = Fig2Config::default();
-    if let Some(seed) = bench::arg_value(&args, "--seed") {
-        cfg.seed = seed.parse().expect("--seed takes an integer");
+    if let Some(seed) = cli.number("--seed") {
+        cfg.seed = seed;
     }
     let r = run_fig2b(&cfg);
     let table = fig2b_table(&r);
-    if bench::has_flag(&args, "--csv") {
+    if cli.has("--csv") {
         print!("{}", table.to_csv());
     } else {
         table.print();

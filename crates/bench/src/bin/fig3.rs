@@ -17,26 +17,32 @@
 
 use experiments::fig3::{fig3_summary_table, fig3_table, run_fig3, Fig3Config};
 
+const USAGE: &str = "usage: fig3 [--full] [--seed N] [--csv] [--journal PATH] [--spans PATH]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut cfg = if bench::has_flag(&args, "--full") {
+    let cli = bench::Cli::from_env(
+        USAGE,
+        &["--full", "--csv"],
+        &["--seed", "--journal", "--spans"],
+    );
+    let mut cfg = if cli.has("--full") {
         Fig3Config::full()
     } else {
         Fig3Config::default()
     };
-    if let Some(seed) = bench::arg_value(&args, "--seed") {
-        cfg.seed = seed.parse().expect("--seed takes an integer");
+    if let Some(seed) = cli.number("--seed") {
+        cfg.seed = seed;
     }
-    let journal_path = bench::arg_value(&args, "--journal");
+    let journal_path = cli.value("--journal");
     if journal_path.is_some() {
         cfg.journal = telemetry::JournalMode::Full(1 << 22);
     }
-    let spans_path = bench::arg_value(&args, "--spans");
+    let spans_path = cli.value("--spans");
     if spans_path.is_some() {
         cfg.span = telemetry::SpanMode::Full(1 << 24);
     }
     let r = run_fig3(&cfg);
-    let write_capture = |path: &String, text: &str, what: &str| {
+    let write_capture = |path: &str, text: &str, what: &str| {
         if let Some(dir) = std::path::Path::new(path).parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)
@@ -46,10 +52,10 @@ fn main() {
         std::fs::write(path, text).unwrap_or_else(|e| panic!("writing {what}: {e}"));
         eprintln!("wrote {} ({} {what} lines)", path, text.lines().count());
     };
-    if let Some(path) = &journal_path {
+    if let Some(path) = journal_path {
         write_capture(path, &r.aware.journal, "journal");
     }
-    if let Some(path) = &spans_path {
+    if let Some(path) = spans_path {
         write_capture(path, &r.aware.spans, "span");
         if r.aware.spans_dropped > 0 {
             eprintln!(
@@ -59,7 +65,7 @@ fn main() {
             );
         }
     }
-    if bench::has_flag(&args, "--csv") {
+    if cli.has("--csv") {
         print!("{}", fig3_table(&r).to_csv());
     } else {
         fig3_table(&r).print();

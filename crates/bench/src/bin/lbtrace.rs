@@ -31,13 +31,14 @@
 use bench::lbtrace::{summary_shards, Trace};
 use bench::spans::{critical_path_table, error_budget, error_budget_table, SpanCapture};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: lbtrace <summary|samples|explain|ejections|reaction|spans|critical-path|error-budget> \
-         FILE [FILE...] [--backend B] [--after NS] [--inject NS] [--limit N] [--trace T]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: lbtrace summary       FILE [FILE...]
+       lbtrace samples       FILE [--backend B] [--limit N]
+       lbtrace explain       FILE [--after NS]
+       lbtrace ejections     FILE
+       lbtrace reaction      FILE --inject NS [--backend B]
+       lbtrace spans         SPANFILE [--trace T] [--limit N]
+       lbtrace critical-path SPANFILE
+       lbtrace error-budget  SPANFILE JOURNALFILE";
 
 fn load_trace(path: &str) -> Trace {
     let trace = match Trace::load(path) {
@@ -64,25 +65,20 @@ fn load_spans(path: &str) -> SpanCapture {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(cmd) = args.get(1) else {
-        usage();
+    // Each subcommand accepts only its own flags.
+    let valued: &[&str] = match std::env::args().nth(1).as_deref() {
+        Some("samples") => &["--backend", "--limit"],
+        Some("explain") => &["--after"],
+        Some("reaction") => &["--inject", "--backend"],
+        Some("spans") => &["--trace", "--limit"],
+        _ => &[],
     };
-    // Positional FILE arguments: everything up to the first `--flag`.
-    let files: Vec<&String> = args[2..]
-        .iter()
-        .take_while(|a| !a.starts_with("--"))
-        .collect();
-    let Some(&path) = files.first() else {
-        usage();
+    let cli = bench::Cli::from_env(USAGE, &[], valued);
+    let Some((cmd, files)) = cli.positional().split_first() else {
+        cli.fail("missing subcommand");
     };
-    let num = |key: &str| -> Option<u64> {
-        bench::arg_value(&args, key).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("lbtrace: {key} takes an integer");
-                std::process::exit(2);
-            })
-        })
+    let Some(path) = files.first() else {
+        cli.fail("missing FILE");
     };
 
     match cmd.as_str() {
@@ -97,8 +93,8 @@ fn main() {
         }
         "samples" => {
             let trace = load_trace(path);
-            let backend = num("--backend").unwrap_or(0) as usize;
-            let limit = num("--limit").unwrap_or(u64::MAX) as usize;
+            let backend = cli.number("--backend").unwrap_or(0) as usize;
+            let limit = cli.number("--limit").unwrap_or(u64::MAX) as usize;
             let timeline = trace.sample_timeline(backend);
             println!(
                 "backend {backend}: {} sample(s){}",
@@ -115,7 +111,7 @@ fn main() {
             }
         }
         "explain" => {
-            let after = num("--after").unwrap_or(0);
+            let after = cli.number("--after").unwrap_or(0);
             match load_trace(path).explain_shift(after) {
                 Some(ex) => print!("{}", ex.render()),
                 None => println!("no weight shift with a victim at or after t = {after} ns"),
@@ -132,11 +128,10 @@ fn main() {
         }
         "reaction" => {
             let trace = load_trace(path);
-            let Some(inject) = num("--inject") else {
-                eprintln!("lbtrace: reaction needs --inject NS");
-                std::process::exit(2);
+            let Some(inject) = cli.number("--inject") else {
+                cli.fail("reaction needs --inject NS");
             };
-            let backends: Vec<usize> = match num("--backend") {
+            let backends: Vec<usize> = match cli.number("--backend") {
                 Some(b) => vec![b as usize],
                 None => (0..trace.n_backends()).collect(),
             };
@@ -152,7 +147,7 @@ fn main() {
         }
         "spans" => {
             let capture = load_spans(path);
-            match num("--trace") {
+            match cli.number("--trace") {
                 Some(t) => match capture.find(t) {
                     Some(span) => print!("{}", capture.render_span(span)),
                     None => {
@@ -161,7 +156,7 @@ fn main() {
                     }
                 },
                 None => {
-                    let limit = num("--limit").unwrap_or(10) as usize;
+                    let limit = cli.number("--limit").unwrap_or(10) as usize;
                     println!(
                         "{} span(s) captured, showing first {}",
                         capture.spans().len(),
@@ -178,15 +173,14 @@ fn main() {
             critical_path_table(&capture.critical_paths()).print();
         }
         "error-budget" => {
-            let Some(&journal_path) = files.get(1) else {
-                eprintln!("lbtrace: error-budget needs SPANFILE JOURNALFILE");
-                std::process::exit(2);
+            let Some(journal_path) = files.get(1) else {
+                cli.fail("error-budget needs SPANFILE JOURNALFILE");
             };
             let capture = load_spans(path);
             let journal = load_trace(journal_path);
             let budget = error_budget(&capture.critical_paths(), journal.events());
             error_budget_table(&budget).print();
         }
-        _ => usage(),
+        other => cli.fail(&format!("unknown subcommand {other:?}")),
     }
 }

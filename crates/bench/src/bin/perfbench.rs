@@ -24,17 +24,21 @@
 
 use bench::harness::{self, BenchReport};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = bench::has_flag(&args, "--quick");
-    let seed: u64 = bench::arg_value(&args, "--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let out =
-        bench::arg_value(&args, "--out").unwrap_or_else(|| "target/bench/BENCH_perf.json".into());
+const USAGE: &str =
+    "usage: perfbench [--quick] [--scenario NAME] [--seed N] [--out PATH] [--journal] [--spans]";
 
-    let mut report = if let Some(name) = bench::arg_value(&args, "--scenario") {
-        match harness::run_scenario(&name, quick, seed) {
+fn main() {
+    let cli = bench::Cli::from_env(
+        USAGE,
+        &["--quick", "--journal", "--spans"],
+        &["--scenario", "--seed", "--out"],
+    );
+    let quick = cli.has("--quick");
+    let seed = cli.number("--seed").unwrap_or(42);
+    let out = cli.value("--out").unwrap_or("target/bench/BENCH_perf.json");
+
+    let mut report = if let Some(name) = cli.value("--scenario") {
+        match harness::run_scenario(name, quick, seed) {
             Ok(r) => BenchReport::single(quick, r),
             Err(e) => {
                 eprintln!("perfbench: {e}");
@@ -48,7 +52,7 @@ fn main() {
         ("--journal", "fig3_kv_journal"),
         ("--spans", "fig3_kv_spans"),
     ] {
-        if bench::has_flag(&args, flag) && !report.scenarios.iter().any(|s| s.name == scenario) {
+        if cli.has(flag) && !report.scenarios.iter().any(|s| s.name == scenario) {
             match harness::run_scenario(scenario, quick, seed) {
                 Ok(r) => report.scenarios.push(r),
                 Err(e) => {
@@ -92,7 +96,7 @@ fn main() {
         );
     }
 
-    if let Some(dir) = std::path::Path::new(&out).parent() {
+    if let Some(dir) = std::path::Path::new(out).parent() {
         if !dir.as_os_str().is_empty() {
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("perfbench: creating {}: {e}", dir.display());
@@ -100,7 +104,7 @@ fn main() {
             }
         }
     }
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
+    if let Err(e) = std::fs::write(out, report.to_json()) {
         eprintln!("perfbench: writing {out}: {e}");
         std::process::exit(1);
     }

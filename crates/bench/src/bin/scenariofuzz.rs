@@ -20,27 +20,30 @@
 
 use std::process::ExitCode;
 
-use bench::arg_value;
+use bench::Cli;
 use scenariofuzz::{campaign_json, check, minimize, Scenario, SeedResult};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: scenariofuzz run --seeds A..B [--out FILE]\n       \
-         scenariofuzz minimize --seed N [--out FILE]\n       \
-         scenariofuzz replay <case-file>\n       \
-         scenariofuzz show --seed N"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: scenariofuzz run --seeds A..B [--out FILE]
+       scenariofuzz minimize --seed N [--out FILE]
+       scenariofuzz replay <case-file>
+       scenariofuzz show --seed N";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args),
-        Some("minimize") => cmd_minimize(&args),
-        Some("replay") => cmd_replay(&args),
-        Some("show") => cmd_show(&args),
-        _ => usage(),
+    // Each subcommand accepts only its own flags.
+    let valued: &[&str] = match std::env::args().nth(1).as_deref() {
+        Some("run") => &["--seeds", "--out"],
+        Some("minimize") => &["--seed", "--out"],
+        Some("show") => &["--seed"],
+        _ => &[],
+    };
+    let cli = Cli::from_env(USAGE, &[], valued);
+    match cli.positional().first().map(String::as_str) {
+        Some("run") => cmd_run(&cli),
+        Some("minimize") => cmd_minimize(&cli),
+        Some("replay") => cmd_replay(&cli),
+        Some("show") => cmd_show(&cli),
+        Some(other) => cli.fail(&format!("unknown subcommand {other:?}")),
+        None => cli.fail("missing subcommand"),
     }
 }
 
@@ -60,13 +63,12 @@ fn write_out(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let Some(spec) = arg_value(args, "--seeds") else {
-        return usage();
+fn cmd_run(cli: &Cli) -> ExitCode {
+    let Some(spec) = cli.value("--seeds") else {
+        cli.fail("run needs --seeds A..B");
     };
-    let Some((from, to)) = parse_seed_range(&spec) else {
-        eprintln!("scenariofuzz: bad seed range {spec:?} (want A..B with A < B)");
-        return ExitCode::from(2);
+    let Some((from, to)) = parse_seed_range(spec) else {
+        cli.fail(&format!("bad seed range {spec:?} (want A..B with A < B)"));
     };
     let mut results = Vec::new();
     let mut failed = 0usize;
@@ -99,8 +101,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
         });
     }
     let report = campaign_json(from, to, &results);
-    if let Some(path) = arg_value(args, "--out") {
-        if let Err(e) = write_out(&path, &report) {
+    if let Some(path) = cli.value("--out") {
+        if let Err(e) = write_out(path, &report) {
             eprintln!("scenariofuzz: {e}");
             return ExitCode::from(2);
         }
@@ -118,9 +120,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_minimize(args: &[String]) -> ExitCode {
-    let Some(seed) = arg_value(args, "--seed").and_then(|s| s.parse::<u64>().ok()) else {
-        return usage();
+fn cmd_minimize(cli: &Cli) -> ExitCode {
+    let Some(seed) = cli.number("--seed") else {
+        cli.fail("minimize needs --seed N");
     };
     let sc = Scenario::generate(seed);
     eprintln!("seed {seed}: checking...");
@@ -137,7 +139,9 @@ fn cmd_minimize(args: &[String]) -> ExitCode {
         "# Replay: cargo run --release -p bench --bin scenariofuzz -- replay <this file>\n",
     );
     case.push_str(&minimized.to_text());
-    let path = arg_value(args, "--out")
+    let path = cli
+        .value("--out")
+        .map(String::from)
         .unwrap_or_else(|| format!("tests/fuzz_regressions/seed_{seed}.case"));
     if let Err(e) = write_out(&path, &case) {
         eprintln!("scenariofuzz: {e}");
@@ -150,9 +154,9 @@ fn cmd_minimize(args: &[String]) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn cmd_replay(args: &[String]) -> ExitCode {
-    let Some(path) = args.get(1) else {
-        return usage();
+fn cmd_replay(cli: &Cli) -> ExitCode {
+    let Some(path) = cli.positional().get(1) else {
+        cli.fail("replay needs <case-file>");
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -184,9 +188,9 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_show(args: &[String]) -> ExitCode {
-    let Some(seed) = arg_value(args, "--seed").and_then(|s| s.parse::<u64>().ok()) else {
-        return usage();
+fn cmd_show(cli: &Cli) -> ExitCode {
+    let Some(seed) = cli.number("--seed") else {
+        cli.fail("show needs --seed N");
     };
     print!("{}", Scenario::generate(seed).to_text());
     ExitCode::SUCCESS

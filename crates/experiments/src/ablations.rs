@@ -6,7 +6,7 @@ use lbcore::{
     AimdController, AlphaShift, Controller, EnsembleConfig, ProportionalController, Weights,
 };
 use netsim::{Duration, Time};
-use telemetry::{AccuracySummary, Table};
+use telemetry::{AccuracySummary, JournalEvent, JournalMode, Table};
 
 use crate::fig2::{capture_trace, replay_ensemble, Fig2Config, Fig2Trace};
 use crate::fig3::{fig3_summary_table, run_fig3, Fig3Config};
@@ -452,6 +452,9 @@ pub fn cliff_rule_comparison(cfg: &Fig3Config) -> Table {
             Box::new(move |backends| {
                 let mut lb = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
                 lb.ensemble.rule = rule;
+                // The giant-sample column reads every sample's `T_LB`
+                // (~4.1M in the default 60 s run), so no cap.
+                lb.journal = JournalMode::Full(usize::MAX);
                 lb
             });
         let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
@@ -467,8 +470,13 @@ pub fn cliff_rule_comparison(cfg: &Fig3Config) -> Table {
         let reaction = reaction_after(lb, inject_at.as_nanos());
         // "Giant" samples: T_LB beyond anything the clients experienced
         // (client latencies stay < 3 ms throughout) — pure merge artifacts.
-        let total = lb.samples().len().max(1);
-        let giant = lb.samples().iter().filter(|s| s.t_lb > 5_000_000).count();
+        assert_eq!(lb.journal().overflow(), 0, "journal too small for the run");
+        let giant = lb
+            .journal()
+            .events()
+            .filter(|e| matches!(e, JournalEvent::Sample { t_lb, .. } if *t_lb > 5_000_000))
+            .count();
+        let total = lb.stats().samples.max(1);
         t.row(&[
             name.to_string(),
             format!("{:.1}", p95 as f64 / 1e3),

@@ -14,7 +14,7 @@ use std::net::Ipv4Addr;
 
 use backend::{KvServerApp, KvServerConfig};
 use lb_dataplane::{LbConfig, LbNode};
-use netpkt::MacAddr;
+use netpkt::{FlowKey, MacAddr};
 use netsim::router::Router;
 use netsim::{Duration, LinkConfig, LinkId, NodeId, Simulation, Time};
 use nettcp::{App, Host, HostConfig, TcpConfig};
@@ -30,6 +30,13 @@ pub const CONTROL_PORT: u16 = 7946;
 pub const KV_PORT: u16 = 11211;
 /// The port used by the bulk-flow scenarios.
 pub const BULK_PORT: u16 = 5001;
+
+/// The client→VIP flow a journaled `Sample` came from. The journal
+/// carries only the client side (`src_ip`, `src_port`); in the key-value
+/// scenarios the other side is always `VIP:KV_PORT`.
+pub fn kv_flow_key(src_ip: u32, src_port: u16) -> FlowKey {
+    FlowKey::new(Ipv4Addr::from(src_ip), src_port, VIP, KV_PORT)
+}
 
 fn client_ip(i: usize) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, 1 + i as u8)

@@ -1,0 +1,227 @@
+//! The control plane: everything that changes the weight vector — the
+//! feedback controller, gossip merges, health epochs — and the one
+//! place a changed vector is committed to the forwarding table.
+
+use lbcore::{HealthState, MaglevTable};
+use netsim::Time;
+use telemetry::{JournalEvent, WeightCause};
+
+use crate::config::{MeasureMode, RoutingPolicy};
+use crate::node::LbNode;
+
+impl LbNode {
+    /// The one place a changed weight vector becomes a forwarding table:
+    /// rebuild Maglev, count it, move pins off backends a health epoch
+    /// just ejected, then record the new vector.
+    fn commit_weights(&mut self, now: Time, cause: WeightCause) {
+        self.table = MaglevTable::build(self.weights.as_slice(), self.cfg.table_size);
+        self.stats.table_rebuilds += 1;
+        if cause == WeightCause::Health {
+            self.repin_ejected(now);
+        }
+        self.record_weights(now, cause);
+    }
+
+    /// Appends the current weights to `weight_series` and, when the
+    /// journal is on, a `WeightUpdate` whose victim/moved-mass are derived
+    /// against the previous point of each series.
+    pub(crate) fn record_weights(&mut self, now: Time, cause: WeightCause) {
+        let journal_on = self.journal.enabled();
+        let mut victim = None;
+        let mut victim_dec = 0.0;
+        let mut moved = 0.0;
+        for (b, s) in self.weight_series.iter_mut().enumerate() {
+            let new_w = self.weights.get(b);
+            if journal_on {
+                if let Some(&(_, old_w)) = s.points().last() {
+                    let dec = old_w - new_w;
+                    if dec > 0.0 {
+                        moved += dec;
+                        if dec > victim_dec {
+                            victim_dec = dec;
+                            victim = Some(b);
+                        }
+                    }
+                }
+            }
+            s.push(now.as_nanos(), new_w);
+        }
+        if journal_on {
+            self.journal.push(JournalEvent::WeightUpdate {
+                at: now.as_nanos(),
+                cause,
+                victim,
+                moved,
+                weights: self.weights.as_slice().to_vec(),
+            });
+        }
+    }
+
+    pub(crate) fn run_controller(&mut self, now: Time) {
+        if self.cfg.policy == RoutingPolicy::PowerOfTwo {
+            return; // p2c consumes estimates directly; no table to reshape
+        }
+        if self.no_backend {
+            return; // nothing to shape until a backend is readmitted
+        }
+        let changed =
+            self.cfg
+                .controller
+                .maybe_update(now.as_nanos(), &self.estimator, &mut self.weights);
+        if changed {
+            if self.ejected.iter().any(|&e| e) {
+                // Controllers redistribute by spreading mass over *all*
+                // backends, which leaks weight back onto ejected ones;
+                // re-apply the mask before rebuilding.
+                let _ = self.weights.apply_ejections(&self.ejected);
+            }
+            self.commit_weights(now, WeightCause::Controller);
+        }
+    }
+
+    /// Applies one weight-gossip round (multi-LB tier): blends this LB's
+    /// weights toward the element-wise mean of `peers` — each a peer LB's
+    /// current weight vector — with strength `mix`, re-normalizing
+    /// through the **local** ejection mask so gossip never resurrects a
+    /// backend this LB has ejected. The forwarding table is rebuilt only
+    /// when the merge actually moved a share.
+    ///
+    /// Transport is the caller's problem: the experiment driver steps the
+    /// simulation clock in gossip-period increments, snapshots every LB's
+    /// weights, and calls this on each LB between steps — a deterministic
+    /// all-to-all gossip round with no extra packets in the trace.
+    ///
+    /// Returns false (and changes nothing) for non-controlling configs
+    /// (baseline/observer/p2c), while every backend is ejected, or when
+    /// the merge is a no-op.
+    pub fn apply_gossip(&mut self, peers: &[&[f64]], mix: f64, now: Time) -> bool {
+        if self.cfg.mode != MeasureMode::Control
+            || self.cfg.policy != RoutingPolicy::WeightedMaglev
+            || self.no_backend
+        {
+            return false;
+        }
+        let before = if self.journal.enabled() {
+            self.weights.as_slice().to_vec()
+        } else {
+            Vec::new()
+        };
+        if !lbcore::gossip::merge_weights(&mut self.weights, peers, mix, &self.ejected) {
+            return false;
+        }
+        self.stats.gossip_merges += 1;
+        if self.journal.enabled() {
+            self.journal.push(JournalEvent::GossipMerge {
+                at: now.as_nanos(),
+                mix,
+                before,
+                after: self.weights.as_slice().to_vec(),
+            });
+        }
+        self.commit_weights(now, WeightCause::Gossip);
+        true
+    }
+
+    /// One health epoch: feed the tracker the cumulative sample/forward
+    /// counters, and when a backend's routing class changed (ejection,
+    /// probation, readmission) rebuild the table and migrate pinned flows.
+    pub(crate) fn health_epoch(&mut self, now: Time) {
+        let Some(tracker) = self.health.as_mut() else {
+            return;
+        };
+        let n = self.cfg.backends.len();
+        let changed = tracker.on_epoch(now.as_nanos(), &self.live_samples, &self.fwd_per_backend);
+        self.stats.ejections = tracker.ejections();
+        self.stats.readmissions = tracker.readmissions();
+        if self.journal.enabled() {
+            for &(b, from, to, trigger) in tracker.last_transitions() {
+                self.journal.push(JournalEvent::HealthTransition {
+                    at: now.as_nanos(),
+                    backend: b,
+                    from: from.as_str(),
+                    to: to.as_str(),
+                    trigger: trigger.as_str(),
+                });
+            }
+        }
+        if !changed {
+            return;
+        }
+        self.class_scratch.clear();
+        self.class_scratch
+            .extend((0..n).map(|b| match tracker.state(b) {
+                HealthState::Healthy | HealthState::Suspect => 0u8,
+                HealthState::Probation => 1,
+                HealthState::Ejected => 2,
+            }));
+        if self.class_scratch == self.route_class {
+            return; // Healthy↔Suspect churn: no routing consequence
+        }
+        self.raw_scratch.clear();
+        for b in 0..n {
+            self.raw_scratch.push(match tracker.state(b) {
+                HealthState::Ejected => 0.0,
+                // Probation earns only the floor: enough traffic to elicit
+                // samples, little enough to contain a still-dead backend.
+                HealthState::Probation => self.cfg.weight_floor,
+                // A readmission restores the neutral share; margin-based
+                // controllers would otherwise leave the recovered backend
+                // parked at the probation floor indefinitely.
+                _ if self.route_class[b] != 0 => 1.0 / n as f64,
+                _ => self.weights.get(b).max(self.cfg.weight_floor),
+            });
+        }
+        self.ejected.clear();
+        self.ejected
+            .extend((0..n).map(|b| tracker.state(b) == HealthState::Ejected));
+        core::mem::swap(&mut self.route_class, &mut self.class_scratch);
+        if !self
+            .weights
+            .set_with_ejections(&self.raw_scratch, &self.ejected)
+        {
+            // Every backend ejected: weights untouched, table kept, the
+            // fast path drops with a counter until probation reopens one.
+            self.no_backend = true;
+            if self.journal.enabled() {
+                self.journal
+                    .push(JournalEvent::NoBackend { at: now.as_nanos() });
+            }
+            self.record_weights(now, WeightCause::Health);
+            return;
+        }
+        self.no_backend = false;
+        self.commit_weights(now, WeightCause::Health);
+    }
+
+    /// Migrates pinned flows off ejected backends through the current
+    /// table. The new backend will RST mid-stream connections, forcing a
+    /// fast client reconnect — strictly better than silently blackholing
+    /// into the dead pin.
+    fn repin_ejected(&mut self, now: Time) {
+        let now_ns = now.as_nanos();
+        let table = &self.table;
+        let ensembles = &mut self.ensembles;
+        let journal = &mut self.journal;
+        let mut moved = 0usize;
+        for (b, &ejected) in self.ejected.iter().enumerate() {
+            if !ejected {
+                continue;
+            }
+            moved += self.flows.repin_backend(b, |key, entry| {
+                let nb = table.lookup(key.stable_hash());
+                if journal.enabled() {
+                    journal.push(JournalEvent::FlowRepin {
+                        at: now_ns,
+                        src_ip: u32::from(key.src_ip),
+                        src_port: key.src_port,
+                        from: b,
+                        to: nb,
+                    });
+                }
+                entry.backend = nb;
+                entry.timing = ensembles[nb].new_flow(now_ns);
+            });
+        }
+        self.stats.flows_repinned += moved as u64;
+    }
+}

@@ -10,10 +10,30 @@
 //! * and, when measurement is enabled, executes `ENSEMBLETIMEOUT` per
 //!   packet, aggregates per-backend latency, and lets a feedback
 //!   controller reshape the Maglev weights.
+//!
+//! Four modules, plain `impl LbNode` blocks across them:
+//!
+//! * [`config`] — [`LbConfig`], [`RoutingPolicy`], [`MeasureMode`] and the
+//!   three constructors (latency-aware, baseline, observer);
+//! * `fastpath` — the per-packet path: parse → control port → flow table
+//!   → ensemble tap → pick → rewrite → forward;
+//! * `control` — everything that changes the weight vector (controller,
+//!   gossip, health epochs) and the one commit from weights to table;
+//! * [`node`] — the [`LbNode`] struct, its accessors, and the simulator
+//!   bindings (packet delivery, sweep and health timers).
+//!
+//! The node keeps three records with three jobs: [`LbStats`] counters
+//! (always on, O(1)), per-backend weight history (always on, one point
+//! per weight change), and the mode-gated decision journal for anything
+//! per-sample or per-decision.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod config;
+mod control;
+mod fastpath;
 pub mod node;
 
-pub use node::{LbConfig, LbNode, LbStats, MeasureMode, RoutingPolicy};
+pub use config::{LbConfig, MeasureMode, RoutingPolicy};
+pub use node::{LbNode, LbStats};

@@ -1,217 +1,17 @@
-//! The LB node implementation.
+//! The LB node: its state, accessors, and the simulator bindings
+//! (packet delivery and the sweep/health timers).
 
-use std::net::Ipv4Addr;
+use netpkt::{MacAddr, Packet};
+use netsim::{Ctx, Duration, LinkId, Node, TimerToken};
+use telemetry::{Journal, ScalarSeries, WeightCause};
 
-use netpkt::{FlowKey, MacAddr, Packet, TcpFlags};
-use netsim::{Ctx, Duration, LinkId, Node, Time, TimerToken};
-use telemetry::span::{pack_addr, HopKind};
-use telemetry::{Journal, JournalEvent, JournalMode, MetricsRegistry, ScalarSeries, WeightCause};
+use lbcore::{BackendEstimator, EnsembleTimeout, FlowTable, HealthTracker, MaglevTable, Weights};
 
-use lbcore::{
-    BackendEstimator, Controller, EnsembleConfig, EnsembleTimeout, FlowTable, HealthConfig,
-    HealthState, HealthTracker, MaglevTable, Weights,
-};
+use crate::config::{LbConfig, MeasureMode, RoutingPolicy};
 
-/// Metric ids into [`LbNode`]'s registry. Ids are indices in registration
-/// order; `COUNTER_NAMES` *is* that order, so the constants below must
-/// stay aligned with it.
-mod m {
-    use telemetry::{CounterId, GaugeId, HistId};
-
-    pub const COUNTER_NAMES: &[&str] = &[
-        "rx",
-        "forwarded",
-        "dropped",
-        "new_flows",
-        "fallback_forwards",
-        "flow_closes",
-        "samples",
-        "oob_reports",
-        "table_rebuilds",
-        "no_backend_drops",
-        "ejections",
-        "readmissions",
-        "flows_repinned",
-        "abort_signals",
-        "gossip_merges",
-    ];
-    pub const RX: CounterId = CounterId(0);
-    pub const FORWARDED: CounterId = CounterId(1);
-    pub const DROPPED: CounterId = CounterId(2);
-    pub const NEW_FLOWS: CounterId = CounterId(3);
-    pub const FALLBACK_FORWARDS: CounterId = CounterId(4);
-    pub const FLOW_CLOSES: CounterId = CounterId(5);
-    pub const SAMPLES: CounterId = CounterId(6);
-    pub const OOB_REPORTS: CounterId = CounterId(7);
-    pub const TABLE_REBUILDS: CounterId = CounterId(8);
-    pub const NO_BACKEND_DROPS: CounterId = CounterId(9);
-    pub const EJECTIONS: CounterId = CounterId(10);
-    pub const READMISSIONS: CounterId = CounterId(11);
-    pub const FLOWS_REPINNED: CounterId = CounterId(12);
-    pub const ABORT_SIGNALS: CounterId = CounterId(13);
-    pub const GOSSIP_MERGES: CounterId = CounterId(14);
-
-    /// 1.0 while every backend is ejected, else 0.0.
-    pub const NO_BACKEND_GAUGE: GaugeId = GaugeId(0);
-    /// Distribution of in-band `T_LB` samples (nanoseconds).
-    pub const T_LB_HIST: HistId = HistId(0);
-}
-
-/// How new connections are assigned to backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingPolicy {
-    /// Weighted Maglev (the paper's design): the feedback controller
-    /// reshapes backend weights and the table is rebuilt to match.
-    WeightedMaglev,
-    /// Latency-aware power-of-two-choices: each new connection hashes to
-    /// two candidate backends and picks the one with the lower fresh
-    /// in-band latency estimate (falling back to the first candidate when
-    /// estimates are missing). No controller, no table rebuilds — the
-    /// measurements drive per-connection decisions directly.
-    PowerOfTwo,
-}
-
-/// What the LB does with the measurement machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MeasureMode {
-    /// Plain Maglev: no per-packet measurement at all (the baseline).
-    Off,
-    /// Run Algorithms 1/2 and record samples, but never change weights
-    /// (used to evaluate measurement accuracy, Fig. 2).
-    Observe,
-    /// Measure and let the controller adapt weights (the paper's design).
-    Control,
-}
-
-/// Load-balancer configuration.
-pub struct LbConfig {
-    /// The virtual IP clients address.
-    pub vip: Ipv4Addr,
-    /// Backend addresses, indexed by backend id.
-    pub backends: Vec<Ipv4Addr>,
-    /// Maglev table size (prime).
-    pub table_size: usize,
-    /// Ensemble estimator parameters.
-    pub ensemble: EnsembleConfig,
-    /// Measurement/control mode.
-    pub mode: MeasureMode,
-    /// New-connection routing policy.
-    pub policy: RoutingPolicy,
-    /// Whether in-band measurement (Algorithms 1/2) runs. Disable it to
-    /// drive the controller purely from out-of-band reports — the §2.3
-    /// baseline the paper argues against.
-    pub inband: bool,
-    /// Control address for out-of-band reports: UDP datagrams to this
-    /// `(ip, port)` carrying `netpkt::oob` reports feed the per-backend
-    /// estimator directly.
-    pub control_addr: Option<(Ipv4Addr, u16)>,
-    /// The feedback controller (used in [`MeasureMode::Control`]).
-    pub controller: Box<dyn Controller>,
-    /// Weight floor (see [`Weights`]).
-    pub weight_floor: f64,
-    /// EWMA gain for per-backend latency.
-    pub estimator_alpha: f64,
-    /// Windowed quantile used as the control signal (0.5 = median;
-    /// higher values are variance-aware).
-    pub signal_quantile: f64,
-    /// Optional time horizon for the signal window: compute the quantile
-    /// over samples from the last `horizon` instead of a fixed count —
-    /// signal memory for periodic disturbances.
-    pub signal_horizon: Option<Duration>,
-    /// Estimates older than this are ignored by the controller.
-    pub estimator_staleness: Duration,
-    /// Whether established connections are pinned to their backend via the
-    /// flow table (§2.5's connection affinity requirement). Disabling this
-    /// routes *every* packet through the current Maglev table — the
-    /// configuration the ABL-PCC experiment uses to show how many
-    /// connections a weight change breaks without connection tracking.
-    pub affinity: bool,
-    /// Idle timeout for flow-table entries.
-    pub flow_idle_timeout: Duration,
-    /// Flow-table capacity (entries); at capacity, inserts evict
-    /// approximately-LRU victims, bounding LB memory under SYN floods.
-    pub flow_table_capacity: usize,
-    /// Period of the flow-table sweep timer.
-    pub sweep_interval: Duration,
-    /// Maximum number of raw `(time, backend, T_LB)` samples retained for
-    /// offline analysis; beyond this, samples still feed the estimators
-    /// but are not logged.
-    pub sample_log_limit: usize,
-    /// Backend health tracking (crash/stall ejection). Only active in
-    /// in-band [`MeasureMode::Control`] with [`RoutingPolicy::WeightedMaglev`]:
-    /// the detector's "offered traffic but producing no samples" signal
-    /// needs the in-band measurement path, and ejection acts by zeroing
-    /// table weights. `None` disables health tracking entirely.
-    pub health: Option<HealthConfig>,
-    /// Decision-journal mode. Defaults to [`JournalMode::Off`]; emission
-    /// sites are gated on it and the journal never sends packets or arms
-    /// timers, so pinned determinism traces are byte-identical either way.
-    pub journal: JournalMode,
-    /// Period for sampling the metrics registry into per-counter
-    /// [`telemetry::BinnedSeries`]. `None` (the default) arms no timer at
-    /// all — enabling this *does* add timer events to the simulation
-    /// schedule, which perturbs pinned traces, hence opt-in.
-    pub metrics_interval: Option<Duration>,
-}
-
-impl LbConfig {
-    /// A latency-aware LB with the paper's parameters and a given
-    /// controller.
-    pub fn latency_aware(
-        vip: Ipv4Addr,
-        backends: Vec<Ipv4Addr>,
-        controller: Box<dyn Controller>,
-    ) -> LbConfig {
-        LbConfig {
-            vip,
-            backends,
-            table_size: lbcore::maglev::DEFAULT_TABLE_SIZE,
-            // Control mode defaults to the robust cliff rule; see the
-            // CliffRule docs for why the paper's rule fails on KV traffic.
-            ensemble: EnsembleConfig::robust(),
-            mode: MeasureMode::Control,
-            policy: RoutingPolicy::WeightedMaglev,
-            inband: true,
-            control_addr: None,
-            controller,
-            weight_floor: 0.02,
-            estimator_alpha: 0.2,
-            signal_quantile: 0.5,
-            signal_horizon: None,
-            estimator_staleness: Duration::from_millis(500),
-            affinity: true,
-            flow_idle_timeout: Duration::from_secs(5),
-            flow_table_capacity: 1 << 20,
-            sweep_interval: Duration::from_secs(1),
-            sample_log_limit: 1 << 20,
-            health: Some(HealthConfig::default()),
-            journal: JournalMode::Off,
-            metrics_interval: None,
-        }
-    }
-
-    /// The plain-Maglev baseline (no measurement, no adaptation).
-    pub fn baseline(vip: Ipv4Addr, backends: Vec<Ipv4Addr>) -> LbConfig {
-        let mut cfg = Self::latency_aware(vip, backends, Box::new(lbcore::AlphaShift::paper()));
-        cfg.mode = MeasureMode::Off;
-        cfg
-    }
-
-    /// Measurement-only mode (Fig. 2 experiments). Uses the paper's
-    /// argmax-ratio cliff rule for figure fidelity.
-    pub fn observer(vip: Ipv4Addr, backends: Vec<Ipv4Addr>) -> LbConfig {
-        let mut cfg = Self::latency_aware(vip, backends, Box::new(lbcore::AlphaShift::paper()));
-        cfg.mode = MeasureMode::Observe;
-        cfg.ensemble = EnsembleConfig::default();
-        cfg
-    }
-}
-
-/// Snapshot of the LB counters. The live counters are named entries in
-/// the node's [`MetricsRegistry`] (see [`LbNode::metrics`]); this struct
-/// is assembled on demand by [`LbNode::stats`] so call sites keep the
-/// familiar field access.
-#[derive(Debug, Default, Clone, Copy)]
+/// The LB counters: always on, one plain integer each. Anything
+/// per-sample or per-decision goes to the mode-gated journal instead.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LbStats {
     /// Packets received.
     pub rx: u64,
@@ -249,84 +49,59 @@ pub struct LbStats {
     pub gossip_merges: u64,
 }
 
-/// A raw logged sample.
-#[derive(Debug, Clone, Copy)]
-pub struct LoggedSample {
-    /// When the sample was produced.
-    pub at: Time,
-    /// Backend the flow was pinned to.
-    pub backend: usize,
-    /// The flow that produced the sample.
-    pub flow: FlowKey,
-    /// Age of the flow-table entry when the sample was produced (ns).
-    pub flow_age: u64,
-    /// Packets seen on the flow so far.
-    pub flow_packets: u64,
-    /// The `T_LB` estimate, in nanoseconds.
-    pub t_lb: u64,
-}
-
 const SWEEP_TOKEN: TimerToken = TimerToken(1);
 const HEALTH_TOKEN: TimerToken = TimerToken(2);
-const METRICS_TOKEN: TimerToken = TimerToken(3);
 
 /// The load-balancer node. See the crate docs.
 pub struct LbNode {
-    cfg: LbConfig,
+    pub(crate) cfg: LbConfig,
     /// One forwarding link per backend (the "LB → server paths").
-    backend_links: Vec<LinkId>,
-    mac: MacAddr,
-    weights: Weights,
-    table: MaglevTable,
-    flows: FlowTable,
+    pub(crate) backend_links: Vec<LinkId>,
+    pub(crate) mac: MacAddr,
+    pub(crate) weights: Weights,
+    pub(crate) table: MaglevTable,
+    pub(crate) flows: FlowTable,
     /// One ensemble per backend: once latencies diverge, a single global
     /// timeout δₑ cannot serve both a 250 µs backend and a 1.3 ms backend
     /// (one merges batches while the other splits them), so sample-cliff
     /// detection runs per backend. A flow uses the ensemble of the backend
     /// it is pinned to.
-    ensembles: Vec<EnsembleTimeout>,
-    estimator: BackendEstimator,
-    /// Raw sample log (bounded by `cfg.sample_log_limit`).
-    samples: Vec<LoggedSample>,
-    /// Weight of each backend over time (one series per backend).
-    weight_series: Vec<ScalarSeries>,
+    pub(crate) ensembles: Vec<EnsembleTimeout>,
+    pub(crate) estimator: BackendEstimator,
+    /// Weight of each backend over time (one series per backend, one
+    /// point per weight change).
+    pub(crate) weight_series: Vec<ScalarSeries>,
     /// Health state machine (None when disabled; see [`LbConfig::health`]).
-    health: Option<HealthTracker>,
+    pub(crate) health: Option<HealthTracker>,
     /// Cumulative packets forwarded per backend — the "offered traffic"
     /// input to the health tracker.
-    fwd_per_backend: Vec<u64>,
+    pub(crate) fwd_per_backend: Vec<u64>,
     /// Cumulative *credible* `T_LB` samples per backend — samples at or
-    /// below [`HealthConfig::sample_ceiling`]. A dead backend's RTO
+    /// below [`lbcore::HealthConfig::sample_ceiling`]. A dead backend's RTO
     /// retransmission bursts still produce batch-gap samples (valued at
     /// the backoff interval), which must not count as liveness evidence.
-    live_samples: Vec<u64>,
+    pub(crate) live_samples: Vec<u64>,
     /// Which backends are currently ejected (mirrors the tracker; kept
     /// separately so the fast path and controller never touch it).
-    ejected: Vec<bool>,
+    pub(crate) ejected: Vec<bool>,
     /// Routing class per backend at the last rebuild: 0 = full weight
     /// (Healthy/Suspect), 1 = probe trickle (Probation), 2 = zero
     /// (Ejected). A health transition only forces a table rebuild when
     /// this vector changes — Healthy↔Suspect churn is free.
-    route_class: Vec<u8>,
+    pub(crate) route_class: Vec<u8>,
     /// True while every backend is ejected: the fast path drops packets
     /// (with a counter) instead of forwarding into dead pins.
-    no_backend: bool,
+    pub(crate) no_backend: bool,
     /// Reusable buffers for [`LbNode::health_epoch`]'s route-class and raw
     /// weight rebuilds, so a health transition allocates nothing.
-    class_scratch: Vec<u8>,
-    raw_scratch: Vec<f64>,
-    /// Named counters/gauges/histograms (see [`LbNode::stats`] for the
-    /// counter snapshot and the `m` module for the id layout).
-    metrics: MetricsRegistry,
+    pub(crate) class_scratch: Vec<u8>,
+    pub(crate) raw_scratch: Vec<f64>,
+    pub(crate) stats: LbStats,
     /// The decision journal (off unless [`LbConfig::journal`] enables it).
-    journal: Journal,
-    /// Weights as of the previous [`LbNode::record_weights`], used to
-    /// derive victim/moved-mass for journal `WeightUpdate` events. Only
-    /// maintained while the journal is enabled.
-    weights_snapshot: Vec<f64>,
+    pub(crate) journal: Journal,
     /// Flight-recorder dump captured at the first `no_backend` drop
     /// (NDJSON of the journal's retained events at that moment).
-    flight_dump: Option<String>,
+    pub(crate) flight_dump: Option<String>,
 }
 
 impl LbNode {
@@ -366,17 +141,7 @@ impl LbNode {
             }
             _ => None,
         };
-        let mut metrics = MetricsRegistry::new();
-        for &name in m::COUNTER_NAMES {
-            let _ = metrics.counter(name);
-        }
-        let _ = metrics.gauge("no_backend");
-        let _ = metrics.histogram("t_lb_ns");
-        if let Some(iv) = cfg.metrics_interval {
-            metrics.enable_sampling(iv.as_nanos());
-        }
         let journal = Journal::new(cfg.journal);
-        let weights_snapshot = weights.as_slice().to_vec();
         LbNode {
             cfg,
             backend_links,
@@ -386,7 +151,6 @@ impl LbNode {
             flows,
             ensembles,
             estimator,
-            samples: Vec::new(),
             weight_series: (0..n).map(|_| ScalarSeries::new()).collect(),
             health,
             fwd_per_backend: vec![0; n],
@@ -396,9 +160,8 @@ impl LbNode {
             no_backend: false,
             class_scratch: Vec::new(),
             raw_scratch: Vec::new(),
-            metrics,
+            stats: LbStats::default(),
             journal,
-            weights_snapshot,
             flight_dump: None,
         }
     }
@@ -406,11 +169,6 @@ impl LbNode {
     /// The current weight vector.
     pub fn weights(&self) -> &Weights {
         &self.weights
-    }
-
-    /// The logged raw samples.
-    pub fn samples(&self) -> &[LoggedSample] {
-        &self.samples
     }
 
     /// Weight history of backend `b`.
@@ -438,30 +196,9 @@ impl LbNode {
         self.health.as_ref()
     }
 
-    /// Snapshot of the LB counters, assembled from the metrics registry.
+    /// Snapshot of the LB counters.
     pub fn stats(&self) -> LbStats {
-        LbStats {
-            rx: self.metrics.get(m::RX),
-            forwarded: self.metrics.get(m::FORWARDED),
-            dropped: self.metrics.get(m::DROPPED),
-            new_flows: self.metrics.get(m::NEW_FLOWS),
-            fallback_forwards: self.metrics.get(m::FALLBACK_FORWARDS),
-            flow_closes: self.metrics.get(m::FLOW_CLOSES),
-            samples: self.metrics.get(m::SAMPLES),
-            oob_reports: self.metrics.get(m::OOB_REPORTS),
-            table_rebuilds: self.metrics.get(m::TABLE_REBUILDS),
-            no_backend_drops: self.metrics.get(m::NO_BACKEND_DROPS),
-            ejections: self.metrics.get(m::EJECTIONS),
-            readmissions: self.metrics.get(m::READMISSIONS),
-            flows_repinned: self.metrics.get(m::FLOWS_REPINNED),
-            abort_signals: self.metrics.get(m::ABORT_SIGNALS),
-            gossip_merges: self.metrics.get(m::GOSSIP_MERGES),
-        }
-    }
-
-    /// The metrics registry (named counters/gauges/histograms).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        self.stats
     }
 
     /// The decision journal.
@@ -474,455 +211,6 @@ impl LbNode {
     pub fn flight_dump(&self) -> Option<&str> {
         self.flight_dump.as_deref()
     }
-
-    fn record_weights(&mut self, now: Time, cause: WeightCause) {
-        for (b, s) in self.weight_series.iter_mut().enumerate() {
-            s.push(now.as_nanos(), self.weights.get(b));
-        }
-        if self.journal.enabled() {
-            let after = self.weights.as_slice().to_vec();
-            let mut victim = None;
-            let mut victim_dec = 0.0;
-            let mut moved = 0.0;
-            for (b, (&new_w, &old_w)) in after.iter().zip(self.weights_snapshot.iter()).enumerate()
-            {
-                let dec = old_w - new_w;
-                if dec > 0.0 {
-                    moved += dec;
-                    if dec > victim_dec {
-                        victim_dec = dec;
-                        victim = Some(b);
-                    }
-                }
-            }
-            self.weights_snapshot.clone_from(&after);
-            self.journal.push(JournalEvent::WeightUpdate {
-                at: now.as_nanos(),
-                cause,
-                victim,
-                moved,
-                weights: after,
-            });
-        }
-    }
-
-    fn backend_mac(&self, b: usize) -> MacAddr {
-        // MACs are cosmetic in the simulator (routing is by IP); derive a
-        // stable per-backend address.
-        MacAddr::from_id(0xb000 + b as u32)
-    }
-
-    /// Handles a datagram on the control address; returns true if consumed.
-    fn try_control(&mut self, now: Time, pkt: &Packet) -> bool {
-        let Some((ip, port)) = self.cfg.control_addr else {
-            return false;
-        };
-        let Ok((hdr, udp, payload)) = netpkt::udp::parse_udp(&pkt.data) else {
-            return false;
-        };
-        if hdr.dst != ip || udp.dst_port != port {
-            return false;
-        }
-        if let Some((backend_id, latency_ns)) = netpkt::oob::parse_report(payload) {
-            let b = backend_id as usize;
-            if b < self.cfg.backends.len() {
-                self.metrics.inc(m::OOB_REPORTS);
-                self.estimator.record(b, latency_ns, now.as_nanos());
-                if self.cfg.mode == MeasureMode::Control {
-                    self.run_controller(now);
-                }
-            }
-        }
-        true // addressed to the control port: consumed either way
-    }
-
-    /// The per-packet fast path.
-    fn process(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        self.metrics.inc(m::RX);
-        if self.try_control(ctx.now(), &pkt) {
-            ctx.pool().recycle(pkt);
-            return;
-        }
-        let Ok((key, flags)) = FlowKey::parse_with_flags(&pkt.data) else {
-            self.metrics.inc(m::DROPPED);
-            ctx.pool().recycle(pkt);
-            return;
-        };
-        if key.dst_ip != self.cfg.vip {
-            self.metrics.inc(m::DROPPED);
-            ctx.pool().recycle(pkt);
-            return;
-        }
-        // Span hop: the LB parsed a traced frame's flow (recorded even
-        // for frames that die below, so drops stay attributable).
-        ctx.record_hop(
-            pkt.span(),
-            HopKind::LbDeliver,
-            pack_addr(u32::from(key.src_ip), key.src_port),
-            pkt.wire_len() as u64,
-        );
-        if self.no_backend {
-            // Every backend ejected: any forwarding choice is a dead pin.
-            self.metrics.inc(m::NO_BACKEND_DROPS);
-            self.metrics.inc(m::DROPPED);
-            if self.flight_dump.is_none() && self.journal.enabled() {
-                // Flight recorder: journal the triggering drop itself,
-                // then dump the causal history leading into it — even a
-                // Ring whose state-entry event has been evicted must
-                // still show what fired the dump.
-                self.journal.push(JournalEvent::NoBackend {
-                    at: ctx.now().as_nanos(),
-                });
-                self.flight_dump = Some(self.journal.to_ndjson());
-            }
-            ctx.pool().recycle(pkt);
-            return;
-        }
-        let now = ctx.now();
-        let now_ns = now.as_nanos();
-        let measuring = self.cfg.mode != MeasureMode::Off && self.cfg.inband;
-
-        // Flow lookup / admission. Entries are retired only by the idle
-        // sweep, never on FIN: the final ACK of the teardown arrives
-        // *after* the client's FIN, and a stateless fallback lookup could
-        // send it to a different backend if the table moved in between —
-        // breaking the close handshake. (Production LBs keep conntrack
-        // state past FIN for the same reason.)
-        let fin_or_rst = flags.contains(TcpFlags::FIN) || flags.contains(TcpFlags::RST);
-        // A SYN always starts a fresh connection: if a stale entry exists
-        // under the same four-tuple (the client recycled an ephemeral
-        // port before the idle sweep ran), it must not contribute its old
-        // timing anchors or backend pin to the new connection.
-        if flags.is_syn_only() {
-            if let Some(stale) = self.flows.remove(&key) {
-                // A SYN under a pin that never carried data is the client
-                // retrying a handshake the backend never answered — an
-                // RTO-abort signal against that backend (handshake ACKs
-                // bump `packets`, so a served pin never matches).
-                if stale.packets == 0 {
-                    self.metrics.inc(m::ABORT_SIGNALS);
-                    if let Some(h) = self.health.as_mut() {
-                        h.record_abort(stale.backend);
-                    }
-                }
-            }
-        }
-        let backend = if let Some(entry) = self.flows.get_mut(&key) {
-            entry.last_seen = now_ns;
-            entry.packets += 1;
-            let backend = if self.cfg.affinity {
-                entry.backend
-            } else {
-                // Stateless routing (ABL-PCC): every packet follows the
-                // *current* table; a rebuild mid-connection moves packets
-                // to a different backend and breaks the connection.
-                self.table.lookup(key.stable_hash())
-            };
-            if measuring {
-                let journal_on = self.journal.enabled();
-                let pre_decisions = if journal_on {
-                    self.ensembles[backend].decisions().len()
-                } else {
-                    0
-                };
-                let sample = self.ensembles[backend].on_packet(&mut entry.timing, now_ns);
-                if journal_on {
-                    // `on_packet` closes at most one epoch per call; any
-                    // new decision happened before this packet's sample.
-                    for d in self.ensembles[backend]
-                        .decisions()
-                        .iter()
-                        .skip(pre_decisions)
-                    {
-                        self.journal.push(JournalEvent::EpochDecision {
-                            at: d.at,
-                            backend,
-                            counts: d.counts.clone(),
-                            chosen: d.chosen,
-                            delta: d.delta,
-                        });
-                    }
-                }
-                if let Some(t_lb) = sample {
-                    self.metrics.inc(m::SAMPLES);
-                    self.metrics.record(m::T_LB_HIST, t_lb);
-                    if journal_on {
-                        self.journal.push(JournalEvent::Sample {
-                            at: now_ns,
-                            backend,
-                            src_ip: u32::from(key.src_ip),
-                            src_port: key.src_port,
-                            delta: self.ensembles[backend].current_delta(),
-                            t_lb,
-                        });
-                    }
-                    if let Some(h) = &self.health {
-                        if t_lb <= h.config().sample_ceiling {
-                            self.live_samples[backend] += 1;
-                        }
-                    }
-                    self.estimator.record(backend, t_lb, now_ns);
-                    if self.samples.len() < self.cfg.sample_log_limit {
-                        self.samples.push(LoggedSample {
-                            at: now,
-                            backend,
-                            flow: key,
-                            flow_age: now_ns.saturating_sub(entry.created),
-                            flow_packets: entry.packets,
-                            t_lb,
-                        });
-                    }
-                    if self.cfg.mode == MeasureMode::Control {
-                        self.run_controller(now);
-                    }
-                }
-            }
-            ctx.record_hop(
-                pkt.span(),
-                HopKind::LbFlowTable,
-                pack_addr(u32::from(key.src_ip), key.src_port),
-                backend as u64,
-            );
-            backend
-        } else if flags.is_syn_only() {
-            let backend = self.pick_backend(key.stable_hash(), now_ns);
-            let timing = self.ensembles[backend].new_flow(now_ns);
-            self.flows.insert(key, backend, timing, now_ns);
-            self.metrics.inc(m::NEW_FLOWS);
-            backend
-        } else {
-            // No entry and not a connection start: forward statelessly.
-            self.metrics.inc(m::FALLBACK_FORWARDS);
-            let backend = self.table.lookup(key.stable_hash());
-            ctx.record_hop(
-                pkt.span(),
-                HopKind::LbPick,
-                pack_addr(u32::from(key.src_ip), key.src_port),
-                backend as u64,
-            );
-            backend
-        };
-
-        if fin_or_rst {
-            self.metrics.inc(m::FLOW_CLOSES);
-        }
-
-        // DSR forwarding: L2 rewrite only; the VIP stays in the IP header.
-        let fwd = pkt.with_macs_pooled(self.mac, self.backend_mac(backend), ctx.pool());
-        self.metrics.inc(m::FORWARDED);
-        self.fwd_per_backend[backend] += 1;
-        ctx.record_hop(
-            fwd.span(),
-            HopKind::LbForward,
-            backend as u64,
-            fwd.wire_len() as u64,
-        );
-        ctx.send(self.backend_links[backend], fwd);
-        // The consumed rx buffer feeds the next forward's pooled copy.
-        ctx.pool().recycle(pkt);
-    }
-
-    /// Chooses the backend for a new connection per the routing policy.
-    fn pick_backend(&self, hash: u64, now_ns: u64) -> usize {
-        match self.cfg.policy {
-            RoutingPolicy::WeightedMaglev => self.table.lookup(hash),
-            RoutingPolicy::PowerOfTwo => {
-                let n = self.cfg.backends.len();
-                if n == 1 {
-                    return 0;
-                }
-                let c1 = (hash % n as u64) as usize;
-                // Second candidate from an independent hash, displaced so
-                // the two always differ.
-                let h2 = netpkt::flow::splitmix64(hash ^ 0x9e37_79b9_7f4a_7c15);
-                let mut c2 = (h2 % n as u64) as usize;
-                if c2 == c1 {
-                    c2 = (c2 + 1) % n;
-                }
-                match (
-                    self.estimator.fresh_estimate(c1, now_ns),
-                    self.estimator.fresh_estimate(c2, now_ns),
-                ) {
-                    (Some(e1), Some(e2)) if e2 < e1 => c2,
-                    (None, Some(_)) => c1, // un-measured first candidate: explore it
-                    _ => c1,
-                }
-            }
-        }
-    }
-
-    fn run_controller(&mut self, now: Time) {
-        if self.cfg.policy == RoutingPolicy::PowerOfTwo {
-            return; // p2c consumes estimates directly; no table to reshape
-        }
-        if self.no_backend {
-            return; // nothing to shape until a backend is readmitted
-        }
-        let changed =
-            self.cfg
-                .controller
-                .maybe_update(now.as_nanos(), &self.estimator, &mut self.weights);
-        if changed {
-            if self.ejected.iter().any(|&e| e) {
-                // Controllers redistribute by spreading mass over *all*
-                // backends, which leaks weight back onto ejected ones;
-                // re-apply the mask before rebuilding.
-                let _ = self.weights.apply_ejections(&self.ejected);
-            }
-            self.table = MaglevTable::build(self.weights.as_slice(), self.cfg.table_size);
-            self.metrics.inc(m::TABLE_REBUILDS);
-            self.record_weights(now, WeightCause::Controller);
-        }
-    }
-
-    /// Applies one weight-gossip round (multi-LB tier): blends this LB's
-    /// weights toward the element-wise mean of `peers` — each a peer LB's
-    /// current weight vector — with strength `mix`, re-normalizing
-    /// through the **local** ejection mask so gossip never resurrects a
-    /// backend this LB has ejected. The forwarding table is rebuilt only
-    /// when the merge actually moved a share.
-    ///
-    /// Transport is the caller's problem: the experiment driver steps the
-    /// simulation clock in gossip-period increments, snapshots every LB's
-    /// weights, and calls this on each LB between steps — a deterministic
-    /// all-to-all gossip round with no extra packets in the trace.
-    ///
-    /// Returns false (and changes nothing) for non-controlling configs
-    /// (baseline/observer/p2c), while every backend is ejected, or when
-    /// the merge is a no-op.
-    pub fn apply_gossip(&mut self, peers: &[&[f64]], mix: f64, now: Time) -> bool {
-        if self.cfg.mode != MeasureMode::Control
-            || self.cfg.policy != RoutingPolicy::WeightedMaglev
-            || self.no_backend
-        {
-            return false;
-        }
-        let before = if self.journal.enabled() {
-            self.weights.as_slice().to_vec()
-        } else {
-            Vec::new()
-        };
-        if !lbcore::gossip::merge_weights(&mut self.weights, peers, mix, &self.ejected) {
-            return false;
-        }
-        self.table = MaglevTable::build(self.weights.as_slice(), self.cfg.table_size);
-        self.metrics.inc(m::TABLE_REBUILDS);
-        self.metrics.inc(m::GOSSIP_MERGES);
-        if self.journal.enabled() {
-            self.journal.push(JournalEvent::GossipMerge {
-                at: now.as_nanos(),
-                mix,
-                before,
-                after: self.weights.as_slice().to_vec(),
-            });
-        }
-        self.record_weights(now, WeightCause::Gossip);
-        true
-    }
-
-    /// One health epoch: feed the tracker the cumulative sample/forward
-    /// counters, and when a backend's routing class changed (ejection,
-    /// probation, readmission) rebuild the table and migrate pinned flows.
-    fn health_epoch(&mut self, now: Time) {
-        let Some(tracker) = self.health.as_mut() else {
-            return;
-        };
-        let n = self.cfg.backends.len();
-        let changed = tracker.on_epoch(now.as_nanos(), &self.live_samples, &self.fwd_per_backend);
-        self.metrics.set_counter(m::EJECTIONS, tracker.ejections());
-        self.metrics
-            .set_counter(m::READMISSIONS, tracker.readmissions());
-        if self.journal.enabled() {
-            for &(b, from, to, trigger) in tracker.last_transitions() {
-                self.journal.push(JournalEvent::HealthTransition {
-                    at: now.as_nanos(),
-                    backend: b,
-                    from: from.as_str(),
-                    to: to.as_str(),
-                    trigger: trigger.as_str(),
-                });
-            }
-        }
-        if !changed {
-            return;
-        }
-        self.class_scratch.clear();
-        self.class_scratch
-            .extend((0..n).map(|b| match tracker.state(b) {
-                HealthState::Healthy | HealthState::Suspect => 0u8,
-                HealthState::Probation => 1,
-                HealthState::Ejected => 2,
-            }));
-        if self.class_scratch == self.route_class {
-            return; // Healthy↔Suspect churn: no routing consequence
-        }
-        self.raw_scratch.clear();
-        for b in 0..n {
-            self.raw_scratch.push(match tracker.state(b) {
-                HealthState::Ejected => 0.0,
-                // Probation earns only the floor: enough traffic to elicit
-                // samples, little enough to contain a still-dead backend.
-                HealthState::Probation => self.cfg.weight_floor,
-                // A readmission restores the neutral share; margin-based
-                // controllers would otherwise leave the recovered backend
-                // parked at the probation floor indefinitely.
-                _ if self.route_class[b] != 0 => 1.0 / n as f64,
-                _ => self.weights.get(b).max(self.cfg.weight_floor),
-            });
-        }
-        self.ejected.clear();
-        self.ejected
-            .extend((0..n).map(|b| tracker.state(b) == HealthState::Ejected));
-        core::mem::swap(&mut self.route_class, &mut self.class_scratch);
-        if !self
-            .weights
-            .set_with_ejections(&self.raw_scratch, &self.ejected)
-        {
-            // Every backend ejected: weights untouched, table kept, the
-            // fast path drops with a counter until probation reopens one.
-            self.no_backend = true;
-            self.metrics.set_gauge(m::NO_BACKEND_GAUGE, 1.0);
-            if self.journal.enabled() {
-                self.journal
-                    .push(JournalEvent::NoBackend { at: now.as_nanos() });
-            }
-            self.record_weights(now, WeightCause::Health);
-            return;
-        }
-        self.no_backend = false;
-        self.metrics.set_gauge(m::NO_BACKEND_GAUGE, 0.0);
-        self.table = MaglevTable::build(self.weights.as_slice(), self.cfg.table_size);
-        self.metrics.inc(m::TABLE_REBUILDS);
-        // Migrate pinned flows off ejected backends. The new backend will
-        // RST mid-stream connections, forcing a fast client reconnect —
-        // strictly better than silently blackholing into the dead pin.
-        let now_ns = now.as_nanos();
-        let table = &self.table;
-        let ensembles = &mut self.ensembles;
-        let journal = &mut self.journal;
-        let mut moved = 0usize;
-        for (b, &ejected) in self.ejected.iter().enumerate() {
-            if !ejected {
-                continue;
-            }
-            moved += self.flows.repin_backend(b, |key, entry| {
-                let nb = table.lookup(key.stable_hash());
-                if journal.enabled() {
-                    journal.push(JournalEvent::FlowRepin {
-                        at: now_ns,
-                        src_ip: u32::from(key.src_ip),
-                        src_port: key.src_port,
-                        from: b,
-                        to: nb,
-                    });
-                }
-                entry.backend = nb;
-                entry.timing = ensembles[nb].new_flow(now_ns);
-            });
-        }
-        self.metrics.add(m::FLOWS_REPINNED, moved as u64);
-        self.record_weights(now, WeightCause::Health);
-    }
 }
 
 impl Node for LbNode {
@@ -931,9 +219,6 @@ impl Node for LbNode {
         ctx.arm_timer(self.cfg.sweep_interval, SWEEP_TOKEN);
         if let Some(h) = &self.health {
             ctx.arm_timer(Duration::from_nanos(h.config().epoch), HEALTH_TOKEN);
-        }
-        if let Some(iv) = self.cfg.metrics_interval {
-            ctx.arm_timer(iv, METRICS_TOKEN);
         }
     }
 
@@ -953,12 +238,6 @@ impl Node for LbNode {
                     ctx.arm_timer(Duration::from_nanos(h.config().epoch), HEALTH_TOKEN);
                 }
             }
-            METRICS_TOKEN => {
-                self.metrics.sample(ctx.now().as_nanos());
-                if let Some(iv) = self.cfg.metrics_interval {
-                    ctx.arm_timer(iv, METRICS_TOKEN);
-                }
-            }
             _ => debug_assert!(false, "unknown LB timer token {token:?}"),
         }
     }
@@ -966,8 +245,11 @@ impl Node for LbNode {
 
 #[cfg(test)]
 mod tests {
+    use std::net::Ipv4Addr;
+
     use super::*;
-    use netpkt::TcpHeader;
+    use netpkt::{TcpFlags, TcpHeader};
+    use telemetry::{JournalEvent, JournalMode};
 
     const VIP: Ipv4Addr = Ipv4Addr::new(10, 9, 9, 9);
     const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -1056,6 +338,26 @@ mod tests {
             Box::new(LbNode::new(cfg, MacAddr::from_id(9), vec![l0, l1])),
         );
         (sim, lb, [sink0, sink1])
+    }
+
+    /// One flow: a SYN, then `batches` four-packet batches 1 ms apart.
+    fn batched_script(batches: u64) -> Vec<(Duration, Packet)> {
+        let mut script = vec![(Duration::from_micros(1), client_pkt(4000, TcpFlags::SYN, 0))];
+        let mut t = Duration::from_millis(1);
+        for batch in 0..batches {
+            for i in 0..4u64 {
+                script.push((
+                    t + Duration::from_micros(i * 20),
+                    client_pkt(
+                        4000,
+                        TcpFlags::ACK | TcpFlags::PSH,
+                        batch as u32 * 4 + i as u32,
+                    ),
+                ));
+            }
+            t += Duration::from_millis(1);
+        }
+        script
     }
 
     fn delivered(sim: &netsim::Simulation, sinks: [netsim::NodeId; 2]) -> Vec<(usize, Packet)> {
@@ -1316,25 +618,10 @@ mod tests {
 
     #[test]
     fn journal_records_samples_and_decisions() {
-        // Same batched workload as observe_mode_measures_batched_flow,
-        // with the journal on: every stat-counted sample must have a
+        // The batched workload with the journal on: every stat-counted sample must have a
         // journal event, epoch decisions must appear with their counts,
         // and the first event must be the init weight record.
-        let mut script = vec![(Duration::from_micros(1), client_pkt(4000, TcpFlags::SYN, 0))];
-        let mut t = Duration::from_millis(1);
-        for batch in 0..200u64 {
-            for i in 0..4u64 {
-                script.push((
-                    t + Duration::from_micros(i * 20),
-                    client_pkt(
-                        4000,
-                        TcpFlags::ACK | TcpFlags::PSH,
-                        batch as u32 * 4 + i as u32,
-                    ),
-                ));
-            }
-            t += Duration::from_millis(1);
-        }
+        let script = batched_script(200);
         let mut cfg = LbConfig::observer(VIP, backends());
         cfg.journal = JournalMode::Full(1 << 16);
         let (mut sim, lb, _sinks) = rig(cfg, script);
@@ -1434,50 +721,13 @@ mod tests {
     }
 
     #[test]
-    fn metrics_timer_samples_counters() {
-        let mut script = Vec::new();
-        for i in 0..40u64 {
-            script.push((
-                Duration::from_micros(100 + i * 200),
-                client_pkt(4000 + i as u16, TcpFlags::SYN, 1),
-            ));
-        }
-        let mut cfg = LbConfig::baseline(VIP, backends());
-        cfg.metrics_interval = Some(Duration::from_millis(2));
-        let (mut sim, lb, _sinks) = rig(cfg, script);
-        sim.run_for(Duration::from_millis(11));
-        let lb_node = sim.node_ref::<LbNode>(lb).unwrap();
-        let series = lb_node
-            .metrics()
-            .counter_series(super::m::RX)
-            .expect("sampling enabled");
-        let pts = series.count_series();
-        assert!(pts.len() >= 5, "timer sampled {} bins", pts.len());
-        // The final sampled cumulative value matches the live counter.
-        let merged = series.merged();
-        assert_eq!(merged.max(), lb_node.stats().rx);
-    }
-
-    #[test]
     fn observe_mode_measures_batched_flow() {
-        // One flow sending batches every 1 ms: the ensemble must produce
-        // samples near 1 ms and never change the weights.
-        let mut script = vec![(Duration::from_micros(1), client_pkt(4000, TcpFlags::SYN, 0))];
-        let mut t = Duration::from_millis(1);
-        for batch in 0..400u64 {
-            for i in 0..4u64 {
-                script.push((
-                    t + Duration::from_micros(i * 20),
-                    client_pkt(
-                        4000,
-                        TcpFlags::ACK | TcpFlags::PSH,
-                        batch as u32 * 4 + i as u32,
-                    ),
-                ));
-            }
-            t += Duration::from_millis(1);
-        }
-        let (mut sim, lb, _sink) = rig(LbConfig::observer(VIP, backends()), script);
+        // Batches every 1 ms: the ensemble must produce samples near 1 ms
+        // and never change the weights.
+        let script = batched_script(400);
+        let mut cfg = LbConfig::observer(VIP, backends());
+        cfg.journal = JournalMode::Full(1 << 12);
+        let (mut sim, lb, _sink) = rig(cfg, script);
         sim.run_for(Duration::from_secs(1));
         let lb_node = sim.node_ref::<LbNode>(lb).unwrap();
         assert!(
@@ -1486,11 +736,14 @@ mod tests {
             lb_node.stats().samples
         );
         // After the ensemble settles, samples should be ~1 ms.
+        assert_eq!(lb_node.journal().overflow(), 0, "journal truncated");
         let late: Vec<u64> = lb_node
-            .samples()
-            .iter()
-            .filter(|s| s.at.as_nanos() > 200_000_000)
-            .map(|s| s.t_lb)
+            .journal()
+            .events()
+            .filter_map(|e| match *e {
+                JournalEvent::Sample { at, t_lb, .. } if at > 200_000_000 => Some(t_lb),
+                _ => None,
+            })
             .collect();
         let near = late
             .iter()

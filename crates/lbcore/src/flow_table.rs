@@ -22,8 +22,6 @@ pub struct FlowEntry {
     pub backend: usize,
     /// Measurement state for the ensemble estimator.
     pub timing: EnsembleFlowState,
-    /// When the flow was first seen.
-    pub created: Nanos,
     /// Last packet arrival (drives idle expiry).
     pub last_seen: Nanos,
     /// Packets observed on this flow.
@@ -119,7 +117,6 @@ impl FlowTable {
         self.entries.entry(key).or_insert(FlowEntry {
             backend,
             timing,
-            created: now,
             last_seen: now,
             packets: 0,
         })

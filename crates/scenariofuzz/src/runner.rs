@@ -25,13 +25,13 @@
 //! * `determinism` — running the same scenario twice produces the same
 //!   packet-trace hash, journals, span digest, and counters.
 //! * `harness` — the run stayed inside its observability budget (no
-//!   trace truncation, no journal overflow, no span-log drops); a
-//!   violation here means the other checks were blind, so the minimizer
-//!   shrinks the scenario.
+//!   trace truncation, no journal overflow, no span-log drops, one
+//!   journaled `Sample` per counted sample); a violation here means the
+//!   other checks were blind, so the minimizer shrinks the scenario.
 
 use std::net::Ipv4Addr;
 
-use experiments::topology::{KvCluster, KvClusterConfig, VIP};
+use experiments::topology::{kv_flow_key, KvCluster, KvClusterConfig, VIP};
 use lb_dataplane::{LbConfig, LbNode};
 use lbcore::{AlphaShift, HealthConfig};
 use netsim::fault::{FaultSchedule, ImpairmentConfig};
@@ -357,6 +357,23 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
                 format!("LB {i} journal overflowed ({ovf} events lost)"),
             );
         }
+        // The journal is the only per-sample record: the checks below
+        // prove nothing if it is mis-gated and missed samples.
+        let journaled = node
+            .journal()
+            .events()
+            .filter(|e| matches!(e, JournalEvent::Sample { .. }))
+            .count() as u64;
+        if journaled != node.stats().samples {
+            push(
+                &mut violations,
+                "harness",
+                format!(
+                    "LB {i} journaled {journaled} samples but counted {}",
+                    node.stats().samples
+                ),
+            );
+        }
     }
     if cluster.sim.spans().dropped() > 0 {
         push(
@@ -372,18 +389,24 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
     // -- shard_isolation: every sample's flow hashes to this LB's arm.
     let arms = &cluster.lb_arms;
     for (i, node) in nodes.iter().enumerate() {
-        for s in node.samples() {
+        for ev in node.journal().events() {
+            let JournalEvent::Sample {
+                at,
+                src_ip,
+                src_port,
+                ..
+            } = *ev
+            else {
+                continue;
+            };
+            let flow = kv_flow_key(src_ip, src_port);
             let owner =
-                netsim::ecmp::pick(s.flow.stable_hash(), arms).expect("non-empty ECMP arm set");
+                netsim::ecmp::pick(flow.stable_hash(), arms).expect("non-empty ECMP arm set");
             if owner != arms[i] {
                 push(
                     &mut violations,
                     "shard_isolation",
-                    format!(
-                        "LB {i} learned from flow {:?} owned by another shard (t={})",
-                        s.flow,
-                        s.at.as_nanos()
-                    ),
+                    format!("LB {i} learned from flow {flow:?} owned by another shard (t={at})"),
                 );
             }
         }

@@ -52,7 +52,7 @@ impl Default for Config {
             ]),
             fastpath: v(&[
                 "crates/netpkt/src",
-                "crates/lb-dataplane/src/node.rs",
+                "crates/lb-dataplane/src",
                 "crates/lbcore/src/flow_table.rs",
                 "crates/lbcore/src/maglev.rs",
             ]),
@@ -166,6 +166,37 @@ impl Config {
         Ok(cfg)
     }
 
+    /// Rule-scope entries that cover none of `paths` (workspace-relative,
+    /// `/`-separated). A scope naming a file that was since split or
+    /// renamed silently takes that code out of the rule, so the caller
+    /// treats a non-empty result as a config error. `exclude` is not a
+    /// rule scope and may name paths that do not exist.
+    pub fn dead_scopes<'a>(&'a self, paths: &[&str]) -> Vec<&'a str> {
+        let mut dead: Vec<&str> = [
+            &self.wallclock_allow,
+            &self.deterministic,
+            &self.fastpath,
+            &self.float_eq_scope,
+            &self.concurrency,
+            &self.g_fields,
+            &self.g_comparators,
+            &self.g_seq_cast,
+            &self.journal,
+        ]
+        .into_iter()
+        .flatten()
+        .filter(|scope| {
+            !paths
+                .iter()
+                .any(|p| Config::in_scope(p, std::slice::from_ref(scope)))
+        })
+        .map(String::as_str)
+        .collect();
+        dead.sort_unstable();
+        dead.dedup();
+        dead
+    }
+
     /// True when `path` (workspace-relative, `/`-separated) is covered
     /// by one of the `scopes` entries.
     pub fn in_scope(path: &str, scopes: &[String]) -> bool {
@@ -236,6 +267,32 @@ mod tests {
         assert!(Config::in_scope("crates/netsim/src/rng.rs", &scopes));
         assert!(Config::in_scope("crates/netsim", &scopes));
         assert!(!Config::in_scope("crates/netsim2/src/lib.rs", &scopes));
+    }
+
+    #[test]
+    fn scope_matching_no_scanned_file_is_reported_by_path() {
+        let cfg = Config::parse(
+            "[rules.f1]\nfastpath = [\"crates/lb-dataplane/src/node.rs\", \"crates/netpkt/src\"]\n",
+        )
+        .unwrap();
+        // One file under every default scope, and node.rs split away:
+        // only its entry covers nothing.
+        let mut scanned = vec![
+            "crates/bench/src/lib.rs",
+            "crates/lb-dataplane/src/fastpath.rs",
+            "crates/lbcore/src/maglev.rs",
+            "crates/netpkt/src/flow.rs",
+            "crates/netsim/src/sim.rs",
+            "crates/nettcp/src/host.rs",
+            "crates/telemetry/src/journal.rs",
+            "crates/workload/src/client.rs",
+        ];
+        assert_eq!(
+            cfg.dead_scopes(&scanned),
+            vec!["crates/lb-dataplane/src/node.rs"]
+        );
+        scanned.push("crates/lb-dataplane/src/node.rs");
+        assert!(cfg.dead_scopes(&scanned).is_empty());
     }
 
     #[test]

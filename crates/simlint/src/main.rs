@@ -167,6 +167,17 @@ fn main() -> ExitCode {
         }
     }
 
+    if args.workspace {
+        let scanned: Vec<&str> = files.iter().map(|(rel, _)| rel.as_str()).collect();
+        let dead = cfg.dead_scopes(&scanned);
+        for scope in &dead {
+            eprintln!("simlint: config: scope path `{scope}` matches no scanned file");
+        }
+        if !dead.is_empty() {
+            return ExitCode::from(2);
+        }
+    }
+
     let mut violations = simlint::analyze(&files, &cfg);
 
     let baseline_path = args

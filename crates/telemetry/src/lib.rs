@@ -13,7 +13,6 @@
 pub mod histogram;
 pub mod journal;
 pub mod percentile;
-pub mod registry;
 pub mod span;
 pub mod summary;
 pub mod table;
@@ -22,7 +21,6 @@ pub mod timeseries;
 pub use histogram::LogHistogram;
 pub use journal::{Journal, JournalEvent, JournalMode, WeightCause};
 pub use percentile::{exact_percentile, P2Quantile};
-pub use registry::{CounterId, GaugeId, HistId, MetricsRegistry};
 pub use span::{CriticalPath, HopKind, HopRecord, Span, SpanLog, SpanMode};
 pub use summary::AccuracySummary;
 pub use table::Table;

@@ -9,15 +9,24 @@
 //! reordering that cancels out in the aggregates fails here.
 
 use experiments::topology::{KvCluster, KvClusterConfig, VIP};
-use lb_dataplane::LbConfig;
+use lb_dataplane::{LbConfig, LbNode, LbStats};
 use lbcore::AlphaShift;
 use netsim::{Duration, Time};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step per byte.
+fn fnv1a(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
+}
 
 /// Folds a finished simulation's packet trace into an FNV-1a hash.
 fn fold_trace(sim: &netsim::Simulation) -> (u64, usize) {
     let trace = sim.trace();
     assert_eq!(trace.truncated, 0, "trace buffer too small for the run");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for e in trace.events() {
         let line = format!(
             "{};{:?};{:?};{:?};{:?};{}",
@@ -28,16 +37,32 @@ fn fold_trace(sim: &netsim::Simulation) -> (u64, usize) {
             e.flow,
             e.wire_len
         );
-        for b in line.as_bytes() {
-            h = (h ^ u64::from(*b)).wrapping_mul(0x1000_0000_01b3);
-        }
+        h = fnv1a(h, line.bytes());
     }
     (h, trace.events().len())
 }
 
-/// Runs the Fig. 3 cluster for `sim_ms` with packet tracing on and
-/// folds every trace event into an FNV-1a hash.
-fn trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
+/// One LB's counter record: its [`LbStats`] plus an FNV-1a over the bit
+/// patterns of backend 0's weight history. Trace hashes pin the packet
+/// schedule; this pins the counters the schedule does not depend on
+/// (`samples`, `table_rebuilds`, `flows_repinned`, ...), so a dropped
+/// increment fails here.
+fn lb_record(lb: &LbNode) -> (LbStats, u64) {
+    let h = lb
+        .weight_series(0)
+        .points()
+        .iter()
+        .fold(FNV_OFFSET, |h, &(t, w)| {
+            fnv1a(
+                h,
+                t.to_le_bytes().into_iter().chain(w.to_bits().to_le_bytes()),
+            )
+        });
+    (lb.stats(), h)
+}
+
+/// Runs the Fig. 3 cluster for `sim_ms` with packet tracing on.
+fn fig3_cluster(seed: u64, sim_ms: u64) -> KvCluster {
     let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
         Box::new(|backends| LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped())));
     let mut cfg = KvClusterConfig::fig3_defaults(lb_factory);
@@ -52,15 +77,20 @@ fn trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
     );
     cluster.sim.enable_trace(1 << 21);
     cluster.sim.run_for(Duration::from_millis(sim_ms));
-    fold_trace(&cluster.sim)
+    cluster
+}
+
+/// Folds every trace event of [`fig3_cluster`] into an FNV-1a hash.
+fn trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
+    fold_trace(&fig3_cluster(seed, sim_ms).sim)
 }
 
 /// Runs the chaos scenario — backend crash + restart with packet
-/// corruption/duplication/reordering on the survivor's path — and hashes
-/// the trace. Exercises every fault-injection code path: scheduled node
-/// down/up, impairment RNG draws, health ejection, flow re-pinning, and
-/// probation readmission.
-fn chaos_trace_hash(seed: u64) -> (u64, usize) {
+/// corruption/duplication/reordering on the survivor's path — with
+/// packet tracing on. Exercises every fault-injection code path:
+/// scheduled node down/up, impairment RNG draws, health ejection, flow
+/// re-pinning, and probation readmission.
+fn chaos_cluster(seed: u64) -> KvCluster {
     use experiments::chaos::{build_chaos_cluster, ChaosConfig};
     let cfg = ChaosConfig {
         duration: Duration::from_millis(1800),
@@ -73,15 +103,19 @@ fn chaos_trace_hash(seed: u64) -> (u64, usize) {
     let mut cluster = build_chaos_cluster(&cfg, true);
     cluster.sim.enable_trace(1 << 21);
     cluster.sim.run_for(cfg.duration);
-    fold_trace(&cluster.sim)
+    cluster
+}
+
+fn chaos_trace_hash(seed: u64) -> (u64, usize) {
+    fold_trace(&chaos_cluster(seed).sim)
 }
 
 /// Runs the 4-LB ECMP-sharded tier with weight gossip enabled for
-/// `sim_ms` and hashes the trace. Covers the rendezvous ECMP router
+/// `sim_ms` with packet tracing on. Covers the rendezvous ECMP router
 /// stage, per-shard feedback, and the driver-stepped gossip rounds
 /// (which must not perturb the packet schedule — gossip is pure
 /// control-plane state).
-fn multilb_trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
+fn multilb_cluster(seed: u64, sim_ms: u64) -> KvCluster {
     use experiments::multilb::{
         build_multilb_cluster, run_multilb_cluster, GossipParams, MultiLbConfig,
     };
@@ -98,7 +132,11 @@ fn multilb_trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
     let mut cluster = build_multilb_cluster(&cfg);
     cluster.sim.enable_trace(1 << 21);
     run_multilb_cluster(&mut cluster, &cfg);
-    fold_trace(&cluster.sim)
+    cluster
+}
+
+fn multilb_trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
+    fold_trace(&multilb_cluster(seed, sim_ms).sim)
 }
 
 /// Runs the Fig. 2 bulk-transfer scenario (one window-limited TCP flow
@@ -194,6 +232,28 @@ fn fig3_trace_hash_is_pinned() {
     );
 }
 
+/// Fig. 3 KV cluster, seed 42, 600 ms: pinned LB counters and weight
+/// history (see [`lb_record`]).
+#[test]
+fn fig3_lb_counters_are_pinned() {
+    assert_eq!(
+        lb_record(fig3_cluster(42, 600).lb_node()),
+        (
+            LbStats {
+                rx: 78_826,
+                forwarded: 78_826,
+                new_flows: 204,
+                flow_closes: 188,
+                samples: 39_405,
+                table_rebuilds: 83,
+                ..LbStats::default()
+            },
+            0xe168_5918_d5b7_4e2b
+        ),
+        "fig3 LB counters or weight history changed",
+    );
+}
+
 /// Chaos crash/restart scenario, seed 23: pinned packet schedule.
 #[test]
 fn chaos_trace_hash_is_pinned() {
@@ -201,6 +261,45 @@ fn chaos_trace_hash_is_pinned() {
         chaos_trace_hash(23),
         (0x28d8_4f06_7a78_d8c9, 2_070_418),
         "chaos packet schedule changed",
+    );
+}
+
+/// Chaos with an outage long enough to eject, re-pin, and readmit
+/// (crash at 300 ms, restart at 1.5 s, 3 s total), seed 23: pinned LB
+/// counters and weight history — the run where `ejections`,
+/// `readmissions`, `flows_repinned` and `abort_signals` are non-zero.
+#[test]
+fn chaos_lb_counters_are_pinned() {
+    use experiments::chaos::{build_chaos_cluster, ChaosConfig};
+    let cfg = ChaosConfig {
+        duration: Duration::from_millis(3000),
+        crash_at: Duration::from_millis(300),
+        restart_at: Duration::from_millis(1500),
+        impair: Some(netsim::ImpairmentConfig::light(0xFA11)),
+        bin: Duration::from_millis(250),
+        seed: 23,
+    };
+    let mut cluster = build_chaos_cluster(&cfg, true);
+    cluster.sim.run_for(cfg.duration);
+    assert_eq!(
+        lb_record(cluster.lb_node()),
+        (
+            LbStats {
+                rx: 407_629,
+                forwarded: 407_629,
+                new_flows: 1_062,
+                flow_closes: 1_004,
+                samples: 203_795,
+                table_rebuilds: 844,
+                ejections: 1,
+                readmissions: 1,
+                flows_repinned: 61,
+                abort_signals: 42,
+                ..LbStats::default()
+            },
+            0x8865_554a_00de_d4c4
+        ),
+        "chaos LB counters or weight history changed",
     );
 }
 
@@ -220,10 +319,38 @@ fn bulk_trace_hash_is_pinned() {
 /// construction.
 #[test]
 fn multilb_trace_hash_is_pinned() {
+    let cluster = multilb_cluster(17, 600);
     assert_eq!(
-        multilb_trace_hash(17, 600),
+        fold_trace(&cluster.sim),
         (0x6bee_84af_e8da_5035, 715_548),
         "multilb packet schedule changed",
+    );
+    // Per-shard LB counters (the run that exercises `gossip_merges`):
+    // every shard forwards all it receives, merges three gossip rounds,
+    // and leaves every other counter at zero.
+    let shard = |rx, new_flows, flow_closes, samples, table_rebuilds, weight_hash: u64| {
+        let stats = LbStats {
+            rx,
+            forwarded: rx,
+            new_flows,
+            flow_closes,
+            samples,
+            table_rebuilds,
+            gossip_merges: 3,
+            ..LbStats::default()
+        };
+        (stats, weight_hash)
+    };
+    let records: Vec<_> = (0..4).map(|i| lb_record(cluster.lb_node_i(i))).collect();
+    assert_eq!(
+        records,
+        [
+            shard(21_524, 55, 49, 10_759, 85, 0xde05_47b7_862c_d03c),
+            shard(15_930, 40, 38, 7_964, 78, 0x5b05_ce06_13b0_04e8),
+            shard(16_903, 43, 40, 8_450, 89, 0xb0f0_2dd9_1f21_d100),
+            shard(17_271, 45, 40, 8_633, 72, 0xe54c_469c_cf08_8a99),
+        ],
+        "multilb LB counters or weight history changed",
     );
 }
 

@@ -18,7 +18,9 @@ use std::collections::BTreeSet;
 use experiments::multilb::{
     build_multilb_cluster, run_multilb_cluster, GossipParams, MultiLbConfig,
 };
+use experiments::topology::kv_flow_key;
 use netsim::Duration;
+use telemetry::{JournalEvent, JournalMode};
 
 fn invariant_cfg(gossip: Option<GossipParams>) -> MultiLbConfig {
     MultiLbConfig {
@@ -28,14 +30,17 @@ fn invariant_cfg(gossip: Option<GossipParams>) -> MultiLbConfig {
         extra: Duration::from_millis(1),
         bin: Duration::from_millis(500),
         gossip,
-        journal: telemetry::JournalMode::Off,
+        journal: JournalMode::Off,
         seed: 42,
     }
 }
 
 #[test]
 fn no_cross_shard_feedback_leakage_without_gossip() {
-    let cfg = invariant_cfg(None);
+    let cfg = MultiLbConfig {
+        journal: JournalMode::Full(1 << 20),
+        ..invariant_cfg(None)
+    };
     let mut cluster = build_multilb_cluster(&cfg);
     run_multilb_cluster(&mut cluster, &cfg);
 
@@ -49,20 +54,37 @@ fn no_cross_shard_feedback_leakage_without_gossip() {
         assert!(node.stats().forwarded > 0, "LB {i} forwarded nothing");
         assert!(node.stats().samples > 0, "LB {i} produced no samples");
         assert_eq!(node.stats().gossip_merges, 0, "gossip ran while disabled");
+        // The journal's `Sample` events are the per-sample record; an
+        // overflowed or mis-gated journal would prove isolation over a
+        // subset of the samples.
+        assert_eq!(node.journal().overflow(), 0, "LB {i} journal truncated");
         // Every sample this LB learned from belongs to a flow the ECMP
         // stage assigned to this LB — its weights never reacted to
         // another shard's flows.
         let mut flows = BTreeSet::new();
-        for s in node.samples() {
-            let hash = s.flow.stable_hash();
+        let mut journaled = 0u64;
+        for ev in node.journal().events() {
+            let JournalEvent::Sample {
+                src_ip, src_port, ..
+            } = *ev
+            else {
+                continue;
+            };
+            journaled += 1;
+            let flow = kv_flow_key(src_ip, src_port);
+            let hash = flow.stable_hash();
             let owner = netsim::ecmp::pick(hash, &arms).expect("non-empty arm set");
             assert_eq!(
                 owner, arms[i],
-                "LB {i} learned from flow {:?} owned by another shard",
-                s.flow
+                "LB {i} learned from flow {flow:?} owned by another shard"
             );
             flows.insert(hash);
         }
+        assert_eq!(
+            journaled,
+            node.stats().samples,
+            "LB {i} journal missed samples"
+        );
         per_lb_flows.push(flows);
     }
     // Corollary: the shards' sample flow sets are pairwise disjoint.

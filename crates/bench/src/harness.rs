@@ -438,7 +438,8 @@ impl BenchReport {
     /// Parses a `BENCH_perf.json` document (round-trip of [`Self::to_json`]).
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
         let root = parse_json(text)?;
-        let schema_version = root.get_u64("schema_version")? as u32;
+        let schema_version = u32::try_from(root.get_u64("schema_version")?)
+            .map_err(|_| "'schema_version' does not fit 32 bits".to_string())?;
         if schema_version != SCHEMA_VERSION {
             return Err(format!(
                 "schema_version {schema_version} != supported {SCHEMA_VERSION}"
@@ -493,7 +494,10 @@ fn json_string(s: &str) -> String {
 /// A parsed JSON value — just enough structure for the report schema.
 enum Json {
     Bool(bool),
-    Num(f64),
+    /// A number, as written: counters are `u64` and an `f64` holds
+    /// integers exactly only up to 2^53, so the typed getters parse the
+    /// lexeme themselves.
+    Num(String),
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
@@ -513,14 +517,18 @@ impl Json {
 
     fn get_u64(&self, key: &str) -> Result<u64, String> {
         match self.get(key)? {
-            Json::Num(n) if *n >= 0.0 => Ok(*n as u64),
-            _ => Err(format!("'{key}' is not a non-negative number")),
+            Json::Num(text) => text
+                .parse::<u64>()
+                .map_err(|_| format!("'{key}': {text} is not an integer in 0..=u64::MAX")),
+            _ => Err(format!("'{key}' is not a number")),
         }
     }
 
     fn get_f64(&self, key: &str) -> Result<f64, String> {
         match self.get(key)? {
-            Json::Num(n) => Ok(*n),
+            Json::Num(text) => text
+                .parse::<f64>()
+                .map_err(|_| format!("'{key}': invalid number {text}")),
             _ => Err(format!("'{key}' is not a number")),
         }
     }
@@ -596,7 +604,7 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let text = core::str::from_utf8(&bytes[start..*pos])
         .map_err(|_| format!("invalid utf8 in number at byte {start}"))?;
     text.parse::<f64>()
-        .map(Json::Num)
+        .map(|_| Json::Num(text.to_string()))
         .map_err(|_| format!("invalid number '{text}' at byte {start}"))
 }
 
@@ -754,6 +762,42 @@ mod tests {
         assert!(BenchReport::from_json("{}").is_err());
         assert!(BenchReport::from_json("{\"schema_version\": 999}").is_err());
         assert!(BenchReport::from_json("[1, 2").is_err());
+    }
+
+    #[test]
+    fn counters_above_2_pow_53_round_trip_exactly() {
+        let mut report = sample_report();
+        report.scenarios[0].events = 9_007_199_254_740_993; // 2^53 + 1
+        report.scenarios[0].alloc_bytes = u64::MAX;
+        let json = report.to_json();
+        assert!(json.contains("9007199254740993") && json.contains("18446744073709551615"));
+        let parsed = BenchReport::from_json(&json).unwrap();
+        assert_eq!(parsed.scenarios[0].events, 9_007_199_254_740_993);
+        assert_eq!(parsed.scenarios[0].alloc_bytes, u64::MAX);
+    }
+
+    #[test]
+    fn counter_fields_reject_what_is_not_a_u64() {
+        let json = sample_report().to_json();
+        let events = "\"events\": 123456";
+        assert!(json.contains(events));
+        for bad in ["-1", "1.5", "1e3", "18446744073709551616"] {
+            let doc = json.replace(events, &format!("\"events\": {bad}"));
+            let err = BenchReport::from_json(&doc).err();
+            assert!(
+                err.as_deref().is_some_and(|e| e.contains("'events'")),
+                "{bad}: {err:?}"
+            );
+        }
+        let doc = json.replace("\"schema_version\": 1", "\"schema_version\": 4294967297");
+        assert!(
+            BenchReport::from_json(&doc).is_err(),
+            "schema_version wrapped"
+        );
+        // Ratios still read as floats, exponent and all.
+        let doc = json.replace("17636571.4", "1.76365714e7");
+        let parsed = BenchReport::from_json(&doc).unwrap();
+        assert!((parsed.scenarios[0].events_per_sec - 17_636_571.4).abs() < 1e-6);
     }
 
     #[test]

@@ -1,6 +1,15 @@
 //! The control plane: everything that changes the weight vector — the
 //! feedback controller, gossip merges, health epochs — and the one
 //! place a changed vector is committed to the forwarding table.
+//!
+//! A commit is not a table build. The table is read only by packets
+//! without a pin (a SYN, a fallback forward, every packet when
+//! `affinity` is off) and by a health re-pin; pinned connections never
+//! consult it, and the controller may commit on every `T_LB` sample. So
+//! a commit only marks the [`LazyTable`] stale, and the first lookup
+//! after it rebuilds, in place. The table is a pure function of the
+//! committed vector, so every lookup returns what an eager rebuild
+//! would have returned; the builds nobody looked at are never made.
 
 use lbcore::{HealthState, MaglevTable};
 use netsim::Time;
@@ -9,12 +18,57 @@ use telemetry::{JournalEvent, WeightCause};
 use crate::config::{MeasureMode, RoutingPolicy};
 use crate::node::LbNode;
 
+/// The Maglev forwarding table, stale until read.
+pub(crate) struct LazyTable {
+    table: MaglevTable,
+    /// The last committed weight vector: what `table` was built from or,
+    /// while `stale`, will be. A copy, because `LbNode::weights` may move
+    /// without a commit (a controller or gossip merge that stays under
+    /// its own change threshold still nudges the shares).
+    committed: Vec<f64>,
+    stale: bool,
+    #[cfg(test)]
+    pub(crate) builds: u64,
+}
+
+impl LazyTable {
+    pub(crate) fn new(weights: &[f64], size: usize) -> LazyTable {
+        LazyTable {
+            table: MaglevTable::build(weights, size),
+            committed: weights.to_vec(),
+            stale: false,
+            #[cfg(test)]
+            builds: 0,
+        }
+    }
+
+    /// Makes `weights` the vector the next lookup is answered from.
+    pub(crate) fn commit(&mut self, weights: &[f64]) {
+        self.committed.copy_from_slice(weights);
+        self.stale = true;
+    }
+
+    /// The table for the committed weights, rebuilt now if a commit
+    /// happened since the last lookup.
+    pub(crate) fn fresh(&mut self) -> &MaglevTable {
+        if self.stale {
+            self.table.rebuild(&self.committed);
+            self.stale = false;
+            #[cfg(test)]
+            {
+                self.builds += 1;
+            }
+        }
+        &self.table
+    }
+}
+
 impl LbNode {
-    /// The one place a changed weight vector becomes a forwarding table:
-    /// rebuild Maglev, count it, move pins off backends a health epoch
-    /// just ejected, then record the new vector.
+    /// The one place a changed weight vector reaches the forwarding
+    /// table: mark the table stale, count the commit, move pins off
+    /// backends a health epoch just ejected, then record the new vector.
     fn commit_weights(&mut self, now: Time, cause: WeightCause) {
-        self.table = MaglevTable::build(self.weights.as_slice(), self.cfg.table_size);
+        self.table.commit(self.weights.as_slice());
         self.stats.table_rebuilds += 1;
         if cause == WeightCause::Health {
             self.repin_ejected(now);
@@ -72,7 +126,7 @@ impl LbNode {
             if self.ejected.iter().any(|&e| e) {
                 // Controllers redistribute by spreading mass over *all*
                 // backends, which leaks weight back onto ejected ones;
-                // re-apply the mask before rebuilding.
+                // re-apply the mask before committing.
                 let _ = self.weights.apply_ejections(&self.ejected);
             }
             self.commit_weights(now, WeightCause::Controller);
@@ -83,8 +137,8 @@ impl LbNode {
     /// weights toward the element-wise mean of `peers` — each a peer LB's
     /// current weight vector — with strength `mix`, re-normalizing
     /// through the **local** ejection mask so gossip never resurrects a
-    /// backend this LB has ejected. The forwarding table is rebuilt only
-    /// when the merge actually moved a share.
+    /// backend this LB has ejected. The weights are committed only when
+    /// the merge actually moved a share.
     ///
     /// Transport is the caller's problem: the experiment driver steps the
     /// simulation clock in gossip-period increments, snapshots every LB's
@@ -124,7 +178,8 @@ impl LbNode {
 
     /// One health epoch: feed the tracker the cumulative sample/forward
     /// counters, and when a backend's routing class changed (ejection,
-    /// probation, readmission) rebuild the table and migrate pinned flows.
+    /// probation, readmission) commit the new weights and migrate pinned
+    /// flows.
     pub(crate) fn health_epoch(&mut self, now: Time) {
         let Some(tracker) = self.health.as_mut() else {
             return;
@@ -193,13 +248,14 @@ impl LbNode {
         self.commit_weights(now, WeightCause::Health);
     }
 
-    /// Migrates pinned flows off ejected backends through the current
-    /// table. The new backend will RST mid-stream connections, forcing a
+    /// Migrates pinned flows off ejected backends through the table for
+    /// the weights just committed (built only if there is a flow to
+    /// move). The new backend will RST mid-stream connections, forcing a
     /// fast client reconnect — strictly better than silently blackholing
     /// into the dead pin.
     fn repin_ejected(&mut self, now: Time) {
         let now_ns = now.as_nanos();
-        let table = &self.table;
+        let table = &mut self.table;
         let ensembles = &mut self.ensembles;
         let journal = &mut self.journal;
         let mut moved = 0usize;
@@ -208,7 +264,7 @@ impl LbNode {
                 continue;
             }
             moved += self.flows.repin_backend(b, |key, entry| {
-                let nb = table.lookup(key.stable_hash());
+                let nb = table.fresh().lookup(key.stable_hash());
                 if journal.enabled() {
                     journal.push(JournalEvent::FlowRepin {
                         at: now_ns,

@@ -18,7 +18,11 @@
 //! * `fastpath` — the per-packet path: parse → control port → flow table
 //!   → ensemble tap → pick → rewrite → forward;
 //! * `control` — everything that changes the weight vector (controller,
-//!   gossip, health epochs) and the one commit from weights to table;
+//!   gossip, health epochs) and the one commit from weights to table.
+//!   The table is stale-until-read: a commit marks it stale, and the
+//!   first lookup that needs it (a SYN, a fallback forward, a health
+//!   re-pin, any packet when `affinity` is off) rebuilds it in place —
+//!   pinned connections never read it, so most commits build nothing;
 //! * [`node`] — the [`LbNode`] struct, its accessors, and the simulator
 //!   bindings (packet delivery, sweep and health timers).
 //!

@@ -5,9 +5,10 @@ use netpkt::{MacAddr, Packet};
 use netsim::{Ctx, Duration, LinkId, Node, TimerToken};
 use telemetry::{Journal, ScalarSeries, WeightCause};
 
-use lbcore::{BackendEstimator, EnsembleTimeout, FlowTable, HealthTracker, MaglevTable, Weights};
+use lbcore::{BackendEstimator, EnsembleTimeout, FlowTable, HealthTracker, Weights};
 
 use crate::config::{LbConfig, MeasureMode, RoutingPolicy};
+use crate::control::LazyTable;
 
 /// The LB counters: always on, one plain integer each. Anything
 /// per-sample or per-decision goes to the mode-gated journal instead.
@@ -30,7 +31,10 @@ pub struct LbStats {
     pub samples: u64,
     /// Out-of-band reports accepted on the control address.
     pub oob_reports: u64,
-    /// Maglev table rebuilds triggered by the controller.
+    /// Weight vectors committed to the forwarding table, whatever the
+    /// cause (controller, gossip merge, health epoch). The Maglev build
+    /// itself happens at the next lookup that needs the table, so commits
+    /// nobody looked at cost no build.
     pub table_rebuilds: u64,
     /// Packets dropped because every backend was ejected (drop-with-counter
     /// beats blackholing into a known-dead pin).
@@ -59,7 +63,7 @@ pub struct LbNode {
     pub(crate) backend_links: Vec<LinkId>,
     pub(crate) mac: MacAddr,
     pub(crate) weights: Weights,
-    pub(crate) table: MaglevTable,
+    pub(crate) table: LazyTable,
     pub(crate) flows: FlowTable,
     /// One ensemble per backend: once latencies diverge, a single global
     /// timeout δₑ cannot serve both a 250 µs backend and a 1.3 ms backend
@@ -84,9 +88,9 @@ pub struct LbNode {
     /// Which backends are currently ejected (mirrors the tracker; kept
     /// separately so the fast path and controller never touch it).
     pub(crate) ejected: Vec<bool>,
-    /// Routing class per backend at the last rebuild: 0 = full weight
-    /// (Healthy/Suspect), 1 = probe trickle (Probation), 2 = zero
-    /// (Ejected). A health transition only forces a table rebuild when
+    /// Routing class per backend at the last health commit: 0 = full
+    /// weight (Healthy/Suspect), 1 = probe trickle (Probation), 2 = zero
+    /// (Ejected). A health transition only forces a weight commit when
     /// this vector changes — Healthy↔Suspect churn is free.
     pub(crate) route_class: Vec<u8>,
     /// True while every backend is ejected: the fast path drops packets
@@ -116,7 +120,7 @@ impl LbNode {
         );
         let n = cfg.backends.len();
         let weights = Weights::equal(n, cfg.weight_floor);
-        let table = MaglevTable::build(weights.as_slice(), cfg.table_size);
+        let table = LazyTable::new(weights.as_slice(), cfg.table_size);
         let flows =
             FlowTable::with_capacity(cfg.flow_idle_timeout.as_nanos(), cfg.flow_table_capacity);
         let ensembles = (0..n)
@@ -603,7 +607,7 @@ mod tests {
         {
             let node = sim.node_mut::<LbNode>(lb).unwrap();
             node.weights.set(&[0.0, 1.0]);
-            node.table = MaglevTable::build(node.weights.as_slice(), node.cfg.table_size);
+            node.table.commit(node.weights.as_slice());
         }
         sim.run_for(Duration::from_millis(10));
         let got = delivered(&sim, sinks);
@@ -614,6 +618,165 @@ mod tests {
             after_skew.iter().all(|&i| i == 1),
             "stateless routing ignored the table"
         );
+    }
+
+    /// Stale-until-read, end to end: one packet per 100 µs step, with
+    /// weight commits from all three causes injected between steps (the
+    /// in-band controller adds its own). Every packet that consults the
+    /// table must land where an eagerly built table for the weights in
+    /// force *before* that packet would have sent it.
+    fn lazy_table_case(affinity: bool) {
+        use lbcore::MaglevTable;
+        use netpkt::FlowKey;
+
+        const STEP: Duration = Duration::from_micros(100);
+        let syn = |port| client_pkt(port, TcpFlags::SYN, 1);
+        let data = |port, seq| client_pkt(port, TcpFlags::ACK | TcpFlags::PSH, seq);
+        // 24 connection starts, a data packet on each, 12 packets of
+        // unknown flows (fallback forwards), then data on each again.
+        let mut pkts: Vec<Packet> = (0..24).map(|i| syn(4000 + i)).collect();
+        pkts.extend((0..24).map(|i| data(4000 + i, 2)));
+        pkts.extend((0..12).map(|i| client_pkt(5000 + i, TcpFlags::ACK, 7)));
+        pkts.extend((0..24).map(|i| data(4000 + i, 3)));
+        let script = pkts
+            .into_iter()
+            .enumerate()
+            .map(|(k, p)| (Duration::from_micros(100 * (k as u64 + 1)), p))
+            .collect();
+
+        let mut cfg =
+            LbConfig::latency_aware(VIP, backends(), Box::new(lbcore::AlphaShift::paper()));
+        cfg.affinity = affinity;
+        cfg.journal = JournalMode::Full(1 << 12);
+        cfg.health = Some(lbcore::HealthConfig {
+            epoch: 3_600_000_000_000, // epochs are driven by hand below
+            suspect_after: 1,
+            eject_after: 1,
+            ..lbcore::HealthConfig::default()
+        });
+        let size = cfg.table_size;
+        let (mut sim, lb, sinks) = rig(cfg, script);
+
+        // Packet k leaves the client at (k + 1) · 100 µs and is at its sink
+        // some 20 µs later: step k covers [k · 100 + 50, k · 100 + 150) µs.
+        sim.run_for(Duration::from_micros(50));
+        let mut seen = [0usize; 2];
+        let mut pins = std::collections::HashMap::new();
+        for k in 0..84u64 {
+            let now = sim.now();
+            let lb_node = sim.node_mut::<LbNode>(lb).unwrap();
+            match k {
+                8 => {
+                    // Five controller commits, nobody looking: no build.
+                    lb_node.estimator.record(0, 5_000_000, now.as_nanos());
+                    lb_node.estimator.record(1, 200_000, now.as_nanos());
+                    lb_node.table.fresh();
+                    let (commits, builds) = (lb_node.stats.table_rebuilds, lb_node.table.builds);
+                    for _ in 0..5 {
+                        lb_node.run_controller(now);
+                    }
+                    assert_eq!(lb_node.stats.table_rebuilds, commits + 5);
+                    assert_eq!(lb_node.table.builds, builds, "a commit built the table");
+                    lb_node.table.fresh();
+                    lb_node.table.fresh();
+                    assert_eq!(
+                        lb_node.table.builds,
+                        builds + 1,
+                        "one build per read commit"
+                    );
+                }
+                16 | 40 => assert!(lb_node.apply_gossip(&[&[0.9, 0.1]], 0.5, now)),
+                60 => {
+                    // Eject backend 0 while the table is stale from a
+                    // gossip commit: the re-pin must read the table for
+                    // the *health* weights, not the stale one (which
+                    // would re-pin some flows onto the dead backend).
+                    lb_node.health_epoch(now); // sync the tracker's marks
+                    assert!(lb_node.apply_gossip(&[&[0.9, 0.1]], 1.0, now));
+                    let builds = lb_node.table.builds;
+                    for _ in 0..2 {
+                        lb_node.fwd_per_backend[0] += 1;
+                        lb_node.health_epoch(now);
+                    }
+                    assert_eq!(lb_node.stats.ejections, 1);
+                    assert_eq!(lb_node.weights.get(0), 0.0);
+                    assert!(lb_node.stats.flows_repinned > 0, "no flow was pinned to 0");
+                    assert_eq!(lb_node.table.builds, builds + 1, "two commits, one build");
+                    let table = MaglevTable::build(lb_node.weights.as_slice(), size);
+                    let repins: Vec<_> = lb_node
+                        .journal
+                        .events()
+                        .filter_map(|e| match *e {
+                            JournalEvent::FlowRepin { src_port, to, .. } => Some((src_port, to)),
+                            _ => None,
+                        })
+                        .collect();
+                    assert_eq!(repins.len() as u64, lb_node.stats.flows_repinned);
+                    for (port, to) in repins {
+                        let hash = FlowKey::new(CLIENT, port, VIP, 11211).stable_hash();
+                        assert_eq!(to, table.lookup(hash), "port {port} re-pinned off-table");
+                        pins.insert(port, to);
+                    }
+                }
+                _ => {}
+            }
+            let before = MaglevTable::build(lb_node.weights.as_slice(), size);
+            sim.run_for(STEP);
+            let (sink, pkt) = (0..2)
+                .find_map(|i| {
+                    let got = &sim.node_ref::<Sink>(sinks[i]).unwrap().got;
+                    (got.len() > seen[i]).then(|| (i, got[seen[i]].clone()))
+                })
+                .unwrap_or_else(|| panic!("packet {k} was not forwarded"));
+            seen[sink] += 1;
+            let (key, flags) = FlowKey::parse_with_flags(&pkt.data).unwrap();
+            if flags.is_syn_only() {
+                pins.insert(key.src_port, sink);
+            }
+            let expect = match pins.get(&key.src_port) {
+                Some(&pin) if affinity => pin,
+                _ => before.lookup(key.stable_hash()),
+            };
+            assert_eq!(sink, expect, "packet {k} (port {})", key.src_port);
+        }
+        let lb_node = sim.node_mut::<LbNode>(lb).unwrap();
+        assert_eq!(lb_node.stats.forwarded, 84);
+        assert_eq!(lb_node.stats.fallback_forwards, 12);
+        assert!(
+            lb_node.table.builds < lb_node.stats.table_rebuilds,
+            "{} builds for {} commits",
+            lb_node.table.builds,
+            lb_node.stats.table_rebuilds
+        );
+    }
+
+    #[test]
+    fn table_is_built_by_the_first_lookup_after_a_commit() {
+        lazy_table_case(true);
+    }
+
+    #[test]
+    fn table_is_built_by_the_first_lookup_after_a_commit_without_affinity() {
+        lazy_table_case(false);
+    }
+
+    #[test]
+    fn table_follows_the_committed_weights_not_the_working_copy() {
+        // A controller or gossip merge that stays under its own change
+        // threshold still nudges `weights` without committing. A build
+        // deferred past such a nudge must not pick it up.
+        let mut lb = LbNode::new(
+            LbConfig::latency_aware(VIP, backends(), Box::new(lbcore::AlphaShift::damped())),
+            MacAddr::from_id(9),
+            vec![netsim::LinkId(0), netsim::LinkId(1)],
+        );
+        assert!(lb.apply_gossip(&[&[0.9, 0.1]], 0.5, netsim::Time::ZERO));
+        let committed = lbcore::MaglevTable::build(lb.weights.as_slice(), lb.cfg.table_size);
+        lb.weights.set(&[0.1, 0.9]);
+        for h in 0..500u64 {
+            let hash = netpkt::flow::splitmix64(h);
+            assert_eq!(lb.pick_backend(hash, 0), committed.lookup(hash));
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@ use crate::Nanos;
 pub trait Controller {
     /// Considers an update at `now` given current `estimates`; mutates
     /// `weights` and returns `true` when it changed them (the dataplane
-    /// then rebuilds its Maglev table).
+    /// then commits them; its Maglev table is rebuilt by the next lookup).
+    /// Called once per latency sample: implementations should not
+    /// allocate.
     fn maybe_update(
         &mut self,
         now: Nanos,
@@ -191,14 +193,8 @@ impl Controller for AimdController {
             }
             None => {
                 // Recovery: move every weight a step toward equal share.
-                let current = weights.as_slice().to_vec();
-                let healed: Vec<f64> = current
-                    .iter()
-                    .map(|&w| w + self.recovery * (equal - w))
-                    .collect();
-                let before = weights.clone();
-                weights.set(&healed);
-                weights.max_diff(&before) > 1e-6
+                let recovery = self.recovery;
+                weights.remap(|_, w| w + recovery * (equal - w)) > 1e-6
             }
         };
         if changed {
@@ -247,23 +243,13 @@ impl Controller for ProportionalController {
                 return false;
             }
         }
-        let n = weights.len();
-        let mut fresh = 0;
-        let mut target = weights.as_slice().to_vec();
-        for (b, t) in target.iter_mut().enumerate().take(n) {
-            if let Some(e) = estimates.fresh_estimate(b, now) {
-                if e > 0.0 {
-                    *t = (1.0 / e).powf(self.power);
-                    fresh += 1;
-                }
-            }
-        }
-        if fresh < 2 {
+        // A backend's usable estimate: fresh and positive.
+        let usable = |b: usize| estimates.fresh_estimate(b, now).filter(|&e| e > 0.0);
+        if (0..weights.len()).filter_map(usable).take(2).count() < 2 {
             return false; // nothing to differentiate
         }
-        let before = weights.clone();
-        weights.set(&target);
-        let changed = weights.max_diff(&before) > 1e-4;
+        let power = self.power;
+        let changed = weights.remap(|b, w| usable(b).map_or(w, |e| (1.0 / e).powf(power))) > 1e-4;
         if changed {
             self.last_action = Some(now);
         }

@@ -6,6 +6,16 @@
 //! median (the robust control signal), an EWMA and a streaming p95 (for
 //! reporting), and staleness tracking (a backend that stops receiving samples must not be judged on
 //! ancient data forever).
+//!
+//! The controller reads the signal of *every* backend on every sample,
+//! but a sample changes the window of *one*. So the count-window signal
+//! is cached per backend and refreshed in [`BackendEstimator::record`]
+//! for the backend that got the sample (one sort of at most
+//! `DEFAULT_COUNT_WINDOW` values on a stack array);
+//! [`BackendEstimator::fresh_estimate`], [`BackendEstimator::worst`] and
+//! [`BackendEstimator::best_other`] are allocation-free scans over the
+//! cached values. The time-horizon signal depends on `now`, so it is
+//! computed at read time, on the same stack buffer, uncached.
 
 use telemetry::P2Quantile;
 
@@ -30,6 +40,9 @@ pub struct BackendEstimate {
     window: [(Nanos, Nanos); WINDOW_CAP],
     window_len: usize,
     window_pos: usize,
+    /// The count-window control signal, refreshed on every sample (see
+    /// the module docs).
+    signal: Option<f64>,
     samples: u64,
     last_sample_at: Nanos,
 }
@@ -43,13 +56,15 @@ impl BackendEstimate {
             window: [(0, 0); WINDOW_CAP],
             window_len: 0,
             window_pos: 0,
+            signal: None,
             samples: 0,
             last_sample_at: 0,
         }
     }
 
-    /// Feeds one latency sample (nanoseconds) observed at `now`.
-    pub fn record(&mut self, latency: Nanos, now: Nanos) {
+    /// Feeds one latency sample (nanoseconds) observed at `now`;
+    /// `signal_quantile` is the estimator's, for the cached signal.
+    fn record(&mut self, latency: Nanos, now: Nanos, signal_quantile: f64) {
         let x = latency as f64;
         self.ewma = Some(match self.ewma {
             None => x,
@@ -61,34 +76,12 @@ impl BackendEstimate {
         self.window_len = (self.window_len + 1).min(WINDOW_CAP);
         self.samples += 1;
         self.last_sample_at = now;
+        self.signal = self.windowed_quantile(signal_quantile);
     }
 
     /// The smoothed latency in nanoseconds, if any sample arrived yet.
     pub fn ewma(&self) -> Option<f64> {
         self.ewma
-    }
-
-    /// The most recent samples, newest last: either the last
-    /// `DEFAULT_COUNT_WINDOW` (when `horizon` is `None`) or every retained
-    /// sample not older than `horizon` before `now`.
-    fn recent(&self, now: Nanos, horizon: Option<Nanos>) -> Vec<Nanos> {
-        let take = match horizon {
-            None => DEFAULT_COUNT_WINDOW.min(self.window_len),
-            Some(_) => self.window_len,
-        };
-        let mut out = Vec::with_capacity(take);
-        for i in 0..take {
-            // Walk backwards from the most recent entry.
-            let idx = (self.window_pos + WINDOW_CAP - 1 - i) % WINDOW_CAP;
-            let (t, v) = self.window[idx];
-            if let Some(h) = horizon {
-                if now.saturating_sub(t) > h {
-                    break; // older entries are older still
-                }
-            }
-            out.push(v);
-        }
-        out
     }
 
     /// The median of the most recent samples — the robust control signal.
@@ -102,19 +95,37 @@ impl BackendEstimate {
         self.quantile_over(q, 0, None)
     }
 
-    /// Quantile over a configurable window: count-based when `horizon`
-    /// is `None`, or over every retained sample within `horizon` of
-    /// `now`. A time-based horizon gives the signal *memory spanning a
-    /// periodic disturbance* — the fix the bursty-congestion experiments
-    /// call for.
+    /// Quantile over a configurable window: count-based (the last
+    /// `DEFAULT_COUNT_WINDOW` samples) when `horizon` is `None`, or over
+    /// every retained sample within `horizon` of `now`. A time-based
+    /// horizon gives the signal *memory spanning a periodic
+    /// disturbance* — the fix the bursty-congestion experiments call for.
     pub fn quantile_over(&self, q: f64, now: Nanos, horizon: Option<Nanos>) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let mut w = self.recent(now, horizon);
-        if w.is_empty() {
+        let take = match horizon {
+            None => DEFAULT_COUNT_WINDOW.min(self.window_len),
+            Some(_) => self.window_len,
+        };
+        let mut buf = [0; WINDOW_CAP];
+        let mut len = 0;
+        for i in 0..take {
+            // Walk backwards from the most recent entry.
+            let idx = (self.window_pos + WINDOW_CAP - 1 - i) % WINDOW_CAP;
+            let (t, v) = self.window[idx];
+            if let Some(h) = horizon {
+                if now.saturating_sub(t) > h {
+                    break; // older entries are older still
+                }
+            }
+            buf[len] = v;
+            len += 1;
+        }
+        if len == 0 {
             return None;
         }
+        let w = &mut buf[..len];
         w.sort_unstable();
-        let rank = ((q * w.len() as f64).ceil() as usize).clamp(1, w.len());
+        let rank = ((q * len as f64).ceil() as usize).clamp(1, len);
         Some(w[rank - 1] as f64)
     }
 
@@ -166,6 +177,9 @@ impl BackendEstimator {
     pub fn with_signal_quantile(mut self, q: f64) -> BackendEstimator {
         assert!(q > 0.0 && q <= 1.0, "signal quantile out of range");
         self.signal_quantile = q;
+        for e in &mut self.backends {
+            e.signal = e.windowed_quantile(q);
+        }
         self
     }
 
@@ -190,7 +204,7 @@ impl BackendEstimator {
 
     /// Records a sample for backend `b`.
     pub fn record(&mut self, b: usize, latency: Nanos, now: Nanos) {
-        self.backends[b].record(latency, now);
+        self.backends[b].record(latency, now, self.signal_quantile);
     }
 
     /// One backend's state.
@@ -202,7 +216,10 @@ impl BackendEstimator {
     /// default), if it exists and is fresh at `now`.
     pub fn fresh_estimate(&self, b: usize, now: Nanos) -> Option<f64> {
         let e = &self.backends[b];
-        let est = e.quantile_over(self.signal_quantile, now, self.signal_horizon)?;
+        let est = match self.signal_horizon {
+            None => e.signal?,
+            Some(_) => e.quantile_over(self.signal_quantile, now, self.signal_horizon)?,
+        };
         if now.saturating_sub(e.last_sample_at) > self.staleness_limit {
             None
         } else {
@@ -210,24 +227,20 @@ impl BackendEstimator {
         }
     }
 
-    /// Backwards-compatible alias for [`BackendEstimator::fresh_estimate`].
-    #[deprecated(note = "renamed to fresh_estimate (windowed median)")]
-    pub fn fresh_ewma(&self, b: usize, now: Nanos) -> Option<f64> {
-        self.fresh_estimate(b, now)
-    }
-
     /// The backend with the highest fresh latency estimate, with its value
     /// — the controller's "worst server". `None` until at least two
     /// backends have fresh estimates (with fewer there is nothing to
     /// compare).
     pub fn worst(&self, now: Nanos) -> Option<(usize, f64)> {
-        let fresh: Vec<(usize, f64)> = (0..self.backends.len())
+        let mut fresh = 0;
+        let worst = (0..self.backends.len())
             .filter_map(|b| self.fresh_estimate(b, now).map(|e| (b, e)))
-            .collect();
-        if fresh.len() < 2 {
+            .inspect(|_| fresh += 1)
+            .max_by(|a, b| a.1.total_cmp(&b.1));
+        if fresh < 2 {
             return None;
         }
-        fresh.into_iter().max_by(|a, b| a.1.total_cmp(&b.1))
+        worst
     }
 
     /// The lowest fresh estimate among backends other than `excluding`.

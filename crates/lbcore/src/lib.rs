@@ -23,7 +23,8 @@
 //! * **[`flow_table::FlowTable`]**: per-connection affinity with idle
 //!   expiry — an existing connection keeps its backend even as weights move.
 //! * **[`estimator::BackendEstimator`]**: per-backend latency aggregation
-//!   (EWMA and a streaming p95) feeding the controllers.
+//!   (a windowed-quantile control signal, cached per backend, plus an
+//!   EWMA and a streaming p95 for reporting) feeding the controllers.
 //! * **Alternative controllers** (§5 open question 4): AIMD and
 //!   latency-proportional weighting, for the controller-comparison
 //!   ablation.

@@ -3,8 +3,8 @@
 //!
 //! The paper's testbed LB (Cilium XDP) uses Maglev to map connections to
 //! backends; the feedback controller expresses its traffic shift by
-//! changing backend *weights* and rebuilding the lookup table. This module
-//! implements:
+//! changing backend *weights*, and the dataplane repopulates the lookup
+//! table the next time it has to read it. This module implements:
 //!
 //! * the permutation-based table population of the original paper
 //!   (`offset`/`skip` from two independent hashes, each backend claiming
@@ -12,15 +12,49 @@
 //! * a weighted variant in which backend *i* receives turns proportional
 //!   to its weight via a credit accumulator, so the final slot shares track
 //!   the weight vector to within one part in the table size.
+//!
+//! A table is a pure function of `(weights, size)`. [`MaglevTable::build`]
+//! allocates one; [`MaglevTable::rebuild`] repopulates an existing one for
+//! a new weight vector **in place**: the slot vector and the per-backend
+//! permutation state are reused, `offset`/`skip` are computed once per
+//! table, and a permutation is walked by add-and-wrap instead of a
+//! multiply and a 64-bit remainder per probe — no allocation, same slots.
 
 use netpkt::flow::splitmix64;
 
 /// A Maglev lookup table mapping hashes to backend indices.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct MaglevTable {
     table: Vec<u32>,
-    backends: usize,
+    /// Per-backend population state, reused by every
+    /// [`MaglevTable::rebuild`]. Never part of the value: equality
+    /// ignores it.
+    perms: Vec<Perm>,
 }
+
+/// One backend's walk through its slot permutation during a (re)build.
+#[derive(Debug, Clone)]
+struct Perm {
+    /// First preferred slot and stride (NSDI '16 §3.4): functions of the
+    /// backend index and the table size only.
+    offset: usize,
+    skip: usize,
+    /// The next slot of the permutation to try.
+    pos: usize,
+    /// Credits earned per round (`weight / mean weight`) and the balance.
+    step: f64,
+    credit: f64,
+}
+
+impl PartialEq for MaglevTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.table == other.table && self.perms.len() == other.perms.len()
+    }
+}
+
+impl Eq for MaglevTable {}
+
+const EMPTY: u32 = u32::MAX;
 
 /// Returns true if `n` is prime (trial division; table sizes are small).
 pub fn is_prime(n: u64) -> bool {
@@ -57,9 +91,26 @@ impl MaglevTable {
     /// Panics on an empty weight vector, non-prime size, or all-zero
     /// weights.
     pub fn build(weights: &[f64], size: usize) -> MaglevTable {
-        let n = weights.len();
-        assert!(n > 0, "at least one backend required");
         assert!(is_prime(size as u64), "table size must be prime");
+        let mut t = MaglevTable {
+            table: vec![EMPTY; size],
+            perms: Vec::with_capacity(weights.len()),
+        };
+        t.rebuild(weights);
+        t
+    }
+
+    /// Repopulates the table in place for a new weight vector: the result
+    /// equals `MaglevTable::build(weights, self.len())` slot for slot, and
+    /// nothing is allocated while the backend count stays what it was.
+    ///
+    /// # Panics
+    /// Panics on an empty weight vector, more backends than slots, a
+    /// negative or non-finite weight, or all-zero weights.
+    pub fn rebuild(&mut self, weights: &[f64]) {
+        let n = weights.len();
+        let size = self.table.len();
+        assert!(n > 0, "at least one backend required");
         assert!(size >= n, "table smaller than backend count");
         assert!(
             weights.iter().all(|&w| w >= 0.0 && w.is_finite()),
@@ -68,52 +119,58 @@ impl MaglevTable {
         let total: f64 = weights.iter().sum();
         assert!(total > 0.0, "at least one positive weight required");
 
-        // Per-backend permutation parameters (offset, skip), NSDI '16 §3.4.
-        let m = size as u64;
-        let mut offset = Vec::with_capacity(n);
-        let mut skip = Vec::with_capacity(n);
-        let mut next = vec![0u64; n]; // next index into each permutation
-        for b in 0..n {
-            let h1 = splitmix64(0x6d61_676c_6576_0001 ^ (b as u64).wrapping_mul(0x9e37_79b9));
-            let h2 = splitmix64(0x6d61_676c_6576_0002 ^ (b as u64).wrapping_mul(0x7f4a_7c15));
-            offset.push(h1 % m);
-            skip.push(h2 % (m - 1) + 1);
+        if self.perms.len() != n {
+            // Per-backend permutation parameters (offset, skip), NSDI '16
+            // §3.4.
+            let m = size as u64;
+            self.perms.clear();
+            self.perms.extend((0..n as u64).map(|b| {
+                let h1 = splitmix64(0x6d61_676c_6576_0001 ^ b.wrapping_mul(0x9e37_79b9));
+                let h2 = splitmix64(0x6d61_676c_6576_0002 ^ b.wrapping_mul(0x7f4a_7c15));
+                Perm {
+                    offset: (h1 % m) as usize,
+                    skip: (h2 % (m - 1) + 1) as usize,
+                    pos: 0,
+                    step: 0.0,
+                    credit: 0.0,
+                }
+            }));
         }
-
-        let mut table = vec![u32::MAX; size];
-        let mut filled = 0usize;
         // Weighted turn-taking: each round, backend b accrues
         // `weight_b / mean_weight` credits and claims one preferred slot
         // per whole credit.
         let mean = total / n as f64;
-        let mut credit = vec![0.0f64; n];
+        for (p, &w) in self.perms.iter_mut().zip(weights) {
+            p.pos = p.offset;
+            p.step = w / mean;
+            p.credit = 0.0;
+        }
+        let table = &mut self.table[..];
+        table.fill(EMPTY);
+        let mut filled = 0usize;
         while filled < size {
-            let mut progressed = false;
-            for b in 0..n {
-                credit[b] += weights[b] / mean;
-                while credit[b] >= 1.0 && filled < size {
-                    credit[b] -= 1.0;
-                    // Claim the next empty slot in b's permutation.
+            for (b, p) in self.perms.iter_mut().enumerate() {
+                p.credit += p.step;
+                while p.credit >= 1.0 && filled < size {
+                    p.credit -= 1.0;
+                    // Claim the next empty slot in b's permutation
+                    // `(offset + k·skip) mod size`: offset < size and
+                    // skip < size, so one subtraction wraps.
                     loop {
-                        let c = (offset[b] + next[b] * skip[b]) % m;
-                        next[b] += 1;
-                        let slot = c as usize;
-                        if table[slot] == u32::MAX {
+                        let slot = p.pos;
+                        p.pos += p.skip;
+                        if p.pos >= size {
+                            p.pos -= size;
+                        }
+                        if table[slot] == EMPTY {
                             table[slot] = b as u32;
                             filled += 1;
-                            progressed = true;
                             break;
                         }
                     }
                 }
             }
-            // All-zero-credit rounds cannot happen (total > 0), but guard
-            // against pathological float underflow.
-            if !progressed && credit.iter().all(|&c| c < 1.0) {
-                continue;
-            }
         }
-        MaglevTable { table, backends: n }
     }
 
     /// Builds an equal-weight table (classic Maglev).
@@ -133,7 +190,7 @@ impl MaglevTable {
 
     /// Number of backends the table was built over.
     pub fn backends(&self) -> usize {
-        self.backends
+        self.perms.len()
     }
 
     /// Looks up the backend for a flow hash.
@@ -144,7 +201,7 @@ impl MaglevTable {
 
     /// The fraction of slots owned by each backend.
     pub fn shares(&self) -> Vec<f64> {
-        let mut counts = vec![0usize; self.backends];
+        let mut counts = vec![0usize; self.perms.len()];
         for &b in &self.table {
             counts[b as usize] += 1;
         }

@@ -6,10 +6,39 @@
 pub struct Weights {
     w: Vec<f64>,
     floor: f64,
-    /// Reusable buffer for [`Weights::apply_ejections`], so re-applying an
-    /// ejection mask on the control path allocates nothing after the first
-    /// call. Never part of the value: equality ignores it.
-    scratch: Vec<f64>,
+    /// Reusable buffers for the water-fill, sized at construction, so no
+    /// operation on the control path allocates. Never part of the value:
+    /// equality ignores it.
+    scratch: Scratch,
+}
+
+#[derive(Debug, Clone)]
+struct Scratch {
+    /// The requested shares, staged here and normalized in place.
+    raw: Vec<f64>,
+    /// Which backends the water-fill has pinned to the floor.
+    pinned: Vec<bool>,
+    /// The shares before a [`Weights::remap`], for its change measure.
+    prev: Vec<f64>,
+}
+
+impl Scratch {
+    /// Stages the requested shares for the water-fill.
+    fn stage(&mut self, new: impl IntoIterator<Item = f64>) {
+        self.raw.clear();
+        self.raw.extend(new);
+        assert!(
+            self.raw.iter().all(|&x| x.is_finite() && x >= 0.0),
+            "weights must be finite and >= 0"
+        );
+    }
+}
+
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max)
 }
 
 impl PartialEq for Weights {
@@ -32,7 +61,11 @@ impl Weights {
         Weights {
             w: vec![1.0 / n as f64; n],
             floor,
-            scratch: Vec::new(),
+            scratch: Scratch {
+                raw: Vec::with_capacity(n),
+                pinned: Vec::with_capacity(n),
+                prev: Vec::with_capacity(n),
+            },
         }
     }
 
@@ -93,22 +126,37 @@ impl Weights {
     /// than dividing by zero (the caller has no signal to apportion by).
     pub fn set(&mut self, new: &[f64]) {
         assert_eq!(new.len(), self.w.len(), "backend count mismatch");
-        assert!(
-            new.iter().all(|&x| x.is_finite() && x >= 0.0),
-            "weights must be finite and >= 0"
-        );
-        Self::set_into(&mut self.w, self.floor, new);
+        self.scratch.stage(new.iter().copied());
+        Self::set_into(&mut self.w, self.floor, &mut self.scratch);
     }
 
-    fn set_into(w: &mut [f64], floor: f64, new: &[f64]) {
-        let n = new.len();
-        let total: f64 = new.iter().sum();
-        let raw: Vec<f64> = if total > 0.0 {
-            new.iter().map(|&x| x / total).collect()
-        } else {
-            vec![1.0 / n as f64; n]
-        };
-        let mut pinned = vec![false; n];
+    /// [`Weights::set`] with the new values computed from the current
+    /// ones, `new[i] = f(i, w[i])`, without the caller staging them in a
+    /// vector of its own. Returns the largest absolute change of any
+    /// share — what a controller's "did anything move" threshold reads.
+    pub fn remap(&mut self, mut f: impl FnMut(usize, f64) -> f64) -> f64 {
+        self.scratch.prev.clear();
+        self.scratch.prev.extend_from_slice(&self.w);
+        self.scratch
+            .stage(self.w.iter().enumerate().map(|(i, &w)| f(i, w)));
+        Self::set_into(&mut self.w, self.floor, &mut self.scratch);
+        max_abs_diff(&self.w, &self.scratch.prev)
+    }
+
+    /// Water-fills `w` from the shares staged in `scratch.raw`.
+    fn set_into(w: &mut [f64], floor: f64, scratch: &mut Scratch) {
+        let Scratch { raw, pinned, .. } = scratch;
+        let n = raw.len();
+        let total: f64 = raw.iter().sum();
+        for x in raw.iter_mut() {
+            *x = if total > 0.0 {
+                *x / total
+            } else {
+                1.0 / n as f64
+            };
+        }
+        pinned.clear();
+        pinned.resize(n, false);
         loop {
             let pinned_count = pinned.iter().filter(|&&p| p).count();
             if pinned_count == n {
@@ -120,7 +168,7 @@ impl Weights {
             let mass = 1.0 - pinned_count as f64 * floor;
             let unpinned_sum: f64 = raw
                 .iter()
-                .zip(&pinned)
+                .zip(pinned.iter())
                 .filter(|(_, &p)| !p)
                 .map(|(x, _)| x)
                 .sum();
@@ -162,63 +210,52 @@ impl Weights {
     pub fn set_with_ejections(&mut self, new: &[f64], ejected: &[bool]) -> bool {
         assert_eq!(new.len(), self.w.len(), "backend count mismatch");
         assert_eq!(ejected.len(), self.w.len(), "mask length mismatch");
-        assert!(
-            new.iter().all(|&x| x.is_finite() && x >= 0.0),
-            "weights must be finite and >= 0"
-        );
-        Self::eject_into(&mut self.w, self.floor, new, ejected)
+        self.scratch.stage(new.iter().copied());
+        Self::eject_into(&mut self.w, self.floor, &mut self.scratch, ejected)
     }
 
     /// Re-applies an ejection mask to the *current* shares in place —
     /// exactly `set_with_ejections(self.as_slice(), ejected)`, but without
-    /// the caller cloning the shares first: the current shares are staged
-    /// through a reusable internal scratch buffer, so the controller's
-    /// mask-reapply-per-rebuild path stops allocating.
+    /// the caller cloning the shares first.
     pub fn apply_ejections(&mut self, ejected: &[bool]) -> bool {
         assert_eq!(ejected.len(), self.w.len(), "mask length mismatch");
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&self.w);
-        // Detach the scratch so the borrow checker allows reading it while
-        // writing `w`; hand it back (capacity intact) when done.
-        let raw = core::mem::take(&mut self.scratch);
-        let ok = Self::eject_into(&mut self.w, self.floor, &raw, ejected);
-        self.scratch = raw;
-        ok
+        self.scratch.stage(self.w.iter().copied());
+        Self::eject_into(&mut self.w, self.floor, &mut self.scratch, ejected)
     }
 
-    fn eject_into(w: &mut [f64], floor: f64, new: &[f64], ejected: &[bool]) -> bool {
+    /// Water-fills `w` over the survivors from the shares staged in
+    /// `scratch.raw`.
+    fn eject_into(w: &mut [f64], floor: f64, scratch: &mut Scratch, ejected: &[bool]) -> bool {
         let n = w.len();
         let m = n - ejected.iter().filter(|&&e| e).count();
         if m == 0 {
             return false;
         }
         if m == n {
-            Self::set_into(w, floor, new);
+            Self::set_into(w, floor, scratch);
             return true;
         }
+        let Scratch { raw, pinned, .. } = scratch;
         // Normalize over survivors; if they carry no mass, split equally.
-        let total: f64 = new
+        let total: f64 = raw
             .iter()
             .zip(ejected)
             .filter(|(_, &e)| !e)
             .map(|(x, _)| x)
             .sum();
-        let raw: Vec<f64> = new
-            .iter()
-            .zip(ejected)
-            .map(|(&x, &e)| {
-                if e {
-                    0.0
-                } else if total > 0.0 {
-                    x / total
-                } else {
-                    1.0 / m as f64
-                }
-            })
-            .collect();
+        for (x, &e) in raw.iter_mut().zip(ejected) {
+            *x = if e {
+                0.0
+            } else if total > 0.0 {
+                *x / total
+            } else {
+                1.0 / m as f64
+            };
+        }
         // Water-fill the floor among survivors only. Feasible because
         // floor * m <= floor * n <= 1 (checked at construction).
-        let mut pinned = vec![false; n];
+        pinned.clear();
+        pinned.resize(n, false);
         loop {
             let pinned_count = pinned.iter().filter(|&&p| p).count();
             if pinned_count == m {
@@ -281,11 +318,7 @@ impl Weights {
 
     /// Largest absolute difference from another weight vector.
     pub fn max_diff(&self, other: &Weights) -> f64 {
-        self.w
-            .iter()
-            .zip(&other.w)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
+        max_abs_diff(&self.w, &other.w)
     }
 }
 
@@ -368,6 +401,28 @@ mod tests {
         w.set(&[1e-9, 1e-9]);
         assert!((w.get(0) - 0.5).abs() < 1e-9);
         assert!((w.get(1) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn remap_is_set_on_the_mapped_shares_and_measures_the_change() {
+        let mut a = Weights::equal(4, 0.05);
+        a.set(&[100.0, 0.001, 50.0, 1.0]);
+        let mut b = a.clone();
+        let f = |i: usize, w: f64| if i == 2 { 0.0 } else { w + 0.3 * (0.25 - w) };
+        let mapped: Vec<f64> = a
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| f(i, w))
+            .collect();
+        let before = a.clone();
+        a.set(&mapped);
+        let moved = b.remap(f);
+        for i in 0..4 {
+            assert_eq!(a.get(i).to_bits(), b.get(i).to_bits(), "share {i} diverged");
+        }
+        assert_eq!(moved.to_bits(), a.max_diff(&before).to_bits());
+        assert!(moved > 0.1, "backend 2 fell to the floor: {moved}");
     }
 
     #[test]

@@ -8,7 +8,9 @@ use proptest::prelude::*;
 use netpkt::FlowKey;
 
 use lbcore::ensemble::{CliffRule, EnsembleConfig};
-use lbcore::{EnsembleTimeout, FixedTimeout, FlowTable, FlowTiming, MaglevTable, Weights};
+use lbcore::{
+    BackendEstimator, EnsembleTimeout, FixedTimeout, FlowTable, FlowTiming, MaglevTable, Weights,
+};
 
 /// A scripted flow-table operation (the proptest alphabet).
 #[derive(Debug, Clone, Copy)]
@@ -104,6 +106,115 @@ fn arrivals_from_gaps(gaps: &[u64]) -> Vec<u64> {
         out.push(t);
     }
     out
+}
+
+/// The reference Maglev population: the algorithm as it stood before
+/// `MaglevTable::rebuild` — fresh vectors per build and the permutation
+/// position computed as `(offset + next · skip) mod m` for every probe.
+fn reference_maglev(weights: &[f64], size: usize) -> Vec<u32> {
+    use netpkt::flow::splitmix64;
+    let n = weights.len();
+    let m = size as u64;
+    let mut offset = Vec::with_capacity(n);
+    let mut skip = Vec::with_capacity(n);
+    let mut next = vec![0u64; n];
+    for b in 0..n {
+        let h1 = splitmix64(0x6d61_676c_6576_0001 ^ (b as u64).wrapping_mul(0x9e37_79b9));
+        let h2 = splitmix64(0x6d61_676c_6576_0002 ^ (b as u64).wrapping_mul(0x7f4a_7c15));
+        offset.push(h1 % m);
+        skip.push(h2 % (m - 1) + 1);
+    }
+    let mut table = vec![u32::MAX; size];
+    let mut filled = 0usize;
+    let total: f64 = weights.iter().sum();
+    let mean = total / n as f64;
+    let mut credit = vec![0.0f64; n];
+    while filled < size {
+        for b in 0..n {
+            credit[b] += weights[b] / mean;
+            while credit[b] >= 1.0 && filled < size {
+                credit[b] -= 1.0;
+                loop {
+                    let c = (offset[b] + next[b] * skip[b]) % m;
+                    next[b] += 1;
+                    if table[c as usize] == u32::MAX {
+                        table[c as usize] = b as u32;
+                        filled += 1;
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    table
+}
+
+/// A weight vector from `(class, value)` draws: exact zeros, floor-sized
+/// shares, 1000:1 giants and ordinary values, with at least one positive.
+fn maglev_weights(draws: &[(u8, f64)]) -> Vec<f64> {
+    let mut w: Vec<f64> = draws
+        .iter()
+        .map(|&(class, x)| match class {
+            0 => 0.0,
+            1 => 0.02,
+            2 => 1000.0,
+            _ => x,
+        })
+        .collect();
+    if w.iter().all(|&x| x == 0.0) {
+        w[0] = 1.0;
+    }
+    w
+}
+
+/// Sort-on-read model of `BackendEstimator`'s control signal: every
+/// sample kept, every read re-derives the window and sorts it.
+struct EstimatorModel {
+    samples: Vec<Vec<(u64, u64)>>,
+    staleness: u64,
+    quantile: f64,
+    horizon: Option<u64>,
+}
+
+impl EstimatorModel {
+    fn fresh_estimate(&self, b: usize, now: u64) -> Option<f64> {
+        let s = &self.samples[b];
+        let retained = match self.horizon {
+            None => 16,    // DEFAULT_COUNT_WINDOW
+            Some(_) => 64, // WINDOW_CAP
+        };
+        let mut w: Vec<u64> = s
+            .iter()
+            .rev()
+            .take(retained)
+            .take_while(|&&(t, _)| self.horizon.is_none_or(|h| now.saturating_sub(t) <= h))
+            .map(|&(_, v)| v)
+            .collect();
+        w.sort_unstable();
+        let &(last_at, _) = s.last()?;
+        if w.is_empty() || now.saturating_sub(last_at) > self.staleness {
+            return None;
+        }
+        let rank = ((self.quantile * w.len() as f64).ceil() as usize).clamp(1, w.len());
+        Some(w[rank - 1] as f64)
+    }
+
+    fn worst(&self, now: u64) -> Option<(usize, f64)> {
+        let fresh: Vec<(usize, f64)> = (0..self.samples.len())
+            .filter_map(|b| self.fresh_estimate(b, now).map(|e| (b, e)))
+            .collect();
+        if fresh.len() < 2 {
+            return None;
+        }
+        fresh.into_iter().max_by(|a, b| a.1.total_cmp(&b.1))
+    }
+
+    fn best_other(&self, excluding: usize, now: u64) -> Option<f64> {
+        (0..self.samples.len())
+            .filter(|&b| b != excluding)
+            .filter_map(|b| self.fresh_estimate(b, now))
+            .min_by(|a, b| a.total_cmp(b))
+    }
 }
 
 proptest! {
@@ -263,6 +374,92 @@ proptest! {
         }
         for h in 0..64u64 {
             prop_assert!(table.lookup(h.wrapping_mul(0x9e3779b97f4a7c15)) < weights.len());
+        }
+    }
+
+    /// Maglev in place: a table repopulated by `rebuild` — over a
+    /// sequence of weight vectors, backend counts included, on the one
+    /// table — equals the reference population slot for slot, and so
+    /// does a fresh `build`. Reused scratch must not leak between builds.
+    #[test]
+    fn maglev_rebuild_matches_reference_slot_for_slot(
+        size_sel in 0usize..4,
+        seq in proptest::collection::vec(
+            proptest::collection::vec((0u8..7, 0.001f64..10.0), 1..11),
+            1..6,
+        ),
+    ) {
+        let size = [31usize, 251, 1021, 4093][size_sel];
+        let mut reused: Option<MaglevTable> = None;
+        for draws in &seq {
+            let weights = maglev_weights(draws);
+            let reference = reference_maglev(&weights, size);
+            let built = MaglevTable::build(&weights, size);
+            let table = match reused.as_mut() {
+                Some(t) => {
+                    t.rebuild(&weights);
+                    t
+                }
+                None => reused.insert(built.clone()),
+            };
+            prop_assert_eq!(&*table, &built, "rebuild != build for {:?}", &weights);
+            prop_assert_eq!(table.backends(), weights.len());
+            for (slot, &b) in reference.iter().enumerate() {
+                prop_assert_eq!(
+                    table.lookup(slot as u64), b as usize,
+                    "slot {} of {} for {:?}", slot, size, &weights
+                );
+            }
+        }
+    }
+
+    /// The cached control signal equals the sort-on-read model after
+    /// every sample of a random interleaved stream: latencies from a
+    /// small set (ties, within and across backends), gaps that let
+    /// estimates expire, both window modes, and the signal quantile
+    /// changed after construction, mid-stream.
+    #[test]
+    fn estimator_cached_signal_matches_sort_on_read(
+        n in 1usize..6,
+        horizon_sel in 0u64..3,
+        q_sel in (0usize..4, 0usize..4),
+        switch_at in 0usize..120,
+        stream in proptest::collection::vec((0usize..6, 1u64..6, 0u64..40), 1..120),
+    ) {
+        const MS: u64 = 1_000_000;
+        let quantiles = [0.25, 0.5, 0.9, 1.0];
+        let staleness = 20 * MS;
+        let horizon = (horizon_sel > 0).then_some(horizon_sel * 8 * MS);
+        let mut est = BackendEstimator::new(n, 0.2, staleness)
+            .with_signal_quantile(quantiles[q_sel.0]);
+        if let Some(h) = horizon {
+            est = est.with_signal_horizon(h);
+        }
+        let mut model = EstimatorModel {
+            samples: vec![Vec::new(); n],
+            staleness,
+            quantile: quantiles[q_sel.0],
+            horizon,
+        };
+        let mut now = 0u64;
+        for (i, &(b, lat, gap)) in stream.iter().enumerate() {
+            if i == switch_at {
+                est = est.with_signal_quantile(quantiles[q_sel.1]);
+                model.quantile = quantiles[q_sel.1];
+            }
+            // Mostly sub-millisecond gaps, now and then a silence long
+            // enough to expire horizons and freshness.
+            now += if gap >= 38 { gap * MS } else { gap * 50_000 };
+            let b = b % n;
+            est.record(b, lat * 100_000, now);
+            model.samples[b].push((now, lat * 100_000));
+            for at in [now, now + 7 * MS, now + 19 * MS, now + 21 * MS] {
+                for b in 0..n {
+                    prop_assert_eq!(est.fresh_estimate(b, at), model.fresh_estimate(b, at));
+                    prop_assert_eq!(est.best_other(b, at), model.best_other(b, at));
+                }
+                prop_assert_eq!(est.worst(at), model.worst(at));
+            }
         }
     }
 

@@ -52,6 +52,15 @@ cargo test -q -p netsim --test ecmp_proptests
 cargo test -q --release -p telemetry --lib
 cargo test -q --release -p bench --lib
 
+# The benchmark is a package of its own (benchmark/, own workspace) that
+# compiles against the crates' public API from outside; a PR that claims
+# a gain may not edit it. Build and self-test it here so a refactor that
+# breaks the surface listed in benchmark/README.md fails in tier-1, not
+# only in the bench pipeline.
+echo "==> lbbench builds against the crates (benchmark/)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 # Scenario-fuzz smoke campaign: every seed in the smoke range runs the
 # full invariant suite (each seed twice, for the determinism check).
 # Gating — a violation here is a real bug, and the failing seed can be

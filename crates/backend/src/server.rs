@@ -116,6 +116,8 @@ pub struct KvServerApp {
     decoders: BTreeMap<ConnId, KvDecoder>,
     pending: BTreeMap<u64, (ConnId, KvMessage)>,
     next_token: u64,
+    /// Encode buffer, reused for every response.
+    tx: Vec<u8>,
     /// Recent request residence times (queue + service), for reporting.
     residence: [Nanos; 16],
     residence_len: usize,
@@ -137,6 +139,7 @@ impl KvServerApp {
             decoders: BTreeMap::new(),
             pending: BTreeMap::new(),
             next_token: 1,
+            tx: Vec::new(),
             residence: [0; 16],
             residence_len: 0,
             residence_pos: 0,
@@ -151,7 +154,8 @@ impl KvServerApp {
         if self.residence_len == 0 {
             return None;
         }
-        let mut w = self.residence[..self.residence_len].to_vec();
+        let mut sorted = self.residence;
+        let w = &mut sorted[..self.residence_len];
         w.sort_unstable();
         Some(w[w.len() / 2])
     }
@@ -231,24 +235,17 @@ impl App for KvServerApp {
             return;
         };
         dec.push(data);
-        let mut requests = Vec::new();
-        loop {
-            match self
-                .decoders
-                .get_mut(&conn)
-                .expect("checked above")
-                .next_message()
-            {
-                Ok(Some(msg)) => {
-                    assert!(msg.is_request, "server received a response message");
-                    requests.push(msg);
+        // Each request is handled as it is framed; the decoder is looked
+        // up again per message because handling borrows all of `self`.
+        while let Some(dec) = self.decoders.get_mut(&conn) {
+            match dec.next_message() {
+                Ok(Some(req)) => {
+                    assert!(req.is_request, "server received a response message");
+                    self.handle_request(io, conn, req);
                 }
                 Ok(None) => break,
                 Err(e) => panic!("malformed request stream: {e}"),
             }
-        }
-        for req in requests {
-            self.handle_request(io, conn, req);
         }
     }
 
@@ -297,7 +294,9 @@ impl App for KvServerApp {
                 let now = io.now().as_nanos();
                 io.record_hop(now, trace, HopKind::BackendRespond, addr, resp.request_id);
             }
-            io.send(conn, &resp.encode());
+            self.tx.clear();
+            resp.encode_into(&mut self.tx);
+            io.send(conn, &self.tx);
         } else {
             self.stats.orphaned += 1;
         }
@@ -342,9 +341,12 @@ mod tests {
             io.connect(SERVER_IP, 11211);
         }
         fn on_connected(&mut self, io: &mut dyn HostIo, conn: ConnId) {
+            let mut wire = Vec::new();
             for req in &self.requests {
                 self.issued_at.insert(req.request_id, io.now().as_nanos());
-                io.send(conn, &req.encode());
+                wire.clear();
+                req.encode_into(&mut wire);
+                io.send(conn, &wire);
             }
         }
         fn on_data(&mut self, io: &mut dyn HostIo, conn: ConnId, data: &[u8]) {

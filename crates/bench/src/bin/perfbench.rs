@@ -24,6 +24,10 @@
 
 use bench::harness::{self, BenchReport};
 
+#[cfg(feature = "bench-alloc")]
+#[global_allocator]
+static COUNTING: harness::CountingAlloc = harness::CountingAlloc;
+
 const USAGE: &str =
     "usage: perfbench [--quick] [--scenario NAME] [--seed N] [--out PATH] [--journal] [--spans]";
 

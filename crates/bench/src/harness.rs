@@ -7,15 +7,17 @@
 //! KV workload, the chaos crash/restart scenario, and the 4-LB ECMP
 //! tier with weight gossip — and each run is
 //! summarised as events/sec, simulated-packets/sec, wall time, peak RSS,
-//! and (behind the `bench-alloc` feature) allocation counts. Results are
-//! emitted as a schema-versioned `BENCH_perf.json` so successive PRs
-//! append to one comparable perf trajectory.
+//! and (in a binary that installs [`CountingAlloc`]) allocation counts.
+//! Results are emitted as a schema-versioned `BENCH_perf.json` so
+//! successive PRs append to one comparable perf trajectory.
 //!
 //! Simulated counters (`events`, `packets`, `timers`, `sim_ms`) are a
 //! pure function of the scenario and seed; wall time, RSS, and allocation
 //! counts are host measurements and vary run to run.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use experiments::chaos::{build_chaos_cluster, ChaosConfig};
 use experiments::multilb::{
@@ -35,62 +37,50 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// The pinned scenario names, in report order.
 pub const SCENARIOS: &[&str] = &["netsim_churn", "nettcp_bulk", "fig3_kv", "chaos", "multilb"];
 
-#[cfg(feature = "bench-alloc")]
-mod counting_alloc {
-    //! A counting wrapper around the system allocator, installed as the
-    //! global allocator when the `bench-alloc` feature is on. Counters
-    //! are process-wide and monotone; callers diff snapshots.
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
+/// A counting wrapper around the system allocator. The type is always
+/// here; *installing* it is the binary's business, because a
+/// `#[global_allocator]` is process-wide: `perfbench` installs it under
+/// the `bench-alloc` feature, the tier-1 allocation-budget test installs
+/// it unconditionally. Counters are process-wide and monotone; callers
+/// diff [`alloc_snapshot`]s.
+pub struct CountingAlloc;
 
-    pub(super) static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-    pub(super) struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-            ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-            ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
     }
 
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
 }
 
-/// True when the counting global allocator is compiled in.
+/// True when this process counts its allocations, i.e. its binary
+/// installed [`CountingAlloc`] (nothing gets this far without having
+/// allocated).
 pub fn alloc_counting_enabled() -> bool {
-    cfg!(feature = "bench-alloc")
+    ALLOC_CALLS.load(Ordering::Relaxed) > 0
 }
 
-/// Cumulative (allocation calls, allocated bytes) so far; zeros without
-/// the `bench-alloc` feature. Diff two snapshots to attribute a region.
+/// Cumulative (allocation calls, allocated bytes) so far; zeros in a
+/// process that did not install [`CountingAlloc`]. Diff two snapshots to
+/// attribute a region.
 pub fn alloc_snapshot() -> (u64, u64) {
-    #[cfg(feature = "bench-alloc")]
-    {
-        use std::sync::atomic::Ordering;
-        (
-            counting_alloc::ALLOC_CALLS.load(Ordering::Relaxed),
-            counting_alloc::ALLOC_BYTES.load(Ordering::Relaxed),
-        )
-    }
-    #[cfg(not(feature = "bench-alloc"))]
-    {
-        (0, 0)
-    }
+    (
+        ALLOC_CALLS.load(Ordering::Relaxed),
+        ALLOC_BYTES.load(Ordering::Relaxed),
+    )
 }
 
 /// Peak resident set size in kB (`VmHWM` from `/proc/self/status`);
@@ -131,9 +121,9 @@ pub struct ScenarioResult {
     pub sim_packets_per_sec: f64,
     /// Peak RSS in kB observed after the run (process high water).
     pub peak_rss_kb: u64,
-    /// Allocation calls during the run (0 without `bench-alloc`).
+    /// Allocation calls during the run (0 when not counting).
     pub alloc_count: u64,
-    /// Bytes allocated during the run (0 without `bench-alloc`).
+    /// Bytes allocated during the run (0 when not counting).
     pub alloc_bytes: u64,
 }
 
@@ -142,7 +132,7 @@ pub struct ScenarioResult {
 pub struct BenchReport {
     /// Schema version ([`SCHEMA_VERSION`] at write time).
     pub schema_version: u32,
-    /// Whether the counting allocator was compiled in.
+    /// Whether the process was counting allocations.
     pub bench_alloc: bool,
     /// Whether the short (`--quick`) scenario variants ran.
     pub quick: bool,

@@ -14,7 +14,7 @@
 //!  +--------------------------------------------------------------------
 //! ```
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::BufMut;
 
 use crate::{ParseError, Result};
 
@@ -163,24 +163,24 @@ impl KvMessage {
         KV_HEADER_LEN + self.body_len as usize
     }
 
-    /// Serializes the message. The body is filled with a repeating pattern
-    /// derived from the key so that corruption is detectable in tests.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        buf.put_u8(if self.is_request {
+    /// Serializes the message onto the end of `out`. The body is filled
+    /// with a repeating pattern derived from the key so that corruption is
+    /// detectable in tests. Applications encode into a scratch buffer they
+    /// keep, so a message costs no allocation.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.put_u8(if self.is_request {
             MAGIC_REQUEST
         } else {
             MAGIC_RESPONSE
         });
-        buf.put_u8(self.op.to_wire());
-        buf.put_u8(self.status.to_wire());
-        buf.put_u8(0);
-        buf.put_u64(self.request_id);
-        buf.put_u64(self.key);
-        buf.put_u32(self.body_len);
+        out.put_u8(self.op.to_wire());
+        out.put_u8(self.status.to_wire());
+        out.put_u8(0);
+        out.put_u64(self.request_id);
+        out.put_u64(self.key);
+        out.put_u32(self.body_len);
         let fill = (self.key as u8).wrapping_add(0x5a);
-        buf.resize(self.encoded_len(), fill);
-        buf.freeze()
+        out.resize(out.len() + self.body_len as usize, fill);
     }
 
     /// Decodes a message header from the front of `buf`. Returns the message
@@ -221,9 +221,17 @@ impl KvMessage {
 /// An incremental stream decoder: push raw TCP payload bytes in, pull framed
 /// messages out. Tolerates messages split across arbitrary segment
 /// boundaries.
+///
+/// The buffer is a `Vec` with a read cursor: framing a message advances
+/// the cursor, and the next [`Self::push`] drops the consumed prefix while
+/// keeping the allocation. So the buffer never holds more than the
+/// unparsed backlog, and a connection's decoder stops allocating once it
+/// has seen its largest backlog.
 #[derive(Debug, Default)]
 pub struct KvDecoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Bytes of `buf` already framed; `buf[consumed..]` is the backlog.
+    consumed: usize,
 }
 
 impl KvDecoder {
@@ -234,14 +242,16 @@ impl KvDecoder {
 
     /// Appends newly received stream bytes.
     pub fn push(&mut self, data: &[u8]) {
+        self.buf.drain(..self.consumed);
+        self.consumed = 0;
         self.buf.extend_from_slice(data);
     }
 
     /// Attempts to frame the next message.
     pub fn next_message(&mut self) -> Result<Option<KvMessage>> {
-        match KvMessage::decode(&self.buf)? {
-            Some((msg, consumed)) => {
-                let _ = self.buf.split_to(consumed);
+        match KvMessage::decode(&self.buf[self.consumed..])? {
+            Some((msg, len)) => {
+                self.consumed += len;
                 Ok(Some(msg))
             }
             None => Ok(None),
@@ -250,7 +260,12 @@ impl KvDecoder {
 
     /// Number of buffered, not-yet-framed bytes.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.consumed
+    }
+
+    /// Bytes of buffer the decoder holds on to (its allocation).
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 }
 
@@ -266,7 +281,8 @@ mod tests {
             KvMessage::response_to(&KvMessage::get(42, 7), KvStatus::Ok, 64),
             KvMessage::response_to(&KvMessage::get(1, 2), KvStatus::Miss, 0),
         ] {
-            let bytes = msg.encode();
+            let mut bytes = Vec::new();
+            msg.encode_into(&mut bytes);
             assert_eq!(bytes.len(), msg.encoded_len());
             let (decoded, consumed) = KvMessage::decode(&bytes).unwrap().unwrap();
             assert_eq!(decoded, msg);
@@ -279,8 +295,9 @@ mod tests {
         let m1 = KvMessage::set(1, 10, 33);
         let m2 = KvMessage::get(2, 10);
         let mut stream = Vec::new();
-        stream.extend_from_slice(&m1.encode());
-        stream.extend_from_slice(&m2.encode());
+        m1.encode_into(&mut stream);
+        m2.encode_into(&mut stream);
+        assert_eq!(stream.len(), m1.encoded_len() + m2.encoded_len());
 
         // Push one byte at a time; messages must come out intact and in order.
         let mut dec = KvDecoder::new();

@@ -8,7 +8,9 @@
 //! Design notes
 //! ------------
 //! * Parsing is zero-copy: header views borrow from a [`bytes::Bytes`]
-//!   buffer. Emission writes into a [`bytes::BytesMut`].
+//!   buffer. Emission writes into a [`bytes::BytesMut`]; per-packet
+//!   builders draw it from a [`pool::BufferPool`], which recycles the
+//!   whole handle, so building a frame does not allocate.
 //! * All multi-byte fields are big-endian (network byte order), exactly as
 //!   on the wire, so a captured buffer could be fed to a real protocol
 //!   analyzer.

@@ -98,7 +98,7 @@ impl Packet {
             BytesMut::with_capacity(total),
             addrs,
             tcp_hdr,
-            payload,
+            (payload, &[]),
             ttl,
             ident,
         )
@@ -115,7 +115,23 @@ impl Packet {
         ident: u16,
         pool: &mut BufferPool,
     ) -> Packet {
-        let total = ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN + payload.len();
+        Self::build_tcp_pooled_parts(addrs, tcp_hdr, (payload, &[]), ttl, ident, pool)
+    }
+
+    /// [`Self::build_tcp_pooled`] for a payload that lies in two pieces —
+    /// the two halves of a ring-buffered send queue — which are copied
+    /// into the frame back to back, so the bytes move exactly once
+    /// between the queue and the wire.
+    pub fn build_tcp_pooled_parts(
+        addrs: Addresses,
+        tcp_hdr: &TcpHeader,
+        payload: (&[u8], &[u8]),
+        ttl: u8,
+        ident: u16,
+        pool: &mut BufferPool,
+    ) -> Packet {
+        let total =
+            ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN + payload.0.len() + payload.1.len();
         Self::build_tcp_into(pool.take(total), addrs, tcp_hdr, payload, ttl, ident)
     }
 
@@ -123,7 +139,7 @@ impl Packet {
         mut buf: BytesMut,
         addrs: Addresses,
         tcp_hdr: &TcpHeader,
-        payload: &[u8],
+        payload: (&[u8], &[u8]),
         ttl: u8,
         ident: u16,
     ) -> Packet {
@@ -141,7 +157,8 @@ impl Packet {
         .emit(&mut buf);
         let ip = Ipv4Header {
             dscp_ecn: 0,
-            total_len: (IPV4_HEADER_LEN + TCP_HEADER_LEN + payload.len()) as u16,
+            total_len: (IPV4_HEADER_LEN + TCP_HEADER_LEN + payload.0.len() + payload.1.len())
+                as u16,
             ident,
             ttl,
             protocol: IPPROTO_TCP,
@@ -150,7 +167,8 @@ impl Packet {
         };
         ip.emit(&mut buf);
         tcp_hdr.emit(&mut buf);
-        buf.extend_from_slice(payload);
+        buf.extend_from_slice(payload.0);
+        buf.extend_from_slice(payload.1);
         let mut bytes = buf;
         let tcp_start = ETH_HEADER_LEN + IPV4_HEADER_LEN;
         tcp::fill_checksum(&mut bytes, tcp_start, &ip);
@@ -376,6 +394,41 @@ mod tests {
         assert_eq!(&view.payload[..], b"set k 0 0 3\r\nabc\r\n");
         assert_eq!(view.payload_len(), 18);
         assert!(!view.is_lifecycle());
+    }
+
+    #[test]
+    fn two_part_payload_builds_the_same_frame_at_every_split() {
+        let payload: Vec<u8> = (0..=40u8).collect();
+        let (addrs, hdr) = (
+            Addresses {
+                src_mac: MacAddr::from_id(1),
+                dst_mac: MacAddr::from_id(2),
+                src_ip: Ipv4Addr::new(10, 0, 0, 1),
+                dst_ip: Ipv4Addr::new(10, 0, 9, 9),
+            },
+            TcpHeader {
+                src_port: 50000,
+                dst_port: 11211,
+                seq: u32::MAX - 7,
+                ack: 200,
+                flags: TcpFlags::ACK | TcpFlags::PSH,
+                window: 8192,
+            },
+        );
+        let mut pool = BufferPool::default();
+        let whole = Packet::build_tcp_pooled(addrs, &hdr, &payload, 64, 42, &mut pool);
+        assert_eq!(
+            whole.data,
+            Packet::build_tcp(addrs, &hdr, &payload, 64, 42).data
+        );
+        for cut in 0..=payload.len() {
+            let parts = payload.split_at(cut);
+            let split = Packet::build_tcp_pooled_parts(addrs, &hdr, parts, 64, 42, &mut pool);
+            assert_eq!(split.data, whole.data, "split at {cut}");
+            assert_eq!(&split.view().unwrap().payload[..], &payload[..]);
+            // Recycled so that later splits build over a dirty buffer.
+            pool.recycle(split);
+        }
     }
 
     #[test]

@@ -1,12 +1,24 @@
 //! A reusable packet-buffer pool.
 //!
-//! Every simulated hop that copies a frame (the LB's DSR rewrite, NAT
-//! rewrites, duplication) needs a fresh buffer, and at millions of
-//! events per run those `Vec<u8>` allocations dominate the allocator
+//! Every simulated hop that builds or copies a frame (a host's segment,
+//! the LB's DSR rewrite, cross traffic) needs a fresh buffer, and at
+//! millions of events per run those allocations dominate the allocator
 //! profile. The pool keeps retired packet buffers on a free list:
 //! [`BufferPool::take`] hands out a cleared buffer (allocating only on a
 //! miss) and [`BufferPool::recycle`] recovers a consumed packet's
 //! allocation once its last [`bytes::Bytes`] handle is unique.
+//!
+//! What is pooled is the whole handle, not just the bytes: the free list
+//! holds [`BytesMut`]s that still own the refcount cell of the `Bytes`
+//! they were recovered from, and `freeze` refills that cell (see the
+//! vendored `bytes` module docs). After warm-up `take → build → freeze →
+//! … → recycle` never reaches the allocator.
+//!
+//! A frame is declined — dropped normally, `declined += 1` — while any
+//! other handle to its buffer is alive. The one steady source of that is
+//! out-of-order reassembly: a host hands the stack a zero-copy slice of
+//! the frame as payload, and a segment parked in the reassembly queue
+//! keeps its frame alive past the `recycle` call.
 //!
 //! Pooling is invisible to simulation semantics: buffers are cleared on
 //! reuse and the pool never touches packet contents, so schedules and
@@ -33,7 +45,7 @@ pub struct PoolStats {
 /// A bounded free list of packet buffers.
 #[derive(Debug)]
 pub struct BufferPool {
-    free: Vec<Vec<u8>>,
+    free: Vec<BytesMut>,
     max_pooled: usize,
     stats: PoolStats,
 }
@@ -62,11 +74,11 @@ impl BufferPool {
     /// pooled allocation when one is available.
     pub fn take(&mut self, cap: usize) -> BytesMut {
         match self.free.pop() {
-            Some(mut v) => {
+            Some(mut buf) => {
                 self.stats.hits += 1;
-                v.clear();
-                v.reserve(cap);
-                BytesMut::from(v)
+                buf.clear();
+                buf.reserve(cap);
+                buf
             }
             None => {
                 self.stats.misses += 1;
@@ -88,12 +100,12 @@ impl BufferPool {
             self.stats.declined += 1;
             return;
         }
-        match data.try_recycle() {
-            Some(v) => {
+        match data.try_into_mut() {
+            Ok(buf) => {
                 self.stats.recycled += 1;
-                self.free.push(v);
+                self.free.push(buf);
             }
-            None => self.stats.declined += 1,
+            Err(_shared) => self.stats.declined += 1,
         }
     }
 
@@ -124,6 +136,31 @@ mod tests {
         assert_eq!(pool.free_len(), 0);
         let s = pool.stats();
         assert_eq!((s.hits, s.misses, s.recycled), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_recycled_frame_comes_back_as_the_same_buffer() {
+        let mut pool = BufferPool::new(8);
+        let mut buf = pool.take(64);
+        buf.extend_from_slice(b"first frame");
+        let frame = buf.freeze();
+        let at = frame.as_ptr();
+        pool.recycle_bytes(frame);
+        let mut again = pool.take(16);
+        assert!(again.is_empty());
+        again.extend_from_slice(b"x");
+        assert_eq!(again.as_ptr(), at, "same allocation");
+        // Filling it to its old capacity must not move it either.
+        again.resize(64, 0);
+        assert_eq!(again.as_ptr(), at);
+        // ... and the lap repeats: freeze, share, decline, release, reuse.
+        let frame = again.freeze();
+        let held = frame.slice(3..9);
+        pool.recycle_bytes(frame);
+        assert_eq!((pool.free_len(), pool.stats().declined), (0, 1));
+        pool.recycle_bytes(held);
+        assert_eq!(pool.free_len(), 1, "the last handle is unique again");
+        assert_eq!(pool.take(1).as_ptr(), at);
     }
 
     #[test]

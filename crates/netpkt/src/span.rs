@@ -85,6 +85,12 @@ mod tests {
     const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const VIP: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 1);
 
+    fn encoded(msg: &KvMessage) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        msg.encode_into(&mut bytes);
+        bytes
+    }
+
     fn frame(src: Ipv4Addr, dst: Ipv4Addr, sport: u16, dport: u16, payload: &[u8]) -> Packet {
         Packet::build_tcp(
             Addresses {
@@ -122,8 +128,8 @@ mod tests {
     fn request_and_response_agree_on_the_trace() {
         let req = KvMessage::get(7, 0xdead_beef);
         let resp = KvMessage::response_to(&req, crate::kv::KvStatus::Ok, 3);
-        let fwd = frame(CLIENT, VIP, 40_000, 11211, &req.encode());
-        let rev = frame(VIP, CLIENT, 11211, 40_000, &resp.encode());
+        let fwd = frame(CLIENT, VIP, 40_000, 11211, &encoded(&req));
+        let rev = frame(VIP, CLIENT, 11211, 40_000, &encoded(&resp));
         let t = frame_trace_id(&fwd.data);
         assert_eq!(t, trace_id(u32::from(CLIENT), 40_000, 7));
         assert_eq!(
@@ -148,7 +154,7 @@ mod tests {
     #[test]
     fn sidecar_propagates_through_forwarding_copies() {
         let req = KvMessage::get(3, 9);
-        let mut pkt = frame(CLIENT, VIP, 40_000, 11211, &req.encode());
+        let mut pkt = frame(CLIENT, VIP, 40_000, 11211, &encoded(&req));
         assert_eq!(pkt.span(), 0, "fresh frames are unstamped");
         pkt.set_span(frame_trace_id(&pkt.data));
         assert_ne!(pkt.span(), 0);

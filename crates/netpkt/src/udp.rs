@@ -10,6 +10,7 @@ use bytes::{BufMut, BytesMut};
 use crate::eth::{EthHeader, ETHERTYPE_IPV4, ETH_HEADER_LEN};
 use crate::ipv4::{Ipv4Header, IPV4_HEADER_LEN};
 use crate::packet::{Addresses, Packet};
+use crate::pool::BufferPool;
 use crate::{ParseError, Result};
 
 /// Length of a UDP header, in bytes.
@@ -84,8 +85,9 @@ pub fn fill_checksum(buf: &mut [u8], udp_start: usize, ip: &Ipv4Header) {
 }
 
 /// Builds a full UDP/IPv4 frame carrying `payload_len` zero bytes — the
-/// cross-traffic generator's packet factory (contents are irrelevant;
-/// only wire length matters for congestion).
+/// cross-traffic packet factory (contents are irrelevant; only wire
+/// length matters for congestion). Allocates its buffer; a node that
+/// sends many uses [`build_udp_pooled`].
 pub fn build_udp(
     addrs: Addresses,
     src_port: u16,
@@ -93,7 +95,23 @@ pub fn build_udp(
     payload_len: usize,
     ident: u16,
 ) -> Packet {
-    build_udp_payload(addrs, src_port, dst_port, &vec![0u8; payload_len], ident)
+    let buf = BytesMut::with_capacity(frame_len(payload_len));
+    build_udp_zeroed(buf, addrs, src_port, dst_port, payload_len, ident)
+}
+
+/// [`build_udp`] drawing its buffer from a [`BufferPool`]: the payload is
+/// zero-filled in place, so a datagram costs no allocation once the pool
+/// is warm — whatever the recycled buffer last held.
+pub fn build_udp_pooled(
+    addrs: Addresses,
+    src_port: u16,
+    dst_port: u16,
+    payload_len: usize,
+    ident: u16,
+    pool: &mut BufferPool,
+) -> Packet {
+    let buf = pool.take(frame_len(payload_len));
+    build_udp_zeroed(buf, addrs, src_port, dst_port, payload_len, ident)
 }
 
 /// Builds a full UDP/IPv4 frame carrying `payload` — the general datagram
@@ -105,21 +123,52 @@ pub fn build_udp_payload(
     payload: &[u8],
     ident: u16,
 ) -> Packet {
+    let mut buf = BytesMut::with_capacity(frame_len(payload.len()));
+    let ip = emit_headers(&mut buf, addrs, src_port, dst_port, payload.len(), ident);
+    buf.extend_from_slice(payload);
+    finish(buf, &ip)
+}
+
+fn frame_len(payload_len: usize) -> usize {
+    ETH_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN + payload_len
+}
+
+fn build_udp_zeroed(
+    mut buf: BytesMut,
+    addrs: Addresses,
+    src_port: u16,
+    dst_port: u16,
+    payload_len: usize,
+    ident: u16,
+) -> Packet {
+    let ip = emit_headers(&mut buf, addrs, src_port, dst_port, payload_len, ident);
+    buf.resize(frame_len(payload_len), 0);
+    finish(buf, &ip)
+}
+
+/// Appends the Ethernet, IPv4 and UDP headers of a datagram with a
+/// `payload_len`-byte payload to the (empty) `buf`.
+fn emit_headers(
+    buf: &mut BytesMut,
+    addrs: Addresses,
+    src_port: u16,
+    dst_port: u16,
+    payload_len: usize,
+    ident: u16,
+) -> Ipv4Header {
     let Addresses {
         src_mac,
         dst_mac,
         src_ip,
         dst_ip,
     } = addrs;
-    let udp_len = UDP_HEADER_LEN + payload.len();
-    let total = ETH_HEADER_LEN + IPV4_HEADER_LEN + udp_len;
-    let mut buf = BytesMut::with_capacity(total);
+    let udp_len = UDP_HEADER_LEN + payload_len;
     EthHeader {
         dst: dst_mac,
         src: src_mac,
         ethertype: ETHERTYPE_IPV4,
     }
-    .emit(&mut buf);
+    .emit(buf);
     let ip = Ipv4Header {
         dscp_ecn: 0,
         total_len: (IPV4_HEADER_LEN + udp_len) as u16,
@@ -129,17 +178,19 @@ pub fn build_udp_payload(
         src: src_ip,
         dst: dst_ip,
     };
-    ip.emit(&mut buf);
+    ip.emit(buf);
     UdpHeader {
         src_port,
         dst_port,
         length: udp_len as u16,
     }
-    .emit(&mut buf);
-    buf.extend_from_slice(payload);
-    let mut bytes = buf;
-    fill_checksum(&mut bytes, ETH_HEADER_LEN + IPV4_HEADER_LEN, &ip);
-    Packet::from_bytes(bytes.freeze())
+    .emit(buf);
+    ip
+}
+
+fn finish(mut frame: BytesMut, ip: &Ipv4Header) -> Packet {
+    fill_checksum(&mut frame, ETH_HEADER_LEN + IPV4_HEADER_LEN, ip);
+    Packet::from_bytes(frame.freeze())
 }
 
 /// Splits a UDP/IPv4 frame into its parsed headers and payload, verifying
@@ -191,6 +242,34 @@ mod tests {
         assert_eq!(udp.src_port, 5000);
         assert_eq!(udp.dst_port, 6000);
         assert_eq!(udp.length as usize, UDP_HEADER_LEN + 100);
+    }
+
+    #[test]
+    fn pooled_build_over_a_dirty_buffer_equals_the_unpooled_frame() {
+        let addrs = Addresses {
+            src_mac: MacAddr::from_id(1),
+            dst_mac: MacAddr::from_id(2),
+            src_ip: Ipv4Addr::new(10, 0, 0, 1),
+            dst_ip: Ipv4Addr::new(10, 0, 0, 2),
+        };
+        let mut pool = BufferPool::default();
+        // Park a longer, all-ones frame in the pool: the next take reuses
+        // its buffer, stale bytes and all.
+        let mut dirty = pool.take(2048);
+        dirty.resize(2048, 0xff);
+        let dirty_at = dirty.as_ptr();
+        pool.recycle_bytes(dirty.freeze());
+        for len in [0usize, 1, 100, 1400] {
+            let pooled = build_udp_pooled(addrs, 5000, 6000, len, 7, &mut pool);
+            assert_eq!(pooled.data.as_ptr(), dirty_at, "buffer not reused");
+            let plain = build_udp(addrs, 5000, 6000, len, 7);
+            assert_eq!(pooled.data, plain.data, "payload_len {len}");
+            let (_, udp, payload) = parse_udp(&pooled.data).unwrap(); // checksum verifies
+            assert_eq!(udp.length as usize, UDP_HEADER_LEN + len);
+            assert!(payload.iter().all(|&b| b == 0));
+            pool.recycle(pooled);
+        }
+        assert_eq!(pool.stats().misses, 1, "only the first take allocated");
     }
 
     #[test]

@@ -173,26 +173,9 @@ proptest! {
             .iter()
             .map(|&(get, id, key, len)| if get { KvMessage::get(id, key) } else { KvMessage::set(id, key, len) })
             .collect();
-        let mut stream = Vec::new();
-        for m in &messages {
-            stream.extend_from_slice(&m.encode());
-        }
         // Split the stream at pseudo-random cut sizes.
         let cuts = if cuts.is_empty() { vec![7] } else { cuts };
-        let mut dec = KvDecoder::new();
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        let mut cut_iter = cuts.iter().cycle();
-        while pos < stream.len() {
-            let take = (*cut_iter.next().expect("cycle of non-empty vec")).min(stream.len() - pos);
-            dec.push(&stream[pos..pos + take]);
-            pos += take;
-            while let Some(m) = dec.next_message().unwrap() {
-                out.push(m);
-            }
-        }
-        prop_assert_eq!(out, messages);
-        prop_assert_eq!(dec.pending_bytes(), 0);
+        prop_assert_eq!(decode_fragmented(&messages, messages.len(), &cuts), Ok(()));
     }
 
     #[test]
@@ -203,6 +186,68 @@ proptest! {
         prop_assert_eq!(k.reversed().reversed(), k);
         // Identical tuples hash identically (used as Maglev input).
         prop_assert_eq!(k.stable_hash(), FlowKey::new(src, sport, dst, dport).stable_hash());
+    }
+}
+
+/// Streams `total` messages (cycling through `messages`) into a decoder in
+/// pieces of the cycled `cuts` sizes and checks that they come out intact
+/// and in order, that nothing is left over, and that the decoder's buffer
+/// stays within twice the largest backlog it ever had to hold.
+fn decode_fragmented(messages: &[KvMessage], total: usize, cuts: &[usize]) -> Result<(), String> {
+    let mut dec = KvDecoder::new();
+    let mut wire = Vec::new(); // encoded, not yet pushed
+    let mut cut_iter = cuts.iter().cycle();
+    let (mut encoded, mut decoded, mut max_backlog) = (0usize, 0usize, 0usize);
+    while decoded < total {
+        let take = *cut_iter.next().expect("cycle of non-empty slice");
+        while wire.len() < take && encoded < total {
+            messages[encoded % messages.len()].encode_into(&mut wire);
+            encoded += 1;
+        }
+        let take = take.min(wire.len());
+        dec.push(&wire[..take]);
+        wire.drain(..take);
+        max_backlog = max_backlog.max(dec.pending_bytes());
+        while let Some(m) = dec.next_message().map_err(|e| e.to_string())? {
+            if m != messages[decoded % messages.len()] {
+                return Err(format!("message {decoded} came out as {m:?}"));
+            }
+            decoded += 1;
+        }
+        if dec.capacity() > (2 * max_backlog).max(8) {
+            return Err(format!(
+                "after {decoded} messages the decoder holds {} bytes for a backlog that never \
+                 exceeded {max_backlog}",
+                dec.capacity()
+            ));
+        }
+    }
+    if dec.pending_bytes() != 0 || !wire.is_empty() {
+        return Err(format!(
+            "{} bytes left over",
+            dec.pending_bytes() + wire.len()
+        ));
+    }
+    Ok(())
+}
+
+#[test]
+fn kv_decoder_stays_bounded_over_a_long_misaligned_stream() {
+    // 100 000 messages of four sizes, cut at sizes that share no factor
+    // with any of them (and at one MSS, which spans many messages): the
+    // read cursor must never let the buffer grow with the stream.
+    let messages = [
+        KvMessage::get(1, 10),
+        KvMessage::set(2, 11, 64),
+        KvMessage::response_to(&KvMessage::get(3, 12), netpkt::kv::KvStatus::Ok, 100),
+        KvMessage::set(4, 13, 1),
+    ];
+    for cuts in [&[23usize][..], &[1, 61, 7], &[1400, 13], &[3, 1400, 89, 24]] {
+        assert_eq!(
+            decode_fragmented(&messages, 100_000, cuts),
+            Ok(()),
+            "{cuts:?}"
+        );
     }
 }
 

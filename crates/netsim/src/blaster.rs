@@ -11,8 +11,8 @@
 
 use std::net::Ipv4Addr;
 
-use netpkt::udp::build_udp;
-use netpkt::{MacAddr, Packet};
+use netpkt::udp::build_udp_pooled;
+use netpkt::{BufferPool, MacAddr, Packet};
 
 use crate::link::LinkId;
 use crate::node::{Ctx, Node, TimerToken};
@@ -90,9 +90,9 @@ impl Blaster {
         }
     }
 
-    fn packet(&mut self) -> Packet {
+    fn packet(&mut self, pool: &mut BufferPool) -> Packet {
         self.ident = self.ident.wrapping_add(1);
-        build_udp(
+        build_udp_pooled(
             netpkt::Addresses {
                 src_mac: MacAddr::from_id(0xcc),
                 dst_mac: MacAddr::from_id(0xdd),
@@ -103,6 +103,7 @@ impl Blaster {
             9,
             self.cfg.payload,
             self.ident,
+            pool,
         )
     }
 }
@@ -119,7 +120,7 @@ impl Node for Blaster {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
         debug_assert_eq!(token, TICK);
         if self.on {
-            let pkt = self.packet();
+            let pkt = self.packet(ctx.pool());
             ctx.send(self.link, pkt);
             self.sent += 1;
         }

@@ -6,6 +6,19 @@
 //! [`SegmentOut`]s, [`ConnEvent`]s and [`TimerRequest`]s into internal
 //! queues that the host drains. This keeps the protocol logic synchronous,
 //! deterministic, and independently testable.
+//!
+//! # Where outgoing bytes live
+//!
+//! Application bytes are copied once into the connection's send queue and
+//! stay there until acknowledged. A [`SegmentOut`] names a range of that
+//! queue (`seq`, `len`) instead of owning a payload — a first
+//! transmission and a retransmission look the same — and whoever turns it
+//! into a frame reads the bytes through [`Conn::segment_payload`], which
+//! copies nothing. The price is an ordering contract: **drain a
+//! connection's output before feeding it the next segment**, because an
+//! ACK releases queued bytes. `segment_payload` asserts the range is still
+//! in flight, so a driver that breaks the contract panics instead of
+//! sending other bytes.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
@@ -42,8 +55,9 @@ pub enum ConnState {
     Closed,
 }
 
-/// A segment the connection wants transmitted.
-#[derive(Debug, Clone)]
+/// A segment the connection wants transmitted. The payload stays in the
+/// connection's send queue: read it with [`Conn::segment_payload`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentOut {
     /// Sequence number of the first payload byte (or of SYN/FIN).
     pub seq: u32,
@@ -53,8 +67,8 @@ pub struct SegmentOut {
     pub flags: TcpFlags,
     /// Advertised receive window.
     pub window: u16,
-    /// Payload.
-    pub payload: Bytes,
+    /// Payload length in bytes (0 for SYN, FIN and pure ACKs).
+    pub len: usize,
 }
 
 /// An event for the application layer.
@@ -132,10 +146,13 @@ pub struct Conn {
     cfg: TcpConfig,
 
     // ---- send side ----
-    /// Bytes queued by the application, not yet transmitted.
-    snd_buf: VecDeque<u8>,
-    /// Bytes transmitted but not yet acknowledged, starting at `snd_una`.
-    retx_buf: VecDeque<u8>,
+    /// The send queue: every application byte not yet acknowledged, in
+    /// stream order. Once the handshake is done its front is the byte at
+    /// `snd_una`; the first `sent` bytes are in flight and the rest is
+    /// waiting for window.
+    snd_queue: VecDeque<u8>,
+    /// How many bytes at the front of `snd_queue` have been transmitted.
+    sent: usize,
     iss: u32,
     snd_una: u32,
     snd_nxt: u32,
@@ -180,7 +197,7 @@ impl Conn {
         now: Time,
     ) -> Conn {
         let mut c = Conn::new_common(local, remote, cfg, iss, ConnState::SynSent);
-        c.emit(c.iss, 0, TcpFlags::SYN, Bytes::new());
+        c.emit(c.iss, 0, TcpFlags::SYN, 0);
         c.snd_nxt = iss.wrapping_add(1);
         c.arm_rto(now);
         c
@@ -198,12 +215,7 @@ impl Conn {
         let mut c = Conn::new_common(local, remote, cfg, iss, ConnState::SynRcvd);
         c.irs = peer_syn_seq;
         c.rcv_nxt = peer_syn_seq.wrapping_add(1);
-        c.emit(
-            c.iss,
-            c.rcv_nxt,
-            TcpFlags::SYN | TcpFlags::ACK,
-            Bytes::new(),
-        );
+        c.emit(c.iss, c.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK, 0);
         c.snd_nxt = iss.wrapping_add(1);
         c.arm_rto(now);
         c
@@ -221,8 +233,8 @@ impl Conn {
             local,
             remote,
             cfg,
-            snd_buf: VecDeque::new(),
-            retx_buf: VecDeque::new(),
+            snd_queue: VecDeque::new(),
+            sent: 0,
             iss,
             snd_una: iss,
             snd_nxt: iss,
@@ -276,20 +288,52 @@ impl Conn {
 
     /// Unsent + unacknowledged byte count (for app-level backpressure tests).
     pub fn send_backlog(&self) -> usize {
-        self.snd_buf.len() + self.retx_buf.len()
+        self.snd_queue.len()
+    }
+
+    /// Queued bytes not yet transmitted.
+    fn unsent(&self) -> usize {
+        self.snd_queue.len() - self.sent
+    }
+
+    /// The payload of a segment this connection emitted, borrowed from the
+    /// send queue as the (up to) two pieces the ring buffer holds it in;
+    /// their concatenation is the payload.
+    ///
+    /// # Panics
+    /// Panics if the range is no longer (or not yet) in flight — the caller
+    /// fed the connection a segment between taking `seg` and reading it.
+    pub fn segment_payload(&self, seg: &SegmentOut) -> (&[u8], &[u8]) {
+        if seg.len == 0 {
+            return (&[], &[]);
+        }
+        let start = usize::try_from(seq_len(self.snd_una, seg.seq)).expect("u32 fits usize");
+        assert!(
+            seq_ge(seg.seq, self.snd_una) && start + seg.len <= self.sent,
+            "segment {}+{} read outside the in-flight window ({} bytes from {}): \
+             drain output before the next input",
+            seg.seq,
+            seg.len,
+            self.sent,
+            self.snd_una,
+        );
+        let end = start + seg.len;
+        let (front, back) = self.snd_queue.as_slices();
+        if end <= front.len() {
+            (&front[start..end], &[])
+        } else if start >= front.len() {
+            (&back[start - front.len()..end - front.len()], &[])
+        } else {
+            (&front[start..], &back[..end - front.len()])
+        }
     }
 
     // ---------------------------------------------------------------- queues
 
-    /// Drains segments to transmit.
-    pub fn take_segments(&mut self) -> Vec<SegmentOut> {
-        std::mem::take(&mut self.out)
-    }
-
-    /// Drains outgoing segments into `out`. Unlike [`Self::take_segments`]
-    /// this preserves both buffers' capacity (`Vec::append` moves the
-    /// elements only), so a host's drain loop is allocation-free in steady
-    /// state.
+    /// Drains outgoing segments into `out`. Both buffers keep their
+    /// capacity (`Vec::append` moves the elements only), so a host's drain
+    /// loop is allocation-free in steady state. Read each payload with
+    /// [`Self::segment_payload`] before the next [`Self::on_segment`].
     pub fn take_segments_into(&mut self, out: &mut Vec<SegmentOut>) {
         out.append(&mut self.out);
     }
@@ -332,13 +376,13 @@ impl Conn {
             "send after close"
         );
         assert!(
-            self.snd_buf.len() + data.len() <= self.cfg.send_buffer,
+            self.unsent() + data.len() <= self.cfg.send_buffer,
             "send buffer overflow ({} + {} > {})",
-            self.snd_buf.len(),
+            self.unsent(),
             data.len(),
             self.cfg.send_buffer
         );
-        self.snd_buf.extend(data);
+        self.snd_queue.extend(data);
         self.try_transmit(now);
     }
 
@@ -441,12 +485,7 @@ impl Conn {
     fn on_segment_syn_rcvd(&mut self, now: Time, hdr: &TcpHeader) {
         if hdr.flags.contains(TcpFlags::SYN) && !hdr.flags.contains(TcpFlags::ACK) {
             // Duplicate SYN (our SYN-ACK was lost): re-send the SYN-ACK.
-            self.emit(
-                self.iss,
-                self.rcv_nxt,
-                TcpFlags::SYN | TcpFlags::ACK,
-                Bytes::new(),
-            );
+            self.emit(self.iss, self.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK, 0);
             return;
         }
         if hdr.flags.contains(TcpFlags::ACK) && hdr.ack == self.iss.wrapping_add(1) {
@@ -476,9 +515,10 @@ impl Conn {
                 }
             }
             // SYN occupies a number too, but snd_una already passed it
-            // during the handshake, so retx_buf never contains it.
-            let drop_n = data_acked.min(self.retx_buf.len());
-            self.retx_buf.drain(..drop_n);
+            // during the handshake, so the queue never accounts for it.
+            let drop_n = data_acked.min(self.sent);
+            self.snd_queue.drain(..drop_n);
+            self.sent -= drop_n;
             self.snd_una = ack;
             self.dup_acks = 0;
 
@@ -671,7 +711,7 @@ impl Conn {
                 | ConnState::FinWait1
                 | ConnState::LastAck
         ) {
-            // Handshake in progress: data waits in snd_buf. FIN states where
+            // Handshake in progress: data waits in the queue. FIN states where
             // everything is already out need no action either.
             if self.state != ConnState::SynSent && self.state != ConnState::SynRcvd {
                 self.maybe_send_fin(now);
@@ -680,7 +720,7 @@ impl Conn {
         }
         let mss = self.cfg.mss;
         loop {
-            if self.snd_buf.is_empty() {
+            if self.unsent() == 0 {
                 break;
             }
             let wnd = self.cwnd.min(self.peer_window.max(self.cfg.mss as u32));
@@ -697,7 +737,7 @@ impl Conn {
                 self.next_pace_at = now + min_gap;
             }
             let room = (wnd - flight) as usize;
-            let take = mss.min(self.snd_buf.len()).min(room);
+            let take = mss.min(self.unsent()).min(room);
             if take == 0 {
                 break;
             }
@@ -707,11 +747,9 @@ impl Conn {
             if self.cfg.nagle && take < mss && flight > 0 && !self.fin_queued {
                 break;
             }
-            let chunk: Vec<u8> = self.snd_buf.drain(..take).collect();
-            let payload = Bytes::from(chunk);
             let seq = self.snd_nxt;
             self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
-            self.retx_buf.extend(payload.iter().copied());
+            self.sent += take;
             self.stats.segments_sent += 1;
             if self.rtt_probe.is_none() {
                 self.rtt_probe = Some((self.snd_nxt, now));
@@ -719,14 +757,14 @@ impl Conn {
             // Data segments always carry the current ACK; this cancels any
             // pending delayed ACK.
             self.flush_delack_state();
-            self.emit(seq, self.rcv_nxt, TcpFlags::ACK | TcpFlags::PSH, payload);
+            self.emit(seq, self.rcv_nxt, TcpFlags::ACK | TcpFlags::PSH, take);
             self.arm_rto(now);
         }
         self.maybe_send_fin(now);
     }
 
     fn maybe_send_fin(&mut self, now: Time) {
-        if !self.fin_queued || self.fin_seq.is_some() || !self.snd_buf.is_empty() {
+        if !self.fin_queued || self.fin_seq.is_some() || self.unsent() > 0 {
             return;
         }
         if !matches!(self.state, ConnState::Established | ConnState::CloseWait) {
@@ -735,12 +773,7 @@ impl Conn {
         let seq = self.snd_nxt;
         self.fin_seq = Some(seq);
         self.snd_nxt = self.snd_nxt.wrapping_add(1);
-        self.emit(
-            seq,
-            self.rcv_nxt,
-            TcpFlags::FIN | TcpFlags::ACK,
-            Bytes::new(),
-        );
+        self.emit(seq, self.rcv_nxt, TcpFlags::FIN | TcpFlags::ACK, 0);
         self.state = match self.state {
             ConnState::Established => ConnState::FinWait1,
             ConnState::CloseWait => ConnState::LastAck,
@@ -753,43 +786,31 @@ impl Conn {
     fn retransmit_head(&mut self, now: Time) {
         match self.state {
             ConnState::SynSent => {
-                self.emit(self.iss, 0, TcpFlags::SYN, Bytes::new());
+                self.emit(self.iss, 0, TcpFlags::SYN, 0);
                 self.stats.retransmits += 1;
                 return;
             }
             ConnState::SynRcvd => {
-                self.emit(
-                    self.iss,
-                    self.rcv_nxt,
-                    TcpFlags::SYN | TcpFlags::ACK,
-                    Bytes::new(),
-                );
+                self.emit(self.iss, self.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK, 0);
                 self.stats.retransmits += 1;
                 return;
             }
             ConnState::Closed => return,
             _ => {}
         }
-        let outstanding_data = self.retx_buf.len();
-        if outstanding_data > 0 {
-            let take = self.cfg.mss.min(outstanding_data);
-            let chunk: Vec<u8> = self.retx_buf.iter().take(take).copied().collect();
+        if self.sent > 0 {
+            let take = self.cfg.mss.min(self.sent);
             self.stats.retransmits += 1;
             self.emit(
                 self.snd_una,
                 self.rcv_nxt,
                 TcpFlags::ACK | TcpFlags::PSH,
-                Bytes::from(chunk),
+                take,
             );
         } else if let Some(fin_seq) = self.fin_seq {
             if seq_le(self.snd_una, fin_seq) {
                 self.stats.retransmits += 1;
-                self.emit(
-                    fin_seq,
-                    self.rcv_nxt,
-                    TcpFlags::FIN | TcpFlags::ACK,
-                    Bytes::new(),
-                );
+                self.emit(fin_seq, self.rcv_nxt, TcpFlags::FIN | TcpFlags::ACK, 0);
             }
         }
         let _ = now;
@@ -800,7 +821,7 @@ impl Conn {
     fn send_ack(&mut self) {
         self.flush_delack_state();
         self.stats.acks_sent += 1;
-        self.emit(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK, Bytes::new());
+        self.emit(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK, 0);
     }
 
     fn flush_delack_state(&mut self) {
@@ -811,13 +832,13 @@ impl Conn {
         }
     }
 
-    fn emit(&mut self, seq: u32, ack: u32, flags: TcpFlags, payload: Bytes) {
+    fn emit(&mut self, seq: u32, ack: u32, flags: TcpFlags, len: usize) {
         self.out.push(SegmentOut {
             seq,
             ack,
             flags,
             window: self.cfg.recv_window.min(u32::from(u16::MAX)) as u16,
-            payload,
+            len,
         });
     }
 

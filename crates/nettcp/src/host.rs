@@ -18,7 +18,7 @@ use telemetry::span::HopKind;
 
 use crate::app::{App, ConnId, HostIo};
 use crate::config::TcpConfig;
-use crate::conn::{Conn, ConnEvent, TimerKind, TimerRequest};
+use crate::conn::{Conn, ConnEvent, SegmentOut, TimerKind, TimerRequest};
 
 /// Timer-token tags (top 2 bits of the token).
 const TAG_CONN: u64 = 0;
@@ -119,7 +119,7 @@ pub struct Host {
     /// Reusable drain buffers for [`Host::drain_work`] — the per-cycle
     /// segment/timer/event queues are appended here instead of being
     /// `mem::take`n, so the drain loop allocates nothing in steady state.
-    scratch_segs: Vec<crate::conn::SegmentOut>,
+    scratch_segs: Vec<SegmentOut>,
     scratch_reqs: Vec<TimerRequest>,
     scratch_events: Vec<ConnEvent>,
     /// Counters.
@@ -332,6 +332,9 @@ impl Host {
             conn.take_timer_requests_into(&mut reqs);
             conn.take_events_into(&mut events);
 
+            // Segments first: their payload still sits in the connection's
+            // send queue, and nothing below may feed the connection a
+            // segment (which could release it) before the frames exist.
             for seg in segs.drain(..) {
                 let mut pkt = self.build_packet(idx, &seg, ctx.pool());
                 if ctx.spans_enabled() {
@@ -343,12 +346,7 @@ impl Host {
                     if trace != 0 {
                         pkt.set_span(trace);
                         self.conn_traces[idx][0] = trace;
-                        ctx.record_hop(
-                            trace,
-                            HopKind::TcpSend,
-                            u64::from(seg.seq),
-                            seg.payload.len() as u64,
-                        );
+                        ctx.record_hop(trace, HopKind::TcpSend, u64::from(seg.seq), seg.len as u64);
                     }
                 }
                 self.stats.packets_out += 1;
@@ -415,10 +413,12 @@ impl Host {
         self.app = Some(app);
     }
 
+    /// Serializes one segment of connection `idx`: the only copy of the
+    /// payload between the send queue and the wire.
     fn build_packet(
         &mut self,
         idx: usize,
-        seg: &crate::conn::SegmentOut,
+        seg: &SegmentOut,
         pool: &mut netpkt::BufferPool,
     ) -> Packet {
         let conn = self.conns[idx].as_ref().expect("segment from live conn");
@@ -426,7 +426,7 @@ impl Host {
         let (rip, rport) = conn.remote();
         let ident = self.next_ident;
         self.next_ident = self.next_ident.wrapping_add(1);
-        Packet::build_tcp_pooled(
+        Packet::build_tcp_pooled_parts(
             // The next hop is resolved by routing, not by MAC.
             netpkt::Addresses {
                 src_mac: self.mac,
@@ -442,7 +442,7 @@ impl Host {
                 flags: seg.flags,
                 window: seg.window,
             },
-            &seg.payload,
+            conn.segment_payload(seg),
             64,
             ident,
             pool,

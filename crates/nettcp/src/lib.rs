@@ -21,6 +21,12 @@
 //! The main entry point is [`host::Host`], a [`netsim::Node`] hosting a TCP
 //! stack and an [`app::App`] (the application logic — workload clients and
 //! backend servers implement this trait).
+//!
+//! Outgoing bytes are copied twice and allocated for never: `HostIo::send`
+//! copies them into the connection's one send queue, where they stay until
+//! acknowledged, and the host copies each segment — first transmission or
+//! retransmission — from that queue straight into a pooled frame. See
+//! [`conn`] for the contract this puts on whoever drives a [`Conn`].
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

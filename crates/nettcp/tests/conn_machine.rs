@@ -10,9 +10,25 @@ use netpkt::TcpHeader;
 use netsim::{Duration, Time};
 use nettcp::conn::{Conn, ConnEvent, ConnState, SegmentOut};
 use nettcp::TcpConfig;
+use proptest::prelude::*;
 
 const A: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 1000);
 const B: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 2000);
+
+/// Drains a connection's output the way the host does: every segment's
+/// payload is read out of the send queue through `segment_payload` before
+/// the connection is fed anything else.
+fn take_segments(conn: &mut Conn) -> Vec<(SegmentOut, bytes::Bytes)> {
+    let mut segs = Vec::new();
+    conn.take_segments_into(&mut segs);
+    segs.into_iter()
+        .map(|seg| {
+            let (front, back) = conn.segment_payload(&seg);
+            assert_eq!(front.len() + back.len(), seg.len);
+            (seg, bytes::Bytes::from([front, back].concat()))
+        })
+        .collect()
+}
 
 fn hdr_of(local: (Ipv4Addr, u16), remote: (Ipv4Addr, u16), seg: &SegmentOut) -> TcpHeader {
     let _ = (local, remote);
@@ -56,7 +72,7 @@ impl Pipe {
         };
         // Discard a's initial SYN (b was constructed as if it received it)
         // but keep b's SYN-ACK flowing to a.
-        let _ = p.a.take_segments();
+        let _ = take_segments(&mut p.a);
         p.collect(false);
         p
     }
@@ -68,14 +84,14 @@ impl Pipe {
         } else {
             (&mut self.b, B, A)
         };
-        for seg in src.take_segments() {
+        for (seg, payload) in take_segments(src) {
             if from_a && self.drop_from_a > 0 {
                 self.drop_from_a -= 1;
                 continue;
             }
             let hdr = hdr_of(local, remote, &seg);
             self.in_flight
-                .push((self.now + self.delay, !from_a, hdr, seg.payload));
+                .push((self.now + self.delay, !from_a, hdr, payload));
         }
     }
 
@@ -265,12 +281,12 @@ fn lost_data_recovers_via_rto() {
 fn repeated_timeouts_abort_the_connection() {
     let cfg = TcpConfig::default();
     let mut c = Conn::client(A, B, cfg, 1, Time::ZERO);
-    let _ = c.take_segments(); // SYN leaves, peer never answers
+    let _ = take_segments(&mut c); // SYN leaves, peer never answers
     let mut now = Time::ZERO;
     for _ in 0..12 {
         now += Duration::from_secs(1);
         c.on_rto(now);
-        let _ = c.take_segments();
+        let _ = take_segments(&mut c);
         if c.is_closed() {
             break;
         }
@@ -286,9 +302,9 @@ fn repeated_timeouts_abort_the_connection() {
 fn duplicate_syn_gets_synack_again() {
     let cfg = TcpConfig::default();
     let mut b = Conn::server_accept(B, A, cfg, 9000, 1000, Time::ZERO);
-    let first: Vec<SegmentOut> = b.take_segments();
+    let first = take_segments(&mut b);
     assert_eq!(first.len(), 1);
-    assert!(first[0].flags.contains(netpkt::TcpFlags::SYN));
+    assert!(first[0].0.flags.contains(netpkt::TcpFlags::SYN));
     // The client's SYN arrives again (our SYN-ACK was lost).
     let syn = TcpHeader {
         src_port: A.1,
@@ -299,11 +315,11 @@ fn duplicate_syn_gets_synack_again() {
         window: 65535,
     };
     b.on_segment(Time::from_nanos(1000), &syn, bytes::Bytes::new());
-    let again = b.take_segments();
+    let again = take_segments(&mut b);
     assert_eq!(again.len(), 1, "duplicate SYN must re-elicit the SYN-ACK");
-    assert!(again[0].flags.contains(netpkt::TcpFlags::SYN));
-    assert!(again[0].flags.contains(netpkt::TcpFlags::ACK));
-    assert_eq!(again[0].seq, first[0].seq, "ISS must not change");
+    assert!(again[0].0.flags.contains(netpkt::TcpFlags::SYN));
+    assert!(again[0].0.flags.contains(netpkt::TcpFlags::ACK));
+    assert_eq!(again[0].0.seq, first[0].0.seq, "ISS must not change");
 }
 
 #[test]
@@ -314,7 +330,7 @@ fn transfer_across_sequence_wraparound() {
     let now = Time::ZERO;
     let iss = u32::MAX - 5_000; // wraps after ~5 KB
     let mut a = Conn::client(A, B, cfg, iss, now);
-    let _ = a.take_segments();
+    let _ = take_segments(&mut a);
     let b = Conn::server_accept(B, A, cfg, 9000, iss, now);
     let mut p = PipeRaw { a, b, now };
     p.pump();
@@ -340,19 +356,19 @@ impl PipeRaw {
     fn pump(&mut self) -> Vec<u8> {
         let mut delivered = Vec::new();
         for _ in 0..10_000 {
-            let a_out = self.a.take_segments();
-            let b_out = self.b.take_segments();
+            let a_out = take_segments(&mut self.a);
+            let b_out = take_segments(&mut self.b);
             if a_out.is_empty() && b_out.is_empty() {
                 break;
             }
             self.now = self.now + Duration::from_micros(10);
-            for seg in a_out {
+            for (seg, payload) in a_out {
                 let hdr = hdr_of(A, B, &seg);
-                self.b.on_segment(self.now, &hdr, seg.payload);
+                self.b.on_segment(self.now, &hdr, payload);
             }
-            for seg in b_out {
+            for (seg, payload) in b_out {
                 let hdr = hdr_of(B, A, &seg);
-                self.a.on_segment(self.now, &hdr, seg.payload);
+                self.a.on_segment(self.now, &hdr, payload);
             }
             for ev in self.b.take_events() {
                 if let ConnEvent::Data(d) = ev {
@@ -379,7 +395,7 @@ fn sender_respects_peer_window() {
     let _ = (p.events(true), p.events(false));
     p.a.app_send(p.now, &vec![9u8; 64 * 1024]);
     // Before anything is ACKed, at most ceil(4096/1400) = 3 segments out.
-    let burst: usize = p.a.take_segments().iter().map(|s| s.payload.len()).sum();
+    let burst: usize = take_segments(&mut p.a).iter().map(|(s, _)| s.len).sum();
     assert!(burst <= 4096, "sender overran the peer window: {burst}");
     assert!(burst >= 2800, "sender underfilled the window: {burst}");
 }
@@ -398,9 +414,9 @@ fn nagle_holds_small_segments_until_acked() {
         p.a.app_send(p.now, b"tiny-1");
         p.a.app_send(p.now, b"tiny-2");
         // Count data segments emitted *before* any ACK comes back.
-        p.a.take_segments()
+        take_segments(&mut p.a)
             .iter()
-            .filter(|s| !s.payload.is_empty())
+            .filter(|(s, _)| s.len > 0)
             .count()
     };
     assert_eq!(
@@ -453,7 +469,7 @@ fn out_of_order_delivery_is_reassembled() {
     // Manually feed b two segments in reverse order.
     let cfg = TcpConfig::default();
     let mut b = Conn::server_accept(B, A, cfg, 9000, 1000, Time::ZERO);
-    let _ = b.take_segments();
+    let _ = take_segments(&mut b);
     // Complete the handshake from a's perspective: a's ACK.
     let ack = TcpHeader {
         src_port: A.1,
@@ -499,7 +515,7 @@ fn out_of_order_delivery_is_reassembled() {
 fn overlapping_retransmission_not_double_delivered() {
     let cfg = TcpConfig::default();
     let mut b = Conn::server_accept(B, A, cfg, 9000, 1000, Time::ZERO);
-    let _ = b.take_segments();
+    let _ = take_segments(&mut b);
     let base = TcpHeader {
         src_port: A.1,
         dst_port: B.1,
@@ -534,4 +550,187 @@ fn overlapping_retransmission_not_double_delivered() {
         "old prefix must be deduplicated"
     );
     assert_eq!(b.stats.bytes_delivered, 8);
+}
+
+// ---------------------------------------------------------------- bytes, not schedules
+//
+// The simulator's trace hashes cover time, node, kind, flow and wire
+// length — never payload. A send queue that transmitted the right
+// *number* of wrong bytes would pass every pinned hash, so the payload
+// contract is checked here, against the byte streams themselves.
+
+/// The byte an endpoint's stream holds at `pos` (aperiodic, so a payload
+/// read at a wrong offset cannot match by accident).
+fn stream_byte(salt: u64, pos: usize) -> u8 {
+    let mut z = (pos as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z ^= z >> 29;
+    (z.wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 56) as u8
+}
+
+/// One direction of the lossy pipe below.
+struct Side {
+    conn: Conn,
+    iss: u32,
+    /// Everything the application has handed to `conn` so far.
+    stream: Vec<u8>,
+    /// Everything `conn` has delivered to its application.
+    received: Vec<u8>,
+    /// Application writes still to come.
+    writes: Vec<usize>,
+    dropped_in_a_row: u32,
+}
+
+impl Side {
+    fn new(conn: Conn, iss: u32, mut writes: Vec<usize>) -> Side {
+        writes.reverse(); // popped from the back
+        Side {
+            conn,
+            iss,
+            stream: Vec::new(),
+            received: Vec::new(),
+            writes,
+            dropped_in_a_row: 0,
+        }
+    }
+
+    /// Drains output like the host does and checks every data segment —
+    /// first transmission or not — against the stream it must come from.
+    fn drain(&mut self) -> Vec<(TcpHeader, bytes::Bytes)> {
+        let (local, remote) = (self.conn.local(), self.conn.remote());
+        let out = take_segments(&mut self.conn);
+        for ev in self.conn.take_events() {
+            if let ConnEvent::Data(d) = ev {
+                self.received.extend_from_slice(&d);
+            }
+        }
+        let _ = self.conn.take_timer_requests();
+        out.into_iter()
+            .map(|(seg, payload)| {
+                if seg.len > 0 {
+                    let at = seg.seq.wrapping_sub(self.iss).wrapping_sub(1);
+                    let at = usize::try_from(at).expect("u32 fits usize");
+                    assert_eq!(
+                        &payload[..],
+                        &self.stream[at..at + seg.len],
+                        "segment seq {} len {} does not carry stream[{at}..]",
+                        seg.seq,
+                        seg.len
+                    );
+                }
+                (hdr_of(local, remote, &seg), payload)
+            })
+            .collect()
+    }
+}
+
+proptest! {
+    #[test]
+    fn every_segment_carries_its_slice_of_the_stream(
+        a_back in 0u32..65_536,
+        b_back in 0u32..65_536,
+        nagle in any::<bool>(),
+        a_writes in proptest::collection::vec(1usize..4200, 1..14),
+        b_writes in proptest::collection::vec(1usize..4200, 0..8),
+        seed in any::<u64>(),
+    ) {
+        let cfg = TcpConfig { nagle, ..TcpConfig::default() };
+        let (a_iss, b_iss) = (u32::MAX - a_back, u32::MAX - b_back);
+        let mut now = Time::ZERO;
+        let mut a = Side::new(Conn::client(A, B, cfg, a_iss, now), a_iss, a_writes);
+        // As in `Pipe::new`: b is built as if a's first SYN had arrived.
+        let _ = a.drain();
+        let mut b = Side::new(Conn::server_accept(B, A, cfg, b_iss, a_iss, now), b_iss, b_writes);
+        let (a_total, b_total): (usize, usize) =
+            (a.writes.iter().sum(), b.writes.iter().sum());
+
+        let mut rng = seed;
+        let mut roll = move || {
+            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (rng ^ (rng >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (z ^ (z >> 27)) >> 40
+        };
+        // (due step, goes to a, header, payload)
+        let mut wire: Vec<(u64, bool, TcpHeader, bytes::Bytes)> = Vec::new();
+        let mut finished = false;
+        for step in 0..40_000u64 {
+            now += Duration::from_micros(10);
+            // The applications write whenever the dice say so.
+            for (side, salt) in [(&mut a, 0xa), (&mut b, 0xb)] {
+                if roll() % 4 == 0 {
+                    if let Some(n) = side.writes.pop() {
+                        let from = side.stream.len();
+                        let chunk: Vec<u8> = (from..from + n).map(|p| stream_byte(salt, p)).collect();
+                        side.stream.extend_from_slice(&chunk);
+                        side.conn.app_send(now, &chunk);
+                    }
+                }
+            }
+            // Both sides' output meets the network: lost (never three in
+            // a row, so a retransmission gets through before the abort
+            // limit), duplicated, or delayed by a few steps (reordering).
+            for to_a in [false, true] {
+                let side = if to_a { &mut b } else { &mut a };
+                for (hdr, payload) in side.drain() {
+                    let fate = roll() % 100;
+                    if fate < 8 && side.dropped_in_a_row < 2 {
+                        side.dropped_in_a_row += 1;
+                        continue;
+                    }
+                    side.dropped_in_a_row = 0;
+                    if fate >= 90 {
+                        wire.push((step + 1 + roll() % 6, to_a, hdr, payload.clone()));
+                    }
+                    wire.push((step + 1 + roll() % 6, to_a, hdr, payload));
+                }
+            }
+            // Deliver one due segment; its effects are drained next step,
+            // before the receiver sees anything else.
+            if let Some(i) = wire.iter().position(|&(due, ..)| due <= step) {
+                let (_, to_a, hdr, payload) = wire.remove(i);
+                let dst = if to_a { &mut a } else { &mut b };
+                dst.conn.on_segment(now, &hdr, payload);
+                continue;
+            }
+            if !wire.is_empty() {
+                continue;
+            }
+            // Quiet network: done, or somebody's timer has to fire.
+            let idle = |s: &Side| s.writes.is_empty() && s.conn.send_backlog() == 0;
+            if idle(&a) && idle(&b) && a.received.len() == b_total && b.received.len() == a_total {
+                finished = true;
+                break;
+            }
+            for side in [&mut a, &mut b] {
+                if side.conn.send_backlog() > 0 || side.conn.state() != ConnState::Established {
+                    side.conn.on_rto(now);
+                }
+            }
+        }
+        prop_assert!(finished, "transfer did not finish: a {:?}, b {:?}", a.conn.state(), b.conn.state());
+        prop_assert!(a.received == b.stream, "a received other bytes than b sent");
+        prop_assert!(b.received == a.stream, "b received other bytes than a sent");
+    }
+}
+
+#[test]
+#[should_panic(expected = "outside the in-flight window")]
+fn reading_a_segment_after_its_ack_panics() {
+    let mut p = Pipe::new(TcpConfig::default());
+    p.run();
+    p.a.app_send(p.now, b"acked before it was read");
+    // The driver takes the segment but reads its payload too late: the
+    // ACK in between releases those bytes from the send queue.
+    let mut segs = Vec::new();
+    p.a.take_segments_into(&mut segs);
+    let data = *segs.iter().find(|s| s.len > 0).expect("a data segment");
+    let ack = TcpHeader {
+        src_port: B.1,
+        dst_port: A.1,
+        seq: 9001,
+        ack: data.seq.wrapping_add(data.len as u32),
+        flags: netpkt::TcpFlags::ACK,
+        window: 65535,
+    };
+    p.a.on_segment(p.now, &ack, bytes::Bytes::new());
+    let _ = p.a.segment_payload(&data);
 }

@@ -51,6 +51,8 @@ const POLL_TOKEN: u64 = 1;
 pub struct BacklogClient {
     cfg: BacklogConfig,
     conn: Option<ConnId>,
+    /// One top-up's worth of filler, built on first use.
+    chunk: Vec<u8>,
     /// Ground-truth RTT samples recorded from the transport.
     pub recorder: LatencyRecorder,
     /// Total bytes handed to the transport.
@@ -64,9 +66,16 @@ impl BacklogClient {
         BacklogClient {
             cfg,
             conn: None,
+            chunk: Vec::new(),
             recorder,
             bytes_queued: 0,
         }
+    }
+
+    fn top_up(&mut self, io: &mut dyn HostIo, conn: ConnId) {
+        self.chunk.resize(self.cfg.chunk, 0x42);
+        io.send(conn, &self.chunk);
+        self.bytes_queued += self.chunk.len() as u64;
     }
 }
 
@@ -77,9 +86,7 @@ impl App for BacklogClient {
     }
 
     fn on_connected(&mut self, io: &mut dyn HostIo, conn: ConnId) {
-        let chunk = vec![0x42u8; self.cfg.chunk];
-        io.send(conn, &chunk);
-        self.bytes_queued += chunk.len() as u64;
+        self.top_up(io, conn);
     }
 
     fn on_data(&mut self, _io: &mut dyn HostIo, _conn: ConnId, _data: &[u8]) {
@@ -91,9 +98,7 @@ impl App for BacklogClient {
         if let Some(conn) = self.conn {
             // Keep the transport backlogged without overflowing its buffer.
             if io.send_backlog(conn) < self.cfg.low_watermark {
-                let chunk = vec![0x42u8; self.cfg.chunk];
-                io.send(conn, &chunk);
-                self.bytes_queued += chunk.len() as u64;
+                self.top_up(io, conn);
             }
         }
         io.arm_app_timer(self.cfg.poll, POLL_TOKEN);

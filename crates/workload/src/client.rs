@@ -118,6 +118,8 @@ pub struct MemtierClient {
     rng: SimRng,
     conns: BTreeMap<ConnId, ConnTracker>,
     next_req_id: u64,
+    /// Encode buffer, reused for every request.
+    tx: Vec<u8>,
     /// Ground-truth latency recording.
     pub recorder: LatencyRecorder,
     /// Counters.
@@ -140,6 +142,7 @@ impl MemtierClient {
             rng,
             conns: BTreeMap::new(),
             next_req_id: 1,
+            tx: Vec::new(),
             recorder,
             stats: MemtierStats::default(),
         }
@@ -184,7 +187,9 @@ impl MemtierClient {
             let b = (u64::from(is_get) << 63) | req_id;
             io.record_hop(now, trace, HopKind::ClientIssue, addr, b);
         }
-        io.send(conn, &msg.encode());
+        self.tx.clear();
+        msg.encode_into(&mut self.tx);
+        io.send(conn, &self.tx);
     }
 
     fn fill_pipeline(&mut self, io: &mut dyn HostIo, conn: ConnId) {
@@ -252,30 +257,28 @@ impl App for MemtierClient {
             return;
         };
         t.decoder.push(data);
-        let mut finished = Vec::new();
+        let spans = io.span_enabled();
         while let Ok(Some(resp)) = t.decoder.next_message() {
             assert!(!resp.is_request, "client received a request");
-            if let Some((issued_at, is_get)) = t.outstanding.remove(&resp.request_id) {
-                debug_assert_eq!(
-                    is_get,
-                    resp.op == KvOp::Get,
-                    "response op does not match request"
-                );
-                t.completed += 1;
-                finished.push((resp.request_id, now.saturating_sub(issued_at), is_get));
-            }
-        }
-        let spans = io.span_enabled();
-        for (req_id, latency, is_get) in finished {
+            let Some((issued_at, is_get)) = t.outstanding.remove(&resp.request_id) else {
+                continue;
+            };
+            debug_assert_eq!(
+                is_get,
+                resp.op == KvOp::Get,
+                "response op does not match request"
+            );
+            t.completed += 1;
             self.stats.completed += 1;
-            self.recorder.record_response(now, latency, is_get);
+            self.recorder
+                .record_response(now, now.saturating_sub(issued_at), is_get);
             if spans {
                 // Recorded at the same clock read the recorder uses, so
                 // span-derived T_client is bitwise the recorder's latency.
                 let (ip, port) = io.local_addr(conn);
-                let trace = netpkt::trace_id(u32::from(ip), port, req_id);
+                let trace = netpkt::trace_id(u32::from(ip), port, resp.request_id);
                 let addr = pack_addr(u32::from(ip), port);
-                io.record_hop(now, trace, HopKind::ClientConsume, addr, req_id);
+                io.record_hop(now, trace, HopKind::ClientConsume, addr, resp.request_id);
             }
         }
         self.continue_conn(io, conn);

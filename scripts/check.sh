@@ -33,15 +33,15 @@ cargo test -q --workspace
 
 # The root-package integration suites (determinism, DSR invariants,
 # health ejection under fault injection, multi-LB conformance and
-# invariants, observability/journal/span conformance) and the
-# lbcore/netsim property tests are part of `--workspace` above; run
-# them by name too so a filtered or partial test invocation can't
-# silently skip the tier-1 suites.
+# invariants, observability/journal/span conformance, the steady-state
+# allocation budget) and the lbcore/netsim property tests are part of
+# `--workspace` above; run them by name too so a filtered or partial
+# test invocation can't silently skip the tier-1 suites.
 echo "==> tier-1 integration suites (release)"
 cargo test -q --release --test determinism --test dsr_invariants \
     --test health_ejection --test paper_claims \
     --test multilb_conformance --test multilb_invariants \
-    --test observability --test fuzz_regressions
+    --test observability --test fuzz_regressions --test alloc_budget
 cargo test -q -p lbcore --test proptests
 cargo test -q -p netsim --test ecmp_proptests
 # The span tracer's unit layer (hop schema, critical-path walk,
@@ -71,12 +71,13 @@ cargo run -q --release -p bench --bin scenariofuzz -- run --seeds 0..25 \
 
 # Perf snapshot: quick variants of the pinned perfbench scenarios, plus
 # the fig3_kv_journal and fig3_kv_spans overhead points (journal /
-# span recording on). Non-gating — numbers are host-dependent; the
-# artifact is for trend tracking (see EXPERIMENTS.md "Performance"),
-# not pass/fail.
+# span recording on), built with the counting allocator so the
+# artifact's allocation columns are filled in. Non-gating — wall-clock
+# numbers are host-dependent; the artifact is for trend tracking (see
+# EXPERIMENTS.md "Performance"), not pass/fail.
 echo "==> perfbench --quick --journal --spans (non-gating)"
-cargo run -q --release -p bench --bin perfbench -- --quick --journal --spans \
-    --out target/bench/BENCH_perf_quick.json \
+cargo run -q --release -p bench --features bench-alloc --bin perfbench -- \
+    --quick --journal --spans --out target/bench/BENCH_perf_quick.json \
     || echo "perfbench failed (non-gating); continuing"
 
 echo "All checks passed."

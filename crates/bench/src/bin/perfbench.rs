@@ -74,11 +74,13 @@ fn main() {
         if report.bench_alloc { "on" } else { "off" },
     );
     println!(
-        "{:<14} {:>7} {:>12} {:>12} {:>10} {:>12} {:>14} {:>12} {:>12}",
+        "{:<14} {:>7} {:>12} {:>12} {:>10} {:>8} {:>10} {:>12} {:>14} {:>12} {:>12}",
         "scenario",
         "sim_ms",
         "events",
         "packets",
+        "cancelled",
+        "q_peak",
         "wall_ms",
         "events/s",
         "sim_pkts/s",
@@ -87,11 +89,13 @@ fn main() {
     );
     for s in &report.scenarios {
         println!(
-            "{:<14} {:>7} {:>12} {:>12} {:>10.1} {:>12.0} {:>14.0} {:>12} {:>12}",
+            "{:<14} {:>7} {:>12} {:>12} {:>10} {:>8} {:>10.1} {:>12.0} {:>14.0} {:>12} {:>12}",
             s.name,
             s.sim_ms,
             s.events,
             s.packets,
+            s.timers_cancelled,
+            s.queue_peak,
             s.wall_ns as f64 / 1e6,
             s.events_per_sec,
             s.sim_packets_per_sec,

@@ -11,9 +11,10 @@
 //! Results are emitted as a schema-versioned `BENCH_perf.json` so
 //! successive PRs append to one comparable perf trajectory.
 //!
-//! Simulated counters (`events`, `packets`, `timers`, `sim_ms`) are a
-//! pure function of the scenario and seed; wall time, RSS, and allocation
-//! counts are host measurements and vary run to run.
+//! Simulated counters (`events`, `packets`, `timers`, `timers_cancelled`,
+//! `queue_peak`, `sim_ms`) are a pure function of the scenario and seed;
+//! wall time, RSS, and allocation counts are host measurements and vary
+//! run to run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
@@ -31,8 +32,9 @@ use netpkt::{Addresses, MacAddr, Packet, TcpFlags, TcpHeader};
 use netsim::fault::ImpairmentConfig;
 use netsim::{Ctx, Duration, LinkConfig, LinkId, Node, SimStats, Simulation, Time, TimerToken};
 
-/// Version of the `BENCH_perf.json` schema this harness emits.
-pub const SCHEMA_VERSION: u32 = 1;
+/// Version of the `BENCH_perf.json` schema this harness emits. Version 2
+/// added `timers_cancelled` and `queue_peak` to every scenario.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The pinned scenario names, in report order.
 pub const SCENARIOS: &[&str] = &["netsim_churn", "nettcp_bulk", "fig3_kv", "chaos", "multilb"];
@@ -113,6 +115,10 @@ pub struct ScenarioResult {
     pub packets: u64,
     /// Timer callbacks fired.
     pub timers: u64,
+    /// Timers cancelled before they could fire.
+    pub timers_cancelled: u64,
+    /// The most events that were ever pending at once.
+    pub queue_peak: u64,
     /// Host wall-clock time for the run, in nanoseconds.
     pub wall_ns: u64,
     /// Events dispatched per wall-clock second.
@@ -196,6 +202,8 @@ pub fn run_scenario(name: &str, quick: bool, seed: u64) -> Result<ScenarioResult
         events: stats.events_processed,
         packets: stats.packets_delivered,
         timers: stats.timers_fired,
+        timers_cancelled: stats.timers_cancelled,
+        queue_peak: stats.queue_peak,
         wall_ns,
         events_per_sec: stats.events_processed as f64 / wall_secs,
         sim_packets_per_sec: stats.packets_delivered as f64 / wall_secs,
@@ -403,6 +411,11 @@ impl BenchReport {
             out.push_str(&format!("      \"events\": {},\n", s.events));
             out.push_str(&format!("      \"packets\": {},\n", s.packets));
             out.push_str(&format!("      \"timers\": {},\n", s.timers));
+            out.push_str(&format!(
+                "      \"timers_cancelled\": {},\n",
+                s.timers_cancelled
+            ));
+            out.push_str(&format!("      \"queue_peak\": {},\n", s.queue_peak));
             out.push_str(&format!("      \"wall_ns\": {},\n", s.wall_ns));
             out.push_str(&format!(
                 "      \"events_per_sec\": {:.1},\n",
@@ -432,7 +445,8 @@ impl BenchReport {
             .map_err(|_| "'schema_version' does not fit 32 bits".to_string())?;
         if schema_version != SCHEMA_VERSION {
             return Err(format!(
-                "schema_version {schema_version} != supported {SCHEMA_VERSION}"
+                "schema_version {schema_version} is not the supported version {SCHEMA_VERSION}: \
+                 regenerate the file with this perfbench"
             ));
         }
         let bench_alloc = root.get_bool("bench_alloc")?;
@@ -446,6 +460,8 @@ impl BenchReport {
                 events: item.get_u64("events")?,
                 packets: item.get_u64("packets")?,
                 timers: item.get_u64("timers")?,
+                timers_cancelled: item.get_u64("timers_cancelled")?,
+                queue_peak: item.get_u64("queue_peak")?,
                 wall_ns: item.get_u64("wall_ns")?,
                 events_per_sec: item.get_f64("events_per_sec")?,
                 sim_packets_per_sec: item.get_f64("sim_packets_per_sec")?,
@@ -716,6 +732,8 @@ mod tests {
                 events: 123_456,
                 packets: 60_000,
                 timers: 63_456,
+                timers_cancelled: 1_234,
+                queue_peak: 77,
                 wall_ns: 7_000_000,
                 events_per_sec: 17_636_571.4,
                 sim_packets_per_sec: 8_571_428.6,
@@ -741,6 +759,8 @@ mod tests {
         assert_eq!(a.events, b.events);
         assert_eq!(a.packets, b.packets);
         assert_eq!(a.timers, b.timers);
+        assert_eq!(a.timers_cancelled, b.timers_cancelled);
+        assert_eq!(a.queue_peak, b.queue_peak);
         assert_eq!(a.wall_ns, b.wall_ns);
         assert_eq!(a.peak_rss_kb, b.peak_rss_kb);
         assert!((a.events_per_sec - b.events_per_sec).abs() < 0.2);
@@ -752,6 +772,23 @@ mod tests {
         assert!(BenchReport::from_json("{}").is_err());
         assert!(BenchReport::from_json("{\"schema_version\": 999}").is_err());
         assert!(BenchReport::from_json("[1, 2").is_err());
+    }
+
+    #[test]
+    fn a_version_1_file_is_refused_by_name() {
+        // What PR 18 and earlier wrote: no `timers_cancelled`, no
+        // `queue_peak`. Refused on the version, before any field.
+        let v1 = sample_report()
+            .to_json()
+            .replace("\"schema_version\": 2", "\"schema_version\": 1")
+            .replace("      \"timers_cancelled\": 1234,\n", "")
+            .replace("      \"queue_peak\": 77,\n", "");
+        assert!(!v1.contains("queue_peak") && !v1.contains("timers_cancelled"));
+        let err = BenchReport::from_json(&v1).unwrap_err();
+        assert!(
+            err.contains("schema_version 1") && err.contains("version 2"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -779,7 +816,8 @@ mod tests {
                 "{bad}: {err:?}"
             );
         }
-        let doc = json.replace("\"schema_version\": 1", "\"schema_version\": 4294967297");
+        let doc = json.replace("\"schema_version\": 2", "\"schema_version\": 4294967297");
+        assert_ne!(doc, json);
         assert!(
             BenchReport::from_json(&doc).is_err(),
             "schema_version wrapped"

@@ -79,6 +79,15 @@ impl EthHeader {
         out.put_slice(&self.src.0);
         out.put_u16(self.ethertype);
     }
+
+    /// Writes the header into the first [`ETH_HEADER_LEN`] bytes of
+    /// `out`: what [`Self::emit`] appends, for the frame builders, which
+    /// assemble all headers in one array and append them once.
+    pub(crate) fn write(&self, out: &mut [u8]) {
+        out[0..6].copy_from_slice(&self.dst.0);
+        out[6..12].copy_from_slice(&self.src.0);
+        out[12..14].copy_from_slice(&self.ethertype.to_be_bytes());
+    }
 }
 
 #[cfg(test)]

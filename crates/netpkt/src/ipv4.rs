@@ -88,6 +88,24 @@ impl Ipv4Header {
         out[start + 10..start + 12].copy_from_slice(&ck.to_be_bytes());
     }
 
+    /// Writes the header, checksum included, into the first
+    /// [`IPV4_HEADER_LEN`] bytes of `out`: what [`Self::emit`] appends.
+    pub(crate) fn write(&self, out: &mut [u8]) {
+        let out = &mut out[..IPV4_HEADER_LEN];
+        out[0] = 0x45; // version 4, IHL 5
+        out[1] = self.dscp_ecn;
+        out[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        out[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        out[6..8].copy_from_slice(&0x4000u16.to_be_bytes()); // flags: DF, fragment offset 0
+        out[8] = self.ttl;
+        out[9] = self.protocol;
+        out[10..12].copy_from_slice(&[0, 0]); // summed as zero
+        out[12..16].copy_from_slice(&self.src.octets());
+        out[16..20].copy_from_slice(&self.dst.octets());
+        let ck = crate::checksum::checksum(out);
+        out[10..12].copy_from_slice(&ck.to_be_bytes());
+    }
+
     /// Computes the pseudo-header checksum contribution used by TCP/UDP.
     pub fn pseudo_header_checksum(&self, l4_len: u16) -> Checksum {
         let mut c = Checksum::new();

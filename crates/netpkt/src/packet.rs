@@ -149,12 +149,16 @@ impl Packet {
             src_ip,
             dst_ip,
         } = addrs;
+        // All three headers are assembled on the stack and appended in
+        // one piece; `EthHeader::emit` and its siblings are the
+        // field-by-field reference this is tested against.
+        let mut hdr = [0u8; ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN];
         EthHeader {
             dst: dst_mac,
             src: src_mac,
             ethertype: ETHERTYPE_IPV4,
         }
-        .emit(&mut buf);
+        .write(&mut hdr);
         let ip = Ipv4Header {
             dscp_ecn: 0,
             total_len: (IPV4_HEADER_LEN + TCP_HEADER_LEN + payload.0.len() + payload.1.len())
@@ -165,8 +169,9 @@ impl Packet {
             src: src_ip,
             dst: dst_ip,
         };
-        ip.emit(&mut buf);
-        tcp_hdr.emit(&mut buf);
+        ip.write(&mut hdr[ETH_HEADER_LEN..]);
+        tcp_hdr.write(&mut hdr[ETH_HEADER_LEN + IPV4_HEADER_LEN..]);
+        buf.extend_from_slice(&hdr);
         buf.extend_from_slice(payload.0);
         buf.extend_from_slice(payload.1);
         let mut bytes = buf;

@@ -125,6 +125,20 @@ impl TcpHeader {
         out.put_u16(0); // checksum, filled later
         out.put_u16(0); // urgent pointer
     }
+
+    /// Writes the header with a zero checksum into the first
+    /// [`TCP_HEADER_LEN`] bytes of `out`: what [`Self::emit`] appends.
+    pub(crate) fn write(&self, out: &mut [u8]) {
+        let out = &mut out[..TCP_HEADER_LEN];
+        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        out[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        out[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        out[12] = (TCP_HEADER_LEN as u8 / 4) << 4;
+        out[13] = self.flags.0;
+        out[14..16].copy_from_slice(&self.window.to_be_bytes());
+        out[16..20].copy_from_slice(&[0; 4]); // checksum (filled later), urgent pointer
+    }
 }
 
 /// Computes and writes the TCP checksum for a serialized segment.

@@ -66,6 +66,16 @@ impl UdpHeader {
         out.put_u16(self.length);
         out.put_u16(0);
     }
+
+    /// Writes the header with a zero checksum into the first
+    /// [`UDP_HEADER_LEN`] bytes of `out`: what [`Self::emit`] appends.
+    pub(crate) fn write(&self, out: &mut [u8]) {
+        let out = &mut out[..UDP_HEADER_LEN];
+        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        out[4..6].copy_from_slice(&self.length.to_be_bytes());
+        out[6..8].copy_from_slice(&[0, 0]);
+    }
 }
 
 /// Computes and writes the UDP checksum for a serialized datagram
@@ -147,7 +157,7 @@ fn build_udp_zeroed(
 }
 
 /// Appends the Ethernet, IPv4 and UDP headers of a datagram with a
-/// `payload_len`-byte payload to the (empty) `buf`.
+/// `payload_len`-byte payload to the (empty) `buf`, in one piece.
 fn emit_headers(
     buf: &mut BytesMut,
     addrs: Addresses,
@@ -163,12 +173,13 @@ fn emit_headers(
         dst_ip,
     } = addrs;
     let udp_len = UDP_HEADER_LEN + payload_len;
+    let mut hdr = [0u8; ETH_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN];
     EthHeader {
         dst: dst_mac,
         src: src_mac,
         ethertype: ETHERTYPE_IPV4,
     }
-    .emit(buf);
+    .write(&mut hdr);
     let ip = Ipv4Header {
         dscp_ecn: 0,
         total_len: (IPV4_HEADER_LEN + udp_len) as u16,
@@ -178,13 +189,14 @@ fn emit_headers(
         src: src_ip,
         dst: dst_ip,
     };
-    ip.emit(buf);
+    ip.write(&mut hdr[ETH_HEADER_LEN..]);
     UdpHeader {
         src_port,
         dst_port,
         length: udp_len as u16,
     }
-    .emit(buf);
+    .write(&mut hdr[ETH_HEADER_LEN + IPV4_HEADER_LEN..]);
+    buf.extend_from_slice(&hdr);
     ip
 }
 

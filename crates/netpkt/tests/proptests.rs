@@ -7,9 +7,38 @@ use std::net::Ipv4Addr;
 use netpkt::checksum::{checksum, Checksum};
 use netpkt::kv::{KvDecoder, KvMessage};
 use netpkt::{
-    EthHeader, FlowKey, Ipv4Header, MacAddr, Packet, TcpFlags, TcpHeader, ETHERTYPE_IPV4,
-    IPPROTO_TCP, IPV4_HEADER_LEN, TCP_HEADER_LEN,
+    Addresses, BufferPool, EthHeader, FlowKey, Ipv4Header, MacAddr, Packet, TcpFlags, TcpHeader,
+    UdpHeader, ETHERTYPE_IPV4, ETH_HEADER_LEN, IPPROTO_TCP, IPPROTO_UDP, IPV4_HEADER_LEN,
+    TCP_HEADER_LEN, UDP_HEADER_LEN,
 };
+
+/// The largest segment payload the transport accepts (`TcpConfig::mss`).
+const MAX_MSS: usize = 1460;
+
+fn arb_addrs() -> impl Strategy<Value = Addresses> {
+    (arb_mac(), arb_mac(), arb_ip(), arb_ip()).prop_map(|(src_mac, dst_mac, src_ip, dst_ip)| {
+        Addresses {
+            src_mac,
+            dst_mac,
+            src_ip,
+            dst_ip,
+        }
+    })
+}
+
+/// The Ethernet and IPv4 headers of a frame as the field-by-field `emit`
+/// reference writes them.
+fn emit_eth_ipv4(addrs: Addresses, ip: &Ipv4Header) -> BytesMut {
+    let mut frame = BytesMut::new();
+    EthHeader {
+        dst: addrs.dst_mac,
+        src: addrs.src_mac,
+        ethertype: ETHERTYPE_IPV4,
+    }
+    .emit(&mut frame);
+    ip.emit(&mut frame);
+    frame
+}
 
 fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr::from)
@@ -102,6 +131,84 @@ proptest! {
         prop_assert_eq!(view.tcp.flags, flags);
         prop_assert_eq!(&view.payload[..], &payload[..]);
         prop_assert_eq!(pkt.wire_len(), 14 + IPV4_HEADER_LEN + TCP_HEADER_LEN + payload.len());
+    }
+
+    #[test]
+    fn tcp_frame_is_the_emit_built_one_at_every_payload_split(
+        addrs in arb_addrs(),
+        ports in (any::<u16>(), any::<u16>()),
+        seq_ack in (any::<u32>(), any::<u32>()),
+        flags_window in (arb_flags(), any::<u16>()),
+        ident_ttl in (any::<u16>(), any::<u8>()),
+        payload in proptest::collection::vec(any::<u8>(), 0..2 * MAX_MSS + 1),
+    ) {
+        let hdr = TcpHeader {
+            src_port: ports.0,
+            dst_port: ports.1,
+            seq: seq_ack.0,
+            ack: seq_ack.1,
+            flags: flags_window.0,
+            window: flags_window.1,
+        };
+        let (ident, ttl) = ident_ttl;
+        let ip = Ipv4Header {
+            dscp_ecn: 0,
+            total_len: (IPV4_HEADER_LEN + TCP_HEADER_LEN + payload.len()) as u16,
+            ident,
+            ttl,
+            protocol: IPPROTO_TCP,
+            src: addrs.src_ip,
+            dst: addrs.dst_ip,
+        };
+        let mut reference = emit_eth_ipv4(addrs, &ip);
+        hdr.emit(&mut reference);
+        reference.extend_from_slice(&payload);
+        netpkt::tcp::fill_checksum(&mut reference, ETH_HEADER_LEN + IPV4_HEADER_LEN, &ip);
+
+        prop_assert_eq!(&Packet::build_tcp(addrs, &hdr, &payload, ttl, ident).data[..], &reference[..]);
+        // Recycling makes every later frame build over a dirty buffer.
+        let mut pool = BufferPool::default();
+        for cut in 0..=payload.len() {
+            let parts = payload.split_at(cut);
+            let pkt = Packet::build_tcp_pooled_parts(addrs, &hdr, parts, ttl, ident, &mut pool);
+            prop_assert_eq!(&pkt.data[..], &reference[..], "payload split at {}", cut);
+            pool.recycle(pkt);
+        }
+    }
+
+    #[test]
+    fn udp_frame_is_the_emit_built_one(
+        addrs in arb_addrs(),
+        ports in (any::<u16>(), any::<u16>()),
+        ident in any::<u16>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..1473),
+    ) {
+        let udp_len = UDP_HEADER_LEN + payload.len();
+        let ip = Ipv4Header {
+            dscp_ecn: 0,
+            total_len: (IPV4_HEADER_LEN + udp_len) as u16,
+            ident,
+            ttl: 64,
+            protocol: IPPROTO_UDP,
+            src: addrs.src_ip,
+            dst: addrs.dst_ip,
+        };
+        let udp = UdpHeader { src_port: ports.0, dst_port: ports.1, length: udp_len as u16 };
+        let reference = |payload: &[u8]| {
+            let mut frame = emit_eth_ipv4(addrs, &ip);
+            udp.emit(&mut frame);
+            frame.extend_from_slice(payload);
+            netpkt::udp::fill_checksum(&mut frame, ETH_HEADER_LEN + IPV4_HEADER_LEN, &ip);
+            frame
+        };
+        let built = netpkt::udp::build_udp_payload(addrs, ports.0, ports.1, &payload, ident);
+        prop_assert_eq!(&built.data[..], &reference(&payload)[..]);
+        // The zero-filled cross-traffic datagram, from a buffer that
+        // last held the frame above.
+        let mut pool = BufferPool::default();
+        pool.recycle(built);
+        let zeroed = netpkt::udp::build_udp_pooled(addrs, ports.0, ports.1, payload.len(), ident, &mut pool);
+        prop_assert_eq!(&zeroed.data[..], &reference(&vec![0; payload.len()])[..]);
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! The event queue: an indexed binary heap with a total, deterministic
-//! order.
+//! The event queue: an indexed binary min-heap with a total,
+//! deterministic order, whose entries are exactly the pending events.
 //!
 //! Ordering state (`at`, `seq`) lives in compact copyable heap entries;
 //! event payloads sit in a slab indexed by slot, so heap sifts move 24
 //! bytes instead of a full [`EventKind`] (which carries a packet on the
-//! hottest variant). The slab also buys O(1) cancellation: a cancelled
-//! event's slot is vacated and its heap entry is simply skipped when it
-//! surfaces — no re-heapify. A sequence-number guard makes slot reuse
-//! safe while stale heap entries are still queued.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! hottest variant). The index runs both ways: a heap entry names its
+//! slot, and the slot records the entry's current heap position (kept up
+//! to date on every sift move). Cancellation therefore removes the entry
+//! on the spot — swap with the last, one sift up or down — and nothing
+//! dead is ever queued, sifted past or popped. A handle carries the
+//! sequence number it was pushed with, so a stale handle cannot touch a
+//! later event that reuses its slot.
 
 use netpkt::Packet;
 
@@ -98,42 +98,31 @@ struct HeapEntry {
     slot: u32,
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl HeapEntry {
+    /// Fires strictly before `other`: earlier time, insertion order
+    /// among simultaneous events.
+    #[inline]
+    fn before(&self, other: &HeapEntry) -> bool {
+        (self.at, self.seq) < (other.at, other.seq)
     }
 }
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest event is popped
-        // first, with the lowest sequence number winning ties.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A slab slot. `seq` guards against stale heap entries after the slot
-/// is vacated and reused: an entry only fires the payload whose sequence
-/// number it was pushed with.
+/// A slab slot: the payload of one pending event (`kind` is `None` while
+/// the slot sits on the free list) and where its heap entry currently is.
 #[derive(Debug)]
-enum Slot {
-    Vacant,
-    Occupied { seq: u64, kind: EventKind },
+struct Slot {
+    /// Sequence number of the event this slot holds or last held; a
+    /// handle only cancels the event it was issued for.
+    seq: u64,
+    /// Index of this event's entry in `heap`, maintained by the sifts.
+    pos: u32,
+    kind: Option<EventKind>,
 }
 
-/// Handle to a scheduled event, for O(1) cancellation. Stale handles
-/// (the event already fired, or was cancelled) are harmless: the
-/// sequence-number guard makes [`EventQueue::cancel`] a no-op for them.
+/// Handle to a scheduled event, for cancellation. Stale handles (the
+/// event already fired, or was cancelled) are harmless: the
+/// sequence-number guard makes [`EventQueue::cancel`] a no-op for them,
+/// also after the slot has been reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventHandle {
     slot: u32,
@@ -143,11 +132,17 @@ pub struct EventHandle {
 /// A deterministic future-event list.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<HeapEntry>,
+    /// Binary min-heap on `(at, seq)`: one entry per pending event, no
+    /// others. Two children per node, not four: a level costs one
+    /// hard-to-predict comparison instead of three, which measured
+    /// faster on every `lbbench` workload (EXPERIMENTS.md "Event-loop
+    /// cost").
+    heap: Vec<HeapEntry>,
     slab: Vec<Slot>,
     free: Vec<u32>,
     next_seq: u64,
-    live: usize,
+    cancelled: u64,
+    peak_len: usize,
 }
 
 impl EventQueue {
@@ -157,87 +152,176 @@ impl EventQueue {
     }
 
     /// Schedules `kind` to fire at `at`. The returned handle cancels the
-    /// event in O(1); callers that never cancel can ignore it.
+    /// event; callers that never cancel can ignore it.
     pub fn push(&mut self, at: Time, kind: EventKind) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let filled = Slot {
+            seq,
+            pos: 0, // set by the sift below
+            kind: Some(kind),
+        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = Slot::Occupied { seq, kind };
+                self.slab[slot as usize] = filled;
                 slot
             }
             None => {
-                let slot = self.slab.len() as u32;
-                self.slab.push(Slot::Occupied { seq, kind });
+                let slot = u32::try_from(self.slab.len()).expect("more than 2^32 pending events");
+                self.slab.push(filled);
                 slot
             }
         };
-        self.live += 1;
         self.heap.push(HeapEntry { at, seq, slot });
+        self.sift_up(self.heap.len() - 1);
+        self.peak_len = self.peak_len.max(self.heap.len());
         EventHandle { slot, seq }
     }
 
-    /// Cancels a pending event without touching the heap: the slot is
-    /// vacated now and the orphaned heap entry is skipped when it
-    /// surfaces. Returns false when the event already fired or was
-    /// cancelled (stale handle).
+    /// Cancels a pending event, removing it from the heap now. Returns
+    /// false when the event already fired or was cancelled (stale
+    /// handle).
     pub fn cancel(&mut self, h: EventHandle) -> bool {
         match self.slab.get(h.slot as usize) {
-            Some(Slot::Occupied { seq, .. }) if *seq == h.seq => {
-                self.slab[h.slot as usize] = Slot::Vacant;
-                self.free.push(h.slot);
-                self.live -= 1;
+            Some(slot) if slot.seq == h.seq && slot.kind.is_some() => {
+                let pos = slot.pos as usize;
+                self.remove_at(pos);
+                self.cancelled += 1;
                 true
             }
             _ => false,
         }
     }
 
-    /// Pops the next live event in `(time, seq)` order, discarding any
-    /// orphaned entries for cancelled events along the way.
+    /// Pops the next event in `(time, seq)` order.
     pub fn pop(&mut self) -> Option<Event> {
-        while let Some(entry) = self.heap.pop() {
-            let slot = entry.slot as usize;
-            let live = matches!(&self.slab[slot], Slot::Occupied { seq, .. } if *seq == entry.seq);
-            if !live {
-                continue; // cancelled; its slot may already host a newer event
-            }
-            if let Slot::Occupied { kind, .. } =
-                std::mem::replace(&mut self.slab[slot], Slot::Vacant)
-            {
-                self.free.push(entry.slot);
-                self.live -= 1;
-                return Some(Event {
-                    at: entry.at,
-                    seq: entry.seq,
-                    kind,
-                });
-            }
-        }
-        None
+        self.pop_due(Time::MAX)
     }
 
-    /// The firing time of the next live event, if any (drains orphaned
-    /// entries off the top, hence `&mut`).
-    pub fn peek_time(&mut self) -> Option<Time> {
-        while let Some(entry) = self.heap.peek() {
-            let live = matches!(&self.slab[entry.slot as usize], Slot::Occupied { seq, .. } if *seq == entry.seq);
-            if live {
-                return Some(entry.at);
-            }
-            self.heap.pop();
+    /// Pops the next event if it fires at or before `deadline`.
+    pub fn pop_due(&mut self, deadline: Time) -> Option<Event> {
+        if self.heap.first()?.at > deadline {
+            return None;
         }
-        None
+        Some(self.remove_at(0))
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// The firing time of the next event, if any.
+    pub fn peek_time(&self) -> Option<Time> {
+        self.heap.first().map(|e| e.at)
+    }
+
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
+    }
+
+    /// Events removed by [`EventQueue::cancel`] so far.
+    pub fn cancelled(&self) -> u64 {
+        self.cancelled
+    }
+
+    /// The largest [`EventQueue::len`] the queue has reached.
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
+    }
+
+    /// Takes the entry at heap position `pos` out of the queue, frees its
+    /// slot and returns its event.
+    fn remove_at(&mut self, pos: usize) -> Event {
+        let entry = self.heap.swap_remove(pos);
+        if pos < self.heap.len() {
+            // The former last entry now sits at `pos`; it can belong on
+            // either side of it.
+            if pos > 0 && self.heap[pos].before(&self.heap[(pos - 1) / 2]) {
+                self.sift_up(pos);
+            } else {
+                self.sift_down(pos);
+            }
+        }
+        let kind = self.slab[entry.slot as usize]
+            .kind
+            .take()
+            .expect("heap entry points at a vacant slot");
+        self.free.push(entry.slot);
+        Event {
+            at: entry.at,
+            seq: entry.seq,
+            kind,
+        }
+    }
+
+    /// Writes `entry` at heap position `pos` and records that in its slot.
+    #[inline]
+    fn place(&mut self, pos: usize, entry: HeapEntry) {
+        self.heap[pos] = entry;
+        self.slab[entry.slot as usize].pos = pos as u32;
+    }
+
+    fn sift_up(&mut self, mut pos: usize) {
+        let entry = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let above = self.heap[parent];
+            if !entry.before(&above) {
+                break;
+            }
+            self.place(pos, above);
+            pos = parent;
+        }
+        self.place(pos, entry);
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        let entry = self.heap[pos];
+        let len = self.heap.len();
+        loop {
+            let mut least = 2 * pos + 1;
+            if least >= len {
+                break;
+            }
+            if least + 1 < len && self.heap[least + 1].before(&self.heap[least]) {
+                least += 1;
+            }
+            let below = self.heap[least];
+            if !below.before(&entry) {
+                break;
+            }
+            self.place(pos, below);
+            pos = least;
+        }
+        self.place(pos, entry);
+    }
+
+    /// Panics unless the index is consistent: every heap entry's slot
+    /// holds that entry's event and points back at it, every parent
+    /// orders before its children, and the heap, the free list and the
+    /// slab account for each other. For the property tests.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        for (pos, entry) in self.heap.iter().enumerate() {
+            let slot = &self.slab[entry.slot as usize];
+            assert!(slot.kind.is_some(), "entry {pos} points at a vacant slot");
+            assert_eq!(slot.seq, entry.seq, "entry {pos} points at another event");
+            assert_eq!(
+                slot.pos as usize, pos,
+                "slot of entry {pos} points elsewhere"
+            );
+            if pos > 0 {
+                let parent = &self.heap[(pos - 1) / 2];
+                assert!(parent.before(entry), "entry {pos} orders before its parent");
+            }
+        }
+        assert!(self
+            .free
+            .iter()
+            .all(|&s| self.slab[s as usize].kind.is_none()));
+        assert_eq!(self.heap.len() + self.free.len(), self.slab.len());
     }
 }
 
@@ -316,19 +400,24 @@ mod tests {
     }
 
     #[test]
-    fn slot_reuse_preserves_order_despite_stale_heap_entries() {
+    fn cancelled_slot_is_reused_and_its_old_handle_stays_dead() {
         let mut q = EventQueue::new();
-        // Occupy then cancel, so the slot returns to the free list while
-        // its heap entry is still queued.
+        // Occupy then cancel: the entry leaves the heap at once and the
+        // slot returns to the free list.
         let h = q.push(Time::from_nanos(50), timer(0, 99));
         assert!(q.cancel(h));
-        // The reused slot's event fires at its own time, earlier than the
-        // orphaned entry's time.
+        assert_eq!(q.len(), 0);
+        // The next event reuses the slot and fires at its own time.
         q.push(Time::from_nanos(10), timer(0, 1));
         q.push(Time::from_nanos(20), timer(0, 2));
+        assert!(
+            !q.cancel(h),
+            "a stale handle must not cancel the new tenant"
+        );
         assert_eq!(q.peek_time(), Some(Time::from_nanos(10)));
         assert_eq!(drain_tokens(&mut q), vec![1, 2]);
         assert!(q.is_empty());
+        assert_eq!((q.cancelled(), q.peak_len()), (1, 2));
     }
 
     #[test]

@@ -23,10 +23,9 @@ impl core::fmt::Display for NodeId {
 
 /// An opaque timer identifier chosen by the node that arms the timer.
 ///
-/// Timers can be cancelled in O(1) through the [`EventHandle`] returned
-/// by [`Ctx::arm_timer`]; nodes may also keep the older lazy idiom of
-/// ignoring stale tokens — both cost no re-heapify (the indexed queue
-/// skips dead entries as they surface).
+/// A timer that is no longer wanted is cancelled through the
+/// [`EventHandle`] returned by [`Ctx::arm_timer`], which takes it out of
+/// the event queue on the spot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerToken(pub u64);
 
@@ -232,9 +231,9 @@ impl Ctx<'_> {
     }
 
     /// Arms a timer that fires `after` from now, delivering `token` to
-    /// [`Node::on_timer`]. The returned handle cancels it in O(1) via
-    /// [`Ctx::cancel_timer`]; nodes that instead ignore stale tokens
-    /// lazily (the pre-handle idiom) can drop it.
+    /// [`Node::on_timer`]. The returned handle cancels it via
+    /// [`Ctx::cancel_timer`]; a node that lets every timer fire can drop
+    /// it.
     pub fn arm_timer(&mut self, after: Duration, token: TimerToken) -> EventHandle {
         self.queue.push(
             self.now + after,
@@ -257,9 +256,9 @@ impl Ctx<'_> {
         )
     }
 
-    /// Cancels a timer armed by this node. Stale handles (already fired
-    /// or cancelled) return false and change nothing — no re-heapify
-    /// happens either way.
+    /// Cancels a timer armed by this node: it leaves the event queue
+    /// now and never fires. Stale handles (already fired or cancelled)
+    /// return false and change nothing.
     pub fn cancel_timer(&mut self, handle: EventHandle) -> bool {
         self.queue.cancel(handle)
     }

@@ -21,6 +21,11 @@ pub struct SimStats {
     pub packets_delivered: u64,
     /// Timer callbacks fired.
     pub timers_fired: u64,
+    /// Timers removed from the queue by [`Ctx::cancel_timer`] before
+    /// they could fire.
+    pub timers_cancelled: u64,
+    /// The most events that were ever pending at once.
+    pub queue_peak: u64,
 }
 
 /// A discrete-event simulation: a topology of [`Node`]s joined by
@@ -41,6 +46,8 @@ pub struct Simulation {
     /// Shared packet-buffer pool: per-hop copies draw from here and
     /// consumed packets are recycled back, via [`Ctx::pool`].
     pool: BufferPool,
+    /// The dispatch counters; the queue keeps `timers_cancelled` and
+    /// `queue_peak`, which [`Simulation::stats`] fills in.
     stats: SimStats,
     started: bool,
     /// Safety valve: abort if a run dispatches more events than this.
@@ -116,7 +123,16 @@ impl Simulation {
 
     /// Run counters so far.
     pub fn stats(&self) -> SimStats {
-        self.stats
+        SimStats {
+            timers_cancelled: self.queue.cancelled(),
+            queue_peak: self.queue.peak_len() as u64,
+            ..self.stats
+        }
+    }
+
+    /// Events scheduled and not yet fired or cancelled.
+    pub fn pending_events(&self) -> usize {
+        self.queue.len()
     }
 
     /// Packet-buffer pool counters (hit/miss/recycle rates).
@@ -294,11 +310,7 @@ impl Simulation {
     pub fn run_until(&mut self, deadline: Time) -> u64 {
         self.start_if_needed();
         let mut processed = 0u64;
-        while let Some(at) = self.queue.peek_time() {
-            if at > deadline {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event must pop");
+        while let Some(ev) = self.queue.pop_due(deadline) {
             debug_assert!(ev.at >= self.now, "event queue went backwards");
             self.now = ev.at;
             self.stats.events_processed += 1;

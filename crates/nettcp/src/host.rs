@@ -13,7 +13,7 @@ use std::net::Ipv4Addr;
 
 use netpkt::{FlowKey, MacAddr, Packet, TcpHeader};
 use netsim::rng::SimRng;
-use netsim::{Ctx, Duration, LinkId, Node, Time, TimerToken};
+use netsim::{Ctx, Duration, EventHandle, LinkId, Node, Time, TimerToken};
 use telemetry::span::HopKind;
 
 use crate::app::{App, ConnId, HostIo};
@@ -25,8 +25,21 @@ const TAG_CONN: u64 = 0;
 const TAG_APP: u64 = 1;
 const TAG_RX: u64 = 2;
 
-fn conn_token(idx: usize, kind: TimerKind, gen: u32) -> u64 {
-    (TAG_CONN << 62) | ((idx as u64) << 34) | ((kind.index() as u64) << 32) | u64::from(gen)
+/// A connection timer's token: tag (2 bits) | zero (28) | connection
+/// index (32, the width of [`ConnId`]) | [`TimerKind`] index (2). It
+/// names the `armed` entry that holds the timer's handle and nothing
+/// else: a replaced or cancelled timer is taken out of the event queue,
+/// so whatever fires is the armed one.
+fn conn_token(idx: usize, kind: TimerKind) -> u64 {
+    (TAG_CONN << 62) | ((idx as u64) << 2) | kind.index() as u64
+}
+
+/// Takes a connection timer out of the event queue, if it is armed.
+fn disarm(armed: &mut Option<EventHandle>, ctx: &mut Ctx<'_>) {
+    if let Some(handle) = armed.take() {
+        let was_pending = ctx.cancel_timer(handle);
+        debug_assert!(was_pending, "armed handle of a timer that already fired");
+    }
 }
 
 /// Host configuration.
@@ -94,8 +107,10 @@ pub struct Host {
     mac: MacAddr,
     uplink: LinkId,
     conns: Vec<Option<Conn>>,
-    /// Generation of the armed timer per (conn, kind); 0 = disarmed.
-    armed: Vec<[u32; 3]>,
+    /// Handle of the pending timer per (conn, kind), `None` = disarmed.
+    /// Cleared when the timer fires, is cancelled or replaced, and when
+    /// the connection is reaped.
+    armed: Vec<[Option<EventHandle>; 3]>,
     /// Span tracing: last attributable trace id per connection,
     /// `[outbound, inbound]` — attributes RTOs (to the request whose
     /// segment is outstanding) and reassembly completions (to the
@@ -110,7 +125,6 @@ pub struct Host {
     rng: SimRng,
     next_port: u16,
     next_ident: u16,
-    next_gen: u32,
     pending: VecDeque<usize>,
     /// Jittered receive queue: (ready time, packet); ready times are
     /// monotone, so a deque suffices.
@@ -144,7 +158,6 @@ impl Host {
             rng: SimRng::seed_from_u64(seed),
             next_port: 33_000,
             next_ident: 1,
-            next_gen: 1,
             pending: VecDeque::new(),
             rx_queue: VecDeque::new(),
             last_rx_ready: Time::ZERO,
@@ -177,18 +190,23 @@ impl Host {
 
     fn alloc_conn(&mut self, conn: Conn) -> usize {
         self.stats.conns_opened += 1;
-        // Reuse a free slot if available; stale timers are fenced by
-        // generation counters, which are global and never reused.
+        // Reuse a free slot if available: reaping cancelled the previous
+        // tenant's timers, so none can fire into the new connection.
         if let Some(idx) = self.conns.iter().position(|c| c.is_none()) {
+            debug_assert_eq!(self.armed[idx], [None; 3], "reaped slot left a timer armed");
             self.conns[idx] = Some(conn);
-            self.armed[idx] = [0; 3];
             self.conn_traces[idx] = [0; 2];
             idx
         } else {
+            let idx = self.conns.len();
+            assert!(
+                u32::try_from(idx).is_ok(),
+                "connection index {idx} does not fit ConnId and the timer token"
+            );
             self.conns.push(Some(conn));
-            self.armed.push([0; 3]);
+            self.armed.push([None; 3]);
             self.conn_traces.push([0; 2]);
-            self.conns.len() - 1
+            idx
         }
     }
 
@@ -355,16 +373,13 @@ impl Host {
             for req in reqs.drain(..) {
                 match req {
                     TimerRequest::Arm(kind, at) => {
-                        let gen = self.next_gen;
-                        self.next_gen = self.next_gen.wrapping_add(1).max(1);
-                        self.armed[idx][kind.index()] = gen;
+                        let armed = &mut self.armed[idx][kind.index()];
+                        disarm(armed, ctx);
                         // Timers armed "now or earlier" still fire (at now).
                         let at = at.max(ctx.now());
-                        ctx.arm_timer_at(at, TimerToken(conn_token(idx, kind, gen)));
+                        *armed = Some(ctx.arm_timer_at(at, TimerToken(conn_token(idx, kind))));
                     }
-                    TimerRequest::Cancel(kind) => {
-                        self.armed[idx][kind.index()] = 0;
-                    }
+                    TimerRequest::Cancel(kind) => disarm(&mut self.armed[idx][kind.index()], ctx),
                 }
             }
             for ev in events.drain(..) {
@@ -383,7 +398,11 @@ impl Host {
                 self.ports_in_use.remove(&conn.local().1);
                 self.by_flow.remove(&key);
                 self.conns[idx] = None;
-                self.armed[idx] = [0; 3];
+                // Before the slot can be reused: a timer of this
+                // connection must not fire into the next one.
+                for armed in &mut self.armed[idx] {
+                    disarm(armed, ctx);
+                }
                 self.stats.conns_closed += 1;
             }
         }
@@ -491,16 +510,15 @@ impl Node for Host {
         let tag = token.0 >> 62;
         match tag {
             TAG_CONN => {
-                let idx = ((token.0 >> 34) & 0x0fff_ffff) as usize;
-                let kind_idx = ((token.0 >> 32) & 0x3) as usize;
-                let gen = (token.0 & 0xffff_ffff) as u32;
-                if self.armed.get(idx).map(|a| a[kind_idx]) != Some(gen) {
-                    return; // stale or cancelled
-                }
-                self.armed[idx][kind_idx] = 0;
-                let Some(conn) = self.conns[idx].as_mut() else {
-                    return;
-                };
+                let idx = ((token.0 >> 2) & 0xffff_ffff) as usize;
+                let kind_idx = (token.0 & 0x3) as usize;
+                // Replaced, cancelled and reaped timers left the queue,
+                // so this is the armed one, on a live connection.
+                let fired = self.armed[idx][kind_idx].take();
+                assert!(fired.is_some(), "connection timer fired while disarmed");
+                let conn = self.conns[idx]
+                    .as_mut()
+                    .expect("connection timer outlived its connection");
                 match kind_idx {
                     0 => {
                         conn.on_rto(ctx.now());

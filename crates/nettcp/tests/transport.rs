@@ -4,7 +4,7 @@
 
 use std::net::Ipv4Addr;
 
-use netsim::{Duration, LinkConfig, Simulation};
+use netsim::{Duration, ImpairmentConfig, LinkConfig, LinkId, Simulation, Time};
 use nettcp::{App, ConnId, DelayedAck, Host, HostConfig, HostIo, Pacing, TcpConfig};
 
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -508,6 +508,105 @@ fn many_sequential_connections_reuse_slots() {
     assert_eq!(server.live_conns(), 0);
     assert_eq!(client.stats.conns_opened, 20);
     assert_eq!(client.stats.conns_closed, 20);
+}
+
+#[test]
+fn a_closed_connection_leaves_nothing_in_the_event_queue() {
+    /// Sends a patterned stream and closes behind it.
+    struct PatternSender(Vec<u8>);
+    impl App for PatternSender {
+        fn on_start(&mut self, io: &mut dyn HostIo) {
+            io.connect(SERVER_IP, PORT);
+        }
+        fn on_connected(&mut self, io: &mut dyn HostIo, conn: ConnId) {
+            io.send(conn, &self.0);
+            io.close(conn);
+        }
+        fn on_data(&mut self, _io: &mut dyn HostIo, _conn: ConnId, _data: &[u8]) {}
+    }
+    /// Keeps what arrives; closes when the peer does.
+    #[derive(Default)]
+    struct Recorder(Vec<u8>);
+    impl App for Recorder {
+        fn on_start(&mut self, io: &mut dyn HostIo) {
+            io.listen(PORT);
+        }
+        fn on_data(&mut self, _io: &mut dyn HostIo, _conn: ConnId, data: &[u8]) {
+            self.0.extend_from_slice(data);
+        }
+        fn on_closed(&mut self, io: &mut dyn HostIo, conn: ConnId) {
+            io.close(conn);
+        }
+    }
+
+    // Every connection timer in play — RTO and pacing on the sender, RTO
+    // and delayed ACK on the receiver — over a link that loses, doubles
+    // and reorders frames in both directions, so timers are re-armed,
+    // cancelled *and* really fire (a callback for a timer that is not
+    // the armed one trips the host's assertion).
+    let sent: Vec<u8> = (0..48 * 1024u32).map(|i| (i * 31 + 7) as u8).collect();
+    let client_tcp = TcpConfig {
+        pacing: Pacing::Enabled {
+            min_gap: Duration::from_micros(20),
+        },
+        send_buffer: sent.len(),
+        ..TcpConfig::default()
+    };
+    let server_tcp = TcpConfig {
+        delayed_ack: DelayedAck::Enabled {
+            max_delay: Duration::from_millis(1),
+        },
+        ..TcpConfig::default()
+    };
+    let (mut sim, c, s) = rig(
+        client_tcp,
+        server_tcp,
+        default_link(),
+        Box::new(PatternSender(sent.clone())),
+        Box::new(Recorder::default()),
+    );
+    for (from, seed) in [(c, 11), (s, 12)] {
+        let cfg = ImpairmentConfig {
+            corrupt_p: 0.1,
+            duplicate_p: 0.03,
+            reorder_p: 0.1,
+            reorder_window: Duration::from_micros(300),
+            seed,
+        };
+        sim.schedule_link_impairment(Time::ZERO, LinkId(0), from, Some(cfg));
+    }
+
+    let reaped = |sim: &Simulation| {
+        [c, s].iter().all(|&n| {
+            let host = sim.node_ref::<Host>(n).unwrap();
+            host.stats.conns_closed == 1 && host.live_conns() == 0
+        })
+    };
+    while !reaped(&sim) {
+        assert!(sim.now() < Time::from_nanos(30_000_000_000), "no close");
+        sim.run_for(Duration::from_micros(100));
+    }
+    // Frames still in flight (and the RSTs they may draw) land within a
+    // millisecond; neither application arms a timer of its own, so after
+    // that nothing may be pending — no fenced-off RTO waiting to fire
+    // into a reaped slot.
+    sim.run_for(Duration::from_millis(1));
+    assert_eq!(sim.pending_events(), 0);
+
+    let server = sim.node_ref::<Host>(s).unwrap();
+    assert_eq!(server.app_ref::<Recorder>().unwrap().0, sent);
+    let client = sim.node_ref::<Host>(c).unwrap();
+    assert!(
+        client.stats.timeouts + server.stats.timeouts > 0 && client.stats.retransmits > 0,
+        "the link lost nothing: {:?} {:?}",
+        client.stats,
+        server.stats
+    );
+    let stats = sim.stats();
+    assert!(
+        stats.timers_cancelled > 0 && stats.timers_fired > 0,
+        "{stats:?}"
+    );
 }
 
 #[test]

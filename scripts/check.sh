@@ -44,6 +44,10 @@ cargo test -q --release --test determinism --test dsr_invariants \
     --test observability --test fuzz_regressions --test alloc_budget
 cargo test -q -p lbcore --test proptests
 cargo test -q -p netsim --test ecmp_proptests
+# The event queue's indexed heap against an ordered-map model (pop
+# order, cancel results, slot <-> heap-position consistency after every
+# operation): every simulated number rests on it.
+cargo test -q -p netsim --test queue_proptests
 # The span tracer's unit layer (hop schema, critical-path walk,
 # NDJSON, ring/flight-recorder) and its analyzer (span capture,
 # critical-path table, error-budget join) are tier-1 by name: the

@@ -61,6 +61,21 @@ fn lb_record(lb: &LbNode) -> (LbStats, u64) {
     (lb.stats(), h)
 }
 
+/// The simulator's own counters for a run: `(events_processed,
+/// packets_delivered, timers_fired, timers_cancelled)`. Pinned beside
+/// the `LbStats` records: the packet count is the schedule's, and the
+/// events and timers say what the run cost to dispatch. A change that
+/// moves one edits the pin and says why.
+fn sim_counts(sim: &netsim::Simulation) -> (u64, u64, u64, u64) {
+    let s = sim.stats();
+    (
+        s.events_processed,
+        s.packets_delivered,
+        s.timers_fired,
+        s.timers_cancelled,
+    )
+}
+
 /// Runs the Fig. 3 cluster for `sim_ms` with packet tracing on.
 fn fig3_cluster(seed: u64, sim_ms: u64) -> KvCluster {
     let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
@@ -236,8 +251,9 @@ fn fig3_trace_hash_is_pinned() {
 /// history (see [`lb_record`]).
 #[test]
 fn fig3_lb_counters_are_pinned() {
+    let cluster = fig3_cluster(42, 600);
     assert_eq!(
-        lb_record(fig3_cluster(42, 600).lb_node()),
+        lb_record(cluster.lb_node()),
         (
             LbStats {
                 rx: 78_826,
@@ -251,6 +267,14 @@ fn fig3_lb_counters_are_pinned() {
             0xe168_5918_d5b7_4e2b
         ),
         "fig3 LB counters or weight history changed",
+    );
+    // Before connection timers were cancelled instead of fenced (PR 20)
+    // this run dispatched (668_253, 393_706, 274_546): the same packets,
+    // and 78_091 more events, every one a timer that fired dead.
+    assert_eq!(
+        sim_counts(&cluster.sim),
+        (590_162, 393_706, 196_455, 78_812),
+        "fig3 simulator counters changed",
     );
 }
 
@@ -300,6 +324,13 @@ fn chaos_lb_counters_are_pinned() {
             0x8865_554a_00de_d4c4
         ),
         "chaos LB counters or weight history changed",
+    );
+    // Before PR 20: (3_458_742, 2_035_929, 1_422_760) — the same
+    // packets, 406_787 more events, all of them dead timers.
+    assert_eq!(
+        sim_counts(&cluster.sim),
+        (3_051_955, 2_035_929, 1_015_973, 407_555),
+        "chaos simulator counters changed",
     );
 }
 
@@ -351,6 +382,13 @@ fn multilb_trace_hash_is_pinned() {
             shard(17_271, 45, 40, 8_633, 72, 0xe54c_469c_cf08_8a99),
         ],
         "multilb LB counters or weight history changed",
+    );
+    // Before PR 20: (607_240, 357_766, 249_470) — the same packets,
+    // 70_925 more events, all of them dead timers.
+    assert_eq!(
+        sim_counts(&cluster.sim),
+        (536_315, 357_766, 178_545, 71_616),
+        "multilb simulator counters changed",
     );
 }
 

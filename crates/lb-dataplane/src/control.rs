@@ -7,11 +7,14 @@
 //! `affinity` is off) and by a health re-pin; pinned connections never
 //! consult it, and the controller may commit on every `T_LB` sample. So
 //! a commit only marks the [`LazyTable`] stale, and the first lookup
-//! after it rebuilds, in place. The table is a pure function of the
-//! committed vector, so every lookup returns what an eager rebuild
-//! would have returned; the builds nobody looked at are never made.
+//! after it rebuilds, in place, from `LbNode::weights` — which *is* the
+//! committed vector: [`lbcore::Weights`] moves only by a write that its
+//! caller then commits (a controller or merge that returns `false` has
+//! touched nothing). The table is a pure function of that vector, so
+//! every lookup returns what an eager rebuild would have returned; the
+//! builds nobody looked at are never made.
 
-use lbcore::{HealthState, MaglevTable};
+use lbcore::{HealthState, MaglevTable, Weights};
 use netsim::Time;
 use telemetry::{JournalEvent, WeightCause};
 
@@ -21,11 +24,6 @@ use crate::node::LbNode;
 /// The Maglev forwarding table, stale until read.
 pub(crate) struct LazyTable {
     table: MaglevTable,
-    /// The last committed weight vector: what `table` was built from or,
-    /// while `stale`, will be. A copy, because `LbNode::weights` may move
-    /// without a commit (a controller or gossip merge that stays under
-    /// its own change threshold still nudges the shares).
-    committed: Vec<f64>,
     stale: bool,
     #[cfg(test)]
     pub(crate) builds: u64,
@@ -35,24 +33,22 @@ impl LazyTable {
     pub(crate) fn new(weights: &[f64], size: usize) -> LazyTable {
         LazyTable {
             table: MaglevTable::build(weights, size),
-            committed: weights.to_vec(),
             stale: false,
             #[cfg(test)]
             builds: 0,
         }
     }
 
-    /// Makes `weights` the vector the next lookup is answered from.
-    pub(crate) fn commit(&mut self, weights: &[f64]) {
-        self.committed.copy_from_slice(weights);
+    /// The weights moved: the next lookup builds before it answers.
+    pub(crate) fn commit(&mut self) {
         self.stale = true;
     }
 
-    /// The table for the committed weights, rebuilt now if a commit
-    /// happened since the last lookup.
-    pub(crate) fn fresh(&mut self) -> &MaglevTable {
+    /// The table for `weights`, the committed vector, rebuilt now if a
+    /// commit happened since the last lookup.
+    pub(crate) fn fresh(&mut self, weights: &Weights) -> &MaglevTable {
         if self.stale {
-            self.table.rebuild(&self.committed);
+            self.table.rebuild(weights.as_slice());
             self.stale = false;
             #[cfg(test)]
             {
@@ -63,12 +59,22 @@ impl LazyTable {
     }
 }
 
+/// How a backend in `state` is routed to: 0 = full weight
+/// (Healthy/Suspect), 1 = probe trickle (Probation), 2 = zero (Ejected).
+fn route_class(state: HealthState) -> u8 {
+    match state {
+        HealthState::Healthy | HealthState::Suspect => 0,
+        HealthState::Probation => 1,
+        HealthState::Ejected => 2,
+    }
+}
+
 impl LbNode {
     /// The one place a changed weight vector reaches the forwarding
     /// table: mark the table stale, count the commit, move pins off
     /// backends a health epoch just ejected, then record the new vector.
     fn commit_weights(&mut self, now: Time, cause: WeightCause) {
-        self.table.commit(self.weights.as_slice());
+        self.table.commit();
         self.stats.table_rebuilds += 1;
         if cause == WeightCause::Health {
             self.repin_ejected(now);
@@ -123,22 +129,16 @@ impl LbNode {
                 .controller
                 .maybe_update(now.as_nanos(), &self.estimator, &mut self.weights);
         if changed {
-            if self.ejected.iter().any(|&e| e) {
-                // Controllers redistribute by spreading mass over *all*
-                // backends, which leaks weight back onto ejected ones;
-                // re-apply the mask before committing.
-                let _ = self.weights.apply_ejections(&self.ejected);
-            }
             self.commit_weights(now, WeightCause::Controller);
         }
     }
 
     /// Applies one weight-gossip round (multi-LB tier): blends this LB's
     /// weights toward the element-wise mean of `peers` — each a peer LB's
-    /// current weight vector — with strength `mix`, re-normalizing
-    /// through the **local** ejection mask so gossip never resurrects a
-    /// backend this LB has ejected. The weights are committed only when
-    /// the merge actually moved a share.
+    /// current weight vector — with strength `mix`. The weights carry the
+    /// **local** ejection mask, so gossip never resurrects a backend this
+    /// LB has ejected; they move, and are committed, only when the merge
+    /// actually moved a share.
     ///
     /// Transport is the caller's problem: the experiment driver steps the
     /// simulation clock in gossip-period increments, snapshots every LB's
@@ -160,7 +160,7 @@ impl LbNode {
         } else {
             Vec::new()
         };
-        if !lbcore::gossip::merge_weights(&mut self.weights, peers, mix, &self.ejected) {
+        if !lbcore::gossip::merge_weights(&mut self.weights, peers, mix) {
             return false;
         }
         self.stats.gossip_merges += 1;
@@ -202,40 +202,29 @@ impl LbNode {
         if !changed {
             return;
         }
-        self.class_scratch.clear();
-        self.class_scratch
-            .extend((0..n).map(|b| match tracker.state(b) {
-                HealthState::Healthy | HealthState::Suspect => 0u8,
-                HealthState::Probation => 1,
-                HealthState::Ejected => 2,
-            }));
-        if self.class_scratch == self.route_class {
+        let class = |b| route_class(tracker.state(b));
+        if (0..n).all(|b| class(b) == self.route_class[b]) {
             return; // Healthy↔Suspect churn: no routing consequence
         }
-        self.raw_scratch.clear();
-        for b in 0..n {
-            self.raw_scratch.push(match tracker.state(b) {
-                HealthState::Ejected => 0.0,
-                // Probation earns only the floor: enough traffic to elicit
-                // samples, little enough to contain a still-dead backend.
-                HealthState::Probation => self.cfg.weight_floor,
-                // A readmission restores the neutral share; margin-based
-                // controllers would otherwise leave the recovered backend
-                // parked at the probation floor indefinitely.
-                _ if self.route_class[b] != 0 => 1.0 / n as f64,
-                _ => self.weights.get(b).max(self.cfg.weight_floor),
-            });
+        let (floor, was) = (self.cfg.weight_floor, &self.route_class);
+        let reshaped = self.weights.eject(|b, w| match tracker.state(b) {
+            HealthState::Ejected => None,
+            // Probation earns only the floor: enough traffic to elicit
+            // samples, little enough to contain a still-dead backend.
+            HealthState::Probation => Some(floor),
+            // A readmission restores the neutral share; margin-based
+            // controllers would otherwise leave the recovered backend
+            // parked at the probation floor indefinitely.
+            _ if was[b] != 0 => Some(1.0 / n as f64),
+            _ => Some(w.max(floor)),
+        });
+        for (b, slot) in self.route_class.iter_mut().enumerate() {
+            *slot = class(b);
         }
-        self.ejected.clear();
-        self.ejected
-            .extend((0..n).map(|b| tracker.state(b) == HealthState::Ejected));
-        core::mem::swap(&mut self.route_class, &mut self.class_scratch);
-        if !self
-            .weights
-            .set_with_ejections(&self.raw_scratch, &self.ejected)
-        {
-            // Every backend ejected: weights untouched, table kept, the
-            // fast path drops with a counter until probation reopens one.
+        if !reshaped {
+            // Every backend ejected: weights and their mask untouched,
+            // table kept, the fast path drops with a counter until
+            // probation reopens one.
             self.no_backend = true;
             if self.journal.enabled() {
                 self.journal
@@ -255,16 +244,16 @@ impl LbNode {
     /// into the dead pin.
     fn repin_ejected(&mut self, now: Time) {
         let now_ns = now.as_nanos();
-        let table = &mut self.table;
+        let (table, weights) = (&mut self.table, &self.weights);
         let ensembles = &mut self.ensembles;
         let journal = &mut self.journal;
         let mut moved = 0usize;
-        for (b, &ejected) in self.ejected.iter().enumerate() {
+        for (b, &ejected) in weights.ejected().iter().enumerate() {
             if !ejected {
                 continue;
             }
             moved += self.flows.repin_backend(b, |key, entry| {
-                let nb = table.fresh().lookup(key.stable_hash());
+                let nb = table.fresh(weights).lookup(key.stable_hash());
                 if journal.enabled() {
                     journal.push(JournalEvent::FlowRepin {
                         at: now_ns,

@@ -85,21 +85,13 @@ pub struct LbNode {
     /// retransmission bursts still produce batch-gap samples (valued at
     /// the backoff interval), which must not count as liveness evidence.
     pub(crate) live_samples: Vec<u64>,
-    /// Which backends are currently ejected (mirrors the tracker; kept
-    /// separately so the fast path and controller never touch it).
-    pub(crate) ejected: Vec<bool>,
-    /// Routing class per backend at the last health commit: 0 = full
-    /// weight (Healthy/Suspect), 1 = probe trickle (Probation), 2 = zero
-    /// (Ejected). A health transition only forces a weight commit when
-    /// this vector changes — Healthy↔Suspect churn is free.
+    /// Routing class per backend at the last health commit (see
+    /// `control::route_class`). A health transition only forces a weight
+    /// commit when this vector changes — Healthy↔Suspect churn is free.
     pub(crate) route_class: Vec<u8>,
     /// True while every backend is ejected: the fast path drops packets
     /// (with a counter) instead of forwarding into dead pins.
     pub(crate) no_backend: bool,
-    /// Reusable buffers for [`LbNode::health_epoch`]'s route-class and raw
-    /// weight rebuilds, so a health transition allocates nothing.
-    pub(crate) class_scratch: Vec<u8>,
-    pub(crate) raw_scratch: Vec<f64>,
     pub(crate) stats: LbStats,
     /// The decision journal (off unless [`LbConfig::journal`] enables it).
     pub(crate) journal: Journal,
@@ -159,18 +151,16 @@ impl LbNode {
             health,
             fwd_per_backend: vec![0; n],
             live_samples: vec![0; n],
-            ejected: vec![false; n],
             route_class: vec![0; n],
             no_backend: false,
-            class_scratch: Vec::new(),
-            raw_scratch: Vec::new(),
             stats: LbStats::default(),
             journal,
             flight_dump: None,
         }
     }
 
-    /// The current weight vector.
+    /// The committed weight vector: what the forwarding table implements
+    /// (as of its next lookup) and the last point of every weight series.
     pub fn weights(&self) -> &Weights {
         &self.weights
     }
@@ -607,7 +597,7 @@ mod tests {
         {
             let node = sim.node_mut::<LbNode>(lb).unwrap();
             node.weights.set(&[0.0, 1.0]);
-            node.table.commit(node.weights.as_slice());
+            node.table.commit();
         }
         sim.run_for(Duration::from_millis(10));
         let got = delivered(&sim, sinks);
@@ -670,15 +660,15 @@ mod tests {
                     // Five controller commits, nobody looking: no build.
                     lb_node.estimator.record(0, 5_000_000, now.as_nanos());
                     lb_node.estimator.record(1, 200_000, now.as_nanos());
-                    lb_node.table.fresh();
+                    lb_node.table.fresh(&lb_node.weights);
                     let (commits, builds) = (lb_node.stats.table_rebuilds, lb_node.table.builds);
                     for _ in 0..5 {
                         lb_node.run_controller(now);
                     }
                     assert_eq!(lb_node.stats.table_rebuilds, commits + 5);
                     assert_eq!(lb_node.table.builds, builds, "a commit built the table");
-                    lb_node.table.fresh();
-                    lb_node.table.fresh();
+                    lb_node.table.fresh(&lb_node.weights);
+                    lb_node.table.fresh(&lb_node.weights);
                     assert_eq!(
                         lb_node.table.builds,
                         builds + 1,
@@ -761,22 +751,85 @@ mod tests {
     }
 
     #[test]
-    fn table_follows_the_committed_weights_not_the_working_copy() {
-        // A controller or gossip merge that stays under its own change
-        // threshold still nudges `weights` without committing. A build
-        // deferred past such a nudge must not pick it up.
+    fn weights_are_the_committed_vector_under_any_interleaving() {
+        // Controller runs (AIMD: recovery steps that stay under its
+        // threshold return false), gossip merges (some under the merge
+        // epsilon) and health epochs (ejection, all-ejected refusal,
+        // probation, readmission), interleaved by a fixed-seed generator.
+        // After every call `weights()` is what the table implements and
+        // what the weight series last recorded: there is no working copy.
+        let mut cfg =
+            LbConfig::latency_aware(VIP, backends(), Box::new(lbcore::AimdController::new()));
+        cfg.health = Some(lbcore::HealthConfig {
+            suspect_after: 1,
+            eject_after: 1,
+            ..lbcore::HealthConfig::default()
+        });
+        let epoch = cfg.health.unwrap().epoch;
+        let size = cfg.table_size;
         let mut lb = LbNode::new(
-            LbConfig::latency_aware(VIP, backends(), Box::new(lbcore::AlphaShift::damped())),
+            cfg,
             MacAddr::from_id(9),
             vec![netsim::LinkId(0), netsim::LinkId(1)],
         );
-        assert!(lb.apply_gossip(&[&[0.9, 0.1]], 0.5, netsim::Time::ZERO));
-        let committed = lbcore::MaglevTable::build(lb.weights.as_slice(), lb.cfg.table_size);
-        lb.weights.set(&[0.1, 0.9]);
-        for h in 0..500u64 {
-            let hash = netpkt::flow::splitmix64(h);
-            assert_eq!(lb.pick_backend(hash, 0), committed.lookup(hash));
+        lb.record_weights(netsim::Time::ZERO, WeightCause::Init);
+        let mut now_ns = 0u64;
+        let mut rng = 7u64;
+        // Calls and commits by cause: controller, gossip, health.
+        let (mut calls, mut seen) = ([0u64; 3], [0u64; 3]);
+        let mut all_ejected = false;
+        for _ in 0..400 {
+            rng = netpkt::flow::splitmix64(rng);
+            now_ns += epoch;
+            let now = netsim::Time::ZERO + Duration::from_nanos(now_ns);
+            let commits = lb.stats.table_rebuilds;
+            let kind = match rng % 8 {
+                0..=3 => {
+                    // A fast and a slow backend, then equal ones: AIMD
+                    // decreases, then recovers in ever smaller steps.
+                    let slow = if rng & 0x100 == 0 { 200_000 } else { 1_000_000 };
+                    lb.estimator.record(0, slow, now_ns);
+                    lb.estimator.record(1, 200_000, now_ns);
+                    lb.run_controller(now);
+                    0
+                }
+                4 | 5 => {
+                    let nudge = if rng & 0x100 == 0 { 1e-14 } else { 0.2 };
+                    let peer = [lb.weights.get(0) + nudge, lb.weights.get(1)];
+                    lb.apply_gossip(&[&peer], 0.5, now);
+                    1
+                }
+                _ => {
+                    // Traffic offered to both; samples only from the
+                    // backends this draw keeps alive.
+                    for b in 0..2 {
+                        lb.fwd_per_backend[b] += 10;
+                        if rng >> (9 + 2 * b) & 3 != 0 {
+                            lb.live_samples[b] += 10;
+                        }
+                    }
+                    lb.health_epoch(now);
+                    2
+                }
+            };
+            calls[kind] += 1;
+            seen[kind] += lb.stats.table_rebuilds - commits;
+            all_ejected |= lb.no_backend;
+            let eager = lbcore::MaglevTable::build(lb.weights().as_slice(), size);
+            for h in 0..500u64 {
+                let hash = netpkt::flow::splitmix64(h);
+                assert_eq!(lb.table.fresh(&lb.weights).lookup(hash), eager.lookup(hash));
+            }
+            for b in 0..2 {
+                let &(_, last) = lb.weight_series(b).points().last().unwrap();
+                assert_eq!(last.to_bits(), lb.weights().get(b).to_bits());
+            }
         }
+        assert!(
+            (0..3).all(|k| 0 < seen[k] && seen[k] < calls[k]),
+            "every cause must both commit and decline: {seen:?} of {calls:?}"
+        );
+        assert!(lb.stats.ejections > 0 && lb.stats.readmissions > 0 && all_ejected);
     }
 
     #[test]

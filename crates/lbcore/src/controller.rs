@@ -19,6 +19,17 @@ use crate::weights::Weights;
 use crate::Nanos;
 
 /// A weight-update policy driven by backend latency estimates.
+///
+/// The contract, which [`Weights`] enforces rather than trusts:
+///
+/// * a controller may only move shares through the methods of the
+///   `Weights` it is handed, each of which leaves the vector normalized,
+///   floored, and with nothing on an ejected backend — an ejected backend
+///   cannot receive mass, whatever the controller asks for;
+/// * returning `false` means the shares are untouched, bit for bit. A
+///   change threshold is applied to the staged result *before* it is
+///   written ([`Weights::remap`]), never after: what the dataplane's
+///   table implements and what `weights` says are always the same vector.
 pub trait Controller {
     /// Considers an update at `now` given current `estimates`; mutates
     /// `weights` and returns `true` when it changed them (the dataplane
@@ -194,7 +205,7 @@ impl Controller for AimdController {
             None => {
                 // Recovery: move every weight a step toward equal share.
                 let recovery = self.recovery;
-                weights.remap(|_, w| w + recovery * (equal - w)) > 1e-6
+                weights.remap(1e-6, |_, w| w + recovery * (equal - w))
             }
         };
         if changed {
@@ -209,7 +220,8 @@ impl Controller for AimdController {
 }
 
 /// Latency-proportional weights: wᵢ ∝ (1/latencyᵢ)ᵖ. Backends without a
-/// fresh estimate keep their current weight.
+/// fresh estimate keep their current share; the rest of the mass is what
+/// the estimated ones divide.
 #[derive(Debug, Clone)]
 pub struct ProportionalController {
     /// Exponent p (1 = inverse-latency, 2 = aggressive).
@@ -243,13 +255,28 @@ impl Controller for ProportionalController {
                 return false;
             }
         }
-        // A backend's usable estimate: fresh and positive.
-        let usable = |b: usize| estimates.fresh_estimate(b, now).filter(|&e| e > 0.0);
-        if (0..weights.len()).filter_map(usable).take(2).count() < 2 {
+        // A backend's pull, (1/e)ᵖ, if its estimate is usable: fresh and
+        // positive.
+        let power = self.power;
+        let pull = |b: usize| {
+            let e = estimates.fresh_estimate(b, now).filter(|&e| e > 0.0)?;
+            Some((1.0 / e).powf(power))
+        };
+        // Shares and pulls are different units: a backend without an
+        // estimate keeps its share, and the estimated ones divide the
+        // mass they hold between them now, by pull.
+        let (mut pulling, mut mass, mut total_pull) = (0, 0.0, 0.0);
+        for b in (0..weights.len()).filter(|&b| !weights.ejected()[b]) {
+            if let Some(p) = pull(b) {
+                pulling += 1;
+                mass += weights.get(b);
+                total_pull += p;
+            }
+        }
+        if pulling < 2 {
             return false; // nothing to differentiate
         }
-        let power = self.power;
-        let changed = weights.remap(|b, w| usable(b).map_or(w, |e| (1.0 / e).powf(power))) > 1e-4;
+        let changed = weights.remap(1e-4, |b, w| pull(b).map_or(w, |p| mass * p / total_pull));
         if changed {
             self.last_action = Some(now);
         }
@@ -366,6 +393,32 @@ mod tests {
         // 1/1 : 1/3 normalized = 0.75 : 0.25.
         assert!((w.get(0) - 0.75).abs() < 0.01, "{}", w.get(0));
         assert!((w.get(1) - 0.25).abs() < 0.01);
+    }
+
+    #[test]
+    fn proportional_holds_the_share_of_a_backend_whose_estimate_went_stale() {
+        // Three equal backends; backend 2 goes silent past the staleness
+        // window. Its normalized share must not be weighed against the
+        // others' raw inverse latencies (which once handed it 0.96).
+        let mut ctl = ProportionalController::new(1.0);
+        let mut w = Weights::equal(3, 0.02);
+        let mut est = BackendEstimator::new(3, 1.0, 500 * MS);
+        for b in 0..3 {
+            est.record(b, 250_000, 0);
+        }
+        est.record(0, 250_000, 600 * MS);
+        est.record(1, 250_000, 600 * MS);
+        assert!(!ctl.maybe_update(600 * MS, &est, &mut w), "nothing to move");
+        assert_eq!(w, Weights::equal(3, 0.02));
+        // Backend 1 slows to twice backend 0's latency: they split the
+        // two thirds that are theirs 2:1, backend 2 keeps its third.
+        for _ in 0..16 {
+            est.record(1, 500_000, 601 * MS); // flush the median window
+        }
+        assert!(ctl.maybe_update(602 * MS, &est, &mut w));
+        assert!((w.get(2) - 1.0 / 3.0).abs() < 1e-12, "held: {}", w.get(2));
+        assert!((w.get(0) - 4.0 / 9.0).abs() < 1e-12, "{}", w.get(0));
+        assert!((w.get(1) - 2.0 / 9.0).abs() < 1e-12, "{}", w.get(1));
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! peers' vectors, sharing what each shard has learned without sharing
 //! raw samples.
 //!
-//! The merge is *mask-respecting*: the blended vector is re-normalized
-//! through [`Weights::set_with_ejections`] with the **local** ejection
-//! mask, so gossip can never resurrect a backend this LB has ejected,
-//! and the floor/normalization invariants (survivors ≥ floor, sum = 1,
-//! ejected pinned to exactly zero) hold after every merge.
+//! The merge is *mask-respecting* without being told the mask: the blend
+//! is written through [`Weights::remap`], and the local [`Weights`] owns
+//! the **local** ejection mask, so gossip can never resurrect a backend
+//! this LB has ejected, and the floor/normalization invariants (survivors
+//! ≥ floor, sum = 1, ejected pinned to exactly zero) hold after every
+//! merge.
 //!
 //! Transport is the caller's problem: in the simulator the experiment
 //! driver steps the clock in `period` increments and applies
@@ -21,8 +22,7 @@
 
 use crate::weights::Weights;
 
-/// Weight changes smaller than this are treated as "nothing happened":
-/// the caller skips the (expensive) forwarding-table rebuild.
+/// A merge that would move no share by more than this is not applied.
 const MERGE_EPSILON: f64 = 1e-12;
 
 /// Gossip cadence and blend strength.
@@ -45,78 +45,47 @@ impl Default for GossipConfig {
     }
 }
 
-/// Blends `local` toward the element-wise mean of `peers`, then
-/// re-normalizes through the local `ejected` mask.
+/// Blends `local` toward the element-wise mean of `peers`; the result is
+/// normalized, floored and kept off ejected backends by `local` itself.
 ///
 /// Peers whose vector length does not match `local` are skipped (a tier
 /// mid-reconfiguration must not poison the merge). Returns `true` only
-/// when a merge was applied *and* moved at least one share by more than
-/// an epsilon — the caller uses this to decide whether to rebuild its
-/// forwarding table. Returns `false` for an empty/mismatched peer set,
-/// a non-positive mix, or an all-ejected mask (in which case `local` is
-/// left untouched, mirroring [`Weights::set_with_ejections`]).
-pub fn merge_weights(local: &mut Weights, peers: &[&[f64]], mix: f64, ejected: &[bool]) -> bool {
+/// when the merge moved at least one share by more than an epsilon — the
+/// caller then commits the new vector. Returns `false`, with `local`
+/// untouched bit for bit, for an empty/mismatched peer set, a
+/// non-positive mix, or a blend that stays under the epsilon.
+pub fn merge_weights(local: &mut Weights, peers: &[&[f64]], mix: f64) -> bool {
     let n = local.len();
-    if n == 0 || ejected.len() != n {
-        return false;
-    }
     let mix = mix.clamp(0.0, 1.0);
-    if mix <= 0.0 {
+    let matching = || peers.iter().filter(|p| p.len() == n);
+    let used = matching().count();
+    if mix <= 0.0 || used == 0 {
         return false;
     }
-    let mut mean = vec![0.0f64; n];
-    let mut used = 0u32;
-    for peer in peers {
-        if peer.len() != n {
-            continue;
-        }
-        for (m, &p) in mean.iter_mut().zip(peer.iter()) {
-            *m += p;
-        }
-        used += 1;
-    }
-    if used == 0 {
-        return false;
-    }
-    let inv = 1.0 / f64::from(used);
-    let blended: Vec<f64> = local
-        .as_slice()
-        .iter()
-        .zip(mean.iter())
-        .map(|(&l, &m)| ((1.0 - mix) * l + mix * m * inv).max(0.0))
-        .collect();
-    let before: Vec<f64> = local.as_slice().to_vec();
-    if !local.set_with_ejections(&blended, ejected) {
-        return false;
-    }
-    local
-        .as_slice()
-        .iter()
-        .zip(before.iter())
-        .any(|(&a, &b)| (a - b).abs() > MERGE_EPSILON)
+    let inv = 1.0 / used as f64;
+    local.remap(MERGE_EPSILON, |b, l| {
+        let sum = matching().fold(0.0, |sum, p| sum + p[b]);
+        ((1.0 - mix) * l + mix * sum * inv).max(0.0)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn no_ejections(n: usize) -> Vec<bool> {
-        vec![false; n]
-    }
-
     #[test]
     fn empty_peer_set_is_a_no_op() {
         let mut w = Weights::equal(3, 0.02);
         let before = w.clone();
-        assert!(!merge_weights(&mut w, &[], 0.5, &no_ejections(3)));
-        assert!(w.max_diff(&before) < 1e-15);
+        assert!(!merge_weights(&mut w, &[], 0.5));
+        assert_eq!(w, before);
     }
 
     #[test]
     fn zero_mix_is_a_no_op() {
         let mut w = Weights::equal(2, 0.0);
         let peer = [0.9, 0.1];
-        assert!(!merge_weights(&mut w, &[&peer], 0.0, &no_ejections(2)));
+        assert!(!merge_weights(&mut w, &[&peer], 0.0));
         assert!((w.get(0) - 0.5).abs() < 1e-15);
     }
 
@@ -125,8 +94,8 @@ mod tests {
         let mut w = Weights::equal(2, 0.0);
         let short = [1.0];
         let before = w.clone();
-        assert!(!merge_weights(&mut w, &[&short], 0.5, &no_ejections(2)));
-        assert!(w.max_diff(&before) < 1e-15);
+        assert!(!merge_weights(&mut w, &[&short], 0.5));
+        assert_eq!(w, before);
     }
 
     #[test]
@@ -134,7 +103,7 @@ mod tests {
         let mut w = Weights::equal(2, 0.0);
         let a = [0.9, 0.1];
         let b = [0.7, 0.3];
-        assert!(merge_weights(&mut w, &[&a, &b], 1.0, &no_ejections(2)));
+        assert!(merge_weights(&mut w, &[&a, &b], 1.0));
         assert!((w.get(0) - 0.8).abs() < 1e-9);
         assert!((w.get(1) - 0.2).abs() < 1e-9);
     }
@@ -143,7 +112,7 @@ mod tests {
     fn half_mix_lands_halfway_and_stays_normalized() {
         let mut w = Weights::equal(2, 0.0);
         let peer = [1.0, 0.0];
-        assert!(merge_weights(&mut w, &[&peer], 0.5, &no_ejections(2)));
+        assert!(merge_weights(&mut w, &[&peer], 0.5));
         assert!((w.get(0) - 0.75).abs() < 1e-9);
         let sum: f64 = w.as_slice().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -152,28 +121,29 @@ mod tests {
     #[test]
     fn gossip_cannot_resurrect_an_ejected_backend() {
         let mut w = Weights::equal(3, 0.02);
-        assert!(w.set_with_ejections(&[1.0, 1.0, 1.0], &[false, false, true]));
+        assert!(w.eject(|b, _| (b != 2).then_some(1.0)));
         // Peer still believes in backend 2.
-        let peer = [0.2, 0.2, 0.6];
-        merge_weights(&mut w, &[&peer], 0.8, &[false, false, true]);
+        let peer = [0.3, 0.1, 0.6];
+        assert!(merge_weights(&mut w, &[&peer], 0.8));
+        assert!(w.get(0) > w.get(1), "the survivors did blend");
         assert_eq!(w.get(2).to_bits(), 0.0f64.to_bits());
         let sum: f64 = w.as_slice().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
     #[test]
-    fn all_ejected_refuses_and_preserves_shares() {
-        let mut w = Weights::equal(2, 0.02);
-        let before = w.clone();
-        let peer = [0.5, 0.5];
-        assert!(!merge_weights(&mut w, &[&peer], 0.5, &[true, true]));
-        assert!(w.max_diff(&before) < 1e-15);
-    }
-
-    #[test]
     fn identical_vectors_report_no_change() {
         let mut w = Weights::equal(4, 0.01);
         let peer = w.as_slice().to_vec();
-        assert!(!merge_weights(&mut w, &[&peer], 0.5, &no_ejections(4)));
+        assert!(!merge_weights(&mut w, &[&peer], 0.5));
+    }
+
+    #[test]
+    fn a_blend_under_the_epsilon_is_not_written() {
+        let mut w = Weights::equal(2, 0.0);
+        let peer = [0.5 + 1e-13, 0.5 - 1e-13];
+        assert!(!merge_weights(&mut w, &[&peer], 1.0));
+        assert_eq!(w.get(0).to_bits(), 0.5f64.to_bits());
+        assert_eq!(w.get(1).to_bits(), 0.5f64.to_bits());
     }
 }

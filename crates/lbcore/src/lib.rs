@@ -20,6 +20,10 @@
 //! * **[`maglev::MaglevTable`]**: the Maglev consistent-hashing table
 //!   (NSDI '16) used by the paper's Cilium/XDP testbed, extended with
 //!   weighted slot allocation so the controller can express traffic shares.
+//! * **[`weights::Weights`]**: the committed share vector. It owns the
+//!   ejection mask and holds its invariants by construction — sum 1,
+//!   survivors ≥ floor, ejected exactly 0 — through every mutation, so no
+//!   controller, merge or health epoch needs a fix-up afterwards.
 //! * **[`flow_table::FlowTable`]**: per-connection affinity with idle
 //!   expiry — an existing connection keeps its backend even as weights move.
 //! * **[`estimator::BackendEstimator`]**: per-backend latency aggregation
@@ -28,9 +32,10 @@
 //! * **Alternative controllers** (§5 open question 4): AIMD and
 //!   latency-proportional weighting, for the controller-comparison
 //!   ablation.
-//! * **[`gossip::merge_weights`]**: mask-respecting weight-gossip merge
-//!   for a sharded LB tier, where each instance learns from only its own
-//!   ECMP flow subset (partial visibility).
+//! * **[`gossip::merge_weights`]**: weight-gossip merge for a sharded LB
+//!   tier, where each instance learns from only its own ECMP flow subset
+//!   (partial visibility); it respects the ejection mask the local
+//!   `Weights` carries.
 //!
 //! Everything here is simulator-agnostic: inputs are packet timestamps and
 //! flow keys; outputs are latency samples and weight vectors. The

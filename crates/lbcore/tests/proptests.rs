@@ -4,12 +4,14 @@
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use netpkt::FlowKey;
 
 use lbcore::ensemble::{CliffRule, EnsembleConfig};
 use lbcore::{
-    BackendEstimator, EnsembleTimeout, FixedTimeout, FlowTable, FlowTiming, MaglevTable, Weights,
+    AimdController, AlphaShift, BackendEstimator, Controller, EnsembleTimeout, FixedTimeout,
+    FlowTable, FlowTiming, MaglevTable, ProportionalController, Weights,
 };
 
 /// A scripted flow-table operation (the proptest alphabet).
@@ -215,6 +217,50 @@ impl EstimatorModel {
             .filter_map(|b| self.fresh_estimate(b, now))
             .min_by(|a, b| a.total_cmp(b))
     }
+}
+
+/// Every ejection subset of `n` backends, the all-ejected one included.
+fn ejection_masks(n: usize) -> impl Iterator<Item = Vec<bool>> {
+    (0u32..1 << n).map(move |bits| (0..n).map(|b| bits & (1 << b) != 0).collect())
+}
+
+/// The invariants `Weights` holds by construction: ejected backends at
+/// exactly 0.0, survivors at or above the floor, sum 1, mask as installed.
+fn check_weights(w: &Weights, mask: &[bool], what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(w.ejected(), mask, "{}: mask moved", what);
+    let sum: f64 = w.as_slice().iter().sum();
+    prop_assert!(
+        (sum - 1.0).abs() < 1e-9,
+        "{}: sum {} for mask {:?}",
+        what,
+        sum,
+        mask
+    );
+    for (b, &ejected) in mask.iter().enumerate() {
+        if ejected {
+            prop_assert_eq!(
+                w.get(b).to_bits(),
+                0.0f64.to_bits(),
+                "{}: ejected backend {} holds {}",
+                what,
+                b,
+                w.get(b)
+            );
+        } else {
+            prop_assert!(
+                w.get(b) >= w.floor() - 1e-9,
+                "{}: survivor {} below floor: {}",
+                what,
+                b,
+                w.get(b)
+            );
+        }
+    }
+    Ok(())
+}
+
+fn bits(w: &Weights) -> Vec<u64> {
+    w.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
@@ -482,29 +528,78 @@ proptest! {
             "moved {} for share delta {}", moved, share_delta);
     }
 
-    /// Weights invariants under arbitrary operation sequences: sum stays
-    /// 1, every entry ≥ 0, and with a floor, every entry ≥ floor.
+    /// Weights invariants under arbitrary operation sequences, under
+    /// *every* ejection subset: the mask stays as installed, ejected
+    /// shares stay at exactly 0.0, survivors ≥ floor, sum 1 — whatever
+    /// `shift_from` / `scale` (factors above 1 included) / `remap` / `set`
+    /// are asked for, ejected backends included. Installing the
+    /// all-ejected mask refuses without touching shares or mask.
     #[test]
     fn weights_invariants_under_random_ops(
-        n in 2usize..8,
-        ops in proptest::collection::vec((0u8..3, 0usize..8, 0.0f64..0.5), 1..50),
+        n in 2usize..6,
+        ops in proptest::collection::vec((0u8..4, 0usize..8, 0.0f64..0.5), 1..40),
     ) {
-        let floor = 0.01;
-        let mut w = Weights::equal(n, floor);
-        for (op, idx, x) in ops {
-            let i = idx % n;
-            match op {
-                0 => { w.shift_from(i, x.min(0.49)); }
-                1 => { w.scale(i, 0.1 + x); }
-                _ => {
-                    let target: Vec<f64> = (0..n).map(|j| if j == i { 1.0 + x } else { 1.0 }).collect();
-                    w.set(&target);
-                }
+        for mask in ejection_masks(n) {
+            let mut w = Weights::equal(n, 0.01);
+            let installed = w.eject(|b, w| (!mask[b]).then_some(w));
+            if mask.iter().all(|&e| e) {
+                prop_assert!(!installed, "all-ejected mask was installed");
+                prop_assert_eq!(&w, &Weights::equal(n, 0.01), "refused install mutated");
+                continue;
             }
-            let sum: f64 = w.as_slice().iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-6, "sum drifted to {}", sum);
-            for j in 0..n {
-                prop_assert!(w.get(j) >= floor - 1e-9, "entry {} below floor: {}", j, w.get(j));
+            prop_assert!(installed);
+            check_weights(&w, &mask, "eject")?;
+            for &(op, idx, x) in &ops {
+                let i = idx % n;
+                match op {
+                    0 => { w.shift_from(i, x.min(0.49)); }
+                    1 => w.scale(i, 8.0 * x),
+                    2 => { w.remap(x / 10.0, |j, w| if j == i { w + x } else { w * w }); }
+                    _ => {
+                        let target: Vec<f64> = (0..n).map(|j| if j == i { 1.0 + x } else { 1.0 }).collect();
+                        w.set(&target);
+                    }
+                }
+                check_weights(&w, &mask, ["shift_from", "scale", "remap", "set"][op as usize])?;
+            }
+        }
+    }
+
+    /// "Returned `false`" means "shares untouched, bit for bit", for
+    /// every controller: random estimates and call times (inside and
+    /// outside the pacing interval, fresh and stale), from random
+    /// starting shares, under an ejection mask or none.
+    #[test]
+    fn a_controller_that_returns_false_touched_nothing(
+        n in 2usize..5,
+        start in proptest::collection::vec(0.0f64..10.0, 5..6),
+        mask_bits in 0u32..15,
+        steps in proptest::collection::vec((0usize..5, 1u64..40, 0u64..30), 1..60),
+    ) {
+        const MS: u64 = 1_000_000;
+        let controllers: Vec<Box<dyn Controller>> = vec![
+            Box::new(AlphaShift::damped()),
+            Box::new(AlphaShift::paper()),
+            Box::new(AimdController::new()),
+            Box::new(ProportionalController::new(1.0)),
+        ];
+        let mask: Vec<bool> = (0..n).map(|b| mask_bits & (1 << b) != 0).collect();
+        for mut ctl in controllers {
+            let mut w = Weights::equal(n, 0.02);
+            if !w.eject(|b, _| (!mask[b]).then_some(start[b])) {
+                w.set(&start[..n]);
+            }
+            let mask = w.ejected().to_vec();
+            let mut est = BackendEstimator::new(n, 0.2, 20 * MS);
+            let mut now = 0u64;
+            for &(b, lat, gap) in &steps {
+                now += gap * MS / 4;
+                est.record(b % n, lat * 100_000, now);
+                let before = bits(&w);
+                if !ctl.maybe_update(now, &est, &mut w) {
+                    prop_assert_eq!(bits(&w), before, "{} returned false but moved", ctl.name());
+                }
+                check_weights(&w, &mask, ctl.name())?;
             }
         }
     }
@@ -555,52 +650,36 @@ proptest! {
         }
     }
 
-    /// Ejection-aware renormalization, for *every* ejection subset of
-    /// arbitrary weight vectors: survivors sum to 1 and respect the
+    /// Installing a mask with reshaped shares, for *every* ejection subset
+    /// of arbitrary weight vectors: survivors sum to 1 and respect the
     /// floor, ejected backends get exactly 0.0, and the all-ejected case
-    /// reports failure without touching the weights — never a panic or
+    /// reports failure without touching shares or mask — never a panic or
     /// a division by zero.
     #[test]
     fn ejection_renormalization_for_every_subset(
         raw in proptest::collection::vec(0.0f64..10.0, 2..7),
     ) {
         let n = raw.len();
-        let floor = 0.02;
-        for mask_bits in 0u32..(1u32 << n) {
-            let mask: Vec<bool> = (0..n).map(|b| mask_bits & (1 << b) != 0).collect();
-            let mut w = Weights::equal(n, floor);
-            let before: Vec<f64> = w.as_slice().to_vec();
-            let ok = w.set_with_ejections(&raw, &mask);
+        for mask in ejection_masks(n) {
+            let mut w = Weights::equal(n, 0.02);
+            let ok = w.eject(|b, _| (!mask[b]).then_some(raw[b]));
             let survivors = mask.iter().filter(|&&e| !e).count();
             prop_assert_eq!(ok, survivors > 0, "wrong verdict for mask {:?}", mask);
-            if !ok {
-                prop_assert_eq!(w.as_slice(), &before[..], "failed set must not mutate");
-                continue;
-            }
-            let sum: f64 = w.as_slice().iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-9, "sum {} for mask {:?}", sum, mask);
-            for b in 0..n {
-                if mask[b] {
-                    prop_assert_eq!(
-                        w.get(b).to_bits(), 0.0f64.to_bits(),
-                        "ejected backend {} kept weight {}", b, w.get(b)
-                    );
-                } else {
-                    prop_assert!(
-                        w.get(b) >= floor - 1e-9,
-                        "survivor {} below floor: {}", b, w.get(b)
-                    );
-                }
+            if ok {
+                check_weights(&w, &mask, "eject")?;
+            } else {
+                prop_assert_eq!(&w, &Weights::equal(n, 0.02), "refused install mutated");
             }
         }
     }
 
     /// Gossip merge, for *every* ejection subset of arbitrary local and
     /// peer vectors: the merged weights stay normalized (sum 1), ejected
-    /// backends stay at exactly 0.0, survivors respect the floor, and the
-    /// all-ejected case refuses without mutating — the invariant the
-    /// multi-LB tier relies on when shards exchange learned weights while
-    /// disagreeing about backend health.
+    /// backends stay at exactly 0.0, survivors respect the floor, and a
+    /// merge that returns `false` leaves the shares bit-identical — the
+    /// invariant the multi-LB tier relies on when shards exchange learned
+    /// weights while disagreeing about backend health. (A vector with
+    /// every backend ejected cannot exist: the install refuses.)
     #[test]
     fn gossip_merge_normalized_for_every_ejection_subset(
         local_raw in proptest::collection::vec(0.0f64..10.0, 2..6),
@@ -609,40 +688,24 @@ proptest! {
         mix_pct in 0u32..=100,
     ) {
         let n = local_raw.len();
-        let floor = 0.02;
         let mix = mix_pct as f64 / 100.0;
-        for mask_bits in 0u32..(1u32 << n) {
-            let mask: Vec<bool> = (0..n).map(|b| mask_bits & (1 << b) != 0).collect();
-            let survivors = mask.iter().filter(|&&e| !e).count();
-            let mut w = Weights::equal(n, floor);
-            if survivors > 0 {
-                w.set_with_ejections(&local_raw, &mask);
-            }
-            let before: Vec<f64> = w.as_slice().to_vec();
-            // Peers of the wrong length must be skipped, not merged.
-            let peers: Vec<&[f64]> = vec![&peer_a, &peer_b];
-            let changed = lbcore::merge_weights(&mut w, &peers, mix, &mask);
-            let usable_peers = peers.iter().filter(|p| p.len() == n).count();
-            if survivors == 0 || usable_peers == 0 || mix == 0.0 {
-                prop_assert!(!changed, "merge claimed change for mask {:?}", mask);
-                prop_assert_eq!(w.as_slice(), &before[..], "no-op merge mutated");
+        for mask in ejection_masks(n) {
+            let mut w = Weights::equal(n, 0.02);
+            if !w.eject(|b, _| (!mask[b]).then_some(local_raw[b])) {
                 continue;
             }
-            let sum: f64 = w.as_slice().iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-9, "sum {} for mask {:?}", sum, mask);
-            for b in 0..n {
-                if mask[b] {
-                    prop_assert_eq!(
-                        w.get(b).to_bits(), 0.0f64.to_bits(),
-                        "gossip resurrected ejected backend {}", b
-                    );
-                } else {
-                    prop_assert!(
-                        w.get(b) >= floor - 1e-9,
-                        "survivor {} below floor after merge: {}", b, w.get(b)
-                    );
-                }
+            let before = bits(&w);
+            // Peers of the wrong length must be skipped, not merged.
+            let peers: Vec<&[f64]> = vec![&peer_a, &peer_b];
+            let changed = lbcore::merge_weights(&mut w, &peers, mix);
+            let usable_peers = peers.iter().filter(|p| p.len() == n).count();
+            if usable_peers == 0 || mix == 0.0 {
+                prop_assert!(!changed, "merge claimed change for mask {:?}", mask);
             }
+            if !changed {
+                prop_assert_eq!(bits(&w), before, "merge returned false but moved");
+            }
+            check_weights(&w, &mask, "merge")?;
         }
     }
 

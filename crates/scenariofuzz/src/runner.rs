@@ -15,6 +15,10 @@
 //!   the end-state vector respects the survivor floor and keeps ejected
 //!   backends at bitwise 0.0 (unless *all* backends are ejected, in
 //!   which case the stale pre-ejection vector is intentionally kept).
+//! * `weights_committed` — an LB has no working copy: its end-state
+//!   vector is bit for bit the last one it journaled, and the ejection
+//!   mask inside it is the health tracker's (unless *all* backends are
+//!   ejected: the install was refused, the previous mask kept).
 //! * `journal_replay` — replaying the journal's weight_update events
 //!   reconstructs each backend's recorded weight series bit-for-bit.
 //! * `spans_consistent` — the causal span tracer agrees with the other
@@ -58,7 +62,8 @@ const SPAN_CAPACITY: usize = 1 << 22;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Stable invariant name (`shard_isolation`, `ejected_quiet`,
-    /// `weights_normalized`, `journal_replay`, `spans_consistent`,
+    /// `weights_normalized`, `weights_committed`, `journal_replay`,
+    /// `spans_consistent`,
     /// `determinism`, `harness`).
     pub invariant: &'static str,
     /// Human-readable specifics (deterministic: derived from sim state).
@@ -487,6 +492,40 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
                         );
                     }
                 }
+            }
+        }
+    }
+
+    // -- weights_committed: the end-state vector is the last journaled
+    // one, and it carries the health tracker's mask.
+    for (i, node) in nodes.iter().enumerate() {
+        let w = node.weights();
+        let journaled = node.journal().events().filter_map(|ev| match ev {
+            JournalEvent::WeightUpdate { weights, .. } => Some(weights),
+            _ => None,
+        });
+        let last = journaled.last();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        if last.map(|v| bits(v)) != Some(bits(w.as_slice())) {
+            push(
+                &mut violations,
+                "weights_committed",
+                format!(
+                    "LB {i} ends at {:?} but last journaled {last:?}",
+                    w.as_slice()
+                ),
+            );
+        }
+        if let Some(mask) = node.health().map(|h| h.ejected_mask()) {
+            if !mask.iter().all(|&e| e) && mask != w.ejected() {
+                push(
+                    &mut violations,
+                    "weights_committed",
+                    format!(
+                        "LB {i} weights carry mask {:?}, tracker says {mask:?}",
+                        w.ejected()
+                    ),
+                );
             }
         }
     }

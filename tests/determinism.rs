@@ -373,13 +373,20 @@ fn multilb_trace_hash_is_pinned() {
         (stats, weight_hash)
     };
     let records: Vec<_> = (0..4).map(|i| lb_record(cluster.lb_node_i(i))).collect();
+    // Weight hashes re-pinned once at PR 21 (before: 0xde05_47b7_862c_d03c,
+    // 0x5b05_ce06_13b0_04e8, 0xb0f0_2dd9_1f21_d100, 0xe54c_469c_cf08_8a99):
+    // 17 gossip rounds used to snap a shard's 0.9800000000000001 to 0.98
+    // — one ulp, under the merge epsilon, so written but never committed
+    // or recorded — and later commits recorded the snapped value. A merge
+    // under the epsilon now writes nothing. Counters, packet schedule and
+    // simulator counts are unmoved.
     assert_eq!(
         records,
         [
-            shard(21_524, 55, 49, 10_759, 85, 0xde05_47b7_862c_d03c),
-            shard(15_930, 40, 38, 7_964, 78, 0x5b05_ce06_13b0_04e8),
-            shard(16_903, 43, 40, 8_450, 89, 0xb0f0_2dd9_1f21_d100),
-            shard(17_271, 45, 40, 8_633, 72, 0xe54c_469c_cf08_8a99),
+            shard(21_524, 55, 49, 10_759, 85, 0x3d9a_aae6_f186_7a2e),
+            shard(15_930, 40, 38, 7_964, 78, 0x7b54_ddeb_f580_2e0a),
+            shard(16_903, 43, 40, 8_450, 89, 0x1249_f916_ec6a_5cee),
+            shard(17_271, 45, 40, 8_633, 72, 0x4e33_f212_7806_6b73),
         ],
         "multilb LB counters or weight history changed",
     );

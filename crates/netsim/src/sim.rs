@@ -166,12 +166,16 @@ impl Simulation {
         self.spans = SpanLog::new(mode);
     }
 
-    /// Access to the span hop log.
+    /// Access to the span hop log. The log keeps its records packed
+    /// (about 11 bytes a hop); `spans().iter()` decodes them in
+    /// recording order without materialising them.
     pub fn spans(&self) -> &SpanLog {
         &self.spans
     }
 
-    /// Drains the span hop log (harvest helper).
+    /// Drains the span hop log (harvest helper). This is where the
+    /// packed stream is decoded into 40-byte records: call it once, at
+    /// the end of the run.
     pub fn take_span_records(&mut self) -> Vec<HopRecord> {
         self.spans.take()
     }

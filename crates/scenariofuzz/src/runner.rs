@@ -566,7 +566,7 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
 
     // -- spans_consistent: the span tracer agrees with both independent
     // observers of the same run.
-    let mut span_records = cluster.sim.spans().records().to_vec();
+    let mut span_records: Vec<_> = cluster.sim.spans().iter().collect();
     sort_records(&mut span_records);
     let span_digest = telemetry::span::digest(&span_records);
     let paths: Vec<CriticalPath> = assemble(&span_records)

@@ -47,10 +47,18 @@ impl SpanMode {
     /// True when a hop tagged with `trace` should be retained. Untraced
     /// hops (`trace == 0`) are never recorded.
     pub fn accepts(&self, trace: u64) -> bool {
+        self.cap_for(trace).is_some()
+    }
+
+    /// The record cap a hop tagged with `trace` counts against; `None`
+    /// when the mode does not retain that hop at all.
+    fn cap_for(&self, trace: u64) -> Option<usize> {
         match *self {
-            SpanMode::Off => false,
-            SpanMode::Sampled { stride, .. } => trace != 0 && trace % stride.max(1) == 0,
-            SpanMode::Full(_) => trace != 0,
+            SpanMode::Off => None,
+            SpanMode::Sampled { stride, capacity } => {
+                (trace != 0 && trace % stride.max(1) == 0).then_some(capacity)
+            }
+            SpanMode::Full(cap) => (trace != 0).then_some(cap),
         }
     }
 }
@@ -228,11 +236,76 @@ pub struct HopRecord {
     pub b: u64,
 }
 
+/// Header byte of a packed record: the hop-kind code in the low four
+/// bits, then one flag per field that equals the previous record's and
+/// is therefore not stored.
+const KIND_MASK: u8 = 0x0f;
+const SAME_AT: u8 = 1 << 4;
+const SAME_TRACE: u8 = 1 << 5;
+const SAME_NODE: u8 = 1 << 6;
+const SAME_A: u8 = 1 << 7;
+// The kind code shares the header byte with the four flags: a 17th kind
+// must fail the build, not the decoder.
+const _: () = assert!(HOP_KINDS.len() <= 16);
+
+/// Longest packed record: header, `at` delta, raw trace, `node`, `a`, `b`.
+const MAX_PACKED: usize = 1 + 10 + 8 + 5 + 10 + 10;
+
+/// The fields of the previous record that the next record's header flags
+/// refer to. All zero before the first record (and again after a
+/// [`SpanLog::take`]), on both the writing and the reading side.
+#[derive(Debug, Clone, Copy, Default)]
+struct Predictor {
+    at: u64,
+    trace: u64,
+    node: u32,
+    a: u64,
+}
+
+/// Appends `v` as a little-endian base-128 varint.
+#[inline]
+fn put_varint(buf: &mut [u8; MAX_PACKED], n: &mut usize, mut v: u64) {
+    while v >= 0x80 {
+        buf[*n] = v as u8 | 0x80;
+        *n += 1;
+        v >>= 7;
+    }
+    buf[*n] = v as u8;
+    *n += 1;
+}
+
+/// Reads one varint from the front of `bytes`; `None` if they end first.
+#[inline]
+fn get_varint(bytes: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        let (&byte, rest) = bytes.split_first()?;
+        *bytes = rest;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return Some(v);
+        }
+        shift += 7;
+    }
+}
+
 /// An append-only hop store owned by each recording layer.
+///
+/// Records are kept as one packed byte stream in recording order, each
+/// delta-encoded against its predecessor (layout in DESIGN.md §6.11):
+/// a header byte, then only the fields that differ — `at` as a zigzag
+/// varint of the (possibly negative) time delta, `trace` as eight raw
+/// bytes, `node` and `a` as varints — and always `b`, as a varint of
+/// `b.rotate_left(1)` so a flag in bit 63 costs one bit. Hops written
+/// from one callback share time, trace and node, so a retained hop
+/// costs about 11 bytes instead of `size_of::<HopRecord>()`.
 #[derive(Debug, Clone)]
 pub struct SpanLog {
     mode: SpanMode,
-    records: Vec<HopRecord>,
+    bytes: Vec<u8>,
+    len: usize,
+    prev: Predictor,
     dropped: u64,
 }
 
@@ -241,7 +314,9 @@ impl SpanLog {
     pub fn new(mode: SpanMode) -> SpanLog {
         SpanLog {
             mode,
-            records: Vec::new(),
+            bytes: Vec::new(),
+            len: 0,
+            prev: Predictor::default(),
             dropped: 0,
         }
     }
@@ -269,36 +344,79 @@ impl SpanLog {
     }
 
     /// Record a hop (no-op when the mode rejects its trace; counts a
-    /// drop when the capacity cap is hit).
+    /// drop when the capacity cap — in records, not bytes — is hit).
     pub fn record(&mut self, rec: HopRecord) {
-        if !self.mode.accepts(rec.trace) {
+        let Some(cap) = self.mode.cap_for(rec.trace) else {
+            return;
+        };
+        if self.len >= cap {
+            self.dropped += 1;
             return;
         }
-        let cap = match self.mode {
-            SpanMode::Off => return,
-            SpanMode::Sampled { capacity, .. } => capacity,
-            SpanMode::Full(cap) => cap,
-        };
-        if self.records.len() < cap {
-            self.records.push(rec);
+        let prev = self.prev;
+        let mut buf = [0u8; MAX_PACKED];
+        let mut n = 1;
+        let mut header = rec.kind.code();
+        if rec.at == prev.at {
+            header |= SAME_AT;
         } else {
-            self.dropped += 1;
+            // Mostly small and forward, but not always: a service start
+            // is stamped with its admission time. Zigzag keeps a small
+            // step back as short as a small step forward.
+            let delta = rec.at.wrapping_sub(prev.at) as i64;
+            put_varint(&mut buf, &mut n, ((delta << 1) ^ (delta >> 63)) as u64);
         }
+        if rec.trace == prev.trace {
+            header |= SAME_TRACE;
+        } else {
+            // Trace ids are hashes: a varint would only make them longer.
+            buf[n..n + 8].copy_from_slice(&rec.trace.to_le_bytes());
+            n += 8;
+        }
+        if rec.node == prev.node {
+            header |= SAME_NODE;
+        } else {
+            put_varint(&mut buf, &mut n, u64::from(rec.node));
+        }
+        if rec.a == prev.a {
+            header |= SAME_A;
+        } else {
+            put_varint(&mut buf, &mut n, rec.a);
+        }
+        put_varint(&mut buf, &mut n, rec.b.rotate_left(1));
+        buf[0] = header;
+        self.bytes.extend_from_slice(&buf[..n]);
+        self.len += 1;
+        self.prev = Predictor {
+            at: rec.at,
+            trace: rec.trace,
+            node: rec.node,
+            a: rec.a,
+        };
     }
 
-    /// Retained records, in recording order.
-    pub fn records(&self) -> &[HopRecord] {
-        &self.records
+    /// Decodes the retained records, in recording order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            bytes: &self.bytes,
+            prev: Predictor::default(),
+            remaining: self.len,
+        }
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// True when nothing has been retained.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
+    }
+
+    /// Bytes the retained records occupy in the packed stream.
+    pub fn retained_bytes(&self) -> usize {
+        self.bytes.len()
     }
 
     /// Records rejected by the capacity cap.
@@ -306,9 +424,65 @@ impl SpanLog {
         self.dropped
     }
 
-    /// Drains the retained records (harvest helper).
+    /// Drains the retained records (harvest helper): decodes the stream
+    /// once into the vector callers sort, and leaves the log empty.
     pub fn take(&mut self) -> Vec<HopRecord> {
-        std::mem::take(&mut self.records)
+        let out: Vec<HopRecord> = self.iter().collect();
+        debug_assert_eq!(out.len(), self.len, "span stream decoded short");
+        self.bytes = Vec::new();
+        self.len = 0;
+        self.prev = Predictor::default();
+        out
+    }
+}
+
+/// Decoding iterator over a [`SpanLog`]'s retained records. Ends at the
+/// end of the stream (`record` only ever appends whole records).
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    bytes: &'a [u8],
+    prev: Predictor,
+    remaining: usize,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = HopRecord;
+
+    fn next(&mut self) -> Option<HopRecord> {
+        let (&header, rest) = self.bytes.split_first()?;
+        let mut bytes = rest;
+        let mut p = self.prev;
+        if header & SAME_AT == 0 {
+            let zz = get_varint(&mut bytes)?;
+            let delta = (zz >> 1) as i64 ^ -((zz & 1) as i64);
+            p.at = p.at.wrapping_add(delta as u64);
+        }
+        if header & SAME_TRACE == 0 {
+            p.trace = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?);
+            bytes = &bytes[8..];
+        }
+        if header & SAME_NODE == 0 {
+            p.node = get_varint(&mut bytes)? as u32;
+        }
+        if header & SAME_A == 0 {
+            p.a = get_varint(&mut bytes)?;
+        }
+        let b = get_varint(&mut bytes)?.rotate_right(1);
+        self.bytes = bytes;
+        self.prev = p;
+        self.remaining -= 1;
+        Some(HopRecord {
+            at: p.at,
+            trace: p.trace,
+            kind: HOP_KINDS[usize::from(header & KIND_MASK)],
+            node: p.node,
+            a: p.a,
+            b,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
     }
 }
 
@@ -370,46 +544,51 @@ pub fn to_ndjson(records: &[HopRecord]) -> String {
 /// Parse one NDJSON line back into a hop record.
 pub fn parse_hop(line: &str) -> Result<HopRecord, String> {
     // The span wire format is a fixed six-field object written by
-    // `write_hop`; parse positionally but verify every key.
-    let take = |rest: &str, key: &str| -> Result<(String, String), String> {
+    // `write_hop`: parse positionally, verify every key, and borrow
+    // every value from the line.
+    fn field<'a>(rest: &'a str, key: &str, end: char) -> Result<(&'a str, &'a str), String> {
         let rest = rest
-            .strip_prefix(&format!("\"{key}\":"))
+            .strip_prefix('"')
+            .and_then(|r| r.strip_prefix(key))
+            .and_then(|r| r.strip_prefix("\":"))
             .ok_or_else(|| format!("expected field {key:?}"))?;
-        let end = rest
-            .find([',', '}'])
-            .ok_or_else(|| format!("unterminated field {key:?}"))?;
-        Ok((rest[..end].to_string(), rest[end + 1..].to_string()))
-    };
-    let num = |raw: &str, key: &str| -> Result<u64, String> {
-        raw.parse::<u64>()
+        rest.split_once(end)
+            .ok_or_else(|| format!("unterminated field {key:?}"))
+    }
+    fn num<T: std::str::FromStr>(raw: &str, key: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        raw.parse()
             .map_err(|e| format!("field {key:?}: bad integer {raw:?}: {e}"))
-    };
-    let line = line.trim();
+    }
     let rest = line
+        .trim()
         .strip_prefix('{')
         .ok_or_else(|| "expected '{'".to_string())?;
-    let rest = rest.strip_suffix('}').unwrap_or(rest);
-    // strip_suffix removed '}' so `take` relies on ',' separators plus a
-    // final unterminated field; re-append a ',' sentinel for uniformity.
-    let rest = format!("{rest},");
-    let (at, rest) = take(&rest, "at")?;
-    let (trace, rest) = take(&rest, "trace")?;
-    let (hop, rest) = take(&rest, "hop")?;
-    let (node, rest) = take(&rest, "node")?;
-    let (a, rest) = take(&rest, "a")?;
-    let (b, _) = take(&rest, "b")?;
+    let (at, rest) = field(rest, "at", ',')?;
+    let (trace, rest) = field(rest, "trace", ',')?;
+    let (hop, rest) = field(rest, "hop", ',')?;
+    let (node, rest) = field(rest, "node", ',')?;
+    let (a, rest) = field(rest, "a", ',')?;
+    // `b` is the last field: it runs to the closing brace, so anything
+    // between its digits and the brace fails as its integer.
+    let (b, rest) = field(rest, "b", '}')?;
+    if !rest.is_empty() {
+        return Err(format!("trailing input after field \"b\": {rest:?}"));
+    }
     let hop = hop
         .strip_prefix('"')
         .and_then(|h| h.strip_suffix('"'))
         .ok_or_else(|| format!("field \"hop\": expected string, got {hop:?}"))?;
     let kind = HopKind::from_str(hop).ok_or_else(|| format!("unknown hop kind {hop:?}"))?;
     Ok(HopRecord {
-        at: num(&at, "at")?,
-        trace: num(&trace, "trace")?,
+        at: num(at, "at")?,
+        trace: num(trace, "trace")?,
         kind,
-        node: num(&node, "node")? as u32,
-        a: num(&a, "a")?,
-        b: num(&b, "b")?,
+        node: num(node, "node")?,
+        a: num(a, "a")?,
+        b: num(b, "b")?,
     })
 }
 
@@ -634,7 +813,33 @@ mod tests {
         log.record(rec(0, 0, HopKind::LinkDeliver, 0, 0, 0));
         assert!(log.is_empty());
         assert_eq!(log.dropped(), 0);
-        assert!(SpanLog::off().records().is_empty());
+        assert_eq!(SpanLog::off().iter().count(), 0);
+        assert_eq!(SpanLog::off().retained_bytes(), 0);
+    }
+
+    #[test]
+    fn log_packs_fields_shared_with_the_previous_record() {
+        let addr = pack_addr(0x0a00_0001, 40_000);
+        let t = 0xdead_beef_0000_0007;
+        let records = [
+            rec(1_000_000, t, HopKind::LbDeliver, 2, addr, 118),
+            // Same callback: time, trace, node and `a` repeat.
+            rec(1_000_000, t, HopKind::LbFlowTable, 2, addr, 1),
+            // A step back in time and a bit-63 flag both stay short.
+            rec(999_990, t, HopKind::ClientIssue, 2, addr, (1 << 63) | 5),
+        ];
+        let mut log = SpanLog::new(SpanMode::Full(8));
+        let mut sizes = Vec::new();
+        for r in records {
+            let before = log.retained_bytes();
+            log.record(r);
+            sizes.push(log.retained_bytes() - before);
+        }
+        // Header, 3-byte time delta, raw trace, node, 7-byte address, 2-byte `b`.
+        assert_eq!(sizes, [1 + 3 + 8 + 1 + 7 + 2, 2, 3]);
+        assert_eq!(log.iter().collect::<Vec<_>>(), records);
+        assert_eq!(log.take(), records);
+        assert_eq!((log.len(), log.retained_bytes()), (0, 0));
     }
 
     #[test]
@@ -664,6 +869,28 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.starts_with("line 2"), "{err}");
+    }
+
+    #[test]
+    fn parse_names_the_field_it_rejects() {
+        let line = |node: &str, tail: &str| {
+            format!(
+                "{{\"at\":1,\"trace\":2,\"hop\":\"tcp_ack\",\"node\":{node},\"a\":3,\"b\":4{tail}"
+            )
+        };
+        assert_eq!(parse_hop(&line("5", "}")).unwrap().node, 5);
+        // A node id past u32 is an error, not node 1.
+        let err = parse_hop(&line("4294967297", "}")).unwrap_err();
+        assert!(err.starts_with("field \"node\""), "{err}");
+        // Nothing may follow `b` inside the object...
+        let err = parse_hop(&line("5", ",\"zzz\":5}")).unwrap_err();
+        assert!(err.starts_with("field \"b\""), "{err}");
+        // ...or after it...
+        let err = parse_hop(&line("5", "}}")).unwrap_err();
+        assert!(err.contains("after field \"b\""), "{err}");
+        // ...and the closing brace is not optional.
+        let err = parse_hop(&line("5", "")).unwrap_err();
+        assert_eq!(err, "unterminated field \"b\"");
     }
 
     #[test]

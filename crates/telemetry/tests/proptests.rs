@@ -1,10 +1,154 @@
 //! Property-based tests for the measurement toolkit.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
-use telemetry::{exact_percentile, BinnedSeries, LogHistogram, P2Quantile, ScalarSeries};
+use telemetry::span::HOP_KINDS;
+use telemetry::{
+    exact_percentile, BinnedSeries, HopRecord, LogHistogram, P2Quantile, ScalarSeries, SpanLog,
+    SpanMode,
+};
+
+/// The values a varint, a zigzag delta or the `b` rotate is most likely
+/// to get wrong: both sides of the 1-byte and 32-bit boundaries, the top
+/// bit alone, and all ones.
+const EDGES: [u64; 8] = [
+    0,
+    1,
+    (1 << 7) - 1,
+    (1 << 7) + 1,
+    (1 << 32) - 1,
+    (1 << 32) + 1,
+    1 << 63,
+    u64::MAX,
+];
+
+/// An edge value two times in three, otherwise any `u64`.
+fn operand() -> impl Strategy<Value = u64> {
+    (0usize..12, any::<u64>()).prop_map(|(sel, random)| EDGES.get(sel).copied().unwrap_or(random))
+}
+
+/// One step of a span-log workout: drain the log, or record a hop built
+/// from fresh operands and the previous hop under `mask` — bits 0–3 keep
+/// the previous `at` / `trace` / `node` / `a` (long runs of identical
+/// fields), bit 4 moves `at` by a small signed `step` instead (time
+/// running backwards by a little, the way a service start does).
+#[derive(Debug, Clone)]
+struct Step {
+    take: bool,
+    mask: u8,
+    step: i64,
+    fresh: HopRecord,
+}
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    let fresh = (
+        0usize..HOP_KINDS.len(),
+        operand(),
+        operand(), // trace: 0 is an edge, and must be rejected
+        operand(),
+        operand(),
+        operand(),
+    )
+        .prop_map(|(kind, at, trace, node, a, b)| HopRecord {
+            at,
+            trace,
+            kind: HOP_KINDS[kind],
+            // Edges land on 0, 1, 127, 129 and u32::MAX.
+            node: node.min(u64::from(u32::MAX)) as u32,
+            a,
+            b,
+        });
+    proptest::collection::vec(
+        (0u8..12, 0u8..32, -200i64..200, fresh).prop_map(|(take, mask, step, fresh)| Step {
+            take: take == 0,
+            mask,
+            step,
+            fresh,
+        }),
+        1..80,
+    )
+}
+
+/// Drives `log` and a plain-vector model through `steps` and compares
+/// them after every one. The model is the old store: push while under
+/// the cap, count a drop otherwise, `take` = `mem::take`.
+fn check_against_model(mode: SpanMode, cap: usize, steps: &[Step]) -> Result<(), TestCaseError> {
+    let mut log = SpanLog::new(mode);
+    let mut model: Vec<HopRecord> = Vec::new();
+    let mut dropped = 0u64;
+    let mut prev = steps[0].fresh;
+    for s in steps {
+        if s.take {
+            prop_assert_eq!(log.take(), std::mem::take(&mut model));
+            prop_assert_eq!(log.retained_bytes(), 0);
+        } else {
+            let mut rec = s.fresh;
+            if s.mask & 1 != 0 {
+                rec.at = prev.at;
+            }
+            if s.mask & 2 != 0 {
+                rec.trace = prev.trace;
+            }
+            if s.mask & 4 != 0 {
+                rec.node = prev.node;
+            }
+            if s.mask & 8 != 0 {
+                rec.a = prev.a;
+            }
+            if s.mask & 16 != 0 {
+                rec.at = prev.at.wrapping_add(s.step as u64);
+            }
+            prev = rec;
+            log.record(rec);
+            if mode.accepts(rec.trace) {
+                if model.len() < cap {
+                    model.push(rec);
+                } else {
+                    dropped += 1;
+                }
+            }
+        }
+        prop_assert_eq!(log.len(), model.len());
+        prop_assert_eq!(log.is_empty(), model.is_empty());
+        prop_assert_eq!(log.dropped(), dropped);
+        prop_assert_eq!(log.iter().collect::<Vec<_>>(), model);
+        prop_assert!(log.retained_bytes() >= 2 * model.len());
+    }
+    prop_assert!(
+        model.iter().all(|r| r.trace != 0),
+        "an untraced hop was retained"
+    );
+    // One more drain and refill: a log that has been taken encodes the
+    // next batch against a reset predictor, not the last batch's tail.
+    prop_assert_eq!(log.take(), model);
+    for r in &model {
+        log.record(*r);
+    }
+    prop_assert_eq!(log.iter().collect::<Vec<_>>(), model);
+    prop_assert_eq!(log.take(), model);
+    Ok(())
+}
 
 proptest! {
+    /// The packed span log is observably the plain `Vec<HopRecord>` it
+    /// replaced, in `Full` mode, for arbitrary record sequences with
+    /// drains in between.
+    #[test]
+    fn span_log_full_matches_the_vector_model(steps in steps(), cap in 0usize..60) {
+        check_against_model(SpanMode::Full(cap), cap, &steps)?;
+    }
+
+    /// Same in `Sampled` mode: the stride filters before the cap counts.
+    #[test]
+    fn span_log_sampled_matches_the_vector_model(
+        steps in steps(),
+        stride in 0u64..4,
+        capacity in 0usize..60,
+    ) {
+        check_against_model(SpanMode::Sampled { stride, capacity }, capacity, &steps)?;
+    }
+
     /// The log histogram's quantiles stay within its design relative error
     /// (≈3%, two sub-bucket widths) of exact quantiles, for arbitrary data.
     #[test]

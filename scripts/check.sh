@@ -62,6 +62,10 @@ cargo test -q -p netsim --test queue_proptests
 # observability suite above consumes them end to end, but a unit
 # regression should name the layer it broke.
 cargo test -q --release -p telemetry --lib
+# The span log's packed hop stream against a plain-vector model (the
+# codec's only exhaustive test: varint and zigzag edges, drains, caps)
+# and the journal's NDJSON round trip over arbitrary events.
+cargo test -q -p telemetry --test proptests --test journal_proptests
 cargo test -q --release -p bench --lib
 
 # The benchmark is a package of its own (benchmark/, own workspace) that

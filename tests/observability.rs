@@ -164,10 +164,16 @@ fn journal_on_leaves_the_pinned_packet_schedule_untouched() {
 /// The pinned fig3 cluster (seed 17, 1 ms injected at t = 300 ms) used
 /// by the trace-hash gates, with span tracing in the given mode.
 fn pinned_cluster(span: SpanMode) -> KvCluster {
+    fig3_cluster(17, span)
+}
+
+/// The Fig. 3 cluster under `seed` with 1 ms injected at t = 300 ms, the
+/// packet trace on, and span tracing in the given mode.
+fn fig3_cluster(seed: u64, span: SpanMode) -> KvCluster {
     let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
         Box::new(|backends| LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped())));
     let mut cfg = KvClusterConfig::fig3_defaults(lb_factory);
-    cfg.seed = 17;
+    cfg.seed = seed;
     let mut cluster = KvCluster::build(cfg);
     cluster.sim.enable_spans(span);
     cluster.inject_backend_delay(
@@ -206,6 +212,31 @@ fn span_tracing_full_leaves_the_pinned_packet_schedule_untouched() {
     off.sim.run_for(Duration::from_millis(600));
     assert_eq!(fold_trace(&off.sim), (0xa0af_927b_c332_dae6, 787_483));
     assert!(off.sim.take_span_records().is_empty());
+}
+
+/// What a retained hop costs is a deterministic count, so it gates here
+/// (peak RSS is a host reading and only trends in `lbbench`): the packed
+/// log holds the Fig. 3 hop stream in at most 14 bytes a record, and
+/// draining it returns exactly the records it counted. The in-memory
+/// record sizes are pinned from above so that growing either is a
+/// decision, not an accident.
+#[test]
+fn span_log_retains_a_hop_in_at_most_14_bytes() {
+    let mut cluster = fig3_cluster(42, SpanMode::Full(1 << 22));
+    cluster.sim.run_for(Duration::from_millis(600));
+    let spans = cluster.sim.spans();
+    assert_eq!(spans.dropped(), 0, "span log overflowed");
+    assert_eq!(spans.len(), 663_402, "hop count moved");
+    assert!(
+        spans.retained_bytes() <= 14 * spans.len(),
+        "{} hops retained in {} bytes",
+        spans.len(),
+        spans.retained_bytes()
+    );
+    let len = spans.len();
+    assert_eq!(cluster.sim.take_span_records().len(), len);
+    assert!(std::mem::size_of::<telemetry::HopRecord>() <= 40);
+    assert!(std::mem::size_of::<JournalEvent>() <= 72);
 }
 
 /// Span NDJSON is a pure function of the seed, and different seeds

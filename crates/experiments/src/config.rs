@@ -27,7 +27,7 @@
 //! extra_ms = 1
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use lb_dataplane::{LbConfig, RoutingPolicy};
 use lbcore::AlphaShift;
@@ -38,7 +38,7 @@ use crate::topology::{KvCluster, KvClusterConfig, VIP};
 /// A parsed scenario file: `sections[section][key] = value`.
 #[derive(Debug, Default, Clone)]
 pub struct ScenarioFile {
-    sections: HashMap<String, HashMap<String, String>>,
+    sections: BTreeMap<String, BTreeMap<String, String>>,
 }
 
 /// Errors from parsing or interpreting a scenario file.

@@ -406,7 +406,7 @@ mod tests {
         let (mut sim, _lb, sinks) = rig(LbConfig::baseline(VIP, backends()), script);
         sim.run_for(Duration::from_millis(10));
         let got = delivered(&sim, sinks);
-        let used: std::collections::HashSet<usize> = got.iter().map(|&(i, _)| i).collect();
+        let used: std::collections::BTreeSet<usize> = got.iter().map(|&(i, _)| i).collect();
         assert_eq!(used.len(), 1, "flow moved between backends");
         assert_eq!(got.len(), 21);
     }
@@ -615,6 +615,7 @@ mod tests {
     /// in-band controller adds its own). Every packet that consults the
     /// table must land where an eagerly built table for the weights in
     /// force *before* that packet would have sent it.
+    #[allow(clippy::float_cmp)] // exact: an ejected backend's share is 0.0
     fn lazy_table_case(affinity: bool) {
         use lbcore::MaglevTable;
         use netpkt::FlowKey;
@@ -651,7 +652,7 @@ mod tests {
         // some 20 µs later: step k covers [k · 100 + 50, k · 100 + 150) µs.
         sim.run_for(Duration::from_micros(50));
         let mut seen = [0usize; 2];
-        let mut pins = std::collections::HashMap::new();
+        let mut pins = std::collections::BTreeMap::new();
         for k in 0..84u64 {
             let now = sim.now();
             let lb_node = sim.node_mut::<LbNode>(lb).unwrap();

@@ -7,6 +7,17 @@
 //! only decides *new* flows. Entries expire after an idle timeout, swept
 //! periodically, so the table is bounded by the number of live-ish flows.
 
+// Fast-path module: a malformed input surfaces as a Result/Option,
+// never a process abort (DESIGN.md §6.9, rule F1).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::BTreeMap;
 use std::ops::Bound;
 

@@ -20,6 +20,17 @@
 //! [`merge_weights`] between steps, which keeps the whole exchange
 //! deterministic and bit-reproducible.
 
+// Fast-path module: a malformed input surfaces as a Result/Option,
+// never a process abort (DESIGN.md §6.9, rule F1).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::weights::Weights;
 
 /// A merge that would move no share by more than this is not applied.

@@ -38,6 +38,17 @@
 //! plane: [`HealthTracker::on_epoch`] consumes plain cumulative counters,
 //! which keeps it a pure, property-testable state machine.
 
+// Fast-path module: a malformed input surfaces as a Result/Option,
+// never a process abort (DESIGN.md §6.9, rule F1).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::Nanos;
 
 /// Liveness classification of one backend.

@@ -43,6 +43,10 @@
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
+// The per-packet modules (`flow_table`, `health`, `maglev`, `gossip`)
+// deny the panic lints outright at their own top; the rest of the crate
+// is asked, not made, to return its errors.
+#![warn(clippy::unwrap_used)]
 
 pub mod controller;
 pub mod ensemble;

@@ -20,6 +20,17 @@
 //! table, and a permutation is walked by add-and-wrap instead of a
 //! multiply and a 64-bit remainder per probe — no allocation, same slots.
 
+// Fast-path module: a malformed input surfaces as a Result/Option,
+// never a process abort (DESIGN.md §6.9, rule F1).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use netpkt::flow::splitmix64;
 
 /// A Maglev lookup table mapping hashes to backend indices.
@@ -262,6 +273,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::float_cmp)] // exact: a zero weight owns no slot at all
     fn zero_weight_backend_gets_nothing() {
         let t = MaglevTable::build(&[1.0, 0.0, 1.0], DEFAULT_TABLE_SIZE);
         let shares = t.shares();

@@ -19,6 +19,17 @@
 //! than a Maglev-style table while giving the same minimal-disruption
 //! property.
 
+// Fast-path module: a malformed input surfaces as a Result/Option,
+// never a process abort (DESIGN.md §6.9, rule F1).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use netpkt::flow::splitmix64;
 
 use crate::link::LinkId;

@@ -27,6 +27,17 @@
 //! It is modelled in the `backend` crate (`KvServerConfig::stall`), not
 //! here — the network underneath behaves normally.
 
+// Fast-path module: a malformed input surfaces as a Result/Option,
+// never a process abort (DESIGN.md §6.9, rule F1).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::link::LinkId;
 use crate::node::NodeId;
 use crate::rng::SimRng;

@@ -17,7 +17,6 @@
 //! reported as stale (non-fatally) so the file can't rot silently.
 
 use crate::rules::{Severity, Violation};
-use std::fmt;
 
 /// One accepted warn finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,24 +29,10 @@ pub struct Entry {
     pub snippet: String,
 }
 
-/// A baseline-file syntax error.
-#[derive(Debug)]
-pub struct BaselineError {
-    /// 1-based line in the baseline file.
-    pub line: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl fmt::Display for BaselineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "baseline line {}: {}", self.line, self.msg)
-    }
-}
-
 /// Parses a baseline file. Blank lines and `#` comments are ignored;
-/// everything else must be three tab-separated fields.
-pub fn parse(text: &str) -> Result<Vec<Entry>, BaselineError> {
+/// everything else must be three tab-separated fields; an error names
+/// the 1-based line.
+pub fn parse(text: &str) -> Result<Vec<Entry>, String> {
     let mut entries = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let trimmed = line.trim();
@@ -57,10 +42,10 @@ pub fn parse(text: &str) -> Result<Vec<Entry>, BaselineError> {
         let mut fields = line.splitn(3, '\t');
         let (Some(rule), Some(path), Some(snippet)) = (fields.next(), fields.next(), fields.next())
         else {
-            return Err(BaselineError {
-                line: i + 1,
-                msg: "expected three tab-separated fields: rule\\tpath\\tsnippet".to_string(),
-            });
+            return Err(format!(
+                "baseline line {}: expected three tab-separated fields: rule\\tpath\\tsnippet",
+                i + 1
+            ));
         };
         entries.push(Entry {
             rule: rule.trim().to_string(),

@@ -6,8 +6,6 @@
 //! (single line), with `#` comments. Unknown sections and keys are
 //! rejected so typos fail loudly instead of silently disabling a rule.
 
-use std::fmt;
-
 /// Scopes for every rule, as path prefixes relative to the workspace
 /// root (`/`-separated). An entry matches a path when it equals the
 /// path or is a directory prefix of it.
@@ -15,20 +13,6 @@ use std::fmt;
 pub struct Config {
     /// Paths never scanned at all.
     pub exclude: Vec<String>,
-    /// D1: paths where wall-clock time (`Instant`, `SystemTime`) is OK.
-    pub wallclock_allow: Vec<String>,
-    /// D3: deterministic crates where hash-order iteration is banned.
-    pub deterministic: Vec<String>,
-    /// F1: fast-path files where `unwrap`/`expect`/`panic!` are banned.
-    pub fastpath: Vec<String>,
-    /// F2: controller/estimator code where float `==`/`!=` is banned.
-    pub float_eq_scope: Vec<String>,
-    /// C1–C5: crates that must stay concurrency-ready (no interior
-    /// mutability, `Rc`, `static mut`, `thread_local!`, or unjustified
-    /// `unsafe`).
-    pub concurrency: Vec<String>,
-    /// G1: crates where struct fields may not hold hash containers.
-    pub g_fields: Vec<String>,
     /// G2: crates where `partial_cmp(…).unwrap()` comparators are banned.
     pub g_comparators: Vec<String>,
     /// G3: crates where narrowing casts of sequence numbers are flagged.
@@ -42,35 +26,6 @@ impl Default for Config {
         let v = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect();
         Config {
             exclude: v(&["target", "vendor", "crates/simlint", ".git"]),
-            wallclock_allow: v(&["crates/bench"]),
-            deterministic: v(&[
-                "crates/netsim",
-                "crates/nettcp",
-                "crates/lbcore",
-                "crates/lb-dataplane",
-                "crates/workload",
-            ]),
-            fastpath: v(&[
-                "crates/netpkt/src",
-                "crates/lb-dataplane/src",
-                "crates/lbcore/src/flow_table.rs",
-                "crates/lbcore/src/maglev.rs",
-            ]),
-            float_eq_scope: v(&["crates/lbcore/src", "crates/telemetry/src"]),
-            concurrency: v(&[
-                "crates/netsim",
-                "crates/nettcp",
-                "crates/lbcore",
-                "crates/lb-dataplane",
-                "crates/workload",
-            ]),
-            g_fields: v(&[
-                "crates/netsim",
-                "crates/nettcp",
-                "crates/lbcore",
-                "crates/lb-dataplane",
-                "crates/workload",
-            ]),
             g_comparators: v(&["crates/lbcore/src", "crates/telemetry/src"]),
             g_seq_cast: v(&["crates/netsim", "crates/nettcp", "crates/lb-dataplane"]),
             journal: v(&["crates/telemetry/src/journal.rs"]),
@@ -78,31 +33,18 @@ impl Default for Config {
     }
 }
 
-/// A config-file syntax or schema error.
-#[derive(Debug)]
-pub struct ConfigError {
-    /// 1-based line in the config file.
-    pub line: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "config line {}: {}", self.line, self.msg)
-    }
-}
-
 impl Config {
     /// Parses `simlint.toml` text over the built-in defaults. A key
-    /// that is present replaces the default list wholesale.
-    pub fn parse(text: &str) -> Result<Config, ConfigError> {
+    /// that is present replaces the default list wholesale; an error
+    /// names the 1-based config line.
+    pub fn parse(text: &str) -> Result<Config, String> {
         let mut cfg = Config::default();
         let mut section = String::new();
         let raw_lines: Vec<&str> = text.lines().collect();
         let mut idx = 0;
         while idx < raw_lines.len() {
             let lineno = idx + 1;
+            let err = move |msg: String| format!("config line {lineno}: {msg}");
             let mut line = strip_toml_comment(raw_lines[idx]).trim().to_string();
             idx += 1;
             // Join multi-line arrays: `key = [` … `]`.
@@ -121,45 +63,23 @@ impl Config {
             if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
                 section = name.trim().to_string();
                 match section.as_str() {
-                    "scan" | "rules.d1" | "rules.d3" | "rules.f1" | "rules.f2" | "rules.c"
-                    | "rules.g" | "rules.j" => {}
-                    other => {
-                        return Err(ConfigError {
-                            line: lineno,
-                            msg: format!("unknown section `[{other}]`"),
-                        })
-                    }
+                    "scan" | "rules.g" | "rules.j" => {}
+                    other => return Err(err(format!("unknown section `[{other}]`"))),
                 }
                 continue;
             }
             let Some((key, value)) = line.split_once('=') else {
-                return Err(ConfigError {
-                    line: lineno,
-                    msg: format!("expected `key = value`, got `{line}`"),
-                });
+                return Err(err(format!("expected `key = value`, got `{line}`")));
             };
             let key = key.trim();
-            let values = parse_string_array(value.trim()).ok_or_else(|| ConfigError {
-                line: lineno,
-                msg: format!("expected a string or [\"…\"] array for `{key}`"),
-            })?;
+            let values = parse_string_array(value.trim())
+                .ok_or_else(|| err(format!("expected a string or [\"…\"] array for `{key}`")))?;
             let target = match (section.as_str(), key) {
                 ("scan", "exclude") => &mut cfg.exclude,
-                ("rules.d1", "allow") => &mut cfg.wallclock_allow,
-                ("rules.d3", "deterministic") => &mut cfg.deterministic,
-                ("rules.f1", "fastpath") => &mut cfg.fastpath,
-                ("rules.f2", "scope") => &mut cfg.float_eq_scope,
-                ("rules.c", "scope") => &mut cfg.concurrency,
-                ("rules.g", "fields") => &mut cfg.g_fields,
                 ("rules.g", "comparators") => &mut cfg.g_comparators,
                 ("rules.g", "seq_cast") => &mut cfg.g_seq_cast,
                 ("rules.j", "journal") => &mut cfg.journal,
-                _ => {
-                    return Err(ConfigError {
-                        line: lineno,
-                        msg: format!("unknown key `{key}` in section `[{section}]`"),
-                    })
-                }
+                _ => return Err(err(format!("unknown key `{key}` in section `[{section}]`"))),
             };
             *target = values;
         }
@@ -172,26 +92,16 @@ impl Config {
     /// treats a non-empty result as a config error. `exclude` is not a
     /// rule scope and may name paths that do not exist.
     pub fn dead_scopes<'a>(&'a self, paths: &[&str]) -> Vec<&'a str> {
-        let mut dead: Vec<&str> = [
-            &self.wallclock_allow,
-            &self.deterministic,
-            &self.fastpath,
-            &self.float_eq_scope,
-            &self.concurrency,
-            &self.g_fields,
-            &self.g_comparators,
-            &self.g_seq_cast,
-            &self.journal,
-        ]
-        .into_iter()
-        .flatten()
-        .filter(|scope| {
-            !paths
-                .iter()
-                .any(|p| Config::in_scope(p, std::slice::from_ref(scope)))
-        })
-        .map(String::as_str)
-        .collect();
+        let mut dead: Vec<&str> = [&self.g_comparators, &self.g_seq_cast, &self.journal]
+            .into_iter()
+            .flatten()
+            .filter(|scope| {
+                !paths
+                    .iter()
+                    .any(|p| Config::in_scope(p, std::slice::from_ref(scope)))
+            })
+            .map(String::as_str)
+            .collect();
         dead.sort_unstable();
         dead.dedup();
         dead
@@ -249,43 +159,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_cover_deterministic_crates() {
-        let cfg = Config::default();
-        assert!(Config::in_scope(
-            "crates/netsim/src/sim.rs",
-            &cfg.deterministic
-        ));
-        assert!(!Config::in_scope(
-            "crates/experiments/src/lib.rs",
-            &cfg.deterministic
-        ));
-    }
-
-    #[test]
     fn scope_matching_is_prefix_at_path_boundary() {
         let scopes = vec!["crates/netsim".to_string()];
         assert!(Config::in_scope("crates/netsim/src/rng.rs", &scopes));
         assert!(Config::in_scope("crates/netsim", &scopes));
         assert!(!Config::in_scope("crates/netsim2/src/lib.rs", &scopes));
+        let cfg = Config::default();
+        assert!(Config::in_scope(
+            "crates/netsim/src/sim.rs",
+            &cfg.g_seq_cast
+        ));
+        assert!(!Config::in_scope(
+            "crates/bench/src/lib.rs",
+            &cfg.g_seq_cast
+        ));
     }
 
     #[test]
     fn scope_matching_no_scanned_file_is_reported_by_path() {
         let cfg = Config::parse(
-            "[rules.f1]\nfastpath = [\"crates/lb-dataplane/src/node.rs\", \"crates/netpkt/src\"]\n",
+            "[rules.g]\nseq_cast = [\"crates/lb-dataplane/src/node.rs\", \"crates/netsim\"]\n",
         )
         .unwrap();
-        // One file under every default scope, and node.rs split away:
-        // only its entry covers nothing.
+        // One file under every other scope, and node.rs split away: only
+        // its entry covers nothing.
         let mut scanned = vec![
-            "crates/bench/src/lib.rs",
             "crates/lb-dataplane/src/fastpath.rs",
             "crates/lbcore/src/maglev.rs",
-            "crates/netpkt/src/flow.rs",
             "crates/netsim/src/sim.rs",
-            "crates/nettcp/src/host.rs",
             "crates/telemetry/src/journal.rs",
-            "crates/workload/src/client.rs",
         ];
         assert_eq!(
             cfg.dead_scopes(&scanned),
@@ -302,14 +204,21 @@ mod tests {
 [scan]
 exclude = ["vendor", "crates/simlint"]
 
-[rules.f1]
-fastpath = ["crates/netpkt/src"]
+[rules.g]
+comparators = "crates/lbcore/src"
+seq_cast = [
+ "a", # one
+ "b",
+]
 "#;
         let cfg = Config::parse(text).unwrap();
         assert_eq!(cfg.exclude, vec!["vendor", "crates/simlint"]);
-        assert_eq!(cfg.fastpath, vec!["crates/netpkt/src"]);
+        assert_eq!(cfg.g_comparators, vec!["crates/lbcore/src"]);
+        assert_eq!(cfg.g_seq_cast, vec!["a", "b"]);
         // Untouched sections keep their defaults.
-        assert!(!cfg.deterministic.is_empty());
+        assert_eq!(cfg.journal, Config::default().journal);
+        let cfg = Config::parse("[rules.j]\njournal = [\"crates/t/src/journal.rs\"]\n").unwrap();
+        assert_eq!(cfg.journal, vec!["crates/t/src/journal.rs"]);
     }
 
     #[test]
@@ -317,34 +226,10 @@ fastpath = ["crates/netpkt/src"]
         assert!(Config::parse("[rules.zz]\n").is_err());
         assert!(Config::parse("[scan]\nfoo = [\"x\"]\n").is_err());
         assert!(Config::parse("[scan]\nexclude = 12\n").is_err());
-    }
-
-    #[test]
-    fn parse_accepts_multiline_arrays_with_trailing_comma() {
-        let text = "[rules.d3]\nderministic_typo = 1\n";
-        assert!(Config::parse(text).is_err());
-        let text = "[rules.d3]\ndeterministic = [\n \"a\", # one\n \"b\",\n]\n";
-        let cfg = Config::parse(text).unwrap();
-        assert_eq!(cfg.deterministic, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn parse_accepts_c_g_j_sections() {
-        let text = "[rules.c]\nscope = [\"crates/x\"]\n\
-                    [rules.g]\nfields = [\"a\"]\ncomparators = [\"b\"]\nseq_cast = [\"c\"]\n\
-                    [rules.j]\njournal = [\"crates/t/src/journal.rs\"]\n";
-        let cfg = Config::parse(text).unwrap();
-        assert_eq!(cfg.concurrency, vec!["crates/x"]);
-        assert_eq!(cfg.g_fields, vec!["a"]);
-        assert_eq!(cfg.g_comparators, vec!["b"]);
-        assert_eq!(cfg.g_seq_cast, vec!["c"]);
-        assert_eq!(cfg.journal, vec!["crates/t/src/journal.rs"]);
-        assert!(Config::parse("[rules.c]\nallow = [\"x\"]\n").is_err());
-    }
-
-    #[test]
-    fn parse_accepts_single_string_value() {
-        let cfg = Config::parse("[rules.d1]\nallow = \"crates/bench\"\n").unwrap();
-        assert_eq!(cfg.wallclock_allow, vec!["crates/bench"]);
+        assert!(Config::parse("[rules.g]\nseq_cast_typo = [\"x\"]\n").is_err());
+        // A scope list of a rule that moved to a stock lint is a typo now:
+        // a stale simlint.toml fails loudly instead of reading as a gate.
+        assert!(Config::parse("[rules.f1]\nfastpath = [\"crates/netpkt/src\"]\n").is_err());
+        assert!(Config::parse("[rules.g]\nfields = [\"crates/netsim\"]\n").is_err());
     }
 }

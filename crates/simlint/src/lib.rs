@@ -1,43 +1,40 @@
-//! simlint: the workspace determinism / fast-path / concurrency-
-//! readiness analyzer, as a library.
+//! simlint: the three determinism rules no compiler or clippy lint
+//! expresses, as a library.
 //!
-//! Two layers feed the rules:
+//! The rest of the gate is stock lints (root `Cargo.toml`
+//! `[workspace.lints]` + `clippy.toml`; DESIGN.md §6.9). What is left
+//! here runs on one layer: [`token`] lexes the source, [`items`] finds
+//! the few item boundaries the rules need, and [`rules`] walks both —
+//! G2 (non-total float comparators), G3 (sequence-number narrowing) per
+//! file, J1 (`JournalEvent` enum/writer/parser drift) across the
+//! journal file's pieces.
 //!
-//! 1. the **line scanner** ([`scanner`]) strips comments and strings,
-//!    tracks `#[cfg(test)]` regions and `// simlint: allow(...)`
-//!    markers — the D/F rules pattern-match on its stripped lines;
-//! 2. the **token/item layer** ([`token`], [`items`], [`index`]) lexes
-//!    the original source and extracts fn/struct/enum/impl items with
-//!    spans — the C/G rules walk tokens and items, and the J-rule
-//!    cross-checks the journal schema through the workspace
-//!    [`index::SymbolIndex`].
-//!
-//! [`analyze`] runs both layers over a set of files; [`render_json`]
+//! [`analyze`] runs the rules over a set of files; [`render_json`]
 //! emits the machine-readable report; warn-tier findings are matched
 //! against a committed [`baseline`].
 
 pub mod baseline;
 pub mod config;
-pub mod index;
 pub mod items;
 pub mod rules;
-pub mod scanner;
 pub mod token;
 
 use config::Config;
-use index::SymbolIndex;
-use rules::{Severity, Violation};
+use rules::{FileSyntax, Severity, Violation};
 
-/// Runs every rule over `(path, text)` pairs: builds the symbol index
-/// in one pass, applies the per-file rules, then the cross-file
-/// journal check. Findings come back sorted by (path, line, col, rule).
+/// Runs every rule over `(path, text)` pairs: lexes each file once,
+/// applies the per-file rules, then the journal check. Findings come
+/// back sorted by (path, line, col, rule).
 pub fn analyze(files: &[(String, String)], cfg: &Config) -> Vec<Violation> {
-    let index = SymbolIndex::build(files);
-    let mut violations = Vec::new();
-    for file in &index.files {
-        violations.extend(rules::check_file(&file.path, file, cfg));
-    }
-    rules::check_journal(&index, cfg, &mut violations);
+    let files: Vec<FileSyntax> = files
+        .iter()
+        .map(|(path, text)| FileSyntax::parse(path, text))
+        .collect();
+    let mut violations: Vec<Violation> = files
+        .iter()
+        .flat_map(|file| rules::check_file(file, cfg))
+        .collect();
+    rules::check_journal(&files, cfg, &mut violations);
     violations
         .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
     violations
@@ -113,25 +110,18 @@ pub fn render_human(violations: &[Violation], files_scanned: usize) -> String {
         out.push_str(&format!("  --> {}:{}:{}\n", v.path, v.line, v.col));
         out.push_str(&format!("  help: {}\n\n", v.hint));
     }
+    let covered = if baselined > 0 {
+        format!(" ({baselined} baselined)")
+    } else {
+        String::new()
+    };
     if gating == 0 {
         out.push_str(&format!(
-            "simlint: clean — {files_scanned} files scanned, 0 gating findings\
-             {}\n",
-            if baselined > 0 {
-                format!(" ({baselined} baselined)")
-            } else {
-                String::new()
-            }
+            "simlint: clean — {files_scanned} files scanned, 0 gating findings{covered}\n"
         ));
     } else {
         out.push_str(&format!(
-            "simlint: {gating} gating finding(s) in {files_scanned} file(s) scanned\
-             {}\n",
-            if baselined > 0 {
-                format!(" ({baselined} baselined)")
-            } else {
-                String::new()
-            }
+            "simlint: {gating} gating finding(s) in {files_scanned} file(s) scanned{covered}\n"
         ));
     }
     out
@@ -147,14 +137,22 @@ mod tests {
     }
 
     #[test]
-    fn analyze_runs_both_layers() {
-        let files = vec![(
-            "crates/netsim/src/x.rs".to_string(),
-            "pub fn f() { let c = RefCell::new(0u32); let _ = c; }\n".to_string(),
-        )];
+    fn analyze_skips_comments_strings_and_test_code() {
+        let src = "pub fn f(v: &mut [f64]) {\n\
+                   \x20   // v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n\
+                   \x20   let _ = \"a.partial_cmp(b).unwrap()\";\n\
+                   \x20   v.sort_by(|a, b| a.partial_cmp(b).expect(\"nan\")); // why\n\
+                   }\n\
+                   #[cfg(test)]\nmod tests { fn t(a: f64) { a.partial_cmp(&a).unwrap(); } }\n";
+        let files = vec![("crates/lbcore/src/x.rs".to_string(), src.to_string())];
         let vs = analyze(&files, &Config::default());
         assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].rule, "C1");
+        assert_eq!((vs[0].rule, vs[0].line, vs[0].col), ("G2", 4, 24));
+        // The snippet is the line's tokens: no indent, no trailing comment.
+        assert_eq!(
+            vs[0].snippet,
+            "v.sort_by(|a, b| a.partial_cmp(b).expect(\"nan\"));"
+        );
         assert!(gates(&vs));
     }
 

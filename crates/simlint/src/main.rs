@@ -1,19 +1,19 @@
-//! simlint: the workspace determinism & concurrency-readiness
-//! static-analysis pass (binary front-end; the rules live in the
-//! `simlint` library).
+//! simlint: the three determinism rules no stock lint expresses
+//! (binary front-end; the rules live in the `simlint` library).
 //!
 //! ```text
 //! cargo run -p simlint -- --workspace              # lint every .rs file
 //! cargo run -p simlint -- --workspace --json       # machine-readable output
 //! cargo run -p simlint -- --workspace --update-baseline
-//! cargo run -p simlint -- crates/netsim/src/rng.rs
+//! cargo run -p simlint -- crates/nettcp/src/conn.rs
 //! ```
 //!
 //! Exits 0 when clean (no deny findings, every warn finding baselined),
-//! 1 on gating findings, 2 on usage/config/IO errors. Rule families:
-//! D determinism, F fast-path, C concurrency readiness, G global
-//! ordering, J journal schema. Scopes come from `simlint.toml`; accepted
-//! warn findings live in `simlint.baseline`.
+//! 1 on gating findings, 2 on usage/config/IO errors. Rules: G2
+//! non-total float comparators, G3 sequence-number narrowing, J1
+//! journal-schema drift; everything else is `cargo clippy` (DESIGN.md
+//! §6.9). Scopes come from `simlint.toml`; accepted warn findings live
+//! in `simlint.baseline`.
 
 use simlint::baseline;
 use simlint::config::Config;
@@ -36,17 +36,16 @@ fn usage() -> ExitCode {
         "usage: simlint [--workspace] [--json] [--config <simlint.toml>]\n\
          \x20              [--baseline <simlint.baseline>] [--update-baseline] [files…]\n\
          \n\
-         Lints workspace sources for determinism (D1 wall-clock, D2 entropy,\n\
-         D3 hash-order iteration), fast-path robustness (F1 panics, F2 float\n\
-         equality), concurrency readiness (C1 interior mutability, C2 Rc,\n\
-         C3 static mut, C4 thread_local!, C5 unsafe), global ordering\n\
-         (G1 hash-container fields, G2 non-total comparators, G3 sequence\n\
-         truncation), and journal schema drift (J1).\n\
+         Checks the three determinism rules no stock lint expresses: G2\n\
+         non-total float comparators (`partial_cmp(..).unwrap()`), G3\n\
+         sequence-number narrowing casts, J1 journal-schema drift\n\
+         (`JournalEvent` enum vs. writer vs. parser). Wall clocks, hash\n\
+         containers, fast-path panics, float equality, Rc/RefCell,\n\
+         thread_local! and unsafe are `cargo clippy --workspace`.\n\
          \n\
-         Suppress a finding with `// simlint: allow(<rule>)`; C-family\n\
-         allows additionally need a justification after the closing paren.\n\
-         Warn-tier findings gate unless listed in the committed baseline;\n\
-         refresh it with --update-baseline."
+         G3 is warn-tier: it gates unless listed in the committed\n\
+         baseline; refresh it with --update-baseline. There is no\n\
+         in-source suppression."
     );
     ExitCode::from(2)
 }
@@ -88,25 +87,21 @@ fn parse_args() -> Result<Args, ExitCode> {
     Ok(args)
 }
 
-fn load_config(explicit: Option<&Path>) -> Result<Config, ExitCode> {
+/// The config at `explicit`, else `simlint.toml` if there is one, else
+/// the built-in defaults.
+fn load_config(explicit: Option<&Path>) -> Result<Config, String> {
+    let default = Path::new("simlint.toml");
     let path = match explicit {
-        Some(p) => p.to_path_buf(),
-        None => {
-            let default = PathBuf::from("simlint.toml");
-            if !default.exists() {
-                return Ok(Config::default());
-            }
-            default
-        }
+        Some(p) => p,
+        None if default.exists() => default,
+        None => return Ok(Config::default()),
     };
-    let text = fs::read_to_string(&path).map_err(|e| {
-        eprintln!("simlint: cannot read {}: {e}", path.display());
-        ExitCode::from(2)
-    })?;
-    Config::parse(&text).map_err(|e| {
-        eprintln!("simlint: {}: {e}", path.display());
-        ExitCode::from(2)
-    })
+    let text = read(path)?;
+    Config::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+fn read(path: &Path) -> Result<String, String> {
+    fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", rel_path(path)))
 }
 
 /// Collects every `.rs` file under `dir`, skipping excluded prefixes.
@@ -137,44 +132,30 @@ fn rel_path(path: &Path) -> String {
     s.strip_prefix("./").unwrap_or(&s).to_string()
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
-    let cfg = match load_config(args.config.as_deref()) {
-        Ok(c) => c,
-        Err(code) => return code,
-    };
+/// Runs the pass; `Ok(true)` when the findings gate, `Err` on a
+/// config or IO error.
+fn run(args: &Args) -> Result<bool, String> {
+    let cfg = load_config(args.config.as_deref())?;
 
     let mut paths = args.files.clone();
     if args.workspace {
-        if let Err(e) = collect_rs_files(Path::new("."), &cfg, &mut paths) {
-            eprintln!("simlint: walking workspace: {e}");
-            return ExitCode::from(2);
-        }
+        collect_rs_files(Path::new("."), &cfg, &mut paths)
+            .map_err(|e| format!("walking workspace: {e}"))?;
     }
-
-    let mut files = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let rel = rel_path(path);
-        match fs::read_to_string(path) {
-            Ok(text) => files.push((rel, text)),
-            Err(e) => {
-                eprintln!("simlint: cannot read {rel}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let files = paths
+        .iter()
+        .map(|path| Ok((rel_path(path), read(path)?)))
+        .collect::<Result<Vec<_>, String>>()?;
 
     if args.workspace {
         let scanned: Vec<&str> = files.iter().map(|(rel, _)| rel.as_str()).collect();
-        let dead = cfg.dead_scopes(&scanned);
-        for scope in &dead {
-            eprintln!("simlint: config: scope path `{scope}` matches no scanned file");
-        }
+        let dead: Vec<String> = cfg
+            .dead_scopes(&scanned)
+            .iter()
+            .map(|scope| format!("config: scope path `{scope}` matches no scanned file"))
+            .collect();
         if !dead.is_empty() {
-            return ExitCode::from(2);
+            return Err(dead.join("\nsimlint: "));
         }
     }
 
@@ -184,13 +165,10 @@ fn main() -> ExitCode {
         .baseline
         .clone()
         .unwrap_or_else(|| PathBuf::from("simlint.baseline"));
-
+    let in_baseline = |e: String| format!("{}: {e}", baseline_path.display());
     if args.update_baseline {
         let text = baseline::render(&violations);
-        if let Err(e) = fs::write(&baseline_path, &text) {
-            eprintln!("simlint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
+        fs::write(&baseline_path, &text).map_err(|e| in_baseline(format!("cannot write: {e}")))?;
         let warns = violations
             .iter()
             .filter(|v| v.severity == Severity::Warn)
@@ -201,25 +179,13 @@ fn main() -> ExitCode {
         );
         // The fresh baseline covers every warn finding by construction;
         // deny findings still gate.
-        let entries = baseline::parse(&text).expect("just-rendered baseline parses");
-        baseline::apply(&mut violations, &entries);
+        baseline::apply(
+            &mut violations,
+            &baseline::parse(&text).map_err(in_baseline)?,
+        );
     } else if baseline_path.exists() {
-        let text = match fs::read_to_string(&baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("simlint: cannot read {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let entries = match baseline::parse(&text) {
-            Ok(es) => es,
-            Err(e) => {
-                eprintln!("simlint: {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let stale = baseline::apply(&mut violations, &entries);
-        for e in &stale {
+        let entries = baseline::parse(&read(&baseline_path)?).map_err(in_baseline)?;
+        for e in baseline::apply(&mut violations, &entries) {
             eprintln!(
                 "simlint: note: stale baseline entry (no longer matches): {}\t{}\t{}",
                 e.rule, e.path, e.snippet
@@ -232,10 +198,21 @@ fn main() -> ExitCode {
     } else {
         print!("{}", simlint::render_human(&violations, files.len()));
     }
-    if simlint::gates(&violations) {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
+    Ok(simlint::gates(&violations))
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args() {
+        Ok(a) => a,
+        Err(code) => return code,
+    };
+    match run(&args) {
+        Ok(false) => ExitCode::SUCCESS,
+        Ok(true) => ExitCode::from(1),
+        Err(e) => {
+            eprintln!("simlint: {e}");
+            ExitCode::from(2)
+        }
     }
 }
 

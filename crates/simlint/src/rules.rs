@@ -1,27 +1,26 @@
-//! The lint rules, in five families.
+//! The three rules no stock lint expresses.
 //!
-//! | family      | rules | layer | bans                                             |
-//! |-------------|-------|-------|--------------------------------------------------|
-//! | determinism | D1–D3 | line  | wall clocks, ambient entropy, hash iteration     |
-//! | fastpath    | F1–F2 | line  | fast-path panics, float equality                 |
-//! | concurrency | C1–C5 | token | `RefCell`/`Cell`, `Rc`, `static mut`,            |
-//! |             |       |       | `thread_local!`, `unsafe` in deterministic crates|
-//! | global-order| G1–G3 | item  | hash containers in struct fields, non-total      |
-//! |             |       |       | float comparators, seq-number truncation casts   |
-//! | journal     | J1    | index | `JournalEvent` variants missing writer/parser arm|
+//! | rule | tier | bans                                                       |
+//! |------|------|------------------------------------------------------------|
+//! | G2   | deny | `partial_cmp(..).unwrap()` / `.expect(..)` comparators     |
+//! | G3   | warn | narrowing `as` casts of event sequence numbers             |
+//! | J1   | deny | a `JournalEvent` variant missing its writer or parser arm  |
+//!
+//! Everything else the determinism gate holds — wall clocks, hash
+//! containers, panics on the fast path, float equality, interior
+//! mutability, `Rc`, `thread_local!`, `unsafe` — is held by rustc and
+//! clippy lints configured in the root `Cargo.toml` and `clippy.toml`
+//! (DESIGN.md §6.9 has the table).
 //!
 //! Severity is two-tier: **deny** findings gate CI outright; **warn**
 //! findings gate unless recorded in the committed baseline
-//! (`simlint.baseline`). All rules skip `#[cfg(test)]` code and honour
-//! `// simlint: allow(<rule>)` markers — except that C-family allows
-//! additionally require a justification after the closing paren, and J1
-//! (schema drift) cannot be allowed at all, only fixed.
+//! (`simlint.baseline`). All rules skip `#[cfg(test)]` code. There is no
+//! in-source suppression: a G2 or J1 finding is fixed, a G3 cast that is
+//! provably in range goes in the baseline.
 
 use crate::config::Config;
-use crate::index::{FileSyntax, SymbolIndex};
-use crate::items::{find_matches, ItemKind, MatchExpr};
-use crate::scanner::{Line, SourceFile};
-use crate::token::{Tok, TokKind};
+use crate::items::{self, find_matches, MatchArm};
+use crate::token::{self, Tok, TokKind};
 use std::collections::BTreeSet;
 
 /// How a finding gates the build.
@@ -29,7 +28,7 @@ use std::collections::BTreeSet;
 pub enum Severity {
     /// Accepted when listed in the committed baseline; otherwise gates.
     Warn,
-    /// Always gates; fix it or carry a justified allow marker.
+    /// Always gates.
     Deny,
 }
 
@@ -46,10 +45,9 @@ impl Severity {
 /// One rule violation, pointing at real source coordinates.
 #[derive(Debug)]
 pub struct Violation {
-    /// Rule id (`D1`…`J1`).
+    /// Rule id (`G2`, `G3`, `J1`).
     pub rule: &'static str,
-    /// Rule family (`determinism`, `fastpath`, `concurrency`,
-    /// `global-order`, `journal`).
+    /// Rule family (`global-order`, `journal`).
     pub family: &'static str,
     /// Deny or warn tier.
     pub severity: Severity,
@@ -57,790 +55,180 @@ pub struct Violation {
     pub path: String,
     /// 1-based line.
     pub line: usize,
-    /// 1-based byte column.
+    /// 1-based character column.
     pub col: usize,
     /// Human-readable description.
     pub msg: String,
     /// How to fix it, one line.
     pub hint: &'static str,
-    /// The offending source line (stripped, trimmed) — the baseline's
-    /// line-number-independent match key.
+    /// The offending source line, from its first token to its last —
+    /// the baseline's line-number-independent match key.
     pub snippet: String,
     /// True when a baseline entry accepted this warn-tier finding.
     pub baselined: bool,
 }
 
-/// Runs every applicable per-file rule over one parsed file.
-pub fn check_file(path: &str, syn: &FileSyntax, cfg: &Config) -> Vec<Violation> {
-    let src = &syn.src;
-    let mut out = Vec::new();
-    if !Config::in_scope(path, &cfg.wallclock_allow) {
-        rule_d1(path, src, &mut out);
-    }
-    rule_d2(path, src, &mut out);
-    if Config::in_scope(path, &cfg.deterministic) {
-        rule_d3(path, src, &mut out);
-    }
-    if Config::in_scope(path, &cfg.fastpath) {
-        rule_f1(path, src, &mut out);
-    }
-    if Config::in_scope(path, &cfg.float_eq_scope) {
-        rule_f2(path, src, &mut out);
-    }
-    if Config::in_scope(path, &cfg.concurrency) {
-        rules_c(path, syn, &mut out);
-    }
-    if Config::in_scope(path, &cfg.g_fields) {
-        rule_g1(path, syn, &mut out);
-    }
-    if Config::in_scope(path, &cfg.g_comparators) {
-        rule_g2(path, syn, &mut out);
-    }
-    if Config::in_scope(path, &cfg.g_seq_cast) {
-        rule_g3(path, syn, &mut out);
-    }
-    out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    out
+/// One file, lexed once for every rule.
+pub struct FileSyntax<'a> {
+    /// Workspace-relative path.
+    pub path: &'a str,
+    /// The source text.
+    text: &'a str,
+    /// The token stream.
+    pub toks: Vec<Tok>,
+    /// Per token: inside a `#[cfg(test)]` item.
+    pub in_test: Vec<bool>,
 }
 
-/// Builds a violation, capturing the snippet for baseline matching.
-#[allow(clippy::too_many_arguments)]
-fn violation(
-    rule: &'static str,
+impl<'a> FileSyntax<'a> {
+    /// Lexes `text` and marks its test regions.
+    pub fn parse(path: &'a str, text: &'a str) -> FileSyntax<'a> {
+        let toks = token::lex(text);
+        let in_test = items::test_regions(&toks);
+        FileSyntax {
+            path,
+            text,
+            toks,
+            in_test,
+        }
+    }
+
+    /// Source line `line` from its first token to the end of its last,
+    /// so indentation and a trailing comment are not part of the key.
+    fn snippet(&self, line: usize) -> String {
+        let on_line = |t: &&Tok| t.line == line;
+        let (Some(first), Some(last)) = (
+            self.toks.iter().find(on_line),
+            self.toks.iter().rev().find(on_line),
+        ) else {
+            return String::new();
+        };
+        let raw = self.text.lines().nth(line - 1).unwrap_or("");
+        raw.chars()
+            .skip(first.col - 1)
+            .take(last.col + last.len - first.col)
+            .collect()
+    }
+}
+
+/// A rule's constant half.
+struct Rule {
+    id: &'static str,
     family: &'static str,
     severity: Severity,
     hint: &'static str,
-    path: &str,
-    src: &SourceFile,
-    line: usize,
-    col: usize,
-    msg: String,
-) -> Violation {
-    let snippet = src
-        .lines
-        .get(line.saturating_sub(1))
-        .map(|l| l.code.trim().to_string())
-        .unwrap_or_default();
-    Violation {
-        rule,
-        family,
-        severity,
-        path: path.to_string(),
-        line,
-        col,
-        msg,
-        hint,
-        snippet,
-        baselined: false,
-    }
 }
 
-/// Lines a rule should look at: not in a test body, not suppressed.
-fn active<'a>(src: &'a SourceFile, rule: &'a str) -> impl Iterator<Item = &'a Line> {
-    src.lines
-        .iter()
-        .filter(move |l| !l.in_test && !l.allows(rule))
-}
+const G2: Rule = Rule {
+    id: "G2",
+    family: "global-order",
+    severity: Severity::Deny,
+    hint: "use f64::total_cmp — a total order that cannot panic or misorder",
+};
+const G3: Rule = Rule {
+    id: "G3",
+    family: "global-order",
+    severity: Severity::Warn,
+    hint: "keep event sequence numbers u64 end-to-end, or use usize::try_from",
+};
+const J1: Rule = Rule {
+    id: "J1",
+    family: "journal",
+    severity: Severity::Deny,
+    hint: "add the missing arm so the NDJSON round-trip covers every variant",
+};
 
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-/// Finds every occurrence of `needle` in `hay` that is not embedded in
-/// a longer identifier (checked on whichever ends of the needle are
-/// identifier characters).
-fn find_word_all(hay: &str, needle: &str) -> Vec<usize> {
-    let hb = hay.as_bytes();
-    let nb = needle.as_bytes();
-    let check_front = nb.first().is_some_and(|b| is_ident_byte(*b));
-    let check_back = nb.last().is_some_and(|b| is_ident_byte(*b));
-    let mut found = Vec::new();
-    let mut from = 0;
-    while let Some(p) = hay[from..].find(needle) {
-        let at = from + p;
-        let end = at + needle.len();
-        let front_ok = !check_front || at == 0 || !is_ident_byte(hb[at - 1]);
-        let back_ok = !check_back || end >= hb.len() || !is_ident_byte(hb[end]);
-        if front_ok && back_ok {
-            found.push(at);
-        }
-        from = at + 1;
-    }
-    found
-}
-
-// --------------------------------------------------------------- D rules
-
-const HINT_D1: &str = "take sim time from the event loop; only crates/bench reads the host clock";
-const HINT_D2: &str = "seed a netsim::rng::SimRng explicitly";
-const HINT_D3: &str = "use a BTreeMap/BTreeSet or sort the keys first";
-
-/// D1: wall-clock time sources. `Duration` is fine; reading the host
-/// clock inside the simulation is not — sim time comes from the event
-/// loop.
-fn rule_d1(path: &str, src: &SourceFile, out: &mut Vec<Violation>) {
-    const PATTERNS: &[&str] = &[
-        "std::time::Instant",
-        "std::time::SystemTime",
-        "time::Instant",
-        "time::SystemTime",
-        "Instant::now",
-        "SystemTime::now",
-    ];
-    for line in active(src, "d1") {
-        // Report the earliest match only, so overlapping patterns
-        // (`std::time::Instant` / `time::Instant`) yield one finding.
-        if let Some(col) = PATTERNS
-            .iter()
-            .flat_map(|p| find_word_all(&line.code, p))
-            .min()
-        {
-            out.push(violation(
-                "D1",
-                "determinism",
-                Severity::Deny,
-                HINT_D1,
-                path,
-                src,
-                line.number,
-                col + 1,
-                "wall-clock time in simulation code (use sim time from the event loop; \
-                 only crates/bench may read the host clock)"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// D2: ambient-entropy randomness. All randomness must flow from an
-/// explicitly seeded `netsim::rng::SimRng`.
-fn rule_d2(path: &str, src: &SourceFile, out: &mut Vec<Violation>) {
-    const PATTERNS: &[&str] = &["thread_rng", "rand::random", "from_entropy", "OsRng"];
-    for line in active(src, "d2") {
-        for pat in PATTERNS {
-            for col in find_word_all(&line.code, pat) {
-                out.push(violation(
-                    "D2",
-                    "determinism",
-                    Severity::Deny,
-                    HINT_D2,
-                    path,
-                    src,
-                    line.number,
-                    col + 1,
-                    format!(
-                        "nondeterministic randomness `{pat}` (seed a `netsim::rng::SimRng` \
-                         explicitly instead)"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Iteration adapters whose order is the hash order.
-const HASH_ITER_METHODS: &[&str] = &[
-    ".iter()",
-    ".iter_mut()",
-    ".keys()",
-    ".values()",
-    ".values_mut()",
-    ".retain(",
-    ".drain(",
-    ".into_iter()",
-    ".into_keys()",
-    ".into_values()",
-];
-
-/// D3: iteration over `HashMap`/`HashSet` in deterministic crates.
-/// Construction and point lookups are fine; anything that observes the
-/// bucket order is not. Detection is two-pass: collect identifiers
-/// declared with a hash-table type, then flag order-observing calls on
-/// them.
-fn rule_d3(path: &str, src: &SourceFile, out: &mut Vec<Violation>) {
-    let mut hash_idents: BTreeSet<String> = BTreeSet::new();
-    for line in src.lines.iter().filter(|l| !l.in_test) {
-        for ty in ["HashMap", "HashSet"] {
-            for at in find_word_all(&line.code, ty) {
-                if let Some(name) = declared_ident(&line.code, at) {
-                    hash_idents.insert(name);
-                }
-            }
-        }
-    }
-    // Multi-line method chains: a line that *starts* with an
-    // order-observing call continues the previous line's expression
-    // (`self\n.entries\n.iter()`), so check the trailing identifier of
-    // the nearest preceding non-blank line.
-    let mut prev_trailing: Option<(String, usize)> = None; // (ident, line no.)
-    for line in src.lines.iter().filter(|l| !l.in_test) {
-        let trimmed = line.code.trim_start();
-        if let Some(m) = HASH_ITER_METHODS.iter().find(|m| trimmed.starts_with(**m)) {
-            if let Some((ident, _)) = prev_trailing
-                .as_ref()
-                .filter(|(id, _)| hash_idents.contains(id))
-            {
-                if !line.allows("d3") {
-                    let col = line.code.len() - trimmed.len() + 1;
-                    out.push(violation(
-                        "D3",
-                        "determinism",
-                        Severity::Deny,
-                        HINT_D3,
-                        path,
-                        src,
-                        line.number,
-                        col,
-                        format!(
-                            "hash-order iteration `{ident}{}` in a deterministic crate \
-                             (use a BTreeMap/BTreeSet or sort the keys first)",
-                            m.trim_end_matches('(')
-                        ),
-                    ));
-                }
-            }
-        }
-        if let Some(ident) = trailing_ident(&line.code) {
-            prev_trailing = Some((ident, line.number));
-        } else if !line.code.trim().is_empty() {
-            prev_trailing = None;
-        }
-    }
-    for line in active(src, "d3") {
-        for ident in &hash_idents {
-            for at in find_word_all(&line.code, ident) {
-                let rest = &line.code[at + ident.len()..];
-                if let Some(m) = HASH_ITER_METHODS.iter().find(|m| rest.starts_with(**m)) {
-                    out.push(violation(
-                        "D3",
-                        "determinism",
-                        Severity::Deny,
-                        HINT_D3,
-                        path,
-                        src,
-                        line.number,
-                        at + 1,
-                        format!(
-                            "hash-order iteration `{ident}{}` in a deterministic crate \
-                             (use a BTreeMap/BTreeSet or sort the keys first)",
-                            m.trim_end_matches('(')
-                        ),
-                    ));
-                } else if for_loop_over(&line.code, at, ident) {
-                    out.push(violation(
-                        "D3",
-                        "determinism",
-                        Severity::Deny,
-                        HINT_D3,
-                        path,
-                        src,
-                        line.number,
-                        at + 1,
-                        format!(
-                            "hash-order iteration `for … in {ident}` in a deterministic \
-                             crate (use a BTreeMap/BTreeSet or sort the keys first)"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// The identifier a line's expression ends with (`self.entries` →
-/// `entries`), if it ends in one.
-fn trailing_ident(code: &str) -> Option<String> {
-    let t = code.trim_end();
-    let bytes = t.as_bytes();
-    let mut j = bytes.len();
-    while j > 0 && is_ident_byte(bytes[j - 1]) {
-        j -= 1;
-    }
-    if j == bytes.len() || bytes[j].is_ascii_digit() {
-        return None;
-    }
-    Some(t[j..].to_string())
-}
-
-/// Given a match of `HashMap`/`HashSet` at byte `at`, extracts the
-/// identifier being declared with that type, if any. Recognises
-/// `name: [path::]HashMap<…>` (field or annotated binding) and
-/// `[let [mut]] name = [path::]HashMap::…`.
-fn declared_ident(code: &str, at: usize) -> Option<String> {
-    let bytes = code.as_bytes();
-    // Walk back over the type path (`std::collections::`).
-    let mut i = at;
-    while i > 0 && (is_ident_byte(bytes[i - 1]) || bytes[i - 1] == b':') {
-        i -= 1;
-    }
-    // Walk back over whitespace and reference prefixes (`&`, `&mut`).
-    loop {
-        while i > 0 && bytes[i - 1] == b' ' {
-            i -= 1;
-        }
-        if i > 0 && bytes[i - 1] == b'&' {
-            i -= 1;
-            continue;
-        }
-        if i >= 3 && &bytes[i - 3..i] == b"mut" && (i == 3 || !is_ident_byte(bytes[i - 4])) {
-            i -= 3;
-            continue;
-        }
-        break;
-    }
-    if i == 0 {
-        return None;
-    }
-    let sep = bytes[i - 1];
-    if sep != b':' && sep != b'=' {
-        return None;
-    }
-    if sep == b':' && i >= 2 && bytes[i - 2] == b':' {
-        return None; // `::HashMap` path segment, not a declaration
-    }
-    if sep == b'=' && i >= 2 && matches!(bytes[i - 2], b'=' | b'!' | b'<' | b'>') {
-        return None; // comparison, not an assignment
-    }
-    let mut j = i - 1;
-    while j > 0 && bytes[j - 1] == b' ' {
-        j -= 1;
-    }
-    let end = j;
-    while j > 0 && is_ident_byte(bytes[j - 1]) {
-        j -= 1;
-    }
-    if j == end {
-        return None;
-    }
-    let name = &code[j..end];
-    if name == "mut" || name.as_bytes()[0].is_ascii_digit() {
-        return None;
-    }
-    Some(name.to_string())
-}
-
-/// True when the identifier at `at` is the bare sequence of a
-/// `for … in` loop (optionally `&`/`&mut`-prefixed). Method chains
-/// like `map.iter()` are handled by the method patterns instead.
-fn for_loop_over(code: &str, at: usize, ident: &str) -> bool {
-    let mut before = code[..at].trim_end();
-    if let Some(b) = before.strip_suffix("&mut") {
-        before = b.trim_end();
-    } else if let Some(b) = before.strip_suffix('&') {
-        before = b.trim_end();
-    }
-    if before != "in" && !before.ends_with(" in") {
-        return false;
-    }
-    let after = code[at + ident.len()..].trim_start();
-    after.is_empty() || after.starts_with('{')
-}
-
-// --------------------------------------------------------------- F rules
-
-const HINT_F1: &str = "return a Result/Option; a malformed packet must not abort the process";
-const HINT_F2: &str = "compare with a tolerance, or use total_cmp";
-
-/// F1: panicking calls on the packet fast path. These files process
-/// every packet; a malformed input must surface as a `Result`/`Option`,
-/// never a process abort.
-fn rule_f1(path: &str, src: &SourceFile, out: &mut Vec<Violation>) {
-    const PATTERNS: &[(&str, &str)] = &[
-        (".unwrap()", "unwrap()"),
-        (".expect(", "expect()"),
-        ("panic!(", "panic!"),
-        ("unreachable!(", "unreachable!"),
-        ("todo!(", "todo!"),
-        ("unimplemented!(", "unimplemented!"),
-    ];
-    for line in active(src, "f1") {
-        for (pat, label) in PATTERNS {
-            for col in find_word_all(&line.code, pat) {
-                out.push(violation(
-                    "F1",
-                    "fastpath",
-                    Severity::Deny,
-                    HINT_F1,
-                    path,
-                    src,
-                    line.number,
-                    col + 1,
-                    format!(
-                        "`{label}` on the packet fast path (return a Result/Option; \
-                         a malformed packet must not abort the process)"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// F2: float equality in controller/estimator code. Exact comparison
-/// of computed f64/f32 values is order-sensitive; use a tolerance or
-/// compare the underlying integers.
-fn rule_f2(path: &str, src: &SourceFile, out: &mut Vec<Violation>) {
-    for line in active(src, "f2") {
-        let bytes = line.code.as_bytes();
-        let mut i = 0;
-        while i + 1 < bytes.len() {
-            let two = &bytes[i..i + 2];
-            let is_eq = two == b"==";
-            let is_ne = two == b"!=";
-            if !(is_eq || is_ne) {
-                i += 1;
-                continue;
-            }
-            // Skip `<=`, `>=`, `=>`, `===`-like runs and pattern arms.
-            let prev = if i > 0 { bytes[i - 1] } else { b' ' };
-            let next = bytes.get(i + 2).copied().unwrap_or(b' ');
-            if is_eq
-                && matches!(
-                    prev,
-                    b'=' | b'!'
-                        | b'<'
-                        | b'>'
-                        | b'+'
-                        | b'-'
-                        | b'*'
-                        | b'/'
-                        | b'%'
-                        | b'&'
-                        | b'|'
-                        | b'^'
-                )
-                || next == b'='
-            {
-                i += 2;
-                continue;
-            }
-            let left = operand_back(&line.code, i);
-            let right = operand_forward(&line.code, i + 2);
-            if looks_float(left) || looks_float(right) {
-                out.push(violation(
-                    "F2",
-                    "fastpath",
-                    Severity::Deny,
-                    HINT_F2,
-                    path,
-                    src,
-                    line.number,
-                    i + 1,
-                    format!(
-                        "exact float `{}` comparison in controller/estimator code \
-                         (compare with a tolerance instead)",
-                        if is_eq { "==" } else { "!=" }
-                    ),
-                ));
-            }
-            i += 2;
-        }
-    }
-}
-
-/// Expression delimiters that terminate an operand scan.
-fn is_operand_delim(b: u8) -> bool {
-    matches!(
-        b,
-        b'(' | b')' | b',' | b';' | b'{' | b'}' | b'=' | b'<' | b'>' | b'&' | b'|' | b'[' | b']'
-    )
-}
-
-fn operand_back(code: &str, op_at: usize) -> &str {
-    let bytes = code.as_bytes();
-    let mut j = op_at;
-    while j > 0 && !is_operand_delim(bytes[j - 1]) {
-        j -= 1;
-    }
-    code[j..op_at].trim()
-}
-
-fn operand_forward(code: &str, from: usize) -> &str {
-    let bytes = code.as_bytes();
-    let mut j = from;
-    while j < bytes.len() && !is_operand_delim(bytes[j]) {
-        j += 1;
-    }
-    code[from..j].trim()
-}
-
-/// Heuristic: does this operand text involve floating point? True for
-/// float literals (`1.0`, `2.`, `3f64`) and `f32`/`f64` mentions
-/// (casts, paths like `f64::NAN`).
-fn looks_float(operand: &str) -> bool {
-    if !find_word_all(operand, "f64").is_empty() || !find_word_all(operand, "f32").is_empty() {
-        return true;
-    }
-    let bytes = operand.as_bytes();
-    for (k, &b) in bytes.iter().enumerate() {
-        if b != b'.' {
-            continue;
-        }
-        // Digits immediately before the dot…
-        let mut s = k;
-        while s > 0 && bytes[s - 1].is_ascii_digit() {
-            s -= 1;
-        }
-        if s == k {
-            continue;
-        }
-        // …that start a number, not the tail of an identifier (`v1.0`).
-        if s > 0 && is_ident_byte(bytes[s - 1]) {
-            continue;
-        }
-        // A digit (or end/non-ident) after the dot makes it a float
-        // literal; `1.method()` is not one we care about.
-        let after = bytes.get(k + 1).copied();
-        if after.is_none() || after.is_some_and(|a| a.is_ascii_digit() || !is_ident_byte(a)) {
-            return true;
-        }
-    }
-    false
-}
-
-// --------------------------------------------------------------- C rules
-
-const HINT_C1: &str = "hold the state behind &mut on the owning node, not interior mutability";
-const HINT_C2: &str = "Rc is not Send; use single ownership (or Arc if sharing is unavoidable)";
-const HINT_C3: &str = "replace static mut with state owned by the node and passed down";
-const HINT_C4: &str =
-    "thread-local state diverges across worker threads; thread it through the node";
-const HINT_C5: &str = "justify the unsafe block with a simlint allow marker, or remove it";
-
-/// C1–C5: concurrency-readiness. The parallel sim core runs node
-/// regions on worker threads; these constructs either break `Send`
-/// (C1/C2), hide shared mutable state (C3/C4), or sidestep the
-/// compiler's thread-safety proofs entirely (C5). Each may be allowed,
-/// but only with a written justification on the marker.
-fn rules_c(path: &str, syn: &FileSyntax, out: &mut Vec<Violation>) {
-    const INTERIOR: &[&str] = &["RefCell", "Cell", "UnsafeCell", "OnceCell", "LazyCell"];
-    let src = &syn.src;
-    let toks = &syn.toks;
-    for (k, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let hit: Option<(&'static str, &'static str, String)> =
-            if INTERIOR.iter().any(|p| t.text == *p) {
-                Some((
-                    "C1",
-                    HINT_C1,
-                    format!("interior mutability `{}` in a deterministic crate", t.text),
-                ))
-            } else if t.text == "Rc" {
-                Some((
-                    "C2",
-                    HINT_C2,
-                    "non-`Send` shared ownership `Rc` in a deterministic crate".to_string(),
-                ))
-            } else if t.text == "static" && toks.get(k + 1).is_some_and(|n| n.is_ident("mut")) {
-                Some((
-                    "C3",
-                    HINT_C3,
-                    "`static mut` global state in a deterministic crate".to_string(),
-                ))
-            } else if t.text == "thread_local" && toks.get(k + 1).is_some_and(|n| n.is_punct("!")) {
-                Some((
-                    "C4",
-                    HINT_C4,
-                    "`thread_local!` state in a deterministic crate".to_string(),
-                ))
-            } else if t.text == "unsafe" {
-                Some((
-                    "C5",
-                    HINT_C5,
-                    "`unsafe` code in a deterministic crate".to_string(),
-                ))
-            } else {
-                None
-            };
-        let Some((rule, hint, msg)) = hit else {
-            continue;
-        };
-        let Some(line) = src.lines.get(t.line - 1) else {
-            continue;
-        };
-        if line.in_test {
-            continue;
-        }
-        let rule_lc = rule.to_ascii_lowercase();
-        if line.allows(&rule_lc) {
-            if line.allows_justified(&rule_lc) {
-                continue; // justified allow: suppressed
-            }
-            out.push(violation(
-                rule,
-                "concurrency",
-                Severity::Deny,
-                "add a justification after the marker: `// simlint: allow(c…) — why this \
-                 is safe for the parallel refactor`",
-                path,
-                src,
-                t.line,
-                t.col,
-                format!("{msg}: `allow({rule_lc})` marker lacks a justification"),
-            ));
-            continue;
-        }
-        out.push(violation(
-            rule,
-            "concurrency",
-            Severity::Deny,
-            hint,
-            path,
-            src,
-            t.line,
-            t.col,
+impl Rule {
+    /// A finding of this rule at `line:col` of `syn`.
+    fn at(&self, syn: &FileSyntax<'_>, line: usize, col: usize, msg: String) -> Violation {
+        Violation {
+            rule: self.id,
+            family: self.family,
+            severity: self.severity,
+            path: syn.path.to_string(),
+            line,
+            col,
             msg,
-        ));
+            hint: self.hint,
+            snippet: syn.snippet(line),
+            baselined: false,
+        }
     }
+}
+
+/// Runs every applicable per-file rule over one lexed file.
+pub fn check_file(syn: &FileSyntax<'_>, cfg: &Config) -> Vec<Violation> {
+    let mut out = Vec::new();
+    if Config::in_scope(syn.path, &cfg.g_comparators) {
+        rule_g2(syn, &mut out);
+    }
+    if Config::in_scope(syn.path, &cfg.g_seq_cast) {
+        rule_g3(syn, &mut out);
+    }
+    out
 }
 
 // --------------------------------------------------------------- G rules
 
-const HINT_G1: &str = "use a BTreeMap/BTreeSet field so no caller can observe hash order";
-const HINT_G2: &str = "use f64::total_cmp — a total order that cannot panic or misorder";
-const HINT_G3: &str = "keep event sequence numbers u64 end-to-end, or use usize::try_from";
-
-/// G1: `HashMap`/`HashSet` held in struct fields of deterministic
-/// crates. D3 catches iteration *sites*; G1 catches the *state shape*
-/// itself — a hash-ordered field is a standing invitation for the next
-/// caller (or the parallel merge step) to observe bucket order. Public
-/// fields are deny-tier (any crate can iterate them); private fields
-/// are warn-tier (baseline-able while migration is in flight).
-fn rule_g1(path: &str, syn: &FileSyntax, out: &mut Vec<Violation>) {
-    let src = &syn.src;
-    for item in &syn.items {
-        if item.kind != ItemKind::Struct || item.in_test {
-            continue;
-        }
-        for field in &item.fields {
-            let has_hash = !find_word_all(&field.ty, "HashMap").is_empty()
-                || !find_word_all(&field.ty, "HashSet").is_empty();
-            if !has_hash {
-                continue;
-            }
-            let Some(line) = src.lines.get(field.line - 1) else {
-                continue;
-            };
-            if line.in_test || line.allows("g1") {
-                continue;
-            }
-            let severity = if field.is_pub {
-                Severity::Deny
-            } else {
-                Severity::Warn
-            };
-            out.push(violation(
-                "G1",
-                "global-order",
-                severity,
-                HINT_G1,
-                path,
-                src,
-                field.line,
-                field.col,
-                format!(
-                    "hash-ordered container in {} struct field `{}.{}` of a deterministic \
-                     crate (iteration order is per-process random)",
-                    if field.is_pub { "public" } else { "private" },
-                    item.name,
-                    field.name
-                ),
-            ));
-        }
-    }
-}
-
 /// G2: non-total float comparators — `partial_cmp(..).unwrap()` /
 /// `.expect(..)` inside `sort_by`/`max_by`/`min_by` closures. The
-/// comparator panics on NaN and, worse for a parallel merge, defines no
-/// total order; `total_cmp` is both total and panic-free.
-fn rule_g2(path: &str, syn: &FileSyntax, out: &mut Vec<Violation>) {
-    let src = &syn.src;
+/// comparator panics on NaN and defines no total order; `total_cmp` is
+/// both total and panic-free. (`clippy::unwrap_used` would catch the
+/// `unwrap` only where the panic lints are on, and says nothing about
+/// the order.)
+fn rule_g2(syn: &FileSyntax<'_>, out: &mut Vec<Violation>) {
     let toks = &syn.toks;
     for (k, t) in toks.iter().enumerate() {
-        if !t.is_ident("partial_cmp") {
+        // `partial_cmp ( … ) . unwrap|expect` — skip the argument list.
+        if !t.is_ident("partial_cmp")
+            || !toks.get(k + 1).is_some_and(|t| t.is_punct("("))
+            || syn.in_test[k]
+        {
             continue;
         }
-        // `partial_cmp ( … ) . unwrap|expect` — skip the argument list.
-        let Some(open) = toks.get(k + 1).filter(|t| t.is_punct("(")) else {
-            continue;
-        };
-        let _ = open;
-        let close = skip_group(toks, k + 1);
+        let close = items::skip_balanced(toks, k + 1, toks.len());
         let followed_by_panic = toks.get(close).is_some_and(|t| t.is_punct("."))
             && toks
                 .get(close + 1)
                 .is_some_and(|t| t.is_ident("unwrap") || t.is_ident("expect"));
-        if !followed_by_panic {
-            continue;
+        if followed_by_panic {
+            let msg = "non-total float comparator `partial_cmp(…).unwrap()` (panics on NaN and \
+                       defines no total order; use `total_cmp`)";
+            out.push(G2.at(syn, t.line, t.col, msg.to_string()));
         }
-        let Some(line) = src.lines.get(t.line - 1) else {
-            continue;
-        };
-        if line.in_test || line.allows("g2") {
-            continue;
-        }
-        out.push(violation(
-            "G2",
-            "global-order",
-            Severity::Deny,
-            HINT_G2,
-            path,
-            src,
-            t.line,
-            t.col,
-            "non-total float comparator `partial_cmp(…).unwrap()` (panics on NaN and \
-             defines no total order; use `total_cmp`)"
-                .to_string(),
-        ));
     }
 }
 
 /// G3: narrowing casts of event sequence numbers (`… seq … as usize`).
-/// Sequence numbers are the tie-breaker that makes the event order (and
-/// the cross-window merge of the parallel core) total; truncating one
-/// on a 32-bit target silently reorders events. Warn-tier: a cast that
-/// is provably in-range belongs in the baseline with a reason.
-fn rule_g3(path: &str, syn: &FileSyntax, out: &mut Vec<Violation>) {
-    let src = &syn.src;
+/// Sequence numbers are the tie-breaker that makes the event order
+/// total; truncating one on a 32-bit target silently reorders events.
+/// Warn-tier: a cast that is provably in-range belongs in the baseline.
+/// (`clippy::cast_possible_truncation` flags every narrowing cast in the
+/// crate; this one knows which operands order events.)
+fn rule_g3(syn: &FileSyntax<'_>, out: &mut Vec<Violation>) {
     let toks = &syn.toks;
     for (k, t) in toks.iter().enumerate() {
-        if !t.is_ident("as") {
+        let Some(target) = toks.get(k + 1) else {
             continue;
-        }
-        let narrow = toks
-            .get(k + 1)
-            .is_some_and(|n| n.is_ident("usize") || n.is_ident("u32") || n.is_ident("u16"));
-        if !narrow {
+        };
+        let narrow = target.is_ident("usize") || target.is_ident("u32") || target.is_ident("u16");
+        if !t.is_ident("as") || !narrow || syn.in_test[k] {
             continue;
         }
         let mut idents = Vec::new();
         operand_idents_back(toks, k, &mut idents);
-        if !idents.iter().any(|id| is_seq_ident(id)) {
-            continue;
+        if idents.iter().any(|id| is_seq_ident(id)) {
+            out.push(G3.at(
+                syn,
+                t.line,
+                t.col,
+                format!(
+                    "sequence number truncated by `as {}` (event order relies on the full \
+                     u64 sequence)",
+                    target.text
+                ),
+            ));
         }
-        let Some(line) = src.lines.get(t.line - 1) else {
-            continue;
-        };
-        if line.in_test || line.allows("g3") {
-            continue;
-        }
-        out.push(violation(
-            "G3",
-            "global-order",
-            Severity::Warn,
-            HINT_G3,
-            path,
-            src,
-            t.line,
-            t.col,
-            format!(
-                "sequence number truncated by `as {}` (event order relies on the full \
-                 u64 sequence)",
-                toks[k + 1].text
-            ),
-        ));
     }
 }
 
@@ -858,85 +246,51 @@ fn operand_idents_back<'t>(toks: &'t [Tok], at: usize, out: &mut Vec<&'t str>) {
     let mut want_primary = true;
     while i > 0 {
         let t = &toks[i - 1];
-        if want_primary {
-            if t.is_punct(")") || t.is_punct("]") {
-                let (open, close) = if t.is_punct(")") {
-                    ("(", ")")
-                } else {
-                    ("[", "]")
-                };
-                let mut depth = 0i32;
-                let mut j = i - 1;
-                loop {
-                    let tt = &toks[j];
-                    if tt.is_punct(close) {
-                        depth += 1;
-                    } else if tt.is_punct(open) {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    } else if tt.kind == TokKind::Ident {
-                        out.push(&tt.text);
-                    }
-                    if j == 0 {
-                        break;
-                    }
-                    j -= 1;
-                }
-                i = j;
-                // A call/index: the callee identifier precedes the group.
-                if i > 0 && toks[i - 1].kind == TokKind::Ident {
-                    out.push(&toks[i - 1].text);
-                    i -= 1;
-                }
-                want_primary = false;
-            } else if t.kind == TokKind::Ident {
-                out.push(&t.text);
-                i -= 1;
-                want_primary = false;
-            } else if t.kind == TokKind::Num {
-                i -= 1;
-                want_primary = false;
-            } else {
+        if !want_primary {
+            if !(t.is_punct(".") || t.is_punct("::")) {
                 break;
             }
-        } else if t.is_punct(".") || t.is_punct("::") {
             i -= 1;
-            want_primary = true;
+        } else if t.is_punct(")") || t.is_punct("]") {
+            let (open, close) = if t.is_punct(")") {
+                ("(", ")")
+            } else {
+                ("[", "]")
+            };
+            // Back to the matching opener, or to the start of input.
+            let mut depth = 0i32;
+            while i > 0 {
+                i -= 1;
+                let tt = &toks[i];
+                if tt.is_punct(close) {
+                    depth += 1;
+                } else if tt.is_punct(open) {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                } else if tt.kind == TokKind::Ident {
+                    out.push(&tt.text);
+                }
+            }
+            // A call/index: the callee identifier precedes the group.
+            if i > 0 && toks[i - 1].kind == TokKind::Ident {
+                out.push(&toks[i - 1].text);
+                i -= 1;
+            }
+        } else if t.kind == TokKind::Ident || t.kind == TokKind::Num {
+            if t.kind == TokKind::Ident {
+                out.push(&t.text);
+            }
+            i -= 1;
         } else {
             break;
         }
+        want_primary = !want_primary;
     }
-}
-
-/// Index just past the balanced group opening at `at`.
-fn skip_group(toks: &[Tok], at: usize) -> usize {
-    let open = toks[at].text.clone();
-    let close = match open.as_str() {
-        "(" => ")",
-        "[" => "]",
-        _ => "}",
-    };
-    let mut depth = 0i32;
-    let mut i = at;
-    while i < toks.len() {
-        if toks[i].is_punct(&open) {
-            depth += 1;
-        } else if toks[i].is_punct(close) {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    toks.len()
 }
 
 // --------------------------------------------------------------- J rule
-
-const HINT_J1: &str = "add the missing arm so the NDJSON round-trip covers every variant";
 
 /// J1: journal-schema drift. Every `JournalEvent` variant must have a
 /// `write_event` arm (so it reaches the NDJSON), a `kind()` wire name,
@@ -944,128 +298,78 @@ const HINT_J1: &str = "add the missing arm so the NDJSON round-trip covers every
 /// trips it). A variant missing any of the three silently vanishes from
 /// offline analysis — exactly the failure the lbtrace conformance
 /// tests can't see, because they only replay events that *did* get
-/// written. Runs on the symbol index, so it finds the pieces wherever
-/// they live in the journal file.
-pub fn check_journal(index: &SymbolIndex, cfg: &Config, out: &mut Vec<Violation>) {
-    for path in &cfg.journal {
-        let Some(file) = index.file(path) else {
-            continue; // not part of this run (single-file invocation)
-        };
-        let Some(en) = file
-            .items
-            .iter()
-            .find(|i| i.kind == ItemKind::Enum && i.name == "JournalEvent" && !i.in_test)
+/// written. The pieces are found by name wherever they sit in the
+/// journal file. (rustc's exhaustiveness check covers `kind()` and
+/// `write_event`, which match on the enum; nothing checks the parser,
+/// which matches on strings.)
+pub fn check_journal(files: &[FileSyntax<'_>], cfg: &Config, out: &mut Vec<Violation>) {
+    for file in files
+        .iter()
+        .filter(|f| cfg.journal.iter().any(|j| j == f.path))
+    {
+        let toks = &file.toks;
+        let Some((_, variants)) = items::enums_named(toks, "JournalEvent")
+            .into_iter()
+            .find(|(at, _)| !file.in_test[*at])
         else {
             continue;
         };
-        let matches_of = |fn_name: &str| -> Vec<MatchExpr> {
-            file.items
-                .iter()
-                .filter(|i| i.kind == ItemKind::Fn && i.name == fn_name && !i.in_test)
-                .filter_map(|i| i.body.clone())
-                .flat_map(|body| find_matches(&file.toks, body))
+        let arms_of = |fn_name: &str| -> Vec<MatchArm> {
+            items::fns_named(toks, fn_name)
+                .into_iter()
+                .filter(|(at, _)| !file.in_test[*at])
+                .flat_map(|(_, body)| find_matches(toks, body))
+                .flatten()
                 .collect()
+        };
+        let wire_in = |range: &std::ops::Range<usize>| -> Option<&str> {
+            toks[range.clone()]
+                .iter()
+                .find(|t| t.kind == TokKind::Str)
+                .map(|t| t.text.as_str())
         };
 
         // kind(): JournalEvent::X pattern → "wire_name" body.
-        let mut wire_of: Vec<(String, String)> = Vec::new();
-        for m in matches_of("kind") {
-            for arm in &m.arms {
-                let vars = variant_idents(&file.toks, arm.pat.clone());
-                let wire = file.toks[arm.body.clone()]
-                    .iter()
-                    .find(|t| t.kind == TokKind::Str)
-                    .map(|t| t.text.clone());
-                if let Some(w) = wire {
-                    for v in vars {
-                        wire_of.push((v, w.clone()));
-                    }
-                }
+        let mut wire_of: Vec<(&str, &str)> = Vec::new();
+        for arm in arms_of("kind") {
+            if let Some(wire) = wire_in(&arm.body) {
+                wire_of.extend(variant_idents(toks, arm.pat).map(|v| (v, wire)));
             }
         }
         // write_event(): variants covered by any arm pattern.
-        let mut written: BTreeSet<String> = BTreeSet::new();
-        for m in matches_of("write_event") {
-            for arm in &m.arms {
-                written.extend(variant_idents(&file.toks, arm.pat.clone()));
-            }
-        }
+        let written: BTreeSet<&str> = arms_of("write_event")
+            .into_iter()
+            .flat_map(|arm| variant_idents(toks, arm.pat))
+            .collect();
         // parse_event(): "wire_name" pattern → variants constructed in
         // the arm body.
-        let mut parsed: Vec<(String, String)> = Vec::new();
-        for m in matches_of("parse_event") {
-            for arm in &m.arms {
-                let Some(wire) = file.toks[arm.pat.clone()]
-                    .iter()
-                    .find(|t| t.kind == TokKind::Str)
-                    .map(|t| t.text.clone())
-                else {
-                    continue;
-                };
-                for v in variant_idents(&file.toks, arm.body.clone()) {
-                    parsed.push((wire.clone(), v));
-                }
+        let mut parsed: BTreeSet<(&str, &str)> = BTreeSet::new();
+        for arm in arms_of("parse_event") {
+            if let Some(wire) = wire_in(&arm.pat) {
+                parsed.extend(variant_idents(toks, arm.body).map(|v| (wire, v)));
             }
         }
 
-        for v in &en.variants {
-            if !written.contains(&v.name) {
-                out.push(violation(
-                    "J1",
-                    "journal",
-                    Severity::Deny,
-                    HINT_J1,
-                    path,
-                    &file.src,
-                    v.line,
-                    1,
-                    format!(
-                        "journal-schema drift: `JournalEvent::{}` has no `write_event` arm \
-                         (events of this kind never reach the NDJSON)",
-                        v.name
-                    ),
+        for v in &variants {
+            let name = v.name.as_str();
+            let mut drift = |msg: String| {
+                out.push(J1.at(file, v.line, 1, format!("journal-schema drift: {msg}")))
+            };
+            if !written.contains(name) {
+                drift(format!(
+                    "`JournalEvent::{name}` has no `write_event` arm (events of this kind \
+                     never reach the NDJSON)"
                 ));
             }
-            let wires: Vec<&str> = wire_of
-                .iter()
-                .filter(|(var, _)| *var == v.name)
-                .map(|(_, w)| w.as_str())
-                .collect();
-            if wires.is_empty() {
-                out.push(violation(
-                    "J1",
-                    "journal",
-                    Severity::Deny,
-                    HINT_J1,
-                    path,
-                    &file.src,
-                    v.line,
-                    1,
-                    format!(
-                        "journal-schema drift: `JournalEvent::{}` has no `kind()` wire name",
-                        v.name
-                    ),
-                ));
-                continue;
+            let mut wires = wire_of.iter().filter(|(var, _)| *var == name).peekable();
+            if wires.peek().is_none() {
+                drift(format!("`JournalEvent::{name}` has no `kind()` wire name"));
             }
-            for wire in wires {
-                let has_parse = parsed.iter().any(|(w, var)| w == wire && *var == v.name);
-                if !has_parse {
-                    out.push(violation(
-                        "J1",
-                        "journal",
-                        Severity::Deny,
-                        HINT_J1,
-                        path,
-                        &file.src,
-                        v.line,
-                        1,
-                        format!(
-                            "journal-schema drift: wire name \"{wire}\" has no `parse_event` \
-                             arm constructing `JournalEvent::{}` (parse_ndjson silently \
-                             loses this variant)",
-                            v.name
-                        ),
+            for (_, wire) in wires {
+                if !parsed.contains(&(*wire, name)) {
+                    drift(format!(
+                        "wire name \"{wire}\" has no `parse_event` arm constructing \
+                         `JournalEvent::{name}` (parse_ndjson silently loses this variant)"
                     ));
                 }
             }
@@ -1074,19 +378,9 @@ pub fn check_journal(index: &SymbolIndex, cfg: &Config, out: &mut Vec<Violation>
 }
 
 /// Variant names referenced as `JournalEvent::X` in a token range.
-fn variant_idents(toks: &[Tok], range: std::ops::Range<usize>) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = range.start;
-    while i + 2 < range.end {
-        if toks[i].is_ident("JournalEvent")
-            && toks[i + 1].is_punct("::")
-            && toks[i + 2].kind == TokKind::Ident
-        {
-            out.push(toks[i + 2].text.clone());
-            i += 3;
-        } else {
-            i += 1;
-        }
-    }
-    out
+fn variant_idents(toks: &[Tok], range: std::ops::Range<usize>) -> impl Iterator<Item = &str> {
+    toks[range].windows(3).filter_map(|w| {
+        (w[0].is_ident("JournalEvent") && w[1].is_punct("::") && w[2].kind == TokKind::Ident)
+            .then_some(w[2].text.as_str())
+    })
 }

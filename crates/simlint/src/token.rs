@@ -1,12 +1,11 @@
 //! The token layer: a hand-rolled Rust lexer with source spans.
 //!
-//! The line scanner (`scanner.rs`) blanks comments and literal contents
-//! so pattern rules can grep stripped lines. The token layer goes one
-//! level deeper: it lexes the *original* source into identifiers,
-//! literals, and punctuation with `(line, col)` spans — enough structure
-//! for the item parser (`items.rs`) to extract fns, structs, enums,
-//! impls, and match arms, and for rules that need to see string
-//! *contents* (the J-rule reads journal wire names out of match arms).
+//! Everything simlint knows about a file it knows from here: the source
+//! lexed into identifiers, literals, and punctuation with `(line, col)`
+//! spans and comments dropped. That is enough for the rules to walk
+//! (`rules.rs`), for `items.rs` to find an enum's variants, a function's
+//! body and a `match`'s arms, and for the J-rule to read journal wire
+//! names out of string literals.
 //!
 //! This is a lexer for the subset of Rust the workspace writes, not the
 //! full grammar: nested block comments, raw/byte strings, char literals
@@ -44,6 +43,8 @@ pub struct Tok {
     pub line: usize,
     /// 1-based character column of the token start.
     pub col: usize,
+    /// Source characters the token spans, quotes and prefixes included.
+    pub len: usize,
 }
 
 impl Tok {
@@ -88,7 +89,34 @@ pub fn lex(src: &str) -> Vec<Tok> {
 
     while i < n {
         let c = chars[i];
-        let (tline, tcol) = (line, col);
+        let (start, tline, tcol) = (i, line, col);
+
+        // Emits the token that started at this iteration and ends at `i`.
+        macro_rules! push {
+            ($kind:expr, $text:expr) => {
+                toks.push(Tok {
+                    kind: $kind,
+                    text: $text,
+                    line: tline,
+                    col: tcol,
+                    len: i - start,
+                })
+            };
+        }
+        // Consumes a plain string body from its opening quote; yields
+        // the contents (escapes verbatim).
+        macro_rules! string_body {
+            () => {{
+                bump!(1); // opening quote
+                let from = i;
+                while i < n && chars[i] != '"' {
+                    bump!(if chars[i] == '\\' { 2 } else { 1 });
+                }
+                let text: String = chars[from..i.min(n)].iter().collect();
+                bump!(1); // closing quote
+                text
+            }};
+        }
 
         // Whitespace.
         if c.is_whitespace() {
@@ -125,32 +153,29 @@ pub fn lex(src: &str) -> Vec<Tok> {
         if (c == 'r' || c == 'b') && !prev_is_ident(&chars, i) {
             if let Some((hashes, open_len)) = raw_open(&chars, i) {
                 bump!(open_len);
-                let start = i;
+                let from = i;
                 while i < n {
                     if chars[i] == '"' && (1..=hashes).all(|k| chars.get(i + k) == Some(&'#')) {
                         break;
                     }
                     bump!(1);
                 }
-                let text: String = chars[start..i.min(n)].iter().collect();
+                let text: String = chars[from..i.min(n)].iter().collect();
                 bump!(1 + hashes);
-                toks.push(Tok {
-                    kind: TokKind::Str,
-                    text,
-                    line: tline,
-                    col: tcol,
-                });
+                push!(TokKind::Str, text);
                 continue;
             }
             if chars.get(i + 1) == Some(&'"') && c == 'b' {
-                bump!(1); // fall through to the plain-string path below
-                lex_string(&chars, &mut toks, &mut i, &mut line, &mut col, tline, tcol);
+                bump!(1); // the prefix; the rest is a plain string
+                let text = string_body!();
+                push!(TokKind::Str, text);
                 continue;
             }
         }
         // Plain string.
         if c == '"' {
-            lex_string(&chars, &mut toks, &mut i, &mut line, &mut col, tline, tcol);
+            let text = string_body!();
+            push!(TokKind::Str, text);
             continue;
         }
         // Char literal vs. lifetime.
@@ -158,31 +183,20 @@ pub fn lex(src: &str) -> Vec<Tok> {
             if let Some(end) = char_literal_end(&chars, i) {
                 let text: String = chars[i + 1..end].iter().collect();
                 bump!(end + 1 - i);
-                toks.push(Tok {
-                    kind: TokKind::Char,
-                    text,
-                    line: tline,
-                    col: tcol,
-                });
+                push!(TokKind::Char, text);
             } else {
                 // Lifetime: `'` + ident.
                 bump!(1);
-                let start = i;
+                let from = i;
                 while i < n && is_ident_char(chars[i]) {
                     bump!(1);
                 }
-                toks.push(Tok {
-                    kind: TokKind::Lifetime,
-                    text: chars[start..i].iter().collect(),
-                    line: tline,
-                    col: tcol,
-                });
+                push!(TokKind::Lifetime, chars[from..i].iter().collect());
             }
             continue;
         }
         // Number.
         if c.is_ascii_digit() {
-            let start = i;
             while i < n {
                 let d = chars[i];
                 if is_ident_char(d) {
@@ -200,102 +214,28 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     break;
                 }
             }
-            toks.push(Tok {
-                kind: TokKind::Num,
-                text: chars[start..i].iter().collect(),
-                line: tline,
-                col: tcol,
-            });
+            push!(TokKind::Num, chars[start..i].iter().collect());
             continue;
         }
         // Identifier / keyword (including raw identifiers r#type).
         if is_ident_start(c) {
-            let start = i;
             bump!(1);
             while i < n && is_ident_char(chars[i]) {
                 bump!(1);
             }
-            toks.push(Tok {
-                kind: TokKind::Ident,
-                text: chars[start..i].iter().collect(),
-                line: tline,
-                col: tcol,
-            });
+            push!(TokKind::Ident, chars[start..i].iter().collect());
             continue;
         }
-        // Multi-char puncts the item parser needs as units.
-        let two: Option<&str> = match (c, chars.get(i + 1)) {
-            (':', Some(':')) => Some("::"),
-            ('=', Some('>')) => Some("=>"),
-            ('-', Some('>')) => Some("->"),
-            _ => None,
+        // Multi-char puncts the item layer needs as units; everything
+        // else is single-char punctuation.
+        let width = match (c, chars.get(i + 1)) {
+            (':', Some(':')) | ('=', Some('>')) | ('-', Some('>')) => 2,
+            _ => 1,
         };
-        if let Some(p) = two {
-            bump!(2);
-            toks.push(Tok {
-                kind: TokKind::Punct,
-                text: p.to_string(),
-                line: tline,
-                col: tcol,
-            });
-            continue;
-        }
-        // Everything else: single-char punct.
-        bump!(1);
-        toks.push(Tok {
-            kind: TokKind::Punct,
-            text: c.to_string(),
-            line: tline,
-            col: tcol,
-        });
+        bump!(width);
+        push!(TokKind::Punct, chars[start..i].iter().collect());
     }
     toks
-}
-
-/// Lexes one plain `"…"` string starting at the current `"`.
-#[allow(clippy::too_many_arguments)]
-fn lex_string(
-    chars: &[char],
-    toks: &mut Vec<Tok>,
-    i: &mut usize,
-    line: &mut usize,
-    col: &mut usize,
-    tline: usize,
-    tcol: usize,
-) {
-    let n = chars.len();
-    let bump = |i: &mut usize, line: &mut usize, col: &mut usize| {
-        if *i < n {
-            if chars[*i] == '\n' {
-                *line += 1;
-                *col = 1;
-            } else {
-                *col += 1;
-            }
-            *i += 1;
-        }
-    };
-    bump(i, line, col); // opening quote
-    let start = *i;
-    while *i < n {
-        if chars[*i] == '\\' {
-            bump(i, line, col);
-            bump(i, line, col);
-            continue;
-        }
-        if chars[*i] == '"' {
-            break;
-        }
-        bump(i, line, col);
-    }
-    let text: String = chars[start..(*i).min(n)].iter().collect();
-    bump(i, line, col); // closing quote
-    toks.push(Tok {
-        kind: TokKind::Str,
-        text,
-        line: tline,
-        col: tcol,
-    });
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -363,6 +303,12 @@ mod tests {
         assert_eq!((toks[0].line, toks[0].col), (1, 1));
         let one = toks.iter().find(|t| t.kind == TokKind::Num).unwrap();
         assert_eq!((one.line, one.col), (2, 5));
+        // `len` is the source span, delimiters and prefixes included.
+        let lens: Vec<usize> = lex("br#\"a\"# 'x' \"s\\\"\" -> id")
+            .iter()
+            .map(|t| t.len)
+            .collect();
+        assert_eq!(lens, [7, 3, 5, 2, 2]);
     }
 
     #[test]

@@ -16,6 +16,17 @@
 //! when something goes wrong (invariant violation, `no_backend` drop,
 //! test failure).
 
+// Fast-path module: a malformed input surfaces as a Result/Option,
+// never a process abort (DESIGN.md §6.9, rule F1).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// What the journal retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalMode {
@@ -479,10 +490,13 @@ enum Val {
 }
 
 fn lex_u64(raw: &str) -> Result<u64, String> {
-    // Written u64s are plain digit runs; tolerate float-shaped tokens
-    // (e.g. from hand-edited captures) via the f64 path.
+    // Written u64s are plain digit runs, and nothing else is an integer:
+    // a sign, fraction or exponent could only be coerced, and a coerced
+    // timestamp or index corrupts an analysis quietly.
+    if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(format!("bad integer {raw:?}: expected a digit run"));
+    }
     raw.parse::<u64>()
-        .or_else(|_| raw.parse::<f64>().map(|v| v as u64))
         .map_err(|e| format!("bad integer {raw:?}: {e}"))
 }
 
@@ -511,8 +525,11 @@ impl Fields {
         }
     }
 
-    fn usize(&self, key: &str) -> Result<usize, String> {
-        Ok(self.u64(key)? as usize)
+    /// An integer field of a narrower type: out of range is an error,
+    /// never a wrap.
+    fn uint<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let v = self.u64(key)?;
+        T::try_from(v).map_err(|_| format!("field {key:?}: {v} is out of range"))
     }
 
     fn f64(&self, key: &str) -> Result<f64, String> {
@@ -552,9 +569,7 @@ impl Fields {
     fn opt_usize(&self, key: &str) -> Result<Option<usize>, String> {
         match self.get(key)? {
             Val::Null => Ok(None),
-            Val::Num(raw) => lex_u64(raw)
-                .map(|v| Some(v as usize))
-                .map_err(|e| format!("field {key:?}: {e}")),
+            Val::Num(_) => self.uint(key).map(Some),
             v => Err(format!("field {key:?}: expected number|null, got {v:?}")),
         }
     }
@@ -589,6 +604,9 @@ fn parse_fields(line: &str) -> Result<Fields, String> {
         i += 1;
         skip_ws(&mut i);
         let val = parse_val(bytes, &mut i)?;
+        if pairs.iter().any(|(k, _)| *k == key) {
+            return Err(format!("duplicate field {key:?}"));
+        }
         pairs.push((key, val));
         skip_ws(&mut i);
         match bytes.get(i) {
@@ -693,17 +711,17 @@ pub fn parse_event(line: &str) -> Result<JournalEvent, String> {
     match f.str("ev")? {
         "sample" => Ok(JournalEvent::Sample {
             at,
-            backend: f.usize("backend")?,
-            src_ip: f.u64("src_ip")? as u32,
-            src_port: f.u64("src_port")? as u16,
+            backend: f.uint("backend")?,
+            src_ip: f.uint("src_ip")?,
+            src_port: f.uint("src_port")?,
             delta: f.u64("delta")?,
             t_lb: f.u64("t_lb")?,
         }),
         "epoch_decision" => Ok(JournalEvent::EpochDecision {
             at,
-            backend: f.usize("backend")?,
+            backend: f.uint("backend")?,
             counts: f.u64_arr("counts")?,
-            chosen: f.usize("chosen")?,
+            chosen: f.uint("chosen")?,
             delta: f.u64("delta")?,
         }),
         "weight_update" => {
@@ -719,7 +737,7 @@ pub fn parse_event(line: &str) -> Result<JournalEvent, String> {
         }
         "health" => Ok(JournalEvent::HealthTransition {
             at,
-            backend: f.usize("backend")?,
+            backend: f.uint("backend")?,
             from: intern_health(f.str("from")?)?,
             to: intern_health(f.str("to")?)?,
             trigger: intern_trigger(f.str("trigger")?)?,
@@ -732,15 +750,15 @@ pub fn parse_event(line: &str) -> Result<JournalEvent, String> {
         }),
         "flow_repin" => Ok(JournalEvent::FlowRepin {
             at,
-            src_ip: f.u64("src_ip")? as u32,
-            src_port: f.u64("src_port")? as u16,
-            from: f.usize("from")?,
-            to: f.usize("to")?,
+            src_ip: f.uint("src_ip")?,
+            src_port: f.uint("src_port")?,
+            from: f.uint("from")?,
+            to: f.uint("to")?,
         }),
         "no_backend" => Ok(JournalEvent::NoBackend { at }),
         "shard_remap" => Ok(JournalEvent::ShardRemap {
             at,
-            dst: f.u64("dst")? as u32,
+            dst: f.uint("dst")?,
             before: f.u64_arr("before")?,
             after: f.u64_arr("after")?,
         }),
@@ -987,6 +1005,30 @@ mod tests {
         assert!(parse_ndjson("not json").is_err());
         let err = parse_ndjson("{\"at\":1,\"ev\":\"no_backend\"}\nnope").unwrap_err();
         assert!(err.starts_with("line 2"), "{err}");
+        // An integer field is a digit run that fits its type: nothing is
+        // coerced through f64 or wrapped by `as`, a key appears once, and
+        // the error names the field.
+        let sample = |at: &str, ip: &str, port: &str| {
+            format!(
+                "{{\"at\":{at},\"ev\":\"sample\",\"backend\":1,\"src_ip\":{ip},\
+                 \"src_port\":{port},\"delta\":2,\"t_lb\":3}}"
+            )
+        };
+        assert!(parse_event(&sample("7", "4294967295", "65535")).is_ok());
+        for (line, field) in [
+            ("{\"at\":-5,\"ev\":\"no_backend\"}".to_string(), "\"at\""),
+            ("{\"at\":1.9,\"ev\":\"no_backend\"}".to_string(), "\"at\""),
+            ("{\"at\":1e30,\"ev\":\"no_backend\"}".to_string(), "\"at\""),
+            (sample("7", "1", "70000"), "\"src_port\""),
+            (sample("7", "4294967297", "1"), "\"src_ip\""),
+            (
+                "{\"at\":1,\"at\":2,\"ev\":\"no_backend\"}".to_string(),
+                "\"at\"",
+            ),
+        ] {
+            let err = parse_event(&line).expect_err(&line);
+            assert!(err.contains(field), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -17,6 +17,17 @@
 //! cannot change the packet schedule, and two runs with the same seed
 //! produce byte-identical NDJSON and equal [`digest`]s.
 
+// Fast-path module: a malformed input surfaces as a Result/Option,
+// never a process abort (DESIGN.md §6.9, rule F1).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// What the span log retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanMode {

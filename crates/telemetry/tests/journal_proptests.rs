@@ -9,7 +9,9 @@
 //! * canonical serialization: re-writing a parsed event reproduces the
 //!   original line byte-for-byte (the NDJSON form is a function of the
 //!   event, with no formatting drift);
-//! * whole-document round-trip through `parse_ndjson`.
+//! * whole-document round-trip through `parse_ndjson`;
+//! * strictness: an integer field that is not a plain digit run, or a
+//!   key that appears twice, fails the line and names the field.
 
 use proptest::prelude::*;
 
@@ -164,6 +166,33 @@ proptest! {
         let back = parse_ndjson(&doc)
             .map_err(proptest::test_runner::TestCaseError::fail)?;
         prop_assert_eq!(back, evs);
+    }
+
+    /// The negative side: whatever the event, a timestamp that is signed,
+    /// fractional, in exponent form or present twice is an error naming
+    /// `"at"` — never a value coerced through f64.
+    #[test]
+    fn a_timestamp_that_is_not_one_digit_run_is_rejected(
+        ev in journal_event(),
+        shape in 0u8..5,
+    ) {
+        let mut line = String::new();
+        write_event(&mut line, &ev);
+        let at = ev.at();
+        let good = format!("{{\"at\":{at},");
+        let bad = match shape {
+            0 => format!("{{\"at\":-{at},"),
+            1 => format!("{{\"at\":+{at},"),
+            2 => format!("{{\"at\":{at}.0,"),
+            3 => format!("{{\"at\":{at}e0,"),
+            _ => format!("{good}\"at\":{at},"),
+        };
+        prop_assert!(line.starts_with(&good), "line: {}", line);
+        let line = line.replacen(&good, &bad, 1);
+        match parse_event(&line) {
+            Ok(ev) => prop_assert!(false, "accepted {} as {:?}", line, ev),
+            Err(e) => prop_assert!(e.contains("\"at\""), "{}: {}", line, e),
+        }
     }
 }
 

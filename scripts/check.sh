@@ -4,33 +4,52 @@
 #   ./scripts/check.sh
 #
 # Order is cheapest-first so the common failure modes surface fast:
-# formatting, then the simlint static pass (determinism, fast-path,
-# concurrency-readiness, global-ordering, and journal-schema rules, see
-# README.md "simlint"), then clippy on the gated crates, then build,
-# then tests.
+# formatting, then the static determinism gate — the stock lints over
+# the whole workspace and simlint's three rules beside them (README.md
+# "The determinism gate") — then clippy's full set on the crates that
+# are clean of it, then build, then tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-# Gates on deny-tier findings and on warn-tier findings not covered by
-# the committed simlint.baseline. To accept a new warn finding:
+# The determinism gate, stock half: wall clocks, hash-ordered
+# containers, ambient hashers, Rc/RefCell/Cell, thread_local!, unsafe,
+# float equality, and panics on the fast path are rustc and clippy lints
+# denied by name in the root Cargo.toml [workspace.lints] (entries in
+# clippy.toml), over every crate. crates/lint-fixtures rides along: each
+# banned construct there *expects* its lint, so a lint that stops firing
+# fails this step too.
+echo "==> cargo clippy --workspace (determinism gate)"
+cargo clippy --offline --no-deps --workspace
+
+# Ambient entropy (old rule D2) has no std API for a lint to name beyond
+# RandomState/DefaultHasher in clippy.toml: it can only arrive as a crate.
+echo "==> Cargo.lock carries no entropy crate"
+if grep -nE '^name = "(rand|getrandom)"' Cargo.lock; then
+    echo "an entropy crate entered Cargo.lock; seed a netsim::rng::SimRng instead" >&2
+    exit 1
+fi
+
+# The determinism gate, simlint half: the three rules no stock lint
+# expresses (G2 partial_cmp().unwrap() comparators, G3 sequence-number
+# narrowing, J1 journal enum/writer/parser drift). Gates on deny-tier
+# findings and on warn-tier findings not covered by the committed
+# simlint.baseline. To accept a new warn finding:
 #   cargo run -q -p simlint -- --workspace --update-baseline
 echo "==> simlint --workspace"
 cargo run -q -p simlint -- --workspace
 
-# The analyzer's own test suite (lexer, item parser, rules, baseline,
-# and the golden fixture corpus) is tier-1: a rule regression must not
-# be able to slip through via a green workspace scan alone.
+# The analyzer's own test suite (lexer, item layer, config, baseline,
+# and the golden fixtures) is tier-1: a rule regression must not be able
+# to slip through via a green workspace scan alone.
 echo "==> simlint self-tests"
 cargo test -q -p simlint
 
-# Clippy gates the crates whose lint debt is paid (lbcore and
-# lb-dataplane so far); workspace-wide gating waits on the rest
-# (`telemetry` trips `manual_is_multiple_of`, which needs a newer MSRV
-# than the declared 1.75).
-echo "==> cargo clippy -p lbcore -p lb-dataplane"
+# Clippy's whole default set, warnings denied, tests included, on the
+# crates whose lint debt is paid (lbcore and lb-dataplane so far).
+echo "==> cargo clippy -p lbcore -p lb-dataplane -- -D warnings"
 cargo clippy --offline --no-deps -p lbcore -p lb-dataplane --all-targets -- -D warnings
 
 echo "==> cargo build --release"

@@ -115,8 +115,8 @@ fn affinity_survives_table_rebuilds() {
     cluster.sim.run_for(Duration::from_secs(2));
 
     // Group backend deliveries by flow; each flow must map to one backend.
-    use std::collections::HashMap;
-    let mut flow_backend: HashMap<netpkt::FlowKey, netsim::NodeId> = HashMap::new();
+    use std::collections::BTreeMap;
+    let mut flow_backend: BTreeMap<netpkt::FlowKey, netsim::NodeId> = BTreeMap::new();
     for (j, &node) in cluster.backends.iter().enumerate() {
         let _ = j;
         for e in cluster

@@ -473,7 +473,7 @@ pub fn cliff_rule_comparison(cfg: &Fig3Config) -> Table {
         assert_eq!(lb.journal().overflow(), 0, "journal too small for the run");
         let giant = lb
             .journal()
-            .events()
+            .iter()
             .filter(|e| matches!(e, JournalEvent::Sample { t_lb, .. } if *t_lb > 5_000_000))
             .count();
         let total = lb.stats().samples.max(1);

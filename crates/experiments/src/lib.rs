@@ -20,7 +20,6 @@
 
 pub mod ablations;
 pub mod chaos;
-pub mod config;
 pub mod fig2;
 pub mod fig3;
 pub mod multilb;

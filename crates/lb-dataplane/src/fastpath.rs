@@ -69,15 +69,12 @@ impl LbNode {
             // Every backend ejected: any forwarding choice is a dead pin.
             self.stats.no_backend_drops += 1;
             self.stats.dropped += 1;
-            if self.flight_dump.is_none() && self.journal.enabled() {
-                // Flight recorder: journal the triggering drop itself,
-                // then dump the causal history leading into it — even a
-                // Ring whose state-entry event has been evicted must
-                // still show what fired the dump.
+            if self.stats.no_backend_drops == 1 {
+                // The first drop is journaled: the journal up to it is the
+                // causal history of the outage.
                 self.journal.push(JournalEvent::NoBackend {
                     at: ctx.now().as_nanos(),
                 });
-                self.flight_dump = Some(self.journal.to_ndjson());
             }
             ctx.pool().recycle(pkt);
             return;

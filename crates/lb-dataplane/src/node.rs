@@ -95,9 +95,6 @@ pub struct LbNode {
     pub(crate) stats: LbStats,
     /// The decision journal (off unless [`LbConfig::journal`] enables it).
     pub(crate) journal: Journal,
-    /// Flight-recorder dump captured at the first `no_backend` drop
-    /// (NDJSON of the journal's retained events at that moment).
-    pub(crate) flight_dump: Option<String>,
 }
 
 impl LbNode {
@@ -155,7 +152,6 @@ impl LbNode {
             no_backend: false,
             stats: LbStats::default(),
             journal,
-            flight_dump: None,
         }
     }
 
@@ -198,12 +194,6 @@ impl LbNode {
     /// The decision journal.
     pub fn journal(&self) -> &Journal {
         &self.journal
-    }
-
-    /// The flight-recorder dump captured at the first `no_backend` drop,
-    /// if one happened while the journal was enabled.
-    pub fn flight_dump(&self) -> Option<&str> {
-        self.flight_dump.as_deref()
     }
 }
 
@@ -696,8 +686,8 @@ mod tests {
                     let table = MaglevTable::build(lb_node.weights.as_slice(), size);
                     let repins: Vec<_> = lb_node
                         .journal
-                        .events()
-                        .filter_map(|e| match *e {
+                        .iter()
+                        .filter_map(|e| match e {
                             JournalEvent::FlowRepin { src_port, to, .. } => Some((src_port, to)),
                             _ => None,
                         })
@@ -844,7 +834,7 @@ mod tests {
         let (mut sim, lb, _sinks) = rig(cfg, script);
         sim.run_for(Duration::from_millis(500));
         let lb_node = sim.node_ref::<LbNode>(lb).unwrap();
-        let events: Vec<&JournalEvent> = lb_node.journal().events().collect();
+        let events: Vec<JournalEvent> = lb_node.journal().iter().collect();
         assert!(matches!(
             events[0],
             JournalEvent::WeightUpdate {
@@ -868,73 +858,44 @@ mod tests {
         assert!(!decisions.is_empty(), "no epoch decisions journaled");
         assert!(decisions.iter().all(|c| c.iter().sum::<u64>() > 0));
         // The NDJSON export round-trips.
-        let parsed = telemetry::journal::parse_ndjson(&lb_node.journal().to_ndjson()).unwrap();
+        let parsed: Vec<JournalEvent> =
+            telemetry::journal::parse_ndjson(&lb_node.journal().to_ndjson()).unwrap();
         assert_eq!(parsed.len(), events.len());
     }
 
     #[test]
-    fn flight_recorder_dumps_on_no_backend_drop() {
+    fn the_first_no_backend_drop_is_journaled_once() {
         let mut cfg = LbConfig::baseline(VIP, backends());
-        cfg.journal = JournalMode::Ring(8);
+        cfg.journal = JournalMode::Full(64);
         let script = vec![
             (
                 Duration::from_micros(10),
                 client_pkt(4000, TcpFlags::SYN, 1),
             ),
             (Duration::from_millis(5), client_pkt(4000, TcpFlags::ACK, 2)),
+            (Duration::from_millis(8), client_pkt(4000, TcpFlags::ACK, 3)),
         ];
         let (mut sim, lb, _sinks) = rig(cfg, script);
         sim.run_for(Duration::from_millis(2));
-        assert!(sim.node_ref::<LbNode>(lb).unwrap().flight_dump().is_none());
-        // Force the all-ejected state; the next packet must drop and
-        // capture the ring contents as the flight dump.
+        // Force the all-ejected state; both later packets must drop.
         sim.node_mut::<LbNode>(lb).unwrap().no_backend = true;
         sim.run_for(Duration::from_millis(10));
         let lb_node = sim.node_ref::<LbNode>(lb).unwrap();
-        assert_eq!(lb_node.stats().no_backend_drops, 1);
-        let dump = lb_node.flight_dump().expect("flight dump captured");
-        let parsed = telemetry::journal::parse_ndjson(dump).unwrap();
-        assert!(!parsed.is_empty(), "dump carries the causal history");
-        // The dump's final event is the drop that fired it — the
-        // trigger is journaled before the ring is snapshotted, so it
-        // can never be evicted out of its own dump.
-        let last = parsed.last().unwrap();
-        assert_eq!(last.kind(), "no_backend", "dump ends with the trigger");
+        assert_eq!(lb_node.stats().no_backend_drops, 2);
+        let events: Vec<JournalEvent> = lb_node.journal().iter().collect();
+        let drops: Vec<usize> = (0..events.len())
+            .filter(|&i| events[i].kind() == "no_backend")
+            .collect();
+        assert_eq!(drops.len(), 1, "journaled on the first drop only");
+        // It is stamped with the first drop and is the newest event at
+        // that instant: the causal history leading into it precedes it.
+        let at = events[drops[0]].at();
         assert!(
-            parsed.iter().all(|e| e.at() <= last.at()),
-            "trigger is the newest event in the dump"
+            (5_000_000..8_000_000).contains(&at),
+            "drop journaled at {at}"
         );
-    }
-
-    #[test]
-    fn flight_dump_trigger_survives_a_tiny_ring() {
-        // Ring(1) is the worst case: every prior event has been evicted
-        // by the time the dump fires. The dump must still contain the
-        // triggering no_backend event itself.
-        let mut cfg = LbConfig::baseline(VIP, backends());
-        cfg.journal = JournalMode::Ring(1);
-        let script = vec![
-            (
-                Duration::from_micros(10),
-                client_pkt(4000, TcpFlags::SYN, 1),
-            ),
-            (Duration::from_millis(5), client_pkt(4000, TcpFlags::ACK, 2)),
-        ];
-        let (mut sim, lb, _sinks) = rig(cfg, script);
-        sim.run_for(Duration::from_millis(2));
-        sim.node_mut::<LbNode>(lb).unwrap().no_backend = true;
-        sim.run_for(Duration::from_millis(10));
-        let lb_node = sim.node_ref::<LbNode>(lb).unwrap();
-        let dump = lb_node.flight_dump().expect("flight dump captured");
-        let parsed = telemetry::journal::parse_ndjson(dump).unwrap();
-        assert_eq!(parsed.len(), 1, "Ring(1) retains exactly the trigger");
-        assert_eq!(parsed[0].kind(), "no_backend");
-        // A later drop must not overwrite the first capture.
-        let first_at = parsed[0].at();
-        sim.run_for(Duration::from_millis(5));
-        let lb_node = sim.node_ref::<LbNode>(lb).unwrap();
-        let again = telemetry::journal::parse_ndjson(lb_node.flight_dump().unwrap()).unwrap();
-        assert_eq!(again[0].at(), first_at, "first dump is retained");
+        assert!(events[..drops[0]].iter().all(|e| e.at() <= at));
+        assert!(events[drops[0] + 1..].iter().all(|e| e.at() > at));
     }
 
     #[test]
@@ -956,8 +917,8 @@ mod tests {
         assert_eq!(lb_node.journal().overflow(), 0, "journal truncated");
         let late: Vec<u64> = lb_node
             .journal()
-            .events()
-            .filter_map(|e| match *e {
+            .iter()
+            .filter_map(|e| match e {
                 JournalEvent::Sample { at, t_lb, .. } if at > 200_000_000 => Some(t_lb),
                 _ => None,
             })

@@ -326,16 +326,6 @@ impl HealthTracker {
         &self.transitions
     }
 
-    /// Mask of backends that must receive **no** traffic: true only for
-    /// [`HealthState::Ejected`] (probation backends are eligible for the
-    /// floor trickle).
-    pub fn ejected_mask(&self) -> Vec<bool> {
-        self.backends
-            .iter()
-            .map(|h| h.state == HealthState::Ejected)
-            .collect()
-    }
-
     /// Total ejections so far (including re-ejections from probation).
     pub fn ejections(&self) -> u64 {
         self.ejections
@@ -402,7 +392,7 @@ mod tests {
         drive(&mut t, 3, &[(0, 50)]);
         assert_eq!(t.state(0), HealthState::Ejected); // 3 silent epochs
         assert_eq!(t.ejections(), 1);
-        assert_eq!(t.ejected_mask(), vec![true, false]);
+        assert_eq!(t.state(1), HealthState::Healthy);
     }
 
     #[test]
@@ -439,7 +429,7 @@ mod tests {
         assert_eq!(t.state(0), HealthState::Ejected);
         drive(&mut t, 12, &[(0, 0)]);
         assert_eq!(t.state(0), HealthState::Probation);
-        assert_eq!(t.ejected_mask(), vec![false, false]);
+        assert_eq!(t.state(1), HealthState::Healthy);
         // Probe answered: readmitted.
         drive(&mut t, 13, &[(2, 5)]);
         assert_eq!(t.state(0), HealthState::Healthy);

@@ -17,8 +17,7 @@ use crate::tcp::TCP_HEADER_LEN;
 /// (0 means "untraced" everywhere in the span tier).
 pub fn trace_id(client_ip: u32, client_port: u16, request_id: u64) -> u64 {
     // splitmix64-style finalizer over the packed identity: cheap, and
-    // its avalanche spreads consecutive request ids across the id space
-    // so `Sampled` striding keeps an unbiased cross-section of flows.
+    // its avalanche spreads consecutive request ids across the id space.
     let mut z = (u64::from(client_ip) << 16 | u64::from(client_port))
         .wrapping_add(request_id.wrapping_mul(0x9e37_79b9_7f4a_7c15))
         .wrapping_add(0x9e37_79b9_7f4a_7c15);

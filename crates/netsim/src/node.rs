@@ -82,7 +82,8 @@ impl Ctx<'_> {
 
     /// The simulation's shared span log (see
     /// [`crate::Simulation::enable_spans`]). Nodes gate their hop
-    /// construction on [`SpanLog::enabled`] / [`SpanLog::accepts`].
+    /// construction on [`SpanLog::enabled`]; untraced frames (trace 0)
+    /// are never recorded.
     pub fn spans(&mut self) -> &mut SpanLog {
         self.spans
     }
@@ -94,12 +95,12 @@ impl Ctx<'_> {
     }
 
     /// Records a span hop at this node at the current instant. No-op
-    /// when tracing is off or the mode rejects `trace` — recording
+    /// when tracing is off or `trace` is 0 (untraced) — recording
     /// never schedules events or draws randomness, so enabling it
     /// cannot perturb the packet schedule.
     #[inline]
     pub fn record_hop(&mut self, trace: u64, kind: HopKind, a: u64, b: u64) {
-        if !self.spans.accepts(trace) {
+        if trace == 0 || !self.spans.enabled() {
             return;
         }
         self.spans.record(HopRecord {
@@ -117,7 +118,7 @@ impl Ctx<'_> {
     /// at admission).
     #[inline]
     pub fn record_hop_at(&mut self, at: u64, trace: u64, kind: HopKind, a: u64, b: u64) {
-        if !self.spans.accepts(trace) {
+        if trace == 0 || !self.spans.enabled() {
             return;
         }
         self.spans.record(HopRecord {
@@ -135,7 +136,7 @@ impl Ctx<'_> {
     #[inline]
     pub(crate) fn record_link_hop(&mut self, pkt: &Packet, kind: HopKind, link: LinkId, b: u64) {
         let trace = pkt.span();
-        if !self.spans.accepts(trace) {
+        if trace == 0 || !self.spans.enabled() {
             return;
         }
         self.spans.record(HopRecord {

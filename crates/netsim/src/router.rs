@@ -423,7 +423,7 @@ mod tests {
         sim.run_to_completion();
 
         let router = sim.node_ref::<Router>(r).unwrap();
-        let events: Vec<_> = router.journal().events().cloned().collect();
+        let events: Vec<_> = router.journal().iter().collect();
         assert_eq!(events.len(), 1);
         match &events[0] {
             JournalEvent::ShardRemap {
@@ -441,7 +441,7 @@ mod tests {
         }
         // Round-trips through NDJSON.
         let text = router.journal().to_ndjson();
-        let parsed = telemetry::journal::parse_ndjson(&text).unwrap();
+        let parsed: Vec<JournalEvent> = telemetry::journal::parse_ndjson(&text).unwrap();
         assert_eq!(parsed, events);
     }
 

@@ -331,7 +331,7 @@ impl Simulation {
                         // The receiver is crashed: the frame dies at its NIC.
                         self.trace
                             .record(self.now, node, TraceKind::Drop, link, &pkt);
-                        if self.spans.accepts(pkt.span()) {
+                        if pkt.span() != 0 && self.spans.enabled() {
                             self.spans.record(HopRecord {
                                 at: self.now.as_nanos(),
                                 trace: pkt.span(),
@@ -347,7 +347,7 @@ impl Simulation {
                     self.stats.packets_delivered += 1;
                     self.trace
                         .record(self.now, node, TraceKind::Deliver, link, &pkt);
-                    if self.spans.accepts(pkt.span()) {
+                    if pkt.span() != 0 && self.spans.enabled() {
                         self.spans.record(HopRecord {
                             at: self.now.as_nanos(),
                             trace: pkt.span(),

@@ -37,7 +37,7 @@ use std::net::Ipv4Addr;
 
 use experiments::topology::{kv_flow_key, KvCluster, KvClusterConfig, VIP};
 use lb_dataplane::{LbConfig, LbNode};
-use lbcore::{AlphaShift, HealthConfig};
+use lbcore::{AlphaShift, HealthConfig, HealthState};
 use netsim::fault::{FaultSchedule, ImpairmentConfig};
 use netsim::trace::Trace;
 use netsim::{Duration, Time, TraceKind};
@@ -366,7 +366,7 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
         // prove nothing if it is mis-gated and missed samples.
         let journaled = node
             .journal()
-            .events()
+            .iter()
             .filter(|e| matches!(e, JournalEvent::Sample { .. }))
             .count() as u64;
         if journaled != node.stats().samples {
@@ -394,13 +394,13 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
     // -- shard_isolation: every sample's flow hashes to this LB's arm.
     let arms = &cluster.lb_arms;
     for (i, node) in nodes.iter().enumerate() {
-        for ev in node.journal().events() {
+        for ev in node.journal().iter() {
             let JournalEvent::Sample {
                 at,
                 src_ip,
                 src_port,
                 ..
-            } = *ev
+            } = ev
             else {
                 continue;
             };
@@ -448,8 +448,8 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
     // -- weights_normalized: every journaled vector sums to 1; the end
     // state respects the floor and keeps ejected backends at exactly 0.
     for (i, node) in nodes.iter().enumerate() {
-        for ev in node.journal().events() {
-            if let JournalEvent::WeightUpdate { at, weights, .. } = ev {
+        for ev in node.journal().iter() {
+            if let JournalEvent::WeightUpdate { at, weights, .. } = &ev {
                 let sum: f64 = weights.iter().sum();
                 if (sum - 1.0).abs() > 1e-6 {
                     push(
@@ -470,13 +470,13 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
             );
         }
         if let Some(health) = node.health() {
-            let mask = health.ejected_mask();
+            let ejected = |b| health.state(b) == HealthState::Ejected;
             // All-ejected: the node keeps the stale pre-ejection vector
             // on purpose (no_backend drop mode); only the sum applies.
-            if !mask.iter().all(|&e| e) {
-                for (b, &ejected) in mask.iter().enumerate() {
+            if !(0..health.len()).all(ejected) {
+                for b in 0..health.len() {
                     let wb = w.get(b);
-                    if ejected {
+                    if ejected(b) {
                         if wb.to_bits() != 0.0f64.to_bits() {
                             push(
                                 &mut violations,
@@ -500,13 +500,13 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
     // one, and it carries the health tracker's mask.
     for (i, node) in nodes.iter().enumerate() {
         let w = node.weights();
-        let journaled = node.journal().events().filter_map(|ev| match ev {
+        let journaled = node.journal().iter().filter_map(|ev| match ev {
             JournalEvent::WeightUpdate { weights, .. } => Some(weights),
             _ => None,
         });
         let last = journaled.last();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        if last.map(|v| bits(v)) != Some(bits(w.as_slice())) {
+        if last.as_deref().map(bits) != Some(bits(w.as_slice())) {
             push(
                 &mut violations,
                 "weights_committed",
@@ -516,8 +516,11 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
                 ),
             );
         }
-        if let Some(mask) = node.health().map(|h| h.ejected_mask()) {
-            if !mask.iter().all(|&e| e) && mask != w.ejected() {
+        if let Some(health) = node.health() {
+            let ejected = |b| health.state(b) == HealthState::Ejected;
+            let n = health.len();
+            if !(0..n).all(ejected) && !w.ejected().iter().copied().eq((0..n).map(ejected)) {
+                let mask: Vec<bool> = (0..n).map(ejected).collect();
                 push(
                     &mut violations,
                     "weights_committed",
@@ -535,8 +538,8 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
     for (i, node) in nodes.iter().enumerate() {
         let n = sc.backends.len();
         let mut replayed: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-        for ev in node.journal().events() {
-            if let JournalEvent::WeightUpdate { at, weights, .. } = ev {
+        for ev in node.journal().iter() {
+            if let JournalEvent::WeightUpdate { at, weights, .. } = &ev {
                 for (b, w) in weights.iter().enumerate() {
                     replayed[b].push((*at, w.to_bits()));
                 }
@@ -588,13 +591,13 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
         }
     }
     for (i, node) in nodes.iter().enumerate() {
-        for ev in node.journal().events() {
+        for ev in node.journal().iter() {
             if let JournalEvent::Sample {
                 at,
                 src_ip,
                 src_port,
                 ..
-            } = ev
+            } = &ev
             {
                 let matched = first_issue
                     .get(&(*src_ip, *src_port))
@@ -663,10 +666,10 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
 fn ejection_windows(node: &LbNode, n_backends: usize) -> Vec<Vec<(u64, u64)>> {
     let mut windows: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_backends];
     let mut open: Vec<Option<u64>> = vec![None; n_backends];
-    for ev in node.journal().events() {
+    for ev in node.journal().iter() {
         if let JournalEvent::HealthTransition {
             at, backend, to, ..
-        } = ev
+        } = &ev
         {
             let b = *backend;
             if b >= n_backends {

@@ -17,8 +17,6 @@ pub struct Config {
     pub g_comparators: Vec<String>,
     /// G3: crates where narrowing casts of sequence numbers are flagged.
     pub g_seq_cast: Vec<String>,
-    /// J1: journal files whose event enum / writer / parser must agree.
-    pub journal: Vec<String>,
 }
 
 impl Default for Config {
@@ -28,7 +26,6 @@ impl Default for Config {
             exclude: v(&["target", "vendor", "crates/simlint", ".git"]),
             g_comparators: v(&["crates/lbcore/src", "crates/telemetry/src"]),
             g_seq_cast: v(&["crates/netsim", "crates/nettcp", "crates/lb-dataplane"]),
-            journal: v(&["crates/telemetry/src/journal.rs"]),
         }
     }
 }
@@ -63,7 +60,7 @@ impl Config {
             if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
                 section = name.trim().to_string();
                 match section.as_str() {
-                    "scan" | "rules.g" | "rules.j" => {}
+                    "scan" | "rules.g" => {}
                     other => return Err(err(format!("unknown section `[{other}]`"))),
                 }
                 continue;
@@ -78,7 +75,6 @@ impl Config {
                 ("scan", "exclude") => &mut cfg.exclude,
                 ("rules.g", "comparators") => &mut cfg.g_comparators,
                 ("rules.g", "seq_cast") => &mut cfg.g_seq_cast,
-                ("rules.j", "journal") => &mut cfg.journal,
                 _ => return Err(err(format!("unknown key `{key}` in section `[{section}]`"))),
             };
             *target = values;
@@ -92,7 +88,7 @@ impl Config {
     /// treats a non-empty result as a config error. `exclude` is not a
     /// rule scope and may name paths that do not exist.
     pub fn dead_scopes<'a>(&'a self, paths: &[&str]) -> Vec<&'a str> {
-        let mut dead: Vec<&str> = [&self.g_comparators, &self.g_seq_cast, &self.journal]
+        let mut dead: Vec<&str> = [&self.g_comparators, &self.g_seq_cast]
             .into_iter()
             .flatten()
             .filter(|scope| {
@@ -216,9 +212,8 @@ seq_cast = [
         assert_eq!(cfg.g_comparators, vec!["crates/lbcore/src"]);
         assert_eq!(cfg.g_seq_cast, vec!["a", "b"]);
         // Untouched sections keep their defaults.
-        assert_eq!(cfg.journal, Config::default().journal);
-        let cfg = Config::parse("[rules.j]\njournal = [\"crates/t/src/journal.rs\"]\n").unwrap();
-        assert_eq!(cfg.journal, vec!["crates/t/src/journal.rs"]);
+        let cfg = Config::parse("[rules.g]\nseq_cast = [\"a\"]\n").unwrap();
+        assert_eq!(cfg.g_comparators, Config::default().g_comparators);
     }
 
     #[test]
@@ -231,5 +226,9 @@ seq_cast = [
         // a stale simlint.toml fails loudly instead of reading as a gate.
         assert!(Config::parse("[rules.f1]\nfastpath = [\"crates/netpkt/src\"]\n").is_err());
         assert!(Config::parse("[rules.g]\nfields = [\"crates/netsim\"]\n").is_err());
+        // J1 is gone with the journal's four-part schema.
+        assert!(
+            Config::parse("[rules.j]\njournal = [\"crates/telemetry/src/journal.rs\"]\n").is_err()
+        );
     }
 }

@@ -1,13 +1,11 @@
-//! simlint: the three determinism rules no compiler or clippy lint
+//! simlint: the two determinism rules no compiler or clippy lint
 //! expresses, as a library.
 //!
 //! The rest of the gate is stock lints (root `Cargo.toml`
 //! `[workspace.lints]` + `clippy.toml`; DESIGN.md §6.9). What is left
-//! here runs on one layer: [`token`] lexes the source, [`items`] finds
-//! the few item boundaries the rules need, and [`rules`] walks both —
-//! G2 (non-total float comparators), G3 (sequence-number narrowing) per
-//! file, J1 (`JournalEvent` enum/writer/parser drift) across the
-//! journal file's pieces.
+//! here runs on one layer: [`token`] lexes the source, [`items`] marks
+//! the `#[cfg(test)]` regions, and [`rules`] walks both per file — G2
+//! (non-total float comparators) and G3 (sequence-number narrowing).
 //!
 //! [`analyze`] runs the rules over a set of files; [`render_json`]
 //! emits the machine-readable report; warn-tier findings are matched
@@ -22,19 +20,14 @@ pub mod token;
 use config::Config;
 use rules::{FileSyntax, Severity, Violation};
 
-/// Runs every rule over `(path, text)` pairs: lexes each file once,
-/// applies the per-file rules, then the journal check. Findings come
-/// back sorted by (path, line, col, rule).
+/// Runs every rule over `(path, text)` pairs: lexes each file once and
+/// applies the rules. Findings come back sorted by (path, line, col,
+/// rule).
 pub fn analyze(files: &[(String, String)], cfg: &Config) -> Vec<Violation> {
-    let files: Vec<FileSyntax> = files
-        .iter()
-        .map(|(path, text)| FileSyntax::parse(path, text))
-        .collect();
     let mut violations: Vec<Violation> = files
         .iter()
-        .flat_map(|file| rules::check_file(file, cfg))
+        .flat_map(|(path, text)| rules::check_file(&FileSyntax::parse(path, text), cfg))
         .collect();
-    rules::check_journal(&files, cfg, &mut violations);
     violations
         .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
     violations

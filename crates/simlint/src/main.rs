@@ -1,4 +1,4 @@
-//! simlint: the three determinism rules no stock lint expresses
+//! simlint: the two determinism rules no stock lint expresses
 //! (binary front-end; the rules live in the `simlint` library).
 //!
 //! ```text
@@ -10,8 +10,8 @@
 //!
 //! Exits 0 when clean (no deny findings, every warn finding baselined),
 //! 1 on gating findings, 2 on usage/config/IO errors. Rules: G2
-//! non-total float comparators, G3 sequence-number narrowing, J1
-//! journal-schema drift; everything else is `cargo clippy` (DESIGN.md
+//! non-total float comparators, G3 sequence-number narrowing;
+//! everything else is `cargo clippy` (DESIGN.md
 //! §6.9). Scopes come from `simlint.toml`; accepted warn findings live
 //! in `simlint.baseline`.
 
@@ -36,10 +36,9 @@ fn usage() -> ExitCode {
         "usage: simlint [--workspace] [--json] [--config <simlint.toml>]\n\
          \x20              [--baseline <simlint.baseline>] [--update-baseline] [files…]\n\
          \n\
-         Checks the three determinism rules no stock lint expresses: G2\n\
-         non-total float comparators (`partial_cmp(..).unwrap()`), G3\n\
-         sequence-number narrowing casts, J1 journal-schema drift\n\
-         (`JournalEvent` enum vs. writer vs. parser). Wall clocks, hash\n\
+         Checks the two determinism rules no stock lint expresses: G2\n\
+         non-total float comparators (`partial_cmp(..).unwrap()`) and G3\n\
+         sequence-number narrowing casts. Wall clocks, hash\n\
          containers, fast-path panics, float equality, Rc/RefCell,\n\
          thread_local! and unsafe are `cargo clippy --workspace`.\n\
          \n\

@@ -1,10 +1,9 @@
-//! The three rules no stock lint expresses.
+//! The two rules no stock lint expresses.
 //!
 //! | rule | tier | bans                                                       |
 //! |------|------|------------------------------------------------------------|
 //! | G2   | deny | `partial_cmp(..).unwrap()` / `.expect(..)` comparators     |
 //! | G3   | warn | narrowing `as` casts of event sequence numbers             |
-//! | J1   | deny | a `JournalEvent` variant missing its writer or parser arm  |
 //!
 //! Everything else the determinism gate holds — wall clocks, hash
 //! containers, panics on the fast path, float equality, interior
@@ -15,13 +14,14 @@
 //! Severity is two-tier: **deny** findings gate CI outright; **warn**
 //! findings gate unless recorded in the committed baseline
 //! (`simlint.baseline`). All rules skip `#[cfg(test)]` code. There is no
-//! in-source suppression: a G2 or J1 finding is fixed, a G3 cast that is
-//! provably in range goes in the baseline.
+//! in-source suppression: a G2 finding is fixed, a G3 cast that is
+//! provably in range goes in the baseline. (The journal-schema rule J1 is
+//! gone: the journal lists its schema once, in one exhaustive match the
+//! compiler checks.)
 
 use crate::config::Config;
-use crate::items::{self, find_matches, MatchArm};
+use crate::items;
 use crate::token::{self, Tok, TokKind};
-use std::collections::BTreeSet;
 
 /// How a finding gates the build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -45,9 +45,9 @@ impl Severity {
 /// One rule violation, pointing at real source coordinates.
 #[derive(Debug)]
 pub struct Violation {
-    /// Rule id (`G2`, `G3`, `J1`).
+    /// Rule id (`G2`, `G3`).
     pub rule: &'static str,
-    /// Rule family (`global-order`, `journal`).
+    /// Rule family (`global-order`).
     pub family: &'static str,
     /// Deny or warn tier.
     pub severity: Severity,
@@ -130,12 +130,6 @@ const G3: Rule = Rule {
     family: "global-order",
     severity: Severity::Warn,
     hint: "keep event sequence numbers u64 end-to-end, or use usize::try_from",
-};
-const J1: Rule = Rule {
-    id: "J1",
-    family: "journal",
-    severity: Severity::Deny,
-    hint: "add the missing arm so the NDJSON round-trip covers every variant",
 };
 
 impl Rule {
@@ -288,99 +282,4 @@ fn operand_idents_back<'t>(toks: &'t [Tok], at: usize, out: &mut Vec<&'t str>) {
         }
         want_primary = !want_primary;
     }
-}
-
-// --------------------------------------------------------------- J rule
-
-/// J1: journal-schema drift. Every `JournalEvent` variant must have a
-/// `write_event` arm (so it reaches the NDJSON), a `kind()` wire name,
-/// and a `parse_event` arm constructing it (so `parse_ndjson` round-
-/// trips it). A variant missing any of the three silently vanishes from
-/// offline analysis — exactly the failure the lbtrace conformance
-/// tests can't see, because they only replay events that *did* get
-/// written. The pieces are found by name wherever they sit in the
-/// journal file. (rustc's exhaustiveness check covers `kind()` and
-/// `write_event`, which match on the enum; nothing checks the parser,
-/// which matches on strings.)
-pub fn check_journal(files: &[FileSyntax<'_>], cfg: &Config, out: &mut Vec<Violation>) {
-    for file in files
-        .iter()
-        .filter(|f| cfg.journal.iter().any(|j| j == f.path))
-    {
-        let toks = &file.toks;
-        let Some((_, variants)) = items::enums_named(toks, "JournalEvent")
-            .into_iter()
-            .find(|(at, _)| !file.in_test[*at])
-        else {
-            continue;
-        };
-        let arms_of = |fn_name: &str| -> Vec<MatchArm> {
-            items::fns_named(toks, fn_name)
-                .into_iter()
-                .filter(|(at, _)| !file.in_test[*at])
-                .flat_map(|(_, body)| find_matches(toks, body))
-                .flatten()
-                .collect()
-        };
-        let wire_in = |range: &std::ops::Range<usize>| -> Option<&str> {
-            toks[range.clone()]
-                .iter()
-                .find(|t| t.kind == TokKind::Str)
-                .map(|t| t.text.as_str())
-        };
-
-        // kind(): JournalEvent::X pattern → "wire_name" body.
-        let mut wire_of: Vec<(&str, &str)> = Vec::new();
-        for arm in arms_of("kind") {
-            if let Some(wire) = wire_in(&arm.body) {
-                wire_of.extend(variant_idents(toks, arm.pat).map(|v| (v, wire)));
-            }
-        }
-        // write_event(): variants covered by any arm pattern.
-        let written: BTreeSet<&str> = arms_of("write_event")
-            .into_iter()
-            .flat_map(|arm| variant_idents(toks, arm.pat))
-            .collect();
-        // parse_event(): "wire_name" pattern → variants constructed in
-        // the arm body.
-        let mut parsed: BTreeSet<(&str, &str)> = BTreeSet::new();
-        for arm in arms_of("parse_event") {
-            if let Some(wire) = wire_in(&arm.pat) {
-                parsed.extend(variant_idents(toks, arm.body).map(|v| (wire, v)));
-            }
-        }
-
-        for v in &variants {
-            let name = v.name.as_str();
-            let mut drift = |msg: String| {
-                out.push(J1.at(file, v.line, 1, format!("journal-schema drift: {msg}")))
-            };
-            if !written.contains(name) {
-                drift(format!(
-                    "`JournalEvent::{name}` has no `write_event` arm (events of this kind \
-                     never reach the NDJSON)"
-                ));
-            }
-            let mut wires = wire_of.iter().filter(|(var, _)| *var == name).peekable();
-            if wires.peek().is_none() {
-                drift(format!("`JournalEvent::{name}` has no `kind()` wire name"));
-            }
-            for (_, wire) in wires {
-                if !parsed.contains(&(*wire, name)) {
-                    drift(format!(
-                        "wire name \"{wire}\" has no `parse_event` arm constructing \
-                         `JournalEvent::{name}` (parse_ndjson silently loses this variant)"
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// Variant names referenced as `JournalEvent::X` in a token range.
-fn variant_idents(toks: &[Tok], range: std::ops::Range<usize>) -> impl Iterator<Item = &str> {
-    toks[range].windows(3).filter_map(|w| {
-        (w[0].is_ident("JournalEvent") && w[1].is_punct("::") && w[2].kind == TokKind::Ident)
-            .then_some(w[2].text.as_str())
-    })
 }

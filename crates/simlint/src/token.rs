@@ -3,15 +3,13 @@
 //! Everything simlint knows about a file it knows from here: the source
 //! lexed into identifiers, literals, and punctuation with `(line, col)`
 //! spans and comments dropped. That is enough for the rules to walk
-//! (`rules.rs`), for `items.rs` to find an enum's variants, a function's
-//! body and a `match`'s arms, and for the J-rule to read journal wire
-//! names out of string literals.
+//! (`rules.rs`) and for `items.rs` to find `#[cfg(test)]` item bodies.
 //!
 //! This is a lexer for the subset of Rust the workspace writes, not the
 //! full grammar: nested block comments, raw/byte strings, char literals
 //! vs. lifetimes, numeric literals with suffixes and exponents, and the
-//! three multi-char puncts the item parser cares about (`::`, `=>`,
-//! `->`). Everything else is single-char punctuation.
+//! three multi-char puncts (`::`, `=>`, `->`). Everything else is
+//! single-char punctuation.
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -23,7 +23,6 @@ use std::path::PathBuf;
 /// Pretend paths per scope; see `Config::default()`.
 const DETERMINISTIC: &str = "crates/netsim/src/fixture.rs";
 const CONTROLLER: &str = "crates/lbcore/src/fixture.rs";
-const JOURNAL: &str = "crates/telemetry/src/journal.rs";
 
 fn fixtures_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures"))
@@ -82,26 +81,9 @@ fn g3_seq_truncation_is_warn_tier() {
 }
 
 #[test]
-fn j1_dropped_parser_arm_is_caught() {
-    let vs = analyze_fixture("j1", JOURNAL);
-    assert_eq!(vs.iter().map(|v| v.rule).collect::<Vec<_>>(), vec!["J1"]);
-    assert!(
-        vs[0].msg.contains("dropped") && vs[0].msg.contains("parse_event"),
-        "should name the orphaned wire name: {}",
-        vs[0].msg
-    );
-    golden("j1", JOURNAL);
-}
-
-#[test]
-fn j1_clean_journal_is_silent() {
-    assert!(rules_of("j1_clean", JOURNAL).is_empty());
-}
-
-#[test]
 fn fixtures_out_of_scope_are_silent() {
     // The same dirty sources produce nothing outside their rule scopes.
-    for name in ["g2", "g3", "j1"] {
+    for name in ["g2", "g3"] {
         assert!(
             rules_of(name, "crates/bench/src/fixture.rs").is_empty(),
             "{name} fired outside every scope"

@@ -159,6 +159,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[allow(clippy::float_cmp)] // an empty mean is exactly 0.0
     fn empty_histogram() {
         let h = LogHistogram::new();
         assert!(h.is_empty());
@@ -210,6 +211,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::float_cmp)] // the same sums, bit for bit
     fn record_n_equals_loop() {
         let mut a = LogHistogram::new();
         let mut b = LogHistogram::new();

@@ -3,18 +3,10 @@
 //! ensemble epoch decisions, weight shifts, health transitions, gossip
 //! merges, ECMP shard remaps, and flow re-pins.
 //!
-//! Events are exportable as NDJSON (one flat JSON object per line) via a
-//! hand-rolled writer, and re-loadable via the line parser in this module,
-//! so analyzers never need a serde dependency. Emission is deterministic:
-//! timestamps are simulation time, never wall clock, and the writer's
-//! float formatting is the shortest round-trip representation, so the
-//! same seed produces byte-identical NDJSON.
-//!
-//! The journal doubles as the **flight recorder**: in [`JournalMode::Ring`]
-//! it keeps only the last N events, cheap enough to leave on in chaos
-//! runs, and [`Journal::to_ndjson`] dumps the retained causal history
-//! when something goes wrong (invariant violation, `no_backend` drop,
-//! test failure).
+//! A [`Journal`] is a [`Log`] of [`JournalEvent`]s, kept packed (about
+//! 11 bytes a sample) and exported as NDJSON. Every variant's fields and
+//! wire keys are listed once, in the event's [`Record::walk`], which all
+//! four codecs walk.
 
 // Fast-path module: a malformed input surfaces as a Result/Option,
 // never a process abort (DESIGN.md §6.9, rule F1).
@@ -27,23 +19,19 @@
     clippy::unimplemented
 )]
 
-/// What the journal retains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalMode {
-    /// Record nothing (default). All emission sites are gated on
-    /// [`Journal::enabled`], so this mode is free on the hot path.
-    Off,
-    /// Flight recorder: bounded ring buffer of the last N events.
-    Ring(usize),
-    /// Full capture up to a hard event limit; events past the limit are
-    /// dropped and counted in [`Journal::overflow`].
-    Full(usize),
-}
+pub use crate::log::{parse_ndjson, parse_ndjson_lossy};
+use crate::log::{Codec, Field, Log, Mode, Record, Uint, AT};
 
-impl JournalMode {
-    /// True when events should be recorded at all.
-    pub fn enabled(&self) -> bool {
-        !matches!(self, JournalMode::Off)
+/// What the journal retains.
+pub type JournalMode = Mode;
+
+/// The decision journal. Cloneable so experiment results can carry a copy.
+pub type Journal = Log<JournalEvent>;
+
+impl Journal {
+    /// [`Log::dropped`], under the journal's name for it.
+    pub fn overflow(&self) -> u64 {
+        self.dropped()
     }
 }
 
@@ -61,25 +49,21 @@ pub enum WeightCause {
     Health,
 }
 
+/// Weight-cause wire names, in [`WeightCause::ALL`] order.
+const CAUSES: [&str; 4] = ["init", "controller", "gossip", "health"];
+
 impl WeightCause {
+    /// Every cause, in wire order.
+    pub const ALL: [WeightCause; 4] = [
+        WeightCause::Init,
+        WeightCause::Controller,
+        WeightCause::Gossip,
+        WeightCause::Health,
+    ];
+
     /// Stable wire name.
     pub fn as_str(&self) -> &'static str {
-        match self {
-            WeightCause::Init => "init",
-            WeightCause::Controller => "controller",
-            WeightCause::Gossip => "gossip",
-            WeightCause::Health => "health",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<WeightCause> {
-        match s {
-            "init" => Some(WeightCause::Init),
-            "controller" => Some(WeightCause::Controller),
-            "gossip" => Some(WeightCause::Gossip),
-            "health" => Some(WeightCause::Health),
-            _ => None,
-        }
+        CAUSES[*self as usize]
     }
 }
 
@@ -183,6 +167,27 @@ pub enum JournalEvent {
     },
 }
 
+/// Health-state wire names; parsed events hold these same strings.
+const HEALTH_STATES: [&str; 4] = ["healthy", "suspect", "ejected", "probation"];
+/// Health-transition trigger wire names.
+const HEALTH_TRIGGERS: [&str; 5] = [
+    "silence",
+    "abort_burst",
+    "probe_silent",
+    "probation_timeout",
+    "samples_returned",
+];
+
+// Wire keys that more than one variant carries, spelled once.
+const BACKEND: &str = "backend";
+const SRC_IP: &str = "src_ip";
+const SRC_PORT: &str = "src_port";
+const DELTA: &str = "delta";
+const FROM: &str = "from";
+const TO: &str = "to";
+const BEFORE: &str = "before";
+const AFTER: &str = "after";
+
 impl JournalEvent {
     /// Sim timestamp of the event.
     pub fn at(&self) -> u64 {
@@ -200,632 +205,231 @@ impl JournalEvent {
 
     /// Stable wire name of the event kind (the `"ev"` field).
     pub fn kind(&self) -> &'static str {
+        Self::KINDS[usize::from(self.tag())]
+    }
+
+    /// The variant's packed tag, its index in [`Record::KINDS`].
+    fn tag(&self) -> u8 {
         match self {
-            JournalEvent::Sample { .. } => "sample",
-            JournalEvent::EpochDecision { .. } => "epoch_decision",
-            JournalEvent::WeightUpdate { .. } => "weight_update",
-            JournalEvent::HealthTransition { .. } => "health",
-            JournalEvent::GossipMerge { .. } => "gossip_merge",
-            JournalEvent::FlowRepin { .. } => "flow_repin",
-            JournalEvent::NoBackend { .. } => "no_backend",
-            JournalEvent::ShardRemap { .. } => "shard_remap",
+            JournalEvent::Sample { .. } => 0,
+            JournalEvent::EpochDecision { .. } => 1,
+            JournalEvent::WeightUpdate { .. } => 2,
+            JournalEvent::HealthTransition { .. } => 3,
+            JournalEvent::GossipMerge { .. } => 4,
+            JournalEvent::FlowRepin { .. } => 5,
+            JournalEvent::NoBackend { .. } => 6,
+            JournalEvent::ShardRemap { .. } => 7,
         }
     }
 }
 
-/// The event store. Cloneable so experiment results can carry a copy.
-#[derive(Debug, Clone)]
-pub struct Journal {
-    mode: JournalMode,
-    events: Vec<JournalEvent>,
-    /// Ring mode: index of the oldest retained event.
-    head: usize,
-    /// Events not retained (ring overwrites or full-mode cap hits).
-    overflow: u64,
-}
+impl Record for JournalEvent {
+    const KIND_KEY: &'static str = "ev";
+    /// The `"ev"` wire name of each variant, indexed by its packed tag.
+    const KINDS: &'static [&'static str] = &[
+        "sample",
+        "epoch_decision",
+        "weight_update",
+        "health",
+        "gossip_merge",
+        "flow_repin",
+        "no_backend",
+        "shard_remap",
+    ];
 
-impl Journal {
-    /// New journal in the given mode.
-    pub fn new(mode: JournalMode) -> Journal {
-        Journal {
-            mode,
-            events: Vec::new(),
-            head: 0,
-            overflow: 0,
-        }
+    fn blank(tag: u8) -> Option<JournalEvent> {
+        Some(match tag {
+            0 => JournalEvent::Sample {
+                at: 0,
+                backend: 0,
+                src_ip: 0,
+                src_port: 0,
+                delta: 0,
+                t_lb: 0,
+            },
+            1 => JournalEvent::EpochDecision {
+                at: 0,
+                backend: 0,
+                counts: Vec::new(),
+                chosen: 0,
+                delta: 0,
+            },
+            2 => JournalEvent::WeightUpdate {
+                at: 0,
+                cause: WeightCause::Init,
+                victim: None,
+                moved: 0.0,
+                weights: Vec::new(),
+            },
+            3 => JournalEvent::HealthTransition {
+                at: 0,
+                backend: 0,
+                from: "",
+                to: "",
+                trigger: "",
+            },
+            4 => JournalEvent::GossipMerge {
+                at: 0,
+                mix: 0.0,
+                before: Vec::new(),
+                after: Vec::new(),
+            },
+            5 => JournalEvent::FlowRepin {
+                at: 0,
+                src_ip: 0,
+                src_port: 0,
+                from: 0,
+                to: 0,
+            },
+            6 => JournalEvent::NoBackend { at: 0 },
+            7 => JournalEvent::ShardRemap {
+                at: 0,
+                dst: 0,
+                before: Vec::new(),
+                after: Vec::new(),
+            },
+            _ => return None,
+        })
     }
 
-    /// Disabled journal; [`Journal::push`] is a no-op.
-    pub fn off() -> Journal {
-        Journal::new(JournalMode::Off)
-    }
-
-    /// The configured mode.
-    pub fn mode(&self) -> JournalMode {
-        self.mode
-    }
-
-    /// Cheap hot-path gate: should callers bother building events?
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.mode.enabled()
-    }
-
-    /// Record an event (no-op when disabled; ring mode evicts oldest).
-    pub fn push(&mut self, ev: JournalEvent) {
-        match self.mode {
-            JournalMode::Off => {}
-            JournalMode::Ring(cap) => {
-                if cap == 0 {
-                    self.overflow += 1;
-                } else if self.events.len() < cap {
-                    self.events.push(ev);
-                } else {
-                    self.events[self.head] = ev;
-                    self.head = (self.head + 1) % cap;
-                    self.overflow += 1;
-                }
+    /// The journal's schema. (Forced inline: see the packed encoder.)
+    #[inline(always)]
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        let tag = self.tag();
+        let head = |c: &mut C, at: &mut u64| -> Result<(), String> {
+            c.field(AT, Field::Time(at))?;
+            c.field(Self::KIND_KEY, Field::Kind(&mut tag.clone(), Self::KINDS))
+        };
+        match self {
+            JournalEvent::Sample {
+                at,
+                backend,
+                src_ip,
+                src_port,
+                delta,
+                t_lb,
+            } => {
+                head(c, at)?;
+                c.field(BACKEND, Field::Sticky(backend))?;
+                c.field(SRC_IP, Field::Sticky(src_ip))?;
+                c.field(SRC_PORT, Field::Int(src_port))?;
+                c.field(DELTA, Field::Sticky(delta))?;
+                c.field("t_lb", Field::Int(t_lb))
             }
-            JournalMode::Full(cap) => {
-                if self.events.len() < cap {
-                    self.events.push(ev);
-                } else {
-                    self.overflow += 1;
-                }
+            JournalEvent::EpochDecision {
+                at,
+                backend,
+                counts,
+                chosen,
+                delta,
+            } => {
+                head(c, at)?;
+                c.field(BACKEND, Field::Int(backend))?;
+                c.field("counts", Field::Ints(counts))?;
+                c.field("chosen", Field::Int(chosen))?;
+                c.field(DELTA, Field::Int(delta))
             }
-        }
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events not retained (overwritten in ring mode, dropped past the
-    /// full-mode cap).
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Retained events in chronological order (ring unrolled).
-    pub fn events(&self) -> impl Iterator<Item = &JournalEvent> {
-        let (tail, init) = self.events.split_at(self.head.min(self.events.len()));
-        init.iter().chain(tail.iter())
-    }
-
-    /// Serialize retained events as NDJSON, oldest first.
-    pub fn to_ndjson(&self) -> String {
-        let mut out = String::new();
-        for ev in self.events() {
-            write_event(&mut out, ev);
-            out.push('\n');
-        }
-        out
-    }
-}
-
-fn push_u64(out: &mut String, key: &str, v: u64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&v.to_string());
-}
-
-fn push_f64(out: &mut String, key: &str, v: f64) {
-    out.push('"');
-    out.push_str(key);
-    // `{:?}` is the shortest representation that round-trips through
-    // `str::parse::<f64>()`, which is what makes journal-derived metrics
-    // bit-exact against the live experiment.
-    out.push_str(&format!("\":{v:?}"));
-}
-
-fn push_str(out: &mut String, key: &str, v: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    out.push_str(v);
-    out.push('"');
-}
-
-fn push_u64_arr(out: &mut String, key: &str, vs: &[u64]) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
-fn push_f64_arr(out: &mut String, key: &str, vs: &[f64]) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{v:?}"));
-    }
-    out.push(']');
-}
-
-/// Append one event as a single flat JSON object (no trailing newline).
-pub fn write_event(out: &mut String, ev: &JournalEvent) {
-    out.push('{');
-    push_u64(out, "at", ev.at());
-    out.push(',');
-    push_str(out, "ev", ev.kind());
-    match ev {
-        JournalEvent::Sample {
-            backend,
-            src_ip,
-            src_port,
-            delta,
-            t_lb,
-            ..
-        } => {
-            out.push(',');
-            push_u64(out, "backend", *backend as u64);
-            out.push(',');
-            push_u64(out, "src_ip", u64::from(*src_ip));
-            out.push(',');
-            push_u64(out, "src_port", u64::from(*src_port));
-            out.push(',');
-            push_u64(out, "delta", *delta);
-            out.push(',');
-            push_u64(out, "t_lb", *t_lb);
-        }
-        JournalEvent::EpochDecision {
-            backend,
-            counts,
-            chosen,
-            delta,
-            ..
-        } => {
-            out.push(',');
-            push_u64(out, "backend", *backend as u64);
-            out.push(',');
-            push_u64_arr(out, "counts", counts);
-            out.push(',');
-            push_u64(out, "chosen", *chosen as u64);
-            out.push(',');
-            push_u64(out, "delta", *delta);
-        }
-        JournalEvent::WeightUpdate {
-            cause,
-            victim,
-            moved,
-            weights,
-            ..
-        } => {
-            out.push(',');
-            push_str(out, "cause", cause.as_str());
-            out.push(',');
-            match victim {
-                Some(v) => push_u64(out, "victim", *v as u64),
-                None => out.push_str("\"victim\":null"),
-            }
-            out.push(',');
-            push_f64(out, "moved", *moved);
-            out.push(',');
-            push_f64_arr(out, "weights", weights);
-        }
-        JournalEvent::HealthTransition {
-            backend,
-            from,
-            to,
-            trigger,
-            ..
-        } => {
-            out.push(',');
-            push_u64(out, "backend", *backend as u64);
-            out.push(',');
-            push_str(out, "from", from);
-            out.push(',');
-            push_str(out, "to", to);
-            out.push(',');
-            push_str(out, "trigger", trigger);
-        }
-        JournalEvent::GossipMerge {
-            mix, before, after, ..
-        } => {
-            out.push(',');
-            push_f64(out, "mix", *mix);
-            out.push(',');
-            push_f64_arr(out, "before", before);
-            out.push(',');
-            push_f64_arr(out, "after", after);
-        }
-        JournalEvent::FlowRepin {
-            src_ip,
-            src_port,
-            from,
-            to,
-            ..
-        } => {
-            out.push(',');
-            push_u64(out, "src_ip", u64::from(*src_ip));
-            out.push(',');
-            push_u64(out, "src_port", u64::from(*src_port));
-            out.push(',');
-            push_u64(out, "from", *from as u64);
-            out.push(',');
-            push_u64(out, "to", *to as u64);
-        }
-        JournalEvent::NoBackend { .. } => {}
-        JournalEvent::ShardRemap {
-            dst, before, after, ..
-        } => {
-            out.push(',');
-            push_u64(out, "dst", u64::from(*dst));
-            out.push(',');
-            push_u64_arr(out, "before", before);
-            out.push(',');
-            push_u64_arr(out, "after", after);
-        }
-    }
-    out.push('}');
-}
-
-/// Flat per-line JSON value: the journal wire format only needs numbers,
-/// strings, null, and numeric arrays. Numbers keep their raw lexeme so
-/// integer fields parse exactly — routing a u64 through f64 would
-/// silently round timestamps and deltas above 2^53.
-#[derive(Debug, Clone)]
-enum Val {
-    Num(String),
-    Str(String),
-    Null,
-    Arr(Vec<String>),
-}
-
-fn lex_u64(raw: &str) -> Result<u64, String> {
-    // Written u64s are plain digit runs, and nothing else is an integer:
-    // a sign, fraction or exponent could only be coerced, and a coerced
-    // timestamp or index corrupts an analysis quietly.
-    if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
-        return Err(format!("bad integer {raw:?}: expected a digit run"));
-    }
-    raw.parse::<u64>()
-        .map_err(|e| format!("bad integer {raw:?}: {e}"))
-}
-
-fn lex_f64(raw: &str) -> Result<f64, String> {
-    raw.parse::<f64>()
-        .map_err(|e| format!("bad number {raw:?}: {e}"))
-}
-
-struct Fields {
-    pairs: Vec<(String, Val)>,
-}
-
-impl Fields {
-    fn get(&self, key: &str) -> Result<&Val, String> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        match self.get(key)? {
-            Val::Num(raw) => lex_u64(raw).map_err(|e| format!("field {key:?}: {e}")),
-            v => Err(format!("field {key:?}: expected number, got {v:?}")),
-        }
-    }
-
-    /// An integer field of a narrower type: out of range is an error,
-    /// never a wrap.
-    fn uint<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
-        let v = self.u64(key)?;
-        T::try_from(v).map_err(|_| format!("field {key:?}: {v} is out of range"))
-    }
-
-    fn f64(&self, key: &str) -> Result<f64, String> {
-        match self.get(key)? {
-            Val::Num(raw) => lex_f64(raw).map_err(|e| format!("field {key:?}: {e}")),
-            v => Err(format!("field {key:?}: expected number, got {v:?}")),
-        }
-    }
-
-    fn str(&self, key: &str) -> Result<&str, String> {
-        match self.get(key)? {
-            Val::Str(s) => Ok(s),
-            v => Err(format!("field {key:?}: expected string, got {v:?}")),
-        }
-    }
-
-    fn f64_arr(&self, key: &str) -> Result<Vec<f64>, String> {
-        match self.get(key)? {
-            Val::Arr(a) => a
-                .iter()
-                .map(|raw| lex_f64(raw).map_err(|e| format!("field {key:?}: {e}")))
-                .collect(),
-            v => Err(format!("field {key:?}: expected array, got {v:?}")),
-        }
-    }
-
-    fn u64_arr(&self, key: &str) -> Result<Vec<u64>, String> {
-        match self.get(key)? {
-            Val::Arr(a) => a
-                .iter()
-                .map(|raw| lex_u64(raw).map_err(|e| format!("field {key:?}: {e}")))
-                .collect(),
-            v => Err(format!("field {key:?}: expected array, got {v:?}")),
-        }
-    }
-
-    fn opt_usize(&self, key: &str) -> Result<Option<usize>, String> {
-        match self.get(key)? {
-            Val::Null => Ok(None),
-            Val::Num(_) => self.uint(key).map(Some),
-            v => Err(format!("field {key:?}: expected number|null, got {v:?}")),
-        }
-    }
-}
-
-fn parse_fields(line: &str) -> Result<Fields, String> {
-    let bytes = line.as_bytes();
-    let mut i = 0usize;
-    let err = |msg: &str, at: usize| format!("{msg} at byte {at}");
-    let skip_ws = |i: &mut usize| {
-        while bytes.get(*i).is_some_and(|b| b.is_ascii_whitespace()) {
-            *i += 1;
-        }
-    };
-    skip_ws(&mut i);
-    if bytes.get(i) != Some(&b'{') {
-        return Err(err("expected '{'", i));
-    }
-    i += 1;
-    let mut pairs = Vec::new();
-    skip_ws(&mut i);
-    if bytes.get(i) == Some(&b'}') {
-        return Ok(Fields { pairs });
-    }
-    loop {
-        skip_ws(&mut i);
-        let key = parse_string(bytes, &mut i)?;
-        skip_ws(&mut i);
-        if bytes.get(i) != Some(&b':') {
-            return Err(err("expected ':'", i));
-        }
-        i += 1;
-        skip_ws(&mut i);
-        let val = parse_val(bytes, &mut i)?;
-        if pairs.iter().any(|(k, _)| *k == key) {
-            return Err(format!("duplicate field {key:?}"));
-        }
-        pairs.push((key, val));
-        skip_ws(&mut i);
-        match bytes.get(i) {
-            Some(&b',') => i += 1,
-            Some(&b'}') => {
-                i += 1;
-                skip_ws(&mut i);
-                if i != bytes.len() {
-                    return Err(err("trailing bytes after object", i));
-                }
-                return Ok(Fields { pairs });
-            }
-            _ => return Err(err("expected ',' or '}'", i)),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], i: &mut usize) -> Result<String, String> {
-    if bytes.get(*i) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {}", *i));
-    }
-    *i += 1;
-    let start = *i;
-    while let Some(&b) = bytes.get(*i) {
-        if b == b'"' {
-            let s = core::str::from_utf8(&bytes[start..*i])
-                .map_err(|e| format!("invalid utf-8 in string: {e}"))?;
-            *i += 1;
-            // Journal strings are fixed wire names; no escapes to handle.
-            return Ok(s.to_string());
-        }
-        if b == b'\\' {
-            return Err(format!("unexpected escape at byte {}", *i));
-        }
-        *i += 1;
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_val(bytes: &[u8], i: &mut usize) -> Result<Val, String> {
-    match bytes.get(*i) {
-        Some(&b'"') => Ok(Val::Str(parse_string(bytes, i)?)),
-        Some(&b'n') => {
-            if bytes[*i..].starts_with(b"null") {
-                *i += 4;
-                Ok(Val::Null)
-            } else {
-                Err(format!("bad literal at byte {}", *i))
-            }
-        }
-        Some(&b'[') => {
-            *i += 1;
-            let mut arr = Vec::new();
-            loop {
-                while bytes.get(*i).is_some_and(|b| b.is_ascii_whitespace()) {
-                    *i += 1;
-                }
-                if bytes.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return Ok(Val::Arr(arr));
-                }
-                arr.push(parse_num(bytes, i)?);
-                while bytes.get(*i).is_some_and(|b| b.is_ascii_whitespace()) {
-                    *i += 1;
-                }
-                match bytes.get(*i) {
-                    Some(&b',') => *i += 1,
-                    Some(&b']') => {
-                        *i += 1;
-                        return Ok(Val::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", *i)),
-                }
-            }
-        }
-        Some(_) => Ok(Val::Num(parse_num(bytes, i)?)),
-        None => Err("unexpected end of line".to_string()),
-    }
-}
-
-fn parse_num(bytes: &[u8], i: &mut usize) -> Result<String, String> {
-    let start = *i;
-    while bytes
-        .get(*i)
-        .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-    {
-        *i += 1;
-    }
-    let s = core::str::from_utf8(&bytes[start..*i])
-        .map_err(|e| format!("invalid utf-8 in number: {e}"))?;
-    // Validate the shape here so malformed lines fail at the lexer with
-    // a byte offset; the typed accessors re-parse the raw lexeme.
-    s.parse::<f64>()
-        .map_err(|e| format!("bad number {s:?} at byte {start}: {e}"))?;
-    Ok(s.to_string())
-}
-
-/// Parse one NDJSON line back into an event.
-pub fn parse_event(line: &str) -> Result<JournalEvent, String> {
-    let f = parse_fields(line)?;
-    let at = f.u64("at")?;
-    match f.str("ev")? {
-        "sample" => Ok(JournalEvent::Sample {
-            at,
-            backend: f.uint("backend")?,
-            src_ip: f.uint("src_ip")?,
-            src_port: f.uint("src_port")?,
-            delta: f.u64("delta")?,
-            t_lb: f.u64("t_lb")?,
-        }),
-        "epoch_decision" => Ok(JournalEvent::EpochDecision {
-            at,
-            backend: f.uint("backend")?,
-            counts: f.u64_arr("counts")?,
-            chosen: f.uint("chosen")?,
-            delta: f.u64("delta")?,
-        }),
-        "weight_update" => {
-            let cause = WeightCause::from_str(f.str("cause")?)
-                .ok_or_else(|| format!("unknown weight cause {:?}", f.str("cause")))?;
-            Ok(JournalEvent::WeightUpdate {
+            JournalEvent::WeightUpdate {
                 at,
                 cause,
-                victim: f.opt_usize("victim")?,
-                moved: f.f64("moved")?,
-                weights: f.f64_arr("weights")?,
-            })
-        }
-        "health" => Ok(JournalEvent::HealthTransition {
-            at,
-            backend: f.uint("backend")?,
-            from: intern_health(f.str("from")?)?,
-            to: intern_health(f.str("to")?)?,
-            trigger: intern_trigger(f.str("trigger")?)?,
-        }),
-        "gossip_merge" => Ok(JournalEvent::GossipMerge {
-            at,
-            mix: f.f64("mix")?,
-            before: f.f64_arr("before")?,
-            after: f.f64_arr("after")?,
-        }),
-        "flow_repin" => Ok(JournalEvent::FlowRepin {
-            at,
-            src_ip: f.uint("src_ip")?,
-            src_port: f.uint("src_port")?,
-            from: f.uint("from")?,
-            to: f.uint("to")?,
-        }),
-        "no_backend" => Ok(JournalEvent::NoBackend { at }),
-        "shard_remap" => Ok(JournalEvent::ShardRemap {
-            at,
-            dst: f.uint("dst")?,
-            before: f.u64_arr("before")?,
-            after: f.u64_arr("after")?,
-        }),
-        other => Err(format!("unknown event kind {other:?}")),
-    }
-}
-
-/// Health-state wire names, interned so parsed events compare equal to
-/// emitted ones.
-fn intern_health(s: &str) -> Result<&'static str, String> {
-    match s {
-        "healthy" => Ok("healthy"),
-        "suspect" => Ok("suspect"),
-        "ejected" => Ok("ejected"),
-        "probation" => Ok("probation"),
-        other => Err(format!("unknown health state {other:?}")),
-    }
-}
-
-fn intern_trigger(s: &str) -> Result<&'static str, String> {
-    match s {
-        "silence" => Ok("silence"),
-        "abort_burst" => Ok("abort_burst"),
-        "probe_silent" => Ok("probe_silent"),
-        "probation_timeout" => Ok("probation_timeout"),
-        "samples_returned" => Ok("samples_returned"),
-        other => Err(format!("unknown health trigger {other:?}")),
-    }
-}
-
-/// Parse a full NDJSON document (blank lines skipped). Fails on the
-/// first malformed line with its 1-based line number.
-pub fn parse_ndjson(text: &str) -> Result<Vec<JournalEvent>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(parse_event(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(out)
-}
-
-/// Parse a full NDJSON document, tolerating a truncated *final* line.
-///
-/// A capture cut off mid-write (killed process, partial copy, `tail`
-/// of a growing file) ends in half a line; hard-failing the whole
-/// document over it would make every in-flight capture unreadable.
-/// This variant drops a malformed final non-blank line and reports the
-/// drop via the returned flag instead. Malformed lines anywhere *else*
-/// are still errors — interior corruption is not truncation, and
-/// silently skipping it would let analyses run on a journal with holes.
-pub fn parse_ndjson_lossy(text: &str) -> Result<(Vec<JournalEvent>, bool), String> {
-    let lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .collect();
-    let mut out = Vec::with_capacity(lines.len());
-    for (pos, &(lineno, line)) in lines.iter().enumerate() {
-        match parse_event(line) {
-            Ok(ev) => out.push(ev),
-            Err(_) if pos + 1 == lines.len() => return Ok((out, true)),
-            Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
+                victim,
+                moved,
+                weights,
+            } => {
+                head(c, at)?;
+                c.field("cause", Field::Label(cause, &CAUSES))?;
+                c.field("victim", Field::Opt(victim))?;
+                c.field("moved", Field::Float(moved))?;
+                c.field("weights", Field::Floats(weights))
+            }
+            JournalEvent::HealthTransition {
+                at,
+                backend,
+                from,
+                to,
+                trigger,
+            } => {
+                head(c, at)?;
+                c.field(BACKEND, Field::Int(backend))?;
+                c.field(FROM, Named(from, &HEALTH_STATES).label())?;
+                c.field(TO, Named(to, &HEALTH_STATES).label())?;
+                c.field("trigger", Named(trigger, &HEALTH_TRIGGERS).label())
+            }
+            JournalEvent::GossipMerge {
+                at,
+                mix,
+                before,
+                after,
+            } => {
+                head(c, at)?;
+                c.field("mix", Field::Float(mix))?;
+                c.field(BEFORE, Field::Floats(before))?;
+                c.field(AFTER, Field::Floats(after))
+            }
+            JournalEvent::FlowRepin {
+                at,
+                src_ip,
+                src_port,
+                from,
+                to,
+            } => {
+                head(c, at)?;
+                c.field(SRC_IP, Field::Sticky(src_ip))?;
+                c.field(SRC_PORT, Field::Int(src_port))?;
+                c.field(FROM, Field::Int(from))?;
+                c.field(TO, Field::Int(to))
+            }
+            JournalEvent::NoBackend { at } => head(c, at),
+            JournalEvent::ShardRemap {
+                at,
+                dst,
+                before,
+                after,
+            } => {
+                head(c, at)?;
+                c.field("dst", Field::Int(dst))?;
+                c.field(BEFORE, Field::Ints(before))?;
+                c.field(AFTER, Field::Ints(after))
+            }
         }
     }
-    Ok((out, false))
+}
+
+impl Uint for WeightCause {
+    fn get(&self) -> u64 {
+        *self as u64
+    }
+
+    fn set(&mut self, v: u64) -> bool {
+        let cause = usize::try_from(v)
+            .ok()
+            .and_then(|i| WeightCause::ALL.get(i));
+        cause.map(|&c| *self = c).is_some()
+    }
+}
+
+/// A health wire name seen as its index in a name table.
+struct Named<'a>(&'a mut &'static str, &'static [&'static str]);
+
+impl Named<'_> {
+    fn label(&mut self) -> Field<'_> {
+        let names = self.1;
+        Field::Label(self, names)
+    }
+}
+
+impl Uint for Named<'_> {
+    fn get(&self) -> u64 {
+        // A name outside the table indexes past its end, which no reader
+        // accepts.
+        let i = self.1.iter().position(|n| n == self.0);
+        i.unwrap_or(self.1.len()) as u64
+    }
+
+    fn set(&mut self, v: u64) -> bool {
+        let name = usize::try_from(v).ok().and_then(|i| self.1.get(i));
+        name.map(|n| *self.0 = n).is_some()
+    }
 }
 
 #[cfg(test)]
@@ -893,22 +497,62 @@ mod tests {
         ]
     }
 
+    fn line(ev: &JournalEvent) -> String {
+        let mut out = String::new();
+        ev.clone().write_json(&mut out);
+        out
+    }
+
+    #[test]
+    fn every_tag_has_a_variant_and_a_name() {
+        for (tag, kind) in JournalEvent::KINDS.iter().enumerate() {
+            let ev = JournalEvent::blank(tag as u8).unwrap();
+            assert_eq!((ev.tag(), ev.kind()), (tag as u8, *kind));
+        }
+        assert!(JournalEvent::blank(JournalEvent::KINDS.len() as u8).is_none());
+    }
+
     #[test]
     fn roundtrip_every_event_kind() {
         let mut j = Journal::new(JournalMode::Full(1024));
         for ev in sample_events() {
             j.push(ev);
         }
+        assert_eq!(j.iter().collect::<Vec<_>>(), sample_events());
         let text = j.to_ndjson();
-        let parsed = parse_ndjson(&text).unwrap();
+        let parsed: Vec<JournalEvent> = parse_ndjson(&text).unwrap();
         assert_eq!(parsed, sample_events());
         // Writer is canonical: re-serializing the parse is byte-identical.
-        let mut again = String::new();
-        for ev in &parsed {
-            write_event(&mut again, ev);
-            again.push('\n');
+        assert_eq!(crate::log::to_ndjson(parsed), text);
+        assert_eq!(
+            text.lines().next().unwrap(),
+            "{\"at\":1000,\"ev\":\"sample\",\"backend\":1,\"src_ip\":167772161,\
+             \"src_port\":40000,\"delta\":64000,\"t_lb\":123456}"
+        );
+    }
+
+    #[test]
+    fn a_sample_packs_its_repeats_into_header_flags() {
+        let sample = |at, src_ip| JournalEvent::Sample {
+            at,
+            backend: 1,
+            src_ip,
+            src_port: 40_000,
+            delta: 64_000,
+            t_lb: 250_000,
+        };
+        let mut j = Journal::new(JournalMode::Full(8));
+        let mut sizes = Vec::new();
+        for ev in [sample(14_000, 0x0a00_0001), sample(28_000, 0x0a00_0001)] {
+            let before = j.retained_bytes();
+            j.push(ev);
+            sizes.push(j.retained_bytes() - before);
         }
-        assert_eq!(again, text);
+        // Header, 3-byte time delta, backend, 4-byte address, port, δ, T_LB;
+        // then the backend, address and δ repeat and cost nothing.
+        assert_eq!(sizes, [1 + 3 + 1 + 4 + 3 + 3 + 3, 1 + 3 + 3 + 3]);
+        assert_eq!(j.take().len(), 2);
+        assert_eq!(j.retained_bytes(), 0);
     }
 
     #[test]
@@ -920,9 +564,7 @@ mod tests {
             moved: 0.1 + 0.2, // 0.30000000000000004
             weights: vec![1.0 / 3.0, 1e-7, 123_456.789_012_345],
         };
-        let mut line = String::new();
-        write_event(&mut line, &w);
-        assert_eq!(parse_event(&line).unwrap(), w);
+        assert_eq!(JournalEvent::parse_json(&line(&w)).unwrap(), w);
     }
 
     #[test]
@@ -931,59 +573,9 @@ mod tests {
         assert!(!j.enabled());
         j.push(JournalEvent::NoBackend { at: 1 });
         assert!(j.is_empty());
-        assert_eq!(j.to_ndjson(), "");
-        assert_eq!(parse_ndjson("").unwrap(), vec![]);
-    }
-
-    #[test]
-    fn ring_keeps_last_n_in_order() {
-        let mut j = Journal::new(JournalMode::Ring(3));
-        for at in 0..10 {
-            j.push(JournalEvent::NoBackend { at });
-        }
-        assert_eq!(j.len(), 3);
-        assert_eq!(j.overflow(), 7);
-        let ats: Vec<u64> = j.events().map(|e| e.at()).collect();
-        assert_eq!(ats, vec![7, 8, 9]);
-        // Dump is chronological too.
-        let parsed = parse_ndjson(&j.to_ndjson()).unwrap();
-        assert_eq!(parsed.iter().map(|e| e.at()).collect::<Vec<_>>(), ats);
-    }
-
-    #[test]
-    fn ring_capacity_boundaries_keep_exactly_last_n() {
-        // cap = 1: only the newest event ever survives a wrap.
-        let mut j = Journal::new(JournalMode::Ring(1));
-        for at in 0..5 {
-            j.push(JournalEvent::NoBackend { at });
-        }
-        assert_eq!(j.len(), 1);
-        assert_eq!(j.overflow(), 4);
-        assert_eq!(j.events().map(|e| e.at()).collect::<Vec<_>>(), vec![4]);
-        // cap = n exactly: no wrap, no overflow, order preserved.
-        let mut j = Journal::new(JournalMode::Ring(4));
-        for at in 0..4 {
-            j.push(JournalEvent::NoBackend { at });
-        }
-        assert_eq!(j.len(), 4);
         assert_eq!(j.overflow(), 0);
-        assert_eq!(
-            j.events().map(|e| e.at()).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        // One more push wraps: exactly the last 4, chronological.
-        j.push(JournalEvent::NoBackend { at: 4 });
-        assert_eq!(j.len(), 4);
-        assert_eq!(j.overflow(), 1);
-        assert_eq!(
-            j.events().map(|e| e.at()).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4]
-        );
-        // cap = 0 ring: degenerate flight recorder, everything overflows.
-        let mut j = Journal::new(JournalMode::Ring(0));
-        j.push(JournalEvent::NoBackend { at: 9 });
-        assert!(j.is_empty());
-        assert_eq!(j.overflow(), 1);
+        assert_eq!(j.to_ndjson(), "");
+        assert_eq!(parse_ndjson::<JournalEvent>("").unwrap(), vec![]);
     }
 
     #[test]
@@ -994,29 +586,32 @@ mod tests {
         }
         assert_eq!(j.len(), 2);
         assert_eq!(j.overflow(), 3);
-        let ats: Vec<u64> = j.events().map(|e| e.at()).collect();
+        let ats: Vec<u64> = j.iter().map(|e| e.at()).collect();
         assert_eq!(ats, vec![0, 1]);
     }
 
     #[test]
     fn parse_rejects_malformed_lines() {
-        assert!(parse_ndjson("{\"at\":1}").is_err()); // missing ev
-        assert!(parse_ndjson("{\"at\":1,\"ev\":\"bogus\"}").is_err());
-        assert!(parse_ndjson("not json").is_err());
-        let err = parse_ndjson("{\"at\":1,\"ev\":\"no_backend\"}\nnope").unwrap_err();
+        let parse = parse_ndjson::<JournalEvent>;
+        assert!(parse("{\"at\":1}").is_err()); // missing ev
+        assert!(parse("{\"at\":1,\"ev\":\"bogus\"}").is_err());
+        assert!(parse("not json").is_err());
+        let err = parse("{\"at\":1,\"ev\":\"no_backend\"}\nnope").unwrap_err();
         assert!(err.starts_with("line 2"), "{err}");
-        // An integer field is a digit run that fits its type: nothing is
-        // coerced through f64 or wrapped by `as`, a key appears once, and
-        // the error names the field.
+        // An integer field is a digit run that fits its type, a float is
+        // finite: nothing is coerced through f64, wrapped by `as` or
+        // rounded to infinity. A key appears once and is one the schema
+        // reads, and the error names the field.
         let sample = |at: &str, ip: &str, port: &str| {
             format!(
                 "{{\"at\":{at},\"ev\":\"sample\",\"backend\":1,\"src_ip\":{ip},\
                  \"src_port\":{port},\"delta\":2,\"t_lb\":3}}"
             )
         };
-        assert!(parse_event(&sample("7", "4294967295", "65535")).is_ok());
+        assert!(JournalEvent::parse_json(&sample("7", "4294967295", "65535")).is_ok());
         for (line, field) in [
             ("{\"at\":-5,\"ev\":\"no_backend\"}".to_string(), "\"at\""),
+            ("{\"at\":+5,\"ev\":\"no_backend\"}".to_string(), "\"at\""),
             ("{\"at\":1.9,\"ev\":\"no_backend\"}".to_string(), "\"at\""),
             ("{\"at\":1e30,\"ev\":\"no_backend\"}".to_string(), "\"at\""),
             (sample("7", "1", "70000"), "\"src_port\""),
@@ -1025,32 +620,48 @@ mod tests {
                 "{\"at\":1,\"at\":2,\"ev\":\"no_backend\"}".to_string(),
                 "\"at\"",
             ),
+            (
+                "{\"at\":1,\"ev\":\"no_backend\",\"zzz\":5}".to_string(),
+                "\"zzz\"",
+            ),
+            (
+                "{\"at\":1,\"ev\":\"weight_update\",\"cause\":\"init\",\"victim\":null,\
+                 \"moved\":1e400,\"weights\":[]}"
+                    .to_string(),
+                "\"moved\"",
+            ),
+            (
+                "{\"at\":1,\"ev\":\"gossip_merge\",\"mix\":1e400,\"before\":[],\"after\":[]}"
+                    .to_string(),
+                "\"mix\"",
+            ),
         ] {
-            let err = parse_event(&line).expect_err(&line);
+            let err = JournalEvent::parse_json(&line).expect_err(&line);
             assert!(err.contains(field), "{line}: {err}");
         }
     }
 
     #[test]
     fn lossy_parse_drops_only_a_truncated_tail() {
+        let lossy = parse_ndjson_lossy::<JournalEvent>;
         let good = "{\"at\":1,\"ev\":\"no_backend\"}";
         // A half-written final line (truncated mid-capture) is dropped
         // and flagged; the preceding events still parse.
         let truncated = format!("{good}\n{{\"at\":2,\"ev\":\"no_bac");
-        let (evs, dropped) = parse_ndjson_lossy(&truncated).unwrap();
+        let (evs, dropped) = lossy(&truncated).unwrap();
         assert_eq!(evs, vec![JournalEvent::NoBackend { at: 1 }]);
         assert!(dropped, "truncated tail must be flagged");
         // A trailing blank line after the garbage does not shield it.
-        let (evs, dropped) = parse_ndjson_lossy(&format!("{truncated}\n\n")).unwrap();
+        let (evs, dropped) = lossy(&format!("{truncated}\n\n")).unwrap();
         assert_eq!(evs.len(), 1);
         assert!(dropped);
         // Clean documents (including empty ones) report no drop.
-        let (evs, dropped) = parse_ndjson_lossy(&format!("{good}\n")).unwrap();
+        let (evs, dropped) = lossy(&format!("{good}\n")).unwrap();
         assert_eq!(evs.len(), 1);
         assert!(!dropped);
-        assert_eq!(parse_ndjson_lossy("").unwrap(), (vec![], false));
+        assert_eq!(lossy("").unwrap(), (vec![], false));
         // Interior corruption is still a hard error with its line number.
-        let err = parse_ndjson_lossy(&format!("nope\n{good}\n")).unwrap_err();
+        let err = lossy(&format!("nope\n{good}\n")).unwrap_err();
         assert!(err.starts_with("line 1"), "{err}");
     }
 }

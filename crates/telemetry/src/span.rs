@@ -28,49 +28,21 @@
     clippy::unimplemented
 )]
 
+pub use crate::log::parse_ndjson;
+use crate::log::{Codec, Field, Log, Mode, Record, Uint, AT};
+
 /// What the span log retains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanMode {
-    /// Record nothing (default). All recording sites gate on
-    /// [`SpanLog::enabled`], so this mode is free on the hot path.
-    Off,
-    /// Record only traces with `trace % stride == 0`, up to `capacity`
-    /// hop records. Sampling keys on the trace id — a pure function of
-    /// the flow and request number — so every layer keeps or drops the
-    /// same requests and sampled spans stay complete.
-    Sampled {
-        /// Keep traces whose id is divisible by this (0 behaves as 1).
-        stride: u64,
-        /// Hard cap on retained hop records.
-        capacity: usize,
-    },
-    /// Record every traced hop up to a hard record limit; records past
-    /// the limit are dropped and counted in [`SpanLog::dropped`].
-    Full(usize),
-}
+pub type SpanMode = Mode;
 
-impl SpanMode {
-    /// True when hops should be recorded at all.
-    pub fn enabled(&self) -> bool {
-        !matches!(self, SpanMode::Off)
-    }
+/// The span hop store owned by the simulation: one packed [`Log`] of
+/// [`HopRecord`]s.
+pub type SpanLog = Log<HopRecord>;
 
-    /// True when a hop tagged with `trace` should be retained. Untraced
-    /// hops (`trace == 0`) are never recorded.
-    pub fn accepts(&self, trace: u64) -> bool {
-        self.cap_for(trace).is_some()
-    }
-
-    /// The record cap a hop tagged with `trace` counts against; `None`
-    /// when the mode does not retain that hop at all.
-    fn cap_for(&self, trace: u64) -> Option<usize> {
-        match *self {
-            SpanMode::Off => None,
-            SpanMode::Sampled { stride, capacity } => {
-                (trace != 0 && trace % stride.max(1) == 0).then_some(capacity)
-            }
-            SpanMode::Full(cap) => (trace != 0).then_some(cap),
-        }
+impl SpanLog {
+    /// [`Log::push`], under the span log's name for it.
+    #[inline]
+    pub fn record(&mut self, rec: HopRecord) {
+        self.push(rec);
     }
 }
 
@@ -148,52 +120,26 @@ pub const HOP_KINDS: [HopKind; 16] = [
 ];
 
 impl HopKind {
-    /// Stable numeric code (tie-break key in sorts and digests).
+    /// Stable numeric code (tie-break key in sorts and digests): the
+    /// declaration index, which is also the kind's place in [`HOP_KINDS`].
     pub fn code(&self) -> u8 {
-        match self {
-            HopKind::ClientIssue => 0,
-            HopKind::LbDeliver => 1,
-            HopKind::LbFlowTable => 2,
-            HopKind::LbPick => 3,
-            HopKind::LbForward => 4,
-            HopKind::BackendEnqueue => 5,
-            HopKind::BackendServiceStart => 6,
-            HopKind::BackendRespond => 7,
-            HopKind::ClientConsume => 8,
-            HopKind::LinkDeliver => 9,
-            HopKind::LinkDrop => 10,
-            HopKind::LinkImpair => 11,
-            HopKind::TcpSend => 12,
-            HopKind::TcpAck => 13,
-            HopKind::TcpRto => 14,
-            HopKind::TcpReassembled => 15,
-        }
+        *self as u8
     }
 
     /// Stable wire name (the `"hop"` field of the NDJSON schema).
     pub fn as_str(&self) -> &'static str {
-        match self {
-            HopKind::ClientIssue => "client_issue",
-            HopKind::LbDeliver => "lb_deliver",
-            HopKind::LbFlowTable => "lb_flow_table",
-            HopKind::LbPick => "lb_pick",
-            HopKind::LbForward => "lb_forward",
-            HopKind::BackendEnqueue => "backend_enqueue",
-            HopKind::BackendServiceStart => "backend_service_start",
-            HopKind::BackendRespond => "backend_respond",
-            HopKind::ClientConsume => "client_consume",
-            HopKind::LinkDeliver => "link_deliver",
-            HopKind::LinkDrop => "link_drop",
-            HopKind::LinkImpair => "link_impair",
-            HopKind::TcpSend => "tcp_send",
-            HopKind::TcpAck => "tcp_ack",
-            HopKind::TcpRto => "tcp_rto",
-            HopKind::TcpReassembled => "tcp_reassembled",
-        }
+        HopRecord::KINDS[usize::from(self.code())]
+    }
+}
+
+impl Uint for HopKind {
+    fn get(&self) -> u64 {
+        u64::from(self.code())
     }
 
-    fn from_str(s: &str) -> Option<HopKind> {
-        HOP_KINDS.iter().copied().find(|k| k.as_str() == s)
+    fn set(&mut self, v: u64) -> bool {
+        let kind = usize::try_from(v).ok().and_then(|i| HOP_KINDS.get(i));
+        kind.map(|&k| *self = k).is_some()
     }
 }
 
@@ -247,253 +193,54 @@ pub struct HopRecord {
     pub b: u64,
 }
 
-/// Header byte of a packed record: the hop-kind code in the low four
-/// bits, then one flag per field that equals the previous record's and
-/// is therefore not stored.
-const KIND_MASK: u8 = 0x0f;
-const SAME_AT: u8 = 1 << 4;
-const SAME_TRACE: u8 = 1 << 5;
-const SAME_NODE: u8 = 1 << 6;
-const SAME_A: u8 = 1 << 7;
-// The kind code shares the header byte with the four flags: a 17th kind
-// must fail the build, not the decoder.
-const _: () = assert!(HOP_KINDS.len() <= 16);
+/// Hops written from one callback share time, trace and node, so a
+/// packed hop is about 11 bytes, not `size_of::<HopRecord>()`: the four
+/// sticky fields are the header's four flags (DESIGN.md §6.11).
+impl Record for HopRecord {
+    const KIND_KEY: &'static str = "hop";
+    /// Hop-kind wire names, in [`HOP_KINDS`] order.
+    const KINDS: &'static [&'static str] = &[
+        "client_issue",
+        "lb_deliver",
+        "lb_flow_table",
+        "lb_pick",
+        "lb_forward",
+        "backend_enqueue",
+        "backend_service_start",
+        "backend_respond",
+        "client_consume",
+        "link_deliver",
+        "link_drop",
+        "link_impair",
+        "tcp_send",
+        "tcp_ack",
+        "tcp_rto",
+        "tcp_reassembled",
+    ];
 
-/// Longest packed record: header, `at` delta, raw trace, `node`, `a`, `b`.
-const MAX_PACKED: usize = 1 + 10 + 8 + 5 + 10 + 10;
-
-/// The fields of the previous record that the next record's header flags
-/// refer to. All zero before the first record (and again after a
-/// [`SpanLog::take`]), on both the writing and the reading side.
-#[derive(Debug, Clone, Copy, Default)]
-struct Predictor {
-    at: u64,
-    trace: u64,
-    node: u32,
-    a: u64,
-}
-
-/// Appends `v` as a little-endian base-128 varint.
-#[inline]
-fn put_varint(buf: &mut [u8; MAX_PACKED], n: &mut usize, mut v: u64) {
-    while v >= 0x80 {
-        buf[*n] = v as u8 | 0x80;
-        *n += 1;
-        v >>= 7;
-    }
-    buf[*n] = v as u8;
-    *n += 1;
-}
-
-/// Reads one varint from the front of `bytes`; `None` if they end first.
-#[inline]
-fn get_varint(bytes: &mut &[u8]) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0;
-    loop {
-        let (&byte, rest) = bytes.split_first()?;
-        *bytes = rest;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte < 0x80 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
-/// An append-only hop store owned by each recording layer.
-///
-/// Records are kept as one packed byte stream in recording order, each
-/// delta-encoded against its predecessor (layout in DESIGN.md §6.11):
-/// a header byte, then only the fields that differ — `at` as a zigzag
-/// varint of the (possibly negative) time delta, `trace` as eight raw
-/// bytes, `node` and `a` as varints — and always `b`, as a varint of
-/// `b.rotate_left(1)` so a flag in bit 63 costs one bit. Hops written
-/// from one callback share time, trace and node, so a retained hop
-/// costs about 11 bytes instead of `size_of::<HopRecord>()`.
-#[derive(Debug, Clone)]
-pub struct SpanLog {
-    mode: SpanMode,
-    bytes: Vec<u8>,
-    len: usize,
-    prev: Predictor,
-    dropped: u64,
-}
-
-impl SpanLog {
-    /// New log in the given mode.
-    pub fn new(mode: SpanMode) -> SpanLog {
-        SpanLog {
-            mode,
-            bytes: Vec::new(),
-            len: 0,
-            prev: Predictor::default(),
-            dropped: 0,
-        }
-    }
-
-    /// Disabled log; [`SpanLog::record`] is a no-op.
-    pub fn off() -> SpanLog {
-        SpanLog::new(SpanMode::Off)
-    }
-
-    /// The configured mode.
-    pub fn mode(&self) -> SpanMode {
-        self.mode
-    }
-
-    /// Cheap hot-path gate: should callers bother building records?
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.mode.enabled()
-    }
-
-    /// True when a hop tagged with `trace` would be retained.
-    #[inline]
-    pub fn accepts(&self, trace: u64) -> bool {
-        self.mode.accepts(trace)
-    }
-
-    /// Record a hop (no-op when the mode rejects its trace; counts a
-    /// drop when the capacity cap — in records, not bytes — is hit).
-    pub fn record(&mut self, rec: HopRecord) {
-        let Some(cap) = self.mode.cap_for(rec.trace) else {
-            return;
-        };
-        if self.len >= cap {
-            self.dropped += 1;
-            return;
-        }
-        let prev = self.prev;
-        let mut buf = [0u8; MAX_PACKED];
-        let mut n = 1;
-        let mut header = rec.kind.code();
-        if rec.at == prev.at {
-            header |= SAME_AT;
-        } else {
-            // Mostly small and forward, but not always: a service start
-            // is stamped with its admission time. Zigzag keeps a small
-            // step back as short as a small step forward.
-            let delta = rec.at.wrapping_sub(prev.at) as i64;
-            put_varint(&mut buf, &mut n, ((delta << 1) ^ (delta >> 63)) as u64);
-        }
-        if rec.trace == prev.trace {
-            header |= SAME_TRACE;
-        } else {
-            // Trace ids are hashes: a varint would only make them longer.
-            buf[n..n + 8].copy_from_slice(&rec.trace.to_le_bytes());
-            n += 8;
-        }
-        if rec.node == prev.node {
-            header |= SAME_NODE;
-        } else {
-            put_varint(&mut buf, &mut n, u64::from(rec.node));
-        }
-        if rec.a == prev.a {
-            header |= SAME_A;
-        } else {
-            put_varint(&mut buf, &mut n, rec.a);
-        }
-        put_varint(&mut buf, &mut n, rec.b.rotate_left(1));
-        buf[0] = header;
-        self.bytes.extend_from_slice(&buf[..n]);
-        self.len += 1;
-        self.prev = Predictor {
-            at: rec.at,
-            trace: rec.trace,
-            node: rec.node,
-            a: rec.a,
-        };
-    }
-
-    /// Decodes the retained records, in recording order.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            bytes: &self.bytes,
-            prev: Predictor::default(),
-            remaining: self.len,
-        }
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Bytes the retained records occupy in the packed stream.
-    pub fn retained_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Records rejected by the capacity cap.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drains the retained records (harvest helper): decodes the stream
-    /// once into the vector callers sort, and leaves the log empty.
-    pub fn take(&mut self) -> Vec<HopRecord> {
-        let out: Vec<HopRecord> = self.iter().collect();
-        debug_assert_eq!(out.len(), self.len, "span stream decoded short");
-        self.bytes = Vec::new();
-        self.len = 0;
-        self.prev = Predictor::default();
-        out
-    }
-}
-
-/// Decoding iterator over a [`SpanLog`]'s retained records. Ends at the
-/// end of the stream (`record` only ever appends whole records).
-#[derive(Debug, Clone)]
-pub struct Iter<'a> {
-    bytes: &'a [u8],
-    prev: Predictor,
-    remaining: usize,
-}
-
-impl Iterator for Iter<'_> {
-    type Item = HopRecord;
-
-    fn next(&mut self) -> Option<HopRecord> {
-        let (&header, rest) = self.bytes.split_first()?;
-        let mut bytes = rest;
-        let mut p = self.prev;
-        if header & SAME_AT == 0 {
-            let zz = get_varint(&mut bytes)?;
-            let delta = (zz >> 1) as i64 ^ -((zz & 1) as i64);
-            p.at = p.at.wrapping_add(delta as u64);
-        }
-        if header & SAME_TRACE == 0 {
-            p.trace = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?);
-            bytes = &bytes[8..];
-        }
-        if header & SAME_NODE == 0 {
-            p.node = get_varint(&mut bytes)? as u32;
-        }
-        if header & SAME_A == 0 {
-            p.a = get_varint(&mut bytes)?;
-        }
-        let b = get_varint(&mut bytes)?.rotate_right(1);
-        self.bytes = bytes;
-        self.prev = p;
-        self.remaining -= 1;
+    fn blank(tag: u8) -> Option<HopRecord> {
         Some(HopRecord {
-            at: p.at,
-            trace: p.trace,
-            kind: HOP_KINDS[usize::from(header & KIND_MASK)],
-            node: p.node,
-            a: p.a,
-            b,
+            at: 0,
+            trace: 0,
+            kind: *HOP_KINDS.get(usize::from(tag))?,
+            node: 0,
+            a: 0,
+            b: 0,
         })
     }
 
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+    /// The span wire schema, uniform across kinds:
+    /// `{"at":…,"trace":…,"hop":"…","node":…,"a":…,"b":…}`. (Forced
+    /// inline: see the packed encoder.)
+    #[inline(always)]
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.field(AT, Field::Time(&mut self.at))?;
+        // Trace ids are hashes: a varint would only make them longer.
+        c.field("trace", Field::Hash(&mut self.trace))?;
+        c.field(Self::KIND_KEY, Field::Kind(&mut self.kind, Self::KINDS))?;
+        c.field("node", Field::Sticky(&mut self.node))?;
+        c.field("a", Field::Sticky(&mut self.a))?;
+        c.field("b", Field::Flagged(&mut self.b))
     }
 }
 
@@ -525,95 +272,9 @@ pub fn digest(records: &[HopRecord]) -> u64 {
     h
 }
 
-/// Append one hop as a single flat JSON object (no trailing newline).
-/// The schema is uniform across kinds:
-/// `{"at":…,"trace":…,"hop":"…","node":…,"a":…,"b":…}`.
-pub fn write_hop(out: &mut String, r: &HopRecord) {
-    use core::fmt::Write;
-    let _ = write!(
-        out,
-        "{{\"at\":{},\"trace\":{},\"hop\":\"{}\",\"node\":{},\"a\":{},\"b\":{}}}",
-        r.at,
-        r.trace,
-        r.kind.as_str(),
-        r.node,
-        r.a,
-        r.b
-    );
-}
-
 /// Serialize a record stream as NDJSON.
 pub fn to_ndjson(records: &[HopRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        write_hop(&mut out, r);
-        out.push('\n');
-    }
-    out
-}
-
-/// Parse one NDJSON line back into a hop record.
-pub fn parse_hop(line: &str) -> Result<HopRecord, String> {
-    // The span wire format is a fixed six-field object written by
-    // `write_hop`: parse positionally, verify every key, and borrow
-    // every value from the line.
-    fn field<'a>(rest: &'a str, key: &str, end: char) -> Result<(&'a str, &'a str), String> {
-        let rest = rest
-            .strip_prefix('"')
-            .and_then(|r| r.strip_prefix(key))
-            .and_then(|r| r.strip_prefix("\":"))
-            .ok_or_else(|| format!("expected field {key:?}"))?;
-        rest.split_once(end)
-            .ok_or_else(|| format!("unterminated field {key:?}"))
-    }
-    fn num<T: std::str::FromStr>(raw: &str, key: &str) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        raw.parse()
-            .map_err(|e| format!("field {key:?}: bad integer {raw:?}: {e}"))
-    }
-    let rest = line
-        .trim()
-        .strip_prefix('{')
-        .ok_or_else(|| "expected '{'".to_string())?;
-    let (at, rest) = field(rest, "at", ',')?;
-    let (trace, rest) = field(rest, "trace", ',')?;
-    let (hop, rest) = field(rest, "hop", ',')?;
-    let (node, rest) = field(rest, "node", ',')?;
-    let (a, rest) = field(rest, "a", ',')?;
-    // `b` is the last field: it runs to the closing brace, so anything
-    // between its digits and the brace fails as its integer.
-    let (b, rest) = field(rest, "b", '}')?;
-    if !rest.is_empty() {
-        return Err(format!("trailing input after field \"b\": {rest:?}"));
-    }
-    let hop = hop
-        .strip_prefix('"')
-        .and_then(|h| h.strip_suffix('"'))
-        .ok_or_else(|| format!("field \"hop\": expected string, got {hop:?}"))?;
-    let kind = HopKind::from_str(hop).ok_or_else(|| format!("unknown hop kind {hop:?}"))?;
-    Ok(HopRecord {
-        at: num(at, "at")?,
-        trace: num(trace, "trace")?,
-        kind,
-        node: num(node, "node")?,
-        a: num(a, "a")?,
-        b: num(b, "b")?,
-    })
-}
-
-/// Parse a full NDJSON document (blank lines skipped). Fails on the
-/// first malformed line with its 1-based line number.
-pub fn parse_ndjson(text: &str) -> Result<Vec<HopRecord>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(parse_hop(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(out)
+    crate::log::to_ndjson(records.iter().copied())
 }
 
 /// One request's assembled hop records, in canonical order.
@@ -796,36 +457,21 @@ mod tests {
     }
 
     #[test]
-    fn mode_gates() {
-        assert!(!SpanMode::Off.enabled());
-        assert!(!SpanMode::Off.accepts(4));
-        let s = SpanMode::Sampled {
-            stride: 4,
-            capacity: 8,
-        };
-        assert!(s.enabled());
-        assert!(s.accepts(8));
-        assert!(!s.accepts(9));
-        assert!(!s.accepts(0), "trace 0 is never sampled");
-        assert!(SpanMode::Full(8).accepts(1));
-        assert!(!SpanMode::Full(8).accepts(0));
-    }
-
-    #[test]
     fn log_caps_and_counts_drops() {
+        assert!(!SpanLog::off().enabled() && SpanLog::new(SpanMode::Full(8)).enabled());
         let mut log = SpanLog::new(SpanMode::Full(2));
         for at in 0..5 {
             log.record(rec(at, 7, HopKind::LinkDeliver, 0, 0, 0));
         }
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 3);
-        // Untraced records are rejected before the cap.
-        let mut log = SpanLog::new(SpanMode::Full(8));
-        log.record(rec(0, 0, HopKind::LinkDeliver, 0, 0, 0));
-        assert!(log.is_empty());
-        assert_eq!(log.dropped(), 0);
-        assert_eq!(SpanLog::off().iter().count(), 0);
-        assert_eq!(SpanLog::off().retained_bytes(), 0);
+        // A drain empties the log but keeps the drop count.
+        assert_eq!(log.take().len(), 2);
+        assert_eq!((log.len(), log.dropped()), (0, 3));
+        let mut off = SpanLog::off();
+        off.record(rec(0, 7, HopKind::LinkDeliver, 0, 0, 0));
+        assert_eq!(off.iter().count(), 0);
+        assert_eq!((off.retained_bytes(), off.dropped()), (0, 0));
     }
 
     #[test]
@@ -861,7 +507,7 @@ mod tests {
             .map(|(i, &kind)| rec(i as u64, u64::MAX - i as u64, kind, i as u32, 1 << 40, 3))
             .collect();
         let text = to_ndjson(&records);
-        let parsed = parse_ndjson(&text).unwrap();
+        let parsed: Vec<HopRecord> = parse_ndjson(&text).unwrap();
         assert_eq!(parsed, records);
         // Writer is canonical: re-serializing the parse is byte-identical.
         assert_eq!(to_ndjson(&parsed), text);
@@ -869,39 +515,50 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_lines() {
-        assert!(parse_hop("{\"at\":1}").is_err());
+        let parse = parse_ndjson::<HopRecord>;
+        assert!(parse("{\"at\":1}").is_err());
         assert!(
-            parse_hop("{\"at\":1,\"trace\":2,\"hop\":\"bogus\",\"node\":0,\"a\":0,\"b\":0}")
-                .is_err()
+            parse("{\"at\":1,\"trace\":2,\"hop\":\"bogus\",\"node\":0,\"a\":0,\"b\":0}").is_err()
         );
-        assert!(parse_ndjson("not json").is_err());
-        let err = parse_ndjson(
-            "{\"at\":1,\"trace\":2,\"hop\":\"tcp_ack\",\"node\":0,\"a\":0,\"b\":0}\nnope",
-        )
-        .unwrap_err();
+        assert!(parse("not json").is_err());
+        let err =
+            parse("{\"at\":1,\"trace\":2,\"hop\":\"tcp_ack\",\"node\":0,\"a\":0,\"b\":0}\nnope")
+                .unwrap_err();
         assert!(err.starts_with("line 2"), "{err}");
     }
 
     #[test]
     fn parse_names_the_field_it_rejects() {
-        let line = |node: &str, tail: &str| {
+        let line = |at: &str, node: &str, tail: &str| {
             format!(
-                "{{\"at\":1,\"trace\":2,\"hop\":\"tcp_ack\",\"node\":{node},\"a\":3,\"b\":4{tail}"
+                "{{\"at\":{at},\"trace\":2,\"hop\":\"tcp_ack\",\"node\":{node},\"a\":3,\"b\":4{tail}"
             )
         };
-        assert_eq!(parse_hop(&line("5", "}")).unwrap().node, 5);
-        // A node id past u32 is an error, not node 1.
-        let err = parse_hop(&line("4294967297", "}")).unwrap_err();
-        assert!(err.starts_with("field \"node\""), "{err}");
-        // Nothing may follow `b` inside the object...
-        let err = parse_hop(&line("5", ",\"zzz\":5}")).unwrap_err();
-        assert!(err.starts_with("field \"b\""), "{err}");
-        // ...or after it...
-        let err = parse_hop(&line("5", "}}")).unwrap_err();
-        assert!(err.contains("after field \"b\""), "{err}");
-        // ...and the closing brace is not optional.
-        let err = parse_hop(&line("5", "")).unwrap_err();
-        assert_eq!(err, "unterminated field \"b\"");
+        let parse = HopRecord::parse_json;
+        assert_eq!(parse(&line("1", "5", "}")).unwrap().node, 5);
+        for (line, field) in [
+            // A node id past u32 is an error, not node 1.
+            (line("1", "4294967297", "}"), "field \"node\""),
+            // An integer is a digit run: no sign, even a harmless one.
+            (line("+5", "5", "}"), "field \"at\""),
+            (line("1", "+5", "}"), "field \"node\""),
+            // No key the schema does not read, and nothing after the
+            // object; the closing brace is not optional.
+            (line("1", "5", ",\"zzz\":5}"), "unknown field \"zzz\""),
+            (line("1", "5", "}}"), "field \"b\""),
+            (line("1", "5", ""), "object"),
+        ] {
+            let err = parse(&line).expect_err(&line);
+            assert!(err.contains(field), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn hop_kinds_are_listed_in_code_order() {
+        for (i, kind) in HOP_KINDS.iter().enumerate() {
+            assert_eq!(usize::from(kind.code()), i);
+        }
+        assert_eq!(HopKind::TcpReassembled.as_str(), "tcp_reassembled");
     }
 
     #[test]

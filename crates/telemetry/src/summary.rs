@@ -103,6 +103,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[allow(clippy::float_cmp)] // identical inputs: exactly 1 and 0
     fn identical_sets_have_zero_error() {
         let v: Vec<u64> = (1..1000).collect();
         let s = AccuracySummary::compare(&v, &v, &[]);
@@ -130,6 +131,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::float_cmp)] // no truth: exactly 0
     fn empty_truth_handled() {
         let s = AccuracySummary::compare(&[1, 2, 3], &[], &[0.5]);
         assert_eq!(s.truth_count, 0);

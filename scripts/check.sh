@@ -5,7 +5,7 @@
 #
 # Order is cheapest-first so the common failure modes surface fast:
 # formatting, then the static determinism gate — the stock lints over
-# the whole workspace and simlint's three rules beside them (README.md
+# the whole workspace and simlint's two rules beside them (README.md
 # "The determinism gate") — then clippy's full set on the crates that
 # are clean of it, then build, then tests.
 set -euo pipefail
@@ -32,9 +32,9 @@ if grep -nE '^name = "(rand|getrandom)"' Cargo.lock; then
     exit 1
 fi
 
-# The determinism gate, simlint half: the three rules no stock lint
+# The determinism gate, simlint half: the two rules no stock lint
 # expresses (G2 partial_cmp().unwrap() comparators, G3 sequence-number
-# narrowing, J1 journal enum/writer/parser drift). Gates on deny-tier
+# narrowing). Gates on deny-tier
 # findings and on warn-tier findings not covered by the committed
 # simlint.baseline. To accept a new warn finding:
 #   cargo run -q -p simlint -- --workspace --update-baseline
@@ -48,9 +48,9 @@ echo "==> simlint self-tests"
 cargo test -q -p simlint
 
 # Clippy's whole default set, warnings denied, tests included, on the
-# crates whose lint debt is paid (lbcore and lb-dataplane so far).
-echo "==> cargo clippy -p lbcore -p lb-dataplane -- -D warnings"
-cargo clippy --offline --no-deps -p lbcore -p lb-dataplane --all-targets -- -D warnings
+# crates whose lint debt is paid (lbcore, lb-dataplane and telemetry).
+echo "==> cargo clippy -p lbcore -p lb-dataplane -p telemetry -- -D warnings"
+cargo clippy --offline --no-deps -p lbcore -p lb-dataplane -p telemetry --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
@@ -75,15 +75,18 @@ cargo test -q -p netsim --test ecmp_proptests
 # order, cancel results, slot <-> heap-position consistency after every
 # operation): every simulated number rests on it.
 cargo test -q -p netsim --test queue_proptests
-# The span tracer's unit layer (hop schema, critical-path walk,
-# NDJSON, ring/flight-recorder) and its analyzer (span capture,
-# critical-path table, error-budget join) are tier-1 by name: the
+# The telemetry unit layer (the packed record log, the journal and hop
+# schemas, NDJSON, the critical-path walk) and the span analyzer (span
+# capture, critical-path table, error-budget join) are tier-1 by name: the
 # observability suite above consumes them end to end, but a unit
 # regression should name the layer it broke.
 cargo test -q --release -p telemetry --lib
-# The span log's packed hop stream against a plain-vector model (the
-# codec's only exhaustive test: varint and zigzag edges, drains, caps)
-# and the journal's NDJSON round trip over arbitrary events.
+# The packed record log against plain-vector models, for both record
+# types: span_log_full_matches_the_vector_model (varint and zigzag
+# edges, drains, caps) and packed_journal_matches_the_vector_model
+# (every variant, -0.0 and NaN payloads bit for bit, caps, a drain
+# resetting the predictor); and the journal's NDJSON round trip over
+# arbitrary events.
 cargo test -q -p telemetry --test proptests --test journal_proptests
 cargo test -q --release -p bench --lib
 

@@ -63,10 +63,10 @@ fn no_cross_shard_feedback_leakage_without_gossip() {
         // another shard's flows.
         let mut flows = BTreeSet::new();
         let mut journaled = 0u64;
-        for ev in node.journal().events() {
+        for ev in node.journal().iter() {
             let JournalEvent::Sample {
                 src_ip, src_port, ..
-            } = *ev
+            } = ev
             else {
                 continue;
             };

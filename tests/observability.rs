@@ -42,7 +42,7 @@ fn journal_is_a_pure_function_of_the_seed() {
 #[test]
 fn ndjson_round_trips_a_real_capture() {
     let text = run_fig3_aware(&short_cfg(42)).journal;
-    let events = parse_ndjson(&text).expect("capture must parse");
+    let events: Vec<JournalEvent> = parse_ndjson(&text).expect("capture must parse");
     assert!(
         events.len() > 100,
         "implausibly few events: {}",
@@ -164,14 +164,17 @@ fn journal_on_leaves_the_pinned_packet_schedule_untouched() {
 /// The pinned fig3 cluster (seed 17, 1 ms injected at t = 300 ms) used
 /// by the trace-hash gates, with span tracing in the given mode.
 fn pinned_cluster(span: SpanMode) -> KvCluster {
-    fig3_cluster(17, span)
+    fig3_cluster(17, span, JournalMode::Off)
 }
 
 /// The Fig. 3 cluster under `seed` with 1 ms injected at t = 300 ms, the
-/// packet trace on, and span tracing in the given mode.
-fn fig3_cluster(seed: u64, span: SpanMode) -> KvCluster {
+/// packet trace on, and span tracing and the journal in the given modes.
+fn fig3_cluster(seed: u64, span: SpanMode, journal: JournalMode) -> KvCluster {
     let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
-        Box::new(|backends| LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped())));
+        Box::new(move |backends| LbConfig {
+            journal,
+            ..LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()))
+        });
     let mut cfg = KvClusterConfig::fig3_defaults(lb_factory);
     cfg.seed = seed;
     let mut cluster = KvCluster::build(cfg);
@@ -222,7 +225,7 @@ fn span_tracing_full_leaves_the_pinned_packet_schedule_untouched() {
 /// decision, not an accident.
 #[test]
 fn span_log_retains_a_hop_in_at_most_14_bytes() {
-    let mut cluster = fig3_cluster(42, SpanMode::Full(1 << 22));
+    let mut cluster = fig3_cluster(42, SpanMode::Full(1 << 22), JournalMode::Off);
     cluster.sim.run_for(Duration::from_millis(600));
     let spans = cluster.sim.spans();
     assert_eq!(spans.dropped(), 0, "span log overflowed");
@@ -237,6 +240,27 @@ fn span_log_retains_a_hop_in_at_most_14_bytes() {
     assert_eq!(cluster.sim.take_span_records().len(), len);
     assert!(std::mem::size_of::<telemetry::HopRecord>() <= 40);
     assert!(std::mem::size_of::<JournalEvent>() <= 72);
+    // The log rides inside `Simulation` on every run, traced or not.
+    assert!(std::mem::size_of::<telemetry::SpanLog>() <= 96);
+}
+
+/// The journal is the same packed log, gated the same way on the same
+/// run: a retained event costs at most 16 bytes (samples, 99.8 % of the
+/// stream, about 11), and decoding returns exactly the events counted.
+#[test]
+fn journal_retains_an_event_in_at_most_16_bytes() {
+    let mut cluster = fig3_cluster(42, SpanMode::Off, JournalMode::Full(1 << 22));
+    cluster.sim.run_for(Duration::from_millis(600));
+    let journal = cluster.lb_node().journal();
+    assert_eq!(journal.overflow(), 0, "journal overflowed");
+    assert_eq!(journal.len(), 39_507, "event count moved");
+    assert!(
+        journal.retained_bytes() <= 16 * journal.len(),
+        "{} events retained in {} bytes",
+        journal.len(),
+        journal.retained_bytes()
+    );
+    assert_eq!(journal.iter().count(), journal.len());
 }
 
 /// Span NDJSON is a pure function of the seed, and different seeds

@@ -1,8 +1,9 @@
-//! Runs the ablation suite.
+//! Runs the ablation suite: one ablation by name, or `all` of them in
+//! table order.
 //!
-//! Usage: `cargo run -p bench --release --bin ablations [which]`
-//! where `which` ∈ {epoch, k, alpha, timing, controllers, herd, chaos,
-//! multilb, all} (default: all).
+//! Usage: `cargo run -p bench --release --bin ablations [NAME|all]`
+//! (default: all). [`ABLATIONS`] is the list of names; an unknown name
+//! or a second argument prints it with the usage text and exits 2.
 //!
 //! Output goes to stdout and is also written to
 //! `target/bench/ablations_<which>.txt` so CI can archive the tables
@@ -12,81 +13,81 @@ use experiments::ablations;
 use experiments::chaos::{chaos_summary_table, chaos_table, run_chaos, ChaosConfig};
 use experiments::fig2::Fig2Config;
 use experiments::fig3::Fig3Config;
-use experiments::multilb::{multilb_sweep, multilb_table, GossipParams, MultiLbConfig};
+use lbcore::GossipConfig;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let which = args.get(1).map(String::as_str).unwrap_or("all");
-    let fig2 = Fig2Config::default();
-    let fig3 = Fig3Config::default();
+/// An ablation's name and the function that renders its tables.
+type Ablation = (&'static str, fn() -> String);
 
-    let run_epoch = || ablations::epoch_sweep(&fig2, &[8, 16, 32, 64, 128, 256, 512]).to_aligned();
-    let run_k = || ablations::k_sweep(&fig2, &[2, 3, 4, 5, 6, 7, 8, 9]).to_aligned();
-    let run_alpha = || ablations::alpha_sweep(&fig3, &[0.02, 0.05, 0.10, 0.20, 0.50]).to_aligned();
-    let run_timing = || ablations::timing_violations(&fig2).to_aligned();
-    let run_ctl = || ablations::controller_comparison(&fig3).to_aligned();
-    let run_herd = || ablations::herd_model(&[1, 2, 4, 8]).to_aligned();
-    let run_cliff = || ablations::cliff_rule_comparison(&fig3).to_aligned();
-    let run_margin =
-        || ablations::margin_sweep(&fig3, &[0.0, 0.05, 0.10, 0.25, 0.50, 1.0]).to_aligned();
-    let run_far = || ablations::far_clients(&fig3).to_aligned();
-    let run_congestion = || ablations::congestion(&fig3).to_aligned();
-    let run_pcc = || ablations::pcc(&fig3).to_aligned();
-    let run_failover = || ablations::failover(&fig3).to_aligned();
-    let run_chaos = || {
+/// Every ablation by name, in the order `all` runs them.
+const ABLATIONS: &[Ablation] = &[
+    ("epoch", || {
+        ablations::epoch_sweep(&Fig2Config::default(), &[8, 16, 32, 64, 128, 256, 512]).to_aligned()
+    }),
+    ("k", || {
+        ablations::k_sweep(&Fig2Config::default(), &[2, 3, 4, 5, 6, 7, 8, 9]).to_aligned()
+    }),
+    ("alpha", || {
+        ablations::alpha_sweep(&Fig3Config::default(), &[0.02, 0.05, 0.10, 0.20, 0.50]).to_aligned()
+    }),
+    ("margin", || {
+        ablations::margin_sweep(&Fig3Config::default(), &[0.0, 0.05, 0.10, 0.25, 0.50, 1.0])
+            .to_aligned()
+    }),
+    ("timing", || {
+        ablations::timing_violations(&Fig2Config::default()).to_aligned()
+    }),
+    ("controllers", || {
+        ablations::controller_comparison(&Fig3Config::default()).to_aligned()
+    }),
+    ("cliff", || {
+        ablations::cliff_rule_comparison(&Fig3Config::default()).to_aligned()
+    }),
+    ("far", || {
+        ablations::far_clients(&Fig3Config::default()).to_aligned()
+    }),
+    ("congestion", || {
+        ablations::congestion(&Fig3Config::default()).to_aligned()
+    }),
+    ("pcc", || {
+        ablations::pcc(&Fig3Config::default()).to_aligned()
+    }),
+    ("failover", || {
+        ablations::failover(&Fig3Config::default()).to_aligned()
+    }),
+    ("oob", || {
+        ablations::oob_comparison(&Fig3Config::default()).to_aligned()
+    }),
+    ("chaos", || {
         let r = run_chaos(&ChaosConfig::default());
         format!(
             "{}\n{}",
             chaos_table(&r).to_aligned(),
             chaos_summary_table(&r).to_aligned()
         )
-    };
-    let run_oob = || ablations::oob_comparison(&fig3).to_aligned();
-    let run_multilb = || {
-        let base = MultiLbConfig::default();
-        let runs = multilb_sweep(&base, &[1, 2, 4, 8], GossipParams::default());
-        multilb_table(&base, &runs).to_aligned()
-    };
+    }),
+    ("multilb", || {
+        let ns = [1, 2, 4, 8];
+        ablations::multilb_sweep(&Fig3Config::default(), &ns, GossipConfig::default()).to_aligned()
+    }),
+    ("herd", || ablations::herd_model(&[1, 2, 4, 8]).to_aligned()),
+];
 
-    let output = match which {
-        "epoch" => run_epoch(),
-        "k" => run_k(),
-        "alpha" => run_alpha(),
-        "margin" => run_margin(),
-        "far" => run_far(),
-        "congestion" => run_congestion(),
-        "pcc" => run_pcc(),
-        "failover" => run_failover(),
-        "oob" => run_oob(),
-        "chaos" => run_chaos(),
-        "multilb" => run_multilb(),
-        "timing" => run_timing(),
-        "controllers" => run_ctl(),
-        "herd" => run_herd(),
-        "cliff" => run_cliff(),
-        "all" => [
-            run_epoch(),
-            run_k(),
-            run_alpha(),
-            run_margin(),
-            run_timing(),
-            run_ctl(),
-            run_cliff(),
-            run_far(),
-            run_congestion(),
-            run_pcc(),
-            run_failover(),
-            run_oob(),
-            run_chaos(),
-            run_multilb(),
-            run_herd(),
-        ]
-        .join("\n"),
-        other => {
-            eprintln!(
-                "unknown ablation '{other}'; use epoch|k|alpha|margin|timing|controllers|cliff|far|congestion|pcc|failover|oob|chaos|multilb|herd|all"
-            );
-            std::process::exit(2);
+fn main() {
+    let names: Vec<&str> = ABLATIONS.iter().map(|&(name, _)| name).collect();
+    let usage = format!("usage: ablations [{}|all]", names.join("|"));
+    let cli = bench::Cli::from_env(&usage, &[], &[]);
+    let which = match cli.positional() {
+        [] => "all",
+        [one] => one.as_str(),
+        _ => cli.fail("expected at most one ablation name"),
+    };
+    let output = if which == "all" {
+        let tables: Vec<String> = ABLATIONS.iter().map(|(_, run)| run()).collect();
+        tables.join("\n")
+    } else {
+        match ABLATIONS.iter().find(|&&(name, _)| name == which) {
+            Some((_, run)) => run(),
+            None => cli.fail(&format!("unknown ablation '{which}'")),
         }
     };
 

@@ -52,8 +52,16 @@ fn main() {
         std::fs::write(path, text).unwrap_or_else(|e| panic!("writing {what}: {e}"));
         eprintln!("wrote {} ({} {what} lines)", path, text.lines().count());
     };
+    let aware_lb = &r.aware.lbs[0];
     if let Some(path) = journal_path {
-        write_capture(path, &r.aware.journal, "journal");
+        write_capture(path, &aware_lb.journal, "journal");
+        if aware_lb.journal_dropped > 0 {
+            eprintln!(
+                "note: journal filled mid-run ({} events dropped); \
+                 the capture covers only the run's first events",
+                aware_lb.journal_dropped
+            );
+        }
     }
     if let Some(path) = spans_path {
         write_capture(path, &r.aware.spans, "span");
@@ -74,7 +82,7 @@ fn main() {
         println!();
         println!(
             "latency-aware LB: {} T_LB samples, first reaction {} after injection",
-            r.aware.lb_samples,
+            aware_lb.stats.samples,
             r.aware
                 .first_reaction
                 .map(|t| format!(

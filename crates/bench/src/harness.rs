@@ -20,14 +20,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use experiments::chaos::{build_chaos_cluster, ChaosConfig};
-use experiments::multilb::{
-    build_multilb_cluster, run_multilb_cluster, GossipParams, MultiLbConfig,
-};
-use experiments::topology::VIP;
-use experiments::{BacklogScenario, BacklogScenarioConfig, KvCluster, KvClusterConfig};
-use lb_dataplane::LbConfig;
-use lbcore::AlphaShift;
+use experiments::chaos::ChaosConfig;
+use experiments::fig3::Fig3Config;
+use experiments::{BacklogScenario, BacklogScenarioConfig, KvCluster};
+use lbcore::GossipConfig;
 use netpkt::{Addresses, MacAddr, Packet, TcpFlags, TcpHeader};
 use netsim::fault::ImpairmentConfig;
 use netsim::{Ctx, Duration, LinkConfig, LinkId, Node, SimStats, Simulation, Time, TimerToken};
@@ -326,27 +322,25 @@ fn run_bulk(sim_ms: u64, seed: u64) -> (u64, SimStats) {
 /// the 1 ms delay injected at the midpoint — the end-to-end macro path
 /// (clients, TCP, LB measurement + control, backends).
 fn run_fig3_kv(sim_ms: u64, seed: u64, journal: bool, spans: bool) -> (u64, SimStats) {
-    let lb_factory: Box<dyn FnOnce(Vec<Ipv4Addr>) -> LbConfig> = Box::new(move |backends| {
-        let mut c = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-        if journal {
-            c.journal = telemetry::JournalMode::Full(1 << 22);
-        }
-        c
-    });
-    let mut cfg = KvClusterConfig::fig3_defaults(lb_factory);
-    cfg.seed = seed;
-    let mut cluster = KvCluster::build(cfg);
-    if spans {
-        cluster.sim.enable_spans(telemetry::SpanMode::Full(1 << 22));
-    }
-    cluster.inject_backend_delay(
-        0,
-        Time::ZERO + Duration::from_millis(sim_ms / 2),
-        Duration::from_millis(1),
-    );
-    cluster
-        .sim
-        .run_until(Time::ZERO + Duration::from_millis(sim_ms));
+    let cfg = Fig3Config {
+        duration: Duration::from_millis(sim_ms),
+        inject_at: Duration::from_millis(sim_ms / 2),
+        seed,
+        journal: if journal {
+            telemetry::JournalMode::Full(1 << 22)
+        } else {
+            telemetry::JournalMode::Off
+        },
+        span: if spans {
+            telemetry::SpanMode::Full(1 << 22)
+        } else {
+            telemetry::SpanMode::Off
+        },
+        ..Fig3Config::default()
+    };
+    let mut cluster = KvCluster::build(cfg.cluster(true));
+    cluster.sim.enable_spans(cfg.span);
+    cluster.run(&cfg.timeline());
     (sim_ms, cluster.sim.stats())
 }
 
@@ -373,8 +367,8 @@ fn run_chaos(quick: bool, seed: u64) -> (u64, SimStats) {
         }
     };
     let sim_ms = cfg.duration.as_nanos() / 1_000_000;
-    let mut cluster = build_chaos_cluster(&cfg, true);
-    cluster.sim.run_until(Time::ZERO + cfg.duration);
+    let mut cluster = KvCluster::build(cfg.cluster(true));
+    cluster.run(&cfg.timeline());
     (sim_ms, cluster.sim.stats())
 }
 
@@ -383,18 +377,17 @@ fn run_chaos(quick: bool, seed: u64) -> (u64, SimStats) {
 /// router stage, per-shard measurement/control, and the driver-stepped
 /// gossip loop, end to end.
 fn run_multilb_bench(sim_ms: u64, seed: u64) -> (u64, SimStats) {
-    let cfg = MultiLbConfig {
-        n_lbs: 4,
+    let cfg = Fig3Config {
         duration: Duration::from_millis(sim_ms),
         inject_at: Duration::from_millis(sim_ms / 2),
-        extra: Duration::from_millis(1),
         bin: Duration::from_millis(sim_ms / 8),
-        gossip: Some(GossipParams::default()),
-        journal: telemetry::JournalMode::Off,
         seed,
+        lbs: 4,
+        gossip: Some(GossipConfig::default()),
+        ..Fig3Config::default()
     };
-    let mut cluster = build_multilb_cluster(&cfg);
-    run_multilb_cluster(&mut cluster, &cfg);
+    let mut cluster = KvCluster::build(cfg.cluster(true));
+    cluster.run(&cfg.timeline());
     (sim_ms, cluster.sim.stats())
 }
 

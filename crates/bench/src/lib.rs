@@ -5,8 +5,8 @@
 //! * `fig2a` — regenerates Fig. 2(a): `FIXEDTIMEOUT` vs. ground truth.
 //! * `fig2b` — regenerates Fig. 2(b): `ENSEMBLETIMEOUT` tracking.
 //! * `fig3` — regenerates Fig. 3: p95 GET latency, Maglev vs. aware.
-//! * `ablations` — runs the ablation suite (`epoch`, `k`, `alpha`,
-//!   `timing`, `controllers`, `herd`, or `all`).
+//! * `ablations` — runs one ablation by name, or `all` of them (the
+//!   names are in the binary's usage text).
 //! * `perfbench` — runs the pinned perf macro-scenarios and writes the
 //!   schema-versioned `BENCH_perf.json` (see [`harness`]).
 //! * `lbtrace` — analyzes a decision-journal NDJSON capture (see
@@ -30,7 +30,7 @@ pub mod spans;
 /// run with the defaults.
 #[derive(Debug)]
 pub struct Cli {
-    usage: &'static str,
+    usage: String,
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
@@ -41,12 +41,12 @@ impl Cli {
     /// Everything not starting with `--` is positional.
     pub fn parse(
         args: &[String],
-        usage: &'static str,
+        usage: &str,
         bare: &[&str],
         valued: &[&str],
     ) -> Result<Cli, String> {
         let mut cli = Cli {
-            usage,
+            usage: usage.to_string(),
             positional: Vec::new(),
             flags: Vec::new(),
         };
@@ -76,7 +76,7 @@ impl Cli {
 
     /// [`Cli::parse`] over the process arguments; on error prints the
     /// reason and the usage text to stderr and exits with status 2.
-    pub fn from_env(usage: &'static str, bare: &[&str], valued: &[&str]) -> Cli {
+    pub fn from_env(usage: &str, bare: &[&str], valued: &[&str]) -> Cli {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Cli::parse(&args, usage, bare, valued).unwrap_or_else(|e| fail(usage, &e))
     }
@@ -110,7 +110,7 @@ impl Cli {
 
     /// Prints `msg` and the usage text to stderr; exits with status 2.
     pub fn fail(&self, msg: &str) -> ! {
-        fail(self.usage, msg)
+        fail(&self.usage, msg)
     }
 }
 

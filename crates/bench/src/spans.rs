@@ -120,8 +120,11 @@ impl SpanCapture {
     }
 }
 
+/// Reads one segment off a critical path.
+type Segment = fn(&CriticalPath) -> u64;
+
 /// The six critical-path segments, in causal order, with accessors.
-const SEGMENTS: [(&str, fn(&CriticalPath) -> u64); 6] = [
+const SEGMENTS: [(&str, Segment); 6] = [
     ("client_to_lb", |c| c.client_to_lb),
     ("lb_proc", |c| c.lb_proc),
     ("lb_to_backend", |c| c.lb_to_backend),

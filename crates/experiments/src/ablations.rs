@@ -1,75 +1,78 @@
 //! Ablation studies: the design-choice sweeps DESIGN.md calls out, plus
-//! experiments for the paper's §5 open questions.
+//! experiments for the paper's §5 open questions. The `ablations` binary
+//! runs each by name.
 
-use lb_dataplane::LbConfig;
+use lb_dataplane::{LbConfig, RoutingPolicy};
 use lbcore::{
-    AimdController, AlphaShift, Controller, EnsembleConfig, ProportionalController, Weights,
+    AimdController, AlphaShift, Controller, EnsembleConfig, GossipConfig, ProportionalController,
+    Weights,
 };
 use netsim::{Duration, Time};
 use telemetry::{AccuracySummary, JournalEvent, JournalMode, Table};
 
-use crate::fig2::{capture_trace, replay_ensemble, Fig2Config, Fig2Trace};
-use crate::fig3::{fig3_summary_table, run_fig3, Fig3Config};
-use crate::topology::{BacklogScenario, BacklogScenarioConfig, KvCluster, KvClusterConfig, VIP};
+use crate::fig2::{capture_trace, observe, replay_ensemble, values_in, Fig2Config, Fig2Trace};
+use crate::fig3::{run_fig3_aware, Fig3Config};
+use crate::kv::{
+    inflation, ms_after, p95_in, reaction, us, KvCluster, KvClusterConfig, LbFactory, Reaction,
+    Timeline,
+};
+use crate::topology::{BacklogScenario, BacklogScenarioConfig, CONTROL_IP, CONTROL_PORT, VIP};
 
-/// p95 of GET latencies within `[from_ns, to_ns)`, computed from the
-/// recorder's (uncapped) binned series.
-fn p95_get_between(recorder: &workload::LatencyRecorder, from_ns: u64, to_ns: u64) -> u64 {
-    let mut h = telemetry::LogHistogram::new();
-    let series = &recorder.get_series;
-    for b in 0..series.len() {
-        let start = b as u64 * series.bin_width_ns();
-        if start >= from_ns && start < to_ns {
-            if let Some(hist) = series.bin(b) {
-                h.merge(hist);
-            }
-        }
+/// The latency-aware LB (damped α-shift) with `tweak` applied.
+fn aware(tweak: impl Fn(&mut LbConfig) + 'static) -> LbFactory {
+    Box::new(move |backends| {
+        let mut lb = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
+        tweak(&mut lb);
+        lb
+    })
+}
+
+/// Builds `cluster` and runs it through `timeline`.
+fn run(cluster: KvClusterConfig, timeline: &Timeline) -> KvCluster {
+    let mut cluster = KvCluster::build(cluster);
+    cluster.run(timeline);
+    cluster
+}
+
+/// The Fig. 3 run of `cfg` behind one latency-aware LB with `tweak`
+/// applied.
+fn run_aware(cfg: &Fig3Config, tweak: impl Fn(&mut LbConfig) + 'static) -> KvCluster {
+    let cluster = KvClusterConfig {
+        lb: aware(tweak),
+        ..cfg.cluster(true)
+    };
+    run(cluster, &cfg.timeline())
+}
+
+/// Client 0's p95 GET latency in the bins starting in `[lo, hi)`, in µs.
+fn p95_us(cluster: &KvCluster, lo: u64, hi: u64) -> String {
+    us(p95_in(&cluster.client_app(0).recorder.get_series, lo, hi))
+}
+
+/// Milliseconds from `from_ns` until LB 0's weight on the degraded
+/// backend is decisively shifted away (< 0.3), as "reaction time".
+/// Controllers with a small margin wander even without an injection;
+/// when the weight already sat below the threshold at injection time,
+/// that is reported explicitly.
+fn reaction_ms(cluster: &KvCluster, from_ns: u64) -> String {
+    match reaction(&[cluster.lb_node(0).weight_series(0)], from_ns, 0.3) {
+        Some(Reaction::AlreadyBelow) => "pre-shifted".into(),
+        r => ms_after(r.map(|r| r.instant(from_ns)), from_ns),
     }
-    h.quantile(0.95)
 }
 
-/// p95 of GET latencies at or after `from_ns`.
-fn p95_get_after(recorder: &workload::LatencyRecorder, from_ns: u64) -> u64 {
-    p95_get_between(recorder, from_ns, u64::MAX)
+/// LB 0's Maglev table rebuilds.
+fn rebuilds(cluster: &KvCluster) -> String {
+    cluster.lb_node(0).stats().table_rebuilds.to_string()
 }
 
-/// First instant after `from_ns` when the degraded backend's weight is
-/// decisively shifted away (< 0.3), as "reaction time" in ms. Controllers
-/// with a small margin wander even without an injection; when backend 0's
-/// weight already sat below the threshold at injection time, that is
-/// reported explicitly.
-fn reaction_after(lb: &lb_dataplane::LbNode, from_ns: u64) -> String {
-    let series = lb.weight_series(0);
-    if series.value_at(from_ns).map(|w| w < 0.3).unwrap_or(false) {
-        return "pre-shifted".into();
-    }
-    series
-        .points()
-        .iter()
-        .find(|&&(at, w)| at > from_ns && w < 0.3)
-        .map(|&(at, _)| format!("{:.2}", (at - from_ns) as f64 / 1e6))
-        .unwrap_or_else(|| "-".into())
-}
+/// A change to a config, naming an ablation variant.
+type Tweak<T> = fn(&mut T);
 
-/// A one-shot mutation applied to a scenario config (ablation variant).
-type ScenarioTweak = Box<dyn FnOnce(&mut BacklogScenarioConfig)>;
-
-/// A factory producing fresh controller instances per run.
-type ControllerFactory = Box<dyn Fn() -> Box<dyn Controller>>;
-
+/// Median relative error of `samples` against the truth, both after `from`.
 fn accuracy_of(trace: &Fig2Trace, samples: &[(u64, u64)], from: u64) -> f64 {
-    let est: Vec<u64> = samples
-        .iter()
-        .filter(|&&(t, _)| t > from)
-        .map(|&(_, v)| v)
-        .collect();
-    let truth: Vec<u64> = trace
-        .truth
-        .iter()
-        .filter(|&&(t, _)| t > from)
-        .map(|&(_, v)| v)
-        .collect();
-    AccuracySummary::compare(&est, &truth, &[0.5]).median_rel_err
+    let after = |s: &[(u64, u64)]| values_in(s, from + 1, u64::MAX);
+    AccuracySummary::compare(&after(samples), &after(&trace.truth), &[0.5]).median_rel_err
 }
 
 /// ABL-EPOCH: sensitivity of `ENSEMBLETIMEOUT` to the epoch length E.
@@ -130,28 +133,16 @@ pub fn alpha_sweep(cfg: &Fig3Config, alphas: &[f64]) -> Table {
         "ABL-ALPHA: shift fraction vs tail latency and reaction",
         &["alpha", "p95_after_us", "reaction_ms", "rebuilds"],
     );
+    let inject = cfg.inject_at.as_nanos();
     for &alpha in alphas {
-        let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
-            Box::new(move |backends| {
-                let ctl = AlphaShift::damped().with_alpha(alpha);
-                LbConfig::latency_aware(VIP, backends, Box::new(ctl))
-            });
-        let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-        cluster_cfg.seed = cfg.seed;
-        let mut cluster = KvCluster::build(cluster_cfg);
-        let inject_at = Time::ZERO + cfg.inject_at;
-        cluster.inject_backend_delay(0, inject_at, cfg.extra);
-        cluster.sim.run_for(cfg.duration);
-
-        let recorder = &cluster.client_app(0).recorder;
-        let p95 = p95_get_after(recorder, inject_at.as_nanos());
-        let lb = cluster.lb_node();
-        let reaction = reaction_after(lb, inject_at.as_nanos());
+        let cluster = run_aware(cfg, move |lb| {
+            lb.controller = Box::new(AlphaShift::damped().with_alpha(alpha));
+        });
         t.row(&[
             format!("{alpha:.2}"),
-            format!("{:.1}", p95 as f64 / 1e3),
-            reaction,
-            lb.stats().table_rebuilds.to_string(),
+            p95_us(&cluster, inject, u64::MAX),
+            reaction_ms(&cluster, inject),
+            rebuilds(&cluster),
         ]);
     }
     t
@@ -173,30 +164,19 @@ pub fn margin_sweep(cfg: &Fig3Config, margins: &[f64]) -> Table {
             "rebuilds",
         ],
     );
+    let inject = cfg.inject_at.as_nanos();
     for &margin in margins {
-        let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
-            Box::new(move |backends| {
-                let mut ctl = AlphaShift::damped();
-                ctl.margin = margin;
-                LbConfig::latency_aware(VIP, backends, Box::new(ctl))
-            });
-        let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-        cluster_cfg.seed = cfg.seed;
-        let mut cluster = KvCluster::build(cluster_cfg);
-        let inject_at = Time::ZERO + cfg.inject_at;
-        cluster.inject_backend_delay(0, inject_at, cfg.extra);
-        cluster.sim.run_for(cfg.duration);
-
-        let recorder = &cluster.client_app(0).recorder;
-        let healthy = p95_get_between(recorder, 0, inject_at.as_nanos());
-        let after = p95_get_after(recorder, inject_at.as_nanos());
-        let lb = cluster.lb_node();
+        let cluster = run_aware(cfg, move |lb| {
+            let mut ctl = AlphaShift::damped();
+            ctl.margin = margin;
+            lb.controller = Box::new(ctl);
+        });
         t.row(&[
             format!("{margin:.2}"),
-            format!("{:.1}", healthy as f64 / 1e3),
-            format!("{:.1}", after as f64 / 1e3),
-            reaction_after(lb, inject_at.as_nanos()),
-            lb.stats().table_rebuilds.to_string(),
+            p95_us(&cluster, 0, inject),
+            p95_us(&cluster, inject, u64::MAX),
+            reaction_ms(&cluster, inject),
+            rebuilds(&cluster),
         ]);
     }
     t
@@ -210,55 +190,29 @@ pub fn timing_violations(cfg: &Fig2Config) -> Table {
         "ABL-TIMING: measurement accuracy under timing violations",
         &["variant", "arrivals", "samples", "median_rel_err_p50"],
     );
-    let variants: Vec<(&str, ScenarioTweak)> = vec![
-        ("baseline", Box::new(|_s| {})),
-        (
-            "delayed-acks",
-            Box::new(|s| {
-                s.sink_delayed_ack = nettcp::DelayedAck::Enabled {
-                    max_delay: Duration::from_millis(40),
-                };
-            }),
-        ),
-        (
-            "pacing",
-            Box::new(|s| {
-                s.client_pacing = nettcp::Pacing::Enabled {
-                    min_gap: Duration::from_micros(120),
-                };
-            }),
-        ),
-        (
-            "app-limited",
-            Box::new(|s| {
-                s.app_limited = Some((Duration::from_millis(5), 2 * 1400));
-            }),
-        ),
+    let variants: [(&str, Tweak<BacklogScenarioConfig>); 4] = [
+        ("baseline", |_| {}),
+        ("delayed-acks", |s| {
+            s.sink_delayed_ack = nettcp::DelayedAck::Enabled {
+                max_delay: Duration::from_millis(40),
+            };
+        }),
+        ("pacing", |s| {
+            s.client_pacing = nettcp::Pacing::Enabled {
+                min_gap: Duration::from_micros(120),
+            };
+        }),
+        ("app-limited", |s| {
+            s.app_limited = Some((Duration::from_millis(5), 2 * 1400));
+        }),
     ];
     for (name, tweak) in variants {
-        let mut scfg = BacklogScenarioConfig::fig2_defaults();
-        scfg.seed = cfg.seed;
-        tweak(&mut scfg);
-        let mut scenario = BacklogScenario::build(scfg);
-        scenario.sim.enable_trace(1 << 22);
-        scenario.sim.run_for(cfg.duration);
-        let lb = scenario.lb;
-        let arrivals: Vec<u64> = scenario
-            .sim
-            .trace()
-            .filter(|e| {
-                e.node == lb
-                    && e.kind == netsim::TraceKind::Deliver
-                    && e.flow.map(|f| f.dst_ip == VIP).unwrap_or(false)
-            })
-            .map(|e| e.at.as_nanos())
-            .collect();
-        let truth = scenario.client_app().recorder.rtt_raw().to_vec();
-        let trace = Fig2Trace {
-            arrivals,
-            truth,
-            step_at: 0,
+        let mut scfg = BacklogScenarioConfig {
+            seed: cfg.seed,
+            ..BacklogScenarioConfig::fig2_defaults()
         };
+        tweak(&mut scfg);
+        let trace = observe(BacklogScenario::build(scfg), cfg.duration, 0);
         let (samples, _) = replay_ensemble(&trace.arrivals, EnsembleConfig::default());
         let err = accuracy_of(&trace, &samples, 500_000_000);
         t.row(&[
@@ -277,62 +231,35 @@ pub fn controller_comparison(cfg: &Fig3Config) -> Table {
         "ABL-CTRL: controllers on the Fig 3 scenario",
         &["controller", "p95_after_us", "reaction_ms", "rebuilds"],
     );
-    let factories: Vec<(&str, ControllerFactory)> = vec![
-        ("alpha-shift", Box::new(|| Box::new(AlphaShift::damped()))),
-        ("aimd", Box::new(|| Box::new(AimdController::new()))),
-        (
-            "proportional",
-            Box::new(|| Box::new(ProportionalController::new(1.0))),
-        ),
+    let inject = cfg.inject_at.as_nanos();
+    let controllers: [(&str, Tweak<LbConfig>); 3] = [
+        ("alpha-shift", |lb| {
+            lb.controller = Box::new(AlphaShift::damped())
+        }),
+        ("aimd", |lb| lb.controller = Box::new(AimdController::new())),
+        ("proportional", |lb| {
+            lb.controller = Box::new(ProportionalController::new(1.0));
+        }),
     ];
-    for (name, make) in factories {
-        let ctl = make();
-        let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
-            Box::new(move |backends| LbConfig::latency_aware(VIP, backends, ctl));
-        let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-        cluster_cfg.seed = cfg.seed;
-        let mut cluster = KvCluster::build(cluster_cfg);
-        let inject_at = Time::ZERO + cfg.inject_at;
-        cluster.inject_backend_delay(0, inject_at, cfg.extra);
-        cluster.sim.run_for(cfg.duration);
-
-        let recorder = &cluster.client_app(0).recorder;
-        let p95 = p95_get_after(recorder, inject_at.as_nanos());
-        let lb = cluster.lb_node();
-        let reaction = reaction_after(lb, inject_at.as_nanos());
+    for (name, tweak) in controllers {
+        let cluster = run_aware(cfg, tweak);
         t.row(&[
             name.to_string(),
-            format!("{:.1}", p95 as f64 / 1e3),
-            reaction,
-            lb.stats().table_rebuilds.to_string(),
+            p95_us(&cluster, inject, u64::MAX),
+            reaction_ms(&cluster, inject),
+            rebuilds(&cluster),
         ]);
     }
 
     // Power-of-two-choices: no controller at all — the in-band estimates
     // drive each new connection's choice directly.
-    {
-        let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
-            Box::new(|backends| {
-                let mut lb = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-                lb.policy = lb_dataplane::RoutingPolicy::PowerOfTwo;
-                lb
-            });
-        let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-        cluster_cfg.seed = cfg.seed;
-        let mut cluster = KvCluster::build(cluster_cfg);
-        let inject_at = Time::ZERO + cfg.inject_at;
-        cluster.inject_backend_delay(0, inject_at, cfg.extra);
-        cluster.sim.run_for(cfg.duration);
-        let recorder = &cluster.client_app(0).recorder;
-        let p95 = p95_get_after(recorder, inject_at.as_nanos());
-        let lb = cluster.lb_node();
-        t.row(&[
-            "power-of-two".to_string(),
-            format!("{:.1}", p95 as f64 / 1e3),
-            "per-conn".to_string(),
-            lb.stats().table_rebuilds.to_string(),
-        ]);
-    }
+    let cluster = run_aware(cfg, |lb| lb.policy = RoutingPolicy::PowerOfTwo);
+    t.row(&[
+        "power-of-two".to_string(),
+        p95_us(&cluster, inject, u64::MAX),
+        "per-conn".to_string(),
+        rebuilds(&cluster),
+    ]);
     t
 }
 
@@ -444,30 +371,18 @@ pub fn cliff_rule_comparison(cfg: &Fig3Config) -> Table {
             "giant_sample_pct",
         ],
     );
+    let inject = cfg.inject_at.as_nanos();
     for (name, rule) in [
         ("argmax-ratio (paper)", CliffRule::ArgmaxRatio),
         ("flat-head (ours)", CliffRule::FlatHead { rho: 1.5 }),
     ] {
-        let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
-            Box::new(move |backends| {
-                let mut lb = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-                lb.ensemble.rule = rule;
-                // The giant-sample column reads every sample's `T_LB`
-                // (~4.1M in the default 60 s run), so no cap.
-                lb.journal = JournalMode::Full(usize::MAX);
-                lb
-            });
-        let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-        cluster_cfg.seed = cfg.seed;
-        let mut cluster = KvCluster::build(cluster_cfg);
-        let inject_at = Time::ZERO + cfg.inject_at;
-        cluster.inject_backend_delay(0, inject_at, cfg.extra);
-        cluster.sim.run_for(cfg.duration);
-
-        let recorder = &cluster.client_app(0).recorder;
-        let p95 = p95_get_after(recorder, inject_at.as_nanos());
-        let lb = cluster.lb_node();
-        let reaction = reaction_after(lb, inject_at.as_nanos());
+        let cluster = run_aware(cfg, move |lb| {
+            lb.ensemble.rule = rule;
+            // The giant-sample column reads every sample's `T_LB`
+            // (~4.1M in the default 60 s run), so no cap.
+            lb.journal = JournalMode::Full(usize::MAX);
+        });
+        let lb = cluster.lb_node(0);
         // "Giant" samples: T_LB beyond anything the clients experienced
         // (client latencies stay < 3 ms throughout) — pure merge artifacts.
         assert_eq!(lb.journal().overflow(), 0, "journal too small for the run");
@@ -479,9 +394,9 @@ pub fn cliff_rule_comparison(cfg: &Fig3Config) -> Table {
         let total = lb.stats().samples.max(1);
         t.row(&[
             name.to_string(),
-            format!("{:.1}", p95 as f64 / 1e3),
-            reaction,
-            lb.stats().table_rebuilds.to_string(),
+            p95_us(&cluster, inject, u64::MAX),
+            reaction_ms(&cluster, inject),
+            rebuilds(&cluster),
             format!("{:.2}", 100.0 * giant as f64 / total as f64),
         ]);
     }
@@ -510,56 +425,31 @@ pub fn far_clients(cfg: &Fig3Config) -> Table {
             "rebuilds",
         ],
     );
-    for (variant, aware) in [("maglev", false), ("latency-aware", true)] {
-        let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> = if aware {
-            Box::new(|backends| {
-                LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()))
-            })
-        } else {
-            Box::new(|backends| LbConfig::baseline(VIP, backends))
-        };
-        let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-        cluster_cfg.seed = cfg.seed;
+    let inject = cfg.inject_at.as_nanos();
+    // "Steady state": the second half of the post-injection window,
+    // past the connection-churn transition (routing changes only apply
+    // to *new* connections, and far connections churn ∝ 1/RTT — some
+    // 20x slower than near ones).
+    let steady_from = inject + (cfg.duration.as_nanos() - inject) / 2;
+    for (variant, latency_aware) in [("maglev", false), ("latency-aware", true)] {
+        let mut cluster_cfg = cfg.cluster(latency_aware);
         // Split the workload across a near and a far client host.
-        let base = cluster_cfg.clients[0].clone();
-        cluster_cfg.clients = vec![
-            workload::MemtierConfig {
-                connections: 8,
-                ..base.clone()
-            },
-            workload::MemtierConfig {
-                connections: 8,
-                ..base
-            },
-        ];
+        cluster_cfg.clients[0].connections = 8;
+        cluster_cfg.clients.push(cluster_cfg.clients[0].clone());
         cluster_cfg.client_delay_overrides = vec![None, Some(Duration::from_millis(2))];
-        let mut cluster = KvCluster::build(cluster_cfg);
-        let inject_at = Time::ZERO + cfg.inject_at;
-        cluster.inject_backend_delay(0, inject_at, cfg.extra);
-        cluster.sim.run_for(cfg.duration);
+        let cluster = run(cluster_cfg, &cfg.timeline());
 
-        let lb = cluster.lb_node();
-        let w0 = format!("{:.2}", lb.weights().get(0));
-        let rebuilds = lb.stats().table_rebuilds.to_string();
-        // "Steady state": the second half of the post-injection window,
-        // past the connection-churn transition (routing changes only
-        // apply to *new* connections, and far connections churn ∝ 1/RTT
-        // — some 20x slower than near ones).
-        let steady_from =
-            inject_at.as_nanos() + (cfg.duration.as_nanos() - inject_at.as_nanos()) / 2;
+        let w0 = format!("{:.2}", cluster.lb_node(0).weights().get(0));
         for (i, name) in [(0usize, "near"), (1, "far")] {
-            let rec = &cluster.client_app(i).recorder;
-            let before = p95_get_between(rec, 0, inject_at.as_nanos());
-            let after = p95_get_after(rec, inject_at.as_nanos());
-            let steady = p95_get_after(rec, steady_from);
+            let gets = &cluster.client_app(i).recorder.get_series;
             t.row(&[
                 variant.to_string(),
                 name.to_string(),
-                format!("{:.1}", before as f64 / 1e3),
-                format!("{:.1}", after as f64 / 1e3),
-                format!("{:.1}", steady as f64 / 1e3),
+                us(p95_in(gets, 0, inject)),
+                us(p95_in(gets, inject, u64::MAX)),
+                us(p95_in(gets, steady_from, u64::MAX)),
                 w0.clone(),
-                rebuilds.clone(),
+                rebuilds(&cluster),
             ]);
         }
     }
@@ -607,46 +497,34 @@ pub fn congestion(cfg: &Fig3Config) -> Table {
             140_000_000,
         ),
     ];
-    for (pattern, duty, rate) in patterns {
-        for variant in [
-            "maglev",
-            "latency-aware",
-            "aware-p90",
+    // Plain Maglev (`None`), or the latency-aware LB with a tweak.
+    let variants: [(&str, Option<Tweak<LbConfig>>); 5] = [
+        ("maglev", None),
+        ("latency-aware", Some(|_| {})),
+        // Variance-aware signal: control on the windowed p90, so a path
+        // that stalls periodically looks bad even when its median between
+        // bursts is excellent.
+        ("aware-p90", Some(|lb| lb.signal_quantile = 0.9)),
+        // Variance-aware AND time-spanning: p90 over a 100 ms horizon,
+        // longer than any burst period tested here.
+        (
             "aware-p90-h100ms",
+            Some(|lb| {
+                lb.signal_quantile = 0.9;
+                lb.signal_horizon = Some(Duration::from_millis(100));
+            }),
+        ),
+        (
             "power-of-two",
-        ] {
-            let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> = match variant {
-                "latency-aware" => Box::new(|backends| {
-                    LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()))
-                }),
-                // Variance-aware signal: control on the windowed p90, so a
-                // path that stalls periodically looks bad even when its
-                // median between bursts is excellent.
-                "aware-p90" => Box::new(|backends| {
-                    let mut lb =
-                        LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-                    lb.signal_quantile = 0.9;
-                    lb
-                }),
-                // Variance-aware AND time-spanning: p90 over a 100 ms
-                // horizon, longer than any burst period tested here.
-                "aware-p90-h100ms" => Box::new(|backends| {
-                    let mut lb =
-                        LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-                    lb.signal_quantile = 0.9;
-                    lb.signal_horizon = Some(Duration::from_millis(100));
-                    lb
-                }),
-                "power-of-two" => Box::new(|backends| {
-                    let mut lb =
-                        LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-                    lb.policy = lb_dataplane::RoutingPolicy::PowerOfTwo;
-                    lb
-                }),
-                _ => Box::new(|backends| LbConfig::baseline(VIP, backends)),
-            };
-            let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-            cluster_cfg.seed = cfg.seed;
+            Some(|lb| lb.policy = RoutingPolicy::PowerOfTwo),
+        ),
+    ];
+    for (pattern, duty, rate) in patterns {
+        for (variant, tweak) in variants {
+            let mut cluster_cfg = cfg.cluster(false);
+            if let Some(tweak) = tweak {
+                cluster_cfg.lb = aware(tweak);
+            }
             // Backend 0: faster servers, congested path. Backend 1: slower
             // servers, clean path. A server-load signal would prefer 0.
             cluster_cfg.backends[0].service = backend::ServiceDist::LogNormal {
@@ -657,7 +535,7 @@ pub fn congestion(cfg: &Fig3Config) -> Table {
                 median: 80_000,
                 sigma: 0.3,
             };
-            cluster_cfg.congestion = Some(crate::topology::CongestionConfig {
+            cluster_cfg.congestion = Some(crate::kv::CongestionConfig {
                 backend: 0,
                 bottleneck_bps: 150_000_000,
                 queue_bytes: 64 * 1024,
@@ -667,8 +545,12 @@ pub fn congestion(cfg: &Fig3Config) -> Table {
                     ..netsim::blaster::BlasterConfig::default()
                 },
             });
-            let mut cluster = KvCluster::build(cluster_cfg);
-            cluster.sim.run_for(cfg.duration);
+            // No injection: the congestion is the disturbance.
+            let timeline = Timeline {
+                duration: cfg.duration,
+                ..Timeline::default()
+            };
+            let cluster = run(cluster_cfg, &timeline);
 
             let rec = &cluster.client_app(0).recorder;
             let all = rec.get_series.merged();
@@ -712,21 +594,8 @@ pub fn pcc(cfg: &Fig3Config) -> Table {
         ],
     );
     for affinity in [true, false] {
-        let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
-            Box::new(move |backends| {
-                let mut lb = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-                lb.affinity = affinity;
-                lb
-            });
-        let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-        cluster_cfg.seed = cfg.seed;
-        let mut cluster = KvCluster::build(cluster_cfg);
-        let inject_at = Time::ZERO + cfg.inject_at;
-        cluster.inject_backend_delay(0, inject_at, cfg.extra);
-        cluster.sim.run_for(cfg.duration);
-
+        let cluster = run_aware(cfg, move |lb| lb.affinity = affinity);
         let stats = cluster.client_app(0).stats;
-        let lb = cluster.lb_node();
         let broken_pct = 100.0 * stats.conns_broken as f64 / stats.conns_opened.max(1) as f64;
         t.row(&[
             affinity.to_string(),
@@ -734,7 +603,7 @@ pub fn pcc(cfg: &Fig3Config) -> Table {
             stats.conns_broken.to_string(),
             format!("{broken_pct:.1}"),
             stats.requests_lost.to_string(),
-            lb.stats().table_rebuilds.to_string(),
+            rebuilds(&cluster),
         ]);
     }
     t
@@ -766,23 +635,20 @@ pub fn failover(cfg: &Fig3Config) -> Table {
             "requests",
         ],
     );
-    for (variant, aware) in [("maglev", false), ("latency-aware", true)] {
-        let make = move |backends: Vec<std::net::Ipv4Addr>| -> LbConfig {
-            if aware {
-                LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()))
-            } else {
-                LbConfig::baseline(VIP, backends)
-            }
-        };
-        let mut cluster_cfg = KvClusterConfig::fig3_defaults(Box::new(make));
-        cluster_cfg.extra_lbs = vec![Box::new(make)];
-        // LB 0 dies mid-run; also inject the usual 1 ms slowdown earlier
-        // so the aware LBs' tables have actually diverged from equal.
+    for (variant, latency_aware) in [("maglev", false), ("latency-aware", true)] {
+        let mut cluster_cfg = cfg.cluster(latency_aware);
+        cluster_cfg.lbs = 2;
+        // LB 0 dies mid-run.
         cluster_cfg.lb_failure = Some((cfg.duration.div(2), 0));
-        cluster_cfg.seed = cfg.seed;
         let mut cluster = KvCluster::build(cluster_cfg);
-        let inject_at = Time::ZERO + cfg.inject_at;
-        cluster.inject_backend_delay(0, inject_at, cfg.extra);
+        // The usual 1 ms slowdown, earlier and on LB 0's path only, so
+        // the aware LBs' tables have actually diverged from equal.
+        let (at, link, lb0) = (
+            Time::ZERO + cfg.inject_at,
+            cluster.fwd_links[0][0],
+            cluster.lbs[0],
+        );
+        cluster.sim.schedule_extra_delay(at, link, lb0, cfg.extra);
         cluster.sim.run_for(cfg.duration);
 
         let stats = cluster.client_app(0).stats;
@@ -827,47 +693,37 @@ pub fn oob_comparison(cfg: &Fig3Config) -> Table {
         ("oob-10ms", Some(Duration::from_millis(10))),
         ("oob-100ms", Some(Duration::from_millis(100))),
     ];
+    let inject = cfg.inject_at.as_nanos();
     for inject_mode in ["server", "link"] {
         for &(name, period) in &variants {
             let oob = period.is_some();
-            let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
-                Box::new(move |backends| {
-                    let mut lb =
-                        LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-                    if oob {
-                        lb.inband = false;
-                        lb.control_addr =
-                            Some((crate::topology::CONTROL_IP, crate::topology::CONTROL_PORT));
-                    }
-                    lb
+            let mut cluster_cfg = cfg.cluster(true);
+            if oob {
+                cluster_cfg.lb = aware(|lb| {
+                    lb.inband = false;
+                    lb.control_addr = Some((CONTROL_IP, CONTROL_PORT));
                 });
-            let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-            cluster_cfg.seed = cfg.seed;
+            }
             cluster_cfg.oob_report_period = period;
-            let inject_at = Time::ZERO + cfg.inject_at;
+            let mut timeline = cfg.timeline();
             if inject_mode == "server" {
                 cluster_cfg.backends[0].delay_schedule =
-                    backend::DelaySchedule::step(inject_at.as_nanos(), cfg.extra.as_nanos());
+                    backend::DelaySchedule::step(inject, cfg.extra.as_nanos());
+                timeline.injections.clear();
             }
-            let mut cluster = KvCluster::build(cluster_cfg);
-            if inject_mode == "link" {
-                cluster.inject_backend_delay(0, inject_at, cfg.extra);
-            }
-            cluster.sim.run_for(cfg.duration);
+            let cluster = run(cluster_cfg, &timeline);
 
-            let recorder = &cluster.client_app(0).recorder;
-            let p95 = p95_get_after(recorder, inject_at.as_nanos());
-            let lb = cluster.lb_node();
+            let stats = cluster.lb_node(0).stats();
             let events = if oob {
-                lb.stats().oob_reports
+                stats.oob_reports
             } else {
-                lb.stats().samples
+                stats.samples
             };
             t.row(&[
                 name.to_string(),
                 inject_mode.to_string(),
-                format!("{:.1}", p95 as f64 / 1e3),
-                reaction_after(lb, inject_at.as_nanos()),
+                p95_us(&cluster, inject, u64::MAX),
+                reaction_ms(&cluster, inject),
                 events.to_string(),
             ]);
         }
@@ -875,8 +731,60 @@ pub fn oob_comparison(cfg: &Fig3Config) -> Table {
     t
 }
 
-/// Convenience: run Fig. 3 and return its summary (used by the CLI).
-pub fn fig3_summary(cfg: &Fig3Config) -> Table {
-    let r = run_fig3(cfg);
-    fig3_summary_table(&r)
+/// EXP-MULTILB: the Fig. 3 timeline behind an ECMP-sharded tier of N
+/// latency-aware LBs, with the delay injected on every LB's path to
+/// backend 0. Each LB sees only the flows that hash to it and must
+/// converge from that 1/N sample. For each N in `ns` the tier runs
+/// isolated, and for every N > 1 also with `gossip` (over a tier of one,
+/// gossip is a no-op, so that row would repeat the isolated one).
+pub fn multilb_sweep(cfg: &Fig3Config, ns: &[usize], gossip: GossipConfig) -> Table {
+    let mut t = Table::new(
+        "Multi-LB tier: reaction and p95 GET latency vs. tier size N \
+         (1ms injected on backend 0, every LB path)",
+        &[
+            "n_lbs",
+            "feedback",
+            "reaction_ms",
+            "slowest_shard_ms",
+            "p95_before_us",
+            "p95_after_us",
+            "inflation",
+            "requests",
+            "samples_per_lb",
+            "merges",
+        ],
+    );
+    let inject = cfg.inject_at.as_nanos();
+    for &n in ns {
+        for (feedback, shared) in [("isolated", None), ("gossip", Some(gossip))] {
+            if n == 1 && shared.is_some() {
+                continue;
+            }
+            let run = run_fig3_aware(&Fig3Config {
+                lbs: n,
+                gossip: shared,
+                ..cfg.clone()
+            });
+            // A shard that never reacted is the slowest.
+            let slowest = run.lbs.iter().map(|lb| lb.reaction);
+            let slowest = slowest.max_by_key(|r| r.unwrap_or(u64::MAX)).flatten();
+            let samples = run.lbs.iter().map(|lb| lb.stats.samples);
+            let min_s = samples.clone().min().unwrap_or(0);
+            let max_s = samples.max().unwrap_or(0);
+            let merges: u64 = run.lbs.iter().map(|lb| lb.stats.gossip_merges).sum();
+            t.row(&[
+                n.to_string(),
+                feedback.to_string(),
+                ms_after(run.first_reaction, inject),
+                ms_after(slowest, inject),
+                us(run.p95_before),
+                us(run.p95_after),
+                inflation(run.p95_before, run.p95_after),
+                run.completed.to_string(),
+                format!("{min_s}..{max_s}"),
+                merges.to_string(),
+            ]);
+        }
+    }
+    t
 }

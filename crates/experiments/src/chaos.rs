@@ -9,17 +9,17 @@
 //! detection epochs, migrates its pinned flows, and readmits it through
 //! probation once it answers again after the restart.
 
-use lb_dataplane::LbConfig;
-use lbcore::AlphaShift;
-use netsim::fault::{FaultSchedule, ImpairmentConfig};
-use netsim::{Duration, Time};
+use lb_dataplane::LbStats;
+use netsim::fault::ImpairmentConfig;
+use netsim::Duration;
 use telemetry::Table;
+use workload::client::MemtierStats;
 
-use crate::topology::{KvCluster, KvClusterConfig, VIP};
+use crate::fig3::Fig3Config;
+use crate::kv::{p95_table, Fault, FaultKind, KvCluster, KvClusterConfig, Timeline};
 
-/// Chaos-scenario parameters. The paper-scale timeline (200 s, crash at
-/// t = 100 s, restart at t = 150 s) is [`ChaosConfig::full`]; the default
-/// compresses the same dynamics into 60 s.
+/// Chaos-scenario parameters. The default compresses a paper-scale
+/// timeline (200 s, crash at t = 100 s, restart at t = 150 s) into 60 s.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Total run length.
@@ -52,55 +52,34 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// The paper-scale timeline: 200 s, crash at t = 100 s, restart at
-    /// t = 150 s.
-    pub fn full() -> ChaosConfig {
-        ChaosConfig {
-            duration: Duration::from_secs(200),
-            crash_at: Duration::from_secs(100),
-            restart_at: Duration::from_secs(150),
-            ..ChaosConfig::default()
+    /// The cluster: the Fig. 3 defaults behind one plain-Maglev or
+    /// latency-aware LB (health ejection is on in the latter).
+    pub fn cluster(&self, latency_aware: bool) -> KvClusterConfig {
+        Fig3Config {
+            bin: self.bin,
+            seed: self.seed,
+            ..Fig3Config::default()
         }
+        .cluster(latency_aware)
     }
 
-    /// A fast variant for integration tests: 8 s, crash at t = 2 s,
-    /// restart at t = 4.5 s.
-    pub fn quick() -> ChaosConfig {
-        ChaosConfig {
-            duration: Duration::from_secs(8),
-            crash_at: Duration::from_secs(2),
-            restart_at: Duration::from_millis(4500),
-            bin: Duration::from_millis(250),
-            ..ChaosConfig::default()
+    /// The run: backend 0 down from `crash_at` to `restart_at`, and the
+    /// optional impairment on the survivor's forwarding path over the
+    /// same window.
+    pub fn timeline(&self) -> Timeline {
+        let outage = |kind| Fault {
+            kind,
+            from: self.crash_at,
+            until: self.restart_at,
+        };
+        let mut faults = vec![outage(FaultKind::Crash(0))];
+        faults.extend(self.impair.map(|cfg| outage(FaultKind::Impair(0, 1, cfg))));
+        Timeline {
+            duration: self.duration,
+            faults,
+            ..Timeline::default()
         }
     }
-}
-
-/// Builds the Fig. 3 cluster with the chaos fault schedule applied
-/// (crash window on backend 0, optional impairment on the survivor's
-/// forwarding path during the outage). Exposed so tests can enable
-/// tracing on the simulation before running it.
-pub fn build_chaos_cluster(cfg: &ChaosConfig, latency_aware: bool) -> KvCluster {
-    let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> = if latency_aware {
-        Box::new(|backends| LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped())))
-    } else {
-        Box::new(|backends| LbConfig::baseline(VIP, backends))
-    };
-    let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-    cluster_cfg.seed = cfg.seed;
-    for c in &mut cluster_cfg.clients {
-        c.recorder_bin = cfg.bin;
-    }
-    let mut cluster = KvCluster::build(cluster_cfg);
-    let crash = Time::ZERO + cfg.crash_at;
-    let restart = Time::ZERO + cfg.restart_at;
-    let mut faults = FaultSchedule::new();
-    faults.crash_window(cluster.backends[0], crash, restart);
-    if let Some(imp) = cfg.impair {
-        faults.impair_window(cluster.backend_links[1], cluster.lb, imp, crash, restart);
-    }
-    faults.apply(&mut cluster.sim);
-    cluster
 }
 
 /// One LB variant's outcome.
@@ -109,28 +88,18 @@ pub struct ChaosRun {
     pub p95_series: Vec<(u64, u64)>,
     /// Completed requests.
     pub completed: u64,
-    /// Connections broken under the client (reset or RTO-aborted).
-    pub conns_broken: u64,
-    /// Requests lost on broken connections.
-    pub requests_lost: u64,
-    /// LB weight of the crashed backend over time.
-    pub dead_weight: Vec<(u64, f64)>,
+    /// The client's counters: connections broken under it (reset or
+    /// RTO-aborted) and the requests lost on them.
+    pub client: MemtierStats,
+    /// The LB's counters: health ejections and readmissions, and the
+    /// flow-table entries migrated off the dead backend.
+    pub lb: LbStats,
     /// First instant at or after the crash when the crashed backend's
     /// weight reached zero (the ejection), if any (ns).
     pub ejected_at: Option<u64>,
     /// First instant at or after the restart when the crashed backend's
     /// weight rose above zero again (the readmission), if any (ns).
     pub readmitted_at: Option<u64>,
-    /// LB health-tracker ejections.
-    pub ejections: u64,
-    /// LB health-tracker readmissions.
-    pub readmissions: u64,
-    /// Flow-table entries migrated off the dead backend.
-    pub flows_repinned: u64,
-    /// Packets dropped while every backend was ejected.
-    pub no_backend_drops: u64,
-    /// `T_LB` samples the LB produced.
-    pub lb_samples: u64,
 }
 
 /// The full chaos result: baseline vs. latency-aware.
@@ -144,37 +113,19 @@ pub struct ChaosResult {
 }
 
 fn run_variant(cfg: &ChaosConfig, latency_aware: bool) -> ChaosRun {
-    let mut cluster = build_chaos_cluster(cfg, latency_aware);
-    cluster.sim.run_for(cfg.duration);
+    let mut cluster = KvCluster::build(cfg.cluster(latency_aware));
+    cluster.run(&cfg.timeline());
 
     let client = cluster.client_app(0);
-    let p95_series = client.recorder.get_series.quantile_series(0.95);
-    let stats = client.stats;
-    let lb = cluster.lb_node();
-    let dead_weight = lb.weight_series(0).points().to_vec();
-    let crash_ns = (Time::ZERO + cfg.crash_at).as_nanos();
-    let restart_ns = (Time::ZERO + cfg.restart_at).as_nanos();
-    let ejected_at = dead_weight
-        .iter()
-        .find(|&&(t, w)| t >= crash_ns && w <= 0.0)
-        .map(|&(t, _)| t);
-    let readmitted_at = dead_weight
-        .iter()
-        .find(|&&(t, w)| t >= restart_ns && w > 0.0)
-        .map(|&(t, _)| t);
+    let lb = cluster.lb_node(0);
+    let dead_weight = lb.weight_series(0);
     ChaosRun {
-        p95_series,
+        p95_series: client.recorder.get_series.quantile_series(0.95),
         completed: client.recorder.responses,
-        conns_broken: stats.conns_broken,
-        requests_lost: stats.requests_lost,
-        dead_weight,
-        ejected_at,
-        readmitted_at,
-        ejections: lb.stats().ejections,
-        readmissions: lb.stats().readmissions,
-        flows_repinned: lb.stats().flows_repinned,
-        no_backend_drops: lb.stats().no_backend_drops,
-        lb_samples: lb.stats().samples,
+        client: client.stats,
+        lb: lb.stats(),
+        ejected_at: dead_weight.first_time_after(cfg.crash_at.as_nanos(), |w| w <= 0.0),
+        readmitted_at: dead_weight.first_time_after(cfg.restart_at.as_nanos(), |w| w > 0.0),
     }
 }
 
@@ -191,26 +142,11 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
 
 /// Renders the p95-vs-time comparison (the recovery shape).
 pub fn chaos_table(r: &ChaosResult) -> Table {
-    let mut t = Table::new(
+    p95_table(
         "Chaos: p95 GET latency over time (us), backend 0 crashed then restarted",
-        &["t_s", "maglev_p95", "aware_p95"],
-    );
-    let mut by_bin: std::collections::BTreeMap<u64, (Option<u64>, Option<u64>)> =
-        std::collections::BTreeMap::new();
-    for &(at, v) in &r.baseline.p95_series {
-        by_bin.entry(at).or_default().0 = Some(v);
-    }
-    for &(at, v) in &r.aware.p95_series {
-        by_bin.entry(at).or_default().1 = Some(v);
-    }
-    let us = |v: Option<u64>| {
-        v.map(|x| format!("{:.1}", x as f64 / 1e3))
-            .unwrap_or_else(|| "-".into())
-    };
-    for (at, (b, a)) in by_bin {
-        t.row(&[format!("{:.1}", at as f64 / 1e9), us(b), us(a)]);
-    }
-    t
+        &r.baseline.p95_series,
+        &r.aware.p95_series,
+    )
 }
 
 /// Renders the summary rows: detection/readmission timing and damage.
@@ -229,27 +165,22 @@ pub fn chaos_summary_table(r: &ChaosResult) -> Table {
             "readmissions",
         ],
     );
-    let crash_ns = (Time::ZERO + r.cfg.crash_at).as_nanos();
-    let restart_ns = (Time::ZERO + r.cfg.restart_at).as_nanos();
+    // Milliseconds from `from` to `t`, one decimal.
+    let ms_since = |t: Option<u64>, from: Duration| {
+        t.map(|t| format!("{:.1}", t.saturating_sub(from.as_nanos()) as f64 / 1e6))
+            .unwrap_or_else(|| "-".into())
+    };
     for (name, run) in [("maglev", &r.baseline), ("latency-aware", &r.aware)] {
-        let eject = run
-            .ejected_at
-            .map(|t| format!("{:.1}", t.saturating_sub(crash_ns) as f64 / 1e6))
-            .unwrap_or_else(|| "-".into());
-        let readmit = run
-            .readmitted_at
-            .map(|t| format!("{:.1}", t.saturating_sub(restart_ns) as f64 / 1e6))
-            .unwrap_or_else(|| "-".into());
         t.row(&[
             name.to_string(),
             run.completed.to_string(),
-            run.conns_broken.to_string(),
-            run.requests_lost.to_string(),
-            eject,
-            readmit,
-            run.flows_repinned.to_string(),
-            run.ejections.to_string(),
-            run.readmissions.to_string(),
+            run.client.conns_broken.to_string(),
+            run.client.requests_lost.to_string(),
+            ms_since(run.ejected_at, r.cfg.crash_at),
+            ms_since(run.readmitted_at, r.cfg.restart_at),
+            run.lb.flows_repinned.to_string(),
+            run.lb.ejections.to_string(),
+            run.lb.readmissions.to_string(),
         ]);
     }
     t

@@ -60,11 +60,20 @@ pub fn capture_trace(cfg: &Fig2Config) -> Fig2Trace {
         seed: cfg.seed,
         ..BacklogScenarioConfig::fig2_defaults()
     });
-    scenario.sim.enable_trace(1 << 22);
     let step_at = Time::ZERO + cfg.step_at;
     scenario.inject_delay(step_at, cfg.extra);
-    scenario.sim.run_for(cfg.duration);
+    observe(scenario, cfg.duration, step_at.as_nanos())
+}
 
+/// Runs `scenario` for `duration` with the packet trace on and extracts
+/// the client→VIP arrivals at the LB and the client's RTT samples.
+pub(crate) fn observe(
+    mut scenario: BacklogScenario,
+    duration: Duration,
+    step_at: u64,
+) -> Fig2Trace {
+    scenario.sim.enable_trace(1 << 22);
+    scenario.sim.run_for(duration);
     let lb = scenario.lb;
     let arrivals: Vec<u64> = scenario
         .sim
@@ -84,7 +93,7 @@ pub fn capture_trace(cfg: &Fig2Config) -> Fig2Trace {
     Fig2Trace {
         arrivals,
         truth,
-        step_at: step_at.as_nanos(),
+        step_at,
     }
 }
 
@@ -139,18 +148,13 @@ pub struct Fig2aResult {
     pub post_step: (AccuracySummary, AccuracySummary),
 }
 
-fn split_at(samples: &[(u64, u64)], t: u64) -> (Vec<u64>, Vec<u64>) {
-    let before = samples
+/// The values of `series` at instants in `[lo, hi)`.
+pub(crate) fn values_in(series: &[(u64, u64)], lo: u64, hi: u64) -> Vec<u64> {
+    series
         .iter()
-        .filter(|&&(at, _)| at < t)
+        .filter(|&&(at, _)| (lo..hi).contains(&at))
         .map(|&(_, v)| v)
-        .collect();
-    let after = samples
-        .iter()
-        .filter(|&&(at, _)| at >= t)
-        .map(|&(_, v)| v)
-        .collect();
-    (before, after)
+        .collect()
 }
 
 /// Runs Fig. 2(a).
@@ -158,23 +162,43 @@ pub fn run_fig2a(cfg: &Fig2Config) -> Fig2aResult {
     let trace = capture_trace(cfg);
     let low = replay_fixed(&trace.arrivals, 64_000);
     let high = replay_fixed(&trace.arrivals, 1_024_000);
-    let (truth_pre, truth_post) = split_at(&trace.truth, trace.step_at);
-    let (low_pre, low_post) = split_at(&low, trace.step_at);
-    let (high_pre, high_post) = split_at(&high, trace.step_at);
-    let q = [0.5];
+    let step = trace.step_at;
+    // `series` against the ground truth over `[lo, hi)`.
+    let compare = |series: &[(u64, u64)], lo, hi| {
+        let truth = values_in(&trace.truth, lo, hi);
+        AccuracySummary::compare(&values_in(series, lo, hi), &truth, &[0.5])
+    };
     Fig2aResult {
-        pre_step: (
-            AccuracySummary::compare(&low_pre, &truth_pre, &q),
-            AccuracySummary::compare(&high_pre, &truth_pre, &q),
-        ),
+        pre_step: (compare(&low, 0, step), compare(&high, 0, step)),
         post_step: (
-            AccuracySummary::compare(&low_post, &truth_post, &q),
-            AccuracySummary::compare(&high_post, &truth_post, &q),
+            compare(&low, step, u64::MAX),
+            compare(&high, step, u64::MAX),
         ),
         trace,
         low,
         high,
     }
+}
+
+/// Width of the Fig. 2 tables' time bins.
+const BIN: u64 = 250_000_000;
+
+/// The start of every bin up to the last sample of `a` or `b`.
+fn bin_starts(a: &[(u64, u64)], b: &[(u64, u64)]) -> impl Iterator<Item = u64> {
+    let end = a.iter().chain(b).map(|&(t, _)| t).max().unwrap_or(0);
+    (0..=end / BIN).map(|b| b * BIN)
+}
+
+/// The values of `series` in the bin starting at `lo`.
+fn in_bin(series: &[(u64, u64)], lo: u64) -> Vec<u64> {
+    values_in(series, lo, lo + BIN)
+}
+
+/// The median of `values` in µs, or "-".
+fn median_us(values: &[u64]) -> String {
+    exact_percentile(values, 0.5)
+        .map(|x| format!("{:.1}", x as f64 / 1e3))
+        .unwrap_or_else(|| "-".into())
 }
 
 /// Renders the Fig. 2(a) time series as a table: per 250 ms bin, the
@@ -192,38 +216,17 @@ pub fn fig2a_table(r: &Fig2aResult) -> Table {
             "d1024us_n",
         ],
     );
-    let bin = 250_000_000u64;
-    let end = r
-        .trace
-        .truth
-        .iter()
-        .map(|&(t, _)| t)
-        .chain(r.low.iter().map(|&(t, _)| t))
-        .max()
-        .unwrap_or(0);
-    let us = |v: Option<u64>| {
-        v.map(|x| format!("{:.1}", x as f64 / 1e3))
-            .unwrap_or_else(|| "-".into())
-    };
-    for b in 0..=(end / bin) {
-        let lo = b * bin;
-        let hi = lo + bin;
-        let pick = |s: &[(u64, u64)]| -> Vec<u64> {
-            s.iter()
-                .filter(|&&(at, _)| at >= lo && at < hi)
-                .map(|&(_, v)| v)
-                .collect()
-        };
-        let tr = pick(&r.trace.truth);
-        let lo_s = pick(&r.low);
-        let hi_s = pick(&r.high);
+    for lo in bin_starts(&r.trace.truth, &r.low) {
+        let tr = in_bin(&r.trace.truth, lo);
+        let lo_s = in_bin(&r.low, lo);
+        let hi_s = in_bin(&r.high, lo);
         t.row(&[
             format!("{:.2}", lo as f64 / 1e9),
-            us(exact_percentile(&tr, 0.5)),
+            median_us(&tr),
             tr.len().to_string(),
-            us(exact_percentile(&lo_s, 0.5)),
+            median_us(&lo_s),
             lo_s.len().to_string(),
-            us(exact_percentile(&hi_s, 0.5)),
+            median_us(&hi_s),
             hi_s.len().to_string(),
         ]);
     }
@@ -248,16 +251,12 @@ pub struct Fig2bResult {
 pub fn run_fig2b(cfg: &Fig2Config) -> Fig2bResult {
     let trace = capture_trace(cfg);
     let (samples, decisions) = replay_ensemble(&trace.arrivals, EnsembleConfig::default());
-    let (truth_pre, truth_post) = split_at(&trace.truth, trace.step_at);
-    let (s_pre, s_post) = split_at(&samples, trace.step_at);
+    let step = trace.step_at;
+    let truth_pre = values_in(&trace.truth, 0, step);
+    let truth_post = values_in(&trace.truth, step, u64::MAX);
     // Skip the first 500 ms (ensemble warm-up) in the pre-step summary.
-    let warm: Vec<(u64, u64)> = samples
-        .iter()
-        .copied()
-        .filter(|&(t, _)| t > 500_000_000)
-        .collect();
-    let (s_pre_warm, _) = split_at(&warm, trace.step_at);
-    let _ = s_pre;
+    let s_pre_warm = values_in(&samples, 500_000_001, step);
+    let s_post = values_in(&samples, step, u64::MAX);
     let q = [0.5];
     Fig2bResult {
         pre_step: AccuracySummary::compare(&s_pre_warm, &truth_pre, &q),
@@ -275,41 +274,19 @@ pub fn fig2b_table(r: &Fig2bResult) -> Table {
         "Fig 2(b): ENSEMBLETIMEOUT T_LB vs ground truth (us; 250ms bins)",
         &["t_s", "truth_med", "est_med", "est_n", "chosen_delta_us"],
     );
-    let bin = 250_000_000u64;
-    let end = r
-        .trace
-        .truth
-        .iter()
-        .map(|&(t, _)| t)
-        .chain(r.samples.iter().map(|&(t, _)| t))
-        .max()
-        .unwrap_or(0);
-    let us = |v: Option<u64>| {
-        v.map(|x| format!("{:.1}", x as f64 / 1e3))
-            .unwrap_or_else(|| "-".into())
-    };
-    for b in 0..=(end / bin) {
-        let lo = b * bin;
-        let hi = lo + bin;
-        let pick = |s: &[(u64, u64)]| -> Vec<u64> {
-            s.iter()
-                .filter(|&&(at, _)| at >= lo && at < hi)
-                .map(|&(_, v)| v)
-                .collect()
-        };
-        let tr = pick(&r.trace.truth);
-        let est = pick(&r.samples);
+    for lo in bin_starts(&r.trace.truth, &r.samples) {
+        let est = in_bin(&r.samples, lo);
         let chosen = r
             .decisions
             .iter()
-            .take_while(|&&(at, _)| at <= hi)
+            .take_while(|&&(at, _)| at <= lo + BIN)
             .last()
             .map(|&(_, d)| format!("{:.0}", d as f64 / 1e3))
             .unwrap_or_else(|| "-".into());
         t.row(&[
             format!("{:.2}", lo as f64 / 1e9),
-            us(exact_percentile(&tr, 0.5)),
-            us(exact_percentile(&est, 0.5)),
+            median_us(&in_bin(&r.trace.truth, lo)),
+            median_us(&est),
             est.len().to_string(),
             chosen,
         ]);

@@ -1,13 +1,19 @@
 //! Fig. 3 of the paper: tail latency of a load-balanced two-backend
 //! key-value cluster under a 1 ms latency injection, plain Maglev vs. the
-//! latency-aware LB.
+//! latency-aware LB. The same timeline runs behind an ECMP tier of `lbs`
+//! LBs, each seeing only its shard of the flows, isolated or gossiping
+//! weights (EXP-MULTILB); at `lbs = 1` that tier is the paper's setup.
 
-use lb_dataplane::LbConfig;
-use lbcore::AlphaShift;
-use netsim::{Duration, Time};
-use telemetry::{JournalMode, SpanMode, Table};
+use lb_dataplane::{LbConfig, LbStats};
+use lbcore::{AlphaShift, GossipConfig};
+use netsim::Duration;
+use telemetry::{JournalMode, ScalarSeries, SpanMode, Table};
 
-use crate::topology::{KvCluster, KvClusterConfig, VIP};
+use crate::kv::{
+    inflation, ms_after, p95_in, p95_table, reaction, us, Injection, KvCluster, KvClusterConfig,
+    Timeline,
+};
+use crate::topology::VIP;
 
 /// Fig. 3 parameters. The paper runs 200 s with the injection at t = 100 s
 /// on CloudLab; the default here is a 60 s run with injection at t = 20 s
@@ -17,7 +23,7 @@ use crate::topology::{KvCluster, KvClusterConfig, VIP};
 pub struct Fig3Config {
     /// Total run length.
     pub duration: Duration,
-    /// When the 1 ms delay is injected.
+    /// When the delay is injected, on every LB's path to backend 0.
     pub inject_at: Duration,
     /// Injected extra delay.
     pub extra: Duration,
@@ -25,12 +31,17 @@ pub struct Fig3Config {
     pub bin: Duration,
     /// Root seed.
     pub seed: u64,
-    /// Decision-journal mode for the latency-aware LB (`Off` by default;
+    /// Decision-journal mode of every latency-aware LB (`Off` by default;
     /// journaling never perturbs the packet schedule, only records it).
     pub journal: JournalMode,
     /// Causal span-tracing mode (`Off` by default; like the journal,
     /// tracing records the schedule without perturbing it).
     pub span: SpanMode,
+    /// LB instances behind the VIP's ECMP route (1: the paper's setup).
+    pub lbs: usize,
+    /// Weight gossip between the LBs (`None`: each LB reacts to its own
+    /// shard of the flows only).
+    pub gossip: Option<GossipConfig>,
 }
 
 impl Default for Fig3Config {
@@ -43,6 +54,8 @@ impl Default for Fig3Config {
             seed: 42,
             journal: JournalMode::Off,
             span: SpanMode::Off,
+            lbs: 1,
+            gossip: None,
         }
     }
 }
@@ -66,6 +79,41 @@ impl Fig3Config {
             ..Fig3Config::default()
         }
     }
+
+    /// The cluster: the Fig. 3 defaults behind `lbs` plain-Maglev or
+    /// latency-aware (damped α-shift) LBs.
+    pub fn cluster(&self, latency_aware: bool) -> KvClusterConfig {
+        let journal = self.journal;
+        let mut cluster = if latency_aware {
+            KvClusterConfig::fig3_defaults(move |backends| LbConfig {
+                journal,
+                ..LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()))
+            })
+        } else {
+            KvClusterConfig::fig3_defaults(|backends| LbConfig::baseline(VIP, backends))
+        };
+        cluster.lbs = self.lbs;
+        cluster.seed = self.seed;
+        for c in &mut cluster.clients {
+            c.recorder_bin = self.bin;
+        }
+        cluster
+    }
+
+    /// The run: `extra` on every LB's path to backend 0 from `inject_at`,
+    /// and the gossip.
+    pub fn timeline(&self) -> Timeline {
+        Timeline {
+            duration: self.duration,
+            faults: Vec::new(),
+            injections: vec![Injection {
+                backend: 0,
+                at: self.inject_at,
+                extra: self.extra,
+            }],
+            gossip: self.gossip,
+        }
+    }
 }
 
 /// One LB variant's outcome.
@@ -78,21 +126,35 @@ pub struct Fig3Run {
     pub p95_after: u64,
     /// Completed requests.
     pub completed: u64,
-    /// LB weight of the degraded backend over time (empty for baseline).
-    pub degraded_weight: Vec<(u64, f64)>,
-    /// Time of the first controller action after injection, if any (ns).
+    /// "Reaction": the first instant at or after the injection when the
+    /// tier's mean weight on the degraded backend is below one half; the
+    /// injection instant itself if noise-driven wander had already put it
+    /// there (the system was routing around the backend that then
+    /// degraded). `None`: never.
     pub first_reaction: Option<u64>,
-    /// `T_LB` samples the LB produced.
-    pub lb_samples: u64,
-    /// The LB's decision journal as NDJSON (empty unless
-    /// [`Fig3Config::journal`] is enabled).
-    pub journal: String,
+    /// Each LB's own outcome, by LB index.
+    pub lbs: Vec<LbRun>,
     /// The run's span records as NDJSON, canonically sorted (empty unless
     /// [`Fig3Config::span`] is enabled).
     pub spans: String,
     /// Hop records the span log rejected after its capacity filled — a
     /// non-zero value means `spans` covers only a prefix of the run.
     pub spans_dropped: u64,
+}
+
+/// One LB's share of a [`Fig3Run`].
+pub struct LbRun {
+    /// Its counters (`samples` is the visibility its shard gave it,
+    /// `forwarded` the shard's size).
+    pub stats: LbStats,
+    /// The reaction rule over this LB's weight series alone.
+    pub reaction: Option<u64>,
+    /// Its decision journal as NDJSON (empty unless
+    /// [`Fig3Config::journal`] is enabled).
+    pub journal: String,
+    /// Journal events rejected after its capacity filled — a non-zero
+    /// value means `journal` covers only a prefix of the run.
+    pub journal_dropped: u64,
 }
 
 /// The full Fig. 3 result: baseline vs. latency-aware.
@@ -106,26 +168,9 @@ pub struct Fig3Result {
 }
 
 fn run_variant(cfg: &Fig3Config, latency_aware: bool) -> Fig3Run {
-    let journal = cfg.journal;
-    let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> = if latency_aware {
-        Box::new(move |backends| {
-            let mut c = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-            c.journal = journal;
-            c
-        })
-    } else {
-        Box::new(|backends| LbConfig::baseline(VIP, backends))
-    };
-    let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-    cluster_cfg.seed = cfg.seed;
-    for c in &mut cluster_cfg.clients {
-        c.recorder_bin = cfg.bin;
-    }
-    let mut cluster = KvCluster::build(cluster_cfg);
+    let mut cluster = KvCluster::build(cfg.cluster(latency_aware));
     cluster.sim.enable_spans(cfg.span);
-    let inject_at = Time::ZERO + cfg.inject_at;
-    cluster.inject_backend_delay(0, inject_at, cfg.extra);
-    cluster.sim.run_for(cfg.duration);
+    cluster.run(&cfg.timeline());
 
     let spans_dropped = cluster.sim.spans().dropped();
     let spans = {
@@ -133,56 +178,36 @@ fn run_variant(cfg: &Fig3Config, latency_aware: bool) -> Fig3Run {
         telemetry::span::sort_records(&mut recs);
         telemetry::span::to_ndjson(&recs)
     };
-    let recorder = &cluster.client_app(0).recorder;
-    let p95_series = recorder.get_series.quantile_series(0.95);
-    let inject_ns = inject_at.as_nanos();
-    let p95_of = |lo: u64, hi: u64| -> u64 {
-        let mut h = telemetry::LogHistogram::new();
-        for b in 0..recorder.get_series.len() {
-            let start = b as u64 * recorder.get_series.bin_width_ns();
-            if start >= lo && start < hi {
-                if let Some(hist) = recorder.get_series.bin(b) {
-                    h.merge(hist);
-                }
-            }
-        }
-        h.quantile(0.95)
-    };
-    let p95_before = p95_of(0, inject_ns);
-    let p95_after = p95_of(inject_ns, u64::MAX);
-
-    let lb = cluster.lb_node();
-    let series = lb.weight_series(0);
-    let degraded_weight = series.points().to_vec();
-    // "Reaction": the first instant at or after the injection when the
-    // degraded backend holds less than half the traffic. If noise-driven
-    // wander had already pushed it below before the injection, the
-    // reaction is reported as instantaneous (the system was already
-    // routing around the backend that then degraded).
-    let first_reaction = if series.value_at(inject_ns).map(|w| w < 0.5).unwrap_or(false) {
-        Some(inject_ns)
-    } else {
-        degraded_weight
-            .iter()
-            .find(|&&(t, w)| t > inject_ns && w < 0.5)
-            .map(|&(t, _)| t)
-    };
+    let gets = &cluster.client_app(0).recorder.get_series;
+    let inject_ns = cfg.inject_at.as_nanos();
+    let reaction_of =
+        |series: &[&ScalarSeries]| reaction(series, inject_ns, 0.5).map(|r| r.instant(inject_ns));
+    let degraded: Vec<&ScalarSeries> = (0..cfg.lbs)
+        .map(|i| cluster.lb_node(i).weight_series(0))
+        .collect();
     Fig3Run {
-        p95_series,
-        p95_before,
-        p95_after,
-        completed: recorder.responses,
-        degraded_weight,
-        first_reaction,
-        lb_samples: lb.stats().samples,
-        journal: lb.journal().to_ndjson(),
+        p95_series: gets.quantile_series(0.95),
+        p95_before: p95_in(gets, 0, inject_ns),
+        p95_after: p95_in(gets, inject_ns, u64::MAX),
+        completed: cluster.client_app(0).recorder.responses,
+        first_reaction: reaction_of(&degraded),
+        lbs: (0..cfg.lbs)
+            .map(|i| {
+                let lb = cluster.lb_node(i);
+                LbRun {
+                    stats: lb.stats(),
+                    reaction: reaction_of(&[lb.weight_series(0)]),
+                    journal: lb.journal().to_ndjson(),
+                    journal_dropped: lb.journal().overflow(),
+                }
+            })
+            .collect(),
         spans,
         spans_dropped,
     }
 }
 
-/// Runs only the latency-aware variant — the reference the multi-LB
-/// N=1 conformance suite compares against.
+/// Runs only the latency-aware variant, over the whole tier.
 pub fn run_fig3_aware(cfg: &Fig3Config) -> Fig3Run {
     run_variant(cfg, true)
 }
@@ -200,26 +225,11 @@ pub fn run_fig3(cfg: &Fig3Config) -> Fig3Result {
 
 /// Renders the p95-vs-time comparison (the figure's two curves).
 pub fn fig3_table(r: &Fig3Result) -> Table {
-    let mut t = Table::new(
+    p95_table(
         "Fig 3: p95 GET latency over time (us), 1ms injected at one backend",
-        &["t_s", "maglev_p95", "aware_p95"],
-    );
-    let mut by_bin: std::collections::BTreeMap<u64, (Option<u64>, Option<u64>)> =
-        std::collections::BTreeMap::new();
-    for &(at, v) in &r.baseline.p95_series {
-        by_bin.entry(at).or_default().0 = Some(v);
-    }
-    for &(at, v) in &r.aware.p95_series {
-        by_bin.entry(at).or_default().1 = Some(v);
-    }
-    let us = |v: Option<u64>| {
-        v.map(|x| format!("{:.1}", x as f64 / 1e3))
-            .unwrap_or_else(|| "-".into())
-    };
-    for (at, (b, a)) in by_bin {
-        t.row(&[format!("{:.1}", at as f64 / 1e9), us(b), us(a)]);
-    }
-    t
+        &r.baseline.p95_series,
+        &r.aware.p95_series,
+    )
 }
 
 /// Renders the summary rows (who wins, by how much, and reaction speed).
@@ -235,23 +245,14 @@ pub fn fig3_summary_table(r: &Fig3Result) -> Table {
             "requests",
         ],
     );
-    let inject_ns = (Time::ZERO + r.cfg.inject_at).as_nanos();
+    let inject_ns = r.cfg.inject_at.as_nanos();
     for (name, run) in [("maglev", &r.baseline), ("latency-aware", &r.aware)] {
-        let inflation = if run.p95_before > 0 {
-            run.p95_after as f64 / run.p95_before as f64
-        } else {
-            f64::NAN
-        };
-        let reaction = run
-            .first_reaction
-            .map(|t| format!("{:.2}", (t - inject_ns) as f64 / 1e6))
-            .unwrap_or_else(|| "-".into());
         t.row(&[
             name.to_string(),
-            format!("{:.1}", run.p95_before as f64 / 1e3),
-            format!("{:.1}", run.p95_after as f64 / 1e3),
-            format!("{inflation:.2}x"),
-            reaction,
+            us(run.p95_before),
+            us(run.p95_after),
+            inflation(run.p95_before, run.p95_after),
+            ms_after(run.first_reaction, inject_ns),
             run.completed.to_string(),
         ]);
     }

@@ -9,11 +9,11 @@
 //! | Fig. 2(b) — `ENSEMBLETIMEOUT` tracking       | [`fig2::run_fig2b`] |
 //! | Fig. 3 — p95 GET latency, Maglev vs. aware   | [`fig3::run_fig3`]  |
 //!
-//! plus the ablation suite in [`ablations`] (epoch length, ensemble size,
-//! shift fraction α, §5 timing violations, controller comparison, and
-//! multiple LBs) and the scale-out scenarios: [`chaos`] (fault injection
-//! and health ejection) and [`multilb`] (an ECMP-sharded tier of N LBs
-//! with partial-visibility feedback, isolated vs. gossip).
+//! plus the ablation suite in [`ablations`] and the fault-injection
+//! scenario in [`chaos`] (backend crash and health ejection). Every
+//! key-value scenario — Fig. 3 behind one LB or an ECMP tier of them,
+//! chaos, the ablations — is a [`kv::KvClusterConfig`] plus a
+//! [`kv::Timeline`], built, driven and read by [`kv`].
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -22,7 +22,8 @@ pub mod ablations;
 pub mod chaos;
 pub mod fig2;
 pub mod fig3;
-pub mod multilb;
+pub mod kv;
 pub mod topology;
 
-pub use topology::{BacklogScenario, BacklogScenarioConfig, KvCluster, KvClusterConfig};
+pub use kv::{KvCluster, KvClusterConfig};
+pub use topology::{BacklogScenario, BacklogScenarioConfig};

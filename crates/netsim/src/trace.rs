@@ -135,6 +135,30 @@ impl Trace {
         self.events.iter().filter(move |e| pred(e))
     }
 
+    /// FNV-1a over every recorded event's canonical line
+    /// (`at;node;kind;link;flow;wire_len`), with the event count: the
+    /// digest the determinism pins are taken in. It covers wire lengths,
+    /// never payload bytes, and only what was recorded — check
+    /// [`Trace::truncated`] first.
+    pub fn digest(&self) -> (u64, usize) {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for e in &self.events {
+            let line = format!(
+                "{};{:?};{:?};{:?};{:?};{}",
+                e.at.as_nanos(),
+                e.node,
+                e.kind,
+                e.link,
+                e.flow,
+                e.wire_len
+            );
+            for b in line.bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+            }
+        }
+        (h, self.events.len())
+    }
+
     /// Drops all recorded events.
     pub fn clear(&mut self) {
         self.events.clear();
@@ -323,6 +347,41 @@ mod tests {
         let mut out = Vec::new();
         let n = t.write_pcap(&mut out, |e| e.node == NodeId(1)).unwrap();
         assert_eq!(n, 1);
+    }
+
+    #[test]
+    fn digest_folds_each_event_line_and_counts() {
+        let mut t = Trace::new();
+        assert_eq!(t.digest(), (0xcbf2_9ce4_8422_2325, 0));
+        t.enable(16);
+        t.record(
+            Time::from_nanos(5),
+            NodeId(1),
+            TraceKind::Send,
+            LinkId(2),
+            &pkt(b"a"),
+        );
+        let one = t.digest();
+        assert_eq!(one.1, 1);
+        // Payload bytes are not covered; a different instant is.
+        let mut u = Trace::new();
+        u.enable(16);
+        u.record(
+            Time::from_nanos(5),
+            NodeId(1),
+            TraceKind::Send,
+            LinkId(2),
+            &pkt(b"b"),
+        );
+        assert_eq!(u.digest(), one);
+        u.record(
+            Time::from_nanos(6),
+            NodeId(1),
+            TraceKind::Send,
+            LinkId(2),
+            &pkt(b"a"),
+        );
+        assert_ne!(u.digest().0, one.0);
     }
 
     #[test]

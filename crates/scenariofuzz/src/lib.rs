@@ -1,13 +1,14 @@
 //! Seeded scenario fuzzing over the global invariant suite.
 //!
 //! The repo's suites each pin one behavior on one hand-written scenario
-//! (fig3 determinism, the chaos schedule, multilb conformance, DSR
+//! (fig3 determinism, the chaos schedule, multi-LB shard isolation, DSR
 //! leakage, health ejection). This crate composes them generatively: a
 //! single u64 seed derives a complete scenario — topology (LB tier
 //! size, backend count and service tiers), workload mix (connections,
 //! pipelining, GET/SET ratio, value size, churn), controller and gossip
 //! config, and a fault schedule (crashes, flaps, impairments, latency
-//! injections) — which is run through the existing drivers and checked
+//! injections) — which is run through the key-value scenario driver
+//! (`experiments::kv`) like every other experiment and checked
 //! against every global invariant in one place, twice per seed for
 //! trace-hash determinism.
 //!
@@ -39,5 +40,5 @@ pub mod scenario;
 
 pub use minimize::{minimize, minimize_with};
 pub use report::{campaign_json, SeedResult, SCHEMA};
-pub use runner::{check, fold_trace, run_once, Outcome, RunSummary, Violation};
+pub use runner::{check, run_once, Outcome, RunSummary, Violation};
 pub use scenario::{BackendSpec, FaultSpec, Injection, Scenario};

@@ -1,10 +1,11 @@
 //! Scenario execution and the global invariant suite.
 //!
-//! A scenario is materialized onto the fig3 topology (N latency-aware
-//! LBs behind the router's rendezvous ECMP, scripted faults and delay
-//! injections armed, journals on), run to its horizon with the stepped
-//! gossip driver, and then every invariant the repo's suites check
-//! separately is checked here in one place:
+//! A scenario translates into a key-value cluster config and timeline
+//! ([`kv_scenario`]: N latency-aware LBs behind the router's rendezvous
+//! ECMP, scripted faults and delay injections, journals on), which
+//! `experiments::kv` runs to its horizon like every other experiment,
+//! and then every invariant the repo's suites check separately is
+//! checked here in one place:
 //!
 //! * `shard_isolation` — every in-band sample an LB learned from belongs
 //!   to a flow `netsim::ecmp::pick` assigns to that LB's arm.
@@ -33,14 +34,12 @@
 //!   journaled `Sample` per counted sample); a violation here means the
 //!   other checks were blind, so the minimizer shrinks the scenario.
 
-use std::net::Ipv4Addr;
-
-use experiments::topology::{kv_flow_key, KvCluster, KvClusterConfig, VIP};
+use experiments::kv::{self, kv_flow_key, Fault, FaultKind, KvCluster, KvClusterConfig, Timeline};
+use experiments::topology::VIP;
 use lb_dataplane::{LbConfig, LbNode};
-use lbcore::{AlphaShift, HealthConfig, HealthState};
-use netsim::fault::{FaultSchedule, ImpairmentConfig};
-use netsim::trace::Trace;
-use netsim::{Duration, Time, TraceKind};
+use lbcore::{AlphaShift, GossipConfig, HealthConfig, HealthState};
+use netsim::fault::ImpairmentConfig;
+use netsim::{Duration, TraceKind};
 use telemetry::span::{assemble, critical_path, sort_records, CriticalPath};
 use telemetry::{JournalEvent, JournalMode, SpanMode};
 use workload::MemtierConfig;
@@ -75,8 +74,8 @@ pub struct Violation {
 /// report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSummary {
-    /// FNV-1a fold of the packet trace (same formula as the pinned
-    /// determinism suite).
+    /// The packet trace's digest ([`netsim::Trace::digest`], the one
+    /// the determinism suite pins).
     pub trace_hash: u64,
     /// Trace events retained.
     pub trace_events: u64,
@@ -136,22 +135,19 @@ fn ms(v: u32) -> Duration {
     Duration::from_millis(u64::from(v))
 }
 
-/// Builds the cluster a scenario describes (trace and faults armed, not
-/// yet run).
-pub fn build_cluster(sc: &Scenario) -> KvCluster {
+/// The cluster config and timeline a scenario describes: its integers
+/// translated into the key-value scenario's units.
+pub fn kv_scenario(sc: &Scenario) -> (KvClusterConfig, Timeline) {
     let probation_ns = u64::from(sc.probation_ms) * 1_000_000;
-    let factory = move || -> Box<dyn FnOnce(Vec<Ipv4Addr>) -> LbConfig> {
-        Box::new(move |backends| {
-            let mut cfg = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-            cfg.health = Some(HealthConfig {
-                probation_after: probation_ns,
-                ..HealthConfig::default()
-            });
-            cfg.journal = JournalMode::Full(JOURNAL_CAPACITY);
-            cfg
-        })
-    };
-    let mut cfg = KvClusterConfig::fig3_defaults(factory());
+    let mut cfg = KvClusterConfig::fig3_defaults(move |backends| {
+        let mut cfg = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
+        cfg.health = Some(HealthConfig {
+            probation_after: probation_ns,
+            ..HealthConfig::default()
+        });
+        cfg.journal = JournalMode::Full(JOURNAL_CAPACITY);
+        cfg
+    });
     cfg.clients = vec![MemtierConfig {
         connections: sc.connections as usize,
         pipeline: sc.pipeline as usize,
@@ -174,148 +170,77 @@ pub fn build_cluster(sc: &Scenario) -> KvCluster {
             ..backend::KvServerConfig::default()
         })
         .collect();
-    for _ in 1..sc.lbs {
-        cfg.extra_lbs.push(factory());
-    }
+    cfg.lbs = sc.lbs as usize;
     cfg.seed = sc.seed;
-    let mut cluster = KvCluster::build(cfg);
-    cluster.sim.enable_trace(TRACE_CAPACITY);
-    cluster.sim.enable_spans(SpanMode::Full(SPAN_CAPACITY));
 
-    let mut faults = FaultSchedule::new();
-    for f in &sc.faults {
-        match *f {
-            FaultSpec::Crash {
-                backend,
-                down_ms,
-                up_ms,
-            } => {
-                faults.crash_window(
-                    cluster.backends[backend as usize],
-                    Time::ZERO + ms(down_ms),
-                    Time::ZERO + ms(up_ms),
-                );
-            }
-            FaultSpec::Flap {
-                lb,
-                backend,
-                down_ms,
-                up_ms,
-            } => {
-                faults.link_flap(
-                    cluster.fwd_links[lb as usize][backend as usize],
-                    Time::ZERO + ms(down_ms),
-                    Time::ZERO + ms(up_ms),
-                );
-            }
-            FaultSpec::Impair {
-                lb,
-                backend,
-                from_ms,
-                until_ms,
-                corrupt_pm,
-                duplicate_pm,
-                reorder_pm,
-                window_us,
-                seed,
-            } => {
-                faults.impair_window(
-                    cluster.fwd_links[lb as usize][backend as usize],
-                    cluster.lbs[lb as usize],
-                    ImpairmentConfig {
+    let faults = sc
+        .faults
+        .iter()
+        .map(|f| {
+            let (kind, from, until) = match *f {
+                FaultSpec::Crash {
+                    backend,
+                    down_ms,
+                    up_ms,
+                } => (FaultKind::Crash(backend as usize), down_ms, up_ms),
+                FaultSpec::Flap {
+                    lb,
+                    backend,
+                    down_ms,
+                    up_ms,
+                } => (
+                    FaultKind::Flap(lb as usize, backend as usize),
+                    down_ms,
+                    up_ms,
+                ),
+                FaultSpec::Impair {
+                    lb,
+                    backend,
+                    from_ms,
+                    until_ms,
+                    corrupt_pm,
+                    duplicate_pm,
+                    reorder_pm,
+                    window_us,
+                    seed,
+                } => {
+                    let cfg = ImpairmentConfig {
                         corrupt_p: f64::from(corrupt_pm) / 1000.0,
                         duplicate_p: f64::from(duplicate_pm) / 1000.0,
                         reorder_p: f64::from(reorder_pm) / 1000.0,
                         reorder_window: Duration::from_micros(u64::from(window_us)),
                         seed,
-                    },
-                    Time::ZERO + ms(from_ms),
-                    Time::ZERO + ms(until_ms),
-                );
+                    };
+                    let kind = FaultKind::Impair(lb as usize, backend as usize, cfg);
+                    (kind, from_ms, until_ms)
+                }
+            };
+            Fault {
+                kind,
+                from: ms(from),
+                until: ms(until),
             }
-        }
-    }
-    faults.apply(&mut cluster.sim);
-    for inj in &sc.injections {
-        cluster.inject_backend_delay_all_lbs(
-            inj.backend as usize,
-            Time::ZERO + ms(inj.at_ms),
-            Duration::from_micros(u64::from(inj.extra_us)),
-        );
-    }
-    cluster
-}
-
-/// Runs a built cluster to the scenario horizon. With gossip enabled the
-/// clock advances in period steps with an all-to-all round between steps
-/// (same driver discipline as the multilb experiment: gossip adds no
-/// packets, so stepping never perturbs the trace).
-pub fn run_cluster(cluster: &mut KvCluster, sc: &Scenario) {
-    let end = Time::ZERO + ms(sc.duration_ms);
-    if sc.lbs > 1 && sc.gossip_period_ms > 0 {
-        let period = ms(sc.gossip_period_ms);
-        let mix = f64::from(sc.gossip_mix_pct) / 100.0;
-        let mut next = Time::ZERO + period;
-        while next < end {
-            cluster.sim.run_until(next);
-            gossip_round(cluster, mix);
-            next = next + period;
-        }
-        cluster.sim.run_until(end);
-    } else {
-        cluster.sim.run_until(end);
-    }
-}
-
-/// One all-to-all gossip round against pre-round snapshots (symmetric
-/// and order-independent, mirroring `experiments::multilb`).
-fn gossip_round(cluster: &mut KvCluster, mix: f64) {
-    let now = cluster.sim.now();
-    let snapshots: Vec<Vec<f64>> = cluster
-        .lbs
-        .iter()
-        .map(|&id| {
-            cluster
-                .sim
-                .node_ref::<LbNode>(id)
-                .map(|n| n.weights().as_slice().to_vec())
-                .unwrap_or_default()
         })
         .collect();
-    for (i, &id) in cluster.lbs.iter().enumerate() {
-        let peers: Vec<&[f64]> = snapshots
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, v)| v.as_slice())
-            .collect();
-        if let Some(node) = cluster.sim.node_mut::<LbNode>(id) {
-            node.apply_gossip(&peers, mix, now);
-        }
-    }
-}
-
-/// The determinism suite's trace fold: FNV-1a over every event's
-/// canonical line. Must stay formula-identical to `tests/determinism.rs`
-/// so a hash mismatch there and here mean the same thing.
-pub fn fold_trace(trace: &Trace) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in trace.events() {
-        let line = format!(
-            "{};{:?};{:?};{:?};{:?};{}",
-            e.at.as_nanos(),
-            e.node,
-            e.kind,
-            e.link,
-            e.flow,
-            e.wire_len
-        );
-        for b in line.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    h
+    let injections = sc
+        .injections
+        .iter()
+        .map(|inj| kv::Injection {
+            backend: inj.backend as usize,
+            at: ms(inj.at_ms),
+            extra: Duration::from_micros(u64::from(inj.extra_us)),
+        })
+        .collect();
+    let timeline = Timeline {
+        duration: ms(sc.duration_ms),
+        faults,
+        injections,
+        gossip: Some(GossipConfig {
+            period_ns: ms(sc.gossip_period_ms).as_nanos(),
+            mix: f64::from(sc.gossip_mix_pct) / 100.0,
+        }),
+    };
+    (cfg, timeline)
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -341,7 +266,7 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
     };
 
     let n_lbs = sc.lbs as usize;
-    let nodes: Vec<&LbNode> = (0..n_lbs).map(|i| cluster.lb_node_i(i)).collect();
+    let nodes: Vec<&LbNode> = (0..n_lbs).map(|i| cluster.lb_node(i)).collect();
     let trace = cluster.sim.trace();
 
     // -- harness: the observations below are only trustworthy if nothing
@@ -640,7 +565,7 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
     }
 
     let summary = RunSummary {
-        trace_hash: fold_trace(trace),
+        trace_hash: trace.digest().0,
         trace_events: trace.events().len() as u64,
         forwarded: nodes.iter().map(|n| n.stats().forwarded).sum(),
         samples: nodes.iter().map(|n| n.stats().samples).sum(),
@@ -693,8 +618,11 @@ fn ejection_windows(node: &LbNode, n_backends: usize) -> Vec<Vec<(u64, u64)>> {
 
 /// Builds, runs, and checks a scenario once.
 pub fn run_once(sc: &Scenario) -> (RunSummary, Vec<Violation>) {
-    let mut cluster = build_cluster(sc);
-    run_cluster(&mut cluster, sc);
+    let (cfg, timeline) = kv_scenario(sc);
+    let mut cluster = KvCluster::build(cfg);
+    cluster.sim.enable_trace(TRACE_CAPACITY);
+    cluster.sim.enable_spans(SpanMode::Full(SPAN_CAPACITY));
+    cluster.run(&timeline);
     digest_and_check(&cluster, sc)
 }
 

@@ -8,10 +8,12 @@
 //!
 //! Run with: `cargo run --release --example custom_controller`
 
-use experiments::topology::{KvCluster, KvClusterConfig, VIP};
+use experiments::fig3::Fig3Config;
+use experiments::kv::{reaction, KvCluster, KvClusterConfig};
+use experiments::topology::VIP;
 use lb_dataplane::LbConfig;
 use lbcore::{AlphaShift, BackendEstimator, Controller, Weights};
-use netsim::{Duration, Time};
+use netsim::Duration;
 use telemetry::exact_percentile;
 
 /// Shift 30% when the worst backend is ≥ 3x slower than the best other,
@@ -55,31 +57,31 @@ impl Controller for TwoLevelShift {
     }
 }
 
-fn run(name: &str, make: impl FnOnce() -> Box<dyn Controller>) {
-    let ctl = make();
-    let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
-        Box::new(move |backends| LbConfig::latency_aware(VIP, backends, ctl));
-    let mut cfg = KvClusterConfig::fig3_defaults(lb_factory);
-    cfg.seed = 42;
-    let mut cluster = KvCluster::build(cfg);
-    let inject_at = Time::ZERO + Duration::from_secs(4);
-    cluster.inject_backend_delay(0, inject_at, Duration::from_millis(1));
-    cluster.sim.run_for(Duration::from_secs(12));
+fn run(name: &str, make: impl Fn() -> Box<dyn Controller> + 'static) {
+    // The Fig. 3 timeline, 1 ms injected at t = 4 s of 12 s, with every
+    // LB built around a fresh controller from `make`.
+    let cfg = Fig3Config {
+        duration: Duration::from_secs(12),
+        inject_at: Duration::from_secs(4),
+        ..Fig3Config::default()
+    };
+    let mut cluster = KvCluster::build(KvClusterConfig {
+        lb: Box::new(move |backends| LbConfig::latency_aware(VIP, backends, make())),
+        ..cfg.cluster(true)
+    });
+    cluster.run(&cfg.timeline());
 
+    let inject_ns = cfg.inject_at.as_nanos();
     let rec = &cluster.client_app(0).recorder;
     let after: Vec<u64> = rec
         .raw()
         .iter()
-        .filter(|&&(t, _, g)| g && t >= inject_at.as_nanos())
+        .filter(|&&(t, _, g)| g && t >= inject_ns)
         .map(|&(_, l, _)| l)
         .collect();
-    let lb = cluster.lb_node();
-    let reaction = lb
-        .weight_series(0)
-        .points()
-        .iter()
-        .find(|&&(t, w)| t > inject_at.as_nanos() && w < 0.5)
-        .map(|&(t, _)| format!("{:.2} ms", (t - inject_at.as_nanos()) as f64 / 1e6))
+    let lb = cluster.lb_node(0);
+    let reaction = reaction(&[lb.weight_series(0)], inject_ns, 0.5)
+        .map(|r| format!("{:.2} ms", (r.instant(inject_ns) - inject_ns) as f64 / 1e6))
         .unwrap_or_else(|| "never".into());
     println!(
         "  {name:<12}  post-injection p95 = {:>7.1} us   reaction = {reaction:<9}  rebuilds = {}",

@@ -48,9 +48,13 @@ echo "==> simlint self-tests"
 cargo test -q -p simlint
 
 # Clippy's whole default set, warnings denied, tests included, on the
-# crates whose lint debt is paid (lbcore, lb-dataplane and telemetry).
-echo "==> cargo clippy -p lbcore -p lb-dataplane -p telemetry -- -D warnings"
-cargo clippy --offline --no-deps -p lbcore -p lb-dataplane -p telemetry --all-targets -- -D warnings
+# crates whose lint debt is paid (lbcore, lb-dataplane, telemetry,
+# experiments, scenariofuzz, bench and the root package inband-lb with
+# its integration tests and examples).
+paid_up="-p lbcore -p lb-dataplane -p telemetry -p experiments -p scenariofuzz -p bench -p inband-lb"
+echo "==> cargo clippy $paid_up --all-targets -- -D warnings"
+# shellcheck disable=SC2086 # $paid_up is a list of flags
+cargo clippy --offline --no-deps $paid_up --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
@@ -59,15 +63,14 @@ echo "==> cargo test"
 cargo test -q --workspace
 
 # The root-package integration suites (determinism, DSR invariants,
-# health ejection under fault injection, multi-LB conformance and
-# invariants, observability/journal/span conformance, the steady-state
-# allocation budget) and the lbcore/netsim property tests are part of
+# health ejection under fault injection, multi-LB invariants,
+# observability/journal/span conformance, the steady-state allocation
+# budget) and the lbcore/netsim property tests are part of
 # `--workspace` above; run them by name too so a filtered or partial
 # test invocation can't silently skip the tier-1 suites.
 echo "==> tier-1 integration suites (release)"
 cargo test -q --release --test determinism --test dsr_invariants \
-    --test health_ejection --test paper_claims \
-    --test multilb_conformance --test multilb_invariants \
+    --test health_ejection --test paper_claims --test multilb_invariants \
     --test observability --test fuzz_regressions --test alloc_budget
 cargo test -q -p lbcore --test proptests
 cargo test -q -p netsim --test ecmp_proptests

@@ -25,9 +25,9 @@ const BUDGET_ALLOCS_PER_REQUEST: f64 = 0.5;
 
 #[test]
 fn a_steady_state_request_stays_inside_the_allocation_budget() {
-    let mut cluster = KvCluster::build(KvClusterConfig::fig3_defaults(Box::new(|backends| {
+    let mut cluster = KvCluster::build(KvClusterConfig::fig3_defaults(|backends| {
         LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()))
-    })));
+    }));
     cluster.sim.run_for(Duration::from_millis(100));
     let (allocs_before, _) = alloc_snapshot();
     let completed_before = cluster.client_app(0).stats.completed;

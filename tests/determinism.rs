@@ -8,10 +8,12 @@
 //! hash covers every send, delivery, and drop at every node, so even a
 //! reordering that cancels out in the aggregates fails here.
 
-use experiments::topology::{KvCluster, KvClusterConfig, VIP};
-use lb_dataplane::{LbConfig, LbNode, LbStats};
-use lbcore::AlphaShift;
-use netsim::{Duration, Time};
+use experiments::chaos::ChaosConfig;
+use experiments::fig3::Fig3Config;
+use experiments::KvCluster;
+use lb_dataplane::{LbNode, LbStats};
+use lbcore::GossipConfig;
+use netsim::Duration;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -22,24 +24,11 @@ fn fnv1a(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
         .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
 }
 
-/// Folds a finished simulation's packet trace into an FNV-1a hash.
-fn fold_trace(sim: &netsim::Simulation) -> (u64, usize) {
+/// A finished simulation's packet-trace digest; a truncated trace fails.
+fn digest(sim: &netsim::Simulation) -> (u64, usize) {
     let trace = sim.trace();
     assert_eq!(trace.truncated, 0, "trace buffer too small for the run");
-    let mut h = FNV_OFFSET;
-    for e in trace.events() {
-        let line = format!(
-            "{};{:?};{:?};{:?};{:?};{}",
-            e.at.as_nanos(),
-            e.node,
-            e.kind,
-            e.link,
-            e.flow,
-            e.wire_len
-        );
-        h = fnv1a(h, line.bytes());
-    }
-    (h, trace.events().len())
+    trace.digest()
 }
 
 /// One LB's counter record: its [`LbStats`] plus an FNV-1a over the bit
@@ -76,28 +65,29 @@ fn sim_counts(sim: &netsim::Simulation) -> (u64, u64, u64, u64) {
     )
 }
 
-/// Runs the Fig. 3 cluster for `sim_ms` with packet tracing on.
-fn fig3_cluster(seed: u64, sim_ms: u64) -> KvCluster {
-    let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
-        Box::new(|backends| LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped())));
-    let mut cfg = KvClusterConfig::fig3_defaults(lb_factory);
-    cfg.seed = seed;
-    // A mid-run perturbation so the controller path (weight shifts,
-    // table rebuilds) is inside the hashed window too.
-    let mut cluster = KvCluster::build(cfg);
-    cluster.inject_backend_delay(
-        0,
-        Time::ZERO + Duration::from_millis(sim_ms / 2),
-        Duration::from_millis(1),
-    );
+/// Runs `cfg`'s latency-aware tier with packet tracing on.
+fn traced(cfg: &Fig3Config) -> KvCluster {
+    let mut cluster = KvCluster::build(cfg.cluster(true));
     cluster.sim.enable_trace(1 << 21);
-    cluster.sim.run_for(Duration::from_millis(sim_ms));
+    cluster.run(&cfg.timeline());
     cluster
 }
 
-/// Folds every trace event of [`fig3_cluster`] into an FNV-1a hash.
+/// Runs the Fig. 3 cluster for `sim_ms` with packet tracing on, with a
+/// mid-run perturbation so the controller path (weight shifts, table
+/// rebuilds) is inside the hashed window too.
+fn fig3_cluster(seed: u64, sim_ms: u64) -> KvCluster {
+    traced(&Fig3Config {
+        duration: Duration::from_millis(sim_ms),
+        inject_at: Duration::from_millis(sim_ms / 2),
+        seed,
+        ..Fig3Config::default()
+    })
+}
+
+/// Digests the packet trace of [`fig3_cluster`].
 fn trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
-    fold_trace(&fig3_cluster(seed, sim_ms).sim)
+    digest(&fig3_cluster(seed, sim_ms).sim)
 }
 
 /// Runs the chaos scenario — backend crash + restart with packet
@@ -106,7 +96,6 @@ fn trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
 /// scheduled node down/up, impairment RNG draws, health ejection, flow
 /// re-pinning, and probation readmission.
 fn chaos_cluster(seed: u64) -> KvCluster {
-    use experiments::chaos::{build_chaos_cluster, ChaosConfig};
     let cfg = ChaosConfig {
         duration: Duration::from_millis(1800),
         crash_at: Duration::from_millis(400),
@@ -115,14 +104,14 @@ fn chaos_cluster(seed: u64) -> KvCluster {
         bin: Duration::from_millis(250),
         seed,
     };
-    let mut cluster = build_chaos_cluster(&cfg, true);
+    let mut cluster = KvCluster::build(cfg.cluster(true));
     cluster.sim.enable_trace(1 << 21);
-    cluster.sim.run_for(cfg.duration);
+    cluster.run(&cfg.timeline());
     cluster
 }
 
 fn chaos_trace_hash(seed: u64) -> (u64, usize) {
-    fold_trace(&chaos_cluster(seed).sim)
+    digest(&chaos_cluster(seed).sim)
 }
 
 /// Runs the 4-LB ECMP-sharded tier with weight gossip enabled for
@@ -131,27 +120,19 @@ fn chaos_trace_hash(seed: u64) -> (u64, usize) {
 /// (which must not perturb the packet schedule — gossip is pure
 /// control-plane state).
 fn multilb_cluster(seed: u64, sim_ms: u64) -> KvCluster {
-    use experiments::multilb::{
-        build_multilb_cluster, run_multilb_cluster, GossipParams, MultiLbConfig,
-    };
-    let cfg = MultiLbConfig {
-        n_lbs: 4,
+    traced(&Fig3Config {
         duration: Duration::from_millis(sim_ms),
         inject_at: Duration::from_millis(sim_ms / 2),
-        extra: Duration::from_millis(1),
         bin: Duration::from_millis(250),
-        gossip: Some(GossipParams::default()),
-        journal: telemetry::JournalMode::Off,
         seed,
-    };
-    let mut cluster = build_multilb_cluster(&cfg);
-    cluster.sim.enable_trace(1 << 21);
-    run_multilb_cluster(&mut cluster, &cfg);
-    cluster
+        lbs: 4,
+        gossip: Some(GossipConfig::default()),
+        ..Fig3Config::default()
+    })
 }
 
 fn multilb_trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
-    fold_trace(&multilb_cluster(seed, sim_ms).sim)
+    digest(&multilb_cluster(seed, sim_ms).sim)
 }
 
 /// Runs the Fig. 2 bulk-transfer scenario (one window-limited TCP flow
@@ -165,7 +146,7 @@ fn bulk_trace_hash(seed: u64) -> (u64, usize) {
     let mut scenario = BacklogScenario::build(cfg);
     scenario.sim.enable_trace(1 << 21);
     scenario.sim.run_for(Duration::from_millis(300));
-    fold_trace(&scenario.sim)
+    digest(&scenario.sim)
 }
 
 /// Same seed → bit-identical packet schedule, event for event.
@@ -237,7 +218,9 @@ fn multilb_different_seed_changes_the_trace() {
 // just speed. If a *semantic* change legitimately moves a schedule,
 // re-pin in the same commit and say why in its message.
 
-/// Fig. 3 KV cluster, seed 17, 600 ms: pinned packet schedule.
+/// Fig. 3 KV cluster, seed 17, 600 ms: pinned packet schedule. The
+/// multi-LB tier runs through the same driver, so this is also the pin
+/// of the tier at N = 1.
 #[test]
 fn fig3_trace_hash_is_pinned() {
     assert_eq!(
@@ -253,7 +236,7 @@ fn fig3_trace_hash_is_pinned() {
 fn fig3_lb_counters_are_pinned() {
     let cluster = fig3_cluster(42, 600);
     assert_eq!(
-        lb_record(cluster.lb_node()),
+        lb_record(cluster.lb_node(0)),
         (
             LbStats {
                 rx: 78_826,
@@ -294,7 +277,6 @@ fn chaos_trace_hash_is_pinned() {
 /// `readmissions`, `flows_repinned` and `abort_signals` are non-zero.
 #[test]
 fn chaos_lb_counters_are_pinned() {
-    use experiments::chaos::{build_chaos_cluster, ChaosConfig};
     let cfg = ChaosConfig {
         duration: Duration::from_millis(3000),
         crash_at: Duration::from_millis(300),
@@ -303,10 +285,10 @@ fn chaos_lb_counters_are_pinned() {
         bin: Duration::from_millis(250),
         seed: 23,
     };
-    let mut cluster = build_chaos_cluster(&cfg, true);
-    cluster.sim.run_for(cfg.duration);
+    let mut cluster = KvCluster::build(cfg.cluster(true));
+    cluster.run(&cfg.timeline());
     assert_eq!(
-        lb_record(cluster.lb_node()),
+        lb_record(cluster.lb_node(0)),
         (
             LbStats {
                 rx: 407_629,
@@ -352,7 +334,7 @@ fn bulk_trace_hash_is_pinned() {
 fn multilb_trace_hash_is_pinned() {
     let cluster = multilb_cluster(17, 600);
     assert_eq!(
-        fold_trace(&cluster.sim),
+        digest(&cluster.sim),
         (0x6bee_84af_e8da_5035, 715_548),
         "multilb packet schedule changed",
     );
@@ -372,7 +354,7 @@ fn multilb_trace_hash_is_pinned() {
         };
         (stats, weight_hash)
     };
-    let records: Vec<_> = (0..4).map(|i| lb_record(cluster.lb_node_i(i))).collect();
+    let records: Vec<_> = (0..4).map(|i| lb_record(cluster.lb_node(i))).collect();
     // Weight hashes re-pinned once at PR 21 (before: 0xde05_47b7_862c_d03c,
     // 0x5b05_ce06_13b0_04e8, 0xb0f0_2dd9_1f21_d100, 0xe54c_469c_cf08_8a99):
     // 17 gossip rounds used to snap a shard's 0.9800000000000001 to 0.98

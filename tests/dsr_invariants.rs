@@ -3,19 +3,37 @@
 //! and every client request must still be answered while the controller
 //! reshapes the Maglev table.
 
-use experiments::topology::{KvCluster, KvClusterConfig, VIP};
+use experiments::fig3::Fig3Config;
+use experiments::kv::{Injection, Timeline};
+use experiments::topology::VIP;
+use experiments::{KvCluster, KvClusterConfig};
 use lb_dataplane::{LbConfig, LbNode};
 use lbcore::AlphaShift;
-use netsim::{Duration, Time, TraceKind};
+use netsim::{Duration, TraceKind};
 use nettcp::Host;
 use workload::MemtierClient;
 
 fn aware_cluster(seed: u64) -> KvCluster {
-    let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
-        Box::new(|backends| LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped())));
-    let mut cfg = KvClusterConfig::fig3_defaults(lb_factory);
-    cfg.seed = seed;
-    KvCluster::build(cfg)
+    KvCluster::build(
+        Fig3Config {
+            seed,
+            ..Fig3Config::default()
+        }
+        .cluster(true),
+    )
+}
+
+/// Runs for `run_ms` with 1 ms injected on backend 0's path at `at_ms`.
+fn run_injected(cluster: &mut KvCluster, at_ms: u64, run_ms: u64) {
+    cluster.run(&Timeline {
+        duration: Duration::from_millis(run_ms),
+        injections: vec![Injection {
+            backend: 0,
+            at: Duration::from_millis(at_ms),
+            extra: Duration::from_millis(1),
+        }],
+        ..Timeline::default()
+    });
 }
 
 /// Under DSR the LB observes only client→VIP traffic: every packet it
@@ -27,7 +45,7 @@ fn lb_sees_only_client_to_vip_traffic() {
     cluster.sim.enable_trace(1 << 21);
     cluster.sim.run_for(Duration::from_secs(2));
 
-    let lb = cluster.lb;
+    let lb = cluster.lbs[0];
     let mut delivered = 0u64;
     for e in cluster
         .sim
@@ -42,7 +60,7 @@ fn lb_sees_only_client_to_vip_traffic() {
         delivered > 10_000,
         "implausibly little traffic: {delivered}"
     );
-    let stats = cluster.lb_node().stats();
+    let stats = cluster.lb_node(0).stats();
     assert_eq!(stats.rx, stats.forwarded + stats.dropped);
     assert_eq!(stats.dropped, 0, "the LB dropped in-scope traffic");
 }
@@ -57,7 +75,7 @@ fn responses_bypass_the_lb() {
     cluster.sim.enable_trace(1 << 21);
     cluster.sim.run_for(Duration::from_secs(2));
 
-    let lb = cluster.lb;
+    let lb = cluster.lbs[0];
     let reverse = cluster
         .sim
         .trace()
@@ -80,12 +98,7 @@ fn responses_bypass_the_lb() {
 #[test]
 fn no_request_lost_during_weight_churn() {
     let mut cluster = aware_cluster(3);
-    cluster.inject_backend_delay(
-        0,
-        Time::ZERO + Duration::from_millis(500),
-        Duration::from_millis(1),
-    );
-    cluster.sim.run_for(Duration::from_secs(3));
+    run_injected(&mut cluster, 500, 3_000);
 
     let client = cluster.client_app(0);
     let in_flight = client.stats.issued - client.stats.completed;
@@ -94,7 +107,7 @@ fn no_request_lost_during_weight_churn() {
         "more requests outstanding than connections: {in_flight}"
     );
     // The LB actually moved weights during this run.
-    let lb = cluster.lb_node();
+    let lb = cluster.lb_node(0);
     assert!(lb.stats().table_rebuilds > 0, "controller never acted");
     // Both backends served traffic.
     assert!(cluster.backend_app(0).stats.gets + cluster.backend_app(0).stats.sets > 0);
@@ -106,13 +119,8 @@ fn no_request_lost_during_weight_churn() {
 #[test]
 fn affinity_survives_table_rebuilds() {
     let mut cluster = aware_cluster(4);
-    cluster.inject_backend_delay(
-        0,
-        Time::ZERO + Duration::from_millis(300),
-        Duration::from_millis(1),
-    );
     cluster.sim.enable_trace(1 << 21);
-    cluster.sim.run_for(Duration::from_secs(2));
+    run_injected(&mut cluster, 300, 2_000);
 
     // Group backend deliveries by flow; each flow must map to one backend.
     use std::collections::BTreeMap;
@@ -146,14 +154,9 @@ fn affinity_survives_table_rebuilds() {
 fn cluster_runs_are_deterministic() {
     let run = || {
         let mut cluster = aware_cluster(5);
-        cluster.inject_backend_delay(
-            0,
-            Time::ZERO + Duration::from_millis(400),
-            Duration::from_millis(1),
-        );
-        cluster.sim.run_for(Duration::from_secs(2));
+        run_injected(&mut cluster, 400, 2_000);
         let client: &MemtierClient = cluster.client_app(0);
-        let lb: &LbNode = cluster.lb_node();
+        let lb: &LbNode = cluster.lb_node(0);
         (
             client.recorder.responses,
             client.recorder.all.quantile(0.95),
@@ -171,13 +174,12 @@ fn cluster_runs_are_deterministic() {
 #[test]
 fn oob_reports_drive_the_controller() {
     use experiments::topology::{CONTROL_IP, CONTROL_PORT};
-    let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> = Box::new(|backends| {
+    let mut cfg = KvClusterConfig::fig3_defaults(|backends| {
         let mut lb = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
         lb.inband = false;
         lb.control_addr = Some((CONTROL_IP, CONTROL_PORT));
         lb
     });
-    let mut cfg = KvClusterConfig::fig3_defaults(lb_factory);
     cfg.seed = 21;
     cfg.oob_report_period = Some(Duration::from_millis(5));
     // Server-side slowdown from t = 400 ms (visible to self-measurement).
@@ -185,7 +187,7 @@ fn oob_reports_drive_the_controller() {
     let mut cluster = KvCluster::build(cfg);
     cluster.sim.run_for(Duration::from_millis(1500));
 
-    let lb = cluster.lb_node();
+    let lb = cluster.lb_node(0);
     assert_eq!(lb.stats().samples, 0, "in-band measurement must be off");
     assert!(
         lb.stats().oob_reports > 100,
@@ -210,17 +212,16 @@ fn oob_reports_drive_the_controller() {
 /// must not break a single connection — the identical-tables property.
 #[test]
 fn lb_failover_breaks_nothing_for_plain_maglev() {
-    let make = |backends: Vec<std::net::Ipv4Addr>| LbConfig::baseline(VIP, backends);
-    let mut cfg = KvClusterConfig::fig3_defaults(Box::new(make));
-    cfg.extra_lbs = vec![Box::new(make)];
+    let mut cfg = KvClusterConfig::fig3_defaults(|backends| LbConfig::baseline(VIP, backends));
+    cfg.lbs = 2;
     cfg.lb_failure = Some((Duration::from_millis(800), 0));
     cfg.seed = 11;
     let mut cluster = KvCluster::build(cfg);
     cluster.sim.run_for(Duration::from_millis(1600));
 
     // Both LBs carried traffic before the failure...
-    let lb0 = cluster.lb_node_i(0).stats();
-    let lb1 = cluster.lb_node_i(1).stats();
+    let lb0 = cluster.lb_node(0).stats();
+    let lb1 = cluster.lb_node(1).stats();
     assert!(lb0.forwarded > 1000, "LB0 carried {}", lb0.forwarded);
     assert!(lb1.forwarded > 1000, "LB1 carried {}", lb1.forwarded);
     // ...and no connection broke across the switchover.

@@ -15,10 +15,12 @@
 //! The probation timeout is stretched to 2.5 s so the first probe cannot
 //! land inside the quiet-window assertion.
 
-use experiments::topology::{KvCluster, KvClusterConfig, VIP};
+use experiments::kv::{Fault, FaultKind, Timeline};
+use experiments::topology::VIP;
+use experiments::{KvCluster, KvClusterConfig};
 use lb_dataplane::LbConfig;
 use lbcore::{AlphaShift, HealthConfig, HealthState};
-use netsim::{Duration, Time, TraceKind};
+use netsim::{Duration, TraceKind};
 
 const CRASH_MS: u64 = 1_000;
 const RESTART_MS: u64 = 3_500;
@@ -31,8 +33,9 @@ const DETECT_BOUND_MS: u64 = 2_200;
 /// the stretched probation timeout.
 const PROBE_EARLIEST_MS: u64 = CRASH_MS + 300 + 2_500;
 
+/// Runs the timeline above with the packet trace on.
 fn crashed_cluster(seed: u64) -> KvCluster {
-    let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> = Box::new(|backends| {
+    let mut cluster_cfg = KvClusterConfig::fig3_defaults(|backends| {
         let mut cfg = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
         cfg.health = Some(HealthConfig {
             probation_after: 2_500_000_000,
@@ -40,23 +43,25 @@ fn crashed_cluster(seed: u64) -> KvCluster {
         });
         cfg
     });
-    let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
     cluster_cfg.seed = seed;
     let mut cluster = KvCluster::build(cluster_cfg);
-    let mut faults = netsim::FaultSchedule::new();
-    faults.crash_window(
-        cluster.backends[0],
-        Time::ZERO + Duration::from_millis(CRASH_MS),
-        Time::ZERO + Duration::from_millis(RESTART_MS),
-    );
-    faults.apply(&mut cluster.sim);
+    cluster.sim.enable_trace(1 << 22);
+    cluster.run(&Timeline {
+        duration: Duration::from_millis(RUN_MS),
+        faults: vec![Fault {
+            kind: FaultKind::Crash(0),
+            from: Duration::from_millis(CRASH_MS),
+            until: Duration::from_millis(RESTART_MS),
+        }],
+        ..Timeline::default()
+    });
     cluster
 }
 
 /// Counts LB sends on backend 0's forwarding link inside `[lo, hi)` ms.
 fn sends_to_dead_backend(cluster: &KvCluster, lo_ms: u64, hi_ms: u64) -> usize {
-    let lb = cluster.lb;
-    let link = cluster.backend_links[0];
+    let lb = cluster.lbs[0];
+    let link = cluster.fwd_links[0][0];
     cluster
         .sim
         .trace()
@@ -75,9 +80,7 @@ fn sends_to_dead_backend(cluster: &KvCluster, lo_ms: u64, hi_ms: u64) -> usize {
 /// the restart.
 #[test]
 fn ejection_stops_all_traffic_to_the_dead_backend() {
-    let mut cluster = crashed_cluster(31);
-    cluster.sim.enable_trace(1 << 22);
-    cluster.sim.run_for(Duration::from_millis(RUN_MS));
+    let cluster = crashed_cluster(31);
 
     // Before the crash the backend carried real traffic.
     let before = sends_to_dead_backend(&cluster, 0, CRASH_MS);
@@ -99,7 +102,7 @@ fn ejection_stops_all_traffic_to_the_dead_backend() {
     let after = sends_to_dead_backend(&cluster, PROBE_EARLIEST_MS + 2_000, RUN_MS);
     assert!(after > 100, "backend 0 never readmitted: {after} sends");
 
-    let lb = cluster.lb_node();
+    let lb = cluster.lb_node(0);
     assert!(lb.stats().ejections >= 1, "no ejection recorded");
     assert!(lb.stats().readmissions >= 1, "no readmission recorded");
     assert!(
@@ -120,11 +123,9 @@ fn ejection_stops_all_traffic_to_the_dead_backend() {
 /// stays exact (every received packet is forwarded or counted dropped).
 #[test]
 fn dsr_invariants_hold_during_migration() {
-    let mut cluster = crashed_cluster(32);
-    cluster.sim.enable_trace(1 << 22);
-    cluster.sim.run_for(Duration::from_millis(RUN_MS));
+    let cluster = crashed_cluster(32);
 
-    let lb = cluster.lb;
+    let lb = cluster.lbs[0];
     let mut delivered = 0u64;
     let mut reverse = 0u64;
     for e in cluster
@@ -145,7 +146,7 @@ fn dsr_invariants_hold_during_migration() {
     );
     assert_eq!(reverse, 0, "response traffic traversed the LB");
 
-    let stats = cluster.lb_node().stats();
+    let stats = cluster.lb_node(0).stats();
     assert_eq!(
         stats.rx,
         stats.forwarded + stats.dropped,

@@ -15,40 +15,44 @@
 
 use std::collections::BTreeSet;
 
-use experiments::multilb::{
-    build_multilb_cluster, run_multilb_cluster, GossipParams, MultiLbConfig,
-};
-use experiments::topology::kv_flow_key;
+use experiments::fig3::Fig3Config;
+use experiments::kv::kv_flow_key;
+use experiments::KvCluster;
+use lbcore::GossipConfig;
 use netsim::Duration;
 use telemetry::{JournalEvent, JournalMode};
 
-fn invariant_cfg(gossip: Option<GossipParams>) -> MultiLbConfig {
-    MultiLbConfig {
-        n_lbs: 4,
+fn invariant_cfg(gossip: Option<GossipConfig>) -> Fig3Config {
+    Fig3Config {
         duration: Duration::from_secs(3),
         inject_at: Duration::from_secs(1),
-        extra: Duration::from_millis(1),
         bin: Duration::from_millis(500),
+        lbs: 4,
         gossip,
-        journal: JournalMode::Off,
-        seed: 42,
+        ..Fig3Config::default()
     }
+}
+
+/// Runs `cfg`'s latency-aware tier and returns the finished cluster.
+fn run(cfg: &Fig3Config) -> KvCluster {
+    let mut cluster = KvCluster::build(cfg.cluster(true));
+    cluster.run(&cfg.timeline());
+    cluster
 }
 
 #[test]
 fn no_cross_shard_feedback_leakage_without_gossip() {
-    let cfg = MultiLbConfig {
+    let cfg = Fig3Config {
         journal: JournalMode::Full(1 << 20),
         ..invariant_cfg(None)
     };
-    let mut cluster = build_multilb_cluster(&cfg);
-    run_multilb_cluster(&mut cluster, &cfg);
+    let cluster = run(&cfg);
 
     let arms = cluster.lb_arms.clone();
     assert_eq!(arms.len(), 4);
     let mut per_lb_flows: Vec<BTreeSet<u64>> = Vec::new();
-    for i in 0..cfg.n_lbs {
-        let node = cluster.lb_node_i(i);
+    for i in 0..cfg.lbs {
+        let node = cluster.lb_node(i);
         // Partial visibility is real: every shard carried traffic and
         // produced in-band samples from it.
         assert!(node.stats().forwarded > 0, "LB {i} forwarded nothing");
@@ -100,18 +104,17 @@ fn no_cross_shard_feedback_leakage_without_gossip() {
 
 #[test]
 fn gossip_merges_stay_normalized_and_pull_shards_together() {
-    let run = |gossip: Option<GossipParams>| {
+    let outcome = |gossip: Option<GossipConfig>| {
         let cfg = invariant_cfg(gossip);
-        let mut cluster = build_multilb_cluster(&cfg);
-        run_multilb_cluster(&mut cluster, &cfg);
-        let merges: u64 = (0..cfg.n_lbs)
-            .map(|i| cluster.lb_node_i(i).stats().gossip_merges)
+        let cluster = run(&cfg);
+        let merges: u64 = (0..cfg.lbs)
+            .map(|i| cluster.lb_node(i).stats().gossip_merges)
             .sum();
-        let degraded: Vec<f64> = (0..cfg.n_lbs)
-            .map(|i| cluster.lb_node_i(i).weights().get(0))
+        let degraded: Vec<f64> = (0..cfg.lbs)
+            .map(|i| cluster.lb_node(i).weights().get(0))
             .collect();
-        for i in 0..cfg.n_lbs {
-            let node = cluster.lb_node_i(i);
+        for i in 0..cfg.lbs {
+            let node = cluster.lb_node(i);
             let w = node.weights();
             let sum: f64 = w.as_slice().iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "LB {i} weights sum to {sum}");
@@ -126,8 +129,8 @@ fn gossip_merges_stay_normalized_and_pull_shards_together() {
         (merges, degraded)
     };
 
-    let (no_merges, isolated) = run(None);
-    let (merges, shared) = run(Some(GossipParams::default()));
+    let (no_merges, isolated) = outcome(None);
+    let (merges, shared) = outcome(Some(GossipConfig::default()));
     assert_eq!(no_merges, 0, "isolated run gossiped");
     assert!(merges > 0, "gossip enabled but no merge ever moved weights");
 

@@ -6,9 +6,7 @@
 use bench::lbtrace::Trace;
 use bench::spans::{error_budget, SpanCapture};
 use experiments::fig3::{run_fig3_aware, Fig3Config};
-use experiments::topology::{KvCluster, KvClusterConfig, VIP};
-use lb_dataplane::LbConfig;
-use lbcore::AlphaShift;
+use experiments::KvCluster;
 use netsim::{Duration, Time};
 use telemetry::{journal::parse_ndjson, Journal, JournalEvent, JournalMode, SpanMode};
 
@@ -29,19 +27,39 @@ fn short_cfg(seed: u64) -> Fig3Config {
 /// round-trip form, so there is nothing run-dependent to leak in.)
 #[test]
 fn journal_is_a_pure_function_of_the_seed() {
-    let a = run_fig3_aware(&short_cfg(42)).journal;
-    let b = run_fig3_aware(&short_cfg(42)).journal;
+    let journal = |seed| run_fig3_aware(&short_cfg(seed)).lbs.remove(0).journal;
+    let a = journal(42);
+    let b = journal(42);
     assert!(!a.is_empty(), "journal came back empty");
     assert_eq!(a, b, "same seed produced different journal bytes");
 
-    let c = run_fig3_aware(&short_cfg(43)).journal;
-    assert_ne!(a, c, "seed had no effect on the journal");
+    assert_ne!(a, journal(43), "seed had no effect on the journal");
+}
+
+/// A journal that fills mid-run says so: the run reports what it
+/// dropped, and the NDJSON holds exactly the events that fit.
+#[test]
+fn a_full_journal_reports_what_it_dropped() {
+    let run = run_fig3_aware(&Fig3Config {
+        journal: JournalMode::Full(100),
+        ..short_cfg(42)
+    });
+    let lb = &run.lbs[0];
+    assert_eq!(lb.journal.lines().count(), 100);
+    // Every sample is journaled, so the capped journal saw at least as
+    // many events as the LB counted samples.
+    assert!(
+        lb.journal_dropped + 100 >= lb.stats.samples,
+        "{} dropped for {} samples",
+        lb.journal_dropped,
+        lb.stats.samples
+    );
 }
 
 /// A real capture survives parse → re-serialize byte-identically.
 #[test]
 fn ndjson_round_trips_a_real_capture() {
-    let text = run_fig3_aware(&short_cfg(42)).journal;
+    let text = run_fig3_aware(&short_cfg(42)).lbs.remove(0).journal;
     let events: Vec<JournalEvent> = parse_ndjson(&text).expect("capture must parse");
     assert!(
         events.len() > 100,
@@ -74,7 +92,7 @@ fn lbtrace_reaction_and_explanation_match_the_experiment() {
         "quick fig3 run produced no reaction"
     );
 
-    let trace = Trace::parse(&run.journal).expect("journal must parse");
+    let trace = Trace::parse(&run.lbs[0].journal).expect("journal must parse");
     assert_eq!(
         trace.reaction_time(0, inject_ns),
         run.first_reaction,
@@ -106,27 +124,11 @@ fn lbtrace_reaction_and_explanation_match_the_experiment() {
     );
 }
 
-/// Folds a finished simulation's packet trace into an FNV-1a hash
-/// (same folding as `tests/determinism.rs`).
-fn fold_trace(sim: &netsim::Simulation) -> (u64, usize) {
+/// A finished simulation's packet-trace digest; a truncated trace fails.
+fn digest(sim: &netsim::Simulation) -> (u64, usize) {
     let trace = sim.trace();
     assert_eq!(trace.truncated, 0, "trace buffer too small for the run");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in trace.events() {
-        let line = format!(
-            "{};{:?};{:?};{:?};{:?};{}",
-            e.at.as_nanos(),
-            e.node,
-            e.kind,
-            e.link,
-            e.flow,
-            e.wire_len
-        );
-        for b in line.as_bytes() {
-            h = (h ^ u64::from(*b)).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    (h, trace.events().len())
+    trace.digest()
 }
 
 /// Journaling ON must not move a single packet: the fig3 trace hash with
@@ -134,29 +136,15 @@ fn fold_trace(sim: &netsim::Simulation) -> (u64, usize) {
 /// `tests/determinism.rs` (captured with observability off).
 #[test]
 fn journal_on_leaves_the_pinned_packet_schedule_untouched() {
-    let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> = Box::new(|backends| {
-        let mut c = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-        c.journal = JournalMode::Full(1 << 22);
-        c
-    });
-    let mut cfg = KvClusterConfig::fig3_defaults(lb_factory);
-    cfg.seed = 17;
-    let mut cluster = KvCluster::build(cfg);
-    cluster.inject_backend_delay(
-        0,
-        Time::ZERO + Duration::from_millis(300),
-        Duration::from_millis(1),
-    );
-    cluster.sim.enable_trace(1 << 21);
-    cluster.sim.run_for(Duration::from_millis(600));
+    let cluster = fig3_cluster(17, SpanMode::Off, JournalMode::Full(1 << 22));
     assert_eq!(
-        fold_trace(&cluster.sim),
+        digest(&cluster.sim),
         (0xa0af_927b_c332_dae6, 787_483),
         "journaling perturbed the packet schedule",
     );
     // And it actually recorded something.
     assert!(
-        cluster.lb_node().journal().len() > 0,
+        !cluster.lb_node(0).journal().is_empty(),
         "journal was enabled but empty"
     );
 }
@@ -167,24 +155,22 @@ fn pinned_cluster(span: SpanMode) -> KvCluster {
     fig3_cluster(17, span, JournalMode::Off)
 }
 
-/// The Fig. 3 cluster under `seed` with 1 ms injected at t = 300 ms, the
-/// packet trace on, and span tracing and the journal in the given modes.
+/// The Fig. 3 cluster under `seed` with 1 ms injected at t = 300 ms, run
+/// for 600 ms with the packet trace on and span tracing and the journal
+/// in the given modes.
 fn fig3_cluster(seed: u64, span: SpanMode, journal: JournalMode) -> KvCluster {
-    let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> =
-        Box::new(move |backends| LbConfig {
-            journal,
-            ..LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()))
-        });
-    let mut cfg = KvClusterConfig::fig3_defaults(lb_factory);
-    cfg.seed = seed;
-    let mut cluster = KvCluster::build(cfg);
+    let cfg = Fig3Config {
+        duration: Duration::from_millis(600),
+        inject_at: Duration::from_millis(300),
+        seed,
+        journal,
+        span,
+        ..Fig3Config::default()
+    };
+    let mut cluster = KvCluster::build(cfg.cluster(true));
     cluster.sim.enable_spans(span);
-    cluster.inject_backend_delay(
-        0,
-        Time::ZERO + Duration::from_millis(300),
-        Duration::from_millis(1),
-    );
     cluster.sim.enable_trace(1 << 21);
+    cluster.run(&cfg.timeline());
     cluster
 }
 
@@ -196,9 +182,8 @@ fn fig3_cluster(seed: u64, span: SpanMode, journal: JournalMode) -> KvCluster {
 fn span_tracing_full_leaves_the_pinned_packet_schedule_untouched() {
     let digest_of = || {
         let mut cluster = pinned_cluster(SpanMode::Full(1 << 22));
-        cluster.sim.run_for(Duration::from_millis(600));
         assert_eq!(
-            fold_trace(&cluster.sim),
+            digest(&cluster.sim),
             (0xa0af_927b_c332_dae6, 787_483),
             "span tracing perturbed the packet schedule",
         );
@@ -212,8 +197,7 @@ fn span_tracing_full_leaves_the_pinned_packet_schedule_untouched() {
     // Off mode is the pinned default: the schedule gate for it is the
     // determinism suite itself, which runs with no span log at all.
     let mut off = pinned_cluster(SpanMode::Off);
-    off.sim.run_for(Duration::from_millis(600));
-    assert_eq!(fold_trace(&off.sim), (0xa0af_927b_c332_dae6, 787_483));
+    assert_eq!(digest(&off.sim), (0xa0af_927b_c332_dae6, 787_483));
     assert!(off.sim.take_span_records().is_empty());
 }
 
@@ -226,7 +210,6 @@ fn span_tracing_full_leaves_the_pinned_packet_schedule_untouched() {
 #[test]
 fn span_log_retains_a_hop_in_at_most_14_bytes() {
     let mut cluster = fig3_cluster(42, SpanMode::Full(1 << 22), JournalMode::Off);
-    cluster.sim.run_for(Duration::from_millis(600));
     let spans = cluster.sim.spans();
     assert_eq!(spans.dropped(), 0, "span log overflowed");
     assert_eq!(spans.len(), 663_402, "hop count moved");
@@ -249,9 +232,8 @@ fn span_log_retains_a_hop_in_at_most_14_bytes() {
 /// stream, about 11), and decoding returns exactly the events counted.
 #[test]
 fn journal_retains_an_event_in_at_most_16_bytes() {
-    let mut cluster = fig3_cluster(42, SpanMode::Off, JournalMode::Full(1 << 22));
-    cluster.sim.run_for(Duration::from_millis(600));
-    let journal = cluster.lb_node().journal();
+    let cluster = fig3_cluster(42, SpanMode::Off, JournalMode::Full(1 << 22));
+    let journal = cluster.lb_node(0).journal();
     assert_eq!(journal.overflow(), 0, "journal overflowed");
     assert_eq!(journal.len(), 39_507, "event count moved");
     assert!(
@@ -286,7 +268,6 @@ fn spans_are_a_pure_function_of_the_seed() {
 #[test]
 fn span_derived_t_client_is_bitwise_the_client_recorder() {
     let mut cluster = pinned_cluster(SpanMode::Full(1 << 22));
-    cluster.sim.run_for(Duration::from_millis(600));
     let mut recs = cluster.sim.take_span_records();
     telemetry::span::sort_records(&mut recs);
     let paths: Vec<_> = telemetry::span::assemble(&recs)
@@ -324,23 +305,19 @@ fn span_derived_t_client_is_bitwise_the_client_recorder() {
 /// count — the shard-skew view a merged capture would hide.
 #[test]
 fn multilb_per_shard_journals_parse_and_summarize() {
-    use experiments::multilb::{run_multilb, MultiLbConfig};
-    let cfg = MultiLbConfig {
-        n_lbs: 4,
+    let run = run_fig3_aware(&Fig3Config {
         duration: Duration::from_secs(2),
         inject_at: Duration::from_secs(1),
-        extra: Duration::from_millis(1),
         bin: Duration::from_millis(500),
-        gossip: None,
         journal: JournalMode::Full(1 << 20),
-        seed: 42,
-    };
-    let run = run_multilb(&cfg);
-    assert_eq!(run.journals.len(), 4, "one journal per shard");
+        lbs: 4,
+        ..Fig3Config::default()
+    });
+    assert_eq!(run.lbs.len(), 4, "one journal per shard");
     let shards: Vec<Trace> = run
-        .journals
+        .lbs
         .iter()
-        .map(|j| Trace::parse(j).expect("shard journal must parse"))
+        .map(|lb| Trace::parse(&lb.journal).expect("shard journal must parse"))
         .collect();
     for (i, shard) in shards.iter().enumerate() {
         assert!(
@@ -350,7 +327,7 @@ fn multilb_per_shard_journals_parse_and_summarize() {
         // The journal agrees with the experiment's own per-shard count.
         assert_eq!(
             shard.count_kind("sample") as u64,
-            run.per_lb_samples[i],
+            run.lbs[i].stats.samples,
             "shard {i} journal sample count diverged from the experiment"
         );
     }
@@ -373,7 +350,7 @@ fn error_budget_reproduces_the_journal_samples_it_joins() {
     };
     let run = run_fig3_aware(&cfg);
     let capture = SpanCapture::parse(&run.spans).expect("span capture must parse");
-    let journal = Trace::parse(&run.journal).expect("journal must parse");
+    let journal = Trace::parse(&run.lbs[0].journal).expect("journal must parse");
     let budget = error_budget(&capture.critical_paths(), journal.events());
 
     let mut journal_samples: Vec<(u64, usize, u64)> = journal

@@ -114,6 +114,8 @@ pub struct KvServerApp {
     rng: SimRng,
     store: BTreeMap<u64, u32>,
     decoders: BTreeMap<ConnId, KvDecoder>,
+    /// Decoders of closed connections, reset, for the next ones accepted.
+    spare_decoders: Vec<KvDecoder>,
     pending: BTreeMap<u64, (ConnId, KvMessage)>,
     next_token: u64,
     /// Encode buffer, reused for every response.
@@ -137,6 +139,7 @@ impl KvServerApp {
             rng,
             store: BTreeMap::new(),
             decoders: BTreeMap::new(),
+            spare_decoders: Vec::new(),
             pending: BTreeMap::new(),
             next_token: 1,
             tx: Vec::new(),
@@ -227,7 +230,8 @@ impl App for KvServerApp {
     }
 
     fn on_connected(&mut self, _io: &mut dyn HostIo, conn: ConnId) {
-        self.decoders.insert(conn, KvDecoder::new());
+        let decoder = self.spare_decoders.pop().unwrap_or_default();
+        self.decoders.insert(conn, decoder);
     }
 
     fn on_data(&mut self, io: &mut dyn HostIo, conn: ConnId, data: &[u8]) {
@@ -250,7 +254,10 @@ impl App for KvServerApp {
     }
 
     fn on_closed(&mut self, io: &mut dyn HostIo, conn: ConnId) {
-        self.decoders.remove(&conn);
+        if let Some(mut decoder) = self.decoders.remove(&conn) {
+            decoder.reset();
+            self.spare_decoders.push(decoder);
+        }
         io.close(conn); // complete the passive close
     }
 

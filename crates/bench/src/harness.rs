@@ -224,8 +224,9 @@ const CHURN_TICK: Duration = Duration::from_micros(10);
 
 /// A node in the raw-event-churn scenario: every tick it re-arms its
 /// timer and forwards its frame (with the DSR-style L2 rewrite the LB
-/// performs per packet) to its ring neighbour, so the run exercises
-/// nothing but the event queue, links, packet copies, and delivery.
+/// performs per packet, into a pooled buffer) to its ring neighbour, and
+/// it recycles every frame it receives, so the run exercises nothing but
+/// the event queue, links, packet copies, and delivery.
 struct Churner {
     out: LinkId,
     src_mac: MacAddr,
@@ -240,13 +241,16 @@ impl Node for Churner {
         ctx.arm_timer(CHURN_TICK, TimerToken(0));
     }
 
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _link: LinkId, _pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _link: LinkId, pkt: Packet) {
         self.rx += 1;
+        ctx.pool().recycle(pkt);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
         self.ticks += 1;
-        let pkt = self.frame.with_macs(self.src_mac, self.dst_mac);
+        let pkt = self
+            .frame
+            .with_macs_pooled(self.src_mac, self.dst_mac, ctx.pool());
         ctx.send(self.out, pkt);
         ctx.arm_timer(CHURN_TICK, TimerToken(0));
     }

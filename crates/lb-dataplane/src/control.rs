@@ -6,15 +6,17 @@
 //! without a pin (a SYN, a fallback forward, every packet when
 //! `affinity` is off) and by a health re-pin; pinned connections never
 //! consult it, and the controller may commit on every `T_LB` sample. So
-//! a commit only marks the [`LazyTable`] stale, and the first lookup
-//! after it rebuilds, in place, from `LbNode::weights` — which *is* the
+//! a commit only marks the [`LazyTable`] stale. The first lookup after it
+//! resets the population for `LbNode::weights` — which *is* the
 //! committed vector: [`lbcore::Weights`] moves only by a write that its
 //! caller then commits (a controller or merge that returns `false` has
-//! touched nothing). The table is a pure function of that vector, so
-//! every lookup returns what an eager rebuild would have returned; the
-//! builds nobody looked at are never made.
+//! touched nothing) — and claims slots only up to the one it reads;
+//! later lookups resume from there ([`lbcore::LazyMaglev`]). The
+//! population order is a pure function of that vector, so every lookup
+//! returns what an eager full build would have returned; the slots
+//! nobody read, and the builds nobody looked at, are never made.
 
-use lbcore::{HealthState, MaglevTable, Weights};
+use lbcore::{HealthState, LazyMaglev, Weights};
 use netsim::Time;
 use telemetry::{JournalEvent, WeightCause};
 
@@ -23,8 +25,9 @@ use crate::node::LbNode;
 
 /// The Maglev forwarding table, stale until read.
 pub(crate) struct LazyTable {
-    table: MaglevTable,
+    table: LazyMaglev,
     stale: bool,
+    /// Populations restarted: one per commit that a lookup then read.
     #[cfg(test)]
     pub(crate) builds: u64,
 }
@@ -32,30 +35,32 @@ pub(crate) struct LazyTable {
 impl LazyTable {
     pub(crate) fn new(weights: &[f64], size: usize) -> LazyTable {
         LazyTable {
-            table: MaglevTable::build(weights, size),
+            table: LazyMaglev::new(weights, size),
             stale: false,
             #[cfg(test)]
             builds: 0,
         }
     }
 
-    /// The weights moved: the next lookup builds before it answers.
+    /// The weights moved: the next lookup restarts the population before
+    /// it answers.
     pub(crate) fn commit(&mut self) {
         self.stale = true;
     }
 
-    /// The table for `weights`, the committed vector, rebuilt now if a
-    /// commit happened since the last lookup.
-    pub(crate) fn fresh(&mut self, weights: &Weights) -> &MaglevTable {
+    /// The backend the table for `weights`, the committed vector, gives
+    /// `hash`: the population is reset first if a commit happened since
+    /// the last lookup, and resumed only as far as this slot.
+    pub(crate) fn lookup(&mut self, weights: &Weights, hash: u64) -> usize {
         if self.stale {
-            self.table.rebuild(weights.as_slice());
+            self.table.reset(weights.as_slice());
             self.stale = false;
             #[cfg(test)]
             {
                 self.builds += 1;
             }
         }
-        &self.table
+        self.table.lookup(hash)
     }
 }
 
@@ -238,10 +243,10 @@ impl LbNode {
     }
 
     /// Migrates pinned flows off ejected backends through the table for
-    /// the weights just committed (built only if there is a flow to
-    /// move). The new backend will RST mid-stream connections, forcing a
-    /// fast client reconnect — strictly better than silently blackholing
-    /// into the dead pin.
+    /// the weights just committed (populated only if there is a flow to
+    /// move, and only as far as the moved flows read). The new backend
+    /// will RST mid-stream connections, forcing a fast client reconnect —
+    /// strictly better than silently blackholing into the dead pin.
     fn repin_ejected(&mut self, now: Time) {
         let now_ns = now.as_nanos();
         let (table, weights) = (&mut self.table, &self.weights);
@@ -253,7 +258,7 @@ impl LbNode {
                 continue;
             }
             moved += self.flows.repin_backend(b, |key, entry| {
-                let nb = table.fresh(weights).lookup(key.stable_hash());
+                let nb = table.lookup(weights, key.stable_hash());
                 if journal.enabled() {
                     journal.push(JournalEvent::FlowRepin {
                         at: now_ns,

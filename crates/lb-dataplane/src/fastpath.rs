@@ -117,7 +117,7 @@ impl LbNode {
                 // Stateless routing (ABL-PCC): every packet follows the
                 // *current* table; a weight commit mid-connection moves
                 // packets to a different backend and breaks the connection.
-                self.table.fresh(&self.weights).lookup(key.stable_hash())
+                self.table.lookup(&self.weights, key.stable_hash())
             };
             if measuring {
                 let journal_on = self.journal.enabled();
@@ -183,7 +183,7 @@ impl LbNode {
         } else {
             // No entry and not a connection start: forward statelessly.
             self.stats.fallback_forwards += 1;
-            let backend = self.table.fresh(&self.weights).lookup(key.stable_hash());
+            let backend = self.table.lookup(&self.weights, key.stable_hash());
             ctx.record_hop(
                 pkt.span(),
                 HopKind::LbPick,
@@ -215,7 +215,7 @@ impl LbNode {
     /// Chooses the backend for a new connection per the routing policy.
     pub(crate) fn pick_backend(&mut self, hash: u64, now_ns: u64) -> usize {
         match self.cfg.policy {
-            RoutingPolicy::WeightedMaglev => self.table.fresh(&self.weights).lookup(hash),
+            RoutingPolicy::WeightedMaglev => self.table.lookup(&self.weights, hash),
             RoutingPolicy::PowerOfTwo => {
                 let n = self.cfg.backends.len();
                 if n == 1 {

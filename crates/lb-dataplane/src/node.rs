@@ -32,9 +32,9 @@ pub struct LbStats {
     /// Out-of-band reports accepted on the control address.
     pub oob_reports: u64,
     /// Weight vectors committed to the forwarding table, whatever the
-    /// cause (controller, gossip merge, health epoch). The Maglev build
-    /// itself happens at the next lookup that needs the table, so commits
-    /// nobody looked at cost no build.
+    /// cause (controller, gossip merge, health epoch). The Maglev
+    /// population itself happens at the lookups that need the table, and
+    /// only as far as they read, so commits nobody looked at cost nothing.
     pub table_rebuilds: u64,
     /// Packets dropped because every backend was ejected (drop-with-counter
     /// beats blackholing into a known-dead pin).
@@ -651,15 +651,15 @@ mod tests {
                     // Five controller commits, nobody looking: no build.
                     lb_node.estimator.record(0, 5_000_000, now.as_nanos());
                     lb_node.estimator.record(1, 200_000, now.as_nanos());
-                    lb_node.table.fresh(&lb_node.weights);
+                    lb_node.table.lookup(&lb_node.weights, 0);
                     let (commits, builds) = (lb_node.stats.table_rebuilds, lb_node.table.builds);
                     for _ in 0..5 {
                         lb_node.run_controller(now);
                     }
                     assert_eq!(lb_node.stats.table_rebuilds, commits + 5);
                     assert_eq!(lb_node.table.builds, builds, "a commit built the table");
-                    lb_node.table.fresh(&lb_node.weights);
-                    lb_node.table.fresh(&lb_node.weights);
+                    lb_node.table.lookup(&lb_node.weights, 0);
+                    lb_node.table.lookup(&lb_node.weights, 0);
                     assert_eq!(
                         lb_node.table.builds,
                         builds + 1,
@@ -809,7 +809,7 @@ mod tests {
             let eager = lbcore::MaglevTable::build(lb.weights().as_slice(), size);
             for h in 0..500u64 {
                 let hash = netpkt::flow::splitmix64(h);
-                assert_eq!(lb.table.fresh(&lb.weights).lookup(hash), eager.lookup(hash));
+                assert_eq!(lb.table.lookup(&lb.weights, hash), eager.lookup(hash));
             }
             for b in 0..2 {
                 let &(_, last) = lb.weight_series(b).points().last().unwrap();

@@ -83,6 +83,12 @@ impl EnsembleConfig {
             self.timeouts.len() >= 2,
             "ensemble needs at least two timeouts"
         );
+        assert!(
+            self.timeouts.len() <= MAX_TIMEOUTS,
+            "ensemble takes at most {MAX_TIMEOUTS} timeouts (a flow keeps one batch anchor \
+             per timeout inline), got {}",
+            self.timeouts.len()
+        );
         assert!(self.epoch > 0, "epoch must be positive");
         assert!(
             self.timeouts.windows(2).all(|w| w[0] < w[1]),
@@ -92,22 +98,28 @@ impl EnsembleConfig {
     }
 }
 
+/// The most timeouts an ensemble may run: the paper uses 7, and ABL-K
+/// sweeps k up to 9.
+pub const MAX_TIMEOUTS: usize = 9;
+
 /// Per-flow state for the ensemble: one shared `time_last_pkt` plus one
 /// `time_last_batch` per timeout (the paper's `f.time_last_batchᵢ`).
+/// Inline, so a new flow allocates nothing.
 #[derive(Debug, Clone)]
 pub struct EnsembleFlowState {
     /// Arrival time of the flow's most recent packet.
     time_last_pkt: Nanos,
-    /// Per-timeout batch anchors.
-    time_last_batch: Vec<Nanos>,
+    /// Per-timeout batch anchors; an ensemble of k timeouts uses the
+    /// first k.
+    time_last_batch: [Nanos; MAX_TIMEOUTS],
 }
 
 impl EnsembleFlowState {
     /// Initializes state at the flow's first observed packet.
-    pub fn first_packet(now: Nanos, k: usize) -> EnsembleFlowState {
+    pub fn first_packet(now: Nanos) -> EnsembleFlowState {
         EnsembleFlowState {
             time_last_pkt: now,
-            time_last_batch: vec![now; k],
+            time_last_batch: [now; MAX_TIMEOUTS],
         }
     }
 }
@@ -183,9 +195,9 @@ impl EnsembleTimeout {
         &self.decisions
     }
 
-    /// Allocates fresh per-flow state.
+    /// Fresh per-flow state.
     pub fn new_flow(&self, now: Nanos) -> EnsembleFlowState {
-        EnsembleFlowState::first_packet(now, self.algs.len())
+        EnsembleFlowState::first_packet(now)
     }
 
     /// Processes a packet arrival for one flow. Returns `Some(T_LB)` when
@@ -486,6 +498,15 @@ mod tests {
     fn unsorted_timeouts_rejected() {
         let _ = EnsembleTimeout::new(EnsembleConfig {
             timeouts: vec![128 * US, 64 * US],
+            ..EnsembleConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 9 timeouts")]
+    fn too_many_timeouts_rejected() {
+        let _ = EnsembleTimeout::new(EnsembleConfig {
+            timeouts: (0..10).map(|i| (64 * US) << i).collect(),
             ..EnsembleConfig::default()
         });
     }

@@ -19,7 +19,8 @@
 //!
 //! * **[`maglev::MaglevTable`]**: the Maglev consistent-hashing table
 //!   (NSDI '16) used by the paper's Cilium/XDP testbed, extended with
-//!   weighted slot allocation so the controller can express traffic shares.
+//!   weighted slot allocation so the controller can express traffic shares;
+//!   [`maglev::LazyMaglev`] populates it only as far as lookups read.
 //! * **[`weights::Weights`]**: the committed share vector. It owns the
 //!   ejection mask and holds its invariants by construction — sum 1,
 //!   survivors ≥ floor, ejected exactly 0 — through every mutation, so no
@@ -65,7 +66,7 @@ pub use fixed_timeout::{FixedTimeout, FlowTiming};
 pub use flow_table::{FlowEntry, FlowTable};
 pub use gossip::{merge_weights, GossipConfig};
 pub use health::{HealthConfig, HealthState, HealthTracker, HealthTransition, HealthTrigger};
-pub use maglev::MaglevTable;
+pub use maglev::{LazyMaglev, MaglevTable};
 pub use weights::Weights;
 
 /// Simulated time alias used throughout (nanoseconds since run start).

@@ -13,12 +13,30 @@
 //!   to its weight via a credit accumulator, so the final slot shares track
 //!   the weight vector to within one part in the table size.
 //!
-//! A table is a pure function of `(weights, size)`. [`MaglevTable::build`]
-//! allocates one; [`MaglevTable::rebuild`] repopulates an existing one for
-//! a new weight vector **in place**: the slot vector and the per-backend
-//! permutation state are reused, `offset`/`skip` are computed once per
-//! table, and a permutation is walked by add-and-wrap instead of a
-//! multiply and a 64-bit remainder per probe — no allocation, same slots.
+//! A table is a pure function of `(weights, size)`, and so is the order
+//! in which the population claims its slots: whose turn comes next
+//! depends on the weights alone, and a claimed slot never changes. So the
+//! population can stop anywhere and resume later with the same result.
+//! One loop, `MaglevTable::populate`, runs it from a fill cursor (whose
+//! turn it is, with that backend's credit, and how many slots are
+//! claimed):
+//!
+//! * [`MaglevTable::build`] and [`MaglevTable::rebuild`] reset the
+//!   cursor and run it to the end — in place for `rebuild`: the slot
+//!   vector and the per-backend permutation state are reused,
+//!   `offset`/`skip` are computed once per table, and a permutation is
+//!   walked by add-and-wrap instead of a multiply and a 64-bit remainder
+//!   per probe. No allocation, same slots.
+//! * [`LazyMaglev`] resets the cursor for a new weight vector and fills
+//!   nothing; each [`LazyMaglev::lookup`] of an unclaimed slot resumes the
+//!   population just until that slot is claimed. One lookup costs about
+//!   `M` probes for an `M`-slot table on average, a full build `M·H(M)`
+//!   (≈ 8.9 `M` at 4093 slots), and lookups that land on claimed slots
+//!   cost one read.
+//!
+//! A `MaglevTable` is always complete, so its `&self` lookups never see an
+//! unclaimed slot; a partial one exists only inside a [`LazyMaglev`], which
+//! hands it out ([`LazyMaglev::complete`]) once every slot is claimed.
 
 // Fast-path module: a malformed input surfaces as a Result/Option,
 // never a process abort (DESIGN.md §6.9, rule F1).
@@ -33,7 +51,9 @@
 
 use netpkt::flow::splitmix64;
 
-/// A Maglev lookup table mapping hashes to backend indices.
+/// A Maglev lookup table mapping hashes to backend indices. Every slot is
+/// claimed: the partially populated state lives only inside
+/// [`LazyMaglev`].
 #[derive(Debug, Clone)]
 pub struct MaglevTable {
     table: Vec<u32>,
@@ -41,9 +61,13 @@ pub struct MaglevTable {
     /// [`MaglevTable::rebuild`]. Never part of the value: equality
     /// ignores it.
     perms: Vec<Perm>,
+    /// The fill cursor: the backend whose turn it is (its credit for the
+    /// turn already earned) and the number of claimed slots.
+    turn: usize,
+    filled: usize,
 }
 
-/// One backend's walk through its slot permutation during a (re)build.
+/// One backend's walk through its slot permutation during a population.
 #[derive(Debug, Clone)]
 struct Perm {
     /// First preferred slot and stride (NSDI '16 §3.4): functions of the
@@ -102,11 +126,7 @@ impl MaglevTable {
     /// Panics on an empty weight vector, non-prime size, or all-zero
     /// weights.
     pub fn build(weights: &[f64], size: usize) -> MaglevTable {
-        assert!(is_prime(size as u64), "table size must be prime");
-        let mut t = MaglevTable {
-            table: vec![EMPTY; size],
-            perms: Vec::with_capacity(weights.len()),
-        };
+        let mut t = MaglevTable::unpopulated(size);
         t.rebuild(weights);
         t
     }
@@ -119,6 +139,25 @@ impl MaglevTable {
     /// Panics on an empty weight vector, more backends than slots, a
     /// negative or non-finite weight, or all-zero weights.
     pub fn rebuild(&mut self, weights: &[f64]) {
+        self.reset(weights);
+        self.populate(self.table.len());
+    }
+
+    /// A table of `size` slots, none claimed, over no backend yet.
+    fn unpopulated(size: usize) -> MaglevTable {
+        assert!(is_prime(size as u64), "table size must be prime");
+        MaglevTable {
+            table: vec![EMPTY; size],
+            perms: Vec::new(),
+            turn: 0,
+            filled: 0,
+        }
+    }
+
+    /// Unclaims every slot and puts the cursor at the start of the
+    /// population for `weights`: backend 0's first turn, its credit for
+    /// it earned.
+    fn reset(&mut self, weights: &[f64]) {
         let n = weights.len();
         let size = self.table.len();
         assert!(n > 0, "at least one backend required");
@@ -156,32 +195,58 @@ impl MaglevTable {
             p.step = w / mean;
             p.credit = 0.0;
         }
-        let table = &mut self.table[..];
-        table.fill(EMPTY);
-        let mut filled = 0usize;
-        while filled < size {
-            for (b, p) in self.perms.iter_mut().enumerate() {
-                p.credit += p.step;
-                while p.credit >= 1.0 && filled < size {
-                    p.credit -= 1.0;
-                    // Claim the next empty slot in b's permutation
-                    // `(offset + k·skip) mod size`: offset < size and
-                    // skip < size, so one subtraction wraps.
-                    loop {
-                        let slot = p.pos;
-                        p.pos += p.skip;
-                        if p.pos >= size {
-                            p.pos -= size;
-                        }
-                        if table[slot] == EMPTY {
-                            table[slot] = b as u32;
-                            filled += 1;
-                            break;
-                        }
-                    }
+        self.table.fill(EMPTY);
+        self.filled = 0;
+        self.turn = 0;
+        self.perms[0].credit += self.perms[0].step;
+    }
+
+    /// Runs the population from the cursor until slot `until` is claimed
+    /// or, for `until >= len()`, until every slot is. The one population
+    /// loop: a full build and a lookup's partial fill claim the same slots
+    /// in the same order.
+    fn populate(&mut self, until: usize) {
+        let MaglevTable {
+            table,
+            perms,
+            turn,
+            filled,
+        } = self;
+        let size = table.len();
+        let n = perms.len();
+        let mut b = *turn;
+        let mut claimed = *filled;
+        while claimed < size {
+            let p = &mut perms[b];
+            if p.credit < 1.0 {
+                // b's turn is over: the next backend earns its credit.
+                b = if b + 1 == n { 0 } else { b + 1 };
+                let q = &mut perms[b];
+                q.credit += q.step;
+                continue;
+            }
+            p.credit -= 1.0;
+            // Claim the next empty slot in b's permutation
+            // `(offset + k·skip) mod size`: offset < size and skip < size,
+            // so one subtraction wraps.
+            let slot = loop {
+                let slot = p.pos;
+                p.pos += p.skip;
+                if p.pos >= size {
+                    p.pos -= size;
                 }
+                if table[slot] == EMPTY {
+                    break slot;
+                }
+            };
+            table[slot] = b as u32;
+            claimed += 1;
+            if slot == until {
+                break;
             }
         }
+        *turn = b;
+        *filled = claimed;
     }
 
     /// Builds an equal-weight table (classic Maglev).
@@ -232,6 +297,60 @@ impl MaglevTable {
             .zip(&other.table)
             .filter(|(a, b)| a != b)
             .count()
+    }
+}
+
+/// A [`MaglevTable`] populated on demand: [`LazyMaglev::reset`] installs a
+/// weight vector and claims nothing, and [`LazyMaglev::lookup`] resumes
+/// the population only until the slot it reads is claimed. Every lookup
+/// returns what `MaglevTable::build(weights, size).lookup(hash)` would,
+/// for the weights of the last reset.
+#[derive(Debug, Clone)]
+pub struct LazyMaglev {
+    table: MaglevTable,
+}
+
+impl LazyMaglev {
+    /// A table of `size` slots for `weights`, nothing claimed yet.
+    ///
+    /// # Panics
+    /// As [`MaglevTable::build`].
+    pub fn new(weights: &[f64], size: usize) -> LazyMaglev {
+        let mut table = MaglevTable::unpopulated(size);
+        table.reset(weights);
+        LazyMaglev { table }
+    }
+
+    /// Restarts the population for a new weight vector: O(size) to
+    /// unclaim the slots, no probing and no allocation while the backend
+    /// count stays what it was.
+    ///
+    /// # Panics
+    /// As [`MaglevTable::rebuild`].
+    pub fn reset(&mut self, weights: &[f64]) {
+        self.table.reset(weights);
+    }
+
+    /// Looks up the backend for a flow hash, claiming slots up to the one
+    /// it reads if that one is still unclaimed.
+    #[inline]
+    pub fn lookup(&mut self, hash: u64) -> usize {
+        let t = &mut self.table;
+        let slot = (hash % t.table.len() as u64) as usize;
+        if t.table[slot] == EMPTY {
+            t.populate(slot);
+        }
+        t.table[slot] as usize
+    }
+
+    /// Slots claimed since the last reset.
+    pub fn filled(&self) -> usize {
+        self.table.filled
+    }
+
+    /// The finished table, once every slot is claimed.
+    pub fn complete(&self) -> Option<&MaglevTable> {
+        (self.table.filled == self.table.len()).then_some(&self.table)
     }
 }
 
@@ -320,6 +439,31 @@ mod tests {
         assert!(moved > 0.25 && moved < 0.45, "moved {moved}");
         let shares = b.shares();
         assert!((shares[0] - 0.5).abs() < 0.02);
+    }
+
+    #[test]
+    fn a_lazy_lookup_claims_only_up_to_its_slot() {
+        let weights = [0.6, 0.3, 0.1];
+        let full = MaglevTable::build(&weights, DEFAULT_TABLE_SIZE);
+        let mut lazy = LazyMaglev::new(&weights, DEFAULT_TABLE_SIZE);
+        assert_eq!(lazy.filled(), 0);
+        let h = splitmix64(1);
+        assert_eq!(lazy.lookup(h), full.lookup(h));
+        let after_one = lazy.filled();
+        assert!(
+            after_one > 0 && after_one < DEFAULT_TABLE_SIZE,
+            "{after_one}"
+        );
+        assert!(lazy.complete().is_none());
+        // A read of a claimed slot claims nothing more.
+        assert_eq!(lazy.lookup(h), full.lookup(h));
+        assert_eq!(lazy.filled(), after_one);
+        for slot in 0..DEFAULT_TABLE_SIZE as u64 {
+            assert_eq!(lazy.lookup(slot), full.lookup(slot), "slot {slot}");
+        }
+        assert_eq!(lazy.complete(), Some(&full));
+        lazy.reset(&[1.0, 1.0, 1.0]);
+        assert_eq!((lazy.filled(), lazy.complete()), (0, None));
     }
 
     #[test]

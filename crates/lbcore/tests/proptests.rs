@@ -11,7 +11,7 @@ use netpkt::FlowKey;
 use lbcore::ensemble::{CliffRule, EnsembleConfig};
 use lbcore::{
     AimdController, AlphaShift, BackendEstimator, Controller, EnsembleTimeout, FixedTimeout,
-    FlowTable, FlowTiming, MaglevTable, ProportionalController, Weights,
+    FlowTable, FlowTiming, LazyMaglev, MaglevTable, ProportionalController, Weights,
 };
 
 /// A scripted flow-table operation (the proptest alphabet).
@@ -455,6 +455,69 @@ proptest! {
                     table.lookup(slot as u64), b as usize,
                     "slot {} of {} for {:?}", slot, size, &weights
                 );
+            }
+        }
+    }
+
+    /// Maglev on demand: a `LazyMaglev` read in random hash order,
+    /// between resets to new weight vectors (backend counts included),
+    /// answers every lookup with the reference population's slot; once
+    /// every slot has been read it is the table `build` makes. Zero
+    /// weights, one backend, and resets halfway through a population (or
+    /// before any lookup) are all drawn.
+    #[test]
+    fn lazy_maglev_lookups_match_reference_in_any_order(
+        size_sel in 0usize..4,
+        seq in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u8..7, 0.001f64..10.0), 1..11),
+                0usize..3,
+                any::<u64>(),
+            ),
+            1..6,
+        ),
+    ) {
+        use netpkt::flow::splitmix64;
+        let size = [31usize, 251, 1021, 4093][size_sel];
+        let mut lazy: Option<LazyMaglev> = None;
+        for (draws, reads, seed) in &seq {
+            let weights = maglev_weights(draws);
+            let reference = reference_maglev(&weights, size);
+            let lazy = match lazy.as_mut() {
+                Some(t) => {
+                    t.reset(&weights);
+                    t
+                }
+                None => lazy.insert(LazyMaglev::new(&weights, size)),
+            };
+            // 0: no lookup before the next reset; 1: a few random
+            // hashes; 2: every slot, in an order set by a random stride
+            // (the size is prime, so any stride visits them all), each
+            // through a hash that is not the slot index itself.
+            let lookups = match reads {
+                0 => 0,
+                1 => size / 8 + 1,
+                _ => size,
+            };
+            let start = splitmix64(*seed) % size as u64;
+            let stride = splitmix64(seed ^ 1) % (size as u64 - 1) + 1;
+            for i in 0..lookups as u64 {
+                let hash = if *reads == 1 {
+                    splitmix64(seed.wrapping_add(i + 2))
+                } else {
+                    let slot = (start + i * stride) % size as u64;
+                    slot + size as u64 * (splitmix64(seed ^ i) >> 40)
+                };
+                let slot = (hash % size as u64) as usize;
+                prop_assert_eq!(
+                    lazy.lookup(hash), reference[slot] as usize,
+                    "slot {} of {} for {:?}", slot, size, &weights
+                );
+            }
+            if *reads == 2 {
+                prop_assert_eq!(lazy.filled(), size);
+                let built = MaglevTable::build(&weights, size);
+                prop_assert_eq!(lazy.complete(), Some(&built), "for {:?}", &weights);
             }
         }
     }

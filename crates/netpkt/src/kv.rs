@@ -258,6 +258,13 @@ impl KvDecoder {
         }
     }
 
+    /// Forgets every buffered byte and keeps the allocation: the decoder
+    /// starts over as a new one would, for the next connection.
+    pub fn reset(&mut self) {
+        self.buf.clear();
+        self.consumed = 0;
+    }
+
     /// Number of buffered, not-yet-framed bytes.
     pub fn pending_bytes(&self) -> usize {
         self.buf.len() - self.consumed
@@ -310,6 +317,33 @@ mod tests {
         }
         assert_eq!(out, vec![m1, m2]);
         assert_eq!(dec.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn reset_keeps_capacity_and_forgets_a_half_received_message() {
+        let (m1, m2) = (KvMessage::set(1, 10, 33), KvMessage::get(2, 11));
+        let mut stream = Vec::new();
+        m1.encode_into(&mut stream);
+        m2.encode_into(&mut stream);
+        let mut dec = KvDecoder::new();
+        // m1 whole, then half of m2: one message out, the rest pending.
+        dec.push(&stream[..m1.encoded_len() + m2.encoded_len() / 2]);
+        assert_eq!(dec.next_message().unwrap(), Some(m1));
+        assert_eq!(dec.next_message().unwrap(), None);
+        assert!(dec.pending_bytes() > 0);
+        let capacity = dec.capacity();
+
+        dec.reset();
+        assert_eq!((dec.pending_bytes(), dec.capacity()), (0, capacity));
+        // The new stream's first message is the first one out: the half
+        // of m2 never surfaces, not even as a prefix.
+        let m3 = KvMessage::get(3, 12);
+        let mut fresh = Vec::new();
+        m3.encode_into(&mut fresh);
+        dec.push(&fresh);
+        assert_eq!(dec.next_message().unwrap(), Some(m3));
+        assert_eq!(dec.pending_bytes(), 0);
+        assert_eq!(dec.capacity(), capacity, "a reset decoder reallocated");
     }
 
     #[test]

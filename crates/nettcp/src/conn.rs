@@ -72,7 +72,7 @@ pub struct SegmentOut {
 }
 
 /// An event for the application layer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConnEvent {
     /// Handshake completed.
     Connected,
@@ -107,7 +107,7 @@ impl TimerKind {
 }
 
 /// A timer (re-)arm or cancel request toward the host.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerRequest {
     /// Arm (or move) the timer of this kind to fire at the instant.
     Arm(TimerKind, Time),
@@ -134,6 +134,21 @@ pub struct ConnStats {
     pub acks_sent: u64,
     /// ACKs that were delayed (coalesced or timer-flushed).
     pub acks_delayed: u64,
+}
+
+/// A connection's four growable buffers: the send queue and the three
+/// host-facing queues. A reaped connection gives them up
+/// ([`Conn::into_buffers`]) and the next connection its host opens or
+/// accepts is built over them, so connection churn reuses capacity
+/// instead of allocating it anew. Only capacity carries over: the buffers
+/// are empty whenever a `ConnBuffers` exists, and every other field of
+/// the new connection comes from its constructor.
+#[derive(Debug, Default)]
+pub struct ConnBuffers {
+    snd_queue: VecDeque<u8>,
+    out: Vec<SegmentOut>,
+    events: Vec<ConnEvent>,
+    timer_reqs: Vec<TimerRequest>,
 }
 
 /// A TCP-like connection. See the module docs for the I/O discipline.
@@ -188,22 +203,24 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Opens a client connection: emits the SYN immediately.
+    /// Opens a client connection over `bufs`: emits the SYN immediately.
     pub fn client(
         local: (Ipv4Addr, u16),
         remote: (Ipv4Addr, u16),
         cfg: TcpConfig,
         iss: u32,
         now: Time,
+        bufs: ConnBuffers,
     ) -> Conn {
-        let mut c = Conn::new_common(local, remote, cfg, iss, ConnState::SynSent);
+        let mut c = Conn::new_common(local, remote, cfg, iss, ConnState::SynSent, bufs);
         c.emit(c.iss, 0, TcpFlags::SYN, 0);
         c.snd_nxt = iss.wrapping_add(1);
         c.arm_rto(now);
         c
     }
 
-    /// Accepts a connection from a received SYN: emits the SYN-ACK.
+    /// Accepts a connection from a received SYN over `bufs`: emits the
+    /// SYN-ACK.
     pub fn server_accept(
         local: (Ipv4Addr, u16),
         remote: (Ipv4Addr, u16),
@@ -211,8 +228,9 @@ impl Conn {
         iss: u32,
         peer_syn_seq: u32,
         now: Time,
+        bufs: ConnBuffers,
     ) -> Conn {
-        let mut c = Conn::new_common(local, remote, cfg, iss, ConnState::SynRcvd);
+        let mut c = Conn::new_common(local, remote, cfg, iss, ConnState::SynRcvd, bufs);
         c.irs = peer_syn_seq;
         c.rcv_nxt = peer_syn_seq.wrapping_add(1);
         c.emit(c.iss, c.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK, 0);
@@ -227,13 +245,20 @@ impl Conn {
         cfg: TcpConfig,
         iss: u32,
         state: ConnState,
+        bufs: ConnBuffers,
     ) -> Conn {
+        let ConnBuffers {
+            snd_queue,
+            out,
+            events,
+            timer_reqs,
+        } = bufs;
         Conn {
             state,
             local,
             remote,
             cfg,
-            snd_queue: VecDeque::new(),
+            snd_queue,
             sent: 0,
             iss,
             snd_una: iss,
@@ -252,10 +277,32 @@ impl Conn {
             ooo: BTreeMap::new(),
             peer_fin_seq: None,
             delack_held: 0,
-            out: Vec::new(),
-            events: Vec::new(),
-            timer_reqs: Vec::new(),
+            out,
+            events,
+            timer_reqs,
             stats: ConnStats::default(),
+        }
+    }
+
+    /// Retires the connection, keeping only its buffers' capacity for the
+    /// next one (see [`ConnBuffers`]).
+    pub fn into_buffers(self) -> ConnBuffers {
+        let Conn {
+            mut snd_queue,
+            mut out,
+            mut events,
+            mut timer_reqs,
+            ..
+        } = self;
+        snd_queue.clear();
+        out.clear();
+        events.clear();
+        timer_reqs.clear();
+        ConnBuffers {
+            snd_queue,
+            out,
+            events,
+            timer_reqs,
         }
     }
 

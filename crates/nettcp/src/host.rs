@@ -18,7 +18,7 @@ use telemetry::span::HopKind;
 
 use crate::app::{App, ConnId, HostIo};
 use crate::config::TcpConfig;
-use crate::conn::{Conn, ConnEvent, SegmentOut, TimerKind, TimerRequest};
+use crate::conn::{Conn, ConnBuffers, ConnEvent, SegmentOut, TimerKind, TimerRequest};
 
 /// Timer-token tags (top 2 bits of the token).
 const TAG_CONN: u64 = 0;
@@ -39,6 +39,45 @@ fn disarm(armed: &mut Option<EventHandle>, ctx: &mut Ctx<'_>) {
     if let Some(handle) = armed.take() {
         let was_pending = ctx.cancel_timer(handle);
         debug_assert!(was_pending, "armed handle of a timer that already fired");
+    }
+}
+
+/// A connection slot: a live connection, or — once it is reaped — the
+/// buffers it left for the next connection opened in the slot.
+enum Slot {
+    Live(Conn),
+    Free(ConnBuffers),
+}
+
+impl Slot {
+    fn live(&self) -> Option<&Conn> {
+        match self {
+            Slot::Live(conn) => Some(conn),
+            Slot::Free(_) => None,
+        }
+    }
+
+    fn live_mut(&mut self) -> Option<&mut Conn> {
+        match self {
+            Slot::Live(conn) => Some(conn),
+            Slot::Free(_) => None,
+        }
+    }
+
+    /// Installs the connection `open` builds over the buffers the slot's
+    /// last tenant left.
+    fn open(&mut self, open: impl FnOnce(ConnBuffers) -> Conn) {
+        let Slot::Free(bufs) = std::mem::replace(self, Slot::Free(ConnBuffers::default())) else {
+            panic!("connection opened over a live one");
+        };
+        *self = Slot::Live(open(bufs));
+    }
+
+    /// Retires the tenant, keeping its buffers for the next.
+    fn reap(&mut self) {
+        if let Slot::Live(conn) = std::mem::replace(self, Slot::Free(ConnBuffers::default())) {
+            *self = Slot::Free(conn.into_buffers());
+        }
     }
 }
 
@@ -106,7 +145,7 @@ pub struct Host {
     cfg: HostConfig,
     mac: MacAddr,
     uplink: LinkId,
-    conns: Vec<Option<Conn>>,
+    conns: Vec<Slot>,
     /// Handle of the pending timer per (conn, kind), `None` = disarmed.
     /// Cleared when the timer fires, is cancelled or replaced, and when
     /// the connection is reaped.
@@ -170,12 +209,12 @@ impl Host {
 
     /// Immutable access to a connection (tests and experiments).
     pub fn conn(&self, id: ConnId) -> Option<&Conn> {
-        self.conns.get(id.0 as usize).and_then(|c| c.as_ref())
+        self.conns.get(id.0 as usize).and_then(Slot::live)
     }
 
     /// Number of live connections.
     pub fn live_conns(&self) -> usize {
-        self.conns.iter().filter(|c| c.is_some()).count()
+        self.conns.iter().filter(|c| c.live().is_some()).count()
     }
 
     /// Downcast helper: immutable access to the hosted application.
@@ -188,13 +227,14 @@ impl Host {
         ip == self.cfg.ip || self.cfg.extra_ips.contains(&ip)
     }
 
-    fn alloc_conn(&mut self, conn: Conn) -> usize {
+    /// Opens a connection in the lowest free slot: `open` builds it over
+    /// the buffers the slot's previous tenant left behind.
+    fn alloc_conn(&mut self, open: impl FnOnce(ConnBuffers) -> Conn) -> usize {
         self.stats.conns_opened += 1;
         // Reuse a free slot if available: reaping cancelled the previous
         // tenant's timers, so none can fire into the new connection.
-        if let Some(idx) = self.conns.iter().position(|c| c.is_none()) {
+        let idx = if let Some(idx) = self.conns.iter().position(|c| c.live().is_none()) {
             debug_assert_eq!(self.armed[idx], [None; 3], "reaped slot left a timer armed");
-            self.conns[idx] = Some(conn);
             self.conn_traces[idx] = [0; 2];
             idx
         } else {
@@ -203,11 +243,13 @@ impl Host {
                 u32::try_from(idx).is_ok(),
                 "connection index {idx} does not fit ConnId and the timer token"
             );
-            self.conns.push(Some(conn));
+            self.conns.push(Slot::Free(ConnBuffers::default()));
             self.armed.push([None; 3]);
             self.conn_traces.push([0; 2]);
             idx
-        }
+        };
+        self.conns[idx].open(open);
+        idx
     }
 
     fn incoming_key(conn: &Conn) -> FlowKey {
@@ -239,7 +281,7 @@ impl Host {
         }
         let key = view.flow();
         if let Some(&idx) = self.by_flow.get(&key) {
-            if let Some(conn) = self.conns[idx].as_mut() {
+            if let Some(conn) = self.conns[idx].live_mut() {
                 if ctx.spans_enabled() && pkt.span() != 0 {
                     if view.payload.is_empty() {
                         ctx.record_hop(pkt.span(), HopKind::TcpAck, u64::from(view.tcp.ack), 0);
@@ -261,15 +303,18 @@ impl Host {
         let flags = view.tcp.flags;
         if flags.is_syn_only() && self.listeners.contains(&view.tcp.dst_port) {
             let iss: u32 = self.rng.gen();
-            let conn = Conn::server_accept(
-                (view.ip.dst, view.tcp.dst_port),
-                (view.ip.src, view.tcp.src_port),
-                self.cfg.tcp,
-                iss,
-                view.tcp.seq,
-                ctx.now(),
-            );
-            let idx = self.alloc_conn(conn);
+            let (tcp, now) = (self.cfg.tcp, ctx.now());
+            let idx = self.alloc_conn(|bufs| {
+                Conn::server_accept(
+                    (view.ip.dst, view.tcp.dst_port),
+                    (view.ip.src, view.tcp.src_port),
+                    tcp,
+                    iss,
+                    view.tcp.seq,
+                    now,
+                    bufs,
+                )
+            });
             self.by_flow.insert(key, idx);
             self.enqueue(idx);
             drop(view);
@@ -343,7 +388,7 @@ impl Host {
         let mut reqs = std::mem::take(&mut self.scratch_reqs);
         let mut events = std::mem::take(&mut self.scratch_events);
         while let Some(idx) = self.pending.pop_front() {
-            let Some(conn) = self.conns[idx].as_mut() else {
+            let Some(conn) = self.conns[idx].live_mut() else {
                 continue;
             };
             conn.take_segments_into(&mut segs);
@@ -386,7 +431,7 @@ impl Host {
                 self.dispatch_event(ctx, idx, ev);
             }
 
-            let Some(conn) = self.conns[idx].as_mut() else {
+            let Some(conn) = self.conns[idx].live_mut() else {
                 continue;
             };
             if conn.has_output() {
@@ -397,7 +442,7 @@ impl Host {
                 self.stats.timeouts += conn.stats.timeouts;
                 self.ports_in_use.remove(&conn.local().1);
                 self.by_flow.remove(&key);
-                self.conns[idx] = None;
+                self.conns[idx].reap();
                 // Before the slot can be reused: a timer of this
                 // connection must not fire into the next one.
                 for armed in &mut self.armed[idx] {
@@ -440,7 +485,7 @@ impl Host {
         seg: &SegmentOut,
         pool: &mut netpkt::BufferPool,
     ) -> Packet {
-        let conn = self.conns[idx].as_ref().expect("segment from live conn");
+        let conn = self.conns[idx].live().expect("segment from live conn");
         let (lip, lport) = conn.local();
         let (rip, rport) = conn.remote();
         let ident = self.next_ident;
@@ -517,7 +562,7 @@ impl Node for Host {
                 let fired = self.armed[idx][kind_idx].take();
                 assert!(fired.is_some(), "connection timer fired while disarmed");
                 let conn = self.conns[idx]
-                    .as_mut()
+                    .live_mut()
                     .expect("connection timer outlived its connection");
                 match kind_idx {
                     0 => {
@@ -589,15 +634,11 @@ impl HostIo for Io<'_, '_> {
         self.host.next_port = if port == u16::MAX { PORT_MIN } else { port + 1 };
         self.host.ports_in_use.insert(port);
         let iss: u32 = self.host.rng.gen();
-        let conn = Conn::client(
-            (self.host.cfg.ip, port),
-            (remote_ip, remote_port),
-            self.host.cfg.tcp,
-            iss,
-            self.ctx.now(),
-        );
-        let key = Host::incoming_key(&conn);
-        let idx = self.host.alloc_conn(conn);
+        let (local, tcp, now) = ((self.host.cfg.ip, port), self.host.cfg.tcp, self.ctx.now());
+        let idx = self
+            .host
+            .alloc_conn(|bufs| Conn::client(local, (remote_ip, remote_port), tcp, iss, now, bufs));
+        let key = FlowKey::new(remote_ip, remote_port, local.0, local.1);
         self.host.by_flow.insert(key, idx);
         self.host.enqueue(idx);
         ConnId(idx as u32)
@@ -610,7 +651,7 @@ impl HostIo for Io<'_, '_> {
     fn send(&mut self, conn: ConnId, data: &[u8]) {
         let idx = conn.0 as usize;
         let c = self.host.conns[idx]
-            .as_mut()
+            .live_mut()
             .unwrap_or_else(|| panic!("send on dead {conn}"));
         c.app_send(self.ctx.now(), data);
         self.host.enqueue(idx);
@@ -618,7 +659,7 @@ impl HostIo for Io<'_, '_> {
 
     fn close(&mut self, conn: ConnId) {
         let idx = conn.0 as usize;
-        if let Some(c) = self.host.conns[idx].as_mut() {
+        if let Some(c) = self.host.conns[idx].live_mut() {
             c.app_close(self.ctx.now());
             self.host.enqueue(idx);
         }
@@ -632,7 +673,7 @@ impl HostIo for Io<'_, '_> {
 
     fn send_backlog(&self, conn: ConnId) -> usize {
         self.host.conns[conn.0 as usize]
-            .as_ref()
+            .live()
             .map(|c| c.send_backlog())
             .unwrap_or(0)
     }
@@ -659,14 +700,14 @@ impl HostIo for Io<'_, '_> {
 
     fn local_addr(&self, conn: ConnId) -> (Ipv4Addr, u16) {
         self.host.conns[conn.0 as usize]
-            .as_ref()
+            .live()
             .unwrap_or_else(|| panic!("local_addr on dead {conn}"))
             .local()
     }
 
     fn remote_addr(&self, conn: ConnId) -> (Ipv4Addr, u16) {
         self.host.conns[conn.0 as usize]
-            .as_ref()
+            .live()
             .unwrap_or_else(|| panic!("remote_addr on dead {conn}"))
             .remote()
     }

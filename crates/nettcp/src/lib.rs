@@ -40,5 +40,5 @@ pub mod seq;
 
 pub use app::{App, ConnId, HostIo};
 pub use config::{DelayedAck, Pacing, TcpConfig};
-pub use conn::{Conn, ConnState};
+pub use conn::{Conn, ConnBuffers, ConnState};
 pub use host::{Host, HostConfig};

@@ -8,7 +8,7 @@ use std::net::Ipv4Addr;
 
 use netpkt::TcpHeader;
 use netsim::{Duration, Time};
-use nettcp::conn::{Conn, ConnEvent, ConnState, SegmentOut};
+use nettcp::conn::{Conn, ConnBuffers, ConnEvent, ConnState, SegmentOut, TimerRequest};
 use nettcp::TcpConfig;
 use proptest::prelude::*;
 
@@ -58,10 +58,10 @@ struct Pipe {
 impl Pipe {
     fn new(cfg: TcpConfig) -> Pipe {
         let now = Time::ZERO;
-        let a = Conn::client(A, B, cfg, 1000, now);
+        let a = Conn::client(A, B, cfg, 1000, now, ConnBuffers::default());
         // The SYN is in a's out queue; b is created lazily on SYN receipt
         // in the host — here we preconstruct it from the known ISS.
-        let b = Conn::server_accept(B, A, cfg, 9000, 1000, now);
+        let b = Conn::server_accept(B, A, cfg, 9000, 1000, now, ConnBuffers::default());
         let mut p = Pipe {
             a,
             b,
@@ -280,7 +280,7 @@ fn lost_data_recovers_via_rto() {
 #[test]
 fn repeated_timeouts_abort_the_connection() {
     let cfg = TcpConfig::default();
-    let mut c = Conn::client(A, B, cfg, 1, Time::ZERO);
+    let mut c = Conn::client(A, B, cfg, 1, Time::ZERO, ConnBuffers::default());
     let _ = take_segments(&mut c); // SYN leaves, peer never answers
     let mut now = Time::ZERO;
     for _ in 0..12 {
@@ -301,7 +301,7 @@ fn repeated_timeouts_abort_the_connection() {
 #[test]
 fn duplicate_syn_gets_synack_again() {
     let cfg = TcpConfig::default();
-    let mut b = Conn::server_accept(B, A, cfg, 9000, 1000, Time::ZERO);
+    let mut b = Conn::server_accept(B, A, cfg, 9000, 1000, Time::ZERO, ConnBuffers::default());
     let first = take_segments(&mut b);
     assert_eq!(first.len(), 1);
     assert!(first[0].0.flags.contains(netpkt::TcpFlags::SYN));
@@ -329,9 +329,9 @@ fn transfer_across_sequence_wraparound() {
     let cfg = TcpConfig::default();
     let now = Time::ZERO;
     let iss = u32::MAX - 5_000; // wraps after ~5 KB
-    let mut a = Conn::client(A, B, cfg, iss, now);
+    let mut a = Conn::client(A, B, cfg, iss, now, ConnBuffers::default());
     let _ = take_segments(&mut a);
-    let b = Conn::server_accept(B, A, cfg, 9000, iss, now);
+    let b = Conn::server_accept(B, A, cfg, 9000, iss, now, ConnBuffers::default());
     let mut p = PipeRaw { a, b, now };
     p.pump();
     assert_eq!(p.a.state(), ConnState::Established);
@@ -468,7 +468,7 @@ fn rtt_samples_reflect_pipe_delay() {
 fn out_of_order_delivery_is_reassembled() {
     // Manually feed b two segments in reverse order.
     let cfg = TcpConfig::default();
-    let mut b = Conn::server_accept(B, A, cfg, 9000, 1000, Time::ZERO);
+    let mut b = Conn::server_accept(B, A, cfg, 9000, 1000, Time::ZERO, ConnBuffers::default());
     let _ = take_segments(&mut b);
     // Complete the handshake from a's perspective: a's ACK.
     let ack = TcpHeader {
@@ -514,7 +514,7 @@ fn out_of_order_delivery_is_reassembled() {
 #[test]
 fn overlapping_retransmission_not_double_delivered() {
     let cfg = TcpConfig::default();
-    let mut b = Conn::server_accept(B, A, cfg, 9000, 1000, Time::ZERO);
+    let mut b = Conn::server_accept(B, A, cfg, 9000, 1000, Time::ZERO, ConnBuffers::default());
     let _ = take_segments(&mut b);
     let base = TcpHeader {
         src_port: A.1,
@@ -636,10 +636,10 @@ proptest! {
         let cfg = TcpConfig { nagle, ..TcpConfig::default() };
         let (a_iss, b_iss) = (u32::MAX - a_back, u32::MAX - b_back);
         let mut now = Time::ZERO;
-        let mut a = Side::new(Conn::client(A, B, cfg, a_iss, now), a_iss, a_writes);
+        let mut a = Side::new(Conn::client(A, B, cfg, a_iss, now, ConnBuffers::default()), a_iss, a_writes);
         // As in `Pipe::new`: b is built as if a's first SYN had arrived.
         let _ = a.drain();
-        let mut b = Side::new(Conn::server_accept(B, A, cfg, b_iss, a_iss, now), b_iss, b_writes);
+        let mut b = Side::new(Conn::server_accept(B, A, cfg, b_iss, a_iss, now, ConnBuffers::default()), b_iss, b_writes);
         let (a_total, b_total): (usize, usize) =
             (a.writes.iter().sum(), b.writes.iter().sum());
 
@@ -733,4 +733,153 @@ fn reading_a_segment_after_its_ack_panics() {
     };
     p.a.on_segment(p.now, &ack, bytes::Bytes::new());
     let _ = p.a.segment_payload(&data);
+}
+
+// ---------------------------------------------------------------- recycled buffers
+//
+// A host builds each new connection over the buffers its slot's previous
+// tenant left (`Conn::into_buffers` at reap). Only capacity may carry
+// over: the next connection must behave exactly like one built over
+// fresh buffers.
+
+/// Everything one drain hands the host: segments with their payload
+/// bytes, timer requests and events — taken the capacity-keeping way the
+/// host takes them.
+type Drained = (
+    Vec<(SegmentOut, bytes::Bytes)>,
+    Vec<TimerRequest>,
+    Vec<ConnEvent>,
+);
+
+fn drain_all(conn: &mut Conn) -> Drained {
+    let segs = take_segments(conn);
+    let (mut reqs, mut events) = (Vec::new(), Vec::new());
+    conn.take_timer_requests_into(&mut reqs);
+    conn.take_events_into(&mut events);
+    (segs, reqs, events)
+}
+
+/// The buffers of two connections that have been through everything:
+/// the client's data lost, reordered and recovered by an RTO, a delayed
+/// ACK, and a graceful close, with the last drain never taken; and a
+/// server reset while 30 KB of its response were still queued.
+fn worn_buffers() -> (ConnBuffers, ConnBuffers) {
+    let cfg = TcpConfig {
+        delayed_ack: nettcp::DelayedAck::Enabled {
+            max_delay: Duration::from_millis(1),
+        },
+        ..TcpConfig::default()
+    };
+    let mut p = Pipe::new(cfg);
+    p.run();
+    // Loss and reordering: of four segments the first is lost and the
+    // rest arrive last-first; the RTO's retransmission fills the hole.
+    p.a.app_send(p.now, &[5u8; 3 * 1400 + 100]);
+    let segs = take_segments(&mut p.a);
+    assert_eq!(segs.len(), 4);
+    for (seg, payload) in segs.into_iter().skip(1).rev() {
+        p.b.on_segment(p.now, &hdr_of(A, B, &seg), payload);
+    }
+    assert_eq!(p.b.stats.ooo_segments, 3);
+    p.now += Duration::from_millis(300);
+    p.a.on_rto(p.now);
+    p.run();
+    assert_eq!(p.a.stats.timeouts, 1);
+    assert_eq!(data_of(&p.events(false)).len(), 3 * 1400 + 100);
+    // A delayed ACK: one in-order segment is held until its timer.
+    p.a.app_send(p.now, b"held");
+    p.run();
+    let delayed = p.b.stats.acks_delayed;
+    p.b.on_delack(p.now);
+    p.run();
+    assert_eq!(p.b.stats.acks_delayed, delayed + 1);
+    // Graceful close, active at a.
+    p.a.app_close(p.now);
+    p.run();
+    p.b.app_close(p.now);
+    p.run();
+    assert!(p.a.is_closed() && p.b.is_closed());
+    assert!(
+        p.a.has_output(),
+        "the last drain must be left to into_buffers"
+    );
+    let a = p.a.into_buffers();
+
+    let mut server = Conn::server_accept(B, A, cfg, 77, 1000, Time::ZERO, p.b.into_buffers());
+    server.app_send(Time::ZERO, &[6u8; 30_000]);
+    server.on_segment(
+        Time::ZERO,
+        &TcpHeader {
+            src_port: A.1,
+            dst_port: B.1,
+            seq: 1001,
+            ack: 0,
+            flags: netpkt::TcpFlags::RST,
+            window: 0,
+        },
+        bytes::Bytes::new(),
+    );
+    assert!(server.is_closed() && server.send_backlog() == 30_000);
+    (a, server.into_buffers())
+}
+
+/// A scripted exchange between a client over `a_bufs` and a server over
+/// `b_bufs` — handshake, request, delayed-ACK flushes, response, close —
+/// and everything both hand their host along the way.
+fn scripted_exchange(a_bufs: ConnBuffers, b_bufs: ConnBuffers) -> Vec<(Drained, Drained)> {
+    let cfg = TcpConfig {
+        delayed_ack: nettcp::DelayedAck::Enabled {
+            max_delay: Duration::from_millis(1),
+        },
+        ..TcpConfig::default()
+    };
+    let mut now = Time::ZERO;
+    let mut a = Conn::client(A, B, cfg, 4242, now, a_bufs);
+    let mut b = Conn::server_accept(B, A, cfg, 9000, 4242, now, b_bufs);
+    let mut log = Vec::new();
+    for step in 0..60u32 {
+        now += Duration::from_micros(50);
+        match step {
+            3 => a.app_send(now, &[1u8; 2000]),
+            8 => b.app_send(now, &[2u8; 300]),
+            12 => a.app_close(now),
+            _ => {}
+        }
+        if step % 5 == 4 {
+            a.on_delack(now);
+            b.on_delack(now);
+        }
+        let (da, db) = (drain_all(&mut a), drain_all(&mut b));
+        if db.2.contains(&ConnEvent::Closed) {
+            b.app_close(now);
+        }
+        // Step 0: a's SYN is the one `b` was accepted from.
+        if step > 0 {
+            for (seg, payload) in &da.0 {
+                b.on_segment(now, &hdr_of(A, B, seg), payload.clone());
+            }
+        }
+        for (seg, payload) in &db.0 {
+            a.on_segment(now, &hdr_of(B, A, seg), payload.clone());
+        }
+        log.push((da, db));
+    }
+    assert!(
+        a.is_closed() && b.is_closed(),
+        "{:?} / {:?}",
+        a.state(),
+        b.state()
+    );
+    log
+}
+
+#[test]
+fn a_recycled_connection_is_a_fresh_connection() {
+    let (a_bufs, b_bufs) = worn_buffers();
+    let fresh = scripted_exchange(ConnBuffers::default(), ConnBuffers::default());
+    let recycled = scripted_exchange(a_bufs, b_bufs);
+    assert_eq!(fresh.len(), recycled.len());
+    for (step, (f, r)) in fresh.iter().zip(&recycled).enumerate() {
+        assert_eq!(f, r, "step {step}");
+    }
 }

@@ -71,7 +71,7 @@ impl Default for MemtierConfig {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ConnTracker {
     decoder: KvDecoder,
     /// request id → (issue time ns, was GET).
@@ -82,13 +82,23 @@ struct ConnTracker {
 }
 
 impl ConnTracker {
-    fn new() -> ConnTracker {
+    /// A fresh tracker for the next connection over this one's buffers:
+    /// the decoder keeps its capacity, and an empty `outstanding` map its
+    /// root node (which `BTreeMap::clear` would free).
+    fn recycled(self) -> ConnTracker {
+        let ConnTracker {
+            mut decoder,
+            mut outstanding,
+            ..
+        } = self;
+        decoder.reset();
+        if !outstanding.is_empty() {
+            outstanding.clear();
+        }
         ConnTracker {
-            decoder: KvDecoder::new(),
-            outstanding: BTreeMap::new(),
-            issued: 0,
-            completed: 0,
-            closing: false,
+            decoder,
+            outstanding,
+            ..ConnTracker::default()
         }
     }
 }
@@ -148,9 +158,9 @@ impl MemtierClient {
         }
     }
 
-    fn open_conn(&mut self, io: &mut dyn HostIo) {
+    fn open_conn(&mut self, io: &mut dyn HostIo, tracker: ConnTracker) {
         let id = io.connect(self.cfg.vip, self.cfg.port);
-        self.conns.insert(id, ConnTracker::new());
+        self.conns.insert(id, tracker);
         self.stats.conns_opened += 1;
     }
 
@@ -243,7 +253,7 @@ impl MemtierClient {
 impl App for MemtierClient {
     fn on_start(&mut self, io: &mut dyn HostIo) {
         for _ in 0..self.cfg.connections {
-            self.open_conn(io);
+            self.open_conn(io, ConnTracker::default());
         }
     }
 
@@ -293,8 +303,9 @@ impl App for MemtierClient {
                 self.stats.conns_broken += 1;
                 self.stats.requests_lost += tracker.outstanding.len() as u64;
             }
-            // Keep the connection count constant: reopen.
-            self.open_conn(io);
+            // Keep the connection count constant: reopen, over the
+            // closed connection's buffers.
+            self.open_conn(io, tracker.recycled());
         }
     }
 

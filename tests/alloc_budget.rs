@@ -2,11 +2,14 @@
 //!
 //! The Fig. 3 cluster runs 100 ms to warm up (connections open, buffers
 //! and the packet pool grow to their working size), then the next 200 ms
-//! are counted: allocator calls ÷ requests completed must stay under 0.5.
-//! What is left at ≈ 0.12 is connection churn — every 200th request
-//! closes its connection and opens a fresh one. Before the send queue,
-//! the KV codec and the pool stopped allocating per segment, message and
-//! frame, this ratio was ≈ 20.
+//! are counted: allocator calls ÷ requests completed must stay under 0.08.
+//! Every 200th request closes its connection and opens a fresh one, and a
+//! new connection is built over the buffers the closed one left (its
+//! send and host queues, the client's tracker, the server's decoder), so
+//! what is left at ≈ 0.054 is `BTreeMap` node churn in the per-connection
+//! maps and first-use growth. Before connection state was recycled it was
+//! ≈ 0.12; before the send queue, the KV codec and the pool stopped
+//! allocating per segment, message and frame, it was ≈ 20.
 //!
 //! A binary of its own with a single test: the counting allocator is
 //! process-wide, so nothing else may run beside the measured region.
@@ -21,7 +24,7 @@ use netsim::Duration;
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-const BUDGET_ALLOCS_PER_REQUEST: f64 = 0.5;
+const BUDGET_ALLOCS_PER_REQUEST: f64 = 0.08;
 
 #[test]
 fn a_steady_state_request_stays_inside_the_allocation_budget() {

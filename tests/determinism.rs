@@ -135,6 +135,43 @@ fn multilb_trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
     digest(&multilb_cluster(seed, sim_ms).sim)
 }
 
+/// Runs EXP-CONGESTION's cluster for 600 ms with packet tracing on:
+/// backend 0 has the faster servers behind a 150 Mb/s bottleneck, and a
+/// UDP blaster offers 200 Mb/s of 256-byte datagrams in 20 ms bursts
+/// every 60 ms. The bottleneck queue holds a few hundred frames during a
+/// burst and drop-tail discards the overflow, so hundreds of deliveries
+/// are in flight on one link at once.
+fn congestion_cluster(seed: u64) -> KvCluster {
+    let cfg = Fig3Config {
+        duration: Duration::from_millis(600),
+        seed,
+        ..Fig3Config::default()
+    };
+    let mut cluster_cfg = cfg.cluster(true);
+    for (backend, median) in [(0, 40_000), (1, 80_000)] {
+        cluster_cfg.backends[backend].service =
+            backend::ServiceDist::LogNormal { median, sigma: 0.3 };
+    }
+    cluster_cfg.congestion = Some(experiments::kv::CongestionConfig {
+        backend: 0,
+        bottleneck_bps: 150_000_000,
+        queue_bytes: 64 * 1024,
+        blaster: netsim::blaster::BlasterConfig {
+            rate_bps: 200_000_000,
+            payload: 256,
+            duty_cycle: Some((Duration::from_millis(20), Duration::from_millis(40))),
+            ..netsim::blaster::BlasterConfig::default()
+        },
+    });
+    let mut cluster = KvCluster::build(cluster_cfg);
+    cluster.sim.enable_trace(1 << 22);
+    cluster.run(&experiments::kv::Timeline {
+        duration: cfg.duration,
+        ..experiments::kv::Timeline::default()
+    });
+    cluster
+}
+
 /// Runs the Fig. 2 bulk-transfer scenario (one window-limited TCP flow
 /// through the LB) for 300 ms and hashes the trace. Covers the nettcp
 /// retransmit/ACK machinery and the LB forwarding path without the KV
@@ -323,6 +360,32 @@ fn bulk_trace_hash_is_pinned() {
         bulk_trace_hash(7),
         (0x3043_0b41_5f00_79ae, 24_742),
         "bulk packet schedule changed",
+    );
+}
+
+/// EXP-CONGESTION cluster, seed 42, 600 ms: pinned packet schedule,
+/// simulator counters and peak queue occupancy. The run that keeps the
+/// event queue deepest: a congested bottleneck with drop-tail losses.
+#[test]
+fn congestion_trace_hash_is_pinned() {
+    let cluster = congestion_cluster(42);
+    let drops = cluster
+        .sim
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| e.kind == netsim::TraceKind::Drop)
+        .count();
+    assert_eq!(drops, 2_796, "the bottleneck's drop-tail losses changed");
+    assert_eq!(
+        digest(&cluster.sim),
+        (0xcf96_1cf1_f46c_0bc1, 881_068),
+        "congestion packet schedule changed",
+    );
+    assert_eq!(
+        (sim_counts(&cluster.sim), cluster.sim.stats().queue_peak),
+        ((644_641, 439_127, 205_514, 70_033), 283),
+        "congestion simulator counters or queue peak changed",
     );
 }
 

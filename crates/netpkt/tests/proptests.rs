@@ -306,7 +306,7 @@ fn decode_fragmented(messages: &[KvMessage], total: usize, cuts: &[usize]) -> Re
     let mut cut_iter = cuts.iter().cycle();
     let (mut encoded, mut decoded, mut max_backlog) = (0usize, 0usize, 0usize);
     while decoded < total {
-        let take = *cut_iter.next().expect("cycle of non-empty slice");
+        let take = *cut_iter.next().ok_or("no cut sizes")?;
         while wire.len() < take && encoded < total {
             messages[encoded % messages.len()].encode_into(&mut wire);
             encoded += 1;

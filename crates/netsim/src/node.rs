@@ -245,9 +245,18 @@ impl Ctx<'_> {
         )
     }
 
-    /// Arms a timer at an absolute instant (must not be in the past).
+    /// Arms a timer at an absolute instant.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past: the timer would move the clock
+    /// backwards.
     pub fn arm_timer_at(&mut self, at: Time, token: TimerToken) -> EventHandle {
-        debug_assert!(at >= self.now, "timer armed in the past");
+        assert!(
+            at >= self.now,
+            "timer armed at {} ns, before the clock at {} ns",
+            at.as_nanos(),
+            self.now.as_nanos()
+        );
         self.queue.push(
             at,
             EventKind::Timer {

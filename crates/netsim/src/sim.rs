@@ -189,7 +189,12 @@ impl Simulation {
     /// of `link` at absolute time `at`. `from` names the transmitting side
     /// of the affected direction. This is the mechanism experiments use to
     /// inject server-path latency mid-run.
+    ///
+    /// # Panics
+    /// Panics if `at` is before the current clock, as do the other
+    /// `schedule_*` methods: the event would move the clock backwards.
     pub fn schedule_extra_delay(&mut self, at: Time, link: LinkId, from: NodeId, extra: Duration) {
+        self.assert_not_past(at);
         let a_to_b = self.direction_of(link, from);
         self.queue.push(
             at,
@@ -198,6 +203,16 @@ impl Simulation {
                 a_to_b,
                 extra_nanos: extra.as_nanos(),
             },
+        );
+    }
+
+    /// Rejects a scripted event at an instant the clock has passed.
+    fn assert_not_past(&self, at: Time) {
+        assert!(
+            at >= self.now,
+            "event scheduled at {} ns, before the clock at {} ns",
+            at.as_nanos(),
+            self.now.as_nanos()
         );
     }
 
@@ -220,6 +235,7 @@ impl Simulation {
     /// building a [`crate::fault::FaultSchedule`] over calling this
     /// directly.
     pub fn schedule_node_down(&mut self, at: Time, node: NodeId, down: bool) {
+        self.assert_not_past(at);
         assert!(
             (node.0 as usize) < self.nodes.len(),
             "unknown node {node} in fault schedule"
@@ -229,6 +245,7 @@ impl Simulation {
 
     /// Schedules a link flap (`down = true`) or recovery at `at`.
     pub fn schedule_link_down(&mut self, at: Time, link: LinkId, down: bool) {
+        self.assert_not_past(at);
         assert!(
             (link.0 as usize) < self.links.len(),
             "unknown link {link} in fault schedule"
@@ -245,6 +262,7 @@ impl Simulation {
         from: NodeId,
         cfg: Option<ImpairmentConfig>,
     ) {
+        self.assert_not_past(at);
         let a_to_b = self.direction_of(link, from);
         self.queue
             .push(at, EventKind::SetLinkImpairment { link, a_to_b, cfg });
@@ -602,6 +620,66 @@ mod tests {
             }),
         );
         sim.max_events = 1000;
+        sim.run_to_completion();
+    }
+
+    /// Runs an idle two-node simulation to 5 ms, then hands `schedule` an
+    /// instant 1 ms behind the clock.
+    fn schedule_in_the_past(schedule: impl FnOnce(&mut Simulation, Time, LinkId, NodeId)) {
+        let mut sim = Simulation::new();
+        let a = sim.reserve_node("a");
+        let b = sim.add_node("b", Box::new(Pinger::new(0)));
+        let link = sim.add_link(a, b, LinkConfig::default());
+        sim.install_node(a, Box::new(Pinger::new(0)));
+        sim.run_until(Time::from_nanos(5_000_000));
+        schedule(&mut sim, Time::from_nanos(4_000_000), link, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "event scheduled at 4000000 ns, before the clock at 5000000 ns")]
+    fn extra_delay_in_the_past_panics() {
+        schedule_in_the_past(|sim, at, link, a| {
+            sim.schedule_extra_delay(at, link, a, Duration::from_millis(1));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "event scheduled at 4000000 ns, before the clock at 5000000 ns")]
+    fn node_down_in_the_past_panics() {
+        schedule_in_the_past(|sim, at, _, a| sim.schedule_node_down(at, a, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "event scheduled at 4000000 ns, before the clock at 5000000 ns")]
+    fn link_down_in_the_past_panics() {
+        schedule_in_the_past(|sim, at, link, _| sim.schedule_link_down(at, link, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "event scheduled at 4000000 ns, before the clock at 5000000 ns")]
+    fn link_impairment_in_the_past_panics() {
+        schedule_in_the_past(|sim, at, link, a| sim.schedule_link_impairment(at, link, a, None));
+    }
+
+    /// Arms a timer 1 ns behind the clock when its first timer fires.
+    struct LateArmer;
+
+    impl Node for LateArmer {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.arm_timer(Duration::from_micros(3), TimerToken(1));
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _link: LinkId, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
+            let at = Time::from_nanos(ctx.now().as_nanos() - 1);
+            ctx.arm_timer_at(at, TimerToken(2));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "timer armed at 2999 ns, before the clock at 3000 ns")]
+    fn timer_armed_in_the_past_panics() {
+        let mut sim = Simulation::new();
+        sim.add_node("late", Box::new(LateArmer));
         sim.run_to_completion();
     }
 

@@ -44,6 +44,10 @@ fn disarm(armed: &mut Option<EventHandle>, ctx: &mut Ctx<'_>) {
 
 /// A connection slot: a live connection, or — once it is reaped — the
 /// buffers it left for the next connection opened in the slot.
+// `Live` is much the larger variant, and that is the point: boxing
+// `Conn` would put back the allocation per opened connection that
+// reusing the slot's buffers removed.
+#[allow(clippy::large_enum_variant)]
 enum Slot {
     Live(Conn),
     Free(ConnBuffers),

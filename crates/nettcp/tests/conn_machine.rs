@@ -361,7 +361,7 @@ impl PipeRaw {
             if a_out.is_empty() && b_out.is_empty() {
                 break;
             }
-            self.now = self.now + Duration::from_micros(10);
+            self.now += Duration::from_micros(10);
             for (seg, payload) in a_out {
                 let hdr = hdr_of(A, B, &seg);
                 self.b.on_segment(self.now, &hdr, payload);

@@ -48,10 +48,11 @@ echo "==> simlint self-tests"
 cargo test -q -p simlint
 
 # Clippy's whole default set, warnings denied, tests included, on the
-# crates whose lint debt is paid (lbcore, lb-dataplane, telemetry,
+# crates whose lint debt is paid (the hot-path crates netsim, nettcp,
+# netpkt, workload and backend; lbcore, lb-dataplane, telemetry,
 # experiments, scenariofuzz, bench and the root package inband-lb with
 # its integration tests and examples).
-paid_up="-p lbcore -p lb-dataplane -p telemetry -p experiments -p scenariofuzz -p bench -p inband-lb"
+paid_up="-p netsim -p nettcp -p netpkt -p workload -p backend -p lbcore -p lb-dataplane -p telemetry -p experiments -p scenariofuzz -p bench -p inband-lb"
 echo "==> cargo clippy $paid_up --all-targets -- -D warnings"
 # shellcheck disable=SC2086 # $paid_up is a list of flags
 cargo clippy --offline --no-deps $paid_up --all-targets -- -D warnings
@@ -74,9 +75,10 @@ cargo test -q --release --test determinism --test dsr_invariants \
     --test observability --test fuzz_regressions --test alloc_budget
 cargo test -q -p lbcore --test proptests
 cargo test -q -p netsim --test ecmp_proptests
-# The event queue's indexed heap against an ordered-map model (pop
-# order, cancel results, slot <-> heap-position consistency after every
-# operation): every simulated number rests on it.
+# The event queue (timing wheel plus indexed heap) against an
+# ordered-map model (pop order, cancel results, bucket lists, occupancy
+# bitmap and slot <-> heap-position consistency after every operation):
+# every simulated number rests on it.
 cargo test -q -p netsim --test queue_proptests
 # The telemetry unit layer (the packed record log, the journal and hop
 # schemas, NDJSON, the critical-path walk) and the span analyzer (span

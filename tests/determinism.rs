@@ -173,17 +173,17 @@ fn congestion_cluster(seed: u64) -> KvCluster {
 }
 
 /// Runs the Fig. 2 bulk-transfer scenario (one window-limited TCP flow
-/// through the LB) for 300 ms and hashes the trace. Covers the nettcp
+/// through the LB) for 300 ms with packet tracing on. Covers the nettcp
 /// retransmit/ACK machinery and the LB forwarding path without the KV
 /// application on top.
-fn bulk_trace_hash(seed: u64) -> (u64, usize) {
+fn bulk_sim(seed: u64) -> netsim::Simulation {
     use experiments::{BacklogScenario, BacklogScenarioConfig};
     let mut cfg = BacklogScenarioConfig::fig2_defaults();
     cfg.seed = seed;
     let mut scenario = BacklogScenario::build(cfg);
     scenario.sim.enable_trace(1 << 21);
     scenario.sim.run_for(Duration::from_millis(300));
-    digest(&scenario.sim)
+    scenario.sim
 }
 
 /// Same seed → bit-identical packet schedule, event for event.
@@ -353,13 +353,22 @@ fn chaos_lb_counters_are_pinned() {
     );
 }
 
-/// Fig. 2 bulk transfer, seed 7, 300 ms: pinned packet schedule.
+/// Fig. 2 bulk transfer, seed 7, 300 ms: pinned packet schedule,
+/// simulator counters and peak queue occupancy. The timer counts hold
+/// nettcp's retransmission-timer arm and cancel path on one flow, which
+/// no KV pin isolates.
 #[test]
 fn bulk_trace_hash_is_pinned() {
+    let sim = bulk_sim(7);
     assert_eq!(
-        bulk_trace_hash(7),
+        digest(&sim),
         (0x3043_0b41_5f00_79ae, 24_742),
         "bulk packet schedule changed",
+    );
+    assert_eq!(
+        (sim_counts(&sim), sim.stats().queue_peak),
+        ((17_615, 12_369, 5_246, 4_947), 10),
+        "bulk simulator counters or queue peak changed",
     );
 }
 

@@ -30,6 +30,7 @@
 
 use bench::lbtrace::{summary_shards, Trace};
 use bench::spans::{critical_path_table, error_budget, error_budget_table, SpanCapture};
+use bench::Cli;
 
 const USAGE: &str = "usage: lbtrace summary       FILE [FILE...]
        lbtrace samples       FILE [--backend B] [--limit N]
@@ -54,6 +55,19 @@ fn load_trace(path: &str) -> Trace {
     trace
 }
 
+/// `backend` if the capture has it; otherwise a usage error naming the
+/// capture's backend count (a filter to nothing would print an empty,
+/// plausible-looking answer).
+fn checked_backend(cli: &Cli, trace: &Trace, backend: u64) -> usize {
+    let n = trace.n_backends();
+    match usize::try_from(backend) {
+        Ok(b) if b < n => b,
+        _ => cli.fail(&format!(
+            "--backend {backend} is out of range: the capture has {n} backend(s)"
+        )),
+    }
+}
+
 fn load_spans(path: &str) -> SpanCapture {
     match SpanCapture::load(path) {
         Ok(c) => c,
@@ -73,13 +87,27 @@ fn main() {
         Some("spans") => &["--trace", "--limit"],
         _ => &[],
     };
-    let cli = bench::Cli::from_env(USAGE, &[], valued);
+    let cli = Cli::from_env(USAGE, &[], valued);
     let Some((cmd, files)) = cli.positional().split_first() else {
         cli.fail("missing subcommand");
+    };
+    // `summary` reads one file per shard and `error-budget` a span file
+    // plus a journal; every other subcommand reads exactly one file.
+    let max_files = match cmd.as_str() {
+        "summary" => usize::MAX,
+        "error-budget" => 2,
+        "samples" | "explain" | "ejections" | "reaction" | "spans" | "critical-path" => 1,
+        other => cli.fail(&format!("unknown subcommand {other:?}")),
     };
     let Some(path) = files.first() else {
         cli.fail("missing FILE");
     };
+    if files.len() > max_files {
+        cli.fail(&format!(
+            "{cmd} takes {max_files} file(s), got {}",
+            files.len()
+        ));
+    }
 
     match cmd.as_str() {
         "summary" => {
@@ -93,7 +121,7 @@ fn main() {
         }
         "samples" => {
             let trace = load_trace(path);
-            let backend = cli.number("--backend").unwrap_or(0) as usize;
+            let backend = checked_backend(&cli, &trace, cli.number("--backend").unwrap_or(0));
             let limit = cli.number("--limit").unwrap_or(u64::MAX) as usize;
             let timeline = trace.sample_timeline(backend);
             println!(
@@ -132,7 +160,7 @@ fn main() {
                 cli.fail("reaction needs --inject NS");
             };
             let backends: Vec<usize> = match cli.number("--backend") {
-                Some(b) => vec![b as usize],
+                Some(b) => vec![checked_backend(&cli, &trace, b)],
                 None => (0..trace.n_backends()).collect(),
             };
             for b in backends {
@@ -181,6 +209,6 @@ fn main() {
             let budget = error_budget(&capture.critical_paths(), journal.events());
             error_budget_table(&budget).print();
         }
-        other => cli.fail(&format!("unknown subcommand {other:?}")),
+        _ => unreachable!("subcommand checked above"),
     }
 }

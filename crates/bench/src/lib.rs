@@ -1,4 +1,8 @@
-//! Benchmark and figure-regeneration crate.
+//! Figure regeneration, capture analysis and scenario fuzzing. Wall
+//! rate, memory and allocations per request are measured by `lbbench`,
+//! the standalone benchmark under `benchmark/`; this crate only holds
+//! the counting allocator behind the tier-1 allocation budget
+//! ([`alloc`]).
 //!
 //! Binaries (run with `cargo run -p bench --release --bin <name>`):
 //!
@@ -7,8 +11,6 @@
 //! * `fig3` — regenerates Fig. 3: p95 GET latency, Maglev vs. aware.
 //! * `ablations` — runs one ablation by name, or `all` of them (the
 //!   names are in the binary's usage text).
-//! * `perfbench` — runs the pinned perf macro-scenarios and writes the
-//!   schema-versioned `BENCH_perf.json` (see [`harness`]).
 //! * `lbtrace` — analyzes a decision-journal NDJSON capture (see
 //!   [`lbtrace`]): sample timelines, weight-shift explanations,
 //!   ejection storylines, and the journal-derived reaction metric.
@@ -20,7 +22,7 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod harness;
+pub mod alloc;
 pub mod lbtrace;
 pub mod spans;
 

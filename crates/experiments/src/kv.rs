@@ -1,9 +1,10 @@
 //! The key-value scenario, end to end. Fig. 3, EXP-CHAOS, the multi-LB
-//! tier, the ablations, `perfbench` and `scenariofuzz` each describe
-//! their scenario as plain data — a [`KvClusterConfig`] and a
-//! [`Timeline`] — and this module does the rest: [`KvCluster::build`]
-//! builds the cluster, [`KvCluster::run`] disturbs and drives it, and
-//! [`p95_in`], [`reaction`] and [`p95_table`] read it.
+//! tier, the ablations and `scenariofuzz` each describe their scenario
+//! as plain data — a [`KvClusterConfig`] and a [`Timeline`] — and this
+//! module does the rest: [`KvCluster::build`] builds the cluster,
+//! [`KvCluster::run`] disturbs and drives it, and [`p95_in`],
+//! [`reaction`] and [`p95_table`] read it. `lbtrace` applies the same
+//! [`reaction`] rule to a journal capture.
 //!
 //! The topology is the one-armed LB with DSR the paper evaluates on,
 //! with the LB replicated behind the router's ECMP stage:

@@ -3,9 +3,9 @@
 //! `T_LB` samples from the ensemble estimator arrive tagged with the
 //! backend the flow is pinned to. The controller wants a smoothed,
 //! recency-weighted view per backend; this module provides a windowed
-//! median (the robust control signal), an EWMA and a streaming p95 (for
-//! reporting), and staleness tracking (a backend that stops receiving samples must not be judged on
-//! ancient data forever).
+//! quantile (the robust control signal), an EWMA (for reporting), and
+//! staleness tracking (a backend that stops receiving samples must not be
+//! judged on ancient data forever).
 //!
 //! The controller reads the signal of *every* backend on every sample,
 //! but a sample changes the window of *one*. So the count-window signal
@@ -16,8 +16,6 @@
 //! [`BackendEstimator::best_other`] are allocation-free scans over the
 //! cached values. The time-horizon signal depends on `now`, so it is
 //! computed at read time, on the same stack buffer, uncached.
-
-use telemetry::P2Quantile;
 
 use crate::Nanos;
 
@@ -32,7 +30,6 @@ const DEFAULT_COUNT_WINDOW: usize = 16;
 pub struct BackendEstimate {
     ewma: Option<f64>,
     alpha: f64,
-    p95: P2Quantile,
     /// Ring buffer of the most recent `(time, value)` samples. `T_LB`
     /// occasionally produces wildly large values (merged batches) and
     /// small ones (split batches); a windowed quantile is robust to both
@@ -52,7 +49,6 @@ impl BackendEstimate {
         BackendEstimate {
             ewma: None,
             alpha,
-            p95: P2Quantile::new(0.95),
             window: [(0, 0); WINDOW_CAP],
             window_len: 0,
             window_pos: 0,
@@ -70,7 +66,6 @@ impl BackendEstimate {
             None => x,
             Some(prev) => prev + self.alpha * (x - prev),
         });
-        self.p95.record(x);
         self.window[self.window_pos] = (now, latency);
         self.window_pos = (self.window_pos + 1) % WINDOW_CAP;
         self.window_len = (self.window_len + 1).min(WINDOW_CAP);
@@ -82,11 +77,6 @@ impl BackendEstimate {
     /// The smoothed latency in nanoseconds, if any sample arrived yet.
     pub fn ewma(&self) -> Option<f64> {
         self.ewma
-    }
-
-    /// The median of the most recent samples — the robust control signal.
-    pub fn windowed_median(&self) -> Option<f64> {
-        self.windowed_quantile(0.5)
     }
 
     /// An arbitrary quantile of the most recent (count-based) samples.
@@ -127,11 +117,6 @@ impl BackendEstimate {
         w.sort_unstable();
         let rank = ((q * len as f64).ceil() as usize).clamp(1, len);
         Some(w[rank - 1] as f64)
-    }
-
-    /// Streaming p95 estimate in nanoseconds (0 before any samples).
-    pub fn p95(&self) -> f64 {
-        self.p95.value()
     }
 
     /// Total samples recorded.
@@ -315,19 +300,6 @@ mod tests {
         est.record(0, MS, 400 * MS);
         assert_eq!(est.fresh_estimate(1, 400 * MS), None);
         assert_eq!(est.worst(400 * MS), None);
-    }
-
-    #[test]
-    fn p95_reflects_tail() {
-        let mut est = BackendEstimator::new(1, 0.2, 10_000 * MS);
-        for i in 0..95 {
-            est.record(0, MS, i);
-        }
-        for i in 95..100 {
-            est.record(0, 10 * MS, i);
-        }
-        let p95 = est.backend(0).p95();
-        assert!(p95 > MS as f64, "p95 {p95} ignores the tail");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Measurement toolkit for the in-band LB reproduction: histograms,
-//! percentile estimators, binned time series, estimate-vs-ground-truth
+//! exact percentiles, binned time series, estimate-vs-ground-truth
 //! summaries, plain-text table output for regenerating the paper's
 //! figures, and the packed record log behind the decision journal and
 //! the span tracer.
@@ -23,7 +23,7 @@ pub mod timeseries;
 pub use histogram::LogHistogram;
 pub use journal::{Journal, JournalEvent, JournalMode, WeightCause};
 pub use log::{Log, Mode, Record};
-pub use percentile::{exact_percentile, P2Quantile};
+pub use percentile::exact_percentile;
 pub use span::{CriticalPath, HopKind, HopRecord, Span, SpanLog, SpanMode};
 pub use summary::AccuracySummary;
 pub use table::Table;

@@ -5,8 +5,7 @@ use proptest::test_runner::TestCaseError;
 
 use telemetry::span::HOP_KINDS;
 use telemetry::{
-    exact_percentile, BinnedSeries, HopRecord, LogHistogram, P2Quantile, ScalarSeries, SpanLog,
-    SpanMode,
+    exact_percentile, BinnedSeries, HopRecord, LogHistogram, ScalarSeries, SpanLog, SpanMode,
 };
 
 /// The values a varint, a zigzag delta or the `b` rotate is most likely
@@ -201,24 +200,6 @@ proptest! {
         }
         prop_assert_eq!(exact_percentile(&values, 0.0).unwrap(), *values.iter().min().unwrap());
         prop_assert_eq!(exact_percentile(&values, 1.0).unwrap(), *values.iter().max().unwrap());
-    }
-
-    /// P² stays within the sample range and is deterministic.
-    #[test]
-    fn p2_bounded_and_deterministic(values in proptest::collection::vec(0.0f64..1e9, 5..500)) {
-        let run = || {
-            let mut p = P2Quantile::new(0.9);
-            for &v in &values {
-                p.record(v);
-            }
-            p.value()
-        };
-        let v1 = run();
-        let v2 = run();
-        prop_assert_eq!(v1.to_bits(), v2.to_bits());
-        let min = values.iter().cloned().fold(f64::MAX, f64::min);
-        let max = values.iter().cloned().fold(f64::MIN, f64::max);
-        prop_assert!(v1 >= min - 1e-9 && v1 <= max + 1e-9, "{} not in [{}, {}]", v1, min, max);
     }
 
     /// BinnedSeries never loses observations: the merged histogram count

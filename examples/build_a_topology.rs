@@ -111,7 +111,7 @@ fn main() {
         println!(
             "  backend {j}: weight {:.2}  measured latency (p95) {:.0} us  [{} samples]",
             w,
-            est.p95() / 1e3,
+            est.windowed_quantile(0.95).unwrap_or(0.0) / 1e3,
             est.samples(),
         );
     }

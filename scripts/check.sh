@@ -112,15 +112,4 @@ echo "==> scenariofuzz smoke campaign (seeds 0..25)"
 cargo run -q --release -p bench --bin scenariofuzz -- run --seeds 0..25 \
     --out target/bench/fuzz_smoke.json
 
-# Perf snapshot: quick variants of the pinned perfbench scenarios, plus
-# the fig3_kv_journal and fig3_kv_spans overhead points (journal /
-# span recording on), built with the counting allocator so the
-# artifact's allocation columns are filled in. Non-gating — wall-clock
-# numbers are host-dependent; the artifact is for trend tracking (see
-# EXPERIMENTS.md "Performance"), not pass/fail.
-echo "==> perfbench --quick --journal --spans (non-gating)"
-cargo run -q --release -p bench --features bench-alloc --bin perfbench -- \
-    --quick --journal --spans --out target/bench/BENCH_perf_quick.json \
-    || echo "perfbench failed (non-gating); continuing"
-
 echo "All checks passed."

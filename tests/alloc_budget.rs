@@ -14,7 +14,7 @@
 //! A binary of its own with a single test: the counting allocator is
 //! process-wide, so nothing else may run beside the measured region.
 
-use bench::harness::{alloc_snapshot, CountingAlloc};
+use bench::alloc::{alloc_snapshot, CountingAlloc};
 use experiments::topology::VIP;
 use experiments::{KvCluster, KvClusterConfig};
 use lb_dataplane::LbConfig;

@@ -75,12 +75,8 @@ const ABLATIONS: &[Ablation] = &[
 fn main() {
     let names: Vec<&str> = ABLATIONS.iter().map(|&(name, _)| name).collect();
     let usage = format!("usage: ablations [{}|all]", names.join("|"));
-    let cli = bench::Cli::from_env(&usage, &[], &[]);
-    let which = match cli.positional() {
-        [] => "all",
-        [one] => one.as_str(),
-        _ => cli.fail("expected at most one ablation name"),
-    };
+    let cli = bench::Cli::from_env(&usage, &[], &[], 1);
+    let which = cli.positional().first().map_or("all", String::as_str);
     let output = if which == "all" {
         let tables: Vec<String> = ABLATIONS.iter().map(|(_, run)| run()).collect();
         tables.join("\n")

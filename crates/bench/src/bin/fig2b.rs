@@ -8,7 +8,7 @@ use experiments::fig2::{fig2b_table, run_fig2b, Fig2Config};
 const USAGE: &str = "usage: fig2b [--seed N] [--csv]";
 
 fn main() {
-    let cli = bench::Cli::from_env(USAGE, &["--csv"], &["--seed"]);
+    let cli = bench::Cli::from_env(USAGE, &["--csv"], &["--seed"], 0);
     let mut cfg = Fig2Config::default();
     if let Some(seed) = cli.number("--seed") {
         cfg.seed = seed;

@@ -24,6 +24,7 @@ fn main() {
         USAGE,
         &["--full", "--csv"],
         &["--seed", "--journal", "--spans"],
+        0,
     );
     let mut cfg = if cli.has("--full") {
         Fig3Config::full()

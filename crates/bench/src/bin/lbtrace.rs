@@ -87,7 +87,8 @@ fn main() {
         Some("spans") => &["--trace", "--limit"],
         _ => &[],
     };
-    let cli = Cli::from_env(USAGE, &[], valued);
+    // How many FILEs each subcommand reads is checked below.
+    let cli = Cli::from_env(USAGE, &[], valued, usize::MAX);
     let Some((cmd, files)) = cli.positional().split_first() else {
         cli.fail("missing subcommand");
     };

@@ -29,14 +29,16 @@ const USAGE: &str = "usage: scenariofuzz run --seeds A..B [--out FILE]
        scenariofuzz show --seed N";
 
 fn main() -> ExitCode {
-    // Each subcommand accepts only its own flags.
-    let valued: &[&str] = match std::env::args().nth(1).as_deref() {
-        Some("run") => &["--seeds", "--out"],
-        Some("minimize") => &["--seed", "--out"],
-        Some("show") => &["--seed"],
-        _ => &[],
+    // Each subcommand accepts only its own flags, and only `replay`
+    // takes a positional argument after its name.
+    let (valued, positional): (&[&str], usize) = match std::env::args().nth(1).as_deref() {
+        Some("run") => (&["--seeds", "--out"], 1),
+        Some("minimize") => (&["--seed", "--out"], 1),
+        Some("replay") => (&[], 2),
+        Some("show") => (&["--seed"], 1),
+        _ => (&[], usize::MAX),
     };
-    let cli = Cli::from_env(USAGE, &[], valued);
+    let cli = Cli::from_env(USAGE, &[], valued, positional);
     match cli.positional().first().map(String::as_str) {
         Some("run") => cmd_run(&cli),
         Some("minimize") => cmd_minimize(&cli),

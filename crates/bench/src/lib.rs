@@ -27,9 +27,10 @@ pub mod lbtrace;
 pub mod spans;
 
 /// A checked command line: every `--flag` must be one the binary
-/// declared, and every valued flag must be followed by its value.
-/// `fig3 --sed 7` or a trailing `fig3 --seed` is an error, not a silent
-/// run with the defaults.
+/// declared, every valued flag must be followed by its value, and there
+/// are no more positional arguments than the binary takes. `fig3 --sed
+/// 7`, a trailing `fig3 --seed` or a bare `fig3 7` is an error, not a
+/// silent run with the defaults.
 #[derive(Debug)]
 pub struct Cli {
     usage: String,
@@ -40,12 +41,14 @@ pub struct Cli {
 impl Cli {
     /// Parses `args` (without the program name) against the `bare`
     /// (`--csv`) and `valued` (`--seed N`) flags the binary knows.
-    /// Everything not starting with `--` is positional.
+    /// Everything not starting with `--` is positional, and at most
+    /// `positional` such arguments are accepted.
     pub fn parse(
         args: &[String],
         usage: &str,
         bare: &[&str],
         valued: &[&str],
+        positional: usize,
     ) -> Result<Cli, String> {
         let mut cli = Cli {
             usage: usage.to_string(),
@@ -55,6 +58,9 @@ impl Cli {
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if !a.starts_with("--") {
+                if cli.positional.len() == positional {
+                    return Err(format!("unexpected argument {a:?}"));
+                }
                 cli.positional.push(a.clone());
                 continue;
             }
@@ -78,9 +84,9 @@ impl Cli {
 
     /// [`Cli::parse`] over the process arguments; on error prints the
     /// reason and the usage text to stderr and exits with status 2.
-    pub fn from_env(usage: &str, bare: &[&str], valued: &[&str]) -> Cli {
+    pub fn from_env(usage: &str, bare: &[&str], valued: &[&str], positional: usize) -> Cli {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Cli::parse(&args, usage, bare, valued).unwrap_or_else(|e| fail(usage, &e))
+        Cli::parse(&args, usage, bare, valued, positional).unwrap_or_else(|e| fail(usage, &e))
     }
 
     /// True if the bare flag was given.
@@ -127,7 +133,13 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        Cli::parse(&args, "usage", &["--csv", "--full"], &["--seed", "--out"])
+        Cli::parse(
+            &args,
+            "usage",
+            &["--csv", "--full"],
+            &["--seed", "--out"],
+            2,
+        )
     }
 
     #[test]
@@ -151,6 +163,20 @@ mod tests {
         assert_eq!(
             parse(&["--seed", "--csv"]).unwrap_err(),
             "--seed needs a value"
+        );
+    }
+
+    #[test]
+    fn a_positional_past_the_declared_count_is_an_error() {
+        // `fig3 7` used to run seed 42.
+        assert_eq!(
+            parse(&["run", "file", "7"]).unwrap_err(),
+            "unexpected argument \"7\""
+        );
+        let args = vec!["7".to_string()];
+        assert_eq!(
+            Cli::parse(&args, "usage", &[], &["--seed"], 0).unwrap_err(),
+            "unexpected argument \"7\""
         );
     }
 

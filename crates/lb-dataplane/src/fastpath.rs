@@ -10,9 +10,10 @@ use crate::config::{MeasureMode, RoutingPolicy};
 use crate::node::LbNode;
 
 impl LbNode {
+    // MACs are cosmetic in the simulator (routing is by IP); derive a
+    // stable per-backend address. A backend index is far below 2^32.
+    #[allow(clippy::cast_possible_truncation)]
     fn backend_mac(&self, b: usize) -> MacAddr {
-        // MACs are cosmetic in the simulator (routing is by IP); derive a
-        // stable per-backend address.
         MacAddr::from_id(0xb000 + b as u32)
     }
 
@@ -213,6 +214,8 @@ impl LbNode {
     }
 
     /// Chooses the backend for a new connection per the routing policy.
+    // A remainder modulo `n`, a usize, fits a usize.
+    #[allow(clippy::cast_possible_truncation)]
     pub(crate) fn pick_backend(&mut self, hash: u64, now_ns: u64) -> usize {
         match self.cfg.policy {
             RoutingPolicy::WeightedMaglev => self.table.lookup(&self.weights, hash),

@@ -290,7 +290,7 @@ mod tests {
         }
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _l: LinkId, _p: Packet) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, t: TimerToken) {
-            if let Some(pkt) = self.script[t.0 as usize].1.take() {
+            if let Some(pkt) = self.script[usize::try_from(t.0).unwrap()].1.take() {
                 ctx.send(self.link, pkt);
             }
         }
@@ -325,18 +325,14 @@ mod tests {
     }
 
     /// One flow: a SYN, then `batches` four-packet batches 1 ms apart.
-    fn batched_script(batches: u64) -> Vec<(Duration, Packet)> {
+    fn batched_script(batches: u32) -> Vec<(Duration, Packet)> {
         let mut script = vec![(Duration::from_micros(1), client_pkt(4000, TcpFlags::SYN, 0))];
         let mut t = Duration::from_millis(1);
         for batch in 0..batches {
-            for i in 0..4u64 {
+            for i in 0..4u32 {
                 script.push((
-                    t + Duration::from_micros(i * 20),
-                    client_pkt(
-                        4000,
-                        TcpFlags::ACK | TcpFlags::PSH,
-                        batch as u32 * 4 + i as u32,
-                    ),
+                    t + Duration::from_micros(u64::from(i) * 20),
+                    client_pkt(4000, TcpFlags::ACK | TcpFlags::PSH, batch * 4 + i),
                 ));
             }
             t += Duration::from_millis(1);
@@ -387,10 +383,10 @@ mod tests {
             Duration::from_micros(10),
             client_pkt(4000, TcpFlags::SYN, 1),
         )];
-        for i in 0..20u64 {
+        for i in 0..20u32 {
             script.push((
-                Duration::from_micros(100 + i * 10),
-                client_pkt(4000, TcpFlags::ACK | TcpFlags::PSH, 2 + i as u32),
+                Duration::from_micros(100 + u64::from(i) * 10),
+                client_pkt(4000, TcpFlags::ACK | TcpFlags::PSH, 2 + i),
             ));
         }
         let (mut sim, _lb, sinks) = rig(LbConfig::baseline(VIP, backends()), script);
@@ -575,10 +571,10 @@ mod tests {
             Duration::from_micros(10),
             client_pkt(4000, TcpFlags::SYN, 1),
         )];
-        for i in 0..10u64 {
+        for i in 0..10u32 {
             script.push((
-                Duration::from_micros(100 + i * 10),
-                client_pkt(4000, TcpFlags::ACK | TcpFlags::PSH, 2 + i as u32),
+                Duration::from_micros(100 + u64::from(i) * 10),
+                client_pkt(4000, TcpFlags::ACK | TcpFlags::PSH, 2 + i),
             ));
         }
         let (mut sim, lb, sinks) = rig(cfg, script);

@@ -61,7 +61,7 @@ pub struct FlowTableStats {
 /// Entries live in a `BTreeMap` so every traversal (capacity probes,
 /// sweeps, per-backend counts) runs in key order: the table's observable
 /// behaviour is a pure function of its contents, independent of hasher
-/// seeds or insertion history (simlint rule D3).
+/// seeds or insertion history (rule D3, DESIGN.md §6.9).
 #[derive(Debug)]
 pub struct FlowTable {
     entries: BTreeMap<FlowKey, FlowEntry>,

@@ -44,10 +44,11 @@
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
-// The per-packet modules (`flow_table`, `health`, `maglev`, `gossip`)
-// deny the panic lints outright at their own top; the rest of the crate
-// is asked, not made, to return its errors.
-#![warn(clippy::unwrap_used)]
+// Rule G2 (DESIGN.md §6.9): no `unwrap`/`expect` outside test code, so
+// no `partial_cmp(..).unwrap()` comparator either; `f64::total_cmp` is
+// the total order. The per-packet modules (`flow_table`, `health`,
+// `maglev`, `gossip`) also deny the panic macros at their own top.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod controller;
 pub mod ensemble;

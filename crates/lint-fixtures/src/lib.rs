@@ -1,8 +1,9 @@
 //! The determinism gate proves it bites.
 //!
-//! Each module holds the construct one of simlint's former rules banned
-//! (the rule's old golden fixture, made to compile), and every banned
-//! line carries `#[expect(<the stock lint that replaced the rule>)]`.
+//! Each module holds the construct one determinism rule bans (the rule's
+//! golden fixture from the hand-rolled linter it replaced, made to
+//! compile), and every banned line carries `#[expect(<the stock lint
+//! that holds the rule>)]`.
 //! The crate denies `unfulfilled_lint_expectations`, so the workspace
 //! `cargo clippy` step fails the moment a replacement stops firing on
 //! its fixture: an entry dropped from the root `clippy.toml`, a lint
@@ -22,3 +23,5 @@ pub mod d3;
 pub mod f1;
 pub mod f2;
 pub mod g1;
+pub mod g2;
+pub mod g3;

@@ -23,7 +23,7 @@ pub const KV_HEADER_LEN: usize = 24;
 
 /// Panic-free big-endian u64 read at `at`. Callers pre-check bounds; a
 /// short slice still surfaces as `Truncated` rather than a panic,
-/// because this runs on the per-packet fast path (simlint rule F1).
+/// because this runs on the per-packet fast path (rule F1, DESIGN.md §6.9).
 fn be_u64(buf: &[u8], at: usize) -> Result<u64> {
     match buf
         .get(at..at + 8)

@@ -122,13 +122,13 @@ mod tests {
         for n in [2u32, 4, 8] {
             let set = members(n);
             let mut counts = vec![0u32; set.len()];
-            let flows = 8192u64;
+            let flows = 8192u32;
             for f in 0..flows {
-                let winner = pick(splitmix64(f), &set).expect("non-empty");
+                let winner = pick(splitmix64(u64::from(f)), &set).expect("non-empty");
                 let idx = set.iter().position(|&m| m == winner).expect("member");
                 counts[idx] += 1;
             }
-            let expect = flows as u32 / n;
+            let expect = flows / n;
             for (i, &c) in counts.iter().enumerate() {
                 assert!(
                     c > expect / 2 && c < expect * 2,

@@ -179,6 +179,8 @@ fn tick(at: Time) -> u64 {
 
 /// The ring position of tick `t`.
 #[inline]
+// Only the low bits survive the mask, and `BUCKETS` is a `usize`.
+#[allow(clippy::cast_possible_truncation)]
 fn bucket(t: u64) -> usize {
     (t as usize) & (BUCKETS - 1)
 }
@@ -481,7 +483,11 @@ impl EventQueue {
     #[inline]
     fn place(&mut self, pos: usize, entry: HeapEntry) {
         self.heap[pos] = entry;
-        self.slots[entry.slot as usize].prev = pos as u32;
+        // The heap holds at most one entry per slot, and slot ids are
+        // `u32` (`push` checks), so a position fits too.
+        #[allow(clippy::cast_possible_truncation)]
+        let pos = pos as u32;
+        self.slots[entry.slot as usize].prev = pos;
     }
 
     fn sift_up(&mut self, mut pos: usize) {

@@ -6,7 +6,7 @@
 //! Applying a schedule pushes scripted events into the simulation's event
 //! queue; the per-packet impairment draws come from a [`SimRng`] owned by
 //! the impaired link direction. The whole fault layer therefore replays
-//! bit-identically for a fixed seed (simlint rules D1–D3 hold here).
+//! bit-identically for a fixed seed (rules D1–D3, DESIGN.md §6.9).
 //!
 //! Fault vocabulary:
 //!

@@ -51,9 +51,12 @@ impl LinkConfig {
 
     /// Time to serialize `bytes` onto the wire at this link's rate.
     pub fn serialization_delay(&self, bytes: usize) -> Duration {
-        // bits * 1e9 / rate, computed in u128 to avoid overflow.
+        // bits * 1e9 / rate, computed in u128 to avoid overflow. The
+        // quotient fits: a 64 KiB frame at 1 bit/s is 5.2e14 ns.
         let bits = (bytes as u128) * 8;
-        Duration::from_nanos(((bits * 1_000_000_000) / self.rate_bps as u128) as u64)
+        #[allow(clippy::cast_possible_truncation)]
+        let nanos = ((bits * 1_000_000_000) / self.rate_bps as u128) as u64;
+        Duration::from_nanos(nanos)
     }
 }
 
@@ -103,6 +106,9 @@ impl LinkDir {
     }
 
     /// Bytes currently waiting to be serialized, at instant `now`.
+    // The backlog is the serialization time of frames the queue admitted,
+    // so the quotient is at most `queue_limit_bytes` plus one frame.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn queued_bytes(&self, now: Time, cfg: &LinkConfig) -> u64 {
         let backlog = self.busy_until.saturating_since(now);
         // bytes = backlog * rate / 8

@@ -3,10 +3,16 @@
 //! perturbs the random draws of existing ones.
 //!
 //! [`SimRng`] is the **only** sanctioned randomness source in the
-//! simulation crates (simlint rule D2): it is seeded explicitly, pure
-//! `std`, and its stream depends on nothing but the seed — never on
+//! simulation crates (rule D2, DESIGN.md §6.9): it is seeded explicitly,
+//! pure `std`, and its stream depends on nothing but the seed — never on
 //! wall-clock time, thread identity, or process entropy. The generator
 //! is xoshiro256++ with splitmix64 seed expansion.
+
+// Narrowing is the bit mixing here: a draw of a smaller type keeps the
+// low bits of a uniform 64-bit word, and a ranged draw's remainder is
+// below the span, which fits the range's type. No sequence number or id
+// passes through this module (rule G3).
+#![allow(clippy::cast_possible_truncation)]
 
 use netpkt::flow::splitmix64;
 

@@ -40,7 +40,7 @@ pub struct RouterStats {
 pub struct Router {
     /// Keyed by destination in a `BTreeMap` so any future traversal
     /// (debug dumps, route diffing) is address-ordered, never
-    /// hasher-ordered (simlint rule D3).
+    /// hasher-ordered (rule D3, DESIGN.md §6.9).
     routes: BTreeMap<Ipv4Addr, Vec<LinkId>>,
     default_route: Option<LinkId>,
     /// Scripted updates: `(when, destination, new egress set)`. An empty
@@ -169,6 +169,8 @@ impl Node for Router {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        // The token is the index `on_start` armed it with.
+        #[allow(clippy::cast_possible_truncation)]
         let (_, dst, links) = self.schedule[token.0 as usize].clone();
         self.stats.route_updates += 1;
         if self.journal.enabled() {
@@ -245,7 +247,7 @@ mod tests {
         }
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _l: LinkId, _p: Packet) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, t: TimerToken) {
-            let pkt = self.packets[t.0 as usize].1.clone();
+            let pkt = self.packets[usize::try_from(t.0).unwrap()].1.clone();
             ctx.send(self.link, pkt);
         }
     }

@@ -81,17 +81,22 @@ impl Simulation {
 
     /// Adds a node and returns its id. `name` appears in panics and traces.
     pub fn add_node(&mut self, name: impl Into<String>, node: Box<dyn Node>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+        let id = self.next_node_id();
         self.nodes.push(Some(node));
         self.node_names.push(name.into());
         self.node_down.push(false);
         id
     }
 
+    /// The id the next added node gets: node ids index `nodes`.
+    fn next_node_id(&self) -> NodeId {
+        NodeId(u32::try_from(self.nodes.len()).expect("more than u32::MAX nodes"))
+    }
+
     /// Reserves a node slot so links can reference it before the node value
     /// exists (useful when node construction needs the link ids).
     pub fn reserve_node(&mut self, name: impl Into<String>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+        let id = self.next_node_id();
         self.nodes.push(None);
         self.node_names.push(name.into());
         self.node_down.push(false);
@@ -111,7 +116,7 @@ impl Simulation {
     /// Connects two nodes with a link.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) -> LinkId {
         assert!(a != b, "self-links are not supported");
-        let id = LinkId(self.links.len() as u32);
+        let id = LinkId(u32::try_from(self.links.len()).expect("more than u32::MAX links"));
         self.links.push(Link::new(a, b, cfg));
         id
     }
@@ -297,8 +302,8 @@ impl Simulation {
             return;
         }
         self.started = true;
-        for i in 0..self.nodes.len() {
-            self.with_node(NodeId(i as u32), |node, ctx| node.on_start(ctx));
+        for id in 0..self.next_node_id().0 {
+            self.with_node(NodeId(id), |node, ctx| node.on_start(ctx));
         }
     }
 

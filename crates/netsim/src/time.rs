@@ -82,7 +82,10 @@ impl Duration {
             s >= 0.0 && s.is_finite(),
             "duration must be finite and non-negative"
         );
-        Duration((s * 1e9).round() as u64)
+        // `as` saturates: a duration past u64::MAX ns (584 years) clamps.
+        #[allow(clippy::cast_possible_truncation)]
+        let nanos = (s * 1e9).round() as u64;
+        Duration(nanos)
     }
 
     /// Raw nanoseconds.

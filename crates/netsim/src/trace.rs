@@ -189,10 +189,22 @@ impl Trace {
         for e in self.events.iter().filter(|e| pred(e)) {
             let Some(data) = &e.data else { continue };
             let ns = e.at.as_nanos();
-            w.write_all(&((ns / 1_000_000_000) as u32).to_le_bytes())?;
+            // The record header's fields are 32 bits wide: an instant past
+            // 2106 or a longer frame cannot be written, and is an error
+            // rather than a wrapped field.
+            let field = |v: u64, what: &str| {
+                u32::try_from(v).map_err(|_| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        format!("pcap {what} {v} does not fit 32 bits"),
+                    )
+                })
+            };
+            let len = field(data.len() as u64, "frame length")?;
+            w.write_all(&field(ns / 1_000_000_000, "timestamp (s)")?.to_le_bytes())?;
             w.write_all(&(((ns % 1_000_000_000) / 1_000) as u32).to_le_bytes())?;
-            w.write_all(&(data.len() as u32).to_le_bytes())?;
-            w.write_all(&(data.len() as u32).to_le_bytes())?;
+            w.write_all(&len.to_le_bytes())?;
+            w.write_all(&len.to_le_bytes())?;
             w.write_all(data)?;
             written += 1;
         }

@@ -34,7 +34,7 @@ pub enum Pacing {
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
     /// Maximum segment (payload) size in bytes.
-    pub mss: usize,
+    pub mss: u32,
     /// Fixed advertised receive window in bytes (no window scaling).
     pub recv_window: u32,
     /// Upper bound on the sender's congestion window in bytes. Setting
@@ -89,7 +89,7 @@ impl TcpConfig {
     /// batches are one window" setup.
     pub fn window_limited(segments: u32) -> Self {
         let base = TcpConfig::default();
-        let win = segments * base.mss as u32;
+        let win = segments * base.mss;
         TcpConfig {
             recv_window: win,
             max_cwnd: win,
@@ -100,7 +100,7 @@ impl TcpConfig {
 
     /// Initial congestion window in bytes.
     pub fn initial_cwnd(&self) -> u32 {
-        (self.initial_cwnd_segments * self.mss as u32).min(self.max_cwnd)
+        (self.initial_cwnd_segments * self.mss).min(self.max_cwnd)
     }
 }
 
@@ -112,10 +112,10 @@ mod tests {
     fn default_is_sane() {
         let c = TcpConfig::default();
         assert!(c.mss > 0 && c.mss <= 1460);
-        assert!(c.recv_window >= c.mss as u32);
+        assert!(c.recv_window >= c.mss);
         assert_eq!(c.delayed_ack, DelayedAck::Disabled);
         assert_eq!(c.pacing, Pacing::Disabled);
-        assert!(c.initial_cwnd() >= c.mss as u32);
+        assert!(c.initial_cwnd() >= c.mss);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use netsim::{Duration, Time};
 
 use crate::config::{DelayedAck, Pacing, TcpConfig};
 use crate::rto::RttEstimator;
-use crate::seq::{seq_ge, seq_gt, seq_le, seq_len, seq_lt};
+use crate::seq::{seq_add, seq_ge, seq_gt, seq_le, seq_len, seq_lt};
 
 /// Connection lifecycle states (a pragmatic subset of RFC 793; TIME-WAIT is
 /// omitted because the simulator never reuses a four-tuple).
@@ -267,7 +267,7 @@ impl Conn {
             fin_seq: None,
             cwnd: cfg.initial_cwnd(),
             ssthresh: cfg.max_cwnd,
-            peer_window: cfg.mss as u32, // until the first segment tells us
+            peer_window: cfg.mss, // until the first segment tells us
             dup_acks: 0,
             rtt: RttEstimator::new(cfg.initial_rto, cfg.min_rto),
             rtt_probe: None,
@@ -463,8 +463,8 @@ impl Conn {
         self.rtt_probe = None; // Karn: do not time retransmitted data
         if self.cfg.congestion_control {
             let flight = seq_len(self.snd_una, self.snd_nxt);
-            self.ssthresh = (flight / 2).max(2 * self.cfg.mss as u32);
-            self.cwnd = self.cfg.mss as u32;
+            self.ssthresh = (flight / 2).max(2 * self.cfg.mss);
+            self.cwnd = self.cfg.mss;
         }
         self.dup_acks = 0;
         self.retransmit_head(now);
@@ -581,12 +581,15 @@ impl Conn {
 
             // Congestion window growth.
             if self.cfg.congestion_control {
-                let mss = self.cfg.mss as u32;
+                let mss = self.cfg.mss;
                 if self.cwnd < self.ssthresh {
                     self.cwnd = (self.cwnd + mss).min(self.cfg.max_cwnd);
                 } else {
-                    let incr = ((mss as u64 * mss as u64) / self.cwnd.max(1) as u64).max(1);
-                    self.cwnd = (self.cwnd + incr as u32).min(self.cfg.max_cwnd);
+                    // incr <= mss², which fits a u32 for any mss an IPv4
+                    // frame (16-bit total length) can carry.
+                    #[allow(clippy::cast_possible_truncation)]
+                    let incr = ((mss as u64 * mss as u64) / self.cwnd.max(1) as u64).max(1) as u32;
+                    self.cwnd = (self.cwnd + incr).min(self.cfg.max_cwnd);
                 }
             }
 
@@ -609,7 +612,7 @@ impl Conn {
                 self.stats.fast_retransmits += 1;
                 if self.cfg.congestion_control {
                     let flight = seq_len(self.snd_una, self.snd_nxt);
-                    self.ssthresh = (flight / 2).max(2 * self.cfg.mss as u32);
+                    self.ssthresh = (flight / 2).max(2 * self.cfg.mss);
                     self.cwnd = self.ssthresh;
                 }
                 self.rtt_probe = None;
@@ -626,11 +629,11 @@ impl Conn {
         }
         let seg_seq = hdr.seq;
         if had_fin {
-            let fin_seq = seg_seq.wrapping_add(payload.len() as u32);
+            let fin_seq = seq_add(seg_seq, payload.len());
             self.peer_fin_seq = Some(fin_seq);
         }
         if !payload.is_empty() {
-            if seq_le(seg_seq.wrapping_add(payload.len() as u32), self.rcv_nxt) {
+            if seq_le(seq_add(seg_seq, payload.len()), self.rcv_nxt) {
                 // Entirely old data: re-ACK so the peer advances.
                 self.send_ack();
             } else if seq_gt(seg_seq, self.rcv_nxt) {
@@ -656,7 +659,7 @@ impl Conn {
         if data.is_empty() {
             return;
         }
-        self.rcv_nxt = self.rcv_nxt.wrapping_add(data.len() as u32);
+        self.rcv_nxt = seq_add(self.rcv_nxt, data.len());
         self.stats.bytes_delivered += data.len() as u64;
         self.events.push(ConnEvent::Data(data));
     }
@@ -668,7 +671,7 @@ impl Conn {
             let key = self.ooo.keys().copied().find(|&s| seq_le(s, self.rcv_nxt));
             let Some(seq) = key else { break };
             let data = self.ooo.remove(&seq).expect("key from iteration");
-            let end = seq.wrapping_add(data.len() as u32);
+            let end = seq_add(seq, data.len());
             if seq_le(end, self.rcv_nxt) {
                 continue; // fully duplicate
             }
@@ -765,12 +768,12 @@ impl Conn {
             }
             return;
         }
-        let mss = self.cfg.mss;
+        let mss = self.cfg.mss as usize;
         loop {
             if self.unsent() == 0 {
                 break;
             }
-            let wnd = self.cwnd.min(self.peer_window.max(self.cfg.mss as u32));
+            let wnd = self.cwnd.min(self.peer_window.max(self.cfg.mss));
             let flight = seq_len(self.snd_una, self.snd_nxt);
             if flight >= wnd {
                 break;
@@ -795,7 +798,7 @@ impl Conn {
                 break;
             }
             let seq = self.snd_nxt;
-            self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
+            self.snd_nxt = seq_add(self.snd_nxt, take);
             self.sent += take;
             self.stats.segments_sent += 1;
             if self.rtt_probe.is_none() {
@@ -846,7 +849,7 @@ impl Conn {
             _ => {}
         }
         if self.sent > 0 {
-            let take = self.cfg.mss.min(self.sent);
+            let take = (self.cfg.mss as usize).min(self.sent);
             self.stats.retransmits += 1;
             self.emit(
                 self.snd_una,
@@ -884,7 +887,7 @@ impl Conn {
             seq,
             ack,
             flags,
-            window: self.cfg.recv_window.min(u32::from(u16::MAX)) as u16,
+            window: u16::try_from(self.cfg.recv_window).unwrap_or(u16::MAX),
             len,
         });
     }

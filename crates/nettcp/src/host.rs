@@ -19,6 +19,7 @@ use telemetry::span::HopKind;
 use crate::app::{App, ConnId, HostIo};
 use crate::config::TcpConfig;
 use crate::conn::{Conn, ConnBuffers, ConnEvent, SegmentOut, TimerKind, TimerRequest};
+use crate::seq::seq_add;
 
 /// Timer-token tags (top 2 bits of the token).
 const TAG_CONN: u64 = 0;
@@ -32,6 +33,13 @@ const TAG_RX: u64 = 2;
 /// so whatever fires is the armed one.
 fn conn_token(idx: usize, kind: TimerKind) -> u64 {
     (TAG_CONN << 62) | ((idx as u64) << 2) | kind.index() as u64
+}
+
+/// The id of connection slot `idx`. `Host::alloc_conn` asserts that
+/// every slot index fits 32 bits.
+#[allow(clippy::cast_possible_truncation)]
+fn conn_id(idx: usize) -> ConnId {
+    ConnId(idx as u32)
 }
 
 /// Takes a connection timer out of the event queue, if it is armed.
@@ -337,7 +345,7 @@ impl Host {
             } else {
                 0
             };
-            let mut ack = view.tcp.seq.wrapping_add(view.payload.len() as u32);
+            let mut ack = seq_add(view.tcp.seq, view.payload.len());
             if flags.contains(netpkt::TcpFlags::SYN) || flags.contains(netpkt::TcpFlags::FIN) {
                 ack = ack.wrapping_add(1);
             }
@@ -470,7 +478,7 @@ impl Host {
         let mut app = self.app.take().expect("app re-entrancy");
         {
             let mut io = Io { host: self, ctx };
-            let id = ConnId(idx as u32);
+            let id = conn_id(idx);
             match ev {
                 ConnEvent::Connected => app.on_connected(&mut io, id),
                 ConnEvent::Data(bytes) => app.on_data(&mut io, id, &bytes),
@@ -645,7 +653,7 @@ impl HostIo for Io<'_, '_> {
         let key = FlowKey::new(remote_ip, remote_port, local.0, local.1);
         self.host.by_flow.insert(key, idx);
         self.host.enqueue(idx);
-        ConnId(idx as u32)
+        conn_id(idx)
     }
 
     fn listen(&mut self, port: u16) {

@@ -27,6 +27,14 @@ pub fn seq_ge(a: u32, b: u32) -> bool {
     seq_le(b, a)
 }
 
+/// `seq` advanced by `len` bytes. Sequence space counts modulo 2^32, so
+/// `len` does too: the narrowing is the arithmetic, not a loss.
+#[inline]
+#[allow(clippy::cast_possible_truncation)]
+pub fn seq_add(seq: u32, len: usize) -> u32 {
+    seq.wrapping_add(len as u32)
+}
+
 /// The number of bytes from `a` up to `b` (assumes `a <= b` in sequence
 /// space; callers check with [`seq_le`] first).
 #[inline]

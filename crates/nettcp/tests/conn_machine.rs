@@ -727,7 +727,7 @@ fn reading_a_segment_after_its_ack_panics() {
         src_port: B.1,
         dst_port: A.1,
         seq: 9001,
-        ack: data.seq.wrapping_add(data.len as u32),
+        ack: nettcp::seq::seq_add(data.seq, data.len),
         flags: netpkt::TcpFlags::ACK,
         window: 65535,
     };

@@ -544,7 +544,9 @@ fn a_closed_connection_leaves_nothing_in_the_event_queue() {
     // and reorders frames in both directions, so timers are re-armed,
     // cancelled *and* really fire (a callback for a timer that is not
     // the armed one trips the host's assertion).
-    let sent: Vec<u8> = (0..48 * 1024u32).map(|i| (i * 31 + 7) as u8).collect();
+    let sent: Vec<u8> = (0..48 * 1024u32)
+        .map(|i| (i * 31 + 7).to_le_bytes()[0])
+        .collect();
     let client_tcp = TcpConfig {
         pacing: Pacing::Enabled {
             min_gap: Duration::from_micros(20),

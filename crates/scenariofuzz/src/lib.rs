@@ -28,8 +28,8 @@
 //! ```
 //!
 //! Everything here is a pure function of the seed: no wall clock, no
-//! ambient entropy (simlint rules D1/D2 apply to this crate), so a
-//! campaign report is byte-identical across runs and machines.
+//! ambient entropy (rules D1/D2 apply to this crate, DESIGN.md §6.9), so
+//! a campaign report is byte-identical across runs and machines.
 
 #![deny(missing_docs)]
 

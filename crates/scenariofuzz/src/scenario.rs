@@ -304,8 +304,9 @@ impl Scenario {
     }
 
     /// Parses the case-file format written by [`Scenario::to_text`].
-    /// Blank lines and `#` comments are skipped; unknown keys, malformed
-    /// lines, and structurally invalid scenarios are errors.
+    /// Blank lines and `#` comments are skipped; unknown keys and fields,
+    /// a scalar key or a line's field given twice, malformed lines, and
+    /// structurally invalid scenarios are errors.
     pub fn from_text(text: &str) -> Result<Scenario, String> {
         let mut sc = Scenario {
             seed: 0,
@@ -323,6 +324,7 @@ impl Scenario {
             faults: Vec::new(),
             injections: Vec::new(),
         };
+        let mut scalars_seen: Vec<&str> = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -333,6 +335,12 @@ impl Scenario {
                 .split_once('=')
                 .ok_or_else(|| at("expected `key = value`".into()))?;
             let (key, value) = (key.trim(), value.trim());
+            if !matches!(key, "backend" | "fault" | "inject") {
+                if scalars_seen.contains(&key) {
+                    return Err(at(format!("{key:?} given twice")));
+                }
+                scalars_seen.push(key);
+            }
             match key {
                 "seed" => sc.seed = parse_u64(value).map_err(at)?,
                 "lbs" => sc.lbs = parse_u32(value).map_err(at)?,
@@ -346,16 +354,17 @@ impl Scenario {
                 "gossip_mix_pct" => sc.gossip_mix_pct = parse_u32(value).map_err(at)?,
                 "probation_ms" => sc.probation_ms = parse_u32(value).map_err(at)?,
                 "backend" => {
-                    let kv = KvList::parse(value).map_err(at)?;
+                    let mut kv = KvList::parse(value).map_err(at)?;
                     sc.backends.push(BackendSpec {
                         median_us: kv.u32("median_us").map_err(at)?,
                         sigma_pct: kv.u32("sigma_pct").map_err(at)?,
                         workers: kv.u32("workers").map_err(at)?,
                     });
+                    kv.finish().map_err(at)?;
                 }
                 "fault" => {
                     let (kind, rest) = value.split_once(' ').unwrap_or((value, ""));
-                    let kv = KvList::parse(rest).map_err(at)?;
+                    let mut kv = KvList::parse(rest).map_err(at)?;
                     let fault = match kind {
                         "crash" => FaultSpec::Crash {
                             backend: kv.u32("backend").map_err(at)?,
@@ -381,15 +390,17 @@ impl Scenario {
                         },
                         other => return Err(at(format!("unknown fault kind {other:?}"))),
                     };
+                    kv.finish().map_err(at)?;
                     sc.faults.push(fault);
                 }
                 "inject" => {
-                    let kv = KvList::parse(value).map_err(at)?;
+                    let mut kv = KvList::parse(value).map_err(at)?;
                     sc.injections.push(Injection {
                         backend: kv.u32("backend").map_err(at)?,
                         at_ms: kv.u32("at_ms").map_err(at)?,
                         extra_us: kv.u32("extra_us").map_err(at)?,
                     });
+                    kv.finish().map_err(at)?;
                 }
                 other => return Err(at(format!("unknown key {other:?}"))),
             }
@@ -470,37 +481,51 @@ fn parse_u32(s: &str) -> Result<u32, String> {
         .map_err(|e| format!("bad integer {s:?}: {e}"))
 }
 
-/// A `k=v k=v ...` list on one line.
+/// A `k=v k=v ...` list on one line. Each field is taken once, by
+/// name; a field given twice, or one nobody takes ([`KvList::finish`]),
+/// is an error, so a typo cannot replay as the default.
 struct KvList<'a> {
     pairs: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> KvList<'a> {
     fn parse(s: &'a str) -> Result<KvList<'a>, String> {
-        let mut pairs = Vec::new();
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
         for tok in s.split_whitespace() {
             let (k, v) = tok
                 .split_once('=')
                 .ok_or_else(|| format!("expected k=v, got {tok:?}"))?;
+            if pairs.iter().any(|&(seen, _)| seen == k) {
+                return Err(format!("field {k:?} given twice"));
+            }
             pairs.push((k, v));
         }
         Ok(KvList { pairs })
     }
 
-    fn get(&self, key: &str) -> Result<&'a str, String> {
-        self.pairs
+    fn take(&mut self, key: &str) -> Result<&'a str, String> {
+        let i = self
+            .pairs
             .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("missing field {key:?}"))
+            .position(|&(k, _)| k == key)
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        Ok(self.pairs.remove(i).1)
     }
 
-    fn u32(&self, key: &str) -> Result<u32, String> {
-        parse_u32(self.get(key)?)
+    fn u32(&mut self, key: &str) -> Result<u32, String> {
+        parse_u32(self.take(key)?)
     }
 
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        parse_u64(self.get(key)?)
+    fn u64(&mut self, key: &str) -> Result<u64, String> {
+        parse_u64(self.take(key)?)
+    }
+
+    /// Every field was taken: none is unknown.
+    fn finish(self) -> Result<(), String> {
+        match self.pairs.first() {
+            Some((k, _)) => Err(format!("unknown field {k:?}")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -576,6 +601,31 @@ mod tests {
         assert!(err.contains("unknown fault kind"), "{err}");
         let err = Scenario::from_text("seed = 1\n").unwrap_err();
         assert!(err.contains("two backends"), "{err}");
+    }
+
+    #[test]
+    fn typos_and_repeats_are_errors_that_name_the_line() {
+        let base = Scenario::generate(3).to_text();
+        for (extra, want) in [
+            (
+                "backend = median_us=60 sigma_pct=16 workers=2 wokers=8",
+                "unknown field \"wokers\"",
+            ),
+            (
+                "backend = median_us=60 sigma_pct=16 workers=2 workers=8",
+                "field \"workers\" given twice",
+            ),
+            (
+                "fault = crash backend=0 down_ms=200 up_ms=300 lb=0",
+                "unknown field \"lb\"",
+            ),
+            ("seed = 2", "\"seed\" given twice"),
+        ] {
+            let text = format!("{base}{extra}\n");
+            let line = text.lines().count();
+            let err = Scenario::from_text(&text).unwrap_err();
+            assert_eq!(err, format!("line {line}: {want}"));
+        }
     }
 
     #[test]

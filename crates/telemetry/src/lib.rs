@@ -10,6 +10,10 @@
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
+// Rule G2 (DESIGN.md §6.9): no `unwrap`/`expect` outside test code, so
+// no `partial_cmp(..).unwrap()` comparator either; `f64::total_cmp` is
+// the total order.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod histogram;
 pub mod journal;

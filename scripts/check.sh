@@ -4,23 +4,27 @@
 #   ./scripts/check.sh
 #
 # Order is cheapest-first so the common failure modes surface fast:
-# formatting, then the static determinism gate — the stock lints over
-# the whole workspace and simlint's two rules beside them (README.md
-# "The determinism gate") — then clippy's full set on the crates that
-# are clean of it, then build, then tests.
+# formatting, then the static determinism gate — stock rustc and clippy
+# lints over the whole workspace (README.md "The determinism gate") —
+# then clippy's full set on the crates that are clean of it, then build,
+# then tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-# The determinism gate, stock half: wall clocks, hash-ordered
-# containers, ambient hashers, Rc/RefCell/Cell, thread_local!, unsafe,
-# float equality, and panics on the fast path are rustc and clippy lints
-# denied by name in the root Cargo.toml [workspace.lints] (entries in
-# clippy.toml), over every crate. crates/lint-fixtures rides along: each
-# banned construct there *expects* its lint, so a lint that stops firing
-# fails this step too.
+# The determinism gate: wall clocks, hash-ordered containers, ambient
+# hashers, Rc/RefCell/Cell, thread_local!, unsafe and float equality are
+# rustc and clippy lints denied by name in the root Cargo.toml
+# [workspace.lints] (entries in clippy.toml), over every crate. Panics on
+# the fast path, and unwrap/expect anywhere in lbcore and telemetry (so
+# no partial_cmp().unwrap() comparator, rule G2), are denied per crate
+# or module; so are narrowing `as` casts (cast_possible_truncation, rule
+# G3) on every target of netsim, nettcp and lb-dataplane, in their
+# [lints] tables. crates/lint-fixtures rides along: each banned
+# construct there *expects* its lint, so a lint that stops firing fails
+# this step too.
 echo "==> cargo clippy --workspace (determinism gate)"
 cargo clippy --offline --no-deps --workspace
 
@@ -31,21 +35,6 @@ if grep -nE '^name = "(rand|getrandom)"' Cargo.lock; then
     echo "an entropy crate entered Cargo.lock; seed a netsim::rng::SimRng instead" >&2
     exit 1
 fi
-
-# The determinism gate, simlint half: the two rules no stock lint
-# expresses (G2 partial_cmp().unwrap() comparators, G3 sequence-number
-# narrowing). Gates on deny-tier
-# findings and on warn-tier findings not covered by the committed
-# simlint.baseline. To accept a new warn finding:
-#   cargo run -q -p simlint -- --workspace --update-baseline
-echo "==> simlint --workspace"
-cargo run -q -p simlint -- --workspace
-
-# The analyzer's own test suite (lexer, item layer, config, baseline,
-# and the golden fixtures) is tier-1: a rule regression must not be able
-# to slip through via a green workspace scan alone.
-echo "==> simlint self-tests"
-cargo test -q -p simlint
 
 # Clippy's whole default set, warnings denied, tests included, on the
 # crates whose lint debt is paid (the hot-path crates netsim, nettcp,

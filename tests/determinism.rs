@@ -1,10 +1,11 @@
-//! Whole-stack determinism regression (simlint's runtime counterpart).
+//! Whole-stack determinism regression (the static gate's runtime
+//! counterpart).
 //!
-//! The static pass (`cargo run -p simlint -- --workspace`) bans the
-//! *sources* of nondeterminism — wall clocks, ambient entropy,
-//! hash-order iteration. This test checks the *outcome*: the complete
-//! packet-event trace of a full cluster run is a pure function of the
-//! seed. Unlike the client-side checks in `dsr_invariants.rs`, a trace
+//! The static gate (`cargo clippy --workspace`, rules D1–D3 in DESIGN.md
+//! §6.9) bans the *sources* of nondeterminism — wall clocks, ambient
+//! entropy, hash-order iteration. This test checks the *outcome*: the
+//! complete packet-event trace of a full cluster run is a pure function
+//! of the seed. Unlike the client-side checks in `dsr_invariants.rs`, a trace
 //! hash covers every send, delivery, and drop at every node, so even a
 //! reordering that cancels out in the aggregates fails here.
 

@@ -2,7 +2,7 @@
 //! experiments for the paper's §5 open questions. The `ablations` binary
 //! runs each by name.
 
-use lb_dataplane::{LbConfig, RoutingPolicy};
+use lb_dataplane::{LbConfig, Steering};
 use lbcore::{
     AimdController, AlphaShift, Controller, EnsembleConfig, GossipConfig, ProportionalController,
     Weights,
@@ -136,7 +136,7 @@ pub fn alpha_sweep(cfg: &Fig3Config, alphas: &[f64]) -> Table {
     let inject = cfg.inject_at.as_nanos();
     for &alpha in alphas {
         let cluster = run_aware(cfg, move |lb| {
-            lb.controller = Box::new(AlphaShift::damped().with_alpha(alpha));
+            lb.steering = Steering::Control(Box::new(AlphaShift::damped().with_alpha(alpha)));
         });
         t.row(&[
             format!("{alpha:.2}"),
@@ -169,7 +169,7 @@ pub fn margin_sweep(cfg: &Fig3Config, margins: &[f64]) -> Table {
         let cluster = run_aware(cfg, move |lb| {
             let mut ctl = AlphaShift::damped();
             ctl.margin = margin;
-            lb.controller = Box::new(ctl);
+            lb.steering = Steering::Control(Box::new(ctl));
         });
         t.row(&[
             format!("{margin:.2}"),
@@ -232,34 +232,33 @@ pub fn controller_comparison(cfg: &Fig3Config) -> Table {
         &["controller", "p95_after_us", "reaction_ms", "rebuilds"],
     );
     let inject = cfg.inject_at.as_nanos();
-    let controllers: [(&str, Tweak<LbConfig>); 3] = [
+    let steerings: [(&str, Tweak<LbConfig>); 4] = [
         ("alpha-shift", |lb| {
-            lb.controller = Box::new(AlphaShift::damped())
+            lb.steering = Steering::Control(Box::new(AlphaShift::damped()));
         }),
-        ("aimd", |lb| lb.controller = Box::new(AimdController::new())),
+        ("aimd", |lb| {
+            lb.steering = Steering::Control(Box::new(AimdController::new()));
+        }),
         ("proportional", |lb| {
-            lb.controller = Box::new(ProportionalController::new(1.0));
+            lb.steering = Steering::Control(Box::new(ProportionalController::new(1.0)));
         }),
+        // Power-of-two-choices: no controller at all — the in-band
+        // estimates drive each new connection's choice directly.
+        ("power-of-two", |lb| lb.steering = Steering::PowerOfTwo),
     ];
-    for (name, tweak) in controllers {
+    for (name, tweak) in steerings {
         let cluster = run_aware(cfg, tweak);
+        let reaction = match name {
+            "power-of-two" => "per-conn".to_string(),
+            _ => reaction_ms(&cluster, inject),
+        };
         t.row(&[
             name.to_string(),
             p95_us(&cluster, inject, u64::MAX),
-            reaction_ms(&cluster, inject),
+            reaction,
             rebuilds(&cluster),
         ]);
     }
-
-    // Power-of-two-choices: no controller at all — the in-band estimates
-    // drive each new connection's choice directly.
-    let cluster = run_aware(cfg, |lb| lb.policy = RoutingPolicy::PowerOfTwo);
-    t.row(&[
-        "power-of-two".to_string(),
-        p95_us(&cluster, inject, u64::MAX),
-        "per-conn".to_string(),
-        rebuilds(&cluster),
-    ]);
     t
 }
 
@@ -516,7 +515,7 @@ pub fn congestion(cfg: &Fig3Config) -> Table {
         ),
         (
             "power-of-two",
-            Some(|lb| lb.policy = RoutingPolicy::PowerOfTwo),
+            Some(|lb| lb.steering = Steering::PowerOfTwo),
         ),
     ];
     for (pattern, duty, rate) in patterns {
@@ -700,8 +699,10 @@ pub fn oob_comparison(cfg: &Fig3Config) -> Table {
             let mut cluster_cfg = cfg.cluster(true);
             if oob {
                 cluster_cfg.lb = aware(|lb| {
-                    lb.inband = false;
-                    lb.control_addr = Some((CONTROL_IP, CONTROL_PORT));
+                    lb.steering = Steering::OutOfBand {
+                        controller: Box::new(AlphaShift::damped()),
+                        addr: (CONTROL_IP, CONTROL_PORT),
+                    };
                 });
             }
             cluster_cfg.oob_report_period = period;

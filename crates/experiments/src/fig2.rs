@@ -125,12 +125,13 @@ pub fn replay_ensemble(arrivals: &[u64], cfg: EnsembleConfig) -> (TimedSeries, T
         return (out, Vec::new());
     };
     let mut state = ens.new_flow(first);
+    let mut decisions = Vec::new();
     for &t in rest {
         if let Some(s) = ens.on_packet(&mut state, t) {
             out.push((t, s));
         }
+        decisions.extend(ens.decision().map(|d| (d.at, d.delta)));
     }
-    let decisions = ens.decisions().iter().map(|d| (d.at, d.delta)).collect();
     (out, decisions)
 }
 

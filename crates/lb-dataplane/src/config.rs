@@ -1,4 +1,4 @@
-//! LB configuration: what to measure, how to route, and the knobs.
+//! LB configuration: what steers new connections, and the knobs.
 
 use std::net::Ipv4Addr;
 
@@ -6,30 +6,45 @@ use lbcore::{Controller, EnsembleConfig, HealthConfig};
 use netsim::Duration;
 use telemetry::JournalMode;
 
-/// How new connections are assigned to backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingPolicy {
-    /// Weighted Maglev (the paper's design): the feedback controller
-    /// reshapes backend weights and the table is rebuilt to match.
-    WeightedMaglev,
-    /// Latency-aware power-of-two-choices: each new connection hashes to
-    /// two candidate backends and picks the one with the lower fresh
-    /// in-band latency estimate (falling back to the first candidate when
-    /// estimates are missing). No controller, no table rebuilds — the
-    /// measurements drive per-connection decisions directly.
-    PowerOfTwo,
-}
-
-/// What the LB does with the measurement machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MeasureMode {
+/// What drives a new connection's backend: the five configurations the
+/// LB runs, from plain Maglev to the paper's in-band feedback loop.
+pub enum Steering {
     /// Plain Maglev: no per-packet measurement at all (the baseline).
     Off,
     /// Run Algorithms 1/2 and record samples, but never change weights
     /// (used to evaluate measurement accuracy, Fig. 2).
     Observe,
-    /// Measure and let the controller adapt weights (the paper's design).
-    Control,
+    /// In-band `T_LB` samples drive the controller, which reshapes the
+    /// weighted Maglev table (the paper's design).
+    Control(Box<dyn Controller>),
+    /// §2.3's baseline, which the paper argues against: no in-band
+    /// measurement; UDP datagrams to `addr` carrying `netpkt::oob`
+    /// reports feed the estimator and drive `controller`.
+    OutOfBand {
+        /// The feedback controller.
+        controller: Box<dyn Controller>,
+        /// The control `(ip, port)` reports are sent to.
+        addr: (Ipv4Addr, u16),
+    },
+    /// Latency-aware power-of-two choices: a new connection goes to the
+    /// one of two hashed candidates with the lower fresh in-band estimate.
+    /// No controller, no table reshaping.
+    PowerOfTwo,
+}
+
+impl Steering {
+    /// Whether the fast path taps in-band timing (Algorithms 1/2).
+    pub fn taps_inband(&self) -> bool {
+        !matches!(self, Steering::Off | Steering::OutOfBand { .. })
+    }
+
+    /// The controller that reshapes the weights, if any.
+    pub fn controller(&mut self) -> Option<&mut dyn Controller> {
+        match self {
+            Steering::Control(c) | Steering::OutOfBand { controller: c, .. } => Some(c.as_mut()),
+            Steering::Off | Steering::Observe | Steering::PowerOfTwo => None,
+        }
+    }
 }
 
 /// Load-balancer configuration.
@@ -42,20 +57,8 @@ pub struct LbConfig {
     pub table_size: usize,
     /// Ensemble estimator parameters.
     pub ensemble: EnsembleConfig,
-    /// Measurement/control mode.
-    pub mode: MeasureMode,
-    /// New-connection routing policy.
-    pub policy: RoutingPolicy,
-    /// Whether in-band measurement (Algorithms 1/2) runs. Disable it to
-    /// drive the controller purely from out-of-band reports — the §2.3
-    /// baseline the paper argues against.
-    pub inband: bool,
-    /// Control address for out-of-band reports: UDP datagrams to this
-    /// `(ip, port)` carrying `netpkt::oob` reports feed the per-backend
-    /// estimator directly.
-    pub control_addr: Option<(Ipv4Addr, u16)>,
-    /// The feedback controller (used in [`MeasureMode::Control`]).
-    pub controller: Box<dyn Controller>,
+    /// What drives a new connection's backend.
+    pub steering: Steering,
     /// Weight floor (see [`lbcore::Weights`]).
     pub weight_floor: f64,
     /// EWMA gain for per-backend latency.
@@ -82,11 +85,10 @@ pub struct LbConfig {
     pub flow_table_capacity: usize,
     /// Period of the flow-table sweep timer.
     pub sweep_interval: Duration,
-    /// Backend health tracking (crash/stall ejection). Only active in
-    /// in-band [`MeasureMode::Control`] with [`RoutingPolicy::WeightedMaglev`]:
-    /// the detector's "offered traffic but producing no samples" signal
-    /// needs the in-band measurement path, and ejection acts by zeroing
-    /// table weights. `None` disables health tracking entirely.
+    /// Backend health tracking (crash/stall ejection). Only active under
+    /// [`Steering::Control`]: the detector's "offered traffic but producing
+    /// no samples" signal needs the in-band measurement path, and ejection
+    /// acts by zeroing table weights. `None` disables health tracking.
     pub health: Option<HealthConfig>,
     /// Decision-journal mode. Defaults to [`JournalMode::Off`]; emission
     /// sites are gated on it and the journal never sends packets or arms
@@ -103,17 +105,22 @@ impl LbConfig {
         controller: Box<dyn Controller>,
     ) -> LbConfig {
         LbConfig {
+            steering: Steering::Control(controller),
+            ..Self::baseline(vip, backends)
+        }
+    }
+
+    /// The plain-Maglev baseline (no measurement, no adaptation), with the
+    /// paper's parameters for the other steerings.
+    pub fn baseline(vip: Ipv4Addr, backends: Vec<Ipv4Addr>) -> LbConfig {
+        LbConfig {
             vip,
             backends,
             table_size: lbcore::maglev::DEFAULT_TABLE_SIZE,
-            // Control mode defaults to the robust cliff rule; see the
+            // The robust cliff rule (all but the observer); see the
             // CliffRule docs for why the paper's rule fails on KV traffic.
             ensemble: EnsembleConfig::robust(),
-            mode: MeasureMode::Control,
-            policy: RoutingPolicy::WeightedMaglev,
-            inband: true,
-            control_addr: None,
-            controller,
+            steering: Steering::Off,
             weight_floor: 0.02,
             estimator_alpha: 0.2,
             signal_quantile: 0.5,
@@ -128,19 +135,13 @@ impl LbConfig {
         }
     }
 
-    /// The plain-Maglev baseline (no measurement, no adaptation).
-    pub fn baseline(vip: Ipv4Addr, backends: Vec<Ipv4Addr>) -> LbConfig {
-        let mut cfg = Self::latency_aware(vip, backends, Box::new(lbcore::AlphaShift::paper()));
-        cfg.mode = MeasureMode::Off;
-        cfg
-    }
-
     /// Measurement-only mode (Fig. 2 experiments). Uses the paper's
     /// argmax-ratio cliff rule for figure fidelity.
     pub fn observer(vip: Ipv4Addr, backends: Vec<Ipv4Addr>) -> LbConfig {
-        let mut cfg = Self::latency_aware(vip, backends, Box::new(lbcore::AlphaShift::paper()));
-        cfg.mode = MeasureMode::Observe;
-        cfg.ensemble = EnsembleConfig::default();
-        cfg
+        LbConfig {
+            steering: Steering::Observe,
+            ensemble: EnsembleConfig::default(),
+            ..Self::baseline(vip, backends)
+        }
     }
 }

@@ -20,7 +20,6 @@ use lbcore::{HealthState, LazyMaglev, Weights};
 use netsim::Time;
 use telemetry::{JournalEvent, WeightCause};
 
-use crate::config::{MeasureMode, RoutingPolicy};
 use crate::node::LbNode;
 
 /// The Maglev forwarding table, stale until read.
@@ -122,18 +121,15 @@ impl LbNode {
         }
     }
 
+    /// Lets the controller, if the steering has one, reshape the weights.
     pub(crate) fn run_controller(&mut self, now: Time) {
-        if self.cfg.policy == RoutingPolicy::PowerOfTwo {
-            return; // p2c consumes estimates directly; no table to reshape
-        }
         if self.no_backend {
             return; // nothing to shape until a backend is readmitted
         }
-        let changed =
-            self.cfg
-                .controller
-                .maybe_update(now.as_nanos(), &self.estimator, &mut self.weights);
-        if changed {
+        let Some(controller) = self.cfg.steering.controller() else {
+            return; // observe-only or p2c: no table to reshape
+        };
+        if controller.maybe_update(now.as_nanos(), &self.estimator, &mut self.weights) {
             self.commit_weights(now, WeightCause::Controller);
         }
     }
@@ -150,31 +146,22 @@ impl LbNode {
     /// weights, and calls this on each LB between steps — a deterministic
     /// all-to-all gossip round with no extra packets in the trace.
     ///
-    /// Returns false (and changes nothing) for non-controlling configs
-    /// (baseline/observer/p2c), while every backend is ejected, or when
-    /// the merge is a no-op.
+    /// Returns false (and changes nothing) under a steering without a
+    /// controller (baseline/observer/p2c), while every backend is ejected,
+    /// or when the merge is a no-op.
     pub fn apply_gossip(&mut self, peers: &[&[f64]], mix: f64, now: Time) -> bool {
-        if self.cfg.mode != MeasureMode::Control
-            || self.cfg.policy != RoutingPolicy::WeightedMaglev
-            || self.no_backend
-        {
+        if self.cfg.steering.controller().is_none() || self.no_backend {
             return false;
         }
-        let before = if self.journal.enabled() {
-            self.weights.as_slice().to_vec()
-        } else {
-            Vec::new()
-        };
         if !lbcore::gossip::merge_weights(&mut self.weights, peers, mix) {
             return false;
         }
         self.stats.gossip_merges += 1;
         if self.journal.enabled() {
+            // The merged vector is the `WeightUpdate` the commit records.
             self.journal.push(JournalEvent::GossipMerge {
                 at: now.as_nanos(),
                 mix,
-                before,
-                after: self.weights.as_slice().to_vec(),
             });
         }
         self.commit_weights(now, WeightCause::Gossip);

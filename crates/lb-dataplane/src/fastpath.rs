@@ -6,7 +6,7 @@ use netsim::{Ctx, Time};
 use telemetry::span::{pack_addr, HopKind};
 use telemetry::JournalEvent;
 
-use crate::config::{MeasureMode, RoutingPolicy};
+use crate::config::Steering;
 use crate::node::LbNode;
 
 impl LbNode {
@@ -19,13 +19,13 @@ impl LbNode {
 
     /// Handles a datagram on the control address; returns true if consumed.
     fn try_control(&mut self, now: Time, pkt: &Packet) -> bool {
-        let Some((ip, port)) = self.cfg.control_addr else {
+        let Steering::OutOfBand { addr, .. } = self.cfg.steering else {
             return false;
         };
         let Ok((hdr, udp, payload)) = netpkt::udp::parse_udp(&pkt.data) else {
             return false;
         };
-        if hdr.dst != ip || udp.dst_port != port {
+        if (hdr.dst, udp.dst_port) != addr {
             return false;
         }
         if let Some((backend_id, latency_ns)) = netpkt::oob::parse_report(payload) {
@@ -33,9 +33,7 @@ impl LbNode {
             if b < self.cfg.backends.len() {
                 self.stats.oob_reports += 1;
                 self.estimator.record(b, latency_ns, now.as_nanos());
-                if self.cfg.mode == MeasureMode::Control {
-                    self.run_controller(now);
-                }
+                self.run_controller(now);
             }
         }
         true // addressed to the control port: consumed either way
@@ -82,7 +80,6 @@ impl LbNode {
         }
         let now = ctx.now();
         let now_ns = now.as_nanos();
-        let measuring = self.cfg.mode != MeasureMode::Off && self.cfg.inband;
 
         // Flow lookup / admission. Entries are retired only by the idle
         // sweep, never on FIN: the final ACK of the teardown arrives
@@ -120,30 +117,18 @@ impl LbNode {
                 // packets to a different backend and breaks the connection.
                 self.table.lookup(&self.weights, key.stable_hash())
             };
-            if measuring {
+            if self.cfg.steering.taps_inband() {
                 let journal_on = self.journal.enabled();
-                let pre_decisions = if journal_on {
-                    self.ensembles[backend].decisions().len()
-                } else {
-                    0
-                };
                 let sample = self.ensembles[backend].on_packet(&mut entry.timing, now_ns);
-                if journal_on {
-                    // `on_packet` closes at most one epoch per call; any
-                    // new decision happened before this packet's sample.
-                    for d in self.ensembles[backend]
-                        .decisions()
-                        .iter()
-                        .skip(pre_decisions)
-                    {
-                        self.journal.push(JournalEvent::EpochDecision {
-                            at: d.at,
-                            backend,
-                            counts: d.counts.clone(),
-                            chosen: d.chosen,
-                            delta: d.delta,
-                        });
-                    }
+                // Any decision this packet closed happened before its sample.
+                if let Some(d) = self.ensembles[backend].decision().filter(|_| journal_on) {
+                    self.journal.push(JournalEvent::EpochDecision {
+                        at: d.at,
+                        backend,
+                        counts: d.counts().to_vec(),
+                        chosen: d.chosen,
+                        delta: d.delta,
+                    });
                 }
                 if let Some(t_lb) = sample {
                     self.stats.samples += 1;
@@ -163,9 +148,7 @@ impl LbNode {
                         }
                     }
                     self.estimator.record(backend, t_lb, now_ns);
-                    if self.cfg.mode == MeasureMode::Control {
-                        self.run_controller(now);
-                    }
+                    self.run_controller(now);
                 }
             }
             ctx.record_hop(
@@ -213,34 +196,33 @@ impl LbNode {
         ctx.pool().recycle(pkt);
     }
 
-    /// Chooses the backend for a new connection per the routing policy.
+    /// Chooses the backend for a new connection: power-of-two choices
+    /// under [`Steering::PowerOfTwo`], the weighted table otherwise.
     // A remainder modulo `n`, a usize, fits a usize.
     #[allow(clippy::cast_possible_truncation)]
     pub(crate) fn pick_backend(&mut self, hash: u64, now_ns: u64) -> usize {
-        match self.cfg.policy {
-            RoutingPolicy::WeightedMaglev => self.table.lookup(&self.weights, hash),
-            RoutingPolicy::PowerOfTwo => {
-                let n = self.cfg.backends.len();
-                if n == 1 {
-                    return 0;
-                }
-                let c1 = (hash % n as u64) as usize;
-                // Second candidate from an independent hash, displaced so
-                // the two always differ.
-                let h2 = netpkt::flow::splitmix64(hash ^ 0x9e37_79b9_7f4a_7c15);
-                let mut c2 = (h2 % n as u64) as usize;
-                if c2 == c1 {
-                    c2 = (c2 + 1) % n;
-                }
-                match (
-                    self.estimator.fresh_estimate(c1, now_ns),
-                    self.estimator.fresh_estimate(c2, now_ns),
-                ) {
-                    (Some(e1), Some(e2)) if e2 < e1 => c2,
-                    (None, Some(_)) => c1, // un-measured first candidate: explore it
-                    _ => c1,
-                }
-            }
+        if !matches!(self.cfg.steering, Steering::PowerOfTwo) {
+            return self.table.lookup(&self.weights, hash);
+        }
+        let n = self.cfg.backends.len();
+        if n == 1 {
+            return 0;
+        }
+        let c1 = (hash % n as u64) as usize;
+        // Second candidate from an independent hash, displaced so the two
+        // always differ.
+        let h2 = netpkt::flow::splitmix64(hash ^ 0x9e37_79b9_7f4a_7c15);
+        let mut c2 = (h2 % n as u64) as usize;
+        if c2 == c1 {
+            c2 = (c2 + 1) % n;
+        }
+        match (
+            self.estimator.fresh_estimate(c1, now_ns),
+            self.estimator.fresh_estimate(c2, now_ns),
+        ) {
+            (Some(e1), Some(e2)) if e2 < e1 => c2,
+            (None, Some(_)) => c1, // un-measured first candidate: explore it
+            _ => c1,
         }
     }
 }

@@ -7,14 +7,15 @@
 //!   directly, never crossing the LB),
 //! * per packet it runs the fast path — four-tuple parse, flow-table
 //!   lookup, Maglev lookup for new flows, destination rewrite, forward —
-//! * and, when measurement is enabled, executes `ENSEMBLETIMEOUT` per
+//! * and, as its [`Steering`] says, executes `ENSEMBLETIMEOUT` per
 //!   packet, aggregates per-backend latency, and lets a feedback
 //!   controller reshape the Maglev weights.
 //!
 //! Four modules, plain `impl LbNode` blocks across them:
 //!
-//! * [`config`] — [`LbConfig`], [`RoutingPolicy`], [`MeasureMode`] and the
-//!   three constructors (latency-aware, baseline, observer);
+//! * [`config`] — [`LbConfig`], [`Steering`] (what drives a new
+//!   connection's backend) and the three constructors (latency-aware,
+//!   baseline, observer);
 //! * `fastpath` — the per-packet path: parse → control port → flow table
 //!   → ensemble tap → pick → rewrite → forward;
 //! * `control` — everything that changes the weight vector (controller,
@@ -39,5 +40,5 @@ mod control;
 mod fastpath;
 pub mod node;
 
-pub use config::{LbConfig, MeasureMode, RoutingPolicy};
+pub use config::{LbConfig, Steering};
 pub use node::{LbNode, LbStats};

@@ -7,7 +7,7 @@ use telemetry::{Journal, ScalarSeries, WeightCause};
 
 use lbcore::{BackendEstimator, EnsembleTimeout, FlowTable, HealthTracker, Weights};
 
-use crate::config::{LbConfig, MeasureMode, RoutingPolicy};
+use crate::config::LbConfig;
 use crate::control::LazyTable;
 
 /// The LB counters: always on, one plain integer each. Anything
@@ -100,7 +100,7 @@ pub struct LbNode {
 impl LbNode {
     /// Creates the LB with one forwarding link per backend (order matches
     /// `cfg.backends`).
-    pub fn new(cfg: LbConfig, mac: MacAddr, backend_links: Vec<LinkId>) -> LbNode {
+    pub fn new(mut cfg: LbConfig, mac: MacAddr, backend_links: Vec<LinkId>) -> LbNode {
         assert!(!cfg.backends.is_empty(), "LB needs at least one backend");
         assert_eq!(
             backend_links.len(),
@@ -122,18 +122,10 @@ impl LbNode {
             estimator = estimator.with_signal_horizon(h.as_nanos());
         }
         // Health tracking needs the in-band sample stream (the silence
-        // signal) and a weighted table to act on; out-of-band variants may
-        // report slower than the silence window and would false-eject.
-        let health = match cfg.health {
-            Some(h)
-                if cfg.mode == MeasureMode::Control
-                    && cfg.policy == RoutingPolicy::WeightedMaglev
-                    && cfg.inband =>
-            {
-                Some(HealthTracker::new(n, h))
-            }
-            _ => None,
-        };
+        // signal) and a controlled table to act on; out-of-band reports
+        // may come slower than the silence window and would false-eject.
+        let tracked = cfg.steering.taps_inband() && cfg.steering.controller().is_some();
+        let health = cfg.health.filter(|_| tracked);
         let journal = Journal::new(cfg.journal);
         LbNode {
             cfg,
@@ -145,7 +137,7 @@ impl LbNode {
             ensembles,
             estimator,
             weight_series: (0..n).map(|_| ScalarSeries::new()).collect(),
-            health,
+            health: health.map(|h| HealthTracker::new(n, h)),
             fwd_per_backend: vec![0; n],
             live_samples: vec![0; n],
             route_class: vec![0; n],
@@ -164,11 +156,6 @@ impl LbNode {
     /// Weight history of backend `b`.
     pub fn weight_series(&self, b: usize) -> &ScalarSeries {
         &self.weight_series[b]
-    }
-
-    /// Backend `b`'s ensemble estimator (for epoch-decision introspection).
-    pub fn ensemble(&self, b: usize) -> &EnsembleTimeout {
-        &self.ensembles[b]
     }
 
     /// The per-backend estimator.
@@ -232,6 +219,7 @@ mod tests {
     use std::net::Ipv4Addr;
 
     use super::*;
+    use crate::config::Steering;
     use netpkt::{TcpFlags, TcpHeader};
     use telemetry::{JournalEvent, JournalMode};
 
@@ -242,14 +230,18 @@ mod tests {
         vec![Ipv4Addr::new(10, 0, 2, 1), Ipv4Addr::new(10, 0, 2, 2)]
     }
 
+    fn addrs(dst_ip: Ipv4Addr) -> netpkt::Addresses {
+        netpkt::Addresses {
+            src_mac: MacAddr::from_id(1),
+            dst_mac: MacAddr::from_id(2),
+            src_ip: CLIENT,
+            dst_ip,
+        }
+    }
+
     fn client_pkt(src_port: u16, flags: TcpFlags, seq: u32) -> Packet {
         Packet::build_tcp(
-            netpkt::Addresses {
-                src_mac: MacAddr::from_id(1),
-                dst_mac: MacAddr::from_id(2),
-                src_ip: CLIENT,
-                dst_ip: VIP,
-            },
+            addrs(VIP),
             &TcpHeader {
                 src_port,
                 dst_port: 11211,
@@ -460,12 +452,7 @@ mod tests {
     #[test]
     fn non_vip_traffic_dropped() {
         let stray = Packet::build_tcp(
-            netpkt::Addresses {
-                src_mac: MacAddr::from_id(1),
-                dst_mac: MacAddr::from_id(2),
-                src_ip: CLIENT,
-                dst_ip: Ipv4Addr::new(8, 8, 8, 8),
-            },
+            addrs(Ipv4Addr::new(8, 8, 8, 8)),
             &TcpHeader {
                 src_port: 1,
                 dst_port: 2,
@@ -529,14 +516,9 @@ mod tests {
     fn power_of_two_prefers_fresher_faster_backend() {
         // Build a standalone node (links are never used by pick_backend).
         let mut lb = LbNode::new(
-            {
-                let mut c = LbConfig::latency_aware(
-                    VIP,
-                    backends(),
-                    Box::new(lbcore::AlphaShift::damped()),
-                );
-                c.policy = RoutingPolicy::PowerOfTwo;
-                c
+            LbConfig {
+                steering: Steering::PowerOfTwo,
+                ..LbConfig::baseline(VIP, backends())
             },
             MacAddr::from_id(9),
             vec![netsim::LinkId(0), netsim::LinkId(1)],
@@ -558,6 +540,58 @@ mod tests {
         }
         for h in 0..200u64 {
             assert_eq!(lb.pick_backend(netpkt::flow::splitmix64(h), 20), 1);
+        }
+    }
+
+    #[test]
+    fn steering_truth_table() {
+        const CONTROL: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 9, 9, 1), 7946);
+        let ctl = || -> Box<dyn lbcore::Controller> { Box::new(lbcore::AlphaShift::paper()) };
+        let oob = Steering::OutOfBand {
+            controller: ctl(),
+            addr: CONTROL,
+        };
+        // Per steering, whether: in-band samples are counted, the
+        // controller commits, a health tracker exists, a gossip merge is
+        // accepted, an out-of-band report is consumed.
+        let rows = [
+            (Steering::Off, [false, false, false, false, false]),
+            (Steering::Observe, [true, false, false, false, false]),
+            (Steering::Control(ctl()), [true, true, true, true, false]),
+            (oob, [false, true, false, true, true]),
+            (Steering::PowerOfTwo, [true, false, false, false, false]),
+        ];
+        for (row, (steering, expect)) in rows.into_iter().enumerate() {
+            // A batched flow, and one report (backend 0 at 5 ms) mid-way.
+            let mut script = batched_script(100);
+            let report = netpkt::oob::encode_report(0, 5_000_000);
+            let report =
+                netpkt::udp::build_udp_payload(addrs(CONTROL.0), 40_000, CONTROL.1, &report, 0);
+            script.push((Duration::from_millis(50), report));
+            let cfg = LbConfig {
+                steering,
+                ..LbConfig::baseline(VIP, backends())
+            };
+            let (mut sim, lb, _sinks) = rig(cfg, script);
+            sim.run_for(Duration::from_millis(200));
+            let now = sim.now();
+            let node = sim.node_mut::<LbNode>(lb).unwrap();
+            let consumed = node.stats.oob_reports == 1;
+            assert_eq!(node.stats.dropped, u64::from(!consumed), "row {row}");
+            let merged = node.apply_gossip(&[&[0.9, 0.1]], 0.5, now);
+            // Backend 0 far slower: a controller shifts weight off it.
+            node.estimator.record(0, 5_000_000, now.as_nanos());
+            node.estimator.record(1, 200_000, now.as_nanos());
+            let commits = node.stats.table_rebuilds;
+            node.run_controller(now);
+            let got = [
+                node.stats.samples > 0,
+                node.stats.table_rebuilds > commits,
+                node.health().is_some(),
+                merged,
+                consumed,
+            ];
+            assert_eq!(got, expect, "row {row}");
         }
     }
 

@@ -124,9 +124,9 @@ impl EnsembleFlowState {
     }
 }
 
-/// A record of one epoch decision, kept for experiment introspection and
-/// the decision journal.
-#[derive(Debug, Clone)]
+/// One epoch decision: when it was made, what it chose, and the counts it
+/// chose from. Inline, so deciding allocates nothing.
+#[derive(Debug, Clone, Copy)]
 pub struct EpochDecision {
     /// When the decision was made (the epoch boundary).
     pub at: Nanos,
@@ -134,8 +134,16 @@ pub struct EpochDecision {
     pub chosen: usize,
     /// The chosen timeout value in nanoseconds.
     pub delta: Nanos,
+    /// The per-timeout sample counts N₁…Nₖ, in the first k slots.
+    counts: [u64; MAX_TIMEOUTS],
+    k: usize,
+}
+
+impl EpochDecision {
     /// The per-timeout sample counts N₁…Nₖ the decision was made from.
-    pub counts: Vec<u64>,
+    pub fn counts(&self) -> &[u64] {
+        &self.counts[..self.k]
+    }
 }
 
 /// Algorithm 2: the ensemble estimator. One instance per LB (sample counts
@@ -144,14 +152,15 @@ pub struct EpochDecision {
 pub struct EnsembleTimeout {
     cfg: EnsembleConfig,
     algs: Vec<FixedTimeout>,
-    /// Sample counts Nᵢ for the current epoch.
-    counts: Vec<u64>,
+    /// Sample counts Nᵢ for the current epoch, in the first k slots.
+    counts: [u64; MAX_TIMEOUTS],
     /// Index of the epoch the counts belong to.
     epoch_index: u64,
     /// Index of δₑ, the timeout whose samples are reported this epoch.
     chosen: usize,
-    /// Epoch decisions taken so far (for figures; bounded by run length).
-    decisions: Vec<EpochDecision>,
+    /// The decision the latest `on_packet` made, if it closed an epoch
+    /// with enough samples to decide.
+    decision: Option<EpochDecision>,
 }
 
 impl EnsembleTimeout {
@@ -164,14 +173,13 @@ impl EnsembleTimeout {
             .iter()
             .map(|&d| FixedTimeout::new(d))
             .collect::<Vec<_>>();
-        let k = algs.len();
         EnsembleTimeout {
             cfg,
             algs,
-            counts: vec![0; k],
+            counts: [0; MAX_TIMEOUTS],
             epoch_index: 0,
             chosen: 0,
-            decisions: Vec::new(),
+            decision: None,
         }
     }
 
@@ -187,12 +195,13 @@ impl EnsembleTimeout {
 
     /// Per-timeout sample counts accumulated in the current epoch.
     pub fn epoch_counts(&self) -> &[u64] {
-        &self.counts
+        &self.counts[..self.k()]
     }
 
-    /// All epoch decisions taken so far.
-    pub fn decisions(&self) -> &[EpochDecision] {
-        &self.decisions
+    /// The epoch decision the latest [`on_packet`](Self::on_packet) made,
+    /// if it closed an epoch with enough samples to decide.
+    pub fn decision(&self) -> Option<&EpochDecision> {
+        self.decision.as_ref()
     }
 
     /// Fresh per-flow state.
@@ -205,6 +214,7 @@ impl EnsembleTimeout {
     /// all k instances and, at epoch boundaries, re-selects δₑ via the
     /// sample cliff.
     pub fn on_packet(&mut self, f: &mut EnsembleFlowState, now: Nanos) -> Option<Nanos> {
+        self.decision = None;
         // Epoch boundary first (the paper runs it on the first packet of a
         // new epoch, before reporting).
         let epoch_now = now / self.cfg.epoch;
@@ -232,7 +242,7 @@ impl EnsembleTimeout {
 
     /// Applies the sample-cliff rule and resets counts.
     fn finish_epoch(&mut self, now: Nanos) {
-        let k = self.counts.len();
+        let k = self.k();
         let total: u64 = self.counts.iter().sum();
         if total >= self.cfg.min_epoch_samples {
             // Laplace smoothing (+1) keeps ratios finite when a larger
@@ -260,14 +270,15 @@ impl EnsembleTimeout {
                     .unwrap_or_else(argmax),
             };
             self.chosen = best_i;
-            self.decisions.push(EpochDecision {
+            self.decision = Some(EpochDecision {
                 at: now,
                 chosen: best_i,
                 delta: self.cfg.timeouts[best_i],
-                counts: self.counts.clone(),
+                counts: self.counts,
+                k,
             });
         }
-        self.counts.iter_mut().for_each(|c| *c = 0);
+        self.counts = [0; MAX_TIMEOUTS];
     }
 }
 
@@ -299,15 +310,19 @@ mod tests {
         out
     }
 
-    fn feed(ens: &mut EnsembleTimeout, arrivals: &[Nanos]) -> Vec<(Nanos, Nanos)> {
+    fn feed(
+        ens: &mut EnsembleTimeout,
+        arrivals: &[Nanos],
+    ) -> (Vec<(Nanos, Nanos)>, Vec<EpochDecision>) {
         let mut flow = ens.new_flow(arrivals[0]);
-        let mut samples = Vec::new();
+        let (mut samples, mut decisions) = (Vec::new(), Vec::new());
         for &t in &arrivals[1..] {
             if let Some(s) = ens.on_packet(&mut flow, t) {
                 samples.push((t, s));
             }
+            decisions.extend(ens.decision().copied());
         }
-        samples
+        (samples, decisions)
     }
 
     #[test]
@@ -328,9 +343,8 @@ mod tests {
         // After the first epoch the cliff should sit in the separating band.
         let mut ens = EnsembleTimeout::new(EnsembleConfig::default());
         let arrivals = batched_arrivals(0, 200 * MS, MS, 4, 90 * US);
-        let _ = feed(&mut ens, &arrivals);
-        assert!(!ens.decisions().is_empty());
-        let last = ens.decisions().last().unwrap();
+        let (_, decisions) = feed(&mut ens, &arrivals);
+        let last = decisions.last().expect("no epoch decided");
         assert!(
             (128 * US..=512 * US).contains(&last.delta),
             "chose {} which does not separate 90us from 1ms",
@@ -342,7 +356,7 @@ mod tests {
     fn chosen_timeout_reports_true_rtt() {
         let mut ens = EnsembleTimeout::new(EnsembleConfig::default());
         let arrivals = batched_arrivals(0, 500 * MS, MS, 4, 20 * US);
-        let samples = feed(&mut ens, &arrivals);
+        let (samples, _) = feed(&mut ens, &arrivals);
         // Ignore the first epoch (δₑ still defaulted); after convergence
         // samples must equal the 1 ms batch period.
         let late: Vec<Nanos> = samples
@@ -367,7 +381,7 @@ mod tests {
         let mut ens = EnsembleTimeout::new(EnsembleConfig::default());
         let mut arrivals = batched_arrivals(0, 300 * MS, 500 * US, 3, 30 * US);
         arrivals.extend(batched_arrivals(300 * MS, 600 * MS, 2 * MS, 3, 100 * US));
-        let samples = feed(&mut ens, &arrivals);
+        let (samples, _) = feed(&mut ens, &arrivals);
         let early: Vec<Nanos> = samples
             .iter()
             .filter(|&&(t, _)| (100 * MS..300 * MS).contains(&t))
@@ -470,15 +484,12 @@ mod tests {
                 rule,
                 ..EnsembleConfig::default()
             });
-            let mut flow = ens.new_flow(arrivals[0]);
-            for &t in &arrivals[1..] {
-                let _ = ens.on_packet(&mut flow, t);
-            }
+            let (_, decisions) = feed(&mut ens, &arrivals);
             let med = |v: &mut Vec<Nanos>| {
                 v.sort_unstable();
                 v[v.len() / 2]
             };
-            let mut chosen: Vec<Nanos> = ens.decisions().iter().map(|d| d.delta).collect();
+            let mut chosen: Vec<Nanos> = decisions.iter().map(|d| d.delta).collect();
             med(&mut chosen)
         };
         let argmax_delta = run(CliffRule::ArgmaxRatio);

@@ -125,16 +125,13 @@ pub enum JournalEvent {
         /// What fired it (wire name, e.g. "silence", "abort_burst").
         trigger: &'static str,
     },
-    /// Peer weights were blended into the local vector.
+    /// Peer weights were blended into the local vector (the
+    /// `WeightUpdate` that follows holds the result).
     GossipMerge {
         /// Sim time of the merge.
         at: u64,
         /// Blend factor toward the peer mean.
         mix: f64,
-        /// Local weights before the merge.
-        before: Vec<f64>,
-        /// Local weights after the merge.
-        after: Vec<f64>,
     },
     /// An affinity-pinned flow was moved to a new backend.
     FlowRepin {
@@ -268,12 +265,7 @@ impl Record for JournalEvent {
                 to: "",
                 trigger: "",
             },
-            4 => JournalEvent::GossipMerge {
-                at: 0,
-                mix: 0.0,
-                before: Vec::new(),
-                after: Vec::new(),
-            },
+            4 => JournalEvent::GossipMerge { at: 0, mix: 0.0 },
             5 => JournalEvent::FlowRepin {
                 at: 0,
                 src_ip: 0,
@@ -355,16 +347,9 @@ impl Record for JournalEvent {
                 c.field(TO, Named(to, &HEALTH_STATES).label())?;
                 c.field("trigger", Named(trigger, &HEALTH_TRIGGERS).label())
             }
-            JournalEvent::GossipMerge {
-                at,
-                mix,
-                before,
-                after,
-            } => {
+            JournalEvent::GossipMerge { at, mix } => {
                 head(c, at)?;
-                c.field("mix", Field::Float(mix))?;
-                c.field(BEFORE, Field::Floats(before))?;
-                c.field(AFTER, Field::Floats(after))
+                c.field("mix", Field::Float(mix))
             }
             JournalEvent::FlowRepin {
                 at,
@@ -477,8 +462,6 @@ mod tests {
             JournalEvent::GossipMerge {
                 at: 5_000,
                 mix: 0.5,
-                before: vec![0.4, 0.6],
-                after: vec![0.45, 0.55],
             },
             JournalEvent::FlowRepin {
                 at: 6_000,
@@ -631,8 +614,7 @@ mod tests {
                 "\"moved\"",
             ),
             (
-                "{\"at\":1,\"ev\":\"gossip_merge\",\"mix\":1e400,\"before\":[],\"after\":[]}"
-                    .to_string(),
+                "{\"at\":1,\"ev\":\"gossip_merge\",\"mix\":1e400}".to_string(),
                 "\"mix\"",
             ),
         ] {

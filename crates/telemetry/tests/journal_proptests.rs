@@ -111,12 +111,7 @@ fn journal_event(float: fn(u64) -> f64) -> impl Strategy<Value = JournalEvent> {
                     to: STATES[(b % 4) as usize],
                     trigger: TRIGGERS[(a % 5) as usize],
                 },
-                4 => JournalEvent::GossipMerge {
-                    at,
-                    mix: f,
-                    before: floats.clone(),
-                    after: floats,
-                },
+                4 => JournalEvent::GossipMerge { at, mix: f },
                 5 => JournalEvent::FlowRepin {
                     at,
                     src_ip: a as u32,
@@ -321,11 +316,12 @@ fn float_shortest_form_edges_round_trip() {
         9007199254740993.0_f64, // 2^53 + 1: not exactly representable
     ];
     for &v in &edges {
-        let ev = JournalEvent::GossipMerge {
+        let ev = JournalEvent::WeightUpdate {
             at: 1,
-            mix: v,
-            before: vec![v],
-            after: vec![v, v],
+            cause: WeightCause::Gossip,
+            victim: None,
+            moved: v,
+            weights: vec![v, v],
         };
         let line = line(&ev);
         let back = JournalEvent::parse_json(&line).unwrap_or_else(|e| panic!("{v:?}: {e}\n{line}"));

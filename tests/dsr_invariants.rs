@@ -7,7 +7,7 @@ use experiments::fig3::Fig3Config;
 use experiments::kv::{Injection, Timeline};
 use experiments::topology::VIP;
 use experiments::{KvCluster, KvClusterConfig};
-use lb_dataplane::{LbConfig, LbNode};
+use lb_dataplane::{LbConfig, LbNode, Steering};
 use lbcore::AlphaShift;
 use netsim::{Duration, TraceKind};
 use nettcp::Host;
@@ -174,11 +174,12 @@ fn cluster_runs_are_deterministic() {
 #[test]
 fn oob_reports_drive_the_controller() {
     use experiments::topology::{CONTROL_IP, CONTROL_PORT};
-    let mut cfg = KvClusterConfig::fig3_defaults(|backends| {
-        let mut lb = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-        lb.inband = false;
-        lb.control_addr = Some((CONTROL_IP, CONTROL_PORT));
-        lb
+    let mut cfg = KvClusterConfig::fig3_defaults(|backends| LbConfig {
+        steering: Steering::OutOfBand {
+            controller: Box::new(AlphaShift::damped()),
+            addr: (CONTROL_IP, CONTROL_PORT),
+        },
+        ..LbConfig::baseline(VIP, backends)
     });
     cfg.seed = 21;
     cfg.oob_report_period = Some(Duration::from_millis(5));

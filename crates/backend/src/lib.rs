@@ -3,14 +3,13 @@
 //!
 //! The paper's testbed runs memcached pods whose request-processing
 //! latency varies at 100 µs–1 ms time scales due to scheduling noise,
-//! background work, and injected delay. This crate reproduces those
-//! phenomena in the simulator:
+//! background work, and injected delay. This crate models the server's
+//! share of that (host scheduling noise is `nettcp`'s receive jitter):
 //!
 //! * [`service::ServiceDist`] — per-request service-time distributions
-//!   (constant, exponential, log-normal, bimodal),
+//!   (constant, and the log-normal every experiment runs),
 //! * [`service::ServiceModel`] — a bounded pool of workers with FIFO
-//!   queueing and an optional background *interference* process (periodic
-//!   pauses modeling GC/preemption, §2.2 of the paper),
+//!   queueing,
 //! * a step [`service::DelaySchedule`] for scripted latency injection
 //!   ("add 1 ms from t = 100 s", the Fig. 3 event),
 //! * [`server::KvServerApp`] — the [`nettcp::App`] gluing it to the
@@ -22,5 +21,5 @@
 pub mod server;
 pub mod service;
 
-pub use server::{KvServerApp, KvServerConfig, KvServerStats, OobAgent, StallWindow};
-pub use service::{DelaySchedule, InterferenceConfig, ServiceDist, ServiceModel};
+pub use server::{KvServerApp, KvServerConfig, KvServerStats, OobAgent};
+pub use service::{DelaySchedule, ServiceDist, ServiceModel};

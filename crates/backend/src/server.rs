@@ -9,13 +9,15 @@ use netsim::Duration;
 use nettcp::{App, ConnId, HostIo};
 use telemetry::span::{pack_addr, HopKind};
 
-use crate::service::{DelaySchedule, InterferenceConfig, Nanos, ServiceDist, ServiceModel};
+use crate::service::{DelaySchedule, Nanos, ServiceDist, ServiceModel};
 
 /// App-timer token namespace: responses use sequential ids below
-/// `REPORT_TOKEN`; the reporting and interference processes use exactly
-/// their tokens.
-const INTERFERENCE_TOKEN: u64 = 1 << 61;
+/// `REPORT_TOKEN`; the reporting process uses exactly that token.
 const REPORT_TOKEN: u64 = 1 << 60;
+
+/// Value length returned for GETs of keys never SET (a pre-populated
+/// cache).
+pub const DEFAULT_VALUE_LEN: u32 = 64;
 
 /// Out-of-band reporting agent configuration (§2.3's alternative design,
 /// implemented so the in-band vs out-of-band comparison is empirical).
@@ -31,20 +33,6 @@ pub struct OobAgent {
     pub period: Duration,
 }
 
-/// A scripted stall window: during `[from, until)` the server keeps
-/// accepting requests — TCP ACKs flow, connections stay established —
-/// but serves no responses (the computed response is discarded and
-/// counted in [`KvServerStats::stalled`]). Models a wedged application
-/// on a live host: the fault a liveness probe misses and silence-based
-/// in-band detection catches.
-#[derive(Debug, Clone, Copy)]
-pub struct StallWindow {
-    /// Stall start (simulation time).
-    pub from: Duration,
-    /// Stall end (simulation time, exclusive).
-    pub until: Duration,
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct KvServerConfig {
@@ -54,17 +42,10 @@ pub struct KvServerConfig {
     pub service: ServiceDist,
     /// Worker parallelism.
     pub workers: usize,
-    /// Optional background interference process.
-    pub interference: Option<InterferenceConfig>,
     /// Scripted extra-delay steps (latency injection).
     pub delay_schedule: DelaySchedule,
-    /// Value length returned for GETs of keys never SET (a pre-populated
-    /// cache).
-    pub default_value_len: u32,
     /// Optional out-of-band reporting agent.
     pub report: Option<OobAgent>,
-    /// Optional scripted stall window (wedged-application fault).
-    pub stall: Option<StallWindow>,
     /// RNG seed.
     pub seed: u64,
 }
@@ -78,11 +59,8 @@ impl Default for KvServerConfig {
                 sigma: 0.3,
             },
             workers: 4,
-            interference: None,
             delay_schedule: DelaySchedule::none(),
-            default_value_len: 64,
             report: None,
-            stall: None,
             seed: 0,
         }
     }
@@ -99,12 +77,8 @@ pub struct KvServerStats {
     pub default_hits: u64,
     /// Responses dropped because the connection closed first.
     pub orphaned: u64,
-    /// Interference pauses taken.
-    pub pauses: u64,
     /// Out-of-band reports sent.
     pub reports_sent: u64,
-    /// Responses discarded inside a stall window.
-    pub stalled: u64,
 }
 
 /// The key-value server application. One instance per backend host.
@@ -163,14 +137,6 @@ impl KvServerApp {
         Some(w[w.len() / 2])
     }
 
-    fn schedule_interference(&mut self, io: &mut dyn HostIo) {
-        if let Some(intf) = self.cfg.interference {
-            let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-            let gap = (-(u.ln()) * intf.mean_interval as f64) as Nanos;
-            io.arm_app_timer(Duration::from_nanos(gap.max(1)), INTERFERENCE_TOKEN);
-        }
-    }
-
     fn handle_request(&mut self, io: &mut dyn HostIo, conn: ConnId, req: KvMessage) {
         let now = io.now().as_nanos();
         let resp = match req.op {
@@ -180,7 +146,7 @@ impl KvServerApp {
                     Some(&len) => len,
                     None => {
                         self.stats.default_hits += 1;
-                        self.cfg.default_value_len
+                        DEFAULT_VALUE_LEN
                     }
                 };
                 KvMessage::response_to(&req, KvStatus::Ok, len)
@@ -223,7 +189,6 @@ impl KvServerApp {
 impl App for KvServerApp {
     fn on_start(&mut self, io: &mut dyn HostIo) {
         io.listen(self.cfg.port);
-        self.schedule_interference(io);
         if let Some(agent) = self.cfg.report {
             io.arm_app_timer(agent.period, REPORT_TOKEN);
         }
@@ -273,26 +238,9 @@ impl App for KvServerApp {
             }
             return;
         }
-        if token == INTERFERENCE_TOKEN {
-            if let Some(intf) = self.cfg.interference {
-                let now = io.now().as_nanos();
-                let pause = intf.pause.sample(&mut self.rng);
-                self.model.begin_pause(now, pause);
-                self.stats.pauses += 1;
-                self.schedule_interference(io);
-            }
-            return;
-        }
         let Some((conn, resp)) = self.pending.remove(&token) else {
             return;
         };
-        if let Some(w) = self.cfg.stall {
-            let now = io.now().as_nanos();
-            if now >= w.from.as_nanos() && now < w.until.as_nanos() {
-                self.stats.stalled += 1;
-                return;
-            }
-        }
         if self.decoders.contains_key(&conn) {
             if io.span_enabled() {
                 let (ip, port) = io.remote_addr(conn);
@@ -374,15 +322,6 @@ mod tests {
         cfg: KvServerConfig,
         requests: Vec<KvMessage>,
     ) -> (Vec<(u64, Nanos)>, KvServerStats) {
-        let (lat, stats, done) = run_script_raw(cfg, requests);
-        assert!(done, "client did not finish");
-        (lat, stats)
-    }
-
-    fn run_script_raw(
-        cfg: KvServerConfig,
-        requests: Vec<KvMessage>,
-    ) -> (Vec<(u64, Nanos)>, KvServerStats, bool) {
         let mut sim = Simulation::new();
         let c = sim.reserve_node("client");
         let s = sim.reserve_node("server");
@@ -411,7 +350,8 @@ mod tests {
         let app = host.app_ref::<ScriptClient>().unwrap();
         let server = sim.node_ref::<Host>(s).unwrap();
         let stats = server.app_ref::<KvServerApp>().unwrap().stats;
-        (app.latencies.clone(), stats, app.done)
+        assert!(app.done, "client did not finish");
+        (app.latencies.clone(), stats)
     }
 
     #[test]
@@ -485,59 +425,5 @@ mod tests {
             "injected delay missing: {}",
             lat[0].1
         );
-    }
-
-    #[test]
-    fn stall_window_accepts_but_never_answers() {
-        // The wedged-application fault: TCP stays up, requests are parsed
-        // and "processed", yet no response ever leaves the host.
-        let cfg = KvServerConfig {
-            service: ServiceDist::Constant(50_000),
-            workers: 4,
-            stall: Some(StallWindow {
-                from: Duration::from_millis(0),
-                until: Duration::from_secs(60),
-            }),
-            ..KvServerConfig::default()
-        };
-        let reqs: Vec<KvMessage> = (0..3).map(|i| KvMessage::get(i, i)).collect();
-        let (lat, stats, done) = run_script_raw(cfg, reqs);
-        assert!(!done, "client must starve during the stall");
-        assert!(lat.is_empty(), "no responses during the stall");
-        assert_eq!(stats.gets, 3, "requests were accepted and processed");
-        assert_eq!(stats.stalled, 3, "every response withheld");
-    }
-
-    #[test]
-    fn stall_window_end_restores_service() {
-        // Requests landing after `until` are answered normally.
-        let cfg = KvServerConfig {
-            service: ServiceDist::Constant(50_000),
-            workers: 4,
-            stall: Some(StallWindow {
-                from: Duration::from_millis(0),
-                until: Duration::from_micros(1),
-            }),
-            ..KvServerConfig::default()
-        };
-        let (lat, stats) = run_script(cfg, vec![KvMessage::get(1, 1)]);
-        assert_eq!(lat.len(), 1);
-        assert_eq!(stats.stalled, 0);
-    }
-
-    #[test]
-    fn interference_pauses_occur() {
-        let cfg = KvServerConfig {
-            service: ServiceDist::Constant(50_000),
-            workers: 1,
-            interference: Some(InterferenceConfig {
-                mean_interval: 5_000_000,
-                pause: ServiceDist::Constant(1_000_000),
-            }),
-            ..KvServerConfig::default()
-        };
-        let reqs: Vec<KvMessage> = (0..20).map(|i| KvMessage::get(i, i)).collect();
-        let (_, stats) = run_script(cfg, reqs);
-        assert!(stats.pauses > 0, "interference never fired");
     }
 }

@@ -1,5 +1,5 @@
-//! Service-time modeling: distributions, worker pool, interference, and
-//! scripted delay injection.
+//! Service-time modeling: distributions, worker pool, and scripted delay
+//! injection.
 
 use netsim::rng::SimRng;
 
@@ -11,11 +11,6 @@ pub type Nanos = u64;
 pub enum ServiceDist {
     /// Every request takes exactly this long.
     Constant(Nanos),
-    /// Exponential with the given mean.
-    Exponential {
-        /// Mean service time.
-        mean: Nanos,
-    },
     /// Log-normal parameterized by its median and the σ of the underlying
     /// normal — the classic heavy-ish-tailed service-time model.
     LogNormal {
@@ -24,16 +19,6 @@ pub enum ServiceDist {
         /// Shape parameter σ.
         sigma: f64,
     },
-    /// A fast path taken with probability `1 - slow_prob` and a slow path
-    /// (cache miss, lock contention) otherwise.
-    Bimodal {
-        /// Fast-path service time.
-        fast: Nanos,
-        /// Slow-path service time.
-        slow: Nanos,
-        /// Probability of the slow path (0..1).
-        slow_prob: f64,
-    },
 }
 
 impl ServiceDist {
@@ -41,10 +26,6 @@ impl ServiceDist {
     pub fn sample(&self, rng: &mut SimRng) -> Nanos {
         match *self {
             ServiceDist::Constant(ns) => ns,
-            ServiceDist::Exponential { mean } => {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                (-(u.ln()) * mean as f64) as Nanos
-            }
             ServiceDist::LogNormal { median, sigma } => {
                 // Box-Muller for a standard normal.
                 let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -52,43 +33,8 @@ impl ServiceDist {
                 let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
                 ((median as f64) * (sigma * z).exp()) as Nanos
             }
-            ServiceDist::Bimodal {
-                fast,
-                slow,
-                slow_prob,
-            } => {
-                if rng.gen_bool(slow_prob.clamp(0.0, 1.0)) {
-                    slow
-                } else {
-                    fast
-                }
-            }
         }
     }
-
-    /// The distribution's mean (analytic; used for sanity checks).
-    pub fn mean(&self) -> f64 {
-        match *self {
-            ServiceDist::Constant(ns) => ns as f64,
-            ServiceDist::Exponential { mean } => mean as f64,
-            ServiceDist::LogNormal { median, sigma } => median as f64 * (sigma * sigma / 2.0).exp(),
-            ServiceDist::Bimodal {
-                fast,
-                slow,
-                slow_prob,
-            } => fast as f64 * (1.0 - slow_prob) + slow as f64 * slow_prob,
-        }
-    }
-}
-
-/// Background interference: every ~`interval`, the server stalls for
-/// ~`pause` (garbage collection, compaction, preemption — §2.2).
-#[derive(Debug, Clone, Copy)]
-pub struct InterferenceConfig {
-    /// Mean time between pauses (exponentially distributed).
-    pub mean_interval: Nanos,
-    /// Pause duration distribution.
-    pub pause: ServiceDist,
 }
 
 /// A step schedule of extra per-request delay: `(from, extra)` pairs,
@@ -132,14 +78,12 @@ impl DelaySchedule {
 }
 
 /// A pool of `workers` identical workers with FIFO assignment (a request
-/// goes to the earliest-free worker), plus interference pauses and the
-/// delay schedule. Produces completion times for requests.
+/// goes to the earliest-free worker), plus the delay schedule. Produces
+/// completion times for requests.
 #[derive(Debug, Clone)]
 pub struct ServiceModel {
     dist: ServiceDist,
     workers: Vec<Nanos>,
-    /// Requests cannot *start* before this instant (interference pause).
-    pause_until: Nanos,
     schedule: DelaySchedule,
 }
 
@@ -150,7 +94,6 @@ impl ServiceModel {
         ServiceModel {
             dist,
             workers: vec![0; workers],
-            pause_until: 0,
             schedule,
         }
     }
@@ -172,17 +115,10 @@ impl ServiceModel {
             .enumerate()
             .min_by_key(|&(_, &t)| t)
             .expect("non-empty worker pool");
-        let start = now.max(free_at).max(self.pause_until);
+        let start = now.max(free_at);
         let done = start + service + extra;
         self.workers[w] = done;
         (start, done)
-    }
-
-    /// Begins an interference pause of `len` at `now`: nothing new starts
-    /// before `now + len`. (In-flight requests are unaffected — the model
-    /// errs on the gentle side; queued work still feels the stall.)
-    pub fn begin_pause(&mut self, now: Nanos, len: Nanos) {
-        self.pause_until = self.pause_until.max(now + len);
     }
 
     /// The number of workers still busy at `now` (the model tracks each
@@ -213,19 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_close() {
-        let d = ServiceDist::Exponential { mean: 200 * US };
-        let mut r = rng();
-        let n = 20_000;
-        let total: u128 = (0..n).map(|_| d.sample(&mut r) as u128).sum();
-        let mean = total as f64 / n as f64;
-        assert!(
-            (mean / (200.0 * US as f64) - 1.0).abs() < 0.05,
-            "mean {mean}"
-        );
-    }
-
-    #[test]
     fn lognormal_median_close() {
         let d = ServiceDist::LogNormal {
             median: 100 * US,
@@ -242,20 +165,6 @@ mod tests {
         // And it has a tail: p99 well above the median.
         let p99 = v[(v.len() * 99) / 100] as f64;
         assert!(p99 > 2.0 * median);
-    }
-
-    #[test]
-    fn bimodal_mixes() {
-        let d = ServiceDist::Bimodal {
-            fast: 50 * US,
-            slow: MS,
-            slow_prob: 0.1,
-        };
-        let mut r = rng();
-        let samples: Vec<Nanos> = (0..10_000).map(|_| d.sample(&mut r)).collect();
-        let slow = samples.iter().filter(|&&s| s == MS).count() as f64 / samples.len() as f64;
-        assert!((slow - 0.1).abs() < 0.02, "slow fraction {slow}");
-        assert!((d.mean() - (0.9 * 50.0 * US as f64 + 0.1 * MS as f64)).abs() < 1.0);
     }
 
     #[test]
@@ -310,18 +219,6 @@ mod tests {
         let mut r = rng();
         assert_eq!(m.admit(0, &mut r), 100 * US);
         assert_eq!(m.admit(20 * MS, &mut r), 20 * MS + 100 * US + MS);
-    }
-
-    #[test]
-    fn pause_blocks_new_starts() {
-        let mut m = ServiceModel::new(ServiceDist::Constant(100 * US), 1, DelaySchedule::none());
-        let mut r = rng();
-        m.begin_pause(0, MS);
-        assert_eq!(m.admit(500 * US, &mut r), MS + 100 * US);
-        // Pauses do not shorten: overlapping pause keeps the later end.
-        m.begin_pause(MS, 500 * US);
-        m.begin_pause(MS, 100 * US);
-        assert_eq!(m.admit(MS, &mut r), MS + 500 * US + 100 * US);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use experiments::kv;
 use telemetry::journal::parse_ndjson_lossy;
-use telemetry::{JournalEvent, ScalarSeries, WeightCause};
+use telemetry::{JournalEvent, Record, ScalarSeries, WeightCause};
 
 /// A parsed journal capture, in emission (chronological) order.
 #[derive(Debug)]
@@ -252,16 +252,6 @@ impl Trace {
     /// Event counts by kind plus the covered time span — the capture at
     /// a glance.
     pub fn summary(&self) -> String {
-        const KINDS: &[&str] = &[
-            "sample",
-            "epoch_decision",
-            "weight_update",
-            "health",
-            "gossip_merge",
-            "flow_repin",
-            "no_backend",
-            "shard_remap",
-        ];
         let mut out = String::new();
         let span = match (self.events.first(), self.events.last()) {
             (Some(a), Some(b)) => format!(
@@ -275,7 +265,7 @@ impl Trace {
         };
         out.push_str(&span);
         out.push('\n');
-        for kind in KINDS {
+        for kind in JournalEvent::KINDS {
             let n = self.count_kind(kind);
             if n > 0 {
                 out.push_str(&format!("  {kind:<16} {n}\n"));

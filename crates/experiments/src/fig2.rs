@@ -89,7 +89,12 @@ pub(crate) fn observe(
         scenario.sim.trace().truncated == 0,
         "trace overflowed; raise capacity"
     );
-    let truth = scenario.client_app().recorder.rtt_raw().to_vec();
+    let recorder = &scenario.client_app().recorder;
+    assert!(
+        recorder.dropped() == 0,
+        "ground-truth RTT samples overflowed the recorder's cap"
+    );
+    let truth = recorder.rtt_raw().to_vec();
     Fig2Trace {
         arrivals,
         truth,

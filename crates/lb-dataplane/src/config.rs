@@ -6,6 +6,14 @@ use lbcore::{Controller, EnsembleConfig, HealthConfig};
 use netsim::Duration;
 use telemetry::JournalMode;
 
+/// Weight floor every backend keeps while admitted (see
+/// [`lbcore::Weights`]); also the share a backend on probation earns.
+pub const WEIGHT_FLOOR: f64 = 0.02;
+/// EWMA gain of the per-backend latency estimate.
+pub const ESTIMATOR_ALPHA: f64 = 0.2;
+/// Estimates older than this are ignored by the controller.
+pub const ESTIMATOR_STALENESS: Duration = Duration::from_millis(500);
+
 /// What drives a new connection's backend: the five configurations the
 /// LB runs, from plain Maglev to the paper's in-band feedback loop.
 pub enum Steering {
@@ -51,18 +59,13 @@ impl Steering {
 pub struct LbConfig {
     /// The virtual IP clients address.
     pub vip: Ipv4Addr,
-    /// Backend addresses, indexed by backend id.
+    /// Backend addresses, indexed by backend id. The Maglev table has
+    /// [`lbcore::maglev::DEFAULT_TABLE_SIZE`] slots.
     pub backends: Vec<Ipv4Addr>,
-    /// Maglev table size (prime).
-    pub table_size: usize,
     /// Ensemble estimator parameters.
     pub ensemble: EnsembleConfig,
     /// What drives a new connection's backend.
     pub steering: Steering,
-    /// Weight floor (see [`lbcore::Weights`]).
-    pub weight_floor: f64,
-    /// EWMA gain for per-backend latency.
-    pub estimator_alpha: f64,
     /// Windowed quantile used as the control signal (0.5 = median;
     /// higher values are variance-aware).
     pub signal_quantile: f64,
@@ -70,8 +73,6 @@ pub struct LbConfig {
     /// over samples from the last `horizon` instead of a fixed count —
     /// signal memory for periodic disturbances.
     pub signal_horizon: Option<Duration>,
-    /// Estimates older than this are ignored by the controller.
-    pub estimator_staleness: Duration,
     /// Whether established connections are pinned to their backend via the
     /// flow table (§2.5's connection affinity requirement). Disabling this
     /// routes *every* packet through the current Maglev table — the
@@ -116,16 +117,12 @@ impl LbConfig {
         LbConfig {
             vip,
             backends,
-            table_size: lbcore::maglev::DEFAULT_TABLE_SIZE,
             // The robust cliff rule (all but the observer); see the
             // CliffRule docs for why the paper's rule fails on KV traffic.
             ensemble: EnsembleConfig::robust(),
             steering: Steering::Off,
-            weight_floor: 0.02,
-            estimator_alpha: 0.2,
             signal_quantile: 0.5,
             signal_horizon: None,
-            estimator_staleness: Duration::from_millis(500),
             affinity: true,
             flow_idle_timeout: Duration::from_secs(5),
             flow_table_capacity: 1 << 20,

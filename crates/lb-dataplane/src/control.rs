@@ -198,7 +198,7 @@ impl LbNode {
         if (0..n).all(|b| class(b) == self.route_class[b]) {
             return; // Healthy↔Suspect churn: no routing consequence
         }
-        let (floor, was) = (self.cfg.weight_floor, &self.route_class);
+        let (floor, was) = (self.weights.floor(), &self.route_class);
         let reshaped = self.weights.eject(|b, w| match tracker.state(b) {
             HealthState::Ejected => None,
             // Probation earns only the floor: enough traffic to elicit

@@ -7,7 +7,7 @@ use telemetry::{Journal, ScalarSeries, WeightCause};
 
 use lbcore::{BackendEstimator, EnsembleTimeout, FlowTable, HealthTracker, Weights};
 
-use crate::config::LbConfig;
+use crate::config::{LbConfig, ESTIMATOR_ALPHA, ESTIMATOR_STALENESS, WEIGHT_FLOOR};
 use crate::control::LazyTable;
 
 /// The LB counters: always on, one plain integer each. Anything
@@ -108,15 +108,15 @@ impl LbNode {
             "one forwarding link per backend required"
         );
         let n = cfg.backends.len();
-        let weights = Weights::equal(n, cfg.weight_floor);
-        let table = LazyTable::new(weights.as_slice(), cfg.table_size);
+        let weights = Weights::equal(n, WEIGHT_FLOOR);
+        let table = LazyTable::new(weights.as_slice(), lbcore::maglev::DEFAULT_TABLE_SIZE);
         let flows =
             FlowTable::with_capacity(cfg.flow_idle_timeout.as_nanos(), cfg.flow_table_capacity);
         let ensembles = (0..n)
             .map(|_| EnsembleTimeout::new(cfg.ensemble.clone()))
             .collect();
         let mut estimator =
-            BackendEstimator::new(n, cfg.estimator_alpha, cfg.estimator_staleness.as_nanos())
+            BackendEstimator::new(n, ESTIMATOR_ALPHA, ESTIMATOR_STALENESS.as_nanos())
                 .with_signal_quantile(cfg.signal_quantile);
         if let Some(h) = cfg.signal_horizon {
             estimator = estimator.with_signal_horizon(h.as_nanos());
@@ -665,7 +665,7 @@ mod tests {
             eject_after: 1,
             ..lbcore::HealthConfig::default()
         });
-        let size = cfg.table_size;
+        let size = lbcore::maglev::DEFAULT_TABLE_SIZE;
         let (mut sim, lb, sinks) = rig(cfg, script);
 
         // Packet k leaves the client at (k + 1) · 100 µs and is at its sink
@@ -787,7 +787,7 @@ mod tests {
             ..lbcore::HealthConfig::default()
         });
         let epoch = cfg.health.unwrap().epoch;
-        let size = cfg.table_size;
+        let size = lbcore::maglev::DEFAULT_TABLE_SIZE;
         let mut lb = LbNode::new(
             cfg,
             MacAddr::from_id(9),

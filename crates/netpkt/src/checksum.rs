@@ -24,12 +24,6 @@ impl Checksum {
         self.sum += u32::from(word);
     }
 
-    /// Adds a 32-bit value as two 16-bit words.
-    pub fn add_u32(&mut self, value: u32) {
-        self.add_u16((value >> 16) as u16);
-        self.add_u16(value as u16);
-    }
-
     /// Adds an arbitrary byte slice.
     pub fn add_bytes(&mut self, mut bytes: &[u8]) {
         if let Some(hi) = self.pending.take() {

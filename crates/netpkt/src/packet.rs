@@ -79,12 +79,6 @@ impl Packet {
         })
     }
 
-    /// Zero-copy variant of [`Self::view`]: the payload stays borrowed
-    /// from the frame.
-    pub fn view_ref(&self) -> Result<PacketViewRef<'_>> {
-        PacketViewRef::parse(&self.data)
-    }
-
     /// Builds a full TCP/IPv4 frame.
     pub fn build_tcp(
         addrs: Addresses,

@@ -1,8 +1,7 @@
 //! Scripted, seeded fault injection.
 //!
 //! A [`FaultSchedule`] is pure data: a list of `(time, action)` pairs that
-//! is a function of nothing but its configuration (and, for generated
-//! schedules such as [`FaultSchedule::random_flaps`], an explicit seed).
+//! is a function of nothing but its configuration.
 //! Applying a schedule pushes scripted events into the simulation's event
 //! queue; the per-packet impairment draws come from a [`SimRng`] owned by
 //! the impaired link direction. The whole fault layer therefore replays
@@ -21,11 +20,6 @@
 //! * **Impairment** ([`FaultAction::Impair`]): one direction of a link
 //!   corrupts (drops at the receiver, as a bad-FCS frame), duplicates,
 //!   or reorders packets with per-fault probabilities.
-//!
-//! A *stall* (accept packets, serve nothing) is an application-level
-//! fault: the kernel still ACKs while the service produces no responses.
-//! It is modelled in the `backend` crate (`KvServerConfig::stall`), not
-//! here — the network underneath behaves normally.
 
 // Fast-path module: a malformed input surfaces as a Result/Option,
 // never a process abort (DESIGN.md §6.9, rule F1).
@@ -179,36 +173,6 @@ impl FaultSchedule {
         );
         self.at(from_at, FaultAction::Impair { link, from, cfg });
         self.at(until, FaultAction::ClearImpair { link, from })
-    }
-
-    /// Generates `count` non-overlapping link flaps inside
-    /// `[window.0, window.1)`, each at most `max_down` long, from a stream
-    /// seeded by `seed`. The window is partitioned into `count` equal
-    /// slices with one flap drawn per slice, so flaps never overlap and
-    /// the schedule is a pure function of the arguments.
-    pub fn random_flaps(
-        &mut self,
-        link: LinkId,
-        window: (Time, Time),
-        count: usize,
-        max_down: Duration,
-        seed: u64,
-    ) -> &mut FaultSchedule {
-        assert!(count > 0, "at least one flap");
-        assert!(window.0 < window.1, "flap window must have positive length");
-        let span = window.1.saturating_since(window.0).as_nanos();
-        let slice = span / count as u64;
-        assert!(slice >= 2, "window too small for {count} flaps");
-        let mut rng = SimRng::seed_from_u64(seed);
-        for k in 0..count as u64 {
-            let slice_start = window.0 + Duration::from_nanos(k * slice);
-            let down_len = rng.gen_range(1..=max_down.as_nanos().max(1).min(slice / 2));
-            let offset = rng.gen_range(0..slice - down_len);
-            let down_at = slice_start + Duration::from_nanos(offset);
-            let up_at = down_at + Duration::from_nanos(down_len);
-            self.link_flap(link, down_at, up_at);
-        }
-        self
     }
 
     /// The scripted `(time, action)` pairs, in insertion order.
@@ -447,31 +411,6 @@ mod tests {
         let (n1, at1) = run(3);
         let (n2, at2) = run(4);
         assert!(n1 != n2 || at1 != at2, "seeds should change the draws");
-    }
-
-    #[test]
-    fn random_flaps_are_pure_functions_of_the_seed() {
-        let build = |seed: u64| {
-            let mut s = FaultSchedule::new();
-            s.random_flaps(
-                LinkId(0),
-                (Time::ZERO, Time::from_nanos(10_000_000)),
-                5,
-                Duration::from_micros(300),
-                seed,
-            );
-            s.events().to_vec()
-        };
-        assert_eq!(build(1), build(1));
-        assert_ne!(build(1), build(2));
-        // Flaps must be well-formed down/up pairs in their slices.
-        let evs = build(1);
-        assert_eq!(evs.len(), 10);
-        for pair in evs.chunks(2) {
-            assert!(pair[0].0 < pair[1].0);
-            assert!(matches!(pair[0].1, FaultAction::LinkDown(_)));
-            assert!(matches!(pair[1].1, FaultAction::LinkUp(_)));
-        }
     }
 
     #[test]

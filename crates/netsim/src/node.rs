@@ -67,11 +67,6 @@ impl Ctx<'_> {
         self.now
     }
 
-    /// This node's id.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// The simulation's shared packet-buffer pool. Draw per-hop copy
     /// buffers from here ([`netpkt::Packet::with_macs_pooled`]) and hand
     /// consumed packets back with [`BufferPool::recycle`]; pooling never
@@ -271,12 +266,6 @@ impl Ctx<'_> {
     /// return false and change nothing.
     pub fn cancel_timer(&mut self, handle: EventHandle) -> bool {
         self.queue.cancel(handle)
-    }
-
-    /// Current additional injected delay on `link` in the direction away
-    /// from this node (experiments use this to verify injection schedules).
-    pub fn link_extra_delay(&self, link: LinkId) -> Duration {
-        self.links[link.0 as usize].dir(self.node).extra_delay
     }
 
     /// The node at the far end of `link`.

@@ -155,11 +155,8 @@ impl UniformRange for core::ops::Range<f64> {
 /// The label is folded with FNV-1a and then mixed with the root seed through
 /// splitmix64, giving independent, reproducible streams per component.
 pub fn component_rng(root_seed: u64, label: &str) -> SimRng {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
+    use telemetry::{fnv1a, FNV_OFFSET, SIM_FNV_PRIME};
+    let h = fnv1a(SIM_FNV_PRIME, FNV_OFFSET, label.as_bytes());
     let seed = splitmix64(root_seed ^ h);
     SimRng::seed_from_u64(seed)
 }
@@ -217,6 +214,21 @@ mod tests {
             assert_eq!(w, 5);
             let f = r.gen_range(0.25f64..0.75);
             assert!((0.25..0.75).contains(&f));
+        }
+    }
+
+    #[test]
+    fn gen_range_covers_its_range_evenly() {
+        // The workload's key draw: every key of a uniform keyspace is hit
+        // at its share, within sampling noise.
+        let mut r = SimRng::seed_from_u64(5);
+        let mut counts = [0usize; 10];
+        for _ in 0..50_000 {
+            counts[r.gen_range(0u64..10) as usize] += 1;
+        }
+        for &c in &counts {
+            let frac = c as f64 / 50_000.0;
+            assert!((frac - 0.1).abs() < 0.01, "uniform fraction {frac}");
         }
     }
 

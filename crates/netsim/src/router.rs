@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use netpkt::{FlowKey, Packet, ETH_HEADER_LEN};
-use telemetry::{Journal, JournalEvent, JournalMode};
 
 use crate::link::LinkId;
 use crate::node::{Ctx, Node, TimerToken};
@@ -48,10 +47,6 @@ pub struct Router {
     schedule: Vec<(Time, Ipv4Addr, Vec<LinkId>)>,
     /// Counters.
     pub stats: RouterStats,
-    /// Decision journal (off by default): records each applied route
-    /// update as a [`JournalEvent::ShardRemap`] so `lbtrace` can line up
-    /// ECMP churn with the flow re-pins it caused downstream.
-    journal: Journal,
 }
 
 impl Router {
@@ -62,20 +57,7 @@ impl Router {
             default_route: None,
             schedule: Vec::new(),
             stats: RouterStats::default(),
-            journal: Journal::off(),
         }
-    }
-
-    /// Enables (or disables) the decision journal. Journaling only
-    /// records events; it never sends packets or arms timers, so packet
-    /// traces are byte-identical with it on or off.
-    pub fn set_journal_mode(&mut self, mode: JournalMode) {
-        self.journal = Journal::new(mode);
-    }
-
-    /// The router's decision journal.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
     }
 
     /// Adds (or replaces) a host route: traffic to `dst` leaves via `link`.
@@ -168,25 +150,11 @@ impl Node for Router {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: TimerToken) {
         // The token is the index `on_start` armed it with.
         #[allow(clippy::cast_possible_truncation)]
         let (_, dst, links) = self.schedule[token.0 as usize].clone();
         self.stats.route_updates += 1;
-        if self.journal.enabled() {
-            let before = self
-                .routes
-                .get(&dst)
-                .map(|ls| ls.iter().map(|l| u64::from(l.0)).collect())
-                .unwrap_or_default();
-            let after = links.iter().map(|l| u64::from(l.0)).collect();
-            self.journal.push(JournalEvent::ShardRemap {
-                at: ctx.now().as_nanos(),
-                dst: u32::from(dst),
-                before,
-                after,
-            });
-        }
         if links.is_empty() {
             self.routes.remove(&dst);
         } else {
@@ -396,55 +364,6 @@ mod tests {
         // After the update every packet goes to B: second wave = 32 packets.
         assert!(b >= 32, "B got {b}");
         assert_eq!(sim.node_ref::<Router>(r).unwrap().stats.route_updates, 1);
-    }
-
-    #[test]
-    fn scheduled_update_journals_shard_remap() {
-        let mut sim = Simulation::new();
-        let r = sim.reserve_node("router");
-        let src = sim.reserve_node("src");
-        let lb_a = sim.add_node("lb-a", Box::new(Counter { got: 0 }));
-        let lb_b = sim.add_node("lb-b", Box::new(Counter { got: 0 }));
-        let cfg = LinkConfig::default();
-        let l_src = sim.add_link(src, r, cfg);
-        let l_a = sim.add_link(r, lb_a, cfg);
-        let l_b = sim.add_link(r, lb_b, cfg);
-        let vip = Ipv4Addr::new(10, 99, 0, 1);
-        let mut router = Router::new();
-        router.set_journal_mode(JournalMode::Full(64));
-        router.add_route_ecmp(vip, vec![l_a, l_b]);
-        router.schedule_route_update(Time::from_nanos(1_000_000), vip, vec![l_b]);
-        sim.install_node(r, Box::new(router));
-        sim.install_node(
-            src,
-            Box::new(Injector {
-                link: l_src,
-                packets: vec![(Duration::from_micros(10), pkt_from_to(1, vip))],
-            }),
-        );
-        sim.run_to_completion();
-
-        let router = sim.node_ref::<Router>(r).unwrap();
-        let events: Vec<_> = router.journal().iter().collect();
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            JournalEvent::ShardRemap {
-                at,
-                dst,
-                before,
-                after,
-            } => {
-                assert_eq!(*at, 1_000_000);
-                assert_eq!(*dst, u32::from(vip));
-                assert_eq!(before, &vec![u64::from(l_a.0), u64::from(l_b.0)]);
-                assert_eq!(after, &vec![u64::from(l_b.0)]);
-            }
-            other => panic!("expected ShardRemap, got {other:?}"),
-        }
-        // Round-trips through NDJSON.
-        let text = router.journal().to_ndjson();
-        let parsed: Vec<JournalEvent> = telemetry::journal::parse_ndjson(&text).unwrap();
-        assert_eq!(parsed, events);
     }
 
     /// Records the source port of every delivered frame, in arrival order.

@@ -273,11 +273,6 @@ impl Simulation {
             .push(at, EventKind::SetLinkImpairment { link, a_to_b, cfg });
     }
 
-    /// True while `id` is scripted down by the fault layer.
-    pub fn is_node_down(&self, id: NodeId) -> bool {
-        self.node_down[id.0 as usize]
-    }
-
     /// Downcasts a node to a concrete type for post-run inspection.
     pub fn node_ref<T: Node>(&self, id: NodeId) -> Option<&T> {
         self.nodes[id.0 as usize]

@@ -141,7 +141,7 @@ impl Trace {
     /// never payload bytes, and only what was recorded — check
     /// [`Trace::truncated`] first.
     pub fn digest(&self) -> (u64, usize) {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = telemetry::FNV_OFFSET;
         for e in &self.events {
             let line = format!(
                 "{};{:?};{:?};{:?};{:?};{}",
@@ -152,9 +152,7 @@ impl Trace {
                 e.flow,
                 e.wire_len
             );
-            for b in line.bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
-            }
+            h = telemetry::fnv1a(telemetry::SIM_FNV_PRIME, h, line.as_bytes());
         }
         (h, self.events.len())
     }
@@ -364,7 +362,7 @@ mod tests {
     #[test]
     fn digest_folds_each_event_line_and_counts() {
         let mut t = Trace::new();
-        assert_eq!(t.digest(), (0xcbf2_9ce4_8422_2325, 0));
+        assert_eq!(t.digest(), (telemetry::FNV_OFFSET, 0));
         t.enable(16);
         t.record(
             Time::from_nanos(5),

@@ -30,7 +30,12 @@ pub enum Pacing {
     },
 }
 
-/// Per-connection transport parameters.
+/// Initial congestion window in segments (RFC 6928's ten).
+pub const INITIAL_CWND_SEGMENTS: u32 = 10;
+
+/// Per-connection transport parameters. Segments go out as soon as the
+/// window allows (TCP_NODELAY: no Nagle coalescing), as in the
+/// request/response deployments the paper measures.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
     /// Maximum segment (payload) size in bytes.
@@ -41,8 +46,6 @@ pub struct TcpConfig {
     /// this equal to a few MSS makes a backlogged flow strictly
     /// window-limited, producing the batch structure of Fig. 2.
     pub max_cwnd: u32,
-    /// Initial congestion window in segments.
-    pub initial_cwnd_segments: u32,
     /// Whether to run Reno-style congestion control (slow start + AIMD).
     /// When disabled the window is pinned at `max_cwnd`.
     pub congestion_control: bool,
@@ -50,16 +53,6 @@ pub struct TcpConfig {
     pub delayed_ack: DelayedAck,
     /// Pacing behaviour.
     pub pacing: Pacing,
-    /// Nagle's algorithm: hold sub-MSS segments while unacknowledged data
-    /// is outstanding, coalescing small writes. Off by default — like
-    /// real request/response deployments (TCP_NODELAY) — and another §5(2)
-    /// timing behaviour: with Nagle on, small requests are *themselves*
-    /// delayed until the previous response's ACK arrives.
-    pub nagle: bool,
-    /// Lower bound for the retransmission timeout.
-    pub min_rto: Duration,
-    /// Initial RTO before any RTT sample exists.
-    pub initial_rto: Duration,
     /// Send buffer capacity in bytes; `HostIo::send` asserts against
     /// overflow (applications are closed-loop, so this indicates a bug).
     pub send_buffer: usize,
@@ -71,13 +64,9 @@ impl Default for TcpConfig {
             mss: 1400,
             recv_window: 65_535,
             max_cwnd: 65_535,
-            initial_cwnd_segments: 10,
             congestion_control: true,
             delayed_ack: DelayedAck::Disabled,
             pacing: Pacing::Disabled,
-            nagle: false,
-            min_rto: Duration::from_millis(5),
-            initial_rto: Duration::from_millis(50),
             send_buffer: 1 << 20,
         }
     }
@@ -100,7 +89,7 @@ impl TcpConfig {
 
     /// Initial congestion window in bytes.
     pub fn initial_cwnd(&self) -> u32 {
-        (self.initial_cwnd_segments * self.mss).min(self.max_cwnd)
+        (INITIAL_CWND_SEGMENTS * self.mss).min(self.max_cwnd)
     }
 }
 

@@ -269,7 +269,7 @@ impl Conn {
             ssthresh: cfg.max_cwnd,
             peer_window: cfg.mss, // until the first segment tells us
             dup_acks: 0,
-            rtt: RttEstimator::new(cfg.initial_rto, cfg.min_rto),
+            rtt: RttEstimator::default(),
             rtt_probe: None,
             next_pace_at: Time::ZERO,
             irs: 0,
@@ -789,12 +789,6 @@ impl Conn {
             let room = (wnd - flight) as usize;
             let take = mss.min(self.unsent()).min(room);
             if take == 0 {
-                break;
-            }
-            // Nagle: a sub-MSS segment waits while earlier data is
-            // unacknowledged (unless the connection is closing, in which
-            // case everything flushes ahead of the FIN).
-            if self.cfg.nagle && take < mss && flight > 0 && !self.fin_queued {
                 break;
             }
             let seq = self.snd_nxt;

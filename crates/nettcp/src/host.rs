@@ -109,7 +109,8 @@ pub struct HostConfig {
     /// Rare long receive-path stalls `(probability, length)`, modeling
     /// preemption/GC events of hundreds of µs to ms (§2.2 of the paper).
     /// Applied on top of `rx_jitter` per packet. Requires `rx_jitter` to
-    /// be set (the stall rides the same deferred-processing queue).
+    /// be set (the stall rides the same deferred-processing queue) and a
+    /// probability in `[0, 1]`; [`Host::new`] panics otherwise.
     pub rx_spike: Option<(f64, Duration)>,
     /// RNG seed for this host (jitter, ISS, ephemeral ports).
     pub seed: u64,
@@ -193,7 +194,18 @@ pub struct Host {
 
 impl Host {
     /// Creates a host attached to `uplink`, running `app`.
+    ///
+    /// # Panics
+    /// Panics on an `rx_spike` without `rx_jitter`, or with a
+    /// probability outside `[0, 1]`.
     pub fn new(cfg: HostConfig, mac: MacAddr, uplink: LinkId, app: Box<dyn App>) -> Host {
+        if let Some((prob, _)) = cfg.rx_spike {
+            assert!(cfg.rx_jitter.is_some(), "rx_spike requires rx_jitter");
+            assert!(
+                (0.0..=1.0).contains(&prob),
+                "rx_spike probability {prob} outside [0, 1]"
+            );
+        }
         let seed = cfg.seed;
         Host {
             cfg,
@@ -550,7 +562,7 @@ impl Node for Host {
                 };
                 let mut jitter = lo + Duration::from_nanos(extra);
                 if let Some((prob, len)) = self.cfg.rx_spike {
-                    if self.rng.gen_bool(prob.clamp(0.0, 1.0)) {
+                    if self.rng.gen_bool(prob) {
                         jitter += len;
                     }
                 }

@@ -8,9 +8,11 @@
 //!
 //! It intentionally implements *TCP-like* semantics rather than
 //! wire-compatible TCP: no options, no SACK, no window scaling, fixed
-//! advertised windows. What matters for the reproduction is that the
-//! **packet arrival process at the load balancer** exhibits the phenomena
-//! the paper exploits and the failure modes it warns about:
+//! advertised windows, no Nagle coalescing (a segment leaves as soon as
+//! the window allows, as under TCP_NODELAY). What matters for the
+//! reproduction is that the **packet arrival process at the load
+//! balancer** exhibits the phenomena the paper exploits and the failure
+//! modes it warns about:
 //!
 //! * flow-control-limited senders transmit *batches* separated by pauses
 //!   of roughly one response latency (the signal),

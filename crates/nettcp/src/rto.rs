@@ -2,7 +2,7 @@
 
 use netsim::Duration;
 
-/// Smoothed RTT state and RTO computation, per RFC 6298 with configurable
+/// Smoothed RTT state and RTO computation, per RFC 6298 with datacenter
 /// clamps. Also the client-side source of **ground-truth response latency**
 /// in experiments: every ACK that advances `snd_una` over a timed,
 /// never-retransmitted segment yields one RTT sample (Karn's algorithm).
@@ -11,24 +11,29 @@ pub struct RttEstimator {
     srtt: Option<Duration>,
     rttvar: Duration,
     rto: Duration,
-    min_rto: Duration,
     backoff_exponent: u32,
+}
+
+impl Default for RttEstimator {
+    /// An estimator with no samples, at [`RttEstimator::INITIAL_RTO`].
+    fn default() -> Self {
+        RttEstimator {
+            srtt: None,
+            rttvar: Duration::ZERO,
+            rto: Self::INITIAL_RTO,
+            backoff_exponent: 0,
+        }
+    }
 }
 
 impl RttEstimator {
     /// Maximum RTO (RFC 6298 suggests at least 60 s).
     pub const MAX_RTO: Duration = Duration::from_secs(60);
-
-    /// Creates an estimator with the given initial and minimum RTO.
-    pub fn new(initial_rto: Duration, min_rto: Duration) -> Self {
-        RttEstimator {
-            srtt: None,
-            rttvar: Duration::ZERO,
-            rto: initial_rto,
-            min_rto,
-            backoff_exponent: 0,
-        }
-    }
+    /// Lower bound for the RTO (a datacenter value; RFC 6298's 1 s would
+    /// dwarf every simulated RTT).
+    pub const MIN_RTO: Duration = Duration::from_millis(5);
+    /// The RTO before any RTT sample exists.
+    pub const INITIAL_RTO: Duration = Duration::from_millis(50);
 
     /// Feeds one RTT measurement.
     pub fn on_sample(&mut self, rtt: Duration) {
@@ -52,7 +57,7 @@ impl RttEstimator {
         }
         let srtt = self.srtt.expect("set above");
         let candidate = srtt + self.rttvar.saturating_mul(4);
-        self.rto = candidate.max(self.min_rto).min(Self::MAX_RTO);
+        self.rto = candidate.max(Self::MIN_RTO).min(Self::MAX_RTO);
     }
 
     /// Doubles the RTO after a retransmission timeout (Karn's backoff).
@@ -82,14 +87,14 @@ mod tests {
     use super::*;
 
     fn est() -> RttEstimator {
-        RttEstimator::new(Duration::from_millis(50), Duration::from_millis(5))
+        RttEstimator::default()
     }
 
     #[test]
     fn first_sample_initializes() {
         let mut e = est();
         assert_eq!(e.srtt(), None);
-        assert_eq!(e.rto(), Duration::from_millis(50));
+        assert_eq!(e.rto(), RttEstimator::INITIAL_RTO);
         e.on_sample(Duration::from_millis(10));
         assert_eq!(e.srtt(), Some(Duration::from_millis(10)));
         // RTO = SRTT + 4 * (SRTT/2) = 3 * SRTT = 30 ms.
@@ -147,6 +152,6 @@ mod tests {
         for _ in 0..20 {
             e.on_sample(Duration::from_micros(10));
         }
-        assert!(e.rto() >= Duration::from_millis(5));
+        assert_eq!(e.rto(), RttEstimator::MIN_RTO);
     }
 }

@@ -401,49 +401,6 @@ fn sender_respects_peer_window() {
 }
 
 #[test]
-fn nagle_holds_small_segments_until_acked() {
-    let run_with = |nagle: bool| -> usize {
-        let cfg = TcpConfig {
-            nagle,
-            ..TcpConfig::default()
-        };
-        let mut p = Pipe::new(cfg);
-        p.run();
-        let _ = (p.events(true), p.events(false));
-        // Two small writes in quick succession.
-        p.a.app_send(p.now, b"tiny-1");
-        p.a.app_send(p.now, b"tiny-2");
-        // Count data segments emitted *before* any ACK comes back.
-        take_segments(&mut p.a)
-            .iter()
-            .filter(|(s, _)| s.len > 0)
-            .count()
-    };
-    assert_eq!(
-        run_with(false),
-        2,
-        "without Nagle both writes leave immediately"
-    );
-    assert_eq!(run_with(true), 1, "Nagle holds the second sub-MSS write");
-}
-
-#[test]
-fn nagle_still_delivers_everything() {
-    let cfg = TcpConfig {
-        nagle: true,
-        ..TcpConfig::default()
-    };
-    let mut p = Pipe::new(cfg);
-    p.run();
-    let _ = (p.events(true), p.events(false));
-    for _ in 0..5 {
-        p.a.app_send(p.now, b"chunk");
-    }
-    p.run();
-    assert_eq!(data_of(&p.events(false)).len(), 25, "Nagle lost data");
-}
-
-#[test]
 fn rtt_samples_reflect_pipe_delay() {
     let mut p = Pipe::new(TcpConfig::default());
     p.run();
@@ -628,12 +585,11 @@ proptest! {
     fn every_segment_carries_its_slice_of_the_stream(
         a_back in 0u32..65_536,
         b_back in 0u32..65_536,
-        nagle in any::<bool>(),
         a_writes in proptest::collection::vec(1usize..4200, 1..14),
         b_writes in proptest::collection::vec(1usize..4200, 0..8),
         seed in any::<u64>(),
     ) {
-        let cfg = TcpConfig { nagle, ..TcpConfig::default() };
+        let cfg = TcpConfig::default();
         let (a_iss, b_iss) = (u32::MAX - a_back, u32::MAX - b_back);
         let mut now = Time::ZERO;
         let mut a = Side::new(Conn::client(A, B, cfg, a_iss, now, ConnBuffers::default()), a_iss, a_writes);

@@ -416,6 +416,41 @@ fn rx_jitter_delays_but_preserves_data() {
         .any(|r| *r > Duration::from_micros(120)));
 }
 
+/// A spike rides the jitter queue, so a spike without jitter would be
+/// ignored; a probability outside `[0, 1]` would be silently clamped.
+/// Both are configuration errors, refused when the host is built.
+#[test]
+fn rx_spike_without_jitter_or_out_of_range_is_refused() {
+    let build = |jitter, spike| {
+        let mut cfg = HostConfig::new(CLIENT_IP, 1);
+        cfg.rx_jitter = jitter;
+        cfg.rx_spike = Some(spike);
+        std::panic::catch_unwind(|| {
+            Host::new(
+                cfg,
+                netpkt::MacAddr::from_id(1),
+                netsim::LinkId(0),
+                Box::new(EchoServer::default()),
+            )
+        })
+        .err()
+        .map(|e| match e.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(e) => e.downcast_ref::<&str>().map_or("", |m| m).to_string(),
+        })
+    };
+    let jitter = Some((Duration::from_micros(1), Duration::from_micros(5)));
+    let ms = Duration::from_millis(1);
+    assert!(build(jitter, (0.2, ms)).is_none());
+    assert!(build(jitter, (1.0, ms)).is_none());
+    let no_jitter = build(None, (0.2, ms)).expect("spike without jitter accepted");
+    assert!(no_jitter.contains("requires rx_jitter"), "{no_jitter}");
+    for prob in [-0.1, 1.5, f64::NAN] {
+        let err = build(jitter, (prob, ms)).expect("bad probability accepted");
+        assert!(err.contains("outside [0, 1]"), "{err}");
+    }
+}
+
 #[test]
 fn rx_spikes_inflate_some_rtts() {
     let mut sim = Simulation::new();

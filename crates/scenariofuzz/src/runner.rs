@@ -41,7 +41,7 @@ use lbcore::{AlphaShift, GossipConfig, HealthConfig, HealthState};
 use netsim::fault::ImpairmentConfig;
 use netsim::{Duration, TraceKind};
 use telemetry::span::{assemble, critical_path, sort_records, CriticalPath};
-use telemetry::{JournalEvent, JournalMode, SpanMode};
+use telemetry::{fnv1a, JournalEvent, JournalMode, SpanMode, FNV_OFFSET, SIM_FNV_PRIME};
 use workload::MemtierConfig;
 
 use crate::scenario::{FaultSpec, Scenario};
@@ -241,15 +241,6 @@ pub fn kv_scenario(sc: &Scenario) -> (KvClusterConfig, Timeline) {
         }),
     };
     (cfg, timeline)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// Collects violations from a finished cluster, plus the run digest.
@@ -576,7 +567,13 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
         journal_events: nodes.iter().map(|n| n.journal().len() as u64).sum(),
         journal_hashes: nodes
             .iter()
-            .map(|n| fnv1a(n.journal().to_ndjson().as_bytes()))
+            .map(|n| {
+                fnv1a(
+                    SIM_FNV_PRIME,
+                    FNV_OFFSET,
+                    n.journal().to_ndjson().as_bytes(),
+                )
+            })
             .collect(),
         span_records: span_records.len() as u64,
         span_digest,

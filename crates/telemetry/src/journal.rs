@@ -1,7 +1,7 @@
 //! Deterministic decision journal: a structured, sim-time-stamped event
 //! stream recording *why* the load balancer acted — sample emissions,
 //! ensemble epoch decisions, weight shifts, health transitions, gossip
-//! merges, ECMP shard remaps, and flow re-pins.
+//! merges, and flow re-pins.
 //!
 //! A [`Journal`] is a [`Log`] of [`JournalEvent`]s, kept packed (about
 //! 11 bytes a sample) and exported as NDJSON. Every variant's fields and
@@ -151,17 +151,6 @@ pub enum JournalEvent {
         /// Sim time the node entered the no-backend state.
         at: u64,
     },
-    /// An ECMP route changed its member set (shard remap).
-    ShardRemap {
-        /// Sim time of the route update.
-        at: u64,
-        /// Destination IPv4 the route covers.
-        dst: u32,
-        /// Link ids before the update.
-        before: Vec<u64>,
-        /// Link ids after the update.
-        after: Vec<u64>,
-    },
 }
 
 /// Health-state wire names; parsed events hold these same strings.
@@ -182,8 +171,6 @@ const SRC_PORT: &str = "src_port";
 const DELTA: &str = "delta";
 const FROM: &str = "from";
 const TO: &str = "to";
-const BEFORE: &str = "before";
-const AFTER: &str = "after";
 
 impl JournalEvent {
     /// Sim timestamp of the event.
@@ -195,8 +182,7 @@ impl JournalEvent {
             | JournalEvent::HealthTransition { at, .. }
             | JournalEvent::GossipMerge { at, .. }
             | JournalEvent::FlowRepin { at, .. }
-            | JournalEvent::NoBackend { at }
-            | JournalEvent::ShardRemap { at, .. } => *at,
+            | JournalEvent::NoBackend { at } => *at,
         }
     }
 
@@ -215,7 +201,6 @@ impl JournalEvent {
             JournalEvent::GossipMerge { .. } => 4,
             JournalEvent::FlowRepin { .. } => 5,
             JournalEvent::NoBackend { .. } => 6,
-            JournalEvent::ShardRemap { .. } => 7,
         }
     }
 }
@@ -231,7 +216,6 @@ impl Record for JournalEvent {
         "gossip_merge",
         "flow_repin",
         "no_backend",
-        "shard_remap",
     ];
 
     fn blank(tag: u8) -> Option<JournalEvent> {
@@ -274,12 +258,6 @@ impl Record for JournalEvent {
                 to: 0,
             },
             6 => JournalEvent::NoBackend { at: 0 },
-            7 => JournalEvent::ShardRemap {
-                at: 0,
-                dst: 0,
-                before: Vec::new(),
-                after: Vec::new(),
-            },
             _ => return None,
         })
     }
@@ -365,17 +343,6 @@ impl Record for JournalEvent {
                 c.field(TO, Field::Int(to))
             }
             JournalEvent::NoBackend { at } => head(c, at),
-            JournalEvent::ShardRemap {
-                at,
-                dst,
-                before,
-                after,
-            } => {
-                head(c, at)?;
-                c.field("dst", Field::Int(dst))?;
-                c.field(BEFORE, Field::Ints(before))?;
-                c.field(AFTER, Field::Ints(after))
-            }
         }
     }
 }
@@ -471,12 +438,6 @@ mod tests {
                 to: 1,
             },
             JournalEvent::NoBackend { at: 7_000 },
-            JournalEvent::ShardRemap {
-                at: 8_000,
-                dst: 0x0a63_0001,
-                before: vec![3, 4],
-                after: vec![4],
-            },
         ]
     }
 

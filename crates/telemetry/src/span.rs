@@ -254,20 +254,12 @@ pub fn sort_records(records: &mut [HopRecord]) {
 /// FNV-1a digest over a record stream; equal for byte-identical streams.
 /// The run-twice determinism tests compare this.
 pub fn digest(records: &[HopRecord]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = crate::FNV_OFFSET;
     for r in records {
-        eat(r.at);
-        eat(r.trace);
-        eat(u64::from(r.kind.code()));
-        eat(u64::from(r.node));
-        eat(r.a);
-        eat(r.b);
+        let kind = u64::from(r.kind.code());
+        for v in [r.at, r.trace, kind, u64::from(r.node), r.a, r.b] {
+            h = crate::fnv1a(crate::FNV_PRIME, h, &v.to_le_bytes());
+        }
     }
     h
 }

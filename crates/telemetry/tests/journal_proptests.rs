@@ -63,12 +63,12 @@ fn finite(bits: u64) -> f64 {
     }
 }
 
-/// One arbitrary event of any of the 8 variants, via an integer
+/// One arbitrary event of any of the 7 variants, via an integer
 /// selector (the vendored proptest stub has no `prop_oneof!`); `float`
 /// turns generated bit patterns into the event's floats.
 fn journal_event(float: fn(u64) -> f64) -> impl Strategy<Value = JournalEvent> {
     (
-        0u8..8,
+        0u8..7,
         0u64..u64::MAX,                   // at
         0usize..64,                       // backend-ish index
         (0u64..u64::MAX, 0u64..u64::MAX), // generic u64 payloads
@@ -119,13 +119,7 @@ fn journal_event(float: fn(u64) -> f64) -> impl Strategy<Value = JournalEvent> {
                     from: idx,
                     to: idx.wrapping_add(1) % 64,
                 },
-                6 => JournalEvent::NoBackend { at },
-                _ => JournalEvent::ShardRemap {
-                    at,
-                    dst: a as u32,
-                    before: small_vec.clone(),
-                    after: small_vec,
-                },
+                _ => JournalEvent::NoBackend { at },
             }
         })
 }

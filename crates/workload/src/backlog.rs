@@ -28,8 +28,6 @@ pub struct BacklogConfig {
     pub chunk: usize,
     /// Top-up poll interval.
     pub poll: Duration,
-    /// Cap on recorded raw RTT samples.
-    pub raw_limit: usize,
 }
 
 impl Default for BacklogConfig {
@@ -40,7 +38,6 @@ impl Default for BacklogConfig {
             low_watermark: 64 * 1024,
             chunk: 64 * 1024,
             poll: Duration::from_millis(1),
-            raw_limit: 1 << 20,
         }
     }
 }
@@ -62,7 +59,7 @@ pub struct BacklogClient {
 impl BacklogClient {
     /// Creates the sender.
     pub fn new(cfg: BacklogConfig) -> BacklogClient {
-        let recorder = LatencyRecorder::new(1_000_000_000, cfg.raw_limit);
+        let recorder = LatencyRecorder::new(1_000_000_000);
         BacklogClient {
             cfg,
             conn: None,

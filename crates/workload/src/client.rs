@@ -10,8 +10,11 @@ use netsim::Duration;
 use nettcp::{App, ConnId, HostIo};
 use telemetry::span::{pack_addr, HopKind};
 
-use crate::keyspace::{KeyDist, KeySampler};
 use crate::recorder::LatencyRecorder;
+
+/// Keys are drawn uniformly from `0..KEY_COUNT` (memtier's default
+/// uniform key pattern).
+pub const KEY_COUNT: u64 = 10_000;
 
 /// Client workload parameters.
 #[derive(Debug, Clone)]
@@ -29,10 +32,6 @@ pub struct MemtierConfig {
     pub pipeline: usize,
     /// Fraction of requests that are GETs (the paper uses a 50-50 mix).
     pub get_ratio: f64,
-    /// Keys are drawn from `0..key_count`.
-    pub key_count: u64,
-    /// Key popularity distribution.
-    pub key_dist: KeyDist,
     /// Value length written by SETs.
     pub set_value_len: u32,
     /// Close and reopen a connection after this many completed requests
@@ -45,8 +44,6 @@ pub struct MemtierConfig {
     pub think_time: Option<(Duration, Duration)>,
     /// Time-bin width for the recorder's latency series.
     pub recorder_bin: Duration,
-    /// Cap on raw recorded samples.
-    pub raw_limit: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -59,13 +56,10 @@ impl Default for MemtierConfig {
             connections: 8,
             pipeline: 4,
             get_ratio: 0.5,
-            key_count: 10_000,
-            key_dist: KeyDist::Uniform,
             set_value_len: 64,
             requests_per_conn: 200,
             think_time: None,
             recorder_bin: Duration::from_secs(1),
-            raw_limit: 1 << 20,
             seed: 0,
         }
     }
@@ -124,7 +118,6 @@ pub struct MemtierStats {
 /// The memtier-like client application.
 pub struct MemtierClient {
     cfg: MemtierConfig,
-    keys: KeySampler,
     rng: SimRng,
     conns: BTreeMap<ConnId, ConnTracker>,
     next_req_id: u64,
@@ -143,12 +136,10 @@ impl MemtierClient {
             cfg.connections > 0 && cfg.pipeline > 0,
             "connections and pipeline must be positive"
         );
-        let recorder = LatencyRecorder::new(cfg.recorder_bin.as_nanos(), cfg.raw_limit);
+        let recorder = LatencyRecorder::new(cfg.recorder_bin.as_nanos());
         let rng = component_rng(cfg.seed, "memtier-client");
-        let keys = KeySampler::new(cfg.key_count.max(1), cfg.key_dist);
         MemtierClient {
             cfg,
-            keys,
             rng,
             conns: BTreeMap::new(),
             next_req_id: 1,
@@ -177,7 +168,7 @@ impl MemtierClient {
         let req_id = self.next_req_id;
         self.next_req_id += 1;
         let is_get = self.rng.gen_bool(self.cfg.get_ratio.clamp(0.0, 1.0));
-        let key = self.keys.sample(&mut self.rng);
+        let key = self.rng.gen_range(0..KEY_COUNT);
         let msg = if is_get {
             KvMessage::get(req_id, key)
         } else {

@@ -5,24 +5,23 @@
 //! * [`client::MemtierClient`] reproduces the memtier_benchmark pattern
 //!   described in §4: multiple TCP connections, several pipelined requests
 //!   per connection (the application-level flow-control quota that creates
-//!   causally-triggered transmissions), a 50-50 GET/SET mix, and periodic
-//!   connection close/reopen so the LB can make fresh routing decisions.
+//!   causally-triggered transmissions), a 50-50 GET/SET mix over uniformly
+//!   drawn keys, and periodic connection close/reopen so the LB can make
+//!   fresh routing decisions.
 //! * [`backlog::BacklogClient`] / [`backlog::SinkServer`] create the
 //!   window-limited bulk TCP flow of Fig. 2, where batch structure comes
 //!   from the transport window rather than request pipelining.
 //! * [`recorder::LatencyRecorder`] collects client-side ground truth:
-//!   per-request response latencies (by op), raw samples, and transport
-//!   RTT samples.
+//!   the GET latency series, raw response samples, and transport RTT
+//!   samples, with a count of the raw samples its cap turned away.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod backlog;
 pub mod client;
-pub mod keyspace;
 pub mod recorder;
 
 pub use backlog::{BacklogClient, BacklogConfig, SinkServer};
 pub use client::{MemtierClient, MemtierConfig};
-pub use keyspace::{KeyDist, KeySampler};
 pub use recorder::LatencyRecorder;

@@ -1,6 +1,10 @@
 //! Client-side ground-truth collection.
 
-use telemetry::{BinnedSeries, LogHistogram};
+use telemetry::BinnedSeries;
+
+/// Cap on each kind of raw sample a recorder keeps (responses, RTTs);
+/// samples past it are counted in [`LatencyRecorder::dropped`].
+pub const RAW_LIMIT: usize = 1 << 20;
 
 /// Records per-request response latencies and transport RTT samples at the
 /// client — the `T_client` ground truth the LB's `T_LB` estimates are
@@ -9,30 +13,24 @@ use telemetry::{BinnedSeries, LogHistogram};
 pub struct LatencyRecorder {
     /// GET response latencies over time.
     pub get_series: BinnedSeries,
-    /// SET response latencies over time.
-    pub set_series: BinnedSeries,
-    /// All response latencies, whole run.
-    pub all: LogHistogram,
     /// Raw `(completion time, latency, is_get)` samples, capped.
     raw: Vec<(u64, u64, bool)>,
     /// Raw transport RTT samples `(time, rtt)`, capped.
     rtt_raw: Vec<(u64, u64)>,
-    raw_limit: usize,
+    /// Raw samples of either kind not kept because their cap was full.
+    dropped: u64,
     /// Total responses recorded (including beyond the raw cap).
     pub responses: u64,
 }
 
 impl LatencyRecorder {
-    /// Creates a recorder with the given time-bin width for the series and
-    /// cap on raw samples.
-    pub fn new(bin_width_ns: u64, raw_limit: usize) -> LatencyRecorder {
+    /// Creates a recorder with the given time-bin width for the series.
+    pub fn new(bin_width_ns: u64) -> LatencyRecorder {
         LatencyRecorder {
             get_series: BinnedSeries::new(bin_width_ns),
-            set_series: BinnedSeries::new(bin_width_ns),
-            all: LogHistogram::new(),
             raw: Vec::new(),
             rtt_raw: Vec::new(),
-            raw_limit,
+            dropped: 0,
             responses: 0,
         }
     }
@@ -40,21 +38,22 @@ impl LatencyRecorder {
     /// Records one completed request.
     pub fn record_response(&mut self, now_ns: u64, latency_ns: u64, is_get: bool) {
         self.responses += 1;
-        self.all.record(latency_ns);
         if is_get {
             self.get_series.record(now_ns, latency_ns);
-        } else {
-            self.set_series.record(now_ns, latency_ns);
         }
-        if self.raw.len() < self.raw_limit {
+        if self.raw.len() < RAW_LIMIT {
             self.raw.push((now_ns, latency_ns, is_get));
+        } else {
+            self.dropped += 1;
         }
     }
 
     /// Records one transport RTT sample.
     pub fn record_rtt(&mut self, now_ns: u64, rtt_ns: u64) {
-        if self.rtt_raw.len() < self.raw_limit {
+        if self.rtt_raw.len() < RAW_LIMIT {
             self.rtt_raw.push((now_ns, rtt_ns));
+        } else {
+            self.dropped += 1;
         }
     }
 
@@ -68,17 +67,11 @@ impl LatencyRecorder {
         &self.rtt_raw
     }
 
-    /// Merges another recorder (e.g. from a second client host).
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        for &(t, l, g) in &other.raw {
-            // Re-recording through the public path keeps series consistent.
-            self.record_response(t, l, g);
-            self.responses -= 1; // record_response counted it again
-        }
-        self.responses += other.responses;
-        for &(t, r) in &other.rtt_raw {
-            self.record_rtt(t, r);
-        }
+    /// Raw samples (responses and RTTs) past [`RAW_LIMIT`], recorded
+    /// nowhere: nonzero means [`Self::raw`] or [`Self::rtt_raw`] is a
+    /// prefix of the run, not all of it.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 }
 
@@ -88,46 +81,36 @@ mod tests {
 
     #[test]
     fn records_split_by_op() {
-        let mut r = LatencyRecorder::new(1_000_000_000, 1024);
+        let mut r = LatencyRecorder::new(1_000_000_000);
         r.record_response(0, 100, true);
         r.record_response(1, 200, false);
         r.record_response(2, 300, true);
         assert_eq!(r.responses, 3);
         assert_eq!(r.get_series.merged().count(), 2);
-        assert_eq!(r.set_series.merged().count(), 1);
-        assert_eq!(r.all.count(), 3);
         assert_eq!(r.raw().len(), 3);
     }
 
     #[test]
-    fn raw_capped_but_series_complete() {
-        let mut r = LatencyRecorder::new(1_000, 10);
-        for i in 0..100 {
+    fn samples_past_the_cap_are_counted_not_kept() {
+        let mut r = LatencyRecorder::new(u64::MAX);
+        let extra = 3;
+        for i in 0..(RAW_LIMIT + extra) as u64 {
             r.record_response(i, i, true);
+            r.record_rtt(i, i);
         }
-        assert_eq!(r.raw().len(), 10);
-        assert_eq!(r.responses, 100);
-        assert_eq!(r.all.count(), 100);
+        assert_eq!((r.raw().len(), r.rtt_raw().len()), (RAW_LIMIT, RAW_LIMIT));
+        assert_eq!(r.dropped(), 2 * extra as u64, "both kinds counted");
+        // The series and the response count still see every response.
+        assert_eq!(r.responses, (RAW_LIMIT + extra) as u64);
+        assert_eq!(r.get_series.merged().count(), (RAW_LIMIT + extra) as u64);
     }
 
     #[test]
     fn rtt_separate_from_responses() {
-        let mut r = LatencyRecorder::new(1_000, 10);
+        let mut r = LatencyRecorder::new(1_000);
         r.record_rtt(5, 123);
         assert_eq!(r.rtt_raw(), &[(5, 123)]);
         assert_eq!(r.responses, 0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = LatencyRecorder::new(1_000, 1024);
-        let mut b = LatencyRecorder::new(1_000, 1024);
-        a.record_response(0, 100, true);
-        b.record_response(1, 200, false);
-        b.record_rtt(2, 50);
-        a.merge(&b);
-        assert_eq!(a.responses, 2);
-        assert_eq!(a.all.count(), 2);
-        assert_eq!(a.rtt_raw().len(), 1);
+        assert_eq!(r.dropped(), 0);
     }
 }

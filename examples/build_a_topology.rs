@@ -121,9 +121,9 @@ fn main() {
         .app_ref::<MemtierClient>()
         .unwrap();
     println!(
-        "client completed {} requests; overall p95 = {:.0} us",
+        "client completed {} requests; GET p95 = {:.0} us",
         client.recorder.responses,
-        client.recorder.all.quantile(0.95) as f64 / 1e3,
+        client.recorder.get_series.merged().quantile(0.95) as f64 / 1e3,
     );
     println!("(faster backends should hold more weight)");
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: everything CI runs, runnable locally with one command.
+# Tier-1 gate: CI's one gating step, runnable locally with one command.
 #
 #   ./scripts/check.sh
 #

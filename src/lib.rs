@@ -18,7 +18,7 @@
 //! * [`nettcp`] — the flow-controlled TCP-like transport whose
 //!   causally-triggered transmissions the measurement exploits.
 //! * [`backend`] — the simulated memcached-like servers (service-time
-//!   distributions, interference, delay injection).
+//!   distributions, worker pool, delay injection).
 //! * [`workload`] — memtier-like clients and backlogged bulk flows.
 //! * [`telemetry`] — histograms, percentiles, time series, tables.
 //! * [`experiments`] — ready-made scenarios reproducing every figure in

@@ -15,15 +15,7 @@ use experiments::KvCluster;
 use lb_dataplane::{LbNode, LbStats};
 use lbcore::GossipConfig;
 use netsim::Duration;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a step per byte.
-fn fnv1a(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes
-        .into_iter()
-        .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
-}
+use telemetry::{fnv1a, FNV_OFFSET, SIM_FNV_PRIME};
 
 /// A finished simulation's packet-trace digest; a truncated trace fails.
 fn digest(sim: &netsim::Simulation) -> (u64, usize) {
@@ -43,10 +35,8 @@ fn lb_record(lb: &LbNode) -> (LbStats, u64) {
         .points()
         .iter()
         .fold(FNV_OFFSET, |h, &(t, w)| {
-            fnv1a(
-                h,
-                t.to_le_bytes().into_iter().chain(w.to_bits().to_le_bytes()),
-            )
+            let h = fnv1a(SIM_FNV_PRIME, h, &t.to_le_bytes());
+            fnv1a(SIM_FNV_PRIME, h, &w.to_bits().to_le_bytes())
         });
     (lb.stats(), h)
 }

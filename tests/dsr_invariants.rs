@@ -159,7 +159,7 @@ fn cluster_runs_are_deterministic() {
         let lb: &LbNode = cluster.lb_node(0);
         (
             client.recorder.responses,
-            client.recorder.all.quantile(0.95),
+            client.recorder.raw().to_vec(),
             lb.stats().samples,
             lb.stats().table_rebuilds,
             lb.weights().as_slice().to_vec(),

@@ -29,12 +29,26 @@ pub const KV_PORT: u16 = 11211;
 /// The port used by the bulk-flow scenarios.
 pub const BULK_PORT: u16 = 5001;
 
+/// The most clients, and the most backends, one cluster can address:
+/// host `i` of either kind owns host octet `i + 1` of its /24.
+pub const MAX_HOSTS: usize = u8::MAX as usize;
+
+/// The host octet of client or backend `i`.
+///
+/// # Panics
+/// Panics if `i` is `MAX_HOSTS` or more: its address would wrap onto
+/// another host's.
+fn host_octet(i: usize) -> u8 {
+    u8::try_from(i + 1)
+        .unwrap_or_else(|_| panic!("host index {i}: a cluster addresses at most {MAX_HOSTS}"))
+}
+
 pub(crate) fn client_ip(i: usize) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, 1 + i as u8)
+    Ipv4Addr::new(10, 0, 0, host_octet(i))
 }
 
 pub(crate) fn backend_ip(j: usize) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 2, 1 + j as u8)
+    Ipv4Addr::new(10, 0, 2, host_octet(j))
 }
 
 /// Configuration for the backlogged-flow scenario (Fig. 2).

@@ -14,7 +14,6 @@
 //! boundary the algorithm picks δₘ at the largest Nᵢ/Nᵢ₊₁ ratio and uses it
 //! to report samples during the next epoch.
 
-use crate::fixed_timeout::FixedTimeout;
 use crate::Nanos;
 
 /// How the epoch-boundary decision picks δₘ from the counts N₁…Nₖ.
@@ -146,12 +145,13 @@ impl EpochDecision {
     }
 }
 
-/// Algorithm 2: the ensemble estimator. One instance per LB (sample counts
-/// are aggregated across flows, as in the paper's LB-wide implementation).
+/// Algorithm 2: the ensemble estimator. Sample counts are aggregated
+/// across every flow the instance sees; the LB runs one instance per
+/// backend, so each backend's flows pick their own δₑ.
 #[derive(Debug, Clone)]
 pub struct EnsembleTimeout {
+    /// The k candidate timeouts δ₁ < … < δₖ, one `FIXEDTIMEOUT` each.
     cfg: EnsembleConfig,
-    algs: Vec<FixedTimeout>,
     /// Sample counts Nᵢ for the current epoch, in the first k slots.
     counts: [u64; MAX_TIMEOUTS],
     /// Index of the epoch the counts belong to.
@@ -168,14 +168,8 @@ impl EnsembleTimeout {
     /// the cheapest way to start (it will correct at the first boundary).
     pub fn new(cfg: EnsembleConfig) -> EnsembleTimeout {
         cfg.validate();
-        let algs = cfg
-            .timeouts
-            .iter()
-            .map(|&d| FixedTimeout::new(d))
-            .collect::<Vec<_>>();
         EnsembleTimeout {
             cfg,
-            algs,
             counts: [0; MAX_TIMEOUTS],
             epoch_index: 0,
             chosen: 0,
@@ -185,7 +179,7 @@ impl EnsembleTimeout {
 
     /// Number of candidate timeouts.
     pub fn k(&self) -> usize {
-        self.algs.len()
+        self.cfg.timeouts.len()
     }
 
     /// The currently selected timeout δₑ in nanoseconds.
@@ -225,9 +219,9 @@ impl EnsembleTimeout {
 
         let mut chosen_sample = None;
         let gap = now.saturating_sub(f.time_last_pkt);
-        for (i, alg) in self.algs.iter().enumerate() {
+        for (i, &delta) in self.cfg.timeouts.iter().enumerate() {
             // Inline FIXEDTIMEOUT sharing time_last_pkt across instances.
-            if gap > alg.delta {
+            if gap > delta {
                 let t_lb = now.saturating_sub(f.time_last_batch[i]);
                 f.time_last_batch[i] = now;
                 self.counts[i] += 1;

@@ -3,9 +3,10 @@
 //! `T_LB` samples from the ensemble estimator arrive tagged with the
 //! backend the flow is pinned to. The controller wants a smoothed,
 //! recency-weighted view per backend; this module provides a windowed
-//! quantile (the robust control signal), an EWMA (for reporting), and
-//! staleness tracking (a backend that stops receiving samples must not be
-//! judged on ancient data forever).
+//! quantile (the robust control signal) and staleness tracking (a
+//! backend that stops receiving samples must not be judged on ancient
+//! data forever). It also keeps a per-backend EWMA, which no controller
+//! reads.
 //!
 //! The controller reads the signal of *every* backend on every sample,
 //! but a sample changes the window of *one*. So the count-window signal

@@ -249,11 +249,6 @@ impl MaglevTable {
         *filled = claimed;
     }
 
-    /// Builds an equal-weight table (classic Maglev).
-    pub fn build_equal(backends: usize, size: usize) -> MaglevTable {
-        MaglevTable::build(&vec![1.0; backends], size)
-    }
-
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.table.len()
@@ -361,7 +356,7 @@ mod tests {
     #[test]
     fn equal_weights_balance() {
         for n in [2usize, 3, 5, 10] {
-            let t = MaglevTable::build_equal(n, DEFAULT_TABLE_SIZE);
+            let t = MaglevTable::build(&vec![1.0; n], DEFAULT_TABLE_SIZE);
             let shares = t.shares();
             for (b, s) in shares.iter().enumerate() {
                 let expect = 1.0 / n as f64;
@@ -402,7 +397,7 @@ mod tests {
 
     #[test]
     fn lookup_is_deterministic_and_in_range() {
-        let t = MaglevTable::build_equal(4, 251);
+        let t = MaglevTable::build(&[1.0; 4], 251);
         for h in 0..10_000u64 {
             let b = t.lookup(splitmix64(h));
             assert!(b < 4);
@@ -431,7 +426,7 @@ mod tests {
 
     #[test]
     fn backend_removal_spreads_to_survivors() {
-        let a = MaglevTable::build_equal(3, DEFAULT_TABLE_SIZE);
+        let a = MaglevTable::build(&[1.0; 3], DEFAULT_TABLE_SIZE);
         let b = MaglevTable::build(&[1.0, 1.0, 0.0], DEFAULT_TABLE_SIZE);
         // Every slot that pointed to backend 2 moved; slots of 0 and 1
         // mostly did not.
@@ -480,7 +475,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be prime")]
     fn non_prime_size_rejected() {
-        let _ = MaglevTable::build_equal(2, 4096);
+        let _ = MaglevTable::build(&[1.0; 2], 4096);
     }
 
     #[test]

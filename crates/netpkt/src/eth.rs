@@ -15,19 +15,11 @@ pub const ETHERTYPE_IPV4: u16 = 0x0800;
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
     /// A locally-administered address derived from a small integer id,
     /// convenient for assigning distinct MACs to simulated hosts.
     pub fn from_id(id: u32) -> Self {
         let b = id.to_be_bytes();
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
-    }
-
-    /// Returns true if this is the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
     }
 }
 
@@ -126,7 +118,5 @@ mod tests {
             MacAddr::from_id(0x0102_0304).to_string(),
             "02:00:01:02:03:04"
         );
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(!MacAddr::from_id(1).is_broadcast());
     }
 }

@@ -117,21 +117,6 @@ impl Ipv4Header {
     }
 }
 
-/// Recomputes the IPv4 checksum in-place over a serialized header, after a
-/// field (e.g. the destination address) was rewritten in the buffer.
-///
-/// `buf` must start at the first byte of the IPv4 header.
-pub fn rewrite_checksum(buf: &mut [u8]) {
-    assert!(
-        buf.len() >= IPV4_HEADER_LEN,
-        "buffer shorter than IPv4 header"
-    );
-    buf[10] = 0;
-    buf[11] = 0;
-    let ck = crate::checksum::checksum(&buf[..IPV4_HEADER_LEN]);
-    buf[10..12].copy_from_slice(&ck.to_be_bytes());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,18 +153,6 @@ mod tests {
             Ipv4Header::parse(&bytes).unwrap_err(),
             ParseError::BadChecksum { layer: "ipv4" }
         ));
-    }
-
-    #[test]
-    fn rewrite_checksum_repairs() {
-        let mut buf = BytesMut::new();
-        sample().emit(&mut buf);
-        let mut bytes = buf.to_vec();
-        // Rewrite dst address like the LB does, then repair the checksum.
-        bytes[16..20].copy_from_slice(&Ipv4Addr::new(10, 0, 0, 99).octets());
-        rewrite_checksum(&mut bytes);
-        let parsed = Ipv4Header::parse(&bytes).unwrap();
-        assert_eq!(parsed.dst, Ipv4Addr::new(10, 0, 0, 99));
     }
 
     #[test]

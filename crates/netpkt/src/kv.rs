@@ -158,11 +158,6 @@ impl KvMessage {
         }
     }
 
-    /// Total encoded length (header + body).
-    pub fn encoded_len(&self) -> usize {
-        KV_HEADER_LEN + self.body_len as usize
-    }
-
     /// Serializes the message onto the end of `out`. The body is filled
     /// with a repeating pattern derived from the key so that corruption is
     /// detectable in tests. Applications encode into a scratch buffer they
@@ -290,7 +285,7 @@ mod tests {
         ] {
             let mut bytes = Vec::new();
             msg.encode_into(&mut bytes);
-            assert_eq!(bytes.len(), msg.encoded_len());
+            assert_eq!(bytes.len(), KV_HEADER_LEN + msg.body_len as usize);
             let (decoded, consumed) = KvMessage::decode(&bytes).unwrap().unwrap();
             assert_eq!(decoded, msg);
             assert_eq!(consumed, bytes.len());
@@ -304,7 +299,8 @@ mod tests {
         let mut stream = Vec::new();
         m1.encode_into(&mut stream);
         m2.encode_into(&mut stream);
-        assert_eq!(stream.len(), m1.encoded_len() + m2.encoded_len());
+        // Two headers, and m1's body (a GET has none).
+        assert_eq!(stream.len(), 2 * KV_HEADER_LEN + m1.body_len as usize);
 
         // Push one byte at a time; messages must come out intact and in order.
         let mut dec = KvDecoder::new();
@@ -326,8 +322,9 @@ mod tests {
         m1.encode_into(&mut stream);
         m2.encode_into(&mut stream);
         let mut dec = KvDecoder::new();
-        // m1 whole, then half of m2: one message out, the rest pending.
-        dec.push(&stream[..m1.encoded_len() + m2.encoded_len() / 2]);
+        // m1 whole, then half of m2 (a bare header): one message out,
+        // the rest pending.
+        dec.push(&stream[..KV_HEADER_LEN + m1.body_len as usize + KV_HEADER_LEN / 2]);
         assert_eq!(dec.next_message().unwrap(), Some(m1));
         assert_eq!(dec.next_message().unwrap(), None);
         assert!(dec.pending_bytes() > 0);

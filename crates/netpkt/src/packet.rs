@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 use crate::eth::{EthHeader, MacAddr, ETHERTYPE_IPV4, ETH_HEADER_LEN};
 use crate::ipv4::{Ipv4Header, IPPROTO_TCP, IPV4_HEADER_LEN};
 use crate::pool::BufferPool;
-use crate::tcp::{self, TcpFlags, TcpHeader, TCP_HEADER_LEN};
+use crate::tcp::{self, TcpHeader, TCP_HEADER_LEN};
 use crate::{ParseError, Result};
 
 /// L2 + L3 addressing of a frame to build: who sends it, who should
@@ -181,20 +181,9 @@ impl Packet {
     /// forwarding operation of an L2/DSR load balancer: the VIP stays in
     /// the IP header (it lives on the backend's loopback), so the backend
     /// replies from the VIP directly to the client. No checksum work is
-    /// needed because MACs are outside both checksums.
-    pub fn with_macs(&self, src_mac: MacAddr, dst_mac: MacAddr) -> Packet {
-        let mut bytes = BytesMut::from(&self.data[..]);
-        bytes[0..6].copy_from_slice(&dst_mac.0);
-        bytes[6..12].copy_from_slice(&src_mac.0);
-        Packet {
-            data: bytes.freeze(),
-            span: self.span,
-        }
-    }
-
-    /// [`Self::with_macs`] drawing its buffer from a [`BufferPool`] —
-    /// the per-packet forwarding path of the LB, where a fresh
-    /// allocation per hop is the dominant allocator cost.
+    /// needed because MACs are outside both checksums. The copy's buffer
+    /// comes from `pool`: on the LB's per-packet forwarding path a fresh
+    /// allocation per hop would be the dominant allocator cost.
     pub fn with_macs_pooled(
         &self,
         src_mac: MacAddr,
@@ -205,41 +194,6 @@ impl Packet {
         bytes.extend_from_slice(&self.data);
         bytes[0..6].copy_from_slice(&dst_mac.0);
         bytes[6..12].copy_from_slice(&src_mac.0);
-        Packet {
-            data: bytes.freeze(),
-            span: self.span,
-        }
-    }
-
-    /// Returns a copy of this packet with the IPv4 destination address and
-    /// both MAC addresses rewritten (and checksums repaired) — the
-    /// forwarding operation of a NAT-mode LB (the source *IP* is preserved
-    /// so the backend sees the true client).
-    pub fn rewritten_dst(
-        &self,
-        new_dst_ip: Ipv4Addr,
-        new_src_mac: MacAddr,
-        new_dst_mac: MacAddr,
-        ttl_decrement: bool,
-    ) -> Packet {
-        let mut bytes = BytesMut::from(&self.data[..]);
-        bytes[0..6].copy_from_slice(&new_dst_mac.0);
-        bytes[6..12].copy_from_slice(&new_src_mac.0);
-        let ip_start = ETH_HEADER_LEN;
-        bytes[ip_start + 16..ip_start + 20].copy_from_slice(&new_dst_ip.octets());
-        if ttl_decrement {
-            bytes[ip_start + 8] = bytes[ip_start + 8].saturating_sub(1);
-        }
-        crate::ipv4::rewrite_checksum(&mut bytes[ip_start..]);
-        // Repair the TCP checksum (pseudo-header covers the dst address).
-        // The header was parseable before the rewrite, so this cannot
-        // fail in practice — but on the fast path a malformed frame must
-        // never abort the process, so the unrepaired packet (which the
-        // receiver's checksum verification will drop) is returned instead.
-        if let Ok(ip) = Ipv4Header::parse(&bytes[ip_start..]) {
-            let tcp_start = ip_start + IPV4_HEADER_LEN;
-            tcp::fill_checksum(&mut bytes, tcp_start, &ip);
-        }
         Packet {
             data: bytes.freeze(),
             span: self.span,
@@ -301,27 +255,11 @@ impl<'a> PacketViewRef<'a> {
     pub fn payload_len(&self) -> usize {
         self.payload.len()
     }
-
-    /// True if any of SYN/FIN/RST is set (connection lifecycle packets).
-    pub fn is_lifecycle(&self) -> bool {
-        self.tcp.flags.contains(TcpFlags::SYN)
-            || self.tcp.flags.contains(TcpFlags::FIN)
-            || self.tcp.flags.contains(TcpFlags::RST)
-    }
-
-    /// Copies the payload out, detaching the view from the frame.
-    pub fn to_owned(&self) -> PacketView {
-        PacketView {
-            eth: self.eth,
-            ip: self.ip,
-            tcp: self.tcp,
-            payload: Bytes::copy_from_slice(self.payload),
-        }
-    }
 }
 
-/// A fully parsed, owning view of a TCP/IPv4 frame (the payload is
-/// copied out). Prefer [`PacketViewRef`] on per-packet paths.
+/// A fully parsed, owning view of a TCP/IPv4 frame, made by
+/// [`Packet::view`]: the payload is a slice of the packet's refcounted
+/// buffer. Prefer [`PacketViewRef`] on per-packet paths.
 #[derive(Debug, Clone)]
 pub struct PacketView {
     /// Ethernet header.
@@ -335,11 +273,6 @@ pub struct PacketView {
 }
 
 impl PacketView {
-    /// Parses a frame, verifying both checksums.
-    pub fn parse(frame: &[u8]) -> Result<PacketView> {
-        PacketViewRef::parse(frame).map(|v| v.to_owned())
-    }
-
     /// The four-tuple of this packet's direction of travel.
     pub fn flow(&self) -> crate::FlowKey {
         crate::FlowKey::from_headers(&self.ip, &self.tcp)
@@ -349,18 +282,12 @@ impl PacketView {
     pub fn payload_len(&self) -> usize {
         self.payload.len()
     }
-
-    /// True if any of SYN/FIN/RST is set (connection lifecycle packets).
-    pub fn is_lifecycle(&self) -> bool {
-        self.tcp.flags.contains(TcpFlags::SYN)
-            || self.tcp.flags.contains(TcpFlags::FIN)
-            || self.tcp.flags.contains(TcpFlags::RST)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::TcpFlags;
 
     fn build_sample(payload: &[u8]) -> Packet {
         Packet::build_tcp(
@@ -392,7 +319,6 @@ mod tests {
         assert_eq!(view.tcp.dst_port, 11211);
         assert_eq!(&view.payload[..], b"set k 0 0 3\r\nabc\r\n");
         assert_eq!(view.payload_len(), 18);
-        assert!(!view.is_lifecycle());
     }
 
     #[test]
@@ -440,27 +366,10 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_dst_preserves_src_and_payload() {
-        let pkt = build_sample(b"hello");
-        let new_ip = Ipv4Addr::new(10, 0, 2, 7);
-        let new_mac = MacAddr::from_id(77);
-        let lb_mac = MacAddr::from_id(55);
-        let fwd = pkt.rewritten_dst(new_ip, lb_mac, new_mac, true);
-        let view = fwd.view().unwrap(); // checksums must still verify
-        assert_eq!(view.ip.dst, new_ip);
-        assert_eq!(view.eth.dst, new_mac);
-        assert_eq!(view.eth.src, lb_mac);
-        assert_eq!(view.ip.src, Ipv4Addr::new(10, 0, 0, 1));
-        assert_eq!(view.ip.ttl, 63);
-        assert_eq!(&view.payload[..], b"hello");
-        // Flow key reflects the rewrite.
-        assert_eq!(view.flow().dst_ip, new_ip);
-    }
-
-    #[test]
     fn with_macs_preserves_everything_else() {
         let pkt = build_sample(b"payload");
-        let fwd = pkt.with_macs(MacAddr::from_id(9), MacAddr::from_id(10));
+        let mut pool = BufferPool::default();
+        let fwd = pkt.with_macs_pooled(MacAddr::from_id(9), MacAddr::from_id(10), &mut pool);
         let view = fwd.view().unwrap(); // checksums still verify
         assert_eq!(view.eth.src, MacAddr::from_id(9));
         assert_eq!(view.eth.dst, MacAddr::from_id(10));
@@ -470,32 +379,5 @@ mod tests {
             "IP header untouched"
         );
         assert_eq!(&view.payload[..], b"payload");
-    }
-
-    #[test]
-    fn lifecycle_flags_detected() {
-        let mut pkt = build_sample(b"");
-        let view = pkt.view().unwrap();
-        assert!(!view.is_lifecycle());
-        pkt = Packet::build_tcp(
-            Addresses {
-                src_mac: MacAddr::from_id(1),
-                dst_mac: MacAddr::from_id(2),
-                src_ip: Ipv4Addr::new(10, 0, 0, 1),
-                dst_ip: Ipv4Addr::new(10, 0, 9, 9),
-            },
-            &TcpHeader {
-                src_port: 1,
-                dst_port: 2,
-                seq: 0,
-                ack: 0,
-                flags: TcpFlags::SYN,
-                window: 100,
-            },
-            b"",
-            64,
-            0,
-        );
-        assert!(pkt.view().unwrap().is_lifecycle());
     }
 }

@@ -157,20 +157,22 @@ mod tests {
         assert_eq!(pkt.span(), 0, "fresh frames are unstamped");
         pkt.set_span(frame_trace_id(&pkt.data));
         assert_ne!(pkt.span(), 0);
-        let dsr = pkt.with_macs(MacAddr::from_id(9), MacAddr::from_id(10));
-        assert_eq!(dsr.span(), pkt.span());
-        let mut pool = crate::BufferPool::default();
-        let pooled = pkt.with_macs_pooled(MacAddr::from_id(9), MacAddr::from_id(10), &mut pool);
-        assert_eq!(pooled.span(), pkt.span());
-        let nat = pkt.rewritten_dst(
-            Ipv4Addr::new(10, 0, 2, 1),
-            MacAddr::from_id(9),
-            MacAddr::from_id(10),
-            true,
+        // The copy's buffer last held a longer, different, traced frame.
+        let mut stale = frame(
+            VIP,
+            CLIENT,
+            11211,
+            40_000,
+            &encoded(&KvMessage::set(4, 5, 64)),
         );
-        assert_eq!(nat.span(), pkt.span());
+        stale.set_span(pkt.span() ^ 1);
+        let mut pool = crate::BufferPool::default();
+        pool.recycle(stale);
+        let dsr = pkt.with_macs_pooled(MacAddr::from_id(9), MacAddr::from_id(10), &mut pool);
+        assert_eq!(pool.stats().hits, 1);
+        assert_eq!(dsr.span(), pkt.span());
         assert_eq!(pkt.clone().span(), pkt.span());
         // The sidecar never touches wire bytes.
-        assert_eq!(dsr.data.len(), pkt.data.len());
+        assert_eq!(dsr.data[12..], pkt.data[12..]);
     }
 }

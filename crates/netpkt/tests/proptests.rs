@@ -239,15 +239,31 @@ proptest! {
         m1 in arb_mac(),
         m2 in arb_mac(),
         payload in proptest::collection::vec(any::<u8>(), 0..64),
+        longer_by in proptest::collection::vec(any::<u8>(), 1..64),
     ) {
+        let tcp = TcpHeader { src_port: 1, dst_port: 2, seq: 3, ack: 4, flags: TcpFlags::ACK, window: 5 };
         let pkt = Packet::build_tcp(
             netpkt::Addresses { src_mac: MacAddr::from_id(1), dst_mac: MacAddr::from_id(2), src_ip: src, dst_ip: dst },
-            &TcpHeader { src_port: 1, dst_port: 2, seq: 3, ack: 4, flags: TcpFlags::ACK, window: 5 },
+            &tcp,
             &payload,
             64,
             9,
         );
-        let fwd = pkt.with_macs(m1, m2);
+        // The pool's one free buffer last held a longer, different frame.
+        let stale_payload: Vec<u8> = payload.iter().map(|b| !b).chain(longer_by).collect();
+        let stale = Packet::build_tcp(
+            netpkt::Addresses { src_mac: MacAddr::from_id(3), dst_mac: MacAddr::from_id(4), src_ip: dst, dst_ip: src },
+            &tcp,
+            &stale_payload,
+            63,
+            10,
+        );
+        let mut pool = BufferPool::default();
+        pool.recycle(stale);
+        let fwd = pkt.with_macs_pooled(m1, m2, &mut pool);
+        prop_assert_eq!(pool.stats().hits, 1);
+        // Every byte past the two MACs is the original frame's.
+        prop_assert_eq!(&fwd.data[12..], &pkt.data[12..]);
         let view = fwd.view().unwrap(); // checksums must verify
         prop_assert_eq!(view.eth.src, m1);
         prop_assert_eq!(view.eth.dst, m2);

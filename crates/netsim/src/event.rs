@@ -39,7 +39,7 @@
 
 use netpkt::Packet;
 
-use crate::fault::ImpairmentConfig;
+use crate::fault::FaultAction;
 use crate::link::LinkId;
 use crate::node::{NodeId, TimerToken};
 use crate::time::Time;
@@ -85,44 +85,8 @@ pub enum EventKind {
         /// The token the node armed the timer with.
         token: TimerToken,
     },
-    /// A scripted change to a link's propagation delay (used by experiments
-    /// to inject latency at a precise instant, e.g. "+1 ms at t = 100 s").
-    SetLinkExtraDelay {
-        /// The link to modify.
-        link: LinkId,
-        /// Direction: true for the a→b direction, false for b→a.
-        a_to_b: bool,
-        /// New *additional* propagation delay in nanoseconds (on top of the
-        /// link's configured base delay).
-        extra_nanos: u64,
-    },
-    /// A scripted node crash (`down = true`) or restart (`down = false`).
-    /// While down, deliveries to the node are dropped and its sends are
-    /// suppressed; timers still fire (see `netsim::fault`).
-    SetNodeDown {
-        /// The node whose liveness changes.
-        node: NodeId,
-        /// New liveness: true = crashed.
-        down: bool,
-    },
-    /// A scripted link flap: while down, both directions drop every
-    /// offered packet.
-    SetLinkDown {
-        /// The link whose state changes.
-        link: LinkId,
-        /// New state: true = down.
-        down: bool,
-    },
-    /// Installs (`Some`) or clears (`None`) a stochastic impairment on one
-    /// direction of a link.
-    SetLinkImpairment {
-        /// The link to modify.
-        link: LinkId,
-        /// Direction: true for the a→b direction, false for b→a.
-        a_to_b: bool,
-        /// The impairment to install, or `None` to heal the direction.
-        cfg: Option<ImpairmentConfig>,
-    },
+    /// A scripted fault takes effect (see `netsim::fault`).
+    Fault(FaultAction),
 }
 
 /// An event with its firing time and tie-breaking sequence number.

@@ -20,6 +20,13 @@
 //! * **Impairment** ([`FaultAction::Impair`]): one direction of a link
 //!   corrupts (drops at the receiver, as a bad-FCS frame), duplicates,
 //!   or reorders packets with per-fault probabilities.
+//! * **Extra delay** ([`FaultAction::ExtraDelay`]): one direction of a
+//!   link adds a fixed propagation delay — how experiments inject
+//!   server-path latency mid-run.
+//!
+//! Each action is one [`FaultAction`] variant, checked against the
+//! topology by [`Simulation::schedule`] and applied by one arm of the
+//! simulation's fault dispatch when it fires.
 
 // Fast-path module: a malformed input surfaces as a Result/Option,
 // never a process abort (DESIGN.md §6.9, rule F1).
@@ -119,6 +126,16 @@ pub enum FaultAction {
         /// Transmitting endpoint of the healed direction.
         from: NodeId,
     },
+    /// Set the extra propagation delay of the `from` → peer direction,
+    /// added to the link's configured base delay.
+    ExtraDelay {
+        /// The link to modify.
+        link: LinkId,
+        /// Transmitting endpoint of the delayed direction.
+        from: NodeId,
+        /// The new extra delay (it replaces the previous one).
+        extra: Duration,
+    },
 }
 
 /// A scripted fault schedule: an ordered list of `(time, action)` pairs.
@@ -183,18 +200,7 @@ impl FaultSchedule {
     /// Pushes every scripted action into `sim`'s event queue.
     pub fn apply(&self, sim: &mut Simulation) {
         for &(at, action) in &self.events {
-            match action {
-                FaultAction::NodeDown(node) => sim.schedule_node_down(at, node, true),
-                FaultAction::NodeUp(node) => sim.schedule_node_down(at, node, false),
-                FaultAction::LinkDown(link) => sim.schedule_link_down(at, link, true),
-                FaultAction::LinkUp(link) => sim.schedule_link_down(at, link, false),
-                FaultAction::Impair { link, from, cfg } => {
-                    sim.schedule_link_impairment(at, link, from, Some(cfg));
-                }
-                FaultAction::ClearImpair { link, from } => {
-                    sim.schedule_link_impairment(at, link, from, None);
-                }
-            }
+            sim.schedule(at, action);
         }
     }
 }

@@ -46,6 +46,33 @@ pub trait Node: Any {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken);
 }
 
+/// Records a link-layer hop of a traced frame at `node` (shared by the
+/// send path and the simulation's delivery dispatch). No-op when tracing
+/// is off or the frame is untraced.
+#[inline]
+pub(crate) fn record_link_hop(
+    spans: &mut SpanLog,
+    at: Time,
+    node: NodeId,
+    pkt: &Packet,
+    kind: HopKind,
+    link: LinkId,
+    b: u64,
+) {
+    let trace = pkt.span();
+    if trace == 0 || !spans.enabled() {
+        return;
+    }
+    spans.record(HopRecord {
+        at: at.as_nanos(),
+        trace,
+        kind,
+        node: node.0,
+        a: u64::from(link.0),
+        b,
+    });
+}
+
 /// The simulation facilities available to a node during a callback.
 pub struct Ctx<'a> {
     pub(crate) now: Time,
@@ -126,22 +153,10 @@ impl Ctx<'_> {
         });
     }
 
-    /// Records a link-layer hop for a traced frame (shared by the send
-    /// path and the simulation's delivery dispatch).
+    /// Records a link-layer hop for a traced frame at this node, now.
     #[inline]
-    pub(crate) fn record_link_hop(&mut self, pkt: &Packet, kind: HopKind, link: LinkId, b: u64) {
-        let trace = pkt.span();
-        if trace == 0 || !self.spans.enabled() {
-            return;
-        }
-        self.spans.record(HopRecord {
-            at: self.now.as_nanos(),
-            trace,
-            kind,
-            node: self.node.0,
-            a: u64::from(link.0),
-            b,
-        });
+    fn record_link_hop(&mut self, pkt: &Packet, kind: HopKind, link: LinkId, b: u64) {
+        record_link_hop(self.spans, self.now, self.node, pkt, kind, link, b);
     }
 
     /// Transmits `pkt` on `link`. The packet is delivered to the peer after

@@ -6,9 +6,9 @@ use netpkt::pool::BufferPool;
 use telemetry::span::{drop_reason, HopKind, HopRecord, SpanLog, SpanMode};
 
 use crate::event::{EventKind, EventQueue};
-use crate::fault::{ImpairmentConfig, LinkImpairment};
+use crate::fault::{FaultAction, LinkImpairment};
 use crate::link::{Link, LinkConfig, LinkId};
-use crate::node::{Ctx, Node, NodeId};
+use crate::node::{record_link_hop, Ctx, Node, NodeId};
 use crate::time::{Duration, Time};
 use crate::trace::{Trace, TraceKind};
 
@@ -190,87 +190,72 @@ impl Simulation {
         &self.links[id.0 as usize]
     }
 
-    /// Schedules a change of the *extra* propagation delay of one direction
-    /// of `link` at absolute time `at`. `from` names the transmitting side
-    /// of the affected direction. This is the mechanism experiments use to
-    /// inject server-path latency mid-run.
+    /// Schedules the scripted fault `action` at absolute time `at`.
+    /// Prefer building a [`crate::fault::FaultSchedule`] over calling this
+    /// directly.
     ///
     /// # Panics
-    /// Panics if `at` is before the current clock, as do the other
-    /// `schedule_*` methods: the event would move the clock backwards.
-    pub fn schedule_extra_delay(&mut self, at: Time, link: LinkId, from: NodeId, extra: Duration) {
-        self.assert_not_past(at);
-        let a_to_b = self.direction_of(link, from);
-        self.queue.push(
-            at,
-            EventKind::SetLinkExtraDelay {
-                link,
-                a_to_b,
-                extra_nanos: extra.as_nanos(),
-            },
-        );
-    }
-
-    /// Rejects a scripted event at an instant the clock has passed.
-    fn assert_not_past(&self, at: Time) {
+    /// Panics if `at` is before the current clock (the event would move
+    /// the clock backwards), if `action` names an unknown node or link,
+    /// or if its `from` is not an endpoint of its link.
+    pub fn schedule(&mut self, at: Time, action: FaultAction) {
         assert!(
             at >= self.now,
             "event scheduled at {} ns, before the clock at {} ns",
             at.as_nanos(),
             self.now.as_nanos()
         );
-    }
-
-    /// Resolves which direction of `link` has `from` as its transmitter.
-    ///
-    /// # Panics
-    /// Panics if `from` is not an endpoint of `link`.
-    fn direction_of(&self, link: LinkId, from: NodeId) -> bool {
-        let l = &self.links[link.0 as usize];
-        if from == l.a {
-            true
-        } else if from == l.b {
-            false
-        } else {
-            panic!("node {from} is not an endpoint of {link}");
+        match action {
+            FaultAction::NodeDown(node) | FaultAction::NodeUp(node) => assert!(
+                (node.0 as usize) < self.nodes.len(),
+                "unknown node {node} in fault schedule"
+            ),
+            FaultAction::LinkDown(link) | FaultAction::LinkUp(link) => assert!(
+                (link.0 as usize) < self.links.len(),
+                "unknown link {link} in fault schedule"
+            ),
+            FaultAction::Impair { link, from, .. }
+            | FaultAction::ClearImpair { link, from }
+            | FaultAction::ExtraDelay { link, from, .. } => {
+                let l = self
+                    .links
+                    .get(link.0 as usize)
+                    .unwrap_or_else(|| panic!("unknown link {link} in fault schedule"));
+                assert!(
+                    from == l.a || from == l.b,
+                    "node {from} is not an endpoint of {link}"
+                );
+            }
         }
+        self.queue.push(at, EventKind::Fault(action));
     }
 
-    /// Schedules a node crash (`down = true`) or restart at `at`. Prefer
-    /// building a [`crate::fault::FaultSchedule`] over calling this
-    /// directly.
-    pub fn schedule_node_down(&mut self, at: Time, node: NodeId, down: bool) {
-        self.assert_not_past(at);
-        assert!(
-            (node.0 as usize) < self.nodes.len(),
-            "unknown node {node} in fault schedule"
-        );
-        self.queue.push(at, EventKind::SetNodeDown { node, down });
+    /// Schedules [`FaultAction::ExtraDelay`]: from `at` on, the `from` →
+    /// peer direction of `link` adds `extra` to its propagation delay.
+    /// This is how experiments inject server-path latency mid-run.
+    pub fn schedule_extra_delay(&mut self, at: Time, link: LinkId, from: NodeId, extra: Duration) {
+        self.schedule(at, FaultAction::ExtraDelay { link, from, extra });
     }
 
-    /// Schedules a link flap (`down = true`) or recovery at `at`.
-    pub fn schedule_link_down(&mut self, at: Time, link: LinkId, down: bool) {
-        self.assert_not_past(at);
-        assert!(
-            (link.0 as usize) < self.links.len(),
-            "unknown link {link} in fault schedule"
-        );
-        self.queue.push(at, EventKind::SetLinkDown { link, down });
-    }
-
-    /// Schedules the installation (`Some`) or removal (`None`) of a
-    /// stochastic impairment on the `from` → peer direction of `link`.
-    pub fn schedule_link_impairment(
-        &mut self,
-        at: Time,
-        link: LinkId,
-        from: NodeId,
-        cfg: Option<ImpairmentConfig>,
-    ) {
-        self.assert_not_past(at);
-        let a_to_b = self.direction_of(link, from);
-        self.queue
-            .push(at, EventKind::SetLinkImpairment { link, a_to_b, cfg });
+    /// Applies a scripted fault as its event fires; [`Simulation::schedule`]
+    /// checked its node and link.
+    fn apply_fault(&mut self, action: FaultAction) {
+        match action {
+            FaultAction::NodeDown(node) => self.node_down[node.0 as usize] = true,
+            FaultAction::NodeUp(node) => self.node_down[node.0 as usize] = false,
+            FaultAction::LinkDown(link) => self.links[link.0 as usize].down = true,
+            FaultAction::LinkUp(link) => self.links[link.0 as usize].down = false,
+            FaultAction::Impair { link, from, cfg } => {
+                self.links[link.0 as usize].dir_mut(from).impairment =
+                    Some(LinkImpairment::new(cfg));
+            }
+            FaultAction::ClearImpair { link, from } => {
+                self.links[link.0 as usize].dir_mut(from).impairment = None;
+            }
+            FaultAction::ExtraDelay { link, from, extra } => {
+                self.links[link.0 as usize].dir_mut(from).extra_delay = extra;
+            }
+        }
     }
 
     /// Downcasts a node to a concrete type for post-run inspection.
@@ -349,58 +334,37 @@ impl Simulation {
                         // The receiver is crashed: the frame dies at its NIC.
                         self.trace
                             .record(self.now, node, TraceKind::Drop, link, &pkt);
-                        if pkt.span() != 0 && self.spans.enabled() {
-                            self.spans.record(HopRecord {
-                                at: self.now.as_nanos(),
-                                trace: pkt.span(),
-                                kind: HopKind::LinkDrop,
-                                node: node.0,
-                                a: u64::from(link.0),
-                                b: drop_reason::RECEIVER_DOWN,
-                            });
-                        }
+                        record_link_hop(
+                            &mut self.spans,
+                            self.now,
+                            node,
+                            &pkt,
+                            HopKind::LinkDrop,
+                            link,
+                            drop_reason::RECEIVER_DOWN,
+                        );
                         self.pool.recycle(pkt);
                         continue;
                     }
                     self.stats.packets_delivered += 1;
                     self.trace
                         .record(self.now, node, TraceKind::Deliver, link, &pkt);
-                    if pkt.span() != 0 && self.spans.enabled() {
-                        self.spans.record(HopRecord {
-                            at: self.now.as_nanos(),
-                            trace: pkt.span(),
-                            kind: HopKind::LinkDeliver,
-                            node: node.0,
-                            a: u64::from(link.0),
-                            b: pkt.wire_len() as u64,
-                        });
-                    }
+                    record_link_hop(
+                        &mut self.spans,
+                        self.now,
+                        node,
+                        &pkt,
+                        HopKind::LinkDeliver,
+                        link,
+                        pkt.wire_len() as u64,
+                    );
                     self.with_node(node, |n, ctx| n.on_packet(ctx, link, pkt));
                 }
                 EventKind::Timer { node, token } => {
                     self.stats.timers_fired += 1;
                     self.with_node(node, |n, ctx| n.on_timer(ctx, token));
                 }
-                EventKind::SetLinkExtraDelay {
-                    link,
-                    a_to_b,
-                    extra_nanos,
-                } => {
-                    let l = &mut self.links[link.0 as usize];
-                    let dir = if a_to_b { &mut l.ab } else { &mut l.ba };
-                    dir.extra_delay = Duration::from_nanos(extra_nanos);
-                }
-                EventKind::SetNodeDown { node, down } => {
-                    self.node_down[node.0 as usize] = down;
-                }
-                EventKind::SetLinkDown { link, down } => {
-                    self.links[link.0 as usize].down = down;
-                }
-                EventKind::SetLinkImpairment { link, a_to_b, cfg } => {
-                    let l = &mut self.links[link.0 as usize];
-                    let dir = if a_to_b { &mut l.ab } else { &mut l.ba };
-                    dir.impairment = cfg.map(LinkImpairment::new);
-                }
+                EventKind::Fault(action) => self.apply_fault(action),
             }
         }
         if self.now < deadline && deadline != Time::MAX {
@@ -646,19 +610,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "event scheduled at 4000000 ns, before the clock at 5000000 ns")]
     fn node_down_in_the_past_panics() {
-        schedule_in_the_past(|sim, at, _, a| sim.schedule_node_down(at, a, true));
+        schedule_in_the_past(|sim, at, _, a| sim.schedule(at, FaultAction::NodeDown(a)));
     }
 
     #[test]
     #[should_panic(expected = "event scheduled at 4000000 ns, before the clock at 5000000 ns")]
     fn link_down_in_the_past_panics() {
-        schedule_in_the_past(|sim, at, link, _| sim.schedule_link_down(at, link, true));
+        schedule_in_the_past(|sim, at, link, _| sim.schedule(at, FaultAction::LinkDown(link)));
     }
 
     #[test]
     #[should_panic(expected = "event scheduled at 4000000 ns, before the clock at 5000000 ns")]
     fn link_impairment_in_the_past_panics() {
-        schedule_in_the_past(|sim, at, link, a| sim.schedule_link_impairment(at, link, a, None));
+        schedule_in_the_past(|sim, at, link, from| {
+            sim.schedule(at, FaultAction::ClearImpair { link, from });
+        });
     }
 
     /// Arms a timer 1 ns behind the clock when its first timer fires.

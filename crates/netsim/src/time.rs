@@ -42,11 +42,6 @@ impl Time {
     pub fn saturating_since(self, earlier: Time) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: Time) -> Option<Duration> {
-        self.0.checked_sub(earlier.0).map(Duration)
-    }
 }
 
 impl Duration {
@@ -73,19 +68,6 @@ impl Duration {
     /// From whole seconds.
     pub const fn from_secs(s: u64) -> Duration {
         Duration(s * 1_000_000_000)
-    }
-
-    /// From fractional seconds (for configuration convenience; rounds to
-    /// the nearest nanosecond).
-    pub fn from_secs_f64(s: f64) -> Duration {
-        assert!(
-            s >= 0.0 && s.is_finite(),
-            "duration must be finite and non-negative"
-        );
-        // `as` saturates: a duration past u64::MAX ns (584 years) clamps.
-        #[allow(clippy::cast_possible_truncation)]
-        let nanos = (s * 1e9).round() as u64;
-        Duration(nanos)
     }
 
     /// Raw nanoseconds.
@@ -189,7 +171,6 @@ mod tests {
         assert_eq!(Duration::from_micros(64).as_nanos(), 64_000);
         assert_eq!(Duration::from_millis(64).as_nanos(), 64_000_000);
         assert_eq!(Duration::from_secs(3).as_nanos(), 3_000_000_000);
-        assert_eq!(Duration::from_secs_f64(0.5).as_nanos(), 500_000_000);
     }
 
     #[test]
@@ -200,10 +181,6 @@ mod tests {
         assert_eq!(
             Time::from_nanos(5).saturating_since(Time::from_nanos(10)),
             Duration::ZERO
-        );
-        assert_eq!(
-            Time::from_nanos(5).checked_since(Time::from_nanos(10)),
-            None
         );
     }
 
@@ -229,11 +206,5 @@ mod tests {
         assert_eq!(Duration::from_micros(64).to_string(), "64.0us");
         assert_eq!(Duration::from_millis(64).to_string(), "64.00ms");
         assert_eq!(Duration::from_secs(2).to_string(), "2.000s");
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_float_duration_panics() {
-        let _ = Duration::from_secs_f64(-1.0);
     }
 }

@@ -91,11 +91,6 @@ impl Trace {
         self.enabled = false;
     }
 
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub(crate) fn record(
         &mut self,
         at: Time,
@@ -249,7 +244,6 @@ mod tests {
             &pkt(b"x"),
         );
         assert!(t.events().is_empty());
-        assert!(!t.is_enabled());
     }
 
     #[test]

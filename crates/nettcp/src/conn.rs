@@ -385,22 +385,14 @@ impl Conn {
         out.append(&mut self.out);
     }
 
-    /// Drains application events.
-    pub fn take_events(&mut self) -> Vec<ConnEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Capacity-preserving variant of [`Self::take_events`].
+    /// Drains application events onto the end of `out`, keeping both
+    /// vectors' capacity.
     pub fn take_events_into(&mut self, out: &mut Vec<ConnEvent>) {
         out.append(&mut self.events);
     }
 
-    /// Drains timer arm/cancel requests.
-    pub fn take_timer_requests(&mut self) -> Vec<TimerRequest> {
-        std::mem::take(&mut self.timer_reqs)
-    }
-
-    /// Capacity-preserving variant of [`Self::take_timer_requests`].
+    /// Drains timer arm/cancel requests onto the end of `out`, keeping
+    /// both vectors' capacity.
     pub fn take_timer_requests_into(&mut self, out: &mut Vec<TimerRequest>) {
         out.append(&mut self.timer_reqs);
     }

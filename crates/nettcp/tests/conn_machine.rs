@@ -30,6 +30,13 @@ fn take_segments(conn: &mut Conn) -> Vec<(SegmentOut, bytes::Bytes)> {
         .collect()
 }
 
+/// Drains a connection's application events the way the host does.
+fn take_events(conn: &mut Conn) -> Vec<ConnEvent> {
+    let mut events = Vec::new();
+    conn.take_events_into(&mut events);
+    events
+}
+
 fn hdr_of(local: (Ipv4Addr, u16), remote: (Ipv4Addr, u16), seg: &SegmentOut) -> TcpHeader {
     let _ = (local, remote);
     TcpHeader {
@@ -123,9 +130,9 @@ impl Pipe {
 
     fn events(&mut self, of_a: bool) -> Vec<ConnEvent> {
         if of_a {
-            self.a.take_events()
+            take_events(&mut self.a)
         } else {
-            self.b.take_events()
+            take_events(&mut self.b)
         }
     }
 }
@@ -292,8 +299,7 @@ fn repeated_timeouts_abort_the_connection() {
         }
     }
     assert!(c.is_closed(), "connection never aborted");
-    assert!(c
-        .take_events()
+    assert!(take_events(&mut c)
         .iter()
         .any(|e| matches!(e, ConnEvent::Closed)));
 }
@@ -370,13 +376,14 @@ impl PipeRaw {
                 let hdr = hdr_of(B, A, &seg);
                 self.a.on_segment(self.now, &hdr, payload);
             }
-            for ev in self.b.take_events() {
+            for ev in take_events(&mut self.b) {
                 if let ConnEvent::Data(d) = ev {
                     delivered.extend_from_slice(&d);
                 }
             }
-            let _ = self.a.take_events();
-            let _ = (self.a.take_timer_requests(), self.b.take_timer_requests());
+            let _ = take_events(&mut self.a);
+            self.a.take_timer_requests_into(&mut Vec::new());
+            self.b.take_timer_requests_into(&mut Vec::new());
         }
         delivered
     }
@@ -437,7 +444,7 @@ fn out_of_order_delivery_is_reassembled() {
         window: 65535,
     };
     b.on_segment(Time::from_nanos(1), &ack, bytes::Bytes::new());
-    let _ = b.take_events();
+    let _ = take_events(&mut b);
 
     // Segment 2 first (seq 1006), then segment 1 (seq 1001).
     let seg2 = TcpHeader {
@@ -454,7 +461,7 @@ fn out_of_order_delivery_is_reassembled() {
         bytes::Bytes::from_static(b"world"),
     );
     assert!(
-        data_of(&b.take_events()).is_empty(),
+        data_of(&take_events(&mut b)).is_empty(),
         "future data delivered early"
     );
     assert_eq!(b.stats.ooo_segments, 1);
@@ -465,7 +472,7 @@ fn out_of_order_delivery_is_reassembled() {
         &seg1,
         bytes::Bytes::from_static(b"hello"),
     );
-    assert_eq!(data_of(&b.take_events()), b"helloworld");
+    assert_eq!(data_of(&take_events(&mut b)), b"helloworld");
 }
 
 #[test]
@@ -489,7 +496,7 @@ fn overlapping_retransmission_not_double_delivered() {
         },
         bytes::Bytes::new(),
     );
-    let _ = b.take_events();
+    let _ = take_events(&mut b);
     b.on_segment(
         Time::from_nanos(2),
         &base,
@@ -502,7 +509,7 @@ fn overlapping_retransmission_not_double_delivered() {
         bytes::Bytes::from_static(b"abcdefgh"),
     );
     assert_eq!(
-        data_of(&b.take_events()),
+        data_of(&take_events(&mut b)),
         b"abcdefgh",
         "old prefix must be deduplicated"
     );
@@ -555,12 +562,12 @@ impl Side {
     fn drain(&mut self) -> Vec<(TcpHeader, bytes::Bytes)> {
         let (local, remote) = (self.conn.local(), self.conn.remote());
         let out = take_segments(&mut self.conn);
-        for ev in self.conn.take_events() {
+        for ev in take_events(&mut self.conn) {
             if let ConnEvent::Data(d) = ev {
                 self.received.extend_from_slice(&d);
             }
         }
-        let _ = self.conn.take_timer_requests();
+        self.conn.take_timer_requests_into(&mut Vec::new());
         out.into_iter()
             .map(|(seg, payload)| {
                 if seg.len > 0 {

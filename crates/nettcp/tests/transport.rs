@@ -4,7 +4,7 @@
 
 use std::net::Ipv4Addr;
 
-use netsim::{Duration, ImpairmentConfig, LinkConfig, LinkId, Simulation, Time};
+use netsim::{Duration, FaultAction, ImpairmentConfig, LinkConfig, LinkId, Simulation, Time};
 use nettcp::{App, ConnId, DelayedAck, Host, HostConfig, HostIo, Pacing, TcpConfig};
 
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -610,7 +610,8 @@ fn a_closed_connection_leaves_nothing_in_the_event_queue() {
             reorder_window: Duration::from_micros(300),
             seed,
         };
-        sim.schedule_link_impairment(Time::ZERO, LinkId(0), from, Some(cfg));
+        let link = LinkId(0);
+        sim.schedule(Time::ZERO, FaultAction::Impair { link, from, cfg });
     }
 
     let reaped = |sim: &Simulation| {

@@ -7,6 +7,7 @@
 //! is byte-exact with no float-formatting concerns, and two builds of
 //! the same case file construct bit-identical simulations.
 
+use experiments::topology::MAX_HOSTS;
 use netsim::rng::{derive_seed, SimRng};
 
 /// Derivation label for the scenario-generator RNG stream (keeps it
@@ -409,14 +410,24 @@ impl Scenario {
         Ok(sc)
     }
 
-    /// Structural sanity: at least 2 backends and 1 LB, fault/injection
-    /// indices in range, fault windows well-ordered.
+    /// Structural sanity: 1 LB or more, 2 to [`MAX_HOSTS`] backends with
+    /// a worker each at least, fault/injection indices in range, fault
+    /// windows well-ordered.
     pub fn validate(&self) -> Result<(), String> {
         if self.lbs < 1 {
             return Err("at least one LB".into());
         }
         if self.backends.len() < 2 {
             return Err("at least two backends".into());
+        }
+        if self.backends.len() > MAX_HOSTS {
+            return Err(format!(
+                "{} backends: a cluster addresses at most {MAX_HOSTS}",
+                self.backends.len()
+            ));
+        }
+        if self.backends.iter().any(|b| b.workers < 1) {
+            return Err("backend workers must be >= 1".into());
         }
         if self.connections < 1 || self.pipeline < 1 {
             return Err("connections and pipeline must be >= 1".into());
@@ -645,5 +656,16 @@ mod tests {
             up_ms: 200,
         }];
         assert!(sc.validate().is_err());
+        // Case files past the address plan (a 256th backend has no host
+        // octet left) or with a worker-less backend (which would panic
+        // mid-build) are rejected when read.
+        let mut sc = Scenario::generate(0);
+        sc.backends = vec![sc.backends[0]; MAX_HOSTS + 1];
+        let err = Scenario::from_text(&sc.to_text()).unwrap_err();
+        assert!(err.contains("at most 255"), "{err}");
+        let mut sc = Scenario::generate(0);
+        sc.backends[1].workers = 0;
+        let err = Scenario::from_text(&sc.to_text()).unwrap_err();
+        assert!(err.contains("workers must be >= 1"), "{err}");
     }
 }

@@ -73,15 +73,6 @@ impl LogHistogram {
         self.sum += u128::from(value);
     }
 
-    /// Records `n` observations of the same value.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        self.counts[Self::index_of(value)] += n;
-        self.total += n;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.sum += u128::from(value) * u128::from(n);
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.total
@@ -208,20 +199,6 @@ mod tests {
         // p50 of a uniform grid should be near the middle.
         let p50 = h.quantile(0.5) as f64;
         assert!((p50 / (5_000.0 * 137.0) - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    #[allow(clippy::float_cmp)] // the same sums, bit for bit
-    fn record_n_equals_loop() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record_n(1234, 50);
-        for _ in 0..50 {
-            b.record(1234);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.quantile(0.5), b.quantile(0.5));
-        assert_eq!(a.mean(), b.mean());
     }
 
     #[test]

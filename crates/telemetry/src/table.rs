@@ -32,12 +32,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of displayable values.
-    pub fn row_display(&mut self, cells: &[&dyn core::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -98,19 +92,6 @@ impl Table {
     }
 }
 
-/// Formats nanoseconds with an adaptive unit, for table cells.
-pub fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns}ns")
-    } else if ns < 1_000_000 {
-        format!("{:.1}us", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.3}s", ns as f64 / 1e9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,20 +121,5 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn fmt_ns_units() {
-        assert_eq!(fmt_ns(500), "500ns");
-        assert_eq!(fmt_ns(64_000), "64.0us");
-        assert_eq!(fmt_ns(1_500_000), "1.50ms");
-        assert_eq!(fmt_ns(2_000_000_000), "2.000s");
-    }
-
-    #[test]
-    fn row_display_stringifies() {
-        let mut t = Table::new("demo", &["x", "y"]);
-        t.row_display(&[&1.5f64, &42u64]);
-        assert!(t.to_csv().contains("1.5,42"));
     }
 }

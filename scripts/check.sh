@@ -43,6 +43,13 @@ fi
 echo "==> cargo clippy --workspace --exclude lint-fixtures --all-targets -- -D warnings"
 cargo clippy --offline --no-deps --workspace --exclude lint-fixtures --all-targets -- -D warnings
 
+# Rustdoc warnings denied: a deleted or renamed public item must not
+# leave an intra-doc link dangling. (Cargo notes that the scenariofuzz
+# lib and the bench bin of that name share a doc path; that notice is
+# not a rustdoc warning and does not fail the step.)
+echo "==> cargo doc --workspace (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> cargo build --release"
 cargo build --release
 

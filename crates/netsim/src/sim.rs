@@ -172,7 +172,7 @@ impl Simulation {
     }
 
     /// Access to the span hop log. The log keeps its records packed
-    /// (about 11 bytes a hop); `spans().iter()` decodes them in
+    /// (about 6.5 bytes a hop); `spans().iter()` decodes them in
     /// recording order without materialising them.
     pub fn spans(&self) -> &SpanLog {
         &self.spans

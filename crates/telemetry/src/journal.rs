@@ -3,8 +3,9 @@
 //! ensemble epoch decisions, weight shifts, health transitions, gossip
 //! merges, and flow re-pins.
 //!
-//! A [`Journal`] is a [`Log`] of [`JournalEvent`]s, kept packed (about
-//! 11 bytes a sample) and exported as NDJSON. Every variant's fields and
+//! A [`Journal`] is a [`Log`] of [`JournalEvent`]s, kept packed (9.9
+//! bytes an event on the Fig. 3 stream, nearly all of them samples) and
+//! exported as NDJSON. Every variant's fields and
 //! wire keys are listed once, in the event's [`Record::walk`], which all
 //! four codecs walk.
 
@@ -492,9 +493,10 @@ mod tests {
             j.push(ev);
             sizes.push(j.retained_bytes() - before);
         }
-        // Header, 3-byte time delta, backend, 4-byte address, port, δ, T_LB;
-        // then the backend, address and δ repeat and cost nothing.
-        assert_eq!(sizes, [1 + 3 + 1 + 4 + 3 + 3 + 3, 1 + 3 + 3 + 3]);
+        // Header, 3-byte time delta, backend, 4-byte address, port, δ, T_LB,
+        // the three sticky fields each behind a literal tag; then the
+        // backend, address and δ repeat and cost nothing.
+        assert_eq!(sizes, [1 + 3 + 2 + 5 + 3 + 4 + 3, 1 + 3 + 3 + 3]);
         assert_eq!(j.take().len(), 2);
         assert_eq!(j.retained_bytes(), 0);
     }

@@ -17,6 +17,7 @@
 )]
 
 use core::fmt::Write;
+use core::iter::FusedIterator;
 use core::marker::PhantomData;
 
 /// What a log retains.
@@ -68,7 +69,11 @@ pub trait Record: Sized {
 /// One field of a record as [`Record::walk`] hands it to a codec, and
 /// how it is packed. Up to four *sticky* fields (`Time`, `Sticky`, `Hash`)
 /// own a slot each, in walk order: one that repeats the previous record's
-/// value in its slot is a header flag, not stored.
+/// value in its slot is a header flag, not stored. Up to four *coded*
+/// fields (`Sticky`, `Hash`, `Flagged`) own a dictionary of recent values
+/// each, in walk order: a value not flagged as a repeat is a tag byte,
+/// either its index there or a literal marker followed by the value,
+/// which the dictionary then learns.
 pub enum Field<'a> {
     /// The timestamp, key [`AT`]: sticky, else a zigzag varint delta.
     Time(&'a mut u64),
@@ -78,11 +83,14 @@ pub enum Field<'a> {
     Label(&'a mut dyn Uint, &'static [&'static str]),
     /// An unsigned integer: a varint.
     Int(&'a mut dyn Uint),
-    /// An integer whose bit 63 is a flag: a varint of it rotated left.
+    /// An integer whose bit 63 is a flag: coded, the literal a varint of
+    /// it rotated left.
     Flagged(&'a mut u64),
-    /// An integer that often repeats: sticky, else a varint.
+    /// An integer that often repeats: sticky, else coded, the literal a
+    /// varint.
     Sticky(&'a mut dyn Uint),
-    /// A hash that often repeats: sticky, else its eight bytes.
+    /// A hash that often repeats: sticky, else coded, the literal its
+    /// eight bytes.
     Hash(&'a mut u64),
     /// A float: its eight bytes, so `-0.0` and NaN payloads survive.
     Float(&'a mut f64),
@@ -138,8 +146,10 @@ pub struct Log<R> {
     mode: Mode,
     bytes: Vec<u8>,
     len: usize,
-    /// The sticky slots' last values; zero again after a [`Log::take`].
-    slots: Slots,
+    /// What the next record is coded against: allocated with the first
+    /// retained record (an `Off` log never has one), dropped by
+    /// [`Log::take`].
+    state: Option<Box<Predictor>>,
     dropped: u64,
     record: PhantomData<fn() -> R>,
 }
@@ -154,7 +164,7 @@ impl<R: Record> Log<R> {
             mode,
             bytes: Vec::new(),
             len: 0,
-            slots: Slots::default(),
+            state: None,
             dropped: 0,
             record: PhantomData,
         }
@@ -188,8 +198,9 @@ impl<R: Record> Log<R> {
             buf: [0; 64],
             n: 1,
             header: 0,
-            slots: &mut self.slots,
+            state: self.state.get_or_insert_with(Box::default),
             slot: 0,
+            dict: 0,
         };
         // The encoder has no failure path.
         let _ = rec.walk(&mut enc);
@@ -222,7 +233,7 @@ impl<R: Record> Log<R> {
     pub fn iter(&self) -> Iter<'_, R> {
         Iter {
             bytes: &self.bytes,
-            slots: Slots::default(),
+            state: None,
             remaining: self.len,
             record: PhantomData,
         }
@@ -246,13 +257,35 @@ impl<R: Record> Log<R> {
     }
 }
 
-/// Decoding iterator over a [`Log`]'s retained records.
+/// Decoding iterator over a [`Log`]'s retained records. It mirrors the
+/// encoder's predictor, so a record that fails to decode (a truncated or
+/// foreign stream) ends the iteration for good.
 #[derive(Debug, Clone)]
 pub struct Iter<'a, R> {
     bytes: &'a [u8],
-    slots: Slots,
+    /// Allocated on the first decoded record, as the log's own is.
+    state: Option<Box<Predictor>>,
     remaining: usize,
     record: PhantomData<fn() -> R>,
+}
+
+impl<R: Record> Iter<'_, R> {
+    #[inline]
+    fn decode(&mut self) -> Option<R> {
+        let (&header, rest) = self.bytes.split_first().filter(|_| self.remaining > 0)?;
+        let mut rec = R::blank(header & KIND_MASK)?;
+        let mut dec = Decoder {
+            bytes: rest,
+            header,
+            state: self.state.get_or_insert_with(Box::default),
+            slot: 0,
+            dict: 0,
+        };
+        rec.walk(&mut dec).ok()?;
+        self.bytes = dec.bytes;
+        self.remaining -= 1;
+        Some(rec)
+    }
 }
 
 impl<R: Record> Iterator for Iter<'_, R> {
@@ -260,20 +293,13 @@ impl<R: Record> Iterator for Iter<'_, R> {
 
     #[inline]
     fn next(&mut self) -> Option<R> {
-        let (&header, rest) = self.bytes.split_first().filter(|_| self.remaining > 0)?;
-        let mut rec = R::blank(header & KIND_MASK)?;
-        let mut slots = self.slots;
-        let mut dec = Decoder {
-            bytes: rest,
-            header,
-            slots: &mut slots,
-            slot: 0,
-        };
-        rec.walk(&mut dec).ok()?;
-        self.bytes = dec.bytes;
-        self.slots = slots;
-        self.remaining -= 1;
-        Some(rec)
+        let rec = self.decode();
+        if rec.is_none() {
+            // A failed record may have half-updated the predictor.
+            self.bytes = &[];
+            self.remaining = 0;
+        }
+        rec
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -281,12 +307,45 @@ impl<R: Record> Iterator for Iter<'_, R> {
     }
 }
 
+impl<R: Record> FusedIterator for Iter<'_, R> {}
+
 /// The header byte's kind tag; a flag per sticky slot sits above it.
 const KIND_MASK: u8 = 0x0f;
 const SAME: u8 = 0x10;
 
-/// The last value of each sticky slot.
-type Slots = [u64; 4];
+/// Entries in each coded field's dictionary.
+const DICT_LEN: usize = 128;
+
+/// The tag byte of a coded field whose value is not in its dictionary:
+/// the value follows, and the dictionary learns it. A tag below it is an
+/// index into the dictionary.
+const LITERAL: u8 = 0x80;
+
+/// What both ends of a packed stream predict a record from: the last
+/// value of each sticky slot, and a direct-mapped dictionary of recent
+/// values per coded field. All zero at the start of a stream.
+#[derive(Debug, Clone)]
+struct Predictor {
+    slots: [u64; 4],
+    dicts: [[u64; DICT_LEN]; 4],
+}
+
+impl Default for Predictor {
+    fn default() -> Predictor {
+        Predictor {
+            slots: [0; 4],
+            dicts: [[0; DICT_LEN]; 4],
+        }
+    }
+}
+
+/// A value's entry in its field's dictionary: the top seven bits of a
+/// multiplicative (Fibonacci) hash, so ids, addresses and lengths that
+/// differ only in their low bits spread over the table.
+#[inline]
+fn entry(v: u64) -> usize {
+    (v.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 57) as usize
+}
 
 /// The packed encoder. A record is staged on the stack and appended in
 /// one copy; only a record longer than the stage (an array field) spills.
@@ -299,8 +358,9 @@ struct Encoder<'a> {
     buf: [u8; 64],
     n: usize,
     header: u8,
-    slots: &'a mut Slots,
+    state: &'a mut Predictor,
     slot: usize,
+    dict: usize,
 }
 
 impl Encoder<'_> {
@@ -340,12 +400,32 @@ impl Encoder<'_> {
     fn sticky(&mut self, v: u64) -> Option<u64> {
         let i = self.slot;
         self.slot += 1;
-        let old = std::mem::replace(&mut self.slots[i], v);
+        let old = std::mem::replace(&mut self.state.slots[i], v);
         if old == v {
             self.header |= SAME << i;
             return None;
         }
         Some(old)
+    }
+
+    /// Claims the next coded field's dictionary.
+    #[inline]
+    fn dict(&mut self) -> usize {
+        self.dict += 1;
+        self.dict - 1
+    }
+
+    /// Codes `v` against dictionary `d`. A value it holds is its index,
+    /// one byte; otherwise [`LITERAL`] goes out, the dictionary learns
+    /// `v`, and true comes back: `v` must follow.
+    #[inline]
+    fn coded(&mut self, d: usize, v: u64) -> bool {
+        let i = entry(v);
+        let known = std::mem::replace(&mut self.state.dicts[d][i], v) == v;
+        self.room(1);
+        self.buf[self.n] = if known { i as u8 } else { LITERAL };
+        self.n += 1;
+        !known
     }
 }
 
@@ -366,14 +446,21 @@ impl Codec for Encoder<'_> {
             }
             Field::Kind(v, _) => self.header |= v.get() as u8 & KIND_MASK,
             Field::Label(v, _) | Field::Int(v) => self.varint(v.get()),
-            Field::Flagged(v) => self.varint(v.rotate_left(1)),
+            Field::Flagged(v) => {
+                let d = self.dict();
+                if self.coded(d, *v) {
+                    self.varint(v.rotate_left(1));
+                }
+            }
             Field::Sticky(v) => {
-                if self.sticky(v.get()).is_some() {
+                let d = self.dict();
+                if self.sticky(v.get()).is_some() && self.coded(d, v.get()) {
                     self.varint(v.get());
                 }
             }
             Field::Hash(v) => {
-                if self.sticky(*v).is_some() {
+                let d = self.dict();
+                if self.sticky(*v).is_some() && self.coded(d, *v) {
                     self.raw(*v);
                 }
             }
@@ -401,8 +488,9 @@ impl Codec for Encoder<'_> {
 struct Decoder<'a, 's> {
     bytes: &'a [u8],
     header: u8,
-    slots: &'s mut Slots,
+    state: &'s mut Predictor,
     slot: usize,
+    dict: usize,
 }
 
 impl Decoder<'_, '_> {
@@ -433,9 +521,31 @@ impl Decoder<'_, '_> {
         let i = self.slot;
         self.slot += 1;
         if self.header & (SAME << i) == 0 {
-            self.slots[i] = read(self, self.slots[i])?;
+            self.state.slots[i] = read(self, self.state.slots[i])?;
         }
-        Some(self.slots[i])
+        Some(self.state.slots[i])
+    }
+
+    /// Claims the next coded field's dictionary.
+    #[inline]
+    fn dict(&mut self) -> usize {
+        self.dict += 1;
+        self.dict - 1
+    }
+
+    /// A value coded against dictionary `d`: an entry when its tag is an
+    /// index, else the literal `read` takes from the stream, which the
+    /// dictionary learns.
+    #[inline]
+    fn coded(&mut self, d: usize, read: fn(&mut Self) -> Option<u64>) -> Option<u64> {
+        let (&tag, rest) = self.bytes.split_first()?;
+        self.bytes = rest;
+        if tag != LITERAL {
+            return self.state.dicts[d].get(usize::from(tag)).copied();
+        }
+        let v = read(self)?;
+        self.state.dicts[d][entry(v)] = v;
+        Some(v)
     }
 
     /// An array length. Every element takes at least a byte, so a longer
@@ -457,9 +567,19 @@ impl Decoder<'_, '_> {
             }
             Field::Kind(v, _) => v.set(u64::from(self.header & KIND_MASK)).then_some(())?,
             Field::Label(v, _) | Field::Int(v) => v.set(self.varint()?).then_some(())?,
-            Field::Flagged(v) => *v = self.varint()?.rotate_right(1),
-            Field::Sticky(v) => v.set(self.sticky(|d, _| d.varint())?).then_some(())?,
-            Field::Hash(v) => *v = self.sticky(|d, _| d.raw())?,
+            Field::Flagged(v) => {
+                let d = self.dict();
+                *v = self.coded(d, |s| Some(s.varint()?.rotate_right(1)))?;
+            }
+            Field::Sticky(v) => {
+                let d = self.dict();
+                v.set(self.sticky(|s, _| s.coded(d, Self::varint))?)
+                    .then_some(())?
+            }
+            Field::Hash(v) => {
+                let d = self.dict();
+                *v = self.sticky(|s, _| s.coded(d, Self::raw))?;
+            }
             Field::Float(v) => *v = f64::from_bits(self.raw()?),
             Field::Opt(v) => {
                 *v = None;
@@ -729,5 +849,34 @@ impl Codec for Object<'_> {
             (_, v) => Err(format!("unexpected value {v:?}")),
         }
         .map_err(|e| format!("field {key:?}: {e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::span::{HopKind, HopRecord};
+
+    #[test]
+    fn a_stream_cut_mid_record_yields_its_prefix_then_ends_for_good() {
+        let hop = |at, trace| HopRecord {
+            at,
+            trace,
+            kind: HopKind::LbForward,
+            node: 1,
+            a: 2,
+            b: 118,
+        };
+        let records = [hop(1_000, 7), hop(2_000, 8), hop(3_000, 9)];
+        let mut log = Log::new(Mode::Full(8));
+        records.into_iter().for_each(|r| log.push(r));
+        // The last record ends in its new trace id's eight raw bytes and
+        // `b`'s one-byte tag: cut it inside the trace id.
+        log.bytes.truncate(log.bytes.len() - 5);
+        let mut iter = log.iter();
+        assert_eq!(iter.by_ref().take(2).collect::<Vec<_>>(), records[..2]);
+        assert_eq!(iter.next(), None);
+        assert_eq!(iter.size_hint(), (0, Some(0)));
+        assert!((0..3).all(|_| iter.next().is_none()));
     }
 }

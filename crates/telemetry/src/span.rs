@@ -194,8 +194,10 @@ pub struct HopRecord {
 }
 
 /// Hops written from one callback share time, trace and node, so a
-/// packed hop is about 11 bytes, not `size_of::<HopRecord>()`: the four
-/// sticky fields are the header's four flags (DESIGN.md §6.11).
+/// packed hop is about 6.5 bytes, not `size_of::<HopRecord>()`: the four
+/// sticky fields are the header's four flags, and a trace, address or
+/// `b` seen a few records before is a one-byte dictionary index
+/// (DESIGN.md §6.11; 6.44 bytes on the Fig. 3 stream).
 impl Record for HopRecord {
     const KIND_KEY: &'static str = "hop";
     /// Hop-kind wire names, in [`HOP_KINDS`] order.
@@ -469,13 +471,17 @@ mod tests {
     #[test]
     fn log_packs_fields_shared_with_the_previous_record() {
         let addr = pack_addr(0x0a00_0001, 40_000);
-        let t = 0xdead_beef_0000_0007;
+        let (t, u) = (0xdead_beef_0000_0007, 0x0123_4567_89ab_cdef);
         let records = [
             rec(1_000_000, t, HopKind::LbDeliver, 2, addr, 118),
             // Same callback: time, trace, node and `a` repeat.
             rec(1_000_000, t, HopKind::LbFlowTable, 2, addr, 1),
             // A step back in time and a bit-63 flag both stay short.
             rec(999_990, t, HopKind::ClientIssue, 2, addr, (1 << 63) | 5),
+            // Another trace, and `b` back to a length seen before.
+            rec(1_000_000, u, HopKind::LbDeliver, 2, addr, 118),
+            // Back to the first trace: a tag byte, not eight raw bytes.
+            rec(1_000_000, t, HopKind::LbDeliver, 2, addr, 118),
         ];
         let mut log = SpanLog::new(SpanMode::Full(8));
         let mut sizes = Vec::new();
@@ -484,8 +490,21 @@ mod tests {
             log.record(r);
             sizes.push(log.retained_bytes() - before);
         }
-        // Header, 3-byte time delta, raw trace, node, 7-byte address, 2-byte `b`.
-        assert_eq!(sizes, [1 + 3 + 8 + 1 + 7 + 2, 2, 3]);
+        // First: header, 3-byte time delta, then a literal tag before
+        // each coded field's value: raw trace, node, 7-byte address,
+        // 2-byte `b`. After it a repeated field is a header flag, but `b`
+        // has none: a tag, plus its literal when new. A new trace is a
+        // tag and eight raw bytes; one seen before, a tag alone.
+        assert_eq!(
+            sizes,
+            [
+                1 + 3 + 9 + 2 + 8 + 3,
+                1 + 2,
+                1 + 1 + 2,
+                1 + 1 + 9 + 1,
+                1 + 1 + 1
+            ]
+        );
         assert_eq!(log.iter().collect::<Vec<_>>(), records);
         assert_eq!(log.take(), records);
         assert_eq!((log.len(), log.retained_bytes()), (0, 0));

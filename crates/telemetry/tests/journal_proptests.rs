@@ -13,7 +13,9 @@
 //!   key that appears twice, fails the line and names the field;
 //! * the packed store is observably the `Vec<JournalEvent>` it replaced:
 //!   every float bit pattern (`-0.0`, NaN payloads, infinities) survives,
-//!   the cap counts drops, and a drained journal encodes afresh.
+//!   an event repeated from several events back decodes from the field
+//!   dictionaries (or after its entry was evicted), the cap counts
+//!   drops, and a drained journal encodes afresh.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -166,21 +168,23 @@ fn same(a: &[JournalEvent], b: &[JournalEvent]) -> bool {
             .all(|(x, y)| format!("{x:?}") == format!("{y:?}") && words(x) == words(y))
 }
 
-/// One step of a journal workout: drain it, or push an event.
+/// One step of a journal workout: drain it, push an event, or push
+/// again the event pushed `k` pushes before. A repeat from further back
+/// than the last event finds its sticky fields' values in their
+/// dictionaries, unless an event between evicted them from their entry.
 #[derive(Debug, Clone)]
 enum Step {
     Take,
     Push(JournalEvent),
+    Again(usize),
 }
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec(
-        (0u8..10, journal_event(f64::from_bits)).prop_map(|(take, ev)| {
-            if take == 0 {
-                Step::Take
-            } else {
-                Step::Push(ev)
-            }
+        (0u8..10, 1usize..12, journal_event(f64::from_bits)).prop_map(|(sel, k, ev)| match sel {
+            0 => Step::Take,
+            1..=3 => Step::Again(k),
+            _ => Step::Push(ev),
         }),
         1..60,
     )
@@ -255,26 +259,32 @@ proptest! {
     /// The packed journal against a plain-vector model: push while under
     /// the cap, count a drop otherwise, `take` = `mem::take`. Compared
     /// bit for bit after every step; a drained journal is refilled and
-    /// must encode against a reset predictor, not the last batch's tail.
+    /// must encode against a reset predictor, slots and dictionaries
+    /// both, not the last batch's tail: byte for byte a fresh journal.
     #[test]
     fn packed_journal_matches_the_vector_model(steps in steps(), cap in 0usize..50) {
         let mut j = Journal::new(JournalMode::Full(cap));
         let mut model: Vec<JournalEvent> = Vec::new();
+        let mut pushed: Vec<JournalEvent> = Vec::new();
         let mut dropped = 0u64;
         for s in &steps {
-            match s {
+            let ev = match s {
                 Step::Take => {
                     let taken = j.take();
                     prop_assert!(same(&taken, &std::mem::take(&mut model)));
                     prop_assert_eq!(j.retained_bytes(), 0);
+                    None
                 }
-                Step::Push(ev) => {
-                    j.push(ev.clone());
-                    if model.len() < cap {
-                        model.push(ev.clone());
-                    } else {
-                        dropped += 1;
-                    }
+                Step::Push(ev) => Some(ev.clone()),
+                Step::Again(k) => pushed.len().checked_sub(*k).map(|i| pushed[i].clone()),
+            };
+            if let Some(ev) = ev {
+                pushed.push(ev.clone());
+                j.push(ev.clone());
+                if model.len() < cap {
+                    model.push(ev);
+                } else {
+                    dropped += 1;
                 }
             }
             prop_assert_eq!(j.len(), model.len());
@@ -283,12 +293,13 @@ proptest! {
             prop_assert!(same(&j.iter().collect::<Vec<_>>(), &model));
             prop_assert!(j.retained_bytes() >= 2 * model.len());
         }
-        let bytes = j.retained_bytes();
         prop_assert!(same(&j.take(), &model));
+        let mut fresh = Journal::new(JournalMode::Full(cap));
         for ev in &model {
             j.push(ev.clone());
+            fresh.push(ev.clone());
         }
-        prop_assert_eq!(j.retained_bytes(), bytes);
+        prop_assert_eq!(j.retained_bytes(), fresh.retained_bytes());
         prop_assert!(same(&j.take(), &model));
     }
 }

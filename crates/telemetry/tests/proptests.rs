@@ -28,7 +28,11 @@ fn operand() -> impl Strategy<Value = u64> {
 }
 
 /// One step of a span-log workout: drain the log, or record a hop built
-/// from fresh operands and the previous hop under `mask` — bits 0–3 keep
+/// from fresh operands, the hop recorded `back` steps before under
+/// `reuse`, and the previous hop under `mask`. `reuse` bits 0–3 take
+/// that older hop's `trace` / `node` / `a` / `b`: a value the field's
+/// dictionary may still hold after other values came between, or may
+/// have lost to one that maps to the same entry. `mask` bits 0–3 keep
 /// the previous `at` / `trace` / `node` / `a` (long runs of identical
 /// fields), bit 4 moves `at` by a small signed `step` instead (time
 /// running backwards by a little, the way a service start does).
@@ -37,6 +41,8 @@ struct Step {
     take: bool,
     mask: u8,
     step: i64,
+    back: usize,
+    reuse: u8,
     fresh: HopRecord,
 }
 
@@ -59,12 +65,19 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
             b,
         });
     proptest::collection::vec(
-        (0u8..12, 0u8..32, -200i64..200, fresh).prop_map(|(take, mask, step, fresh)| Step {
-            take: take == 0,
-            mask,
-            step,
+        (
+            (0u8..12, 0u8..32, -200i64..200),
+            (1usize..40, 0u8..16),
             fresh,
-        }),
+        )
+            .prop_map(|((take, mask, step), (back, reuse), fresh)| Step {
+                take: take == 0,
+                mask,
+                step,
+                back,
+                reuse,
+                fresh,
+            }),
         1..80,
     )
 }
@@ -75,6 +88,7 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
 fn check_against_model(cap: usize, steps: &[Step]) -> Result<(), TestCaseError> {
     let mut log = SpanLog::new(SpanMode::Full(cap));
     let mut model: Vec<HopRecord> = Vec::new();
+    let mut recorded: Vec<HopRecord> = Vec::new();
     let mut dropped = 0u64;
     let mut prev = steps[0].fresh;
     for s in steps {
@@ -83,6 +97,20 @@ fn check_against_model(cap: usize, steps: &[Step]) -> Result<(), TestCaseError> 
             prop_assert_eq!(log.retained_bytes(), 0);
         } else {
             let mut rec = s.fresh;
+            if let Some(old) = recorded.len().checked_sub(s.back).map(|i| recorded[i]) {
+                if s.reuse & 1 != 0 {
+                    rec.trace = old.trace;
+                }
+                if s.reuse & 2 != 0 {
+                    rec.node = old.node;
+                }
+                if s.reuse & 4 != 0 {
+                    rec.a = old.a;
+                }
+                if s.reuse & 8 != 0 {
+                    rec.b = old.b;
+                }
+            }
             if s.mask & 1 != 0 {
                 rec.at = prev.at;
             }
@@ -99,6 +127,7 @@ fn check_against_model(cap: usize, steps: &[Step]) -> Result<(), TestCaseError> 
                 rec.at = prev.at.wrapping_add(s.step as u64);
             }
             prev = rec;
+            recorded.push(rec);
             log.record(rec);
             if model.len() < cap {
                 model.push(rec);
@@ -113,11 +142,15 @@ fn check_against_model(cap: usize, steps: &[Step]) -> Result<(), TestCaseError> 
         prop_assert!(log.retained_bytes() >= 2 * model.len());
     }
     // One more drain and refill: a log that has been taken encodes the
-    // next batch against a reset predictor, not the last batch's tail.
+    // next batch against a reset predictor, slots and dictionaries both,
+    // so it is byte for byte a fresh log's, not the last batch's tail.
     prop_assert_eq!(log.take(), model);
+    let mut fresh = SpanLog::new(SpanMode::Full(cap));
     for r in &model {
         log.record(*r);
+        fresh.record(*r);
     }
+    prop_assert_eq!(log.retained_bytes(), fresh.retained_bytes());
     prop_assert_eq!(log.iter().collect::<Vec<_>>(), model);
     prop_assert_eq!(log.take(), model);
     Ok(())

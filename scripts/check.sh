@@ -81,10 +81,13 @@ cargo test -q -p netsim --test queue_proptests
 cargo test -q --release -p telemetry --lib
 # The packed record log against plain-vector models, for both record
 # types: span_log_full_matches_the_vector_model (varint and zigzag
-# edges, drains, caps) and packed_journal_matches_the_vector_model
-# (every variant, -0.0 and NaN payloads bit for bit, caps, a drain
-# resetting the predictor); and the journal's NDJSON round trip over
-# arbitrary events.
+# edges, drains, caps, field values reused from k records back: field
+# dictionary hits after other values, direct-mapped collisions and
+# evicting misses) and packed_journal_matches_the_vector_model (every
+# variant, -0.0 and NaN payloads bit for bit, caps, events repeated from
+# k back); in both, a drain resets the slots and dictionaries, so a
+# refilled log is byte for byte a fresh one. And the journal's NDJSON
+# round trip over arbitrary events.
 cargo test -q -p telemetry --test proptests --test journal_proptests
 cargo test -q --release -p bench --lib
 

@@ -203,18 +203,18 @@ fn span_tracing_full_leaves_the_pinned_packet_schedule_untouched() {
 
 /// What a retained hop costs is a deterministic count, so it gates here
 /// (peak RSS is a host reading and only trends in `lbbench`): the packed
-/// log holds the Fig. 3 hop stream in at most 14 bytes a record, and
+/// log holds the Fig. 3 hop stream in at most 7 bytes a record, and
 /// draining it returns exactly the records it counted. The in-memory
 /// record sizes are pinned from above so that growing either is a
 /// decision, not an accident.
 #[test]
-fn span_log_retains_a_hop_in_at_most_14_bytes() {
+fn span_log_retains_a_hop_in_at_most_7_bytes() {
     let mut cluster = fig3_cluster(42, SpanMode::Full(1 << 22), JournalMode::Off);
     let spans = cluster.sim.spans();
     assert_eq!(spans.dropped(), 0, "span log overflowed");
     assert_eq!(spans.len(), 663_402, "hop count moved");
     assert!(
-        spans.retained_bytes() <= 14 * spans.len(),
+        spans.retained_bytes() <= 7 * spans.len(),
         "{} hops retained in {} bytes",
         spans.len(),
         spans.retained_bytes()
@@ -229,7 +229,7 @@ fn span_log_retains_a_hop_in_at_most_14_bytes() {
 
 /// The journal is the same packed log, gated the same way on the same
 /// run: a retained event costs at most 16 bytes (samples, 99.8 % of the
-/// stream, about 11), and decoding returns exactly the events counted.
+/// stream, about 10), and decoding returns exactly the events counted.
 #[test]
 fn journal_retains_an_event_in_at_most_16_bytes() {
     let cluster = fig3_cluster(42, SpanMode::Off, JournalMode::Full(1 << 22));

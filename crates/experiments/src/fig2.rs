@@ -89,12 +89,12 @@ pub(crate) fn observe(
         scenario.sim.trace().truncated == 0,
         "trace overflowed; raise capacity"
     );
-    let recorder = &scenario.client_app().recorder;
+    let client = scenario.client_app();
     assert!(
-        recorder.dropped() == 0,
-        "ground-truth RTT samples overflowed the recorder's cap"
+        client.rtt_dropped() == 0,
+        "ground-truth RTT samples overflowed the client's cap"
     );
-    let truth = recorder.rtt_raw().to_vec();
+    let truth = client.rtt_raw().to_vec();
     Fig2Trace {
         arrivals,
         truth,

@@ -21,6 +21,11 @@ use crate::{ParseError, Result};
 /// Size of the fixed message header.
 pub const KV_HEADER_LEN: usize = 24;
 
+/// The keyspace: clients draw keys uniformly from `0..KEY_COUNT`
+/// (memtier's default uniform key pattern), and a server may index its
+/// store by key.
+pub const KEY_COUNT: u64 = 10_000;
+
 /// Panic-free big-endian u64 read at `at`. Callers pre-check bounds; a
 /// short slice still surfaces as `Truncated` rather than a panic,
 /// because this runs on the per-packet fast path (rule F1, DESIGN.md §6.9).

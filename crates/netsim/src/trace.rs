@@ -5,6 +5,8 @@
 //! and the packet's four-tuple — enough to reconstruct a full exchange in
 //! tests and debugging sessions.
 
+use std::fmt::Write as _;
+
 use netpkt::{FlowKey, Packet};
 
 use crate::link::LinkId;
@@ -41,6 +43,18 @@ pub struct TraceEvent {
     /// ([`Trace::enable_with_bytes`]); cheap to keep — `Bytes` is
     /// reference-counted, so this aliases the in-flight packet.
     pub data: Option<bytes::Bytes>,
+}
+
+/// Folds the text written into it into an FNV-1a hash (multiplier
+/// [`telemetry::SIM_FNV_PRIME`]) without buffering it: FNV-1a is
+/// sequential, so the hash equals that of the concatenated text.
+struct FnvWriter(u64);
+
+impl std::fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 = telemetry::fnv1a(telemetry::SIM_FNV_PRIME, self.0, s.as_bytes());
+        Ok(())
+    }
 }
 
 /// A bounded in-memory trace buffer.
@@ -136,9 +150,11 @@ impl Trace {
     /// never payload bytes, and only what was recorded — check
     /// [`Trace::truncated`] first.
     pub fn digest(&self) -> (u64, usize) {
-        let mut h = telemetry::FNV_OFFSET;
+        let mut h = FnvWriter(telemetry::FNV_OFFSET);
         for e in &self.events {
-            let line = format!(
+            // `FnvWriter` never fails, so neither does the line.
+            let _ = write!(
+                h,
                 "{};{:?};{:?};{:?};{:?};{}",
                 e.at.as_nanos(),
                 e.node,
@@ -147,9 +163,8 @@ impl Trace {
                 e.flow,
                 e.wire_len
             );
-            h = telemetry::fnv1a(telemetry::SIM_FNV_PRIME, h, line.as_bytes());
         }
-        (h, self.events.len())
+        (h.0, self.events.len())
     }
 
     /// Drops all recorded events.
@@ -367,6 +382,23 @@ mod tests {
         );
         let one = t.digest();
         assert_eq!(one.1, 1);
+        // The hash of the event's whole canonical line, folded piecewise.
+        let e = &t.events()[0];
+        let line = format!(
+            "{};{:?};{:?};{:?};{:?};{}",
+            e.at.as_nanos(),
+            e.node,
+            e.kind,
+            e.link,
+            e.flow,
+            e.wire_len
+        );
+        let whole = telemetry::fnv1a(
+            telemetry::SIM_FNV_PRIME,
+            telemetry::FNV_OFFSET,
+            line.as_bytes(),
+        );
+        assert_eq!(one.0, whole);
         // Payload bytes are not covered; a different instant is.
         let mut u = Trace::new();
         u.enable(16);

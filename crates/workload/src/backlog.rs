@@ -7,13 +7,15 @@
 //! of the previous one. [`BacklogClient`] keeps the transport's send
 //! buffer topped up; [`SinkServer`] consumes bytes and never replies
 //! (its ACKs travel server→client directly, invisible to the LB).
+//! The sender keeps the transport's RTT samples: the ground truth the
+//! Fig. 2 timeout estimates are judged against.
 
 use std::net::Ipv4Addr;
 
 use netsim::Duration;
 use nettcp::{App, ConnId, HostIo};
 
-use crate::recorder::LatencyRecorder;
+use crate::recorder::RAW_LIMIT;
 
 /// Configuration for the bulk sender.
 #[derive(Debug, Clone)]
@@ -50,8 +52,11 @@ pub struct BacklogClient {
     conn: Option<ConnId>,
     /// One top-up's worth of filler, built on first use.
     chunk: Vec<u8>,
-    /// Ground-truth RTT samples recorded from the transport.
-    pub recorder: LatencyRecorder,
+    /// Ground-truth transport RTT samples `(time, rtt)`, capped at
+    /// [`RAW_LIMIT`].
+    rtt_raw: Vec<(u64, u64)>,
+    /// RTT samples past the cap, recorded nowhere.
+    rtt_dropped: u64,
     /// Total bytes handed to the transport.
     pub bytes_queued: u64,
 }
@@ -59,13 +64,33 @@ pub struct BacklogClient {
 impl BacklogClient {
     /// Creates the sender.
     pub fn new(cfg: BacklogConfig) -> BacklogClient {
-        let recorder = LatencyRecorder::new(1_000_000_000);
         BacklogClient {
             cfg,
             conn: None,
             chunk: Vec::new(),
-            recorder,
+            rtt_raw: Vec::new(),
+            rtt_dropped: 0,
             bytes_queued: 0,
+        }
+    }
+
+    /// The transport's RTT samples `(time, rtt)` in nanoseconds, in the
+    /// order they were taken.
+    pub fn rtt_raw(&self) -> &[(u64, u64)] {
+        &self.rtt_raw
+    }
+
+    /// RTT samples past [`RAW_LIMIT`], recorded nowhere: nonzero means
+    /// [`Self::rtt_raw`] is a prefix of the run, not all of it.
+    pub fn rtt_dropped(&self) -> u64 {
+        self.rtt_dropped
+    }
+
+    fn record_rtt(&mut self, now_ns: u64, rtt_ns: u64) {
+        if self.rtt_raw.len() < RAW_LIMIT {
+            self.rtt_raw.push((now_ns, rtt_ns));
+        } else {
+            self.rtt_dropped += 1;
         }
     }
 
@@ -102,8 +127,7 @@ impl App for BacklogClient {
     }
 
     fn on_rtt_sample(&mut self, io: &mut dyn HostIo, _conn: ConnId, rtt: Duration) {
-        self.recorder
-            .record_rtt(io.now().as_nanos(), rtt.as_nanos());
+        self.record_rtt(io.now().as_nanos(), rtt.as_nanos());
     }
 }
 
@@ -133,5 +157,33 @@ impl App for SinkServer {
 
     fn on_closed(&mut self, io: &mut dyn HostIo, conn: ConnId) {
         io.close(conn);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rtt_samples_past_the_cap_are_counted_not_kept() {
+        let mut c = BacklogClient::new(BacklogConfig::default());
+        let extra = 3;
+        for i in 0..(RAW_LIMIT + extra) as u64 {
+            c.record_rtt(i, i);
+        }
+        assert_eq!(c.rtt_raw().len(), RAW_LIMIT);
+        assert_eq!(
+            c.rtt_raw().last(),
+            Some(&(RAW_LIMIT as u64 - 1, RAW_LIMIT as u64 - 1))
+        );
+        assert_eq!(c.rtt_dropped(), extra as u64);
+    }
+
+    #[test]
+    fn an_rtt_sample_is_kept_with_its_time() {
+        let mut c = BacklogClient::new(BacklogConfig::default());
+        c.record_rtt(5, 123);
+        assert_eq!(c.rtt_raw(), &[(5, 123)]);
+        assert_eq!(c.rtt_dropped(), 0);
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use netpkt::kv::{KvDecoder, KvMessage, KvOp};
+use netpkt::kv::{KvDecoder, KvMessage, KvOp, KEY_COUNT};
 use netsim::rng::component_rng;
 use netsim::rng::SimRng;
 use netsim::Duration;
@@ -11,10 +11,6 @@ use nettcp::{App, ConnId, HostIo};
 use telemetry::span::{pack_addr, HopKind};
 
 use crate::recorder::LatencyRecorder;
-
-/// Keys are drawn uniformly from `0..KEY_COUNT` (memtier's default
-/// uniform key pattern).
-pub const KEY_COUNT: u64 = 10_000;
 
 /// Client workload parameters.
 #[derive(Debug, Clone)]
@@ -304,10 +300,5 @@ impl App for MemtierClient {
         let conn = ConnId(token as u32);
         self.fill_pipeline(io, conn);
         self.maybe_recycle(io, conn);
-    }
-
-    fn on_rtt_sample(&mut self, io: &mut dyn HostIo, _conn: ConnId, rtt: Duration) {
-        self.recorder
-            .record_rtt(io.now().as_nanos(), rtt.as_nanos());
     }
 }

@@ -10,10 +10,12 @@
 //!   fresh routing decisions.
 //! * [`backlog::BacklogClient`] / [`backlog::SinkServer`] create the
 //!   window-limited bulk TCP flow of Fig. 2, where batch structure comes
-//!   from the transport window rather than request pipelining.
-//! * [`recorder::LatencyRecorder`] collects client-side ground truth:
-//!   the GET latency series, raw response samples, and transport RTT
-//!   samples, with a count of the raw samples its cap turned away.
+//!   from the transport window rather than request pipelining. The
+//!   sender keeps the transport's RTT samples (capped, the overflow
+//!   counted): Fig. 2's ground truth, and the only RTT truth recorded.
+//! * [`recorder::LatencyRecorder`] collects the key-value client's ground
+//!   truth: the GET latency series and raw response samples, with a count
+//!   of the raw samples its cap turned away.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

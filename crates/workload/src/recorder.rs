@@ -2,22 +2,21 @@
 
 use telemetry::BinnedSeries;
 
-/// Cap on each kind of raw sample a recorder keeps (responses, RTTs);
-/// samples past it are counted in [`LatencyRecorder::dropped`].
+/// Cap on the raw samples a recorder keeps; samples past it are counted
+/// in [`LatencyRecorder::dropped`]. [`crate::BacklogClient`] caps its RTT
+/// samples at the same length.
 pub const RAW_LIMIT: usize = 1 << 20;
 
-/// Records per-request response latencies and transport RTT samples at the
-/// client — the `T_client` ground truth the LB's `T_LB` estimates are
-/// judged against, and the source of the paper's Fig. 3 p95 series.
+/// Records per-request response latencies at the client — the
+/// `T_client` ground truth the LB's `T_LB` estimates are judged against,
+/// and the source of the paper's Fig. 3 p95 series.
 #[derive(Debug)]
 pub struct LatencyRecorder {
     /// GET response latencies over time.
     pub get_series: BinnedSeries,
     /// Raw `(completion time, latency, is_get)` samples, capped.
     raw: Vec<(u64, u64, bool)>,
-    /// Raw transport RTT samples `(time, rtt)`, capped.
-    rtt_raw: Vec<(u64, u64)>,
-    /// Raw samples of either kind not kept because their cap was full.
+    /// Raw samples not kept because the cap was full.
     dropped: u64,
     /// Total responses recorded (including beyond the raw cap).
     pub responses: u64,
@@ -29,7 +28,6 @@ impl LatencyRecorder {
         LatencyRecorder {
             get_series: BinnedSeries::new(bin_width_ns),
             raw: Vec::new(),
-            rtt_raw: Vec::new(),
             dropped: 0,
             responses: 0,
         }
@@ -48,28 +46,13 @@ impl LatencyRecorder {
         }
     }
 
-    /// Records one transport RTT sample.
-    pub fn record_rtt(&mut self, now_ns: u64, rtt_ns: u64) {
-        if self.rtt_raw.len() < RAW_LIMIT {
-            self.rtt_raw.push((now_ns, rtt_ns));
-        } else {
-            self.dropped += 1;
-        }
-    }
-
     /// Raw response samples.
     pub fn raw(&self) -> &[(u64, u64, bool)] {
         &self.raw
     }
 
-    /// Raw RTT samples.
-    pub fn rtt_raw(&self) -> &[(u64, u64)] {
-        &self.rtt_raw
-    }
-
-    /// Raw samples (responses and RTTs) past [`RAW_LIMIT`], recorded
-    /// nowhere: nonzero means [`Self::raw`] or [`Self::rtt_raw`] is a
-    /// prefix of the run, not all of it.
+    /// Raw response samples past [`RAW_LIMIT`], recorded nowhere: nonzero
+    /// means [`Self::raw`] is a prefix of the run, not all of it.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -96,21 +79,11 @@ mod tests {
         let extra = 3;
         for i in 0..(RAW_LIMIT + extra) as u64 {
             r.record_response(i, i, true);
-            r.record_rtt(i, i);
         }
-        assert_eq!((r.raw().len(), r.rtt_raw().len()), (RAW_LIMIT, RAW_LIMIT));
-        assert_eq!(r.dropped(), 2 * extra as u64, "both kinds counted");
+        assert_eq!(r.raw().len(), RAW_LIMIT);
+        assert_eq!(r.dropped(), extra as u64);
         // The series and the response count still see every response.
         assert_eq!(r.responses, (RAW_LIMIT + extra) as u64);
         assert_eq!(r.get_series.merged().count(), (RAW_LIMIT + extra) as u64);
-    }
-
-    #[test]
-    fn rtt_separate_from_responses() {
-        let mut r = LatencyRecorder::new(1_000);
-        r.record_rtt(5, 123);
-        assert_eq!(r.rtt_raw(), &[(5, 123)]);
-        assert_eq!(r.responses, 0);
-        assert_eq!(r.dropped(), 0);
     }
 }

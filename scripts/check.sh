@@ -59,7 +59,9 @@ cargo test -q --workspace
 # The root-package integration suites (determinism, DSR invariants,
 # health ejection under fault injection, multi-LB invariants,
 # observability/journal/span conformance, the steady-state allocation
-# budget) and the lbcore/netsim property tests are part of
+# budget: at most 0.01 allocator calls per Fig. 3 request, where the KV
+# store and the server's pending responses allocate nothing and what is
+# left is per-connection map churn) and the lbcore/netsim property tests are part of
 # `--workspace` above; run them by name too so a filtered or partial
 # test invocation can't silently skip the tier-1 suites.
 echo "==> tier-1 integration suites (release)"

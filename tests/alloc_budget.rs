@@ -2,14 +2,19 @@
 //!
 //! The Fig. 3 cluster runs 100 ms to warm up (connections open, buffers
 //! and the packet pool grow to their working size), then the next 200 ms
-//! are counted: allocator calls ÷ requests completed must stay under 0.08.
+//! are counted: allocator calls ÷ requests completed must stay under 0.01.
 //! Every 200th request closes its connection and opens a fresh one, and a
 //! new connection is built over the buffers the closed one left (its
-//! send and host queues, the client's tracker, the server's decoder), so
-//! what is left at ≈ 0.054 is `BTreeMap` node churn in the per-connection
-//! maps and first-use growth. Before connection state was recycled it was
-//! ≈ 0.12; before the send queue, the KV codec and the pool stopped
-//! allocating per segment, message and frame, it was ≈ 20.
+//! send and host queues, the client's tracker, the server's decoder
+//! slot). The server's KV store is one table over the keyspace and its
+//! pending responses reuse the slots of answered ones, so what is left at
+//! ≈ 0.002 (26 calls over 14,157 requests) is `BTreeMap` node churn in
+//! the client's and the hosts' per-connection maps and first-use growth.
+//! At ≈ 0.054 the count was mostly the KV store growing toward the
+//! 10,000-key space and node churn in the server's pending-response map;
+//! before connection state was recycled it was ≈ 0.12; before the send
+//! queue, the KV codec and the pool stopped allocating per segment,
+//! message and frame, it was ≈ 20.
 //!
 //! A binary of its own with a single test: the counting allocator is
 //! process-wide, so nothing else may run beside the measured region.
@@ -24,7 +29,7 @@ use netsim::Duration;
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-const BUDGET_ALLOCS_PER_REQUEST: f64 = 0.08;
+const BUDGET_ALLOCS_PER_REQUEST: f64 = 0.01;
 
 #[test]
 fn a_steady_state_request_stays_inside_the_allocation_budget() {

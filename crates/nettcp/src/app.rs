@@ -93,7 +93,13 @@ pub trait App: std::any::Any {
     fn on_data(&mut self, io: &mut dyn HostIo, conn: ConnId, data: &[u8]);
 
     /// The peer closed (FIN received and all data delivered), or the
-    /// connection was reset. After this callback the `ConnId` is dead.
+    /// connection was reset. After this callback the `ConnId` no longer
+    /// names this connection, but it is not retired: once the connection
+    /// is reaped, the host hands the id to the next connection opened or
+    /// accepted in the lowest free slot. An app that keys a timer or a
+    /// pending response by `ConnId` must tell that connection from this
+    /// one itself, or the timer fires into the next tenant and the
+    /// response is written to it.
     fn on_closed(&mut self, io: &mut dyn HostIo, conn: ConnId) {
         let _ = (io, conn);
     }

@@ -28,9 +28,9 @@ const TAG_RX: u64 = 2;
 
 /// A connection timer's token: tag (2 bits) | zero (28) | connection
 /// index (32, the width of [`ConnId`]) | [`TimerKind`] index (2). It
-/// names the `armed` entry that holds the timer's handle and nothing
-/// else: a replaced or cancelled timer is taken out of the event queue,
-/// so whatever fires is the armed one.
+/// names the slot's `armed` entry that holds the timer's handle and
+/// nothing else: a replaced or cancelled timer is taken out of the event
+/// queue, so whatever fires is the armed one.
 fn conn_token(idx: usize, kind: TimerKind) -> u64 {
     (TAG_CONN << 62) | ((idx as u64) << 2) | kind.index() as u64
 }
@@ -50,45 +50,75 @@ fn disarm(armed: &mut Option<EventHandle>, ctx: &mut Ctx<'_>) {
     }
 }
 
-/// A connection slot: a live connection, or — once it is reaped — the
-/// buffers it left for the next connection opened in the slot.
+/// A connection slot's tenant: a live connection, or — once it is
+/// reaped — the buffers it left for the next connection opened in the
+/// slot.
 // `Live` is much the larger variant, and that is the point: boxing
 // `Conn` would put back the allocation per opened connection that
 // reusing the slot's buffers removed.
 #[allow(clippy::large_enum_variant)]
-enum Slot {
+enum Tenant {
     Live(Conn),
     Free(ConnBuffers),
 }
 
+impl Default for Tenant {
+    fn default() -> Tenant {
+        Tenant::Free(ConnBuffers::default())
+    }
+}
+
+/// A connection slot, indexed by [`ConnId`]: the one record of the
+/// tenant and of what the host keeps about it.
+#[derive(Default)]
+struct Slot {
+    tenant: Tenant,
+    /// Handle of the tenant's pending timer per [`TimerKind`], `None` =
+    /// disarmed. Cleared when the timer fires, is cancelled or replaced,
+    /// and when the tenant is reaped.
+    armed: [Option<EventHandle>; 3],
+    /// Span tracing: the tenant's last attributable trace id,
+    /// `[outbound, inbound]` — attributes RTOs (to the request whose
+    /// segment is outstanding) and reassembly completions (to the
+    /// request whose bytes were delivered). Only maintained while the
+    /// simulation's span tracing is enabled.
+    traces: [u64; 2],
+}
+
 impl Slot {
     fn live(&self) -> Option<&Conn> {
-        match self {
-            Slot::Live(conn) => Some(conn),
-            Slot::Free(_) => None,
+        match &self.tenant {
+            Tenant::Live(conn) => Some(conn),
+            Tenant::Free(_) => None,
         }
     }
 
     fn live_mut(&mut self) -> Option<&mut Conn> {
-        match self {
-            Slot::Live(conn) => Some(conn),
-            Slot::Free(_) => None,
+        match &mut self.tenant {
+            Tenant::Live(conn) => Some(conn),
+            Tenant::Free(_) => None,
         }
     }
 
     /// Installs the connection `open` builds over the buffers the slot's
-    /// last tenant left.
+    /// last tenant left, with no trace ids. Reaping disarmed the last
+    /// tenant's timers, so none can fire into this one.
     fn open(&mut self, open: impl FnOnce(ConnBuffers) -> Conn) {
-        let Slot::Free(bufs) = std::mem::replace(self, Slot::Free(ConnBuffers::default())) else {
+        let Tenant::Free(bufs) = std::mem::take(&mut self.tenant) else {
             panic!("connection opened over a live one");
         };
-        *self = Slot::Live(open(bufs));
+        self.tenant = Tenant::Live(open(bufs));
+        self.traces = [0; 2];
     }
 
-    /// Retires the tenant, keeping its buffers for the next.
-    fn reap(&mut self) {
-        if let Slot::Live(conn) = std::mem::replace(self, Slot::Free(ConnBuffers::default())) {
-            *self = Slot::Free(conn.into_buffers());
+    /// Retires the tenant, keeping its buffers for the next, and takes
+    /// its timers out of the event queue.
+    fn reap(&mut self, ctx: &mut Ctx<'_>) {
+        if let Tenant::Live(conn) = std::mem::take(&mut self.tenant) {
+            self.tenant = Tenant::Free(conn.into_buffers());
+        }
+        for armed in &mut self.armed {
+            disarm(armed, ctx);
         }
     }
 }
@@ -159,19 +189,7 @@ pub struct Host {
     mac: MacAddr,
     uplink: LinkId,
     conns: Vec<Slot>,
-    /// Handle of the pending timer per (conn, kind), `None` = disarmed.
-    /// Cleared when the timer fires, is cancelled or replaced, and when
-    /// the connection is reaped.
-    armed: Vec<[Option<EventHandle>; 3]>,
-    /// Span tracing: last attributable trace id per connection,
-    /// `[outbound, inbound]` — attributes RTOs (to the request whose
-    /// segment is outstanding) and reassembly completions (to the
-    /// request whose bytes were delivered). Only maintained while the
-    /// simulation's span tracing is enabled.
-    conn_traces: Vec<[u64; 2]>,
     by_flow: BTreeMap<FlowKey, usize>,
-    /// Local ports of live client connections (ephemeral-port recycling).
-    ports_in_use: BTreeSet<u16>,
     listeners: BTreeSet<u16>,
     app: Option<Box<dyn App>>,
     rng: SimRng,
@@ -212,10 +230,7 @@ impl Host {
             mac,
             uplink,
             conns: Vec::new(),
-            armed: Vec::new(),
-            conn_traces: Vec::new(),
             by_flow: BTreeMap::new(),
-            ports_in_use: BTreeSet::new(),
             listeners: BTreeSet::new(),
             app: Some(app),
             rng: SimRng::seed_from_u64(seed),
@@ -255,31 +270,19 @@ impl Host {
     /// the buffers the slot's previous tenant left behind.
     fn alloc_conn(&mut self, open: impl FnOnce(ConnBuffers) -> Conn) -> usize {
         self.stats.conns_opened += 1;
-        // Reuse a free slot if available: reaping cancelled the previous
-        // tenant's timers, so none can fire into the new connection.
-        let idx = if let Some(idx) = self.conns.iter().position(|c| c.live().is_none()) {
-            debug_assert_eq!(self.armed[idx], [None; 3], "reaped slot left a timer armed");
-            self.conn_traces[idx] = [0; 2];
-            idx
-        } else {
-            let idx = self.conns.len();
-            assert!(
-                u32::try_from(idx).is_ok(),
-                "connection index {idx} does not fit ConnId and the timer token"
-            );
-            self.conns.push(Slot::Free(ConnBuffers::default()));
-            self.armed.push([None; 3]);
-            self.conn_traces.push([0; 2]);
-            idx
+        let idx = match self.conns.iter().position(|s| s.live().is_none()) {
+            Some(idx) => idx,
+            None => {
+                self.conns.push(Slot::default());
+                self.conns.len() - 1
+            }
         };
+        assert!(
+            u32::try_from(idx).is_ok(),
+            "connection index {idx} does not fit ConnId and the timer token"
+        );
         self.conns[idx].open(open);
         idx
-    }
-
-    fn incoming_key(conn: &Conn) -> FlowKey {
-        let (lip, lport) = conn.local();
-        let (rip, rport) = conn.remote();
-        FlowKey::new(rip, rport, lip, lport)
     }
 
     // ------------------------------------------------------------- packet path
@@ -305,7 +308,8 @@ impl Host {
         }
         let key = view.flow();
         if let Some(&idx) = self.by_flow.get(&key) {
-            if let Some(conn) = self.conns[idx].live_mut() {
+            let slot = &mut self.conns[idx];
+            if let Tenant::Live(conn) = &mut slot.tenant {
                 if ctx.spans_enabled() && pkt.span() != 0 {
                     if view.payload.is_empty() {
                         ctx.record_hop(pkt.span(), HopKind::TcpAck, u64::from(view.tcp.ack), 0);
@@ -313,7 +317,7 @@ impl Host {
                         // Remember the request this data belongs to, so
                         // the reassembly completion it (eventually)
                         // triggers can name it.
-                        self.conn_traces[idx][1] = pkt.span();
+                        slot.traces[1] = pkt.span();
                     }
                 }
                 conn.on_segment(ctx.now(), &view.tcp, view.payload);
@@ -432,23 +436,24 @@ impl Host {
                     let trace = netpkt::frame_trace_id(&pkt.data);
                     if trace != 0 {
                         pkt.set_span(trace);
-                        self.conn_traces[idx][0] = trace;
+                        self.conns[idx].traces[0] = trace;
                         ctx.record_hop(trace, HopKind::TcpSend, u64::from(seg.seq), seg.len as u64);
                     }
                 }
                 self.stats.packets_out += 1;
                 ctx.send(self.uplink, pkt);
             }
+            let armed = &mut self.conns[idx].armed;
             for req in reqs.drain(..) {
                 match req {
                     TimerRequest::Arm(kind, at) => {
-                        let armed = &mut self.armed[idx][kind.index()];
+                        let armed = &mut armed[kind.index()];
                         disarm(armed, ctx);
                         // Timers armed "now or earlier" still fire (at now).
                         let at = at.max(ctx.now());
                         *armed = Some(ctx.arm_timer_at(at, TimerToken(conn_token(idx, kind))));
                     }
-                    TimerRequest::Cancel(kind) => disarm(&mut self.armed[idx][kind.index()], ctx),
+                    TimerRequest::Cancel(kind) => disarm(&mut armed[kind.index()], ctx),
                 }
             }
             for ev in events.drain(..) {
@@ -461,17 +466,11 @@ impl Host {
             if conn.has_output() {
                 self.pending.push_back(idx);
             } else if conn.is_closed() {
-                let key = Self::incoming_key(conn);
+                let ((lip, lport), (rip, rport)) = (conn.local(), conn.remote());
                 self.stats.retransmits += conn.stats.retransmits;
                 self.stats.timeouts += conn.stats.timeouts;
-                self.ports_in_use.remove(&conn.local().1);
-                self.by_flow.remove(&key);
-                self.conns[idx].reap();
-                // Before the slot can be reused: a timer of this
-                // connection must not fire into the next one.
-                for armed in &mut self.armed[idx] {
-                    disarm(armed, ctx);
-                }
+                self.by_flow.remove(&FlowKey::new(rip, rport, lip, lport));
+                self.conns[idx].reap(ctx);
                 self.stats.conns_closed += 1;
             }
         }
@@ -483,7 +482,7 @@ impl Host {
     fn dispatch_event(&mut self, ctx: &mut Ctx<'_>, idx: usize, ev: ConnEvent) {
         if ctx.spans_enabled() {
             if let ConnEvent::Data(bytes) = &ev {
-                let trace = self.conn_traces[idx][1];
+                let trace = self.conns[idx].traces[1];
                 ctx.record_hop(trace, HopKind::TcpReassembled, 0, bytes.len() as u64);
             }
         }
@@ -583,16 +582,17 @@ impl Node for Host {
                 let kind_idx = (token.0 & 0x3) as usize;
                 // Replaced, cancelled and reaped timers left the queue,
                 // so this is the armed one, on a live connection.
-                let fired = self.armed[idx][kind_idx].take();
+                let slot = &mut self.conns[idx];
+                let fired = slot.armed[kind_idx].take();
                 assert!(fired.is_some(), "connection timer fired while disarmed");
-                let conn = self.conns[idx]
-                    .live_mut()
-                    .expect("connection timer outlived its connection");
+                let Tenant::Live(conn) = &mut slot.tenant else {
+                    panic!("connection timer outlived its connection");
+                };
                 match kind_idx {
                     0 => {
                         conn.on_rto(ctx.now());
                         if ctx.spans_enabled() {
-                            let trace = self.conn_traces[idx][0];
+                            let trace = slot.traces[0];
                             ctx.record_hop(trace, HopKind::TcpRto, 0, 0);
                         }
                     }
@@ -639,24 +639,22 @@ impl HostIo for Io<'_, '_> {
 
     fn connect(&mut self, remote_ip: Ipv4Addr, remote_port: u16) -> ConnId {
         // Ephemeral port allocation with recycling: scan from next_port,
-        // wrapping at the top of the range, skipping live ports. (A reused
-        // port is safe: the previous connection with it was fully closed
-        // on our side, and the peer's old state answers stray segments
-        // with RSTs at worst.)
+        // wrapping at the top of the range, skipping the ports of
+        // connections not yet reaped. (A reused port is safe: the
+        // previous connection with it was fully closed on our side, and
+        // the peer's old state answers stray segments with RSTs at worst.)
         const PORT_MIN: u16 = 33_000;
-        let mut port = self.host.next_port.max(PORT_MIN);
-        for _ in 0..=u16::MAX {
-            if !self.host.ports_in_use.contains(&port) {
-                break;
-            }
-            port = if port == u16::MAX { PORT_MIN } else { port + 1 };
-        }
-        assert!(
-            !self.host.ports_in_use.contains(&port),
-            "ephemeral ports exhausted"
-        );
-        self.host.next_port = if port == u16::MAX { PORT_MIN } else { port + 1 };
-        self.host.ports_in_use.insert(port);
+        let after = |p: u16| if p == u16::MAX { PORT_MIN } else { p + 1 };
+        let conns = &self.host.conns;
+        let port = std::iter::successors(Some(self.host.next_port), |&p| Some(after(p)))
+            .take(usize::from(u16::MAX - PORT_MIN) + 1)
+            .find(|&p| {
+                !conns
+                    .iter()
+                    .any(|s| s.live().is_some_and(|c| c.local().1 == p))
+            })
+            .expect("ephemeral ports exhausted");
+        self.host.next_port = after(port);
         let iss: u32 = self.host.rng.gen();
         let (local, tcp, now) = ((self.host.cfg.ip, port), self.host.cfg.tcp, self.ctx.now());
         let idx = self

@@ -546,6 +546,70 @@ fn many_sequential_connections_reuse_slots() {
 }
 
 #[test]
+fn ephemeral_ports_skip_live_connections_and_reuse_reaped_ones() {
+    /// Holds one connection open on the first ephemeral port, then walks
+    /// the port cursor once round the whole range with refused connects.
+    struct PortWalker {
+        ports: Vec<u16>,
+    }
+    impl PortWalker {
+        fn connect(&mut self, io: &mut dyn HostIo, port: u16) {
+            let conn = io.connect(SERVER_IP, port);
+            self.ports.push(io.local_addr(conn).1);
+        }
+    }
+    impl App for PortWalker {
+        fn on_start(&mut self, io: &mut dyn HostIo) {
+            self.connect(io, PORT);
+        }
+        fn on_connected(&mut self, io: &mut dyn HostIo, _conn: ConnId) {
+            // The held connection is up: the server does not listen on
+            // PORT + 1, so each of these draws a RST and is reaped.
+            self.connect(io, PORT + 1);
+        }
+        fn on_data(&mut self, _io: &mut dyn HostIo, _conn: ConnId, _data: &[u8]) {}
+        fn on_closed(&mut self, io: &mut dyn HostIo, _conn: ConnId) {
+            if self.ports.len() <= RANGE {
+                self.connect(io, PORT + 1);
+            }
+        }
+    }
+    const FIRST: u16 = 33_000;
+    const RANGE: usize = (u16::MAX - FIRST) as usize + 1;
+
+    let (mut sim, c, _s) = rig(
+        TcpConfig::default(),
+        TcpConfig::default(),
+        default_link(),
+        Box::new(PortWalker { ports: Vec::new() }),
+        Box::new(EchoServer::default()),
+    );
+    let walked = |sim: &Simulation| {
+        let host = sim.node_ref::<Host>(c).unwrap();
+        host.app_ref::<PortWalker>().unwrap().ports.len() > RANGE && host.live_conns() == 1
+    };
+    while !walked(&sim) {
+        assert!(sim.now() < Time::from_nanos(30_000_000_000), "walk stalled");
+        sim.run_for(Duration::from_millis(10));
+    }
+    let host = sim.node_ref::<Host>(c).unwrap();
+    let ports = &host.app_ref::<PortWalker>().unwrap().ports;
+    assert_eq!(ports.len(), RANGE + 1);
+    assert_eq!(ports[0], FIRST, "the held connection");
+    // One refused connection per remaining port, in order …
+    assert!(
+        ports[1..RANGE].iter().copied().eq(FIRST + 1..=u16::MAX),
+        "{:?}",
+        &ports[..8]
+    );
+    // … then the cursor wraps: the held port is skipped, the first
+    // reaped one is taken again.
+    assert_eq!(ports[RANGE], FIRST + 1);
+    assert_eq!(host.stats.conns_closed, RANGE as u64);
+    assert!(host.conn(ConnId(0)).is_some_and(|c| c.local().1 == FIRST));
+}
+
+#[test]
 fn a_closed_connection_leaves_nothing_in_the_event_queue() {
     /// Sends a patterned stream and closes behind it.
     struct PatternSender(Vec<u8>);

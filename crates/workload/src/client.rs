@@ -1,6 +1,5 @@
 //! The memtier-like closed-loop key-value client (§4 of the paper).
 
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use netpkt::kv::{KvDecoder, KvMessage, KvOp, KEY_COUNT};
@@ -61,36 +60,30 @@ impl Default for MemtierConfig {
     }
 }
 
+/// One connection slot, indexed by `ConnId`. The host reuses the lowest
+/// free `ConnId`, so the table is as long as the peak connection count
+/// and a slot's decoder and `outstanding` are reset in place.
 #[derive(Debug, Default)]
 struct ConnTracker {
     decoder: KvDecoder,
-    /// request id → (issue time ns, was GET).
-    outstanding: BTreeMap<u64, (u64, bool)>,
+    /// (request id, issue time ns, was GET) per request in flight: at
+    /// most `pipeline` entries.
+    outstanding: Vec<(u64, u64, bool)>,
     issued: u64,
     completed: u64,
-    closing: bool,
+    phase: Phase,
 }
 
-impl ConnTracker {
-    /// A fresh tracker for the next connection over this one's buffers:
-    /// the decoder keeps its capacity, and an empty `outstanding` map its
-    /// root node (which `BTreeMap::clear` would free).
-    fn recycled(self) -> ConnTracker {
-        let ConnTracker {
-            mut decoder,
-            mut outstanding,
-            ..
-        } = self;
-        decoder.reset();
-        if !outstanding.is_empty() {
-            outstanding.clear();
-        }
-        ConnTracker {
-            decoder,
-            outstanding,
-            ..ConnTracker::default()
-        }
-    }
+/// Where a connection is in its life, as the client sees it.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Issuing requests.
+    #[default]
+    Open,
+    /// The client asked for the close; responses still count.
+    Closing,
+    /// `on_closed` came: nothing happens on the slot until it is reopened.
+    Gone,
 }
 
 /// Counters for the client.
@@ -115,7 +108,7 @@ pub struct MemtierStats {
 pub struct MemtierClient {
     cfg: MemtierConfig,
     rng: SimRng,
-    conns: BTreeMap<ConnId, ConnTracker>,
+    conns: Vec<ConnTracker>,
     next_req_id: u64,
     /// Encode buffer, reused for every request.
     tx: Vec<u8>,
@@ -137,7 +130,7 @@ impl MemtierClient {
         MemtierClient {
             cfg,
             rng,
-            conns: BTreeMap::new(),
+            conns: Vec::new(),
             next_req_id: 1,
             tx: Vec::new(),
             recorder,
@@ -145,22 +138,22 @@ impl MemtierClient {
         }
     }
 
-    fn open_conn(&mut self, io: &mut dyn HostIo, tracker: ConnTracker) {
-        let id = io.connect(self.cfg.vip, self.cfg.port);
-        self.conns.insert(id, tracker);
+    fn open_conn(&mut self, io: &mut dyn HostIo) {
+        let idx = io.connect(self.cfg.vip, self.cfg.port).0 as usize;
+        if idx >= self.conns.len() {
+            self.conns.resize_with(idx + 1, ConnTracker::default);
+        }
+        let t = &mut self.conns[idx];
+        t.decoder.reset();
+        t.outstanding.clear();
+        (t.issued, t.completed, t.phase) = (0, 0, Phase::Open);
         self.stats.conns_opened += 1;
     }
 
+    /// Issues a request on `conn`, which `fill_pipeline` found open and
+    /// under its quotas.
     fn issue_one(&mut self, io: &mut dyn HostIo, conn: ConnId) {
-        let Some(t) = self.conns.get_mut(&conn) else {
-            return;
-        };
-        if t.closing {
-            return;
-        }
-        if self.cfg.requests_per_conn > 0 && t.issued >= self.cfg.requests_per_conn {
-            return;
-        }
+        let t = &mut self.conns[conn.0 as usize];
         let req_id = self.next_req_id;
         self.next_req_id += 1;
         let is_get = self.rng.gen_bool(self.cfg.get_ratio.clamp(0.0, 1.0));
@@ -171,7 +164,7 @@ impl MemtierClient {
             KvMessage::set(req_id, key, self.cfg.set_value_len)
         };
         let now = io.now().as_nanos();
-        t.outstanding.insert(req_id, (now, is_get));
+        t.outstanding.push((req_id, now, is_get));
         t.issued += 1;
         self.stats.issued += 1;
         if io.span_enabled() {
@@ -191,10 +184,8 @@ impl MemtierClient {
 
     fn fill_pipeline(&mut self, io: &mut dyn HostIo, conn: ConnId) {
         loop {
-            let Some(t) = self.conns.get(&conn) else {
-                return;
-            };
-            if t.closing || t.outstanding.len() >= self.cfg.pipeline {
+            let t = &self.conns[conn.0 as usize];
+            if t.phase != Phase::Open || t.outstanding.len() >= self.cfg.pipeline {
                 return;
             }
             if self.cfg.requests_per_conn > 0 && t.issued >= self.cfg.requests_per_conn {
@@ -222,15 +213,13 @@ impl MemtierClient {
     }
 
     fn maybe_recycle(&mut self, io: &mut dyn HostIo, conn: ConnId) {
-        let Some(t) = self.conns.get_mut(&conn) else {
-            return;
-        };
+        let t = &mut self.conns[conn.0 as usize];
         if self.cfg.requests_per_conn > 0
             && t.completed >= self.cfg.requests_per_conn
             && t.outstanding.is_empty()
-            && !t.closing
+            && t.phase == Phase::Open
         {
-            t.closing = true;
+            t.phase = Phase::Closing;
             self.stats.conns_recycled += 1;
             io.close(conn);
         }
@@ -239,8 +228,10 @@ impl MemtierClient {
 
 impl App for MemtierClient {
     fn on_start(&mut self, io: &mut dyn HostIo) {
+        // A reopening takes a new slot while the closed one is reaped.
+        self.conns.reserve_exact(self.cfg.connections + 1);
         for _ in 0..self.cfg.connections {
-            self.open_conn(io, ConnTracker::default());
+            self.open_conn(io);
         }
     }
 
@@ -250,16 +241,15 @@ impl App for MemtierClient {
 
     fn on_data(&mut self, io: &mut dyn HostIo, conn: ConnId, data: &[u8]) {
         let now = io.now().as_nanos();
-        let Some(t) = self.conns.get_mut(&conn) else {
-            return;
-        };
+        let t = &mut self.conns[conn.0 as usize];
         t.decoder.push(data);
         let spans = io.span_enabled();
         while let Ok(Some(resp)) = t.decoder.next_message() {
             assert!(!resp.is_request, "client received a request");
-            let Some((issued_at, is_get)) = t.outstanding.remove(&resp.request_id) else {
+            let Some(i) = t.outstanding.iter().position(|r| r.0 == resp.request_id) else {
                 continue;
             };
+            let (_, issued_at, is_get) = t.outstanding.swap_remove(i);
             debug_assert_eq!(
                 is_get,
                 resp.op == KvOp::Get,
@@ -283,17 +273,19 @@ impl App for MemtierClient {
     }
 
     fn on_closed(&mut self, io: &mut dyn HostIo, conn: ConnId) {
-        if let Some(tracker) = self.conns.remove(&conn) {
-            if !tracker.closing {
-                // The client never asked for this close: the connection
-                // was reset or aborted underneath the application.
-                self.stats.conns_broken += 1;
-                self.stats.requests_lost += tracker.outstanding.len() as u64;
-            }
-            // Keep the connection count constant: reopen, over the
-            // closed connection's buffers.
-            self.open_conn(io, tracker.recycled());
+        let t = &mut self.conns[conn.0 as usize];
+        if t.phase == Phase::Gone {
+            return;
         }
+        if t.phase == Phase::Open {
+            // The client never asked for this close: the connection was
+            // reset or aborted underneath the application.
+            self.stats.conns_broken += 1;
+            self.stats.requests_lost += t.outstanding.len() as u64;
+        }
+        t.phase = Phase::Gone;
+        // Keep the connection count constant: reopen.
+        self.open_conn(io);
     }
 
     fn on_app_timer(&mut self, io: &mut dyn HostIo, token: u64) {

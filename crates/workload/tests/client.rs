@@ -5,7 +5,7 @@ use std::net::Ipv4Addr;
 
 use backend::{KvServerApp, KvServerConfig, ServiceDist};
 use netpkt::MacAddr;
-use netsim::{Duration, LinkConfig, Simulation};
+use netsim::{Duration, FaultAction, LinkConfig, Simulation, Time};
 use nettcp::{Host, HostConfig};
 use workload::{BacklogClient, BacklogConfig, MemtierClient, MemtierConfig, SinkServer};
 
@@ -13,6 +13,14 @@ const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
 fn run_memtier(cfg: MemtierConfig, secs: u64) -> (Simulation, netsim::NodeId, netsim::NodeId) {
+    let (mut sim, c, s) = memtier_rig(cfg);
+    sim.run_for(Duration::from_secs(secs));
+    (sim, c, s)
+}
+
+/// A memtier client and a KV server with a 50 µs service time, one
+/// link apart; nothing has run yet.
+fn memtier_rig(cfg: MemtierConfig) -> (Simulation, netsim::NodeId, netsim::NodeId) {
     let mut sim = Simulation::new();
     let c = sim.reserve_node("client");
     let s = sim.reserve_node("server");
@@ -44,7 +52,6 @@ fn run_memtier(cfg: MemtierConfig, secs: u64) -> (Simulation, netsim::NodeId, ne
             Box::new(MemtierClient::new(cfg)),
         )),
     );
-    sim.run_for(Duration::from_secs(secs));
     (sim, c, s)
 }
 
@@ -160,6 +167,52 @@ fn no_churn_keeps_connections() {
     let client = client_of(&sim, c);
     assert_eq!(client.stats.conns_opened, 3);
     assert_eq!(client.stats.conns_recycled, 0);
+}
+
+#[test]
+fn a_broken_connection_loses_its_requests_and_is_reopened_empty() {
+    // The backend crashes with every pipeline full. A connection whose
+    // requests are still unacknowledged retransmits until it aborts
+    // underneath the client; one whose requests were acknowledged just
+    // waits. The backend comes back after the aborts.
+    let (connections, pipeline) = (3, 4);
+    let (mut sim, c, s) = memtier_rig(MemtierConfig {
+        connections,
+        pipeline,
+        requests_per_conn: 0,
+        ..MemtierConfig::default()
+    });
+    sim.schedule(Time::from_nanos(500_000_000), FaultAction::NodeDown(s));
+    sim.schedule(Time::from_nanos(6_000_000_000), FaultAction::NodeUp(s));
+    sim.run_for(Duration::from_secs(6));
+    let before = client_of(&sim, c).stats;
+    assert!(before.conns_broken > 0, "nothing broke: {before:?}");
+    // Closed loop: each broken connection had its pipeline full.
+    assert_eq!(
+        before.requests_lost,
+        before.conns_broken * pipeline as u64,
+        "{before:?}"
+    );
+    assert_eq!(
+        before.conns_opened,
+        connections as u64 + before.conns_broken,
+        "{before:?}"
+    );
+
+    sim.run_for(Duration::from_secs(1));
+    let host = sim.node_ref::<Host>(c).unwrap();
+    let after = client_of(&sim, c).stats;
+    assert_eq!(host.live_conns(), connections);
+    assert_eq!(after.conns_broken, before.conns_broken, "{after:?}");
+    assert!(
+        after.completed > before.completed + 10_000,
+        "the backend came back to an idle client: {after:?}"
+    );
+    // Every pipeline is full again. A reopened connection that kept its
+    // predecessor's lost requests would see its pipeline full of them
+    // and issue nothing.
+    let in_flight = after.issued - after.completed - after.requests_lost;
+    assert_eq!(in_flight, (connections * pipeline) as u64, "{after:?}");
 }
 
 #[test]

@@ -6,10 +6,13 @@
 //! Every 200th request closes its connection and opens a fresh one, and a
 //! new connection is built over the buffers the closed one left (its
 //! send and host queues, the client's tracker, the server's decoder
-//! slot). The server's KV store is one table over the keyspace and its
-//! pending responses reuse the slots of answered ones, so what is left at
-//! ≈ 0.002 (26 calls over 14,157 requests) is `BTreeMap` node churn in
-//! the client's and the hosts' per-connection maps and first-use growth.
+//! slot). The server's KV store is one table over the keyspace, its
+//! pending responses reuse the slots of answered ones, and nothing keyed
+//! by connection is a map, so what is left at ≈ 0.002 (26 calls over
+//! 14,157 requests) is `BTreeMap` node churn in the two flow-keyed maps
+//! (11 in the LB's flow table, 8 in the hosts' demux) and first-use
+//! growth (4 in the LB's weight series, 2 in the client's recorder, 1 a
+//! pool buffer).
 //! At ≈ 0.054 the count was mostly the KV store growing toward the
 //! 10,000-key space and node churn in the server's pending-response map;
 //! before connection state was recycled it was ≈ 0.12; before the send

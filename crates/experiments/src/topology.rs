@@ -51,13 +51,20 @@ pub(crate) fn backend_ip(j: usize) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 2, host_octet(j))
 }
 
+/// The backlogged flow's sender window, in MSS-sized segments
+/// (window-limited flow).
+const WINDOW_SEGMENTS: u32 = 4;
+/// The client access-link rate — the bottleneck that spaces intra-batch
+/// packets (200 Mb/s ⇒ ≈58 µs per 1454-byte frame).
+const CLIENT_RATE_BPS: u64 = 200_000_000;
+/// Rare long stalls at the client (preemption/GC, §2.2), as
+/// (probability per packet, stall): these are what make an over-large δ
+/// produce its occasional erroneously-large estimates before the step in
+/// Fig. 2(a).
+const CLIENT_SPIKE: (f64, Duration) = (0.002, Duration::from_micros(1300));
+
 /// Configuration for the backlogged-flow scenario (Fig. 2).
 pub struct BacklogScenarioConfig {
-    /// Sender window, in MSS-sized segments (window-limited flow).
-    pub window_segments: u32,
-    /// Client access-link rate — the bottleneck that spaces intra-batch
-    /// packets (200 Mb/s ⇒ ≈58 µs per 1454-byte frame).
-    pub client_rate_bps: u64,
     /// Client access-link propagation delay.
     pub client_delay: Duration,
     /// Backend-link propagation delay.
@@ -65,11 +72,9 @@ pub struct BacklogScenarioConfig {
     /// Receive-path jitter on both endpoints (perturbs intra-batch gaps
     /// across the δ = 64 µs boundary, as in the paper's testbed).
     pub host_jitter: Option<(Duration, Duration)>,
-    /// Rare long stalls at the client (preemption/GC, §2.2); these are
-    /// what make an over-large δ produce its occasional erroneously-large
-    /// estimates before the step in Fig. 2(a).
-    pub client_spike: Option<(f64, Duration)>,
-    /// The LB config factory (usually [`LbConfig::observer`]).
+    /// The LB config factory (usually [`LbConfig::observer`]). Fig. 2
+    /// evaluates Algorithms 1/2 replayed over the LB's arrivals in the
+    /// packet trace, not the samples this LB takes itself.
     pub lb: Box<dyn FnOnce(Vec<Ipv4Addr>) -> LbConfig>,
     /// Pacing at the bulk sender (§5(2) violation: smears batch edges).
     pub client_pacing: nettcp::Pacing,
@@ -88,12 +93,9 @@ impl BacklogScenarioConfig {
     /// 200 Mb/s access link, ±jitter.
     pub fn fig2_defaults() -> BacklogScenarioConfig {
         BacklogScenarioConfig {
-            window_segments: 4,
-            client_rate_bps: 200_000_000,
             client_delay: Duration::from_micros(80),
             backend_delay: Duration::from_micros(100),
             host_jitter: Some((Duration::from_micros(2), Duration::from_micros(40))),
-            client_spike: Some((0.002, Duration::from_micros(1300))),
             lb: Box::new(|backends| LbConfig::observer(VIP, backends)),
             client_pacing: nettcp::Pacing::Disabled,
             sink_delayed_ack: nettcp::DelayedAck::Disabled,
@@ -162,13 +164,13 @@ impl BacklogScenario {
         let client_link = sim.add_link(
             router_id,
             client_node,
-            LinkConfig::new(cfg.client_rate_bps, cfg.client_delay, 1 << 20),
+            LinkConfig::new(CLIENT_RATE_BPS, cfg.client_delay, 1 << 20),
         );
         router.add_route(c_ip, client_link);
         let mut c_cfg = HostConfig::new(c_ip, netsim::rng::derive_seed(cfg.seed, 2));
         c_cfg.rx_jitter = cfg.host_jitter;
-        c_cfg.rx_spike = cfg.client_spike;
-        c_cfg.tcp = TcpConfig::window_limited(cfg.window_segments);
+        c_cfg.rx_spike = Some(CLIENT_SPIKE);
+        c_cfg.tcp = TcpConfig::window_limited(WINDOW_SEGMENTS);
         c_cfg.tcp.pacing = cfg.client_pacing;
         let mut bulk = BacklogConfig {
             dst: VIP,

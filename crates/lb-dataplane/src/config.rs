@@ -19,8 +19,11 @@ pub const ESTIMATOR_STALENESS: Duration = Duration::from_millis(500);
 pub enum Steering {
     /// Plain Maglev: no per-packet measurement at all (the baseline).
     Off,
-    /// Run Algorithms 1/2 and record samples, but never change weights
-    /// (used to evaluate measurement accuracy, Fig. 2).
+    /// Run Algorithms 1/2 and record samples, but never change weights.
+    /// The Fig. 2 topology installs it, but no experiment reads its
+    /// samples: Fig. 2, ABL-TIMING and the paper-claims tests replay the
+    /// algorithms over the LB arrivals in the packet trace
+    /// (`experiments::fig2::replay_ensemble`).
     Observe,
     /// In-band `T_LB` samples drive the controller, which reshapes the
     /// weighted Maglev table (the paper's design).
@@ -132,8 +135,10 @@ impl LbConfig {
         }
     }
 
-    /// Measurement-only mode (Fig. 2 experiments). Uses the paper's
-    /// argmax-ratio cliff rule for figure fidelity.
+    /// Measurement-only mode ([`Steering::Observe`]) with the paper's
+    /// argmax-ratio cliff rule. The Fig. 2 topology's LB; its own samples
+    /// are not what the Fig. 2 experiments evaluate (see
+    /// [`Steering::Observe`]).
     pub fn observer(vip: Ipv4Addr, backends: Vec<Ipv4Addr>) -> LbConfig {
         LbConfig {
             steering: Steering::Observe,

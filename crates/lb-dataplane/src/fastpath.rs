@@ -1,6 +1,7 @@
 //! The per-packet fast path: parse → control port → flow table →
 //! ensemble tap → pick → rewrite → forward.
 
+use lbcore::health::SAMPLE_CEILING;
 use netpkt::{FlowKey, MacAddr, Packet, TcpFlags};
 use netsim::{Ctx, Time};
 use telemetry::span::{pack_addr, HopKind};
@@ -142,10 +143,8 @@ impl LbNode {
                             t_lb,
                         });
                     }
-                    if let Some(h) = &self.health {
-                        if t_lb <= h.config().sample_ceiling {
-                            self.live_samples[backend] += 1;
-                        }
+                    if self.health.is_some() && t_lb <= SAMPLE_CEILING {
+                        self.live_samples[backend] += 1;
                     }
                     self.estimator.record(backend, t_lb, now_ns);
                     self.run_controller(now);

@@ -81,7 +81,7 @@ pub struct LbNode {
     /// input to the health tracker.
     pub(crate) fwd_per_backend: Vec<u64>,
     /// Cumulative *credible* `T_LB` samples per backend — samples at or
-    /// below [`lbcore::HealthConfig::sample_ceiling`]. A dead backend's RTO
+    /// below [`lbcore::health::SAMPLE_CEILING`]. A dead backend's RTO
     /// retransmission bursts still produce batch-gap samples (valued at
     /// the backoff interval), which must not count as liveness evidence.
     pub(crate) live_samples: Vec<u64>,
@@ -362,7 +362,8 @@ mod tests {
         let got = delivered(&sim, sinks);
         assert_eq!(got.len(), 2);
         for (_, p) in &got {
-            let v = p.view().expect("forwarded packet must still verify");
+            let v =
+                netpkt::PacketViewRef::parse(&p.data).expect("forwarded packet must still verify");
             assert_eq!(v.ip.dst, VIP, "DSR keeps the VIP in the IP header");
             assert_eq!(v.ip.src, CLIENT, "source preserved for DSR");
             assert_eq!(v.eth.src, MacAddr::from_id(9), "LB MAC as L2 source");

@@ -48,10 +48,11 @@ pub struct EnsembleConfig {
     pub epoch: Nanos,
     /// The decision rule at epoch boundaries.
     pub rule: CliffRule,
-    /// Keep the previous δₑ when an epoch produced fewer samples than
-    /// this (not enough evidence to re-decide).
-    pub min_epoch_samples: u64,
 }
+
+/// An epoch that produced fewer samples than this keeps the previous δₑ
+/// (not enough evidence to re-decide).
+pub const MIN_EPOCH_SAMPLES: u64 = 8;
 
 impl Default for EnsembleConfig {
     /// The paper's parameters: δ = 64 µs, 128 µs, …, 4 ms (k = 7),
@@ -61,7 +62,6 @@ impl Default for EnsembleConfig {
             timeouts: (0..7).map(|i| 64_000u64 << i).collect(),
             epoch: 64_000_000,
             rule: CliffRule::ArgmaxRatio,
-            min_epoch_samples: 8,
         }
     }
 }
@@ -238,7 +238,7 @@ impl EnsembleTimeout {
     fn finish_epoch(&mut self, now: Nanos) {
         let k = self.k();
         let total: u64 = self.counts.iter().sum();
-        if total >= self.cfg.min_epoch_samples {
+        if total >= MIN_EPOCH_SAMPLES {
             // Laplace smoothing (+1) keeps ratios finite when a larger
             // timeout produced zero samples, preserving the ordering.
             let ratio =

@@ -25,8 +25,8 @@
 //! An *epoch* is a fixed control-plane period (default 100 ms). "Silent"
 //! means zero new *credible* samples in an epoch **while traffic was
 //! offered** — an idle backend that simply was not sent anything is never
-//! ejected, and samples above [`HealthConfig::sample_ceiling`] do not
-//! count (they are retransmission-backoff phantoms, not responses).
+//! ejected, and samples above [`SAMPLE_CEILING`] do not count (they are
+//! retransmission-backoff phantoms, not responses).
 //! RTO-abort signals (connection setups that never progressed, reported
 //! by the data plane) accelerate detection: a burst of aborts ejects a
 //! backend without waiting out the full silence window. After
@@ -108,6 +108,22 @@ impl HealthTrigger {
 /// One recorded state transition: `(backend, from, to, trigger)`.
 pub type HealthTransition = (usize, HealthState, HealthState, HealthTrigger);
 
+/// RTO-abort signals within the current silence run that immediately
+/// advance the state machine (Healthy → Suspect → Ejected).
+pub const ABORT_THRESHOLD: u32 = 3;
+
+/// Plausibility ceiling on `T_LB` samples counted as liveness evidence:
+/// 50 ms, where the largest ensemble timeout is 4 ms and a legitimate
+/// `T_LB` is orders of magnitude below it. A dead backend is not
+/// perfectly silent: its pinned clients retransmit on RTO backoff, and
+/// each retransmission burst looks like a new batch to the in-band
+/// estimator — producing phantom "samples" whose value is the backoff
+/// gap (tens to hundreds of milliseconds, far above any real response
+/// latency). The data plane must not count samples above this ceiling
+/// when it reports per-epoch sample counts to [`HealthTracker::on_epoch`],
+/// or the phantoms keep resetting the silence run forever.
+pub const SAMPLE_CEILING: Nanos = 50_000_000;
+
 /// Tunables for the health state machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
@@ -117,35 +133,18 @@ pub struct HealthConfig {
     pub suspect_after: u32,
     /// Additional silent epochs before Suspect → Ejected.
     pub eject_after: u32,
-    /// RTO-abort signals within the current silence run that immediately
-    /// advance the state machine (Healthy → Suspect → Ejected).
-    pub abort_threshold: u32,
     /// How long an ejected backend sits out before probation.
     pub probation_after: Nanos,
-    /// Plausibility ceiling on `T_LB` samples counted as liveness
-    /// evidence. A dead backend is not perfectly silent: its pinned
-    /// clients retransmit on RTO backoff, and each retransmission burst
-    /// looks like a new batch to the in-band estimator — producing
-    /// phantom "samples" whose value is the backoff gap (tens to
-    /// hundreds of milliseconds, far above any real response latency).
-    /// The data plane must not count samples above this ceiling when it
-    /// reports per-epoch sample counts to [`HealthTracker::on_epoch`],
-    /// or the phantoms keep resetting the silence run forever.
-    pub sample_ceiling: Nanos,
 }
 
 impl Default for HealthConfig {
-    /// Detection window of 3 epochs ≈ 300 ms, probation after 1 s, and a
-    /// 50 ms sample-plausibility ceiling (the largest ensemble timeout is
-    /// 4 ms; a legitimate `T_LB` is orders of magnitude below 50 ms).
+    /// Detection window of 3 epochs ≈ 300 ms, probation after 1 s.
     fn default() -> HealthConfig {
         HealthConfig {
             epoch: 100_000_000,
             suspect_after: 2,
             eject_after: 1,
-            abort_threshold: 3,
             probation_after: 1_000_000_000,
-            sample_ceiling: 50_000_000,
         }
     }
 }
@@ -273,7 +272,7 @@ impl HealthTracker {
                 // are left alone: absence of samples is only evidence of
                 // death when there was traffic to answer.
                 h.silent_epochs = h.silent_epochs.saturating_add(1);
-                let abort_burst = h.aborts >= cfg.abort_threshold;
+                let abort_burst = h.aborts >= ABORT_THRESHOLD;
                 if abort_burst {
                     trigger = HealthTrigger::AbortBurst;
                 }

@@ -8,7 +8,7 @@ use proptest::test_runner::TestCaseError;
 
 use netpkt::FlowKey;
 
-use lbcore::ensemble::{CliffRule, EnsembleConfig};
+use lbcore::ensemble::{CliffRule, EnsembleConfig, MIN_EPOCH_SAMPLES};
 use lbcore::{
     AimdController, AlphaShift, BackendEstimator, Controller, EnsembleTimeout, FixedTimeout,
     FlowTable, FlowTiming, LazyMaglev, MaglevTable, ProportionalController, Weights,
@@ -371,7 +371,7 @@ proptest! {
             .map(|&d| arrivals.windows(2).filter(|w| w[1] - w[0] > d).count() as u64)
             .collect();
         let total: u64 = counts.iter().sum();
-        if total < cfg.min_epoch_samples {
+        if total < MIN_EPOCH_SAMPLES {
             // Not enough evidence for a decision (the stub proptest has
             // no prop_assume; skipping the case is equivalent here).
             return Ok(());

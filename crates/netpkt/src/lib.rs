@@ -35,7 +35,7 @@ pub mod udp;
 pub use eth::{EthHeader, MacAddr, ETHERTYPE_IPV4, ETH_HEADER_LEN};
 pub use flow::FlowKey;
 pub use ipv4::{Ipv4Header, IPPROTO_TCP, IPV4_HEADER_LEN};
-pub use packet::{Addresses, Packet, PacketView, PacketViewRef};
+pub use packet::{Addresses, Packet, PacketViewRef};
 pub use pool::{BufferPool, PoolStats};
 pub use span::{frame_trace_id, trace_id};
 pub use tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};

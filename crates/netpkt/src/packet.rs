@@ -64,21 +64,6 @@ impl Packet {
         self.data.len()
     }
 
-    /// Parses all three headers, verifying IPv4 and TCP checksums. The
-    /// returned payload is an O(1) slice of this packet's refcounted
-    /// buffer — no copy is made.
-    pub fn view(&self) -> Result<PacketView> {
-        let v = PacketViewRef::parse(&self.data)?;
-        let off = ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN;
-        let len = v.payload.len();
-        Ok(PacketView {
-            eth: v.eth,
-            ip: v.ip,
-            tcp: v.tcp,
-            payload: self.data.slice(off..off + len),
-        })
-    }
-
     /// Builds a full TCP/IPv4 frame.
     pub fn build_tcp(
         addrs: Addresses,
@@ -203,8 +188,8 @@ impl Packet {
 
 /// A borrowed, zero-copy parsed view of a TCP/IPv4 frame: headers are
 /// decoded into fixed-size structs, the payload stays a slice into the
-/// original frame. This is the parse for per-packet processing — use
-/// [`PacketView`] only when the payload must outlive the frame.
+/// original frame. This is the one parse of a frame; a payload that
+/// must outlive the borrow is a [`Bytes::slice`] of [`Packet::data`].
 #[derive(Debug, Clone)]
 pub struct PacketViewRef<'a> {
     /// Ethernet header.
@@ -257,33 +242,6 @@ impl<'a> PacketViewRef<'a> {
     }
 }
 
-/// A fully parsed, owning view of a TCP/IPv4 frame, made by
-/// [`Packet::view`]: the payload is a slice of the packet's refcounted
-/// buffer. Prefer [`PacketViewRef`] on per-packet paths.
-#[derive(Debug, Clone)]
-pub struct PacketView {
-    /// Ethernet header.
-    pub eth: EthHeader,
-    /// IPv4 header.
-    pub ip: Ipv4Header,
-    /// TCP header.
-    pub tcp: TcpHeader,
-    /// TCP payload bytes.
-    pub payload: Bytes,
-}
-
-impl PacketView {
-    /// The four-tuple of this packet's direction of travel.
-    pub fn flow(&self) -> crate::FlowKey {
-        crate::FlowKey::from_headers(&self.ip, &self.tcp)
-    }
-
-    /// Length of the TCP payload in bytes.
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,10 +272,10 @@ mod tests {
     #[test]
     fn build_and_parse_roundtrip() {
         let pkt = build_sample(b"set k 0 0 3\r\nabc\r\n");
-        let view = pkt.view().unwrap();
+        let view = PacketViewRef::parse(&pkt.data).unwrap();
         assert_eq!(view.ip.src, Ipv4Addr::new(10, 0, 0, 1));
         assert_eq!(view.tcp.dst_port, 11211);
-        assert_eq!(&view.payload[..], b"set k 0 0 3\r\nabc\r\n");
+        assert_eq!(view.payload, b"set k 0 0 3\r\nabc\r\n");
         assert_eq!(view.payload_len(), 18);
     }
 
@@ -350,7 +308,10 @@ mod tests {
             let parts = payload.split_at(cut);
             let split = Packet::build_tcp_pooled_parts(addrs, &hdr, parts, 64, 42, &mut pool);
             assert_eq!(split.data, whole.data, "split at {cut}");
-            assert_eq!(&split.view().unwrap().payload[..], &payload[..]);
+            assert_eq!(
+                PacketViewRef::parse(&split.data).unwrap().payload,
+                &payload[..]
+            );
             // Recycled so that later splits build over a dirty buffer.
             pool.recycle(split);
         }
@@ -370,7 +331,7 @@ mod tests {
         let pkt = build_sample(b"payload");
         let mut pool = BufferPool::default();
         let fwd = pkt.with_macs_pooled(MacAddr::from_id(9), MacAddr::from_id(10), &mut pool);
-        let view = fwd.view().unwrap(); // checksums still verify
+        let view = PacketViewRef::parse(&fwd.data).unwrap(); // checksums still verify
         assert_eq!(view.eth.src, MacAddr::from_id(9));
         assert_eq!(view.eth.dst, MacAddr::from_id(10));
         assert_eq!(
@@ -378,6 +339,6 @@ mod tests {
             Ipv4Addr::new(10, 0, 9, 9),
             "IP header untouched"
         );
-        assert_eq!(&view.payload[..], b"payload");
+        assert_eq!(view.payload, b"payload");
     }
 }

@@ -7,9 +7,9 @@ use std::net::Ipv4Addr;
 use netpkt::checksum::{checksum, Checksum};
 use netpkt::kv::{KvDecoder, KvMessage};
 use netpkt::{
-    Addresses, BufferPool, EthHeader, FlowKey, Ipv4Header, MacAddr, Packet, TcpFlags, TcpHeader,
-    UdpHeader, ETHERTYPE_IPV4, ETH_HEADER_LEN, IPPROTO_TCP, IPPROTO_UDP, IPV4_HEADER_LEN,
-    TCP_HEADER_LEN, UDP_HEADER_LEN,
+    Addresses, BufferPool, EthHeader, FlowKey, Ipv4Header, MacAddr, Packet, PacketViewRef,
+    TcpFlags, TcpHeader, UdpHeader, ETHERTYPE_IPV4, ETH_HEADER_LEN, IPPROTO_TCP, IPPROTO_UDP,
+    IPV4_HEADER_LEN, TCP_HEADER_LEN, UDP_HEADER_LEN,
 };
 
 /// The largest segment payload the transport accepts (`TcpConfig::mss`).
@@ -123,13 +123,13 @@ proptest! {
             64,
             1,
         );
-        let view = pkt.view().unwrap();
+        let view = PacketViewRef::parse(&pkt.data).unwrap();
         prop_assert_eq!(view.tcp.src_port, src_port);
         prop_assert_eq!(view.tcp.dst_port, dst_port);
         prop_assert_eq!(view.tcp.seq, seq);
         prop_assert_eq!(view.tcp.ack, ack);
         prop_assert_eq!(view.tcp.flags, flags);
-        prop_assert_eq!(&view.payload[..], &payload[..]);
+        prop_assert_eq!(view.payload, &payload[..]);
         prop_assert_eq!(pkt.wire_len(), 14 + IPV4_HEADER_LEN + TCP_HEADER_LEN + payload.len());
     }
 
@@ -227,7 +227,7 @@ proptest! {
             0,
         );
         let (key, fast_flags) = FlowKey::parse_with_flags(&pkt.data).unwrap();
-        let view = pkt.view().unwrap();
+        let view = PacketViewRef::parse(&pkt.data).unwrap();
         prop_assert_eq!(key, view.flow());
         prop_assert_eq!(fast_flags, view.tcp.flags);
     }
@@ -264,12 +264,12 @@ proptest! {
         prop_assert_eq!(pool.stats().hits, 1);
         // Every byte past the two MACs is the original frame's.
         prop_assert_eq!(&fwd.data[12..], &pkt.data[12..]);
-        let view = fwd.view().unwrap(); // checksums must verify
+        let view = PacketViewRef::parse(&fwd.data).unwrap(); // checksums must verify
         prop_assert_eq!(view.eth.src, m1);
         prop_assert_eq!(view.eth.dst, m2);
         prop_assert_eq!(view.ip.src, src);
         prop_assert_eq!(view.ip.dst, dst);
-        prop_assert_eq!(&view.payload[..], &payload[..]);
+        prop_assert_eq!(view.payload, &payload[..]);
     }
 
     #[test]

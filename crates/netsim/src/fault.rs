@@ -271,7 +271,8 @@ mod tests {
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, _link: LinkId, pkt: Packet) {
             self.received += 1;
             self.received_at.push(ctx.now());
-            self.received_seqs.push(pkt.view().unwrap().tcp.seq);
+            self.received_seqs
+                .push(netpkt::PacketViewRef::parse(&pkt.data).unwrap().tcp.seq);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
             if let Some(link) = self.link {

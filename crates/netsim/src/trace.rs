@@ -100,11 +100,6 @@ impl Trace {
         self.capture_bytes = true;
     }
 
-    /// Disables recording (already-recorded events are kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     pub(crate) fn record(
         &mut self,
         at: Time,

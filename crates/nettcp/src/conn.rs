@@ -728,9 +728,10 @@ impl Conn {
 
     fn enter_closed(&mut self) {
         if self.state != ConnState::Closed {
-            // CloseWait already announced Closed to the app when the peer's
-            // FIN arrived; avoid a duplicate event from the LastAck path.
-            let already_announced = matches!(self.state, ConnState::LastAck);
+            // Entering CloseWait announced Closed to the app when the peer's
+            // FIN arrived; neither it nor LastAck (after it) announces again,
+            // whether the close completes, a RST arrives or the RTO aborts.
+            let already_announced = matches!(self.state, ConnState::CloseWait | ConnState::LastAck);
             self.state = ConnState::Closed;
             self.timer_reqs.push(TimerRequest::Cancel(TimerKind::Rto));
             self.timer_reqs

@@ -11,7 +11,8 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::Ipv4Addr;
 
-use netpkt::{FlowKey, MacAddr, Packet, TcpHeader};
+use netpkt::{FlowKey, MacAddr, Packet, PacketViewRef, TcpHeader};
+use netpkt::{ETH_HEADER_LEN, IPV4_HEADER_LEN, TCP_HEADER_LEN};
 use netsim::rng::SimRng;
 use netsim::{Ctx, Duration, EventHandle, LinkId, Node, Time, TimerToken};
 use telemetry::span::HopKind;
@@ -288,11 +289,12 @@ impl Host {
     // ------------------------------------------------------------- packet path
 
     fn process_frame(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        // `view()` slices the payload out of the frame zero-copy; the frame
-        // buffer is recycled once the stack has consumed it (a retained
-        // out-of-order payload keeps the buffer alive and the pool simply
-        // declines it).
-        let view = match pkt.view() {
+        // The headers parse in place. A connection gets its payload as a
+        // zero-copy slice of the frame's buffer, which is recycled once the
+        // stack has consumed it (a retained out-of-order payload keeps the
+        // buffer alive and the pool simply declines it).
+        const PAYLOAD_OFF: usize = ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN;
+        let view = match PacketViewRef::parse(&pkt.data) {
             Ok(v) => v,
             Err(_) => {
                 self.stats.parse_errors += 1;
@@ -302,7 +304,6 @@ impl Host {
         };
         if !self.is_local_ip(view.ip.dst) {
             self.stats.no_match += 1;
-            drop(view);
             ctx.pool().recycle(pkt);
             return;
         }
@@ -320,7 +321,10 @@ impl Host {
                         slot.traces[1] = pkt.span();
                     }
                 }
-                conn.on_segment(ctx.now(), &view.tcp, view.payload);
+                let payload = pkt
+                    .data
+                    .slice(PAYLOAD_OFF..PAYLOAD_OFF + view.payload.len());
+                conn.on_segment(ctx.now(), &view.tcp, payload);
                 self.enqueue(idx);
                 self.drain_work(ctx);
                 ctx.pool().recycle(pkt);
@@ -345,7 +349,6 @@ impl Host {
             });
             self.by_flow.insert(key, idx);
             self.enqueue(idx);
-            drop(view);
             self.drain_work(ctx);
             ctx.pool().recycle(pkt);
             return;
@@ -369,7 +372,6 @@ impl Host {
             let (src_port, dst_port) = (view.tcp.dst_port, view.tcp.src_port);
             // Hand the offending frame back first so its buffer can back
             // the RST we are about to build.
-            drop(view);
             ctx.pool().recycle(pkt);
             let ident = self.next_ident;
             self.next_ident = self.next_ident.wrapping_add(1);
@@ -396,7 +398,6 @@ impl Host {
             self.stats.packets_out += 1;
             ctx.send(self.uplink, rst);
         } else {
-            drop(view);
             ctx.pool().recycle(pkt);
         }
     }

@@ -264,6 +264,60 @@ fn rst_tears_down_immediately() {
     assert!(has_closed(&p.events(true)));
 }
 
+/// A pipe whose `b` side has seen `a`'s FIN: `b` is in `CloseWait` and
+/// has announced `Closed` once, and its events are drained.
+fn close_wait_pipe() -> Pipe {
+    let mut p = Pipe::new(TcpConfig::default());
+    p.run();
+    let _ = (p.events(true), p.events(false));
+    p.a.app_close(p.now);
+    p.run();
+    assert_eq!(p.b.state(), ConnState::CloseWait);
+    let closed = p.events(false);
+    assert_eq!(
+        closed
+            .iter()
+            .filter(|e| matches!(e, ConnEvent::Closed))
+            .count(),
+        1
+    );
+    p
+}
+
+#[test]
+fn rst_in_close_wait_does_not_announce_closed_again() {
+    let mut p = close_wait_pipe();
+    let rst = TcpHeader {
+        src_port: A.1,
+        dst_port: B.1,
+        seq: 0,
+        ack: 0,
+        flags: netpkt::TcpFlags::RST,
+        window: 0,
+    };
+    p.b.on_segment(p.now, &rst, bytes::Bytes::new());
+    assert!(p.b.is_closed());
+    assert!(!has_closed(&p.events(false)), "Closed announced twice");
+}
+
+#[test]
+fn abort_in_close_wait_does_not_announce_closed_again() {
+    let mut p = close_wait_pipe();
+    // b still sends, and the peer never answers again.
+    p.b.app_send(p.now, b"unanswered");
+    let mut now = p.now;
+    for _ in 0..12 {
+        let _ = take_segments(&mut p.b);
+        now += Duration::from_secs(1);
+        p.b.on_rto(now);
+        if p.b.is_closed() {
+            break;
+        }
+    }
+    assert!(p.b.is_closed(), "connection never aborted");
+    assert!(!has_closed(&p.events(false)), "Closed announced twice");
+}
+
 #[test]
 fn lost_data_recovers_via_rto() {
     let mut p = Pipe::new(TcpConfig::default());

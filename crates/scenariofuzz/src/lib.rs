@@ -41,4 +41,4 @@ pub mod scenario;
 pub use minimize::{minimize, minimize_with};
 pub use report::{campaign_json, SeedResult, SCHEMA};
 pub use runner::{check, run_once, Outcome, RunSummary, Violation};
-pub use scenario::{BackendSpec, FaultSpec, Injection, Scenario};
+pub use scenario::{BackendSpec, FaultMode, FaultSpec, Injection, Scenario};

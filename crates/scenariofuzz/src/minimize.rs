@@ -15,7 +15,7 @@
 //! runner.
 
 use crate::runner::check;
-use crate::scenario::{FaultSpec, Scenario};
+use crate::scenario::Scenario;
 
 /// Floor for the shrunken horizon: long enough for the health machinery
 /// (300 ms detection + probation) to act at all.
@@ -99,8 +99,7 @@ fn candidates(sc: &Scenario) -> Vec<Scenario> {
         let keep = (sc.backends.len() / 2).max(2);
         let mut c = sc.clone();
         c.backends.truncate(keep);
-        let lbs = c.lbs;
-        retain_in_range(&mut c, lbs, keep as u32);
+        retain_in_range(&mut c);
         out.push(c);
     }
     // Halve the LB tier (keep at least one), dropping faults on removed
@@ -113,8 +112,7 @@ fn candidates(sc: &Scenario) -> Vec<Scenario> {
             c.gossip_period_ms = 0;
             c.gossip_mix_pct = 0;
         }
-        let backends = c.backends.len() as u32;
-        retain_in_range(&mut c, keep, backends);
+        retain_in_range(&mut c);
         out.push(c);
     }
     // Halve the client load (keep at least two connections).
@@ -141,7 +139,7 @@ fn candidates(sc: &Scenario) -> Vec<Scenario> {
         let mut c = sc.clone();
         c.duration_ms = sc.duration_ms / 2;
         let horizon = c.duration_ms;
-        c.faults.retain(|f| fault_start(f) < horizon);
+        c.faults.retain(|f| f.from_ms < horizon);
         c.injections.retain(|inj| inj.at_ms < horizon);
         out.push(c);
     }
@@ -149,29 +147,19 @@ fn candidates(sc: &Scenario) -> Vec<Scenario> {
     out
 }
 
-fn fault_start(f: &FaultSpec) -> u32 {
-    match *f {
-        FaultSpec::Crash { down_ms, .. } | FaultSpec::Flap { down_ms, .. } => down_ms,
-        FaultSpec::Impair { from_ms, .. } => from_ms,
-    }
-}
-
 /// Drops faults and injections whose LB or backend index fell out of
 /// range after a topology cut.
-fn retain_in_range(sc: &mut Scenario, lbs: u32, backends: u32) {
-    sc.faults.retain(|f| match *f {
-        FaultSpec::Crash { backend, .. } => backend < backends,
-        FaultSpec::Flap { lb, backend, .. } | FaultSpec::Impair { lb, backend, .. } => {
-            lb < lbs && backend < backends
-        }
-    });
+fn retain_in_range(sc: &mut Scenario) {
+    let (lbs, backends) = (sc.lbs, sc.backends.len() as u32);
+    sc.faults
+        .retain(|f| f.backend < backends && f.mode.lb().into_iter().all(|lb| lb < lbs));
     sc.injections.retain(|inj| inj.backend < backends);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Injection;
+    use crate::scenario::{FaultMode, FaultSpec, Injection};
 
     /// A busy scenario to shrink from.
     fn busy() -> Scenario {
@@ -191,16 +179,17 @@ mod tests {
         sc.gossip_period_ms = 50;
         sc.gossip_mix_pct = 40;
         sc.faults = vec![
-            FaultSpec::Crash {
+            FaultSpec {
                 backend: 0,
-                down_ms: 300,
-                up_ms: 700,
+                from_ms: 300,
+                until_ms: 700,
+                mode: FaultMode::Crash,
             },
-            FaultSpec::Flap {
-                lb: 3,
+            FaultSpec {
                 backend: 4,
-                down_ms: 400,
-                up_ms: 600,
+                from_ms: 400,
+                until_ms: 600,
+                mode: FaultMode::Flap { lb: 3 },
             },
         ];
         sc.injections = vec![Injection {
@@ -239,7 +228,7 @@ mod tests {
         let needs_crash = |c: &Scenario| {
             c.faults
                 .iter()
-                .any(|f| matches!(f, FaultSpec::Crash { backend: 0, .. }))
+                .any(|f| f.backend == 0 && matches!(f.mode, FaultMode::Crash))
         };
         let min = minimize_with(&busy(), needs_crash);
         assert!(needs_crash(&min), "minimizer lost the reproducing fault");
@@ -273,10 +262,11 @@ mod tests {
     fn horizon_cut_drops_late_faults() {
         let mut sc = busy();
         sc.duration_ms = 1600;
-        sc.faults.push(FaultSpec::Crash {
+        sc.faults.push(FaultSpec {
             backend: 1,
-            down_ms: 1500,
-            up_ms: 1900,
+            from_ms: 1500,
+            until_ms: 1900,
+            mode: FaultMode::Crash,
         });
         sc.validate().unwrap();
         // Only accept horizon cuts (reject everything that still has a
@@ -284,7 +274,7 @@ mod tests {
         // with the horizon.
         let min = minimize_with(&sc, |c| c.duration_ms <= 800);
         assert!(min.duration_ms <= 800);
-        assert!(min.faults.iter().all(|f| fault_start(f) < min.duration_ms));
+        assert!(min.faults.iter().all(|f| f.from_ms < min.duration_ms));
         min.validate().unwrap();
     }
 }

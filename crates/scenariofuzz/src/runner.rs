@@ -44,7 +44,7 @@ use telemetry::span::{assemble, critical_path, sort_records, CriticalPath};
 use telemetry::{fnv1a, JournalEvent, JournalMode, SpanMode, FNV_OFFSET, SIM_FNV_PRIME};
 use workload::MemtierConfig;
 
-use crate::scenario::{FaultSpec, Scenario};
+use crate::scenario::{FaultMode, Scenario};
 
 /// Trace capacity for fuzz runs: ~4M events covers a 4-LB scenario at
 /// the longest generated horizon with margin; overflow is a `harness`
@@ -177,27 +177,12 @@ pub fn kv_scenario(sc: &Scenario) -> (KvClusterConfig, Timeline) {
         .faults
         .iter()
         .map(|f| {
-            let (kind, from, until) = match *f {
-                FaultSpec::Crash {
-                    backend,
-                    down_ms,
-                    up_ms,
-                } => (FaultKind::Crash(backend as usize), down_ms, up_ms),
-                FaultSpec::Flap {
+            let backend = f.backend as usize;
+            let kind = match f.mode {
+                FaultMode::Crash => FaultKind::Crash(backend),
+                FaultMode::Flap { lb } => FaultKind::Flap(lb as usize, backend),
+                FaultMode::Impair {
                     lb,
-                    backend,
-                    down_ms,
-                    up_ms,
-                } => (
-                    FaultKind::Flap(lb as usize, backend as usize),
-                    down_ms,
-                    up_ms,
-                ),
-                FaultSpec::Impair {
-                    lb,
-                    backend,
-                    from_ms,
-                    until_ms,
                     corrupt_pm,
                     duplicate_pm,
                     reorder_pm,
@@ -211,14 +196,13 @@ pub fn kv_scenario(sc: &Scenario) -> (KvClusterConfig, Timeline) {
                         reorder_window: Duration::from_micros(u64::from(window_us)),
                         seed,
                     };
-                    let kind = FaultKind::Impair(lb as usize, backend as usize, cfg);
-                    (kind, from_ms, until_ms)
+                    FaultKind::Impair(lb as usize, backend, cfg)
                 }
             };
             Fault {
                 kind,
-                from: ms(from),
-                until: ms(until),
+                from: ms(f.from_ms),
+                until: ms(f.until_ms),
             }
         })
         .collect();
@@ -246,7 +230,7 @@ pub fn kv_scenario(sc: &Scenario) -> (KvClusterConfig, Timeline) {
 /// Collects violations from a finished cluster, plus the run digest.
 fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Violation>) {
     let mut violations: Vec<Violation> = Vec::new();
-    let push = |violations: &mut Vec<Violation>, invariant: &'static str, detail: String| {
+    let mut push = |invariant: &'static str, detail: String| {
         let seen = violations
             .iter()
             .filter(|v| v.invariant == invariant)
@@ -264,7 +248,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
     // was dropped on the observability side.
     if trace.truncated > 0 {
         push(
-            &mut violations,
             "harness",
             format!("packet trace truncated ({} events lost)", trace.truncated),
         );
@@ -273,7 +256,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
         let ovf = node.journal().overflow();
         if ovf > 0 {
             push(
-                &mut violations,
                 "harness",
                 format!("LB {i} journal overflowed ({ovf} events lost)"),
             );
@@ -287,7 +269,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
             .count() as u64;
         if journaled != node.stats().samples {
             push(
-                &mut violations,
                 "harness",
                 format!(
                     "LB {i} journaled {journaled} samples but counted {}",
@@ -298,7 +279,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
     }
     if cluster.sim.spans().dropped() > 0 {
         push(
-            &mut violations,
             "harness",
             format!(
                 "span log dropped {} hop records",
@@ -325,7 +305,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
                 netsim::ecmp::pick(flow.stable_hash(), arms).expect("non-empty ECMP arm set");
             if owner != arms[i] {
                 push(
-                    &mut violations,
                     "shard_isolation",
                     format!("LB {i} learned from flow {flow:?} owned by another shard (t={at})"),
                 );
@@ -352,7 +331,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
                 let at = e.at.as_nanos();
                 if wins.iter().any(|&(lo, hi)| at > lo && at < hi) {
                     push(
-                        &mut violations,
                         "ejected_quiet",
                         format!("LB {i} sent to ejected backend {b} at t={at}"),
                     );
@@ -369,7 +347,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
                 let sum: f64 = weights.iter().sum();
                 if (sum - 1.0).abs() > 1e-6 {
                     push(
-                        &mut violations,
                         "weights_normalized",
                         format!("LB {i} journaled weights summing to {sum} at t={at}"),
                     );
@@ -380,7 +357,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
         let sum: f64 = w.as_slice().iter().sum();
         if (sum - 1.0).abs() > 1e-6 {
             push(
-                &mut violations,
                 "weights_normalized",
                 format!("LB {i} final weights sum to {sum}"),
             );
@@ -395,14 +371,12 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
                     if ejected(b) {
                         if wb.to_bits() != 0.0f64.to_bits() {
                             push(
-                                &mut violations,
                                 "weights_normalized",
                                 format!("LB {i} ejected backend {b} holds weight {wb}"),
                             );
                         }
                     } else if wb < w.floor() - 1e-9 {
                         push(
-                            &mut violations,
                             "weights_normalized",
                             format!("LB {i} backend {b} below floor: {wb} < {}", w.floor()),
                         );
@@ -424,7 +398,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         if last.as_deref().map(bits) != Some(bits(w.as_slice())) {
             push(
-                &mut violations,
                 "weights_committed",
                 format!(
                     "LB {i} ends at {:?} but last journaled {last:?}",
@@ -438,7 +411,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
             if !(0..n).all(ejected) && !w.ejected().iter().copied().eq((0..n).map(ejected)) {
                 let mask: Vec<bool> = (0..n).map(ejected).collect();
                 push(
-                    &mut violations,
                     "weights_committed",
                     format!(
                         "LB {i} weights carry mask {:?}, tracker says {mask:?}",
@@ -470,7 +442,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
                 .collect();
             if *replay != recorded {
                 push(
-                    &mut violations,
                     "journal_replay",
                     format!(
                         "LB {i} backend {b}: journal replays {} weight points, \
@@ -488,10 +459,8 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
     let mut span_records: Vec<_> = cluster.sim.spans().iter().collect();
     sort_records(&mut span_records);
     let span_digest = telemetry::span::digest(&span_records);
-    let paths: Vec<CriticalPath> = assemble(&span_records)
-        .iter()
-        .filter_map(critical_path)
-        .collect();
+    let spans = assemble(&span_records);
+    let paths: Vec<CriticalPath> = spans.iter().filter_map(critical_path).collect();
     // (a) Every journaled T_LB sample's flow has a matching span tree:
     // a request was issued (and traced) on that flow at or before the
     // sample fired. Not "completed" — the earliest samples are anchored
@@ -499,7 +468,7 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
     // response has reached the client.
     let mut first_issue: std::collections::BTreeMap<(u32, u16), u64> =
         std::collections::BTreeMap::new();
-    for span in assemble(&span_records) {
+    for span in &spans {
         if let Some(issue) = span.first(telemetry::span::HopKind::ClientIssue) {
             let (ip, port) = telemetry::span::unpack_addr(issue.a);
             let e = first_issue.entry((ip, port)).or_insert(issue.at);
@@ -520,7 +489,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
                     .is_some_and(|&t| t <= *at);
                 if !matched {
                     push(
-                        &mut violations,
                         "spans_consistent",
                         format!(
                             "LB {i} sample at t={at} for flow {src_ip:#010x}:{src_port} \
@@ -544,7 +512,6 @@ fn digest_and_check(cluster: &KvCluster, sc: &Scenario) -> (RunSummary, Vec<Viol
     from_recorders.sort_unstable();
     if from_spans != from_recorders {
         push(
-            &mut violations,
             "spans_consistent",
             format!(
                 "span-derived T_client multiset ({} paths) differs from the \

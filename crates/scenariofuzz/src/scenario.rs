@@ -7,6 +7,11 @@
 //! is byte-exact with no float-formatting concerns, and two builds of
 //! the same case file construct bit-identical simulations.
 
+use std::fmt::{Display, Write};
+use std::mem::discriminant;
+use std::num::ParseIntError;
+use std::str::FromStr;
+
 use experiments::topology::MAX_HOSTS;
 use netsim::rng::{derive_seed, SimRng};
 
@@ -16,7 +21,7 @@ use netsim::rng::{derive_seed, SimRng};
 const GEN_LABEL: u64 = 0xF022;
 
 /// One backend's service profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendSpec {
     /// Median service time (µs) of the log-normal service distribution.
     pub median_us: u32,
@@ -26,41 +31,37 @@ pub struct BackendSpec {
     pub workers: u32,
 }
 
-/// One scripted fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultSpec {
-    /// Crash the backend node at `down_ms`, restart it at `up_ms`.
-    Crash {
-        /// Backend index.
-        backend: u32,
-        /// Crash instant (ms).
-        down_ms: u32,
-        /// Restart instant (ms).
-        up_ms: u32,
-    },
-    /// Flap one LB's forwarding link to one backend (both directions
+/// One scripted fault: what it does to `backend` from `from_ms` until
+/// `until_ms`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultSpec {
+    /// Backend index.
+    pub backend: u32,
+    /// Fault start (ms): the crash, link-down or impairment instant.
+    pub from_ms: u32,
+    /// Fault end (ms), exclusive: the restart, link-up or impairment end.
+    pub until_ms: u32,
+    /// What the fault does.
+    pub mode: FaultMode,
+}
+
+/// What a [`FaultSpec`] does to its backend.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum FaultMode {
+    /// Crash the backend node, restart it at the window's end.
+    #[default]
+    Crash,
+    /// Flap one LB's forwarding link to the backend (both directions
     /// drop while down).
     Flap {
         /// LB index.
         lb: u32,
-        /// Backend index.
-        backend: u32,
-        /// Link-down instant (ms).
-        down_ms: u32,
-        /// Link-up instant (ms).
-        up_ms: u32,
     },
     /// Stochastically impair the LB→backend direction of one forwarding
     /// link (corrupt/duplicate/reorder, probabilities in per-mille).
     Impair {
         /// LB index.
         lb: u32,
-        /// Backend index.
-        backend: u32,
-        /// Impairment start (ms).
-        from_ms: u32,
-        /// Impairment end (ms).
-        until_ms: u32,
         /// Corruption probability (per-mille).
         corrupt_pm: u32,
         /// Duplication probability (per-mille).
@@ -74,9 +75,37 @@ pub enum FaultSpec {
     },
 }
 
+impl FaultMode {
+    /// Each kind's case-file name and the blank a reader fills in.
+    const KINDS: [(&'static str, FaultMode); 3] = [
+        ("crash", FaultMode::Crash),
+        ("flap", FaultMode::Flap { lb: 0 }),
+        (
+            "impair",
+            FaultMode::Impair {
+                lb: 0,
+                corrupt_pm: 0,
+                duplicate_pm: 0,
+                reorder_pm: 0,
+                window_us: 0,
+                seed: 0,
+            },
+        ),
+    ];
+
+    /// The LB whose forwarding link the fault acts on; `None` for a
+    /// fault on the backend node itself.
+    pub fn lb(&self) -> Option<u32> {
+        match *self {
+            FaultMode::Crash => None,
+            FaultMode::Flap { lb } | FaultMode::Impair { lb, .. } => Some(lb),
+        }
+    }
+}
+
 /// One scheduled latency injection: `extra_us` added to every LB's
 /// forwarding path to `backend` from `at_ms` on (the Fig. 3 event).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Injection {
     /// Backend index.
     pub backend: u32,
@@ -87,8 +116,9 @@ pub struct Injection {
 }
 
 /// A complete generated scenario: topology, workload mix, controller
-/// and gossip config, fault schedule, and injections.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// and gossip config, fault schedule, and injections. `default()` is the
+/// blank a case file is read into, not a valid scenario.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Scenario {
     /// Root simulation seed (drives host/client/server RNG streams).
     pub seed: u64,
@@ -160,7 +190,7 @@ impl Scenario {
         let mut crashed: Vec<u32> = Vec::new();
         let n_faults = rng.gen_range(0..=3u32);
         for _ in 0..n_faults {
-            match rng.gen_range(0..3u32) {
+            let (backend, from_ms, until_ms, mode) = match rng.gen_range(0..3u32) {
                 0 => {
                     if crashed.len() + 1 >= n_backends as usize {
                         continue;
@@ -170,44 +200,39 @@ impl Scenario {
                         continue;
                     }
                     crashed.push(backend);
-                    let down_ms = rng.gen_range(250..=duration_ms * 2 / 5);
-                    let up_ms = down_ms + rng.gen_range(200..=600u32);
-                    faults.push(FaultSpec::Crash {
-                        backend,
-                        down_ms,
-                        up_ms,
-                    });
+                    let from_ms = rng.gen_range(250..=duration_ms * 2 / 5);
+                    let until_ms = from_ms + rng.gen_range(200..=600u32);
+                    (backend, from_ms, until_ms, FaultMode::Crash)
                 }
                 1 => {
                     let lb = rng.gen_range(0..lbs);
                     let backend = rng.gen_range(0..n_backends);
-                    let down_ms = rng.gen_range(200..=duration_ms / 2);
-                    let up_ms = down_ms + rng.gen_range(100..=400u32);
-                    faults.push(FaultSpec::Flap {
-                        lb,
-                        backend,
-                        down_ms,
-                        up_ms,
-                    });
+                    let from_ms = rng.gen_range(200..=duration_ms / 2);
+                    let until_ms = from_ms + rng.gen_range(100..=400u32);
+                    (backend, from_ms, until_ms, FaultMode::Flap { lb })
                 }
                 _ => {
                     let lb = rng.gen_range(0..lbs);
                     let backend = rng.gen_range(0..n_backends);
                     let from_ms = rng.gen_range(200..=duration_ms / 2);
                     let until_ms = from_ms + rng.gen_range(200..=600u32);
-                    faults.push(FaultSpec::Impair {
+                    let mode = FaultMode::Impair {
                         lb,
-                        backend,
-                        from_ms,
-                        until_ms,
                         corrupt_pm: rng.gen_range(0..=20u32),
                         duplicate_pm: rng.gen_range(0..=20u32),
                         reorder_pm: rng.gen_range(0..=50u32),
                         window_us: rng.gen_range(50..=400u32),
                         seed: rng.next_u64(),
-                    });
+                    };
+                    (backend, from_ms, until_ms, mode)
                 }
-            }
+            };
+            faults.push(FaultSpec {
+                backend,
+                from_ms,
+                until_ms,
+                mode,
+            });
         }
 
         let n_inject = rng.gen_range(0..=2u32);
@@ -237,95 +262,47 @@ impl Scenario {
         }
     }
 
+    /// The case-file schema: every scalar with its wire key and the
+    /// default a case file that omits it gets, then the backend, fault
+    /// and injection lines, in the order [`Scenario::to_text`] writes
+    /// them. Both the writer and the reader drive this one walk.
+    fn walk<S: Schema>(&mut self, s: &mut S) -> Result<(), String> {
+        s.scalar("seed", &mut self.seed, 0)?;
+        s.scalar("lbs", &mut self.lbs, 1)?;
+        s.scalar("connections", &mut self.connections, 8)?;
+        s.scalar("pipeline", &mut self.pipeline, 1)?;
+        s.scalar("get_ratio_pct", &mut self.get_ratio_pct, 50)?;
+        s.scalar("value_len", &mut self.value_len, 64)?;
+        s.scalar("requests_per_conn", &mut self.requests_per_conn, 200)?;
+        s.scalar("duration_ms", &mut self.duration_ms, 1000)?;
+        s.scalar("gossip_period_ms", &mut self.gossip_period_ms, 0)?;
+        s.scalar("gossip_mix_pct", &mut self.gossip_mix_pct, 0)?;
+        s.scalar("probation_ms", &mut self.probation_ms, 2500)?;
+        s.list("backend", &mut self.backends)?;
+        s.list("fault", &mut self.faults)?;
+        s.list("inject", &mut self.injections)
+    }
+
     /// Serializes the scenario as the committed case-file format: one
     /// `key = value` line per scalar, one line per backend/fault/
     /// injection, `#` comments allowed. Round-trips exactly through
     /// [`Scenario::from_text`].
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# scenariofuzz case v1\n");
-        out.push_str(&format!("seed = {}\n", self.seed));
-        out.push_str(&format!("lbs = {}\n", self.lbs));
-        out.push_str(&format!("connections = {}\n", self.connections));
-        out.push_str(&format!("pipeline = {}\n", self.pipeline));
-        out.push_str(&format!("get_ratio_pct = {}\n", self.get_ratio_pct));
-        out.push_str(&format!("value_len = {}\n", self.value_len));
-        out.push_str(&format!("requests_per_conn = {}\n", self.requests_per_conn));
-        out.push_str(&format!("duration_ms = {}\n", self.duration_ms));
-        out.push_str(&format!("gossip_period_ms = {}\n", self.gossip_period_ms));
-        out.push_str(&format!("gossip_mix_pct = {}\n", self.gossip_mix_pct));
-        out.push_str(&format!("probation_ms = {}\n", self.probation_ms));
-        for b in &self.backends {
-            out.push_str(&format!(
-                "backend = median_us={} sigma_pct={} workers={}\n",
-                b.median_us, b.sigma_pct, b.workers
-            ));
-        }
-        for f in &self.faults {
-            match *f {
-                FaultSpec::Crash {
-                    backend,
-                    down_ms,
-                    up_ms,
-                } => out.push_str(&format!(
-                    "fault = crash backend={backend} down_ms={down_ms} up_ms={up_ms}\n"
-                )),
-                FaultSpec::Flap {
-                    lb,
-                    backend,
-                    down_ms,
-                    up_ms,
-                } => out.push_str(&format!(
-                    "fault = flap lb={lb} backend={backend} down_ms={down_ms} up_ms={up_ms}\n"
-                )),
-                FaultSpec::Impair {
-                    lb,
-                    backend,
-                    from_ms,
-                    until_ms,
-                    corrupt_pm,
-                    duplicate_pm,
-                    reorder_pm,
-                    window_us,
-                    seed,
-                } => out.push_str(&format!(
-                    "fault = impair lb={lb} backend={backend} from_ms={from_ms} \
-                     until_ms={until_ms} corrupt_pm={corrupt_pm} duplicate_pm={duplicate_pm} \
-                     reorder_pm={reorder_pm} window_us={window_us} seed={seed}\n"
-                )),
-            }
-        }
-        for inj in &self.injections {
-            out.push_str(&format!(
-                "inject = backend={} at_ms={} extra_us={}\n",
-                inj.backend, inj.at_ms, inj.extra_us
-            ));
-        }
+        let mut out = String::from("# scenariofuzz case v1\n");
+        // Writing cannot fail.
+        let _ = self.clone().walk(&mut out);
         out
     }
 
     /// Parses the case-file format written by [`Scenario::to_text`].
     /// Blank lines and `#` comments are skipped; unknown keys and fields,
     /// a scalar key or a line's field given twice, malformed lines, and
-    /// structurally invalid scenarios are errors.
+    /// structurally invalid scenarios are errors. A line's fields may
+    /// come in any order; an absent scalar takes its default.
     pub fn from_text(text: &str) -> Result<Scenario, String> {
-        let mut sc = Scenario {
-            seed: 0,
-            lbs: 1,
-            backends: Vec::new(),
-            connections: 8,
-            pipeline: 1,
-            get_ratio_pct: 50,
-            value_len: 64,
-            requests_per_conn: 200,
-            duration_ms: 1000,
-            gossip_period_ms: 0,
-            gossip_mix_pct: 0,
-            probation_ms: 2500,
-            faults: Vec::new(),
-            injections: Vec::new(),
-        };
-        let mut scalars_seen: Vec<&str> = Vec::new();
+        let mut sc = Scenario::default();
+        let mut reader = Reader::default();
+        sc.walk(&mut reader)?;
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -335,75 +312,12 @@ impl Scenario {
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| at("expected `key = value`".into()))?;
-            let (key, value) = (key.trim(), value.trim());
-            if !matches!(key, "backend" | "fault" | "inject") {
-                if scalars_seen.contains(&key) {
-                    return Err(at(format!("{key:?} given twice")));
-                }
-                scalars_seen.push(key);
-            }
-            match key {
-                "seed" => sc.seed = parse_u64(value).map_err(at)?,
-                "lbs" => sc.lbs = parse_u32(value).map_err(at)?,
-                "connections" => sc.connections = parse_u32(value).map_err(at)?,
-                "pipeline" => sc.pipeline = parse_u32(value).map_err(at)?,
-                "get_ratio_pct" => sc.get_ratio_pct = parse_u32(value).map_err(at)?,
-                "value_len" => sc.value_len = parse_u32(value).map_err(at)?,
-                "requests_per_conn" => sc.requests_per_conn = parse_u32(value).map_err(at)?,
-                "duration_ms" => sc.duration_ms = parse_u32(value).map_err(at)?,
-                "gossip_period_ms" => sc.gossip_period_ms = parse_u32(value).map_err(at)?,
-                "gossip_mix_pct" => sc.gossip_mix_pct = parse_u32(value).map_err(at)?,
-                "probation_ms" => sc.probation_ms = parse_u32(value).map_err(at)?,
-                "backend" => {
-                    let mut kv = KvList::parse(value).map_err(at)?;
-                    sc.backends.push(BackendSpec {
-                        median_us: kv.u32("median_us").map_err(at)?,
-                        sigma_pct: kv.u32("sigma_pct").map_err(at)?,
-                        workers: kv.u32("workers").map_err(at)?,
-                    });
-                    kv.finish().map_err(at)?;
-                }
-                "fault" => {
-                    let (kind, rest) = value.split_once(' ').unwrap_or((value, ""));
-                    let mut kv = KvList::parse(rest).map_err(at)?;
-                    let fault = match kind {
-                        "crash" => FaultSpec::Crash {
-                            backend: kv.u32("backend").map_err(at)?,
-                            down_ms: kv.u32("down_ms").map_err(at)?,
-                            up_ms: kv.u32("up_ms").map_err(at)?,
-                        },
-                        "flap" => FaultSpec::Flap {
-                            lb: kv.u32("lb").map_err(at)?,
-                            backend: kv.u32("backend").map_err(at)?,
-                            down_ms: kv.u32("down_ms").map_err(at)?,
-                            up_ms: kv.u32("up_ms").map_err(at)?,
-                        },
-                        "impair" => FaultSpec::Impair {
-                            lb: kv.u32("lb").map_err(at)?,
-                            backend: kv.u32("backend").map_err(at)?,
-                            from_ms: kv.u32("from_ms").map_err(at)?,
-                            until_ms: kv.u32("until_ms").map_err(at)?,
-                            corrupt_pm: kv.u32("corrupt_pm").map_err(at)?,
-                            duplicate_pm: kv.u32("duplicate_pm").map_err(at)?,
-                            reorder_pm: kv.u32("reorder_pm").map_err(at)?,
-                            window_us: kv.u32("window_us").map_err(at)?,
-                            seed: kv.u64("seed").map_err(at)?,
-                        },
-                        other => return Err(at(format!("unknown fault kind {other:?}"))),
-                    };
-                    kv.finish().map_err(at)?;
-                    sc.faults.push(fault);
-                }
-                "inject" => {
-                    let mut kv = KvList::parse(value).map_err(at)?;
-                    sc.injections.push(Injection {
-                        backend: kv.u32("backend").map_err(at)?,
-                        at_ms: kv.u32("at_ms").map_err(at)?,
-                        extra_us: kv.u32("extra_us").map_err(at)?,
-                    });
-                    kv.finish().map_err(at)?;
-                }
-                other => return Err(at(format!("unknown key {other:?}"))),
+            let key = key.trim();
+            reader.line = Some((key, value.trim()));
+            reader.found = false;
+            sc.walk(&mut reader).map_err(at)?;
+            if !reader.found {
+                return Err(at(format!("unknown key {key:?}")));
             }
         }
         sc.validate()?;
@@ -440,32 +354,13 @@ impl Scenario {
         }
         let n = self.backends.len() as u32;
         for f in &self.faults {
-            let (lb, backend, lo, hi) = match *f {
-                FaultSpec::Crash {
-                    backend,
-                    down_ms,
-                    up_ms,
-                } => (0, backend, down_ms, up_ms),
-                FaultSpec::Flap {
-                    lb,
-                    backend,
-                    down_ms,
-                    up_ms,
-                } => (lb, backend, down_ms, up_ms),
-                FaultSpec::Impair {
-                    lb,
-                    backend,
-                    from_ms,
-                    until_ms,
-                    ..
-                } => (lb, backend, from_ms, until_ms),
-            };
-            if lb >= self.lbs {
+            if let Some(lb) = f.mode.lb().filter(|&lb| lb >= self.lbs) {
                 return Err(format!("fault references LB {lb} of {}", self.lbs));
             }
-            if backend >= n {
-                return Err(format!("fault references backend {backend} of {n}"));
+            if f.backend >= n {
+                return Err(format!("fault references backend {} of {n}", f.backend));
             }
+            let (lo, hi) = (f.from_ms, f.until_ms);
             if lo >= hi {
                 return Err(format!("fault window [{lo}, {hi}) ms is empty"));
             }
@@ -482,61 +377,210 @@ impl Scenario {
     }
 }
 
-fn parse_u64(s: &str) -> Result<u64, String> {
-    s.parse::<u64>()
-        .map_err(|e| format!("bad integer {s:?}: {e}"))
+/// An integer field: every case-file value is one.
+trait Int: Copy + Display + FromStr<Err = ParseIntError> {}
+
+impl Int for u32 {}
+impl Int for u64 {}
+
+fn parse<N: Int>(s: &str) -> Result<N, String> {
+    s.parse().map_err(|e| format!("bad integer {s:?}: {e}"))
 }
 
-fn parse_u32(s: &str) -> Result<u32, String> {
-    s.parse::<u32>()
-        .map_err(|e| format!("bad integer {s:?}: {e}"))
+/// What [`Scenario::walk`] hands each scalar and list, and a
+/// [`Line::walk`] its kind and each of its fields.
+trait Schema {
+    /// The scalar under `key`, and its value when a case file omits it.
+    fn scalar<N: Int>(&mut self, key: &'static str, v: &mut N, default: N) -> Result<(), String>;
+    /// The list written one `key = ...` line per element.
+    fn list<L: Line>(&mut self, key: &'static str, v: &mut Vec<L>) -> Result<(), String>;
+    /// A line's kind: `v`, by its name in `kinds`.
+    fn kind<K: Copy>(&mut self, kinds: &[(&'static str, K)], v: &mut K) -> Result<(), String>;
+    /// A line's field under `key`.
+    fn field<N: Int>(&mut self, key: &'static str, v: &mut N) -> Result<(), String>;
 }
 
-/// A `k=v k=v ...` list on one line. Each field is taken once, by
-/// name; a field given twice, or one nobody takes ([`KvList::finish`]),
-/// is an error, so a typo cannot replay as the default.
-struct KvList<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
+/// One element of a list: a line of `k=v` fields, after a kind name
+/// for a type with kinds.
+trait Line: Default {
+    /// Lists the line's fields in the order they are written.
+    fn walk<S: Schema>(&mut self, s: &mut S) -> Result<(), String>;
 }
 
-impl<'a> KvList<'a> {
-    fn parse(s: &'a str) -> Result<KvList<'a>, String> {
-        let mut pairs: Vec<(&str, &str)> = Vec::new();
-        for tok in s.split_whitespace() {
-            let (k, v) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("expected k=v, got {tok:?}"))?;
-            if pairs.iter().any(|&(seen, _)| seen == k) {
-                return Err(format!("field {k:?} given twice"));
-            }
-            pairs.push((k, v));
+impl Line for BackendSpec {
+    fn walk<S: Schema>(&mut self, s: &mut S) -> Result<(), String> {
+        s.field("median_us", &mut self.median_us)?;
+        s.field("sigma_pct", &mut self.sigma_pct)?;
+        s.field("workers", &mut self.workers)
+    }
+}
+
+impl Line for FaultSpec {
+    fn walk<S: Schema>(&mut self, s: &mut S) -> Result<(), String> {
+        use FaultMode::{Flap, Impair};
+        s.kind(&FaultMode::KINDS, &mut self.mode)?;
+        if let Flap { lb } | Impair { lb, .. } = &mut self.mode {
+            s.field("lb", lb)?;
         }
-        Ok(KvList { pairs })
+        s.field("backend", &mut self.backend)?;
+        let [from, until] = match self.mode {
+            Impair { .. } => ["from_ms", "until_ms"],
+            _ => ["down_ms", "up_ms"],
+        };
+        s.field(from, &mut self.from_ms)?;
+        s.field(until, &mut self.until_ms)?;
+        if let Impair {
+            corrupt_pm,
+            duplicate_pm,
+            reorder_pm,
+            window_us,
+            seed,
+            ..
+        } = &mut self.mode
+        {
+            s.field("corrupt_pm", corrupt_pm)?;
+            s.field("duplicate_pm", duplicate_pm)?;
+            s.field("reorder_pm", reorder_pm)?;
+            s.field("window_us", window_us)?;
+            s.field("seed", seed)?;
+        }
+        Ok(())
+    }
+}
+
+impl Line for Injection {
+    fn walk<S: Schema>(&mut self, s: &mut S) -> Result<(), String> {
+        s.field("backend", &mut self.backend)?;
+        s.field("at_ms", &mut self.at_ms)?;
+        s.field("extra_us", &mut self.extra_us)
+    }
+}
+
+/// The writer: `key = value` per scalar, `key = [kind ]k=v k=v ...` per
+/// list element.
+impl Schema for String {
+    fn scalar<N: Int>(&mut self, key: &'static str, v: &mut N, _: N) -> Result<(), String> {
+        let _ = writeln!(self, "{key} = {v}");
+        Ok(())
     }
 
-    fn take(&mut self, key: &str) -> Result<&'a str, String> {
-        let i = self
-            .pairs
+    fn list<L: Line>(&mut self, key: &'static str, v: &mut Vec<L>) -> Result<(), String> {
+        for item in v {
+            self.push_str(key);
+            self.push_str(" =");
+            item.walk(self)?;
+            self.push('\n');
+        }
+        Ok(())
+    }
+
+    fn kind<K: Copy>(&mut self, kinds: &[(&'static str, K)], v: &mut K) -> Result<(), String> {
+        let is = |&&(_, k): &&(&str, K)| discriminant(&k) == discriminant(v);
+        if let Some((name, _)) = kinds.iter().find(is) {
+            self.push(' ');
+            self.push_str(name);
+        }
+        Ok(())
+    }
+
+    fn field<N: Int>(&mut self, key: &'static str, v: &mut N) -> Result<(), String> {
+        let _ = write!(self, " {key}={v}");
+        Ok(())
+    }
+}
+
+/// The reader: with no line, sets every scalar to its default; with
+/// one, reads it into the scalar or list the walk names by its key. A
+/// list line's fields are taken once each, by name, in any order; a
+/// field given twice, or one nobody takes, is an error, so a typo
+/// cannot replay as the default.
+#[derive(Default)]
+struct Reader<'a> {
+    /// The `key = value` line being read.
+    line: Option<(&'a str, &'a str)>,
+    /// Scalar keys read so far: one given twice is an error.
+    seen: Vec<&'static str>,
+    /// Some scalar or list took `line`.
+    found: bool,
+    /// A list line's text not yet split into fields: a kind comes first.
+    text: &'a str,
+    /// A list line's fields not yet taken, once split.
+    pairs: Option<Vec<(&'a str, &'a str)>>,
+}
+
+impl<'a> Reader<'a> {
+    fn pairs(&mut self) -> Result<&mut Vec<(&'a str, &'a str)>, String> {
+        if self.pairs.is_none() {
+            let mut pairs: Vec<(&str, &str)> = Vec::new();
+            for tok in self.text.split_whitespace() {
+                let (k, v) = tok
+                    .split_once('=')
+                    .ok_or_else(|| format!("expected k=v, got {tok:?}"))?;
+                if pairs.iter().any(|&(seen, _)| seen == k) {
+                    return Err(format!("field {k:?} given twice"));
+                }
+                pairs.push((k, v));
+            }
+            self.pairs = Some(pairs);
+        }
+        Ok(self.pairs.get_or_insert_with(Vec::new))
+    }
+}
+
+impl Schema for Reader<'_> {
+    fn scalar<N: Int>(&mut self, key: &'static str, v: &mut N, default: N) -> Result<(), String> {
+        match self.line {
+            None => *v = default,
+            Some((k, value)) if k == key => {
+                if self.seen.contains(&key) {
+                    return Err(format!("{key:?} given twice"));
+                }
+                self.seen.push(key);
+                *v = parse(value)?;
+                self.found = true;
+            }
+            Some(_) => {}
+        }
+        Ok(())
+    }
+
+    fn list<L: Line>(&mut self, key: &'static str, v: &mut Vec<L>) -> Result<(), String> {
+        let Some((_, value)) = self.line.filter(|&(k, _)| k == key) else {
+            return Ok(());
+        };
+        (self.text, self.pairs) = (value, None);
+        let mut item = L::default();
+        item.walk(self)?;
+        if let Some((k, _)) = self.pairs()?.first() {
+            return Err(format!("unknown field {k:?}"));
+        }
+        v.push(item);
+        self.found = true;
+        Ok(())
+    }
+
+    fn kind<K: Copy>(&mut self, kinds: &[(&'static str, K)], v: &mut K) -> Result<(), String> {
+        let (name, rest) = self.text.split_once(' ').unwrap_or((self.text, ""));
+        self.text = rest;
+        // A malformed field is reported before an unknown kind.
+        self.pairs()?;
+        let key = self.line.unwrap_or_default().0;
+        let &(_, kind) = kinds
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .ok_or_else(|| format!("unknown {key} kind {name:?}"))?;
+        *v = kind;
+        Ok(())
+    }
+
+    fn field<N: Int>(&mut self, key: &'static str, v: &mut N) -> Result<(), String> {
+        let pairs = self.pairs()?;
+        let i = pairs
             .iter()
             .position(|&(k, _)| k == key)
             .ok_or_else(|| format!("missing field {key:?}"))?;
-        Ok(self.pairs.remove(i).1)
-    }
-
-    fn u32(&mut self, key: &str) -> Result<u32, String> {
-        parse_u32(self.take(key)?)
-    }
-
-    fn u64(&mut self, key: &str) -> Result<u64, String> {
-        parse_u64(self.take(key)?)
-    }
-
-    /// Every field was taken: none is unknown.
-    fn finish(self) -> Result<(), String> {
-        match self.pairs.first() {
-            Some((k, _)) => Err(format!("unknown field {k:?}")),
-            None => Ok(()),
-        }
+        *v = parse(pairs.remove(i).1)?;
+        Ok(())
     }
 }
 
@@ -573,22 +617,22 @@ mod tests {
         assert!(scs.iter().any(|s| s.lbs == 1), "no single-LB scenario");
         assert!(scs.iter().any(|s| s.gossip_period_ms > 0), "no gossip");
         assert!(
-            scs.iter().any(|s| s
-                .faults
-                .iter()
-                .any(|f| matches!(f, FaultSpec::Crash { .. }))),
+            scs.iter()
+                .any(|s| s.faults.iter().any(|f| matches!(f.mode, FaultMode::Crash))),
             "no crash fault"
         );
         assert!(
-            scs.iter()
-                .any(|s| s.faults.iter().any(|f| matches!(f, FaultSpec::Flap { .. }))),
+            scs.iter().any(|s| s
+                .faults
+                .iter()
+                .any(|f| matches!(f.mode, FaultMode::Flap { .. }))),
             "no flap fault"
         );
         assert!(
             scs.iter().any(|s| s
                 .faults
                 .iter()
-                .any(|f| matches!(f, FaultSpec::Impair { .. }))),
+                .any(|f| matches!(f.mode, FaultMode::Impair { .. }))),
             "no impairment fault"
         );
         assert!(scs.iter().any(|s| !s.injections.is_empty()), "no injection");
@@ -640,20 +684,96 @@ mod tests {
     }
 
     #[test]
+    fn line_fields_come_in_any_order_and_absent_scalars_take_their_defaults() {
+        let text = "\
+            backend = workers=2 sigma_pct=16 median_us=60\n\
+            backend = sigma_pct=30 median_us=80 workers=4\n\
+            fault = impair seed=7 window_us=100 reorder_pm=5 duplicate_pm=2 \
+                corrupt_pm=1 until_ms=600 from_ms=300 backend=1 lb=0\n\
+            fault = flap up_ms=500 backend=0 down_ms=400 lb=0\n\
+            fault = crash up_ms=900 down_ms=700 backend=1\n\
+            inject = extra_us=900 backend=1 at_ms=250\n";
+        let sc = Scenario::from_text(text).unwrap();
+        let want = Scenario {
+            seed: 0,
+            lbs: 1,
+            backends: vec![
+                BackendSpec {
+                    median_us: 60,
+                    sigma_pct: 16,
+                    workers: 2,
+                },
+                BackendSpec {
+                    median_us: 80,
+                    sigma_pct: 30,
+                    workers: 4,
+                },
+            ],
+            connections: 8,
+            pipeline: 1,
+            get_ratio_pct: 50,
+            value_len: 64,
+            requests_per_conn: 200,
+            duration_ms: 1000,
+            gossip_period_ms: 0,
+            gossip_mix_pct: 0,
+            probation_ms: 2500,
+            faults: vec![
+                FaultSpec {
+                    backend: 1,
+                    from_ms: 300,
+                    until_ms: 600,
+                    mode: FaultMode::Impair {
+                        lb: 0,
+                        corrupt_pm: 1,
+                        duplicate_pm: 2,
+                        reorder_pm: 5,
+                        window_us: 100,
+                        seed: 7,
+                    },
+                },
+                FaultSpec {
+                    backend: 0,
+                    from_ms: 400,
+                    until_ms: 500,
+                    mode: FaultMode::Flap { lb: 0 },
+                },
+                FaultSpec {
+                    backend: 1,
+                    from_ms: 700,
+                    until_ms: 900,
+                    mode: FaultMode::Crash,
+                },
+            ],
+            injections: vec![Injection {
+                backend: 1,
+                at_ms: 250,
+                extra_us: 900,
+            }],
+        };
+        assert_eq!(sc, want);
+        // A scalar given explicitly overrides its default, wherever its
+        // line falls.
+        let sc = Scenario::from_text(&format!("{text}lbs = 2\nseed = 5\n")).unwrap();
+        assert_eq!((sc.seed, sc.lbs), (5, 2));
+    }
+
+    #[test]
     fn validation_rejects_out_of_range_references() {
         let mut sc = Scenario::generate(0);
-        sc.faults = vec![FaultSpec::Crash {
+        sc.faults = vec![FaultSpec {
             backend: 99,
-            down_ms: 100,
-            up_ms: 200,
+            from_ms: 100,
+            until_ms: 200,
+            mode: FaultMode::Crash,
         }];
         assert!(sc.validate().is_err());
         let mut sc = Scenario::generate(0);
-        sc.faults = vec![FaultSpec::Flap {
-            lb: sc.lbs,
+        sc.faults = vec![FaultSpec {
             backend: 0,
-            down_ms: 100,
-            up_ms: 200,
+            from_ms: 100,
+            until_ms: 200,
+            mode: FaultMode::Flap { lb: sc.lbs },
         }];
         assert!(sc.validate().is_err());
         // Case files past the address plan (a 256th backend has no host

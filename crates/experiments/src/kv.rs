@@ -26,7 +26,7 @@ use netpkt::{FlowKey, MacAddr};
 use netsim::fault::{FaultSchedule, ImpairmentConfig};
 use netsim::router::Router;
 use netsim::{Duration, LinkConfig, LinkId, NodeId, Simulation, Time};
-use nettcp::{Host, HostConfig, TcpConfig};
+use nettcp::{Host, HostConfig};
 use telemetry::{BinnedSeries, LogHistogram, ScalarSeries, Table};
 use workload::{MemtierClient, MemtierConfig};
 
@@ -38,6 +38,19 @@ use crate::topology::{backend_ip, client_ip, CONTROL_IP, CONTROL_PORT, KV_PORT, 
 pub fn kv_flow_key(src_ip: u32, src_port: u16) -> FlowKey {
     FlowKey::new(Ipv4Addr::from(src_ip), src_port, VIP, KV_PORT)
 }
+
+/// Client access-link propagation delay (unless overridden per client;
+/// see [`KvClusterConfig::client_delay_overrides`]).
+const CLIENT_DELAY: Duration = Duration::from_micros(20);
+/// Router→LB arm propagation delay.
+const LB_DELAY: Duration = Duration::from_micros(10);
+/// Backend-link propagation delay.
+const BACKEND_DELAY: Duration = Duration::from_micros(20);
+/// Link rate of every hop but a congested bottleneck.
+const RATE_BPS: u64 = 10_000_000_000;
+/// Receive-path jitter on clients and backends.
+const HOST_JITTER: Option<(Duration, Duration)> =
+    Some((Duration::from_micros(2), Duration::from_micros(20)));
 
 /// Builds an LB's config from the backend address list.
 pub type LbFactory = Box<dyn Fn(Vec<Ipv4Addr>) -> LbConfig>;
@@ -76,22 +89,10 @@ pub struct KvClusterConfig {
     /// withdraws the dead LB from the VIP's ECMP set, re-hashing its
     /// flows onto the survivors (§2.5's LB-churn concern).
     pub lb_failure: Option<(Duration, usize)>,
-    /// Client access-link propagation delay.
-    pub client_delay: Duration,
     /// Per-client overrides of the access-link delay (index-aligned with
-    /// `clients`; `None` entries use `client_delay`). Models §5(1)'s
+    /// `clients`; `None` entries use the default 20 µs). Models §5(1)'s
     /// far, non-equidistant clients.
     pub client_delay_overrides: Vec<Option<Duration>>,
-    /// LB arm propagation delay.
-    pub lb_delay: Duration,
-    /// Backend-link propagation delay.
-    pub backend_delay: Duration,
-    /// Link rate for every hop.
-    pub rate_bps: u64,
-    /// Receive-path jitter applied to clients and backends.
-    pub host_jitter: Option<(Duration, Duration)>,
-    /// Client transport parameters.
-    pub client_tcp: TcpConfig,
     /// Optional network-path congestion on one backend (§2.1).
     pub congestion: Option<CongestionConfig>,
     /// When set, every backend runs an out-of-band reporting agent with
@@ -131,13 +132,7 @@ impl KvClusterConfig {
             lb: Box::new(lb),
             lbs: 1,
             lb_failure: None,
-            client_delay: Duration::from_micros(20),
             client_delay_overrides: Vec::new(),
-            lb_delay: Duration::from_micros(10),
-            backend_delay: Duration::from_micros(20),
-            rate_bps: 10_000_000_000,
-            host_jitter: Some((Duration::from_micros(2), Duration::from_micros(20))),
-            client_tcp: TcpConfig::default(),
             congestion: None,
             oob_report_period: None,
             seed: 42,
@@ -234,8 +229,7 @@ impl KvCluster {
             cfg.congestion.is_none() || num_lbs == 1,
             "congestion scenarios support a single LB"
         );
-        let rate = cfg.rate_bps;
-        let link = |delay| LinkConfig::new(rate, delay, 1 << 20);
+        let link = |delay| LinkConfig::new(RATE_BPS, delay, 1 << 20);
         let mut lb_ids = Vec::with_capacity(num_lbs);
         let mut lb_arms = Vec::with_capacity(num_lbs);
         for i in 0..num_lbs {
@@ -244,7 +238,7 @@ impl KvCluster {
             } else {
                 format!("lb-{i}")
             });
-            lb_arms.push(sim.add_link(router_id, lb_id, link(cfg.lb_delay)));
+            lb_arms.push(sim.add_link(router_id, lb_id, link(LB_DELAY)));
             lb_ids.push(lb_id);
         }
         let lb_id = lb_ids[0];
@@ -281,7 +275,7 @@ impl KvCluster {
                 let bottleneck = sim.add_link(
                     agg,
                     node,
-                    LinkConfig::new(c.bottleneck_bps, cfg.backend_delay, c.queue_bytes),
+                    LinkConfig::new(c.bottleneck_bps, BACKEND_DELAY, c.queue_bytes),
                 );
                 let blaster_node = sim.reserve_node(format!("blaster-{j}"));
                 let blast_link = sim.add_link(blaster_node, agg, link(Duration::from_micros(5)));
@@ -296,19 +290,19 @@ impl KvCluster {
                 sim.install_node(agg, Box::new(agg_router));
                 lb_to_agg
             } else {
-                sim.add_link(lb_id, node, link(cfg.backend_delay))
+                sim.add_link(lb_id, node, link(BACKEND_DELAY))
             };
             fwd_links[0].push(fwd_link);
             // Extra LBs get their own direct forwarding links.
             for i in 1..num_lbs {
-                fwd_links[i].push(sim.add_link(lb_ids[i], node, link(cfg.backend_delay)));
+                fwd_links[i].push(sim.add_link(lb_ids[i], node, link(BACKEND_DELAY)));
             }
-            let return_link = sim.add_link(router_id, node, link(cfg.backend_delay));
+            let return_link = sim.add_link(router_id, node, link(BACKEND_DELAY));
             router.add_route(ip, return_link);
             let mut host_cfg =
                 HostConfig::new(ip, netsim::rng::derive_seed(cfg.seed, 100 + j as u64));
             host_cfg.extra_ips.push(VIP); // DSR: the VIP lives on the backend's loopback
-            host_cfg.rx_jitter = cfg.host_jitter;
+            host_cfg.rx_jitter = HOST_JITTER;
             let mut server_cfg = KvServerConfig {
                 port: KV_PORT,
                 ..server_cfg
@@ -357,13 +351,12 @@ impl KvCluster {
                 .get(i)
                 .copied()
                 .flatten()
-                .unwrap_or(cfg.client_delay);
+                .unwrap_or(CLIENT_DELAY);
             let access = sim.add_link(router_id, node, link(delay));
             router.add_route(ip, access);
             let mut host_cfg =
                 HostConfig::new(ip, netsim::rng::derive_seed(cfg.seed, 200 + i as u64));
-            host_cfg.rx_jitter = cfg.host_jitter;
-            host_cfg.tcp = cfg.client_tcp;
+            host_cfg.rx_jitter = HOST_JITTER;
             mem_cfg.vip = VIP;
             mem_cfg.port = KV_PORT;
             mem_cfg.seed = netsim::rng::derive_seed(cfg.seed, 300 + i as u64);

@@ -62,20 +62,20 @@ const CLIENT_RATE_BPS: u64 = 200_000_000;
 /// produce its occasional erroneously-large estimates before the step in
 /// Fig. 2(a).
 const CLIENT_SPIKE: (f64, Duration) = (0.002, Duration::from_micros(1300));
+/// Client access-link propagation delay.
+const CLIENT_DELAY: Duration = Duration::from_micros(80);
+/// Backend-link propagation delay.
+const BACKEND_DELAY: Duration = Duration::from_micros(100);
+/// Receive-path jitter on both endpoints (perturbs intra-batch gaps
+/// across the δ = 64 µs boundary, as in the paper's testbed).
+const HOST_JITTER: Option<(Duration, Duration)> =
+    Some((Duration::from_micros(2), Duration::from_micros(40)));
 
-/// Configuration for the backlogged-flow scenario (Fig. 2).
+/// Configuration for the backlogged-flow scenario (Fig. 2). The LB is
+/// plain Maglev ([`LbConfig::baseline`]): Fig. 2 evaluates Algorithms 1/2
+/// replayed over the LB's arrivals in the packet trace, so the LB itself
+/// measures nothing.
 pub struct BacklogScenarioConfig {
-    /// Client access-link propagation delay.
-    pub client_delay: Duration,
-    /// Backend-link propagation delay.
-    pub backend_delay: Duration,
-    /// Receive-path jitter on both endpoints (perturbs intra-batch gaps
-    /// across the δ = 64 µs boundary, as in the paper's testbed).
-    pub host_jitter: Option<(Duration, Duration)>,
-    /// The LB config factory (usually [`LbConfig::observer`]). Fig. 2
-    /// evaluates Algorithms 1/2 replayed over the LB's arrivals in the
-    /// packet trace, not the samples this LB takes itself.
-    pub lb: Box<dyn FnOnce(Vec<Ipv4Addr>) -> LbConfig>,
     /// Pacing at the bulk sender (§5(2) violation: smears batch edges).
     pub client_pacing: nettcp::Pacing,
     /// Delayed ACKs at the sink (§5(2) violation: defers the triggers).
@@ -93,10 +93,6 @@ impl BacklogScenarioConfig {
     /// 200 Mb/s access link, ±jitter.
     pub fn fig2_defaults() -> BacklogScenarioConfig {
         BacklogScenarioConfig {
-            client_delay: Duration::from_micros(80),
-            backend_delay: Duration::from_micros(100),
-            host_jitter: Some((Duration::from_micros(2), Duration::from_micros(40))),
-            lb: Box::new(|backends| LbConfig::observer(VIP, backends)),
             client_pacing: nettcp::Pacing::Disabled,
             sink_delayed_ack: nettcp::DelayedAck::Disabled,
             app_limited: None,
@@ -136,12 +132,12 @@ impl BacklogScenario {
         let backend_ip0 = backend_ip(0);
         let backend_node = sim.reserve_node("backend");
         // Forwarding path (LB → backend) and DSR return path (backend → router).
-        let fwd_link = sim.add_link(lb_id, backend_node, link(cfg.backend_delay));
-        let return_link = sim.add_link(router_id, backend_node, link(cfg.backend_delay));
+        let fwd_link = sim.add_link(lb_id, backend_node, link(BACKEND_DELAY));
+        let return_link = sim.add_link(router_id, backend_node, link(BACKEND_DELAY));
         router.add_route(backend_ip0, return_link);
         let mut b_cfg = HostConfig::new(backend_ip0, netsim::rng::derive_seed(cfg.seed, 1));
         b_cfg.extra_ips.push(VIP);
-        b_cfg.rx_jitter = cfg.host_jitter;
+        b_cfg.rx_jitter = HOST_JITTER;
         b_cfg.tcp.delayed_ack = cfg.sink_delayed_ack;
         sim.install_node(
             backend_node,
@@ -153,7 +149,7 @@ impl BacklogScenario {
             )),
         );
 
-        let lb_cfg = (cfg.lb)(vec![backend_ip0]);
+        let lb_cfg = LbConfig::baseline(VIP, vec![backend_ip0]);
         sim.install_node(
             lb_id,
             Box::new(LbNode::new(lb_cfg, MacAddr::from_id(0xff), vec![fwd_link])),
@@ -164,11 +160,11 @@ impl BacklogScenario {
         let client_link = sim.add_link(
             router_id,
             client_node,
-            LinkConfig::new(CLIENT_RATE_BPS, cfg.client_delay, 1 << 20),
+            LinkConfig::new(CLIENT_RATE_BPS, CLIENT_DELAY, 1 << 20),
         );
         router.add_route(c_ip, client_link);
         let mut c_cfg = HostConfig::new(c_ip, netsim::rng::derive_seed(cfg.seed, 2));
-        c_cfg.rx_jitter = cfg.host_jitter;
+        c_cfg.rx_jitter = HOST_JITTER;
         c_cfg.rx_spike = Some(CLIENT_SPIKE);
         c_cfg.tcp = TcpConfig::window_limited(WINDOW_SEGMENTS);
         c_cfg.tcp.pacing = cfg.client_pacing;

@@ -13,18 +13,19 @@ pub const WEIGHT_FLOOR: f64 = 0.02;
 pub const ESTIMATOR_ALPHA: f64 = 0.2;
 /// Estimates older than this are ignored by the controller.
 pub const ESTIMATOR_STALENESS: Duration = Duration::from_millis(500);
+/// Idle time after which the sweep retires a flow-table entry.
+pub const FLOW_IDLE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Flow-table capacity (entries); at capacity, inserts evict
+/// approximately-LRU victims, bounding LB memory under SYN floods.
+pub const FLOW_TABLE_CAPACITY: usize = 1 << 20;
+/// Period of the flow-table sweep timer.
+pub const SWEEP_INTERVAL: Duration = Duration::from_secs(1);
 
-/// What drives a new connection's backend: the five configurations the
+/// What drives a new connection's backend: the four configurations the
 /// LB runs, from plain Maglev to the paper's in-band feedback loop.
 pub enum Steering {
     /// Plain Maglev: no per-packet measurement at all (the baseline).
     Off,
-    /// Run Algorithms 1/2 and record samples, but never change weights.
-    /// The Fig. 2 topology installs it, but no experiment reads its
-    /// samples: Fig. 2, ABL-TIMING and the paper-claims tests replay the
-    /// algorithms over the LB arrivals in the packet trace
-    /// (`experiments::fig2::replay_ensemble`).
-    Observe,
     /// In-band `T_LB` samples drive the controller, which reshapes the
     /// weighted Maglev table (the paper's design).
     Control(Box<dyn Controller>),
@@ -46,14 +47,14 @@ pub enum Steering {
 impl Steering {
     /// Whether the fast path taps in-band timing (Algorithms 1/2).
     pub fn taps_inband(&self) -> bool {
-        !matches!(self, Steering::Off | Steering::OutOfBand { .. })
+        matches!(self, Steering::Control(_) | Steering::PowerOfTwo)
     }
 
     /// The controller that reshapes the weights, if any.
     pub fn controller(&mut self) -> Option<&mut dyn Controller> {
         match self {
             Steering::Control(c) | Steering::OutOfBand { controller: c, .. } => Some(c.as_mut()),
-            Steering::Off | Steering::Observe | Steering::PowerOfTwo => None,
+            Steering::Off | Steering::PowerOfTwo => None,
         }
     }
 }
@@ -82,13 +83,6 @@ pub struct LbConfig {
     /// configuration the ABL-PCC experiment uses to show how many
     /// connections a weight change breaks without connection tracking.
     pub affinity: bool,
-    /// Idle timeout for flow-table entries.
-    pub flow_idle_timeout: Duration,
-    /// Flow-table capacity (entries); at capacity, inserts evict
-    /// approximately-LRU victims, bounding LB memory under SYN floods.
-    pub flow_table_capacity: usize,
-    /// Period of the flow-table sweep timer.
-    pub sweep_interval: Duration,
     /// Backend health tracking (crash/stall ejection). Only active under
     /// [`Steering::Control`]: the detector's "offered traffic but producing
     /// no samples" signal needs the in-band measurement path, and ejection
@@ -120,30 +114,15 @@ impl LbConfig {
         LbConfig {
             vip,
             backends,
-            // The robust cliff rule (all but the observer); see the
-            // CliffRule docs for why the paper's rule fails on KV traffic.
+            // The robust cliff rule; see the CliffRule docs for why the
+            // paper's rule fails on KV traffic.
             ensemble: EnsembleConfig::robust(),
             steering: Steering::Off,
             signal_quantile: 0.5,
             signal_horizon: None,
             affinity: true,
-            flow_idle_timeout: Duration::from_secs(5),
-            flow_table_capacity: 1 << 20,
-            sweep_interval: Duration::from_secs(1),
             health: Some(HealthConfig::default()),
             journal: JournalMode::Off,
-        }
-    }
-
-    /// Measurement-only mode ([`Steering::Observe`]) with the paper's
-    /// argmax-ratio cliff rule. The Fig. 2 topology's LB; its own samples
-    /// are not what the Fig. 2 experiments evaluate (see
-    /// [`Steering::Observe`]).
-    pub fn observer(vip: Ipv4Addr, backends: Vec<Ipv4Addr>) -> LbConfig {
-        LbConfig {
-            steering: Steering::Observe,
-            ensemble: EnsembleConfig::default(),
-            ..Self::baseline(vip, backends)
         }
     }
 }

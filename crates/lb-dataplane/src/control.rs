@@ -147,7 +147,7 @@ impl LbNode {
     /// all-to-all gossip round with no extra packets in the trace.
     ///
     /// Returns false (and changes nothing) under a steering without a
-    /// controller (baseline/observer/p2c), while every backend is ejected,
+    /// controller (baseline or p2c), while every backend is ejected,
     /// or when the merge is a no-op.
     pub fn apply_gossip(&mut self, peers: &[&[f64]], mix: f64, now: Time) -> bool {
         if self.cfg.steering.controller().is_none() || self.no_backend {

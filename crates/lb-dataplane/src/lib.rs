@@ -14,8 +14,8 @@
 //! Four modules, plain `impl LbNode` blocks across them:
 //!
 //! * [`config`] — [`LbConfig`], [`Steering`] (what drives a new
-//!   connection's backend) and the three constructors (latency-aware,
-//!   baseline, observer);
+//!   connection's backend), the two constructors (latency-aware,
+//!   baseline) and the constants no run varies;
 //! * `fastpath` — the per-packet path: parse → control port → flow table
 //!   → ensemble tap → pick → rewrite → forward;
 //! * `control` — everything that changes the weight vector (controller,

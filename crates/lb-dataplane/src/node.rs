@@ -7,7 +7,10 @@ use telemetry::{Journal, ScalarSeries, WeightCause};
 
 use lbcore::{BackendEstimator, EnsembleTimeout, FlowTable, HealthTracker, Weights};
 
-use crate::config::{LbConfig, ESTIMATOR_ALPHA, ESTIMATOR_STALENESS, WEIGHT_FLOOR};
+use crate::config::{
+    LbConfig, Steering, ESTIMATOR_ALPHA, ESTIMATOR_STALENESS, FLOW_IDLE_TIMEOUT,
+    FLOW_TABLE_CAPACITY, SWEEP_INTERVAL, WEIGHT_FLOOR,
+};
 use crate::control::LazyTable;
 
 /// The LB counters: always on, one plain integer each. Anything
@@ -55,6 +58,8 @@ pub struct LbStats {
 
 const SWEEP_TOKEN: TimerToken = TimerToken(1);
 const HEALTH_TOKEN: TimerToken = TimerToken(2);
+/// The health timer's period: one [`lbcore::health::EPOCH`].
+const HEALTH_EPOCH: Duration = Duration::from_nanos(lbcore::health::EPOCH);
 
 /// The load-balancer node. See the crate docs.
 pub struct LbNode {
@@ -100,7 +105,7 @@ pub struct LbNode {
 impl LbNode {
     /// Creates the LB with one forwarding link per backend (order matches
     /// `cfg.backends`).
-    pub fn new(mut cfg: LbConfig, mac: MacAddr, backend_links: Vec<LinkId>) -> LbNode {
+    pub fn new(cfg: LbConfig, mac: MacAddr, backend_links: Vec<LinkId>) -> LbNode {
         assert!(!cfg.backends.is_empty(), "LB needs at least one backend");
         assert_eq!(
             backend_links.len(),
@@ -110,8 +115,7 @@ impl LbNode {
         let n = cfg.backends.len();
         let weights = Weights::equal(n, WEIGHT_FLOOR);
         let table = LazyTable::new(weights.as_slice(), lbcore::maglev::DEFAULT_TABLE_SIZE);
-        let flows =
-            FlowTable::with_capacity(cfg.flow_idle_timeout.as_nanos(), cfg.flow_table_capacity);
+        let flows = FlowTable::with_capacity(FLOW_IDLE_TIMEOUT.as_nanos(), FLOW_TABLE_CAPACITY);
         let ensembles = (0..n)
             .map(|_| EnsembleTimeout::new(cfg.ensemble.clone()))
             .collect();
@@ -124,7 +128,7 @@ impl LbNode {
         // Health tracking needs the in-band sample stream (the silence
         // signal) and a controlled table to act on; out-of-band reports
         // may come slower than the silence window and would false-eject.
-        let tracked = cfg.steering.taps_inband() && cfg.steering.controller().is_some();
+        let tracked = matches!(cfg.steering, Steering::Control(_));
         let health = cfg.health.filter(|_| tracked);
         let journal = Journal::new(cfg.journal);
         LbNode {
@@ -187,9 +191,9 @@ impl LbNode {
 impl Node for LbNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.record_weights(ctx.now(), WeightCause::Init);
-        ctx.arm_timer(self.cfg.sweep_interval, SWEEP_TOKEN);
-        if let Some(h) = &self.health {
-            ctx.arm_timer(Duration::from_nanos(h.config().epoch), HEALTH_TOKEN);
+        ctx.arm_timer(SWEEP_INTERVAL, SWEEP_TOKEN);
+        if self.health.is_some() {
+            ctx.arm_timer(HEALTH_EPOCH, HEALTH_TOKEN);
         }
     }
 
@@ -201,12 +205,12 @@ impl Node for LbNode {
         match token {
             SWEEP_TOKEN => {
                 self.flows.sweep(ctx.now().as_nanos());
-                ctx.arm_timer(self.cfg.sweep_interval, SWEEP_TOKEN);
+                ctx.arm_timer(SWEEP_INTERVAL, SWEEP_TOKEN);
             }
             HEALTH_TOKEN => {
                 self.health_epoch(ctx.now());
-                if let Some(h) = &self.health {
-                    ctx.arm_timer(Duration::from_nanos(h.config().epoch), HEALTH_TOKEN);
+                if self.health.is_some() {
+                    ctx.arm_timer(HEALTH_EPOCH, HEALTH_TOKEN);
                 }
             }
             _ => debug_assert!(false, "unknown LB timer token {token:?}"),
@@ -219,7 +223,6 @@ mod tests {
     use std::net::Ipv4Addr;
 
     use super::*;
-    use crate::config::Steering;
     use netpkt::{TcpFlags, TcpHeader};
     use telemetry::{JournalEvent, JournalMode};
 
@@ -429,10 +432,7 @@ mod tests {
                 client_pkt(4000, TcpFlags::ACK, 3),
             ),
         ];
-        let mut cfg = LbConfig::baseline(VIP, backends());
-        cfg.flow_idle_timeout = Duration::from_millis(5);
-        cfg.sweep_interval = Duration::from_millis(2);
-        let (mut sim, lb, _sinks) = rig(cfg, script);
+        let (mut sim, lb, _sinks) = rig(LbConfig::baseline(VIP, backends()), script);
         sim.run_for(Duration::from_millis(1));
         {
             let lb_node = sim.node_ref::<LbNode>(lb).unwrap();
@@ -445,8 +445,8 @@ mod tests {
             assert_eq!(lb_node.flow_count(), 1, "entry survives the FIN");
             assert_eq!(lb_node.stats().forwarded, 3);
         }
-        // After idling past the timeout, the sweep reclaims it.
-        sim.run_for(Duration::from_millis(20));
+        // After idling past the timeout, the next sweep reclaims it.
+        sim.run_for(FLOW_IDLE_TIMEOUT + SWEEP_INTERVAL);
         assert_eq!(sim.node_ref::<LbNode>(lb).unwrap().flow_count(), 0);
     }
 
@@ -475,9 +475,10 @@ mod tests {
 
     #[test]
     fn syn_flood_bounds_flow_table_and_keeps_forwarding() {
-        // 5000 spoofed SYNs from distinct ports against a 256-entry table:
-        // memory stays bounded, every packet still forwards, and a real
-        // flow admitted afterwards works normally.
+        // 5000 spoofed SYNs from distinct ports: the table stays within
+        // its capacity, every packet still forwards, and a real flow
+        // admitted afterwards works normally. (Eviction at a small
+        // capacity is lbcore's `flood_of_inserts_stays_bounded`.)
         let mut script: Vec<(Duration, Packet)> = (0..5000u32)
             .map(|i| {
                 (
@@ -494,13 +495,11 @@ mod tests {
             Duration::from_millis(6),
             client_pkt(9_000, TcpFlags::ACK | TcpFlags::PSH, 2),
         ));
-        let mut cfg = LbConfig::baseline(VIP, backends());
-        cfg.flow_table_capacity = 256;
-        let (mut sim, lb, sinks) = rig(cfg, script);
+        let (mut sim, lb, sinks) = rig(LbConfig::baseline(VIP, backends()), script);
         sim.run_for(Duration::from_millis(20));
         let lb_node = sim.node_ref::<LbNode>(lb).unwrap();
         assert!(
-            lb_node.flow_count() <= 256,
+            lb_node.flow_count() <= FLOW_TABLE_CAPACITY,
             "table grew to {}",
             lb_node.flow_count()
         );
@@ -557,7 +556,6 @@ mod tests {
         // accepted, an out-of-band report is consumed.
         let rows = [
             (Steering::Off, [false, false, false, false, false]),
-            (Steering::Observe, [true, false, false, false, false]),
             (Steering::Control(ctl()), [true, true, true, true, false]),
             (oob, [false, true, false, true, true]),
             (Steering::PowerOfTwo, [true, false, false, false, false]),
@@ -638,6 +636,7 @@ mod tests {
     /// force *before* that packet would have sent it.
     #[allow(clippy::float_cmp)] // exact: an ejected backend's share is 0.0
     fn lazy_table_case(affinity: bool) {
+        use lbcore::health::{EJECT_AFTER, SUSPECT_AFTER};
         use lbcore::MaglevTable;
         use netpkt::FlowKey;
 
@@ -659,13 +658,9 @@ mod tests {
         let mut cfg =
             LbConfig::latency_aware(VIP, backends(), Box::new(lbcore::AlphaShift::paper()));
         cfg.affinity = affinity;
+        // Health epochs are driven by hand below: the run (8.4 ms) ends
+        // inside the first health-timer period.
         cfg.journal = JournalMode::Full(1 << 12);
-        cfg.health = Some(lbcore::HealthConfig {
-            epoch: 3_600_000_000_000, // epochs are driven by hand below
-            suspect_after: 1,
-            eject_after: 1,
-            ..lbcore::HealthConfig::default()
-        });
         let size = lbcore::maglev::DEFAULT_TABLE_SIZE;
         let (mut sim, lb, sinks) = rig(cfg, script);
 
@@ -706,7 +701,7 @@ mod tests {
                     lb_node.health_epoch(now); // sync the tracker's marks
                     assert!(lb_node.apply_gossip(&[&[0.9, 0.1]], 1.0, now));
                     let builds = lb_node.table.builds;
-                    for _ in 0..2 {
+                    for _ in 0..SUSPECT_AFTER + EJECT_AFTER {
                         lb_node.fwd_per_backend[0] += 1;
                         lb_node.health_epoch(now);
                     }
@@ -780,14 +775,8 @@ mod tests {
         // probation, readmission), interleaved by a fixed-seed generator.
         // After every call `weights()` is what the table implements and
         // what the weight series last recorded: there is no working copy.
-        let mut cfg =
-            LbConfig::latency_aware(VIP, backends(), Box::new(lbcore::AimdController::new()));
-        cfg.health = Some(lbcore::HealthConfig {
-            suspect_after: 1,
-            eject_after: 1,
-            ..lbcore::HealthConfig::default()
-        });
-        let epoch = cfg.health.unwrap().epoch;
+        let cfg = LbConfig::latency_aware(VIP, backends(), Box::new(lbcore::AimdController::new()));
+        let epoch = lbcore::health::EPOCH;
         let size = lbcore::maglev::DEFAULT_TABLE_SIZE;
         let mut lb = LbNode::new(
             cfg,
@@ -823,10 +812,12 @@ mod tests {
                 }
                 _ => {
                     // Traffic offered to both; samples only from the
-                    // backends this draw keeps alive.
+                    // backends this draw keeps alive (each is silent half
+                    // the time, so runs of SUSPECT_AFTER + EJECT_AFTER
+                    // silent epochs, on one backend or both, occur).
                     for b in 0..2 {
                         lb.fwd_per_backend[b] += 10;
-                        if rng >> (9 + 2 * b) & 3 != 0 {
+                        if rng >> (9 + b) & 1 != 0 {
                             lb.live_samples[b] += 10;
                         }
                     }
@@ -860,8 +851,11 @@ mod tests {
         // journal event, epoch decisions must appear with their counts,
         // and the first event must be the init weight record.
         let script = batched_script(200);
-        let mut cfg = LbConfig::observer(VIP, backends());
-        cfg.journal = JournalMode::Full(1 << 16);
+        let cfg = LbConfig {
+            steering: Steering::PowerOfTwo,
+            journal: JournalMode::Full(1 << 16),
+            ..LbConfig::baseline(VIP, backends())
+        };
         let (mut sim, lb, _sinks) = rig(cfg, script);
         sim.run_for(Duration::from_millis(500));
         let lb_node = sim.node_ref::<LbNode>(lb).unwrap();
@@ -930,12 +924,15 @@ mod tests {
     }
 
     #[test]
-    fn observe_mode_measures_batched_flow() {
-        // Batches every 1 ms: the ensemble must produce samples near 1 ms
-        // and never change the weights.
+    fn inband_tap_measures_batched_flow() {
+        // Batches every 1 ms: the ensemble must produce samples near 1 ms,
+        // and with no controller the weights never change.
         let script = batched_script(400);
-        let mut cfg = LbConfig::observer(VIP, backends());
-        cfg.journal = JournalMode::Full(1 << 12);
+        let cfg = LbConfig {
+            steering: Steering::PowerOfTwo,
+            journal: JournalMode::Full(1 << 12),
+            ..LbConfig::baseline(VIP, backends())
+        };
         let (mut sim, lb, _sink) = rig(cfg, script);
         sim.run_for(Duration::from_secs(1));
         let lb_node = sim.node_ref::<LbNode>(lb).unwrap();
@@ -966,7 +963,7 @@ mod tests {
         assert_eq!(
             lb_node.stats().table_rebuilds,
             0,
-            "observe mode must not adapt"
+            "in-band measurement without a controller must not adapt"
         );
     }
 }

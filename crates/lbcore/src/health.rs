@@ -22,7 +22,7 @@
 //!                                                        └──▶ Ejected
 //! ```
 //!
-//! An *epoch* is a fixed control-plane period (default 100 ms). "Silent"
+//! An *epoch* is a fixed control-plane period ([`EPOCH`], 100 ms). "Silent"
 //! means zero new *credible* samples in an epoch **while traffic was
 //! offered** — an idle backend that simply was not sent anything is never
 //! ejected, and samples above [`SAMPLE_CEILING`] do not count (they are
@@ -56,7 +56,7 @@ use crate::Nanos;
 pub enum HealthState {
     /// Producing samples (or not offered any traffic).
     Healthy,
-    /// Offered traffic but silent for `suspect_after` consecutive epochs.
+    /// Offered traffic but silent for [`SUSPECT_AFTER`] consecutive epochs.
     Suspect,
     /// Presumed dead: receives no new connections, pinned flows migrated.
     Ejected,
@@ -124,26 +124,26 @@ pub const ABORT_THRESHOLD: u32 = 3;
 /// or the phantoms keep resetting the silence run forever.
 pub const SAMPLE_CEILING: Nanos = 50_000_000;
 
+/// Length of one detection epoch: 100 ms.
+pub const EPOCH: Nanos = 100_000_000;
+/// Consecutive silent epochs before Healthy → Suspect.
+pub const SUSPECT_AFTER: u32 = 2;
+/// Additional silent epochs before Suspect → Ejected: the detection
+/// window is `SUSPECT_AFTER + EJECT_AFTER` epochs ≈ 300 ms.
+pub const EJECT_AFTER: u32 = 1;
+const _: () = assert!(EPOCH > 0 && SUSPECT_AFTER > 0 && EJECT_AFTER > 0);
+
 /// Tunables for the health state machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
-    /// Length of one detection epoch.
-    pub epoch: Nanos,
-    /// Consecutive silent epochs before Healthy → Suspect.
-    pub suspect_after: u32,
-    /// Additional silent epochs before Suspect → Ejected.
-    pub eject_after: u32,
     /// How long an ejected backend sits out before probation.
     pub probation_after: Nanos,
 }
 
 impl Default for HealthConfig {
-    /// Detection window of 3 epochs ≈ 300 ms, probation after 1 s.
+    /// Probation after 1 s.
     fn default() -> HealthConfig {
         HealthConfig {
-            epoch: 100_000_000,
-            suspect_after: 2,
-            eject_after: 1,
             probation_after: 1_000_000_000,
         }
     }
@@ -193,9 +193,6 @@ impl HealthTracker {
     /// A tracker over `n` backends, all initially healthy.
     pub fn new(n: usize, cfg: HealthConfig) -> HealthTracker {
         assert!(n > 0, "at least one backend");
-        assert!(cfg.epoch > 0, "epoch must be positive");
-        assert!(cfg.suspect_after > 0, "suspect_after must be positive");
-        assert!(cfg.eject_after > 0, "eject_after must be positive");
         HealthTracker {
             cfg,
             backends: vec![BackendHealth::new(); n],
@@ -203,11 +200,6 @@ impl HealthTracker {
             readmissions: 0,
             transitions: Vec::new(),
         }
-    }
-
-    /// The configured tunables.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
     }
 
     /// Number of tracked backends.
@@ -277,12 +269,11 @@ impl HealthTracker {
                     trigger = HealthTrigger::AbortBurst;
                 }
                 match h.state {
-                    HealthState::Healthy if h.silent_epochs >= cfg.suspect_after || abort_burst => {
+                    HealthState::Healthy if h.silent_epochs >= SUSPECT_AFTER || abort_burst => {
                         h.state = HealthState::Suspect;
                     }
                     HealthState::Suspect
-                        if h.silent_epochs >= cfg.suspect_after + cfg.eject_after
-                            || abort_burst =>
+                        if h.silent_epochs >= SUSPECT_AFTER + EJECT_AFTER || abort_burst =>
                     {
                         h.state = HealthState::Ejected;
                         h.ejected_at = now;
@@ -347,21 +338,20 @@ mod tests {
     /// Drives `t` through `epochs` boundaries with the given per-epoch
     /// deltas for backend 0 (other backends idle).
     fn drive(t: &mut HealthTracker, start_epoch: u64, deltas: &[(u64, u64)]) -> Nanos {
-        let epoch = t.config().epoch;
         let n = t.len();
         let mut samples = vec![0u64; n];
         let mut forwarded = vec![0u64; n];
-        let mut now = start_epoch * epoch;
+        let mut now = start_epoch * EPOCH;
         // Recover current cumulative marks so repeated drives compose.
         samples[0] = t.backends[0].last_samples;
         forwarded[0] = t.backends[0].last_forwarded;
         for &(ds, df) in deltas {
-            now += epoch;
+            now += EPOCH;
             samples[0] += ds;
             forwarded[0] += df;
             t.on_epoch(now, &samples, &forwarded);
         }
-        now / epoch
+        now / EPOCH
     }
 
     #[test]

@@ -12,7 +12,8 @@ use netpkt::{
     IPV4_HEADER_LEN, TCP_HEADER_LEN, UDP_HEADER_LEN,
 };
 
-/// The largest segment payload the transport accepts (`TcpConfig::mss`).
+/// The largest TCP payload one Ethernet frame carries (1500 − 40); the
+/// transport's `nettcp::MSS` is below it.
 const MAX_MSS: usize = 1460;
 
 fn arb_addrs() -> impl Strategy<Value = Addresses> {

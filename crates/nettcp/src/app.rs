@@ -35,7 +35,8 @@ pub trait HostIo {
     /// never let this happen; an overflow is a workload bug).
     fn send(&mut self, conn: ConnId, data: &[u8]);
 
-    /// Initiates a graceful close (FIN after all queued data).
+    /// Initiates a graceful close (FIN after all queued data). Does
+    /// nothing on a connection that is already closed.
     fn close(&mut self, conn: ConnId);
 
     /// Arms an application timer delivered to [`App::on_app_timer`].

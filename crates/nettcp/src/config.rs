@@ -32,14 +32,17 @@ pub enum Pacing {
 
 /// Initial congestion window in segments (RFC 6928's ten).
 pub const INITIAL_CWND_SEGMENTS: u32 = 10;
+/// Maximum segment (payload) size in bytes.
+pub const MSS: u32 = 1400;
+/// Send buffer capacity in bytes; `HostIo::send` asserts against
+/// overflow (applications are closed-loop, so this indicates a bug).
+pub const SEND_BUFFER: usize = 1 << 20;
 
 /// Per-connection transport parameters. Segments go out as soon as the
 /// window allows (TCP_NODELAY: no Nagle coalescing), as in the
 /// request/response deployments the paper measures.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
-    /// Maximum segment (payload) size in bytes.
-    pub mss: u32,
     /// Fixed advertised receive window in bytes (no window scaling).
     pub recv_window: u32,
     /// Upper bound on the sender's congestion window in bytes. Setting
@@ -53,21 +56,16 @@ pub struct TcpConfig {
     pub delayed_ack: DelayedAck,
     /// Pacing behaviour.
     pub pacing: Pacing,
-    /// Send buffer capacity in bytes; `HostIo::send` asserts against
-    /// overflow (applications are closed-loop, so this indicates a bug).
-    pub send_buffer: usize,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: 1400,
             recv_window: 65_535,
             max_cwnd: 65_535,
             congestion_control: true,
             delayed_ack: DelayedAck::Disabled,
             pacing: Pacing::Disabled,
-            send_buffer: 1 << 20,
         }
     }
 }
@@ -77,19 +75,18 @@ impl TcpConfig {
     /// `segments` MSS-sized segments — the Fig. 2 "backlogged flow whose
     /// batches are one window" setup.
     pub fn window_limited(segments: u32) -> Self {
-        let base = TcpConfig::default();
-        let win = segments * base.mss;
+        let win = segments * MSS;
         TcpConfig {
             recv_window: win,
             max_cwnd: win,
             congestion_control: false,
-            ..base
+            ..TcpConfig::default()
         }
     }
 
     /// Initial congestion window in bytes.
     pub fn initial_cwnd(&self) -> u32 {
-        (INITIAL_CWND_SEGMENTS * self.mss).min(self.max_cwnd)
+        (INITIAL_CWND_SEGMENTS * MSS).min(self.max_cwnd)
     }
 }
 
@@ -99,12 +96,12 @@ mod tests {
 
     #[test]
     fn default_is_sane() {
+        const _: () = assert!(MSS > 0 && MSS <= 1460);
         let c = TcpConfig::default();
-        assert!(c.mss > 0 && c.mss <= 1460);
-        assert!(c.recv_window >= c.mss);
+        assert!(c.recv_window >= MSS);
         assert_eq!(c.delayed_ack, DelayedAck::Disabled);
         assert_eq!(c.pacing, Pacing::Disabled);
-        assert!(c.initial_cwnd() >= c.mss);
+        assert!(c.initial_cwnd() >= MSS);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use bytes::Bytes;
 use netpkt::{TcpFlags, TcpHeader};
 use netsim::{Duration, Time};
 
-use crate::config::{DelayedAck, Pacing, TcpConfig};
+use crate::config::{DelayedAck, Pacing, TcpConfig, MSS, SEND_BUFFER};
 use crate::rto::RttEstimator;
 use crate::seq::{seq_add, seq_ge, seq_gt, seq_le, seq_len, seq_lt};
 
@@ -267,7 +267,7 @@ impl Conn {
             fin_seq: None,
             cwnd: cfg.initial_cwnd(),
             ssthresh: cfg.max_cwnd,
-            peer_window: cfg.mss, // until the first segment tells us
+            peer_window: MSS, // until the first segment tells us
             dup_acks: 0,
             rtt: RttEstimator::default(),
             rtt_probe: None,
@@ -415,11 +415,11 @@ impl Conn {
             "send after close"
         );
         assert!(
-            self.unsent() + data.len() <= self.cfg.send_buffer,
+            self.unsent() + data.len() <= SEND_BUFFER,
             "send buffer overflow ({} + {} > {})",
             self.unsent(),
             data.len(),
-            self.cfg.send_buffer
+            SEND_BUFFER
         );
         self.snd_queue.extend(data);
         self.try_transmit(now);
@@ -455,8 +455,8 @@ impl Conn {
         self.rtt_probe = None; // Karn: do not time retransmitted data
         if self.cfg.congestion_control {
             let flight = seq_len(self.snd_una, self.snd_nxt);
-            self.ssthresh = (flight / 2).max(2 * self.cfg.mss);
-            self.cwnd = self.cfg.mss;
+            self.ssthresh = (flight / 2).max(2 * MSS);
+            self.cwnd = MSS;
         }
         self.dup_acks = 0;
         self.retransmit_head(now);
@@ -573,14 +573,13 @@ impl Conn {
 
             // Congestion window growth.
             if self.cfg.congestion_control {
-                let mss = self.cfg.mss;
                 if self.cwnd < self.ssthresh {
-                    self.cwnd = (self.cwnd + mss).min(self.cfg.max_cwnd);
+                    self.cwnd = (self.cwnd + MSS).min(self.cfg.max_cwnd);
                 } else {
-                    // incr <= mss², which fits a u32 for any mss an IPv4
+                    // incr <= MSS², which fits a u32 for any MSS an IPv4
                     // frame (16-bit total length) can carry.
                     #[allow(clippy::cast_possible_truncation)]
-                    let incr = ((mss as u64 * mss as u64) / self.cwnd.max(1) as u64).max(1) as u32;
+                    let incr = ((MSS as u64 * MSS as u64) / self.cwnd.max(1) as u64).max(1) as u32;
                     self.cwnd = (self.cwnd + incr).min(self.cfg.max_cwnd);
                 }
             }
@@ -604,7 +603,7 @@ impl Conn {
                 self.stats.fast_retransmits += 1;
                 if self.cfg.congestion_control {
                     let flight = seq_len(self.snd_una, self.snd_nxt);
-                    self.ssthresh = (flight / 2).max(2 * self.cfg.mss);
+                    self.ssthresh = (flight / 2).max(2 * MSS);
                     self.cwnd = self.ssthresh;
                 }
                 self.rtt_probe = None;
@@ -761,12 +760,12 @@ impl Conn {
             }
             return;
         }
-        let mss = self.cfg.mss as usize;
+        let mss = MSS as usize;
         loop {
             if self.unsent() == 0 {
                 break;
             }
-            let wnd = self.cwnd.min(self.peer_window.max(self.cfg.mss));
+            let wnd = self.cwnd.min(self.peer_window.max(MSS));
             let flight = seq_len(self.snd_una, self.snd_nxt);
             if flight >= wnd {
                 break;
@@ -836,7 +835,7 @@ impl Conn {
             _ => {}
         }
         if self.sent > 0 {
-            let take = (self.cfg.mss as usize).min(self.sent);
+            let take = (MSS as usize).min(self.sent);
             self.stats.retransmits += 1;
             self.emit(
                 self.snd_una,

@@ -682,7 +682,10 @@ impl HostIo for Io<'_, '_> {
 
     fn close(&mut self, conn: ConnId) {
         let idx = conn.0 as usize;
-        if let Some(c) = self.host.conns[idx].live_mut() {
+        // A connection already closed (reset, aborted, or waiting to be
+        // reaped) has nothing to send: queueing its slot would leave an
+        // entry that could drain the slot's next tenant out of order.
+        if let Some(c) = self.host.conns[idx].live_mut().filter(|c| !c.is_closed()) {
             c.app_close(self.ctx.now());
             self.host.enqueue(idx);
         }

@@ -41,6 +41,6 @@ pub mod rto;
 pub mod seq;
 
 pub use app::{App, ConnId, HostIo};
-pub use config::{DelayedAck, Pacing, TcpConfig};
+pub use config::{DelayedAck, Pacing, TcpConfig, MSS, SEND_BUFFER};
 pub use conn::{Conn, ConnBuffers, ConnState};
 pub use host::{Host, HostConfig};

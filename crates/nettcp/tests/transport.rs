@@ -325,6 +325,89 @@ fn connection_refused_draws_rst() {
 }
 
 #[test]
+fn a_close_after_a_reset_or_an_abort_queues_no_work_and_sends_nothing() {
+    // A client whose connection is torn down underneath it: reset by a
+    // server with no listener on the port, or aborted after its data
+    // went unacknowledged to a server that crashed. When `close` is set
+    // it closes the dead connection in `on_closed`, twice over; that run
+    // must be the run without the closes, packet for packet and event
+    // for event.
+    struct Closer {
+        close: bool,
+        closed: u32,
+    }
+    impl App for Closer {
+        fn on_start(&mut self, io: &mut dyn HostIo) {
+            io.connect(SERVER_IP, PORT);
+        }
+        fn on_connected(&mut self, io: &mut dyn HostIo, conn: ConnId) {
+            io.send(conn, &[7; 100]);
+        }
+        fn on_data(&mut self, _io: &mut dyn HostIo, _conn: ConnId, _data: &[u8]) {}
+        fn on_closed(&mut self, io: &mut dyn HostIo, conn: ConnId) {
+            self.closed += 1;
+            if self.close {
+                io.close(conn);
+                io.close(conn);
+            }
+        }
+    }
+    struct ListensElsewhere;
+    impl App for ListensElsewhere {
+        fn on_start(&mut self, io: &mut dyn HostIo) {
+            io.listen(PORT + 1);
+        }
+        fn on_data(&mut self, _io: &mut dyn HostIo, _conn: ConnId, _data: &[u8]) {}
+    }
+
+    let run = |abort: bool, close: bool| {
+        let server: Box<dyn App> = if abort {
+            Box::new(EchoServer::default())
+        } else {
+            Box::new(ListensElsewhere)
+        };
+        let client = Box::new(Closer { close, closed: 0 });
+        let (mut sim, c, s) = rig(
+            TcpConfig::default(),
+            TcpConfig::default(),
+            default_link(),
+            client,
+            server,
+        );
+        if abort {
+            // After the handshake (100 µs), before the data lands (150 µs).
+            sim.schedule(Time::from_nanos(120_000), FaultAction::NodeDown(s));
+        }
+        let closed = |sim: &Simulation| {
+            let host = sim.node_ref::<Host>(c).unwrap();
+            host.app_ref::<Closer>().unwrap().closed > 0
+        };
+        while !closed(&sim) {
+            assert!(sim.now() < Time::from_nanos(120_000_000_000), "no close");
+            sim.run_for(Duration::from_millis(1));
+        }
+        sim.run_for(Duration::from_millis(1));
+        let host = sim.node_ref::<Host>(c).unwrap();
+        assert_eq!(host.app_ref::<Closer>().unwrap().closed, 1);
+        assert_eq!(host.live_conns(), 0, "the dead connection was not reaped");
+        assert_eq!(sim.pending_events(), 0);
+        let (h, sim) = (host.stats, sim.stats());
+        [
+            h.packets_out,
+            h.retransmits,
+            h.timeouts,
+            sim.events_processed,
+            sim.timers_cancelled,
+        ]
+    };
+    for abort in [false, true] {
+        let quiet = run(abort, false);
+        assert_eq!(quiet[2] > 0, abort, "{quiet:?}");
+        assert_eq!(run(abort, true), quiet, "abort = {abort}");
+    }
+}
+
+#[test]
 fn stray_segment_to_dead_conn_is_reset_not_looped() {
     // After a normal transfer completes and both sides reap their state,
     // host counters confirm no RST storm happened during teardown.
@@ -650,7 +733,6 @@ fn a_closed_connection_leaves_nothing_in_the_event_queue() {
         pacing: Pacing::Enabled {
             min_gap: Duration::from_micros(20),
         },
-        send_buffer: sent.len(),
         ..TcpConfig::default()
     };
     let server_tcp = TcpConfig {

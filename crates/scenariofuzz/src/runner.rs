@@ -143,7 +143,6 @@ pub fn kv_scenario(sc: &Scenario) -> (KvClusterConfig, Timeline) {
         let mut cfg = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
         cfg.health = Some(HealthConfig {
             probation_after: probation_ns,
-            ..HealthConfig::default()
         });
         cfg.journal = JournalMode::Full(JOURNAL_CAPACITY);
         cfg

@@ -279,9 +279,12 @@ impl App for MemtierClient {
         }
         if t.phase == Phase::Open {
             // The client never asked for this close: the connection was
-            // reset or aborted underneath the application.
+            // reset or aborted underneath the application, or the peer
+            // closed first. Close our side too, or a half-closed
+            // connection holds its slot and port in `CloseWait` for good.
             self.stats.conns_broken += 1;
             self.stats.requests_lost += t.outstanding.len() as u64;
+            io.close(conn);
         }
         t.phase = Phase::Gone;
         // Keep the connection count constant: reopen.

@@ -6,7 +6,7 @@ use std::net::Ipv4Addr;
 use backend::{KvServerApp, KvServerConfig, ServiceDist};
 use netpkt::MacAddr;
 use netsim::{Duration, FaultAction, LinkConfig, Simulation, Time};
-use nettcp::{Host, HostConfig};
+use nettcp::{App, ConnId, Host, HostConfig, HostIo};
 use workload::{BacklogClient, BacklogConfig, MemtierClient, MemtierConfig, SinkServer};
 
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -21,22 +21,30 @@ fn run_memtier(cfg: MemtierConfig, secs: u64) -> (Simulation, netsim::NodeId, ne
 /// A memtier client and a KV server with a 50 µs service time, one
 /// link apart; nothing has run yet.
 fn memtier_rig(cfg: MemtierConfig) -> (Simulation, netsim::NodeId, netsim::NodeId) {
+    let server = KvServerApp::new(KvServerConfig {
+        service: ServiceDist::Constant(50_000),
+        ..KvServerConfig::default()
+    });
+    memtier_rig_with(cfg, Box::new(server))
+}
+
+/// A memtier client and `server`, one link apart; nothing has run yet.
+fn memtier_rig_with(
+    cfg: MemtierConfig,
+    server: Box<dyn App>,
+) -> (Simulation, netsim::NodeId, netsim::NodeId) {
     let mut sim = Simulation::new();
     let c = sim.reserve_node("client");
     let s = sim.reserve_node("server");
     let link = LinkConfig::new(1_000_000_000, Duration::from_micros(50), 1 << 20);
     let l = sim.add_link(c, s, link);
-    let server = KvServerApp::new(KvServerConfig {
-        service: ServiceDist::Constant(50_000),
-        ..KvServerConfig::default()
-    });
     sim.install_node(
         s,
         Box::new(Host::new(
             HostConfig::new(SERVER_IP, 2),
             MacAddr::from_id(2),
             l,
-            Box::new(server),
+            server,
         )),
     );
     let cfg = MemtierConfig {
@@ -213,6 +221,48 @@ fn a_broken_connection_loses_its_requests_and_is_reopened_empty() {
     // and issue nothing.
     let in_flight = after.issued - after.completed - after.requests_lost;
     assert_eq!(in_flight, (connections * pipeline) as u64, "{after:?}");
+}
+
+/// A server that closes every connection it accepts straight away,
+/// before answering anything.
+struct ClosesFirst(u16);
+
+impl App for ClosesFirst {
+    fn on_start(&mut self, io: &mut dyn HostIo) {
+        io.listen(self.0);
+    }
+    fn on_connected(&mut self, io: &mut dyn HostIo, conn: ConnId) {
+        io.close(conn);
+    }
+    fn on_data(&mut self, _io: &mut dyn HostIo, _conn: ConnId, _data: &[u8]) {}
+}
+
+#[test]
+fn a_connection_the_server_closes_first_is_closed_and_reaped() {
+    // Every connection is half-closed by the server at once. The client
+    // counts it broken and reopens; unless it also closes its own side,
+    // each one sits in CloseWait, holding a slot and a port for good.
+    let cfg = MemtierConfig {
+        connections: 2,
+        requests_per_conn: 0,
+        ..MemtierConfig::default()
+    };
+    let port = cfg.port;
+    let (mut sim, c, s) = memtier_rig_with(cfg, Box::new(ClosesFirst(port)));
+    sim.run_for(Duration::from_millis(100));
+    let stats = client_of(&sim, c).stats;
+    assert!(stats.conns_broken > 100, "{stats:?}");
+    assert_eq!(stats.conns_opened, 2 + stats.conns_broken, "{stats:?}");
+    for (node, side) in [(c, "client"), (s, "server")] {
+        let host = sim.node_ref::<Host>(node).unwrap();
+        assert!(
+            host.live_conns() <= 4,
+            "{side} holds {} connections after {} closes",
+            host.live_conns(),
+            host.stats.conns_closed
+        );
+        assert!(host.stats.conns_closed >= stats.conns_broken - 2);
+    }
 }
 
 #[test]

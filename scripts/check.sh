@@ -44,11 +44,16 @@ echo "==> cargo clippy --workspace --exclude lint-fixtures --all-targets -- -D w
 cargo clippy --offline --no-deps --workspace --exclude lint-fixtures --all-targets -- -D warnings
 
 # Rustdoc warnings denied: a deleted or renamed public item must not
-# leave an intra-doc link dangling. (Cargo notes that the scenariofuzz
-# lib and the bench bin of that name share a doc path; that notice is
-# not a rustdoc warning and does not fail the step.)
-echo "==> cargo doc --workspace (rustdoc warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+# leave an intra-doc link dangling. Cargo's own warnings (an output
+# filename collision between two documented targets, say) are not
+# rustdoc's and do not fail `-D warnings`, so any `warning:` line on
+# the step's stderr fails it too.
+echo "==> cargo doc --workspace (rustdoc and cargo warnings denied)"
+if ! doc_err=$(RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace 2>&1) \
+    || grep -q 'warning:' <<<"$doc_err"; then
+    echo "$doc_err" >&2
+    exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release

@@ -39,7 +39,6 @@ fn crashed_cluster(seed: u64) -> KvCluster {
         let mut cfg = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
         cfg.health = Some(HealthConfig {
             probation_after: 2_500_000_000,
-            ..HealthConfig::default()
         });
         cfg
     });

@@ -9,14 +9,17 @@
 //! reads.
 //!
 //! The controller reads the signal of *every* backend on every sample,
-//! but a sample changes the window of *one*. So the count-window signal
-//! is cached per backend and refreshed in [`BackendEstimator::record`]
-//! for the backend that got the sample (one sort of at most
-//! `DEFAULT_COUNT_WINDOW` values on a stack array);
-//! [`BackendEstimator::fresh_estimate`], [`BackendEstimator::worst`] and
-//! [`BackendEstimator::best_other`] are allocation-free scans over the
-//! cached values. The time-horizon signal depends on `now`, so it is
-//! computed at read time, on the same stack buffer, uncached.
+//! but a sample changes the window of *one*. So each backend keeps its
+//! count window (the last `DEFAULT_COUNT_WINDOW` values) sorted in a
+//! stack array, and [`BackendEstimator::record`] refreshes the cached
+//! signal of the backend that got the sample: one binary-search removal
+//! of the value that leaves the window, one insertion, and a read at the
+//! quantile's rank. [`BackendEstimator::fresh_estimate`],
+//! [`BackendEstimator::worst`] and [`BackendEstimator::best_other`] are
+//! allocation-free scans over the cached values. The time-horizon signal
+//! depends on `now`, so it is computed at read time by
+//! [`BackendEstimate::quantile_over`], which copies and sorts the
+//! retained samples on a stack buffer, uncached.
 
 use crate::Nanos;
 
@@ -38,6 +41,10 @@ pub struct BackendEstimate {
     window: [(Nanos, Nanos); WINDOW_CAP],
     window_len: usize,
     window_pos: usize,
+    /// The values of the count window (the last `DEFAULT_COUNT_WINDOW`
+    /// samples), ascending; its first `DEFAULT_COUNT_WINDOW.min(window_len)`
+    /// entries are live.
+    sorted: [Nanos; DEFAULT_COUNT_WINDOW],
     /// The count-window control signal, refreshed on every sample (see
     /// the module docs).
     signal: Option<f64>,
@@ -53,6 +60,7 @@ impl BackendEstimate {
             window: [(0, 0); WINDOW_CAP],
             window_len: 0,
             window_pos: 0,
+            sorted: [0; DEFAULT_COUNT_WINDOW],
             signal: None,
             samples: 0,
             last_sample_at: 0,
@@ -67,6 +75,19 @@ impl BackendEstimate {
             None => x,
             Some(prev) => prev + self.alpha * (x - prev),
         });
+        let mut len = DEFAULT_COUNT_WINDOW.min(self.window_len);
+        if len == DEFAULT_COUNT_WINDOW {
+            // The oldest counted sample leaves the count window. The ring
+            // is longer than that window, so it still holds the sample.
+            let (_, leaving) =
+                self.window[(self.window_pos + WINDOW_CAP - DEFAULT_COUNT_WINDOW) % WINDOW_CAP];
+            let at = self.sorted.partition_point(|&v| v < leaving);
+            self.sorted.copy_within(at + 1..len, at);
+            len -= 1;
+        }
+        let at = self.sorted[..len].partition_point(|&v| v <= latency);
+        self.sorted.copy_within(at..len, at + 1);
+        self.sorted[at] = latency;
         self.window[self.window_pos] = (now, latency);
         self.window_pos = (self.window_pos + 1) % WINDOW_CAP;
         self.window_len = (self.window_len + 1).min(WINDOW_CAP);
@@ -82,8 +103,11 @@ impl BackendEstimate {
 
     /// An arbitrary quantile of the most recent (count-based) samples.
     /// Higher quantiles (e.g. 0.9) make the signal variance-aware.
+    /// Equals `quantile_over(q, _, None)`, read off the sorted window.
     pub fn windowed_quantile(&self, q: f64) -> Option<f64> {
-        self.quantile_over(q, 0, None)
+        assert!((0.0..=1.0).contains(&q), "quantile out of range");
+        let len = DEFAULT_COUNT_WINDOW.min(self.window_len);
+        (len > 0).then(|| self.sorted[rank(q, len) - 1] as f64)
     }
 
     /// Quantile over a configurable window: count-based (the last
@@ -116,8 +140,7 @@ impl BackendEstimate {
         }
         let w = &mut buf[..len];
         w.sort_unstable();
-        let rank = ((q * len as f64).ceil() as usize).clamp(1, len);
-        Some(w[rank - 1] as f64)
+        Some(w[rank(q, len) - 1] as f64)
     }
 
     /// Total samples recorded.
@@ -129,6 +152,12 @@ impl BackendEstimate {
     pub fn last_sample_at(&self) -> Nanos {
         self.last_sample_at
     }
+}
+
+/// The 1-based rank of quantile `q` among `len > 0` sorted values:
+/// `ceil(q·len)`, at least 1.
+fn rank(q: f64, len: usize) -> usize {
+    ((q * len as f64).ceil() as usize).clamp(1, len)
 }
 
 /// Estimates for all backends of one LB.

@@ -572,6 +572,28 @@ proptest! {
         }
     }
 
+    /// The signal kept on the sorted count window equals a sort of that
+    /// window after every sample: latencies from three values (runs of
+    /// duplicates, so removals hit ties), streams shorter and longer
+    /// than the 16-sample window, and every quantile the controllers use.
+    #[test]
+    fn sorted_window_signal_equals_quantile_over(
+        q_sel in 0usize..3,
+        stream in proptest::collection::vec(0u64..3, 1..80),
+    ) {
+        let q = [0.5, 0.9, 1.0][q_sel];
+        let mut est = BackendEstimator::new(1, 0.2, u64::MAX).with_signal_quantile(q);
+        for (i, &lat) in stream.iter().enumerate() {
+            let now = i as u64 * 1_000;
+            est.record(0, 100_000 + lat * 50_000, now);
+            let e = est.backend(0);
+            prop_assert_eq!(est.fresh_estimate(0, now), e.quantile_over(q, 0, None));
+            for other in [0.0, 0.25, 0.5, 0.9, 1.0] {
+                prop_assert_eq!(e.windowed_quantile(other), e.quantile_over(other, 0, None));
+            }
+        }
+    }
+
     /// Maglev consistency: growing one backend's weight by a small amount
     /// never remaps more than ~3x that fraction of slots.
     #[test]

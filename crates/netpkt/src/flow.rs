@@ -8,7 +8,13 @@ use crate::{ParseError, Result, ETH_HEADER_LEN};
 
 /// A TCP connection four-tuple as seen in one direction
 /// (source → destination).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// Keys order by their fields in declaration order — `src_ip`, `dst_ip`,
+/// `src_port`, `dst_port`, addresses compared as numbers (which is their
+/// octet order) — as a derived `Ord` would, but in one integer compare.
+/// The LB's flow table depends on this order: it journals re-pins in key
+/// order and its capacity eviction probes a key-ordered window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey {
     /// Source IPv4 address.
     pub src_ip: Ipv4Addr,
@@ -99,6 +105,15 @@ impl FlowKey {
         }
     }
 
+    /// The tuple packed into one integer whose numeric order is the
+    /// field order `(src_ip, dst_ip, src_port, dst_port)`.
+    fn packed(&self) -> u128 {
+        u128::from(u32::from(self.src_ip)) << 64
+            | u128::from(u32::from(self.dst_ip)) << 32
+            | u128::from(self.src_port) << 16
+            | u128::from(self.dst_port)
+    }
+
     /// A stable 64-bit hash of the tuple, used as input to consistent
     /// hashing. This is a xorshift-multiply mix (splitmix64 finalizer) over
     /// the packed tuple — deterministic across runs and platforms.
@@ -108,6 +123,18 @@ impl FlowKey {
         let packed = (u64::from(src) << 32 | u64::from(dst))
             ^ (u64::from(self.src_port) << 16 | u64::from(self.dst_port)) << 1;
         splitmix64(packed)
+    }
+}
+
+impl Ord for FlowKey {
+    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
+        self.packed().cmp(&other.packed())
+    }
+}
+
+impl PartialOrd for FlowKey {
+    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 

@@ -311,6 +311,48 @@ proptest! {
         // Identical tuples hash identically (used as Maglev input).
         prop_assert_eq!(k.stable_hash(), FlowKey::new(src, sport, dst, dport).stable_hash());
     }
+
+    #[test]
+    fn flow_key_orders_as_its_field_tuple(
+        a in arb_edge_key(), other in arb_edge_key(), keep in 0u8..16,
+    ) {
+        // `b` keeps the fields of `a` that `keep`'s bits name, so every
+        // field in turn gets to tie and the next one decides.
+        let b = FlowKey {
+            src_ip: if keep & 1 != 0 { a.src_ip } else { other.src_ip },
+            dst_ip: if keep & 2 != 0 { a.dst_ip } else { other.dst_ip },
+            src_port: if keep & 4 != 0 { a.src_port } else { other.src_port },
+            dst_port: if keep & 8 != 0 { a.dst_port } else { other.dst_port },
+        };
+        let tuple = |k: &FlowKey| (k.src_ip, k.dst_ip, k.src_port, k.dst_port);
+        prop_assert_eq!(a.cmp(&b), tuple(&a).cmp(&tuple(&b)));
+        prop_assert_eq!(b.cmp(&a), tuple(&b).cmp(&tuple(&a)));
+        prop_assert_eq!(a.partial_cmp(&b), Some(a.cmp(&b)));
+        prop_assert_eq!(a == b, tuple(&a) == tuple(&b));
+    }
+}
+
+/// A four-tuple whose fields are often the edges of their range (0, 1,
+/// the sign bit's neighbours, the maximum), where a packing or a signed
+/// compare would go wrong first.
+fn arb_edge_key() -> impl Strategy<Value = FlowKey> {
+    (
+        arb_edge_ip(),
+        arb_edge_port(),
+        arb_edge_ip(),
+        arb_edge_port(),
+    )
+        .prop_map(|(src, sport, dst, dport)| FlowKey::new(src, sport, dst, dport))
+}
+
+fn arb_edge_ip() -> impl Strategy<Value = Ipv4Addr> {
+    const EDGES: [u32; 5] = [0, 1, 0x7fff_ffff, 0x8000_0000, u32::MAX];
+    (any::<u32>(), 0usize..8).prop_map(|(x, i)| Ipv4Addr::from(EDGES.get(i).copied().unwrap_or(x)))
+}
+
+fn arb_edge_port() -> impl Strategy<Value = u16> {
+    const EDGES: [u16; 5] = [0, 1, 0x7fff, 0x8000, u16::MAX];
+    (any::<u16>(), 0usize..8).prop_map(|(x, i)| EDGES.get(i).copied().unwrap_or(x))
 }
 
 /// Streams `total` messages (cycling through `messages`) into a decoder in

@@ -51,11 +51,15 @@ impl LinkConfig {
 
     /// Time to serialize `bytes` onto the wire at this link's rate.
     pub fn serialization_delay(&self, bytes: usize) -> Duration {
-        // bits * 1e9 / rate, computed in u128 to avoid overflow. The
-        // quotient fits: a 64 KiB frame at 1 bit/s is 5.2e14 ns.
-        let bits = (bytes as u128) * 8;
-        #[allow(clippy::cast_possible_truncation)]
-        let nanos = ((bits * 1_000_000_000) / self.rate_bps as u128) as u64;
+        // bits * 1e9 / rate. The product fits u64 up to 2.3 GB, so a
+        // frame divides in u64; u128 (a slow library call) is the
+        // fallback. The quotient fits: a 64 KiB frame at 1 bit/s is
+        // 5.2e14 ns.
+        let nanos = match (bytes as u64).checked_mul(8_000_000_000) {
+            Some(scaled) => scaled / self.rate_bps,
+            #[allow(clippy::cast_possible_truncation)]
+            None => ((bytes as u128 * 8_000_000_000) / u128::from(self.rate_bps)) as u64,
+        };
         Duration::from_nanos(nanos)
     }
 }
@@ -110,9 +114,13 @@ impl LinkDir {
     // so the quotient is at most `queue_limit_bytes` plus one frame.
     #[allow(clippy::cast_possible_truncation)]
     pub fn queued_bytes(&self, now: Time, cfg: &LinkConfig) -> u64 {
-        let backlog = self.busy_until.saturating_since(now);
-        // bytes = backlog * rate / 8
-        ((backlog.as_nanos() as u128 * cfg.rate_bps as u128) / (8 * 1_000_000_000)) as u64
+        let backlog = self.busy_until.saturating_since(now).as_nanos();
+        // bytes = backlog * rate / 8e9, in u64 while the product fits
+        // (up to a 1.8 s backlog at 10 Gbit/s), else in u128.
+        match backlog.checked_mul(cfg.rate_bps) {
+            Some(bit_ns) => bit_ns / 8_000_000_000,
+            None => ((u128::from(backlog) * u128::from(cfg.rate_bps)) / 8_000_000_000) as u64,
+        }
     }
 }
 
@@ -224,6 +232,64 @@ mod tests {
             NodeId(1),
             LinkConfig::new(rate_bps, Duration::from_micros(delay_us), queue),
         )
+    }
+
+    #[test]
+    fn serialization_delay_equals_the_u128_formula_at_the_edges() {
+        // 2_305_843_009 bytes is the largest count whose nanosecond
+        // product fits u64; the next one takes the u128 path.
+        const BYTES: [usize; 8] = [
+            0,
+            1,
+            64,
+            1500,
+            65_535,
+            2_305_843_009,
+            2_305_843_010,
+            usize::MAX,
+        ];
+        const RATES: [u64; 6] = [1, 3, 1_000_000, 1_000_000_007, 10_000_000_000, u64::MAX];
+        for &rate in &RATES {
+            let cfg = LinkConfig::new(rate, Duration::ZERO, 0);
+            for &bytes in &BYTES {
+                #[allow(clippy::cast_possible_truncation)]
+                let want = ((bytes as u128 * 8 * 1_000_000_000) / u128::from(rate)) as u64;
+                assert_eq!(
+                    cfg.serialization_delay(bytes).as_nanos(),
+                    want,
+                    "{bytes} B at {rate} bit/s"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn queued_bytes_equals_the_u128_formula_at_the_edges() {
+        const RATES: [u64; 5] = [1, 8, 1_000_000_000, 10_000_000_000, u64::MAX];
+        for &rate in &RATES {
+            let cfg = LinkConfig::new(rate, Duration::ZERO, 0);
+            // Around the largest backlog whose product with the rate fits u64.
+            let limit = u64::MAX / rate;
+            for backlog in [
+                0,
+                1,
+                1_800_000,
+                limit - 1,
+                limit,
+                limit.saturating_add(1),
+                u64::MAX,
+            ] {
+                let mut dir = LinkDir::new();
+                dir.busy_until = Time::from_nanos(backlog);
+                #[allow(clippy::cast_possible_truncation)]
+                let want = ((u128::from(backlog) * u128::from(rate)) / 8_000_000_000) as u64;
+                assert_eq!(
+                    dir.queued_bytes(Time::ZERO, &cfg),
+                    want,
+                    "{backlog} ns at {rate} bit/s"
+                );
+            }
+        }
     }
 
     #[test]

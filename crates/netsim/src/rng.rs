@@ -125,8 +125,9 @@ macro_rules! uniform_uint_range {
             type Output = $t;
             fn sample(self, rng: &mut SimRng) -> $t {
                 assert!(self.start < self.end, "gen_range on empty range");
-                let span = (self.end as u128).wrapping_sub(self.start as u128);
-                self.start + (rng.next_u64() as u128 % span) as $t
+                // Below 2^64 for every type: the remainder is u64 math.
+                let span = self.end as u64 - self.start as u64;
+                self.start + (rng.next_u64() % span) as $t
             }
         }
         impl UniformRange for core::ops::RangeInclusive<$t> {
@@ -134,8 +135,13 @@ macro_rules! uniform_uint_range {
             fn sample(self, rng: &mut SimRng) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "gen_range on empty range");
-                let span = (hi as u128) - (lo as u128) + 1;
-                lo + (rng.next_u64() as u128 % span) as $t
+                // The span is (hi - lo) + 1 <= 2^64; only the full u64
+                // range reaches 2^64, and a draw modulo 2^64 is itself.
+                let draw = rng.next_u64();
+                match (hi as u64 - lo as u64).checked_add(1) {
+                    Some(span) => lo + (draw % span) as $t,
+                    None => lo + draw as $t,
+                }
             }
         }
     )*};
@@ -229,6 +235,49 @@ mod tests {
         for &c in &counts {
             let frac = c as f64 / 50_000.0;
             assert!((frac - 0.1).abs() < 0.01, "uniform fraction {frac}");
+        }
+    }
+
+    /// The draw `r` makes next, `r` itself untouched.
+    fn peek(r: &SimRng) -> u64 {
+        r.clone().next_u64()
+    }
+
+    /// `lo + draw mod (hi - lo + 1)`, computed in u128.
+    fn wide_reference(draw: u64, lo: u64, hi: u64) -> u128 {
+        u128::from(lo) + u128::from(draw) % (u128::from(hi - lo) + 1)
+    }
+
+    #[test]
+    fn gen_range_equals_the_u128_remainder_at_the_edges() {
+        const EDGES: [(u64, u64); 9] = [
+            (0, 0),
+            (0, 1),
+            (5, 5),
+            (7, 1 << 63),
+            (0, u64::MAX - 1),
+            (0, u64::MAX), // span 2^64: the draw itself
+            (1, u64::MAX),
+            (1 << 32, u64::MAX),
+            (u64::MAX, u64::MAX),
+        ];
+        let mut r = SimRng::seed_from_u64(17);
+        for _ in 0..200 {
+            for &(lo, hi) in &EDGES {
+                let want = wide_reference(peek(&r), lo, hi);
+                assert_eq!(u128::from(r.gen_range(lo..=hi)), want, "{lo}..={hi}");
+                if lo < hi {
+                    let want = wide_reference(peek(&r), lo, hi - 1);
+                    assert_eq!(u128::from(r.gen_range(lo..hi)), want, "{lo}..{hi}");
+                }
+            }
+            // Narrow types keep the low bits of the same remainder.
+            let want = wide_reference(peek(&r), 0, 255);
+            assert_eq!(u128::from(r.gen_range(0u8..=255)), want);
+            let want = wide_reference(peek(&r), 0, 254);
+            assert_eq!(u128::from(r.gen_range(0u8..255)), want);
+            let want = wide_reference(peek(&r), 1, u64::from(u32::MAX));
+            assert_eq!(u128::from(r.gen_range(1u32..=u32::MAX)), want);
         }
     }
 

@@ -37,10 +37,10 @@ pub struct RouterStats {
 
 /// An exact-match (/32) IPv4 router with ECMP.
 pub struct Router {
-    /// Keyed by destination in a `BTreeMap` so any future traversal
-    /// (debug dumps, route diffing) is address-ordered, never
-    /// hasher-ordered (rule D3, DESIGN.md §6.9).
-    routes: BTreeMap<Ipv4Addr, Vec<LinkId>>,
+    /// Keyed by destination address as a number, in a `BTreeMap` so
+    /// any future traversal (debug dumps, route diffing) is
+    /// address-ordered, never hasher-ordered (rule D3, DESIGN.md §6.9).
+    routes: BTreeMap<u32, Vec<LinkId>>,
     default_route: Option<LinkId>,
     /// Scripted updates: `(when, destination, new egress set)`. An empty
     /// egress set deletes the route.
@@ -62,7 +62,7 @@ impl Router {
 
     /// Adds (or replaces) a host route: traffic to `dst` leaves via `link`.
     pub fn add_route(&mut self, dst: Ipv4Addr, link: LinkId) {
-        self.routes.insert(dst, vec![link]);
+        self.routes.insert(dst.into(), vec![link]);
     }
 
     /// Adds (or replaces) an ECMP host route: traffic to `dst` is spread
@@ -76,7 +76,7 @@ impl Router {
     /// Panics on an empty link set.
     pub fn add_route_ecmp(&mut self, dst: Ipv4Addr, links: Vec<LinkId>) {
         assert!(!links.is_empty(), "ECMP route needs at least one link");
-        self.routes.insert(dst, links);
+        self.routes.insert(dst.into(), links);
     }
 
     /// Sets the default route for addresses with no host route.
@@ -95,7 +95,7 @@ impl Router {
     /// routes pick by rendezvous hashing, so the result is a pure
     /// function of `(dst, flow_hash, egress set)`.
     pub fn lookup(&self, dst: Ipv4Addr, flow_hash: u64) -> Option<LinkId> {
-        match self.routes.get(&dst) {
+        match self.routes.get(&u32::from(dst)) {
             Some(links) if !links.is_empty() => crate::ecmp::pick(flow_hash, links),
             _ => self.default_route,
         }
@@ -156,9 +156,9 @@ impl Node for Router {
         let (_, dst, links) = self.schedule[token.0 as usize].clone();
         self.stats.route_updates += 1;
         if links.is_empty() {
-            self.routes.remove(&dst);
+            self.routes.remove(&u32::from(dst));
         } else {
-            self.routes.insert(dst, links);
+            self.routes.insert(dst.into(), links);
         }
     }
 }

@@ -100,6 +100,9 @@ impl Trace {
         self.capture_bytes = true;
     }
 
+    /// Records one event if tracing is on. The gate inlines into the
+    /// delivery loop, so a run with tracing off pays a branch, not a call.
+    #[inline]
     pub(crate) fn record(
         &mut self,
         at: Time,
@@ -108,9 +111,13 @@ impl Trace {
         link: LinkId,
         pkt: &Packet,
     ) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.push(at, node, kind, link, pkt);
         }
+    }
+
+    #[inline(never)]
+    fn push(&mut self, at: Time, node: NodeId, kind: TraceKind, link: LinkId, pkt: &Packet) {
         if self.events.len() >= self.capacity {
             self.truncated += 1;
             return;

@@ -8,7 +8,7 @@
 //! scheduling noise) and extra local addresses (a backend accepting
 //! VIP-addressed connections under DSR replies with the VIP as source).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::net::Ipv4Addr;
 
 use netpkt::{FlowKey, MacAddr, Packet, PacketViewRef, TcpHeader};
@@ -20,6 +20,7 @@ use telemetry::span::HopKind;
 use crate::app::{App, ConnId, HostIo};
 use crate::config::TcpConfig;
 use crate::conn::{Conn, ConnBuffers, ConnEvent, SegmentOut, TimerKind, TimerRequest};
+use crate::flow_index::FlowIndex;
 use crate::seq::seq_add;
 
 /// Timer-token tags (top 2 bits of the token).
@@ -190,7 +191,8 @@ pub struct Host {
     mac: MacAddr,
     uplink: LinkId,
     conns: Vec<Slot>,
-    by_flow: BTreeMap<FlowKey, usize>,
+    /// The slot of each live connection, by four-tuple as its peer sends.
+    flows: FlowIndex,
     listeners: BTreeSet<u16>,
     app: Option<Box<dyn App>>,
     rng: SimRng,
@@ -231,7 +233,7 @@ impl Host {
             mac,
             uplink,
             conns: Vec::new(),
-            by_flow: BTreeMap::new(),
+            flows: FlowIndex::new(),
             listeners: BTreeSet::new(),
             app: Some(app),
             rng: SimRng::seed_from_u64(seed),
@@ -308,7 +310,8 @@ impl Host {
             return;
         }
         let key = view.flow();
-        if let Some(&idx) = self.by_flow.get(&key) {
+        if let Some(id) = self.flows.get(&key) {
+            let idx = id.0 as usize;
             let slot = &mut self.conns[idx];
             if let Tenant::Live(conn) = &mut slot.tenant {
                 if ctx.spans_enabled() && pkt.span() != 0 {
@@ -347,7 +350,7 @@ impl Host {
                     bufs,
                 )
             });
-            self.by_flow.insert(key, idx);
+            self.flows.insert(key, conn_id(idx));
             self.enqueue(idx);
             self.drain_work(ctx);
             ctx.pool().recycle(pkt);
@@ -470,7 +473,7 @@ impl Host {
                 let ((lip, lport), (rip, rport)) = (conn.local(), conn.remote());
                 self.stats.retransmits += conn.stats.retransmits;
                 self.stats.timeouts += conn.stats.timeouts;
-                self.by_flow.remove(&FlowKey::new(rip, rport, lip, lport));
+                self.flows.remove(&FlowKey::new(rip, rport, lip, lport));
                 self.conns[idx].reap(ctx);
                 self.stats.conns_closed += 1;
             }
@@ -662,7 +665,7 @@ impl HostIo for Io<'_, '_> {
             .host
             .alloc_conn(|bufs| Conn::client(local, (remote_ip, remote_port), tcp, iss, now, bufs));
         let key = FlowKey::new(remote_ip, remote_port, local.0, local.1);
-        self.host.by_flow.insert(key, idx);
+        self.host.flows.insert(key, conn_id(idx));
         self.host.enqueue(idx);
         conn_id(idx)
     }

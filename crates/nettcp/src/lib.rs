@@ -36,6 +36,7 @@
 pub mod app;
 pub mod config;
 pub mod conn;
+mod flow_index;
 pub mod host;
 pub mod rto;
 pub mod seq;

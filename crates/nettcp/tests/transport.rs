@@ -850,3 +850,139 @@ fn vip_addressed_server_accepts_and_replies_from_vip() {
         .unwrap();
     assert_eq!(app.echoed, 9);
 }
+
+#[test]
+fn thousands_of_churning_connections_each_find_their_own_slot() {
+    // Every segment a host receives is matched to its connection by the
+    // host's flow index. Each message names the client port it was sent
+    // from, so both ends can check that the slot the index picked is the
+    // one a `BTreeMap` model of the live four-tuples names.
+    const TOTAL: u32 = 3_000;
+    const CONCURRENT: u32 = 150;
+
+    fn port_of(data: &[u8]) -> u16 {
+        u16::from_be_bytes([data[0], data[1]])
+    }
+
+    /// Keeps `CONCURRENT` connections open until `TOTAL` have run; each
+    /// sends `1 + port % 3` two-byte messages, one per echo, then closes.
+    #[derive(Default)]
+    struct Churner {
+        opened: u32,
+        closed: u32,
+        lookups: u64,
+        /// Model: live client port → connection, and messages left.
+        live: std::collections::BTreeMap<u16, (ConnId, u16)>,
+    }
+    impl Churner {
+        fn open(&mut self, io: &mut dyn HostIo) {
+            let conn = io.connect(SERVER_IP, PORT);
+            let port = io.local_addr(conn).1;
+            assert!(
+                self.live.values().all(|&(c, _)| c != conn),
+                "{conn} reused while live"
+            );
+            let prior = self.live.insert(port, (conn, 1 + port % 3));
+            assert!(prior.is_none(), "port {port} reused while live");
+            self.opened += 1;
+        }
+    }
+    impl App for Churner {
+        fn on_start(&mut self, io: &mut dyn HostIo) {
+            for _ in 0..CONCURRENT {
+                self.open(io);
+            }
+        }
+        fn on_connected(&mut self, io: &mut dyn HostIo, conn: ConnId) {
+            io.send(conn, &io.local_addr(conn).1.to_be_bytes());
+        }
+        fn on_data(&mut self, io: &mut dyn HostIo, conn: ConnId, data: &[u8]) {
+            assert_eq!(data.len(), 2, "one echo at a time");
+            let port = port_of(data);
+            let (owner, left) = self.live.get_mut(&port).expect("echo for a live port");
+            assert_eq!(
+                *owner, conn,
+                "echo for port {port} delivered to another slot"
+            );
+            self.lookups += 1;
+            *left -= 1;
+            if *left == 0 {
+                io.close(conn);
+            } else {
+                io.send(conn, data);
+            }
+        }
+        fn on_closed(&mut self, io: &mut dyn HostIo, conn: ConnId) {
+            let port = io.local_addr(conn).1;
+            assert_eq!(self.live.remove(&port).map(|(c, _)| c), Some(conn));
+            self.closed += 1;
+            if self.opened < TOTAL {
+                self.open(io);
+            }
+        }
+    }
+
+    /// Echoes each message, checking it arrived on the connection the
+    /// model holds for the client port it names.
+    #[derive(Default)]
+    struct ModelServer {
+        accepted: u32,
+        lookups: u64,
+        live: std::collections::BTreeMap<u16, ConnId>,
+    }
+    impl App for ModelServer {
+        fn on_start(&mut self, io: &mut dyn HostIo) {
+            io.listen(PORT);
+        }
+        fn on_connected(&mut self, io: &mut dyn HostIo, conn: ConnId) {
+            let (ip, port) = io.remote_addr(conn);
+            assert_eq!(ip, CLIENT_IP);
+            assert!(
+                self.live.insert(port, conn).is_none(),
+                "port {port} accepted twice"
+            );
+            self.accepted += 1;
+        }
+        fn on_data(&mut self, io: &mut dyn HostIo, conn: ConnId, data: &[u8]) {
+            let port = port_of(data);
+            assert_eq!(
+                self.live.get(&port),
+                Some(&conn),
+                "port {port} delivered to another slot"
+            );
+            self.lookups += 1;
+            io.send(conn, data);
+        }
+        fn on_closed(&mut self, io: &mut dyn HostIo, conn: ConnId) {
+            let port = io.remote_addr(conn).1;
+            assert_eq!(self.live.remove(&port), Some(conn));
+            io.close(conn);
+        }
+    }
+
+    let (mut sim, c, s) = rig(
+        TcpConfig::default(),
+        TcpConfig::default(),
+        default_link(),
+        Box::new(Churner::default()),
+        Box::new(ModelServer::default()),
+    );
+    sim.run_for(Duration::from_secs(10));
+    let client = sim.node_ref::<Host>(c).unwrap();
+    let churner = client.app_ref::<Churner>().unwrap();
+    assert_eq!((churner.opened, churner.closed), (TOTAL, TOTAL));
+    assert!(churner.live.is_empty());
+    let server = sim.node_ref::<Host>(s).unwrap();
+    let model = server.app_ref::<ModelServer>().unwrap();
+    assert_eq!(model.accepted, TOTAL);
+    assert!(model.live.is_empty());
+    // 1 + port % 3 messages a connection: about two on average.
+    assert_eq!(model.lookups, churner.lookups);
+    assert!(
+        churner.lookups > u64::from(TOTAL) * 19 / 10,
+        "{}",
+        churner.lookups
+    );
+    assert_eq!((client.live_conns(), server.live_conns()), (0, 0));
+    assert_eq!(client.stats.no_match + server.stats.no_match, 0);
+}
